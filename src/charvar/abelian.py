@@ -10,7 +10,9 @@ Three layers, each feeding the next:
 * :class:`FPAbelianGroup` — a finitely presented abelian group given by
   relator rows over its generators (multiplicative notation outside, exponent
   vectors inside), with a decidable word problem (:func:`is_identity`) and
-  d-th-power test (:func:`is_dth_power`), both via Smith-form membership.
+  d-th-power test (:func:`is_dth_power`), both via Smith-form membership,
+  and canonical coordinates of A/dA as an :class:`AdditiveMap`
+  (:func:`canonical_coordinates`).
 
 Matrices are tuples of tuples of ints; rows of a generator/relation matrix
 are the generating vectors/relators.
@@ -44,10 +46,6 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix
         tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
         for i in range(len(a))
     )
-
-
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> IntVector:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
 
 
 def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> IntVector:
@@ -264,18 +262,10 @@ class FPAbelianGroup:
         return tuple(out)
 
 
-def _membership_data(relations: IntMatrix, width: int):
-    """Smith data for testing membership in the row space of `relations`."""
-    if not relations:
-        snf = None
-    else:
-        snf = smith_normal_form(relations)
-    return snf
-
-
 @lru_cache(maxsize=None)
 def _row_space_snf(relations: IntMatrix, width: int) -> SmithDecomposition | None:
-    return _membership_data(relations, width)
+    """Smith data for testing membership in the row space of `relations`."""
+    return smith_normal_form(relations) if relations else None
 
 
 def _in_row_space(relations: IntMatrix, width: int, word: IntVector) -> bool:
@@ -298,6 +288,14 @@ def is_identity(group: FPAbelianGroup, word: Sequence[int]) -> bool:
     return _in_row_space(group.relations, group.generator_count, w)
 
 
+def _power_relations(group: FPAbelianGroup, d: int) -> IntMatrix:
+    """Relator rows of A/dA: d·I stacked on the relations of A."""
+    t = group.generator_count
+    return tuple(
+        tuple(d if i == j else 0 for j in range(t)) for i in range(t)
+    ) + group.relations
+
+
 def is_dth_power(group: FPAbelianGroup, word: Sequence[int], d: int) -> bool:
     """True iff the word is a d-th power in the group (exactly the declared one).
 
@@ -309,20 +307,68 @@ def is_dth_power(group: FPAbelianGroup, word: Sequence[int], d: int) -> bool:
     w = group._check(word)
     if d == 1:
         return True
+    return _in_row_space(_power_relations(group, d), group.generator_count, w)
+
+
+@dataclass(frozen=True)
+class AdditiveMap:
+    """An additive map from integer vectors to (+) Z/e (+) Z^f.
+
+    Output coordinate k is a sparse functional, (index, coefficient) pairs,
+    reduced mod ``moduli[k]``; a modulus of 0 marks a free coordinate, which
+    is not reduced.  Equal images mean equal elements of the target, and
+    ``add``/``negate`` are its group operations on images.
+    """
+
+    functionals: tuple[tuple[tuple[int, int], ...], ...]
+    moduli: tuple[int, ...]
+
+    def image(self, vector: Sequence[int]) -> IntVector:
+        out = []
+        for terms, e in zip(self.functionals, self.moduli):
+            value = sum(c * vector[i] for i, c in terms)
+            out.append(value % e if e else value)
+        return tuple(out)
+
+    def in_kernel(self, vector: Sequence[int]) -> bool:
+        return not any(self.image(vector))
+
+    def add(self, x: IntVector, y: IntVector) -> IntVector:
+        return tuple(
+            (a + b) % e if e else a + b for a, b, e in zip(x, y, self.moduli)
+        )
+
+    def negate(self, x: IntVector) -> IntVector:
+        return tuple(-a % e if e else -a for a, e in zip(x, self.moduli))
+
+
+def canonical_coordinates(group: FPAbelianGroup, d: int = 0) -> AdditiveMap:
+    """Canonical coordinates of A/dA for A = ``group``; d = 0 gives A itself.
+
+    Read off the Smith form of the relator rows of A/dA (cached per distinct
+    rows): in the coordinates w·V the rows span the multiples of the
+    divisors, and the directions beyond the divisors are free.  Directions
+    along which A/dA is trivial are left out, so a word lies in dA (for
+    d = 0: is the identity) exactly when its image is zero.
+    """
+    if d < 0:
+        raise ValueError("d must be nonnegative")
     t = group.generator_count
-    stacked = tuple(
-        tuple(d if i == j else 0 for j in range(t)) for i in range(t)
-    ) + group.relations
-    return _in_row_space(stacked, t, w)
+    relations = _power_relations(group, d) if d else group.relations
+    snf = _row_space_snf(relations, t)
+    v_mat = snf.V if snf is not None else _identity(t)
+    divisors = snf.divisors if snf is not None else ()
+    divisors += (0,) * (t - len(divisors))
+    functionals, moduli = [], []
+    for k, e in enumerate(divisors):
+        if e == 1:
+            continue
+        column = ((i, row[k] % e if e else row[k]) for i, row in enumerate(v_mat))
+        functionals.append(tuple((i, c) for i, c in column if c))
+        moduli.append(e)
+    return AdditiveMap(functionals=tuple(functionals), moduli=tuple(moduli))
 
 
 def canonical_word(group: FPAbelianGroup, word: Sequence[int]) -> IntVector:
     """Canonical coset representative: equal words get equal tuples."""
-    w = group._check(word)
-    snf = _row_space_snf(group.relations, group.generator_count)
-    if snf is None:
-        return w
-    b = list(vec_mat(w, snf.V))
-    for j, dj in enumerate(snf.divisors):
-        b[j] %= dj
-    return tuple(b)
+    return canonical_coordinates(group).image(group._check(word))

@@ -12,9 +12,14 @@ On top of that this module provides:
 * ``translate`` / ``product_translate`` — the Weyl action on torus
   elements, and the product of several translated elements;
 * ``strongly_regular`` — no root trivial on S and trivial Weyl stabilizer;
-* ``in_commutator`` — whether S dies in (X^vee / <Psi>) (x) A, decided by
-  Smith normal form: in SNF coordinates the torsion conditions become
-  "this word is a d_i-th power" and the free conditions "this word is 1";
+* ``node_map`` — the test "S dies in (X^vee / <Psi>) (x) A", compiled
+  once per closed subsystem Psi into an additive map to (+) Z/e (+) Z^f
+  (the Smith form of <Psi> composed with canonical coordinates of each
+  A/d_iA) whose kernel is exactly the dying elements; ``in_commutator``
+  asks whether S maps to zero.  Because the map is additive, the image of
+  a product of translates is the sum of their images, which is what lets
+  the counting engine join per-class histograms instead of enumerating
+  products;
 * ``delta`` / ``alpha`` — the per-subsystem factor
   |Tor(X^vee/<Psi>)| (q-1)^rank [S in commutator] and its Mobius
   alternation over the subsystem poset.
@@ -27,9 +32,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .abelian import (
+    AdditiveMap,
     FPAbelianGroup,
+    QuotientInvariants,
+    canonical_coordinates,
     canonical_word,
-    is_dth_power,
     is_identity,
     quotient_invariants,
     smith_normal_form,
@@ -135,6 +142,10 @@ class SymbolicTorusElement:
             datum=datum, coords=tuple(datum.parse_word(w) for w in words)
         )
 
+    def flat(self) -> Word:
+        """All coordinates as one vector: word i, symbol t at i * |symbols| + t."""
+        return tuple(x for word in self.coords for x in word)
+
     def canonical_key(self) -> tuple[Word, ...]:
         """Coordinatewise canonical form in A; equal keys = equal elements."""
         g = self.datum.group
@@ -230,62 +241,64 @@ def strongly_regular(rd: RootDatum, element: SymbolicTorusElement) -> bool:
 @lru_cache(maxsize=None)
 def _psi_membership(rd: RootDatum, psi: tuple[int, ...]):
     """Smith data of the lattice <Psi> inside X^vee: (V, divisors)."""
-    rows = [list(rd.coroots[i]) for i in psi]
-    snf = smith_normal_form(rows)
+    if not psi:
+        identity = tuple(
+            tuple(1 if r == c else 0 for c in range(rd.rank)) for r in range(rd.rank)
+        )
+        return identity, ()
+    snf = smith_normal_form([list(rd.coroots[i]) for i in psi])
     return snf.V, snf.divisors
 
 
-def in_commutator(rd: RootDatum, psi, element: SymbolicTorusElement) -> bool:
-    """Does S become trivial in (X^vee / <Psi>) (x) A?
+def node_map(rd: RootDatum, psi, group: FPAbelianGroup) -> AdditiveMap:
+    """Compile the test "S dies in (X^vee / <Psi>) (x) A" into an AdditiveMap.
 
-    In Smith coordinates of <Psi> <= X^vee the condition splits: along a
-    torsion direction with divisor d_i the transformed word must be a d_i-th
-    power in A; along a free direction it must be the identity.
+    The map acts on ``S.flat()``, and S dies exactly when it lands in the
+    kernel.  With U C V = diag(d_j) the Smith form of the coroots of Psi (d_j = 0
+    past the rank of <Psi>), X^vee/<Psi> = (+) Z/d_j along the columns of V,
+    so (X^vee/<Psi>) (x) A = (+) A/d_jA and S maps to the words
+    b_j = sum_i V[i][j] S_i.  Each b_j goes through the canonical
+    coordinates of A/d_jA; directions with d_j = 1 vanish and are skipped.
     """
-    return _in_commutator_cached(rd, tuple(sorted(psi)), element)
+    v_mat, divisors = _psi_membership(rd, tuple(sorted(psi)))
+    width = group.generator_count
+    functionals, moduli = [], []
+    for j in range(rd.rank):
+        d = divisors[j] if j < len(divisors) else 0
+        if d == 1:
+            continue
+        coords = canonical_coordinates(group, d)
+        for terms, e in zip(coords.functionals, coords.moduli):
+            composed = []
+            for i in range(rd.rank):
+                for t, c in terms:
+                    coeff = v_mat[i][j] * c
+                    if e:
+                        coeff %= e
+                    if coeff:
+                        composed.append((i * width + t, coeff))
+            functionals.append(tuple(composed))
+            moduli.append(e)
+    return AdditiveMap(functionals=tuple(functionals), moduli=tuple(moduli))
 
 
-@lru_cache(maxsize=None)
-def _in_commutator_cached(
-    rd: RootDatum, psi: tuple[int, ...], element: SymbolicTorusElement
-) -> bool:
-    group = element.datum.group
-    if not psi:
-        return all(is_identity(group, w) for w in element.coords)
-    v_mat, divisors = _psi_membership(rd, psi)
-    d = rd.rank
-    n = len(element.datum.symbols)
-    # b = V^T . a where a is the coordinate column of S (entries are words)
-    for j in range(d):
-        b_j = [0] * n
-        for i in range(d):
-            coeff = v_mat[i][j]
-            if coeff:
-                for t in range(n):
-                    b_j[t] += coeff * element.coords[i][t]
-        word = tuple(b_j)
-        if j < len(divisors):
-            if not is_dth_power(group, word, divisors[j]):
-                return False
-        else:
-            if not is_identity(group, word):
-                return False
-    return True
+def in_commutator(rd: RootDatum, psi, element: SymbolicTorusElement) -> bool:
+    """Does S become trivial in (X^vee / <Psi>) (x) A?"""
+    return node_map(rd, psi, element.datum.group).in_kernel(element.flat())
+
+
+def quotient_factor(inv: QuotientInvariants) -> RationalPoly:
+    """|Tor(X^vee/<Psi>)| (q-1)^rank(X^vee/<Psi>): the value of delta when S dies."""
+    return q_minus(1) ** inv.free_rank * RationalPoly.from_int(inv.torsion_order)
 
 
 def delta(rd: RootDatum, psi, element: SymbolicTorusElement) -> RationalPoly:
     """|Tor(X^vee/<Psi>)| (q-1)^rank(X^vee/<Psi>) if S dies there, else 0."""
-    return _delta_cached(rd, tuple(sorted(psi)), element)
-
-
-@lru_cache(maxsize=None)
-def _delta_cached(
-    rd: RootDatum, psi: tuple[int, ...], element: SymbolicTorusElement
-) -> RationalPoly:
-    inv = quotient_invariants(rd.rank, [list(rd.coroots[i]) for i in psi])
     if not in_commutator(rd, psi, element):
         return RationalPoly.from_int(0)
-    return q_minus(1) ** inv.free_rank * RationalPoly.from_int(inv.torsion_order)
+    return quotient_factor(
+        quotient_invariants(rd.rank, [list(rd.coroots[i]) for i in psi])
+    )
 
 
 def alpha(poset: SubsystemPoset, node: int, element: SymbolicTorusElement) -> RationalPoly:

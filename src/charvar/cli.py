@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import math
 import random
@@ -48,16 +49,16 @@ from .charsum import (
     EigenvalueDatum,
     SymbolicTorusElement,
     in_commutator,
+    node_map,
     product_translate,
 )
 from .count import (
     DEFAULT_TRANSLATE_BUDGET,
     CountReport,
     ProblemSpec,
-    _product_classes,
-    _resolve_overrides,
     count_polynomial,
     expected_dimension,
+    resolve_overrides,
     validate_problem,
 )
 from .errors import (
@@ -74,7 +75,7 @@ from .oracle import (
     regular_unipotent_class,
     semisimple_class,
 )
-from .rootdata import admissible_primes, build_root_datum, modulus
+from .rootdata import admissible_primes, build_root_datum, enumerate_weyl, modulus
 from .subsystems import build_poset
 
 SCHEMA_VERSION = 1
@@ -605,6 +606,25 @@ def _values_admissible(
     return True
 
 
+def _product_classes(
+    spec: ProblemSpec, budget: int
+) -> list[SymbolicTorusElement]:
+    """One representative per distinct product of one translate per class."""
+    weyl = enumerate_weyl(spec.rd).elements
+    total = len(weyl) ** spec.m
+    if total > budget:
+        raise ResourceLimitError(
+            "translate-budget",
+            f"{total} distinct translate combinations exceed the budget "
+            f"{budget}; raise the budget to proceed",
+        )
+    products: dict[tuple, SymbolicTorusElement] = {}
+    for ws in itertools.product(weyl, repeat=spec.m):
+        prod = product_translate(ws, spec.semisimple_classes)
+        products.setdefault(prod.canonical_key(), prod)
+    return list(products.values())
+
+
 def _membership_data(spec: ProblemSpec):
     """Smith data and symbolic membership per non-overridden poset node.
 
@@ -618,8 +638,9 @@ def _membership_data(spec: ProblemSpec):
     """
     rd = spec.rd
     poset = build_poset(rd)
-    node_override = _resolve_overrides(poset, spec.overrides_dict())
-    products = [prod for prod, _ in _product_classes(spec, DEFAULT_TRANSLATE_BUDGET)]
+    node_override = resolve_overrides(poset, spec.overrides_dict())
+    products = _product_classes(spec, DEFAULT_TRANSLATE_BUDGET)
+    group = spec.eigenvalues.group
     nodes = []
     for j in range(poset.num_nodes):
         if j in node_override:
@@ -630,9 +651,8 @@ def _membership_data(spec: ProblemSpec):
             v_mat, divisors = snf.V, snf.divisors
         else:
             v_mat, divisors = None, ()
-        symbolic = tuple(
-            in_commutator(rd, poset.nodes[j], prod) for prod in products
-        )
+        nmap = node_map(rd, psi, group)
+        symbolic = tuple(nmap.in_kernel(prod.flat()) for prod in products)
         nodes.append((v_mat, divisors, symbolic))
     return products, nodes
 
@@ -866,7 +886,11 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument(
                 "--budget", type=int, default=None,
-                help="enumeration budget override",
+                help=(
+                    "budget override: histogram entries of the translate "
+                    "join, |W|^floor(m/2) + |W|^ceil(m/2) (count, table), "
+                    "or brute-force enumeration steps (oracle)"
+                ),
             )
         if oracle:
             p.add_argument(

@@ -13,9 +13,14 @@ The engine evaluates the closed master formula
              sum over Psi' >= Psi of mu(Psi, Psi') D(Psi')
 
 with chi = 2g + n - 2, where D(Psi') adds up the local factor Delta over
-all W^m-translates of the semisimple classes.  Translates are deduplicated
-by their canonical form in the eigenvalue group, so D costs one membership
-test per genuinely distinct product rather than |W|^m.
+all W^m-translates of the semisimple classes.  Each node's membership test
+is compiled once into an additive map to a finitely generated abelian group
+(``charsum.node_map``); a product of translates dies exactly when the
+images of its factors sum to zero.  So D counts zero sums: each class
+contributes the histogram of its |W| translate images, the classes are
+convolved in two halves, and one dictionary lookup per entry of one half
+against the negated other half counts the zero sums -- about 2 |W|^(m/2)
+entries per node rather than |W|^m products.
 
 Indicator overrides: purity decides "is this word a d-th power" questions
 from the relations alone.  When the user knows the arithmetic truth for
@@ -26,17 +31,19 @@ warns when the two disagree.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .abelian import AdditiveMap
 from .charsum import (
     EigenvalueDatum,
     SymbolicTorusElement,
-    in_commutator,
+    node_map,
     product_translate,
+    quotient_factor,
     strongly_regular,
     translate,
 )
@@ -180,7 +187,7 @@ def validate_problem(spec: ProblemSpec) -> None:
             )
 
 
-def _resolve_overrides(
+def resolve_overrides(
     poset: SubsystemPoset, overrides: dict[str, bool]
 ) -> dict[int, bool]:
     """Map override labels to node indices; display labels beat bare labels."""
@@ -221,45 +228,56 @@ def _identity_matrix(rank: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _translate_classes(
-    rd: RootDatum, element: SymbolicTorusElement
-) -> list[tuple[SymbolicTorusElement, int]]:
-    """Distinct Weyl translates of S with multiplicities (canonical dedup)."""
-    weyl = enumerate_weyl(rd)
-    seen: dict[tuple, list] = {}
-    for w in weyl.elements:
-        t = translate(w, element)
-        key = t.canonical_key()
-        if key in seen:
-            seen[key][1] += 1
-        else:
-            seen[key] = [t, 1]
-    return [(rep, count) for rep, count in seen.values()]
+def pass_counts(
+    spec: ProblemSpec,
+    maps: list[AdditiveMap],
+    budget: int = DEFAULT_TRANSLATE_BUDGET,
+) -> list[int]:
+    """Per node map, the number of W^m-translate tuples whose product dies.
 
-
-def _product_classes(
-    spec: ProblemSpec, budget: int
-) -> list[tuple[SymbolicTorusElement, int]]:
-    """Distinct products of one translate per class, with multiplicities."""
-    rep_lists = [_translate_classes(spec.rd, s) for s in spec.semisimple_classes]
-    total = math.prod(len(reps) for reps in rep_lists)
-    if total > budget:
+    The maps are additive, so a tuple passes when the images of its
+    translates sum to zero.  The classes are split into two halves; each
+    half's histogram of image sums is the convolution of its classes'
+    histograms of |W| translate images, and the zero sums are counted with
+    one lookup per left entry against the negated right half.  ``budget``
+    bounds the histogram entries: a strongly regular class has |W|
+    distinct translates, so each half holds at most |W|^(its class count).
+    """
+    weyl = enumerate_weyl(spec.rd)
+    classes = spec.semisimple_classes
+    half = len(classes) // 2
+    entries = weyl.order ** half + weyl.order ** (len(classes) - half)
+    if entries > budget:
         raise ResourceLimitError(
             "translate-budget",
-            f"{total} distinct translate combinations exceed the budget "
-            f"{budget}; raise the budget to proceed",
+            f"the translate histogram join needs up to {entries} entries, "
+            f"exceeding the budget {budget}; raise the budget to proceed",
         )
-    identity = _identity_matrix(spec.rd.rank)
-    products: dict[tuple, list] = {}
-    for combo in itertools.product(*rep_lists):
-        mult = math.prod(c for _, c in combo)
-        prod = product_translate([identity] * len(combo), [s for s, _ in combo])
-        key = prod.canonical_key()
-        if key in products:
-            products[key][1] += mult
-        else:
-            products[key] = [prod, mult]
-    return [(rep, mult) for rep, mult in products.values()]
+    translates = [[translate(w, s).flat() for w in weyl.elements] for s in classes]
+    counts = []
+    for nmap in maps:
+        left = _sum_histogram(nmap, translates[:half])
+        right = _sum_histogram(nmap, translates[half:])
+        counts.append(
+            sum(mult * right.get(nmap.negate(x), 0) for x, mult in left.items())
+        )
+    return counts
+
+
+def _sum_histogram(
+    nmap: AdditiveMap, classes: list[list[tuple[int, ...]]]
+) -> dict[tuple[int, ...], int]:
+    """Multiplicities of the image sums of one translate per class."""
+    sums = {(0,) * len(nmap.moduli): 1}
+    for translates in classes:
+        images = Counter(nmap.image(t) for t in translates)
+        convolved: dict[tuple[int, ...], int] = {}
+        for x, a in sums.items():
+            for y, b in images.items():
+                z = nmap.add(x, y)
+                convolved[z] = convolved.get(z, 0) + a * b
+        sums = convolved
+    return sums
 
 
 def _z_prefactor(rd: RootDatum, m: int, n: int, chi: int) -> RationalPoly:
@@ -318,7 +336,9 @@ def count_polynomial(
         )
 
     poset = build_poset(rd)
-    node_override = _resolve_overrides(poset, spec.overrides_dict())
+    node_override = resolve_overrides(poset, spec.overrides_dict())
+    group = spec.eigenvalues.group
+    maps = [node_map(rd, psi, group) for psi in poset.nodes]
 
     # emptiness: the product of the semisimple classes must die in
     # X^vee / <full coroot system>, i.e. lie in the commutator subgroup
@@ -327,7 +347,7 @@ def count_polynomial(
         [identity] * m, list(spec.semisimple_classes)
     )
     full_node = poset.index_of[frozenset(range(rd.num_roots))]
-    computed_nonempty = in_commutator(rd, poset.nodes[full_node], plain_product)
+    computed_nonempty = maps[full_node].in_kernel(plain_product.flat())
     effective_nonempty = node_override.get(full_node, computed_nonempty)
     if full_node in node_override and computed_nonempty != effective_nonempty:
         warnings.append(
@@ -345,31 +365,24 @@ def count_polynomial(
                 "in the commutator subgroup of the group of points"
             ),
             warnings=warnings,
-            table=_diagnostic_table(spec, poset, node_override, plain_product),
+            table=_diagnostic_table(poset, node_override, maps, plain_product),
         )
 
-    products = _product_classes(spec, budget)
-
-    # D(node) = |Tor| (q-1)^rank * (weighted number of products passing)
+    # D(node) = |Tor| (q-1)^rank * (number of translate tuples passing);
+    # an override passes all |W|^m tuples or none, and the tuples where it
+    # contradicts the computed indicator are tallied per display label
+    products = enumerate_weyl(rd).order ** m
     mismatch: dict[str, list[int]] = {}
     d_values: list[RationalPoly] = []
-    for j in range(poset.num_nodes):
-        inv = poset.quotient(j)
-        base = q_minus(1) ** inv.free_rank * RationalPoly.from_int(inv.torsion_order)
-        passing = 0
-        for prod, mult in products:
-            computed = in_commutator(rd, poset.nodes[j], prod)
-            if j in node_override:
-                effective = node_override[j]
-                counts = mismatch.setdefault(poset.display_label(j), [0, 0])
-                counts[1] += mult
-                if computed != effective:
-                    counts[0] += mult
-            else:
-                effective = computed
-            if effective:
-                passing += mult
-        d_values.append(base * RationalPoly.from_int(passing))
+    for j, passing in enumerate(pass_counts(spec, maps, budget)):
+        if j in node_override:
+            counts = mismatch.setdefault(poset.display_label(j), [0, 0])
+            counts[0] += products - passing if node_override[j] else passing
+            counts[1] += products
+            passing = products if node_override[j] else 0
+        d_values.append(
+            quotient_factor(poset.quotient(j)) * RationalPoly.from_int(passing)
+        )
 
     for label, (bad, total_mult) in sorted(mismatch.items()):
         if bad:
@@ -418,25 +431,23 @@ def count_polynomial(
         is_empty=is_empty,
         empty_reason="master formula summed to zero" if is_empty else None,
         warnings=warnings,
-        table=_diagnostic_table(spec, poset, node_override, plain_product),
+        table=_diagnostic_table(poset, node_override, maps, plain_product),
     )
 
 
 def _diagnostic_table(
-    spec: ProblemSpec,
     poset: SubsystemPoset,
     node_override: dict[int, bool],
+    maps: list[AdditiveMap],
     plain_product: SymbolicTorusElement,
 ) -> tuple[TableRow, ...]:
     """Per-orbit rows: Weyl data, Poincare, quotient, Delta and alpha at S."""
-    rd = spec.rd
+    killed = [nmap.in_kernel(plain_product.flat()) for nmap in maps]
 
     def effective_delta(j: int) -> RationalPoly:
-        computed = in_commutator(rd, poset.nodes[j], plain_product)
-        if not node_override.get(j, computed):
+        if not node_override.get(j, killed[j]):
             return RationalPoly.from_int(0)
-        inv = poset.quotient(j)
-        return q_minus(1) ** inv.free_rank * RationalPoly.from_int(inv.torsion_order)
+        return quotient_factor(poset.quotient(j))
 
     rows = []
     for orbit in poset.orbits():

@@ -340,6 +340,23 @@ def test_g2_diagnostic_table():
     assert (rows["empty"].delta, rows["empty"].alpha) == ("0", "12")
 
 
+@pytest.mark.parametrize("override, bad", [(True, 6), (False, 2)])
+def test_override_mismatch_counts_translate_products(override, bad):
+    # a*c*e = b*d*f = 1: of the 2^3 translate products exactly the two with
+    # all classes swapped alike are trivial, so the empty-node indicator
+    # holds for 2 of 8 products and an override disagrees with 6 or 2
+    spec = make_spec(
+        "GL(2)", 0, 4, list("abcdef"), ["a*c*e = 1", "b*d*f = 1"],
+        [["a", "b"], ["c", "d"], ["e", "f"]],
+        overrides=(("empty", override),),
+    )
+    report = count_polynomial(spec)
+    assert report.warnings == (
+        "override for empty: relation-forced indicator disagrees for "
+        f"{bad} of 8 translate products (override wins)",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Emptiness, degenerate surfaces, and hypothesis failures
 # ---------------------------------------------------------------------------

@@ -1,0 +1,71 @@
+"""Package structure: no charvar module uses another module's private names.
+
+A name with a leading underscore is private to the module that defines it;
+a module that needs it from elsewhere should get a public name instead.
+Both ``from .count import _helper`` and ``from . import count`` followed
+by ``count._helper`` are caught.
+"""
+
+import ast
+from pathlib import Path
+
+import charvar
+
+PACKAGE = Path(charvar.__file__).resolve().parent
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_uses(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    hits = []
+    module_aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            internal = node.level > 0 or (node.module or "").split(".")[0] == "charvar"
+            if not internal:
+                continue
+            for alias in node.names:
+                if _is_private(alias.name):
+                    hits.append((node.lineno, f"imports {alias.name}"))
+                elif node.module is None or node.module == "charvar":
+                    module_aliases.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "charvar" and alias.asname:
+                    module_aliases.add(alias.asname)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in module_aliases
+            and _is_private(node.attr)
+        ):
+            hits.append((node.lineno, f"uses {node.value.id}.{node.attr}"))
+    return [f"{path.name}:{line} {what}" for line, what in sorted(hits)]
+
+
+def test_no_module_uses_private_names_of_another():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    assert [hit for path in modules for hit in private_uses(path)] == []
+
+
+def test_private_use_detector(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "from __future__ import annotations\n"
+        "from .count import ProblemSpec, _resolve\n"
+        "from . import abelian as ab\n"
+        "import charvar.qpoly as qp\n"
+        "x = ab._row_space_snf, qp.Poly, ab.__name__\n"
+        "y = qp._cache\n",
+        encoding="utf-8",
+    )
+    assert private_uses(source) == [
+        "sample.py:2 imports _resolve",
+        "sample.py:5 uses ab._row_space_snf",
+        "sample.py:6 uses qp._cache",
+    ]
