@@ -203,11 +203,6 @@ def product_translate(ws, elements) -> SymbolicTorusElement:
     return SymbolicTorusElement(datum=datum, coords=tuple(coords))
 
 
-def identity_element(datum: EigenvalueDatum, rank: int) -> SymbolicTorusElement:
-    zero = (0,) * len(datum.symbols)
-    return SymbolicTorusElement(datum=datum, coords=(zero,) * rank)
-
-
 def strongly_regular(rd: RootDatum, element: SymbolicTorusElement) -> bool:
     """No root evaluates to 1 on S, and only the identity of W fixes S.
 

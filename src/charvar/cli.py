@@ -37,14 +37,12 @@ admissible q).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
-import itertools
 import json
-import math
 import random
 import sys
 
-from .abelian import smith_normal_form
 from .charsum import (
     EigenvalueDatum,
     SymbolicTorusElement,
@@ -58,6 +56,7 @@ from .count import (
     ProblemSpec,
     count_polynomial,
     expected_dimension,
+    pass_counts,
     resolve_overrides,
     validate_problem,
 )
@@ -75,7 +74,7 @@ from .oracle import (
     regular_unipotent_class,
     semisimple_class,
 )
-from .rootdata import admissible_primes, build_root_datum, enumerate_weyl, modulus
+from .rootdata import admissible_primes, build_root_datum, modulus
 from .subsystems import build_poset
 
 SCHEMA_VERSION = 1
@@ -577,135 +576,90 @@ def _oracle_section(config: dict) -> dict:
     return section
 
 
-def _vector_value(
-    datum: EigenvalueDatum, exponents, values: dict, q: int
-) -> int:
-    out = 1
-    for symbol, exponent in zip(datum.symbols, exponents):
-        out = out * pow(values[symbol], exponent % (q - 1), q) % q
-    return out
+class UnitSpecialization:
+    """Eigenvalue specializations of one problem into F_q^x, q prime.
 
+    F_q^x = <g | g^(q-1)> = Z/(q-1) for a primitive root g.  Through their
+    discrete logs, values v_s give phi: Z^symbols -> Z/(q-1),
+    e -> sum e_s log_g v_s, a homomorphism on A exactly when every declared
+    relator maps to 0 (a value 0 mod q has no log at all).  ``specialize``
+    rewrites each coordinate word w of the problem as the word (phi(w),)
+    over <g>.
 
-def _values_admissible(
-    spec: ProblemSpec, values: dict, q: int, family: str
-) -> bool:
-    datum = spec.eigenvalues
-    for relation in datum.relations:
-        if _vector_value(datum, datum.parse_relation(relation), values, q) != 1:
-            return False
-    for element in spec.semisimple_classes:
-        concrete = [
-            _vector_value(datum, vec, values, q) for vec in element.coords
-        ]
-        if family == "GL":
-            if 0 in concrete or len(set(concrete)) != len(concrete):
-                return False
-        else:
-            if concrete[0] in (0, 1, q - 1):
-                return False
-    return True
-
-
-def _product_classes(
-    spec: ProblemSpec, budget: int
-) -> list[SymbolicTorusElement]:
-    """One representative per distinct product of one translate per class."""
-    weyl = enumerate_weyl(spec.rd).elements
-    total = len(weyl) ** spec.m
-    if total > budget:
-        raise ResourceLimitError(
-            "translate-budget",
-            f"{total} distinct translate combinations exceed the budget "
-            f"{budget}; raise the budget to proceed",
-        )
-    products: dict[tuple, SymbolicTorusElement] = {}
-    for ws in itertools.product(weyl, repeat=spec.m):
-        prod = product_translate(ws, spec.semisimple_classes)
-        products.setdefault(prod.canonical_key(), prod)
-    return list(products.values())
-
-
-def _membership_data(spec: ProblemSpec):
-    """Smith data and symbolic membership per non-overridden poset node.
-
-    The counting formula reads off, for every closed subsystem and every
-    translate product of the classes, whether the product is forced into
-    the subgroup the subsystem generates.  A concrete specialization is
-    *faithful* when the same memberships hold over F_q; values that
-    accidentally satisfy extra multiplicative relations (easy in a small
-    field) change the answer and must be rejected before comparing
-    against the oracle.
+    The values are *faithful* when every closed subsystem without an
+    override sees the same dying W^m-translate tuples over Z/(q-1) as over
+    A; values with extra multiplicative relations (easy in a small field)
+    specialize a different counting problem.  ``faithful`` compares the
+    counting engine's pass counts over A (``symbolic``, once per problem)
+    with those of node maps on <g> (compiled once per q).  Equal counts
+    suffice: phi is a homomorphism, so every tuple that dies in
+    (X^vee/<Psi>) (x) A also dies in (X^vee/<Psi>) (x) Z/(q-1), and with
+    equal counts no other tuple can.
     """
-    rd = spec.rd
-    poset = build_poset(rd)
-    node_override = resolve_overrides(poset, spec.overrides_dict())
-    products = _product_classes(spec, DEFAULT_TRANSLATE_BUDGET)
-    group = spec.eigenvalues.group
-    nodes = []
-    for j in range(poset.num_nodes):
-        if j in node_override:
-            continue  # an override replaces the symbolic answer entirely
-        psi = tuple(sorted(poset.nodes[j]))
-        if psi:
-            snf = smith_normal_form([list(rd.coroots[i]) for i in psi])
-            v_mat, divisors = snf.V, snf.divisors
-        else:
-            v_mat, divisors = None, ()
-        nmap = node_map(rd, psi, group)
-        symbolic = tuple(nmap.in_kernel(prod.flat()) for prod in products)
-        nodes.append((v_mat, divisors, symbolic))
-    return products, nodes
 
-
-def _concrete_membership(
-    datum: EigenvalueDatum, prod, v_mat, divisors, values: dict, q: int
-) -> bool:
-    """Mirror of the symbolic membership test over the cyclic group F_q^*."""
-    units = [_vector_value(datum, w, values, q) for w in prod.coords]
-    if v_mat is None:  # empty subsystem: the element itself must be trivial
-        return all(u == 1 for u in units)
-    for j in range(len(units)):
-        b = 1
-        for i, unit in enumerate(units):
-            coeff = v_mat[i][j]
-            if coeff:
-                b = b * pow(unit, coeff % (q - 1), q) % q
-        if j < len(divisors):
-            # b must be a d-th power in F_q^*
-            if pow(b, (q - 1) // math.gcd(divisors[j], q - 1), q) != 1:
-                return False
-        elif b != 1:
-            return False
-    return True
-
-
-def _faithful_specialization(
-    spec: ProblemSpec, membership, values: dict, q: int
-) -> bool:
-    products, nodes = membership
-    datum = spec.eigenvalues
-    for v_mat, divisors, symbolic in nodes:
-        for prod, expected in zip(products, symbolic):
-            concrete = _concrete_membership(
-                datum, prod, v_mat, divisors, values, q
-            )
-            if concrete != expected:
-                return False
-    return True
-
-
-def _concrete_classes(spec: ProblemSpec, model, values: dict):
-    datum = spec.eigenvalues
-    q = model.q
-    out = []
-    for element in spec.semisimple_classes:
-        concrete = tuple(
-            _vector_value(datum, vec, values, q) for vec in element.coords
+    def __init__(
+        self, spec: ProblemSpec, family: str, q: int, nodes, symbolic: list[int]
+    ):
+        self.spec, self.family, self.q, self.symbolic = spec, family, q, symbolic
+        self.g = next(
+            g for g in range(1, q)
+            if len({pow(g, k, q) for k in range(q - 1)}) == q - 1
         )
-        out.append(semisimple_class(model, concrete))
-    unipotent = regular_unipotent_class(model)
-    out.extend([unipotent] * (spec.punctures - spec.m))
-    return tuple(out)
+        self.logs = {pow(self.g, k, q): k for k in range(q - 1)}
+        self.datum = EigenvalueDatum(("g",), (f"g^{q - 1}",))
+        self.maps = [node_map(spec.rd, psi, self.datum.group) for psi in nodes]
+
+    def specialize(self, values: dict) -> ProblemSpec | None:
+        """The problem over <g> at ``values`` (residues mod q), or None.
+
+        None when phi is not defined on A (a value is 0 mod q or a declared
+        relator survives) or a class is not strongly regular at the values.
+        """
+        datum = self.spec.eigenvalues
+        if any(values[s] not in self.logs for s in datum.symbols):
+            return None
+        phi = [self.logs[values[s]] for s in datum.symbols]
+
+        def image(word) -> tuple[int]:
+            return (sum(e * k for e, k in zip(word, phi)) % (self.q - 1),)
+
+        if any(image(datum.parse_relation(r))[0] for r in datum.relations):
+            return None
+        concrete = dataclasses.replace(
+            self.spec,
+            eigenvalues=self.datum,
+            semisimple_classes=tuple(
+                SymbolicTorusElement(self.datum, tuple(map(image, s.coords)))
+                for s in self.spec.semisimple_classes
+            ),
+        )
+        for eigen in self.eigenvalues(concrete):
+            if self.family == "GL":
+                if len(set(eigen)) != len(eigen):
+                    return None
+            elif eigen[0] in (1, self.q - 1):
+                return None
+        return concrete
+
+    def eigenvalues(self, concrete: ProblemSpec) -> list[tuple[int, ...]]:
+        """Per class, its eigenvalues g^phi(w) mod q."""
+        return [
+            tuple(pow(self.g, w[0], self.q) for w in s.coords)
+            for s in concrete.semisimple_classes
+        ]
+
+    def faithful(self, concrete: ProblemSpec) -> bool:
+        return pass_counts(concrete, self.maps) == self.symbolic
+
+
+def symbolic_pass_counts(spec: ProblemSpec) -> tuple[list, list[int]]:
+    """The closed subsystems without an override, and their pass counts."""
+    poset = build_poset(spec.rd)
+    overridden = resolve_overrides(poset, spec.overrides_dict())
+    nodes = [psi for j, psi in enumerate(poset.nodes) if j not in overridden]
+    group = spec.eigenvalues.group
+    maps = [node_map(spec.rd, psi, group) for psi in nodes]
+    return nodes, pass_counts(spec, maps)
 
 
 def cmd_oracle(args) -> tuple[int, dict, str]:
@@ -754,21 +708,23 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
         )
 
     report = count_polynomial(spec)
-    membership = _membership_data(spec)
+    nodes, symbolic = symbolic_pass_counts(spec)
     runs = []
     verdict_ok = True
     for q in q_list:
         model = build_model(family, size, q)
+        units = UnitSpecialization(spec, family, q, nodes, symbolic)
         sampled = False
         if explicit_values is not None:
             values = {s: v % q for s, v in explicit_values.items()}
-            if not _values_admissible(spec, values, q, family):
+            concrete = units.specialize(values)
+            if concrete is None:
                 raise InvalidInputError(
                     "oracle-values",
                     f"oracle eigenvalues {explicit_values} violate the "
                     f"declared relations or class regularity mod {q}",
                 )
-            if not _faithful_specialization(spec, membership, values, q):
+            if not units.faithful(concrete):
                 raise InvalidInputError(
                     "oracle-values",
                     f"oracle eigenvalues {explicit_values} satisfy extra "
@@ -778,25 +734,24 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
                 )
         else:
             rng = random.Random(args.seed)
-            values = None
             for _ in range(200):
-                candidate = {
+                values = {
                     s: rng.randrange(1, q) for s in spec.eigenvalues.symbols
                 }
-                if _values_admissible(
-                    spec, candidate, q, family
-                ) and _faithful_specialization(spec, membership, candidate, q):
-                    values = candidate
+                concrete = units.specialize(values)
+                if concrete is not None and units.faithful(concrete):
                     sampled = True
                     break
-            if values is None:
+            else:
                 raise ResourceLimitError(
                     "oracle-specialization",
                     f"no admissible eigenvalue specialization mod {q} "
                     "(satisfying exactly the declared relations) found in "
                     "200 attempts; the field may be too small",
                 )
-        classes = _concrete_classes(spec, model, values)
+        classes = tuple(
+            semisimple_class(model, eigen) for eigen in units.eigenvalues(concrete)
+        ) + (regular_unipotent_class(model),) * (spec.punctures - spec.m)
         count = brute_force_count(
             model, spec.genus, classes, budget=budget, threads=threads
         )

@@ -442,21 +442,23 @@ def _diagnostic_table(
     plain_product: SymbolicTorusElement,
 ) -> tuple[TableRow, ...]:
     """Per-orbit rows: Weyl data, Poincare, quotient, Delta and alpha at S."""
-    killed = [nmap.in_kernel(plain_product.flat()) for nmap in maps]
-
-    def effective_delta(j: int) -> RationalPoly:
-        if not node_override.get(j, killed[j]):
-            return RationalPoly.from_int(0)
-        return quotient_factor(poset.quotient(j))
+    flat = plain_product.flat()
+    zero = RationalPoly.from_int(0)
+    deltas = [
+        quotient_factor(poset.quotient(j))
+        if node_override.get(j, nmap.in_kernel(flat))
+        else zero
+        for j, nmap in enumerate(maps)
+    ]
 
     rows = []
     for orbit in poset.orbits():
         rep = orbit[0]
-        alpha_val = RationalPoly.from_int(0)
+        alpha_val = zero
         for j in poset.upper_set(rep):
             mu = poset.mobius(rep, j)
-            if mu:
-                alpha_val = alpha_val + effective_delta(j) * RationalPoly.from_int(mu)
+            if mu and not deltas[j].is_zero():
+                alpha_val = alpha_val + deltas[j] * RationalPoly.from_int(mu)
         inv = poset.quotient(rep)
         rows.append(
             TableRow(
@@ -467,7 +469,7 @@ def _diagnostic_table(
                 quotient=inv.describe(),
                 torsion_order=inv.torsion_order,
                 free_rank=inv.free_rank,
-                delta=str(effective_delta(rep)),
+                delta=str(deltas[rep]),
                 alpha=str(alpha_val),
                 overridden=rep in node_override,
             )

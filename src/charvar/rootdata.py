@@ -920,16 +920,6 @@ def _classify_component(vectors: list[Vector], form) -> str:
     return "unknown"
 
 
-def root_system_type(rd: RootDatum) -> str:
-    """Type label of the root system Phi inside X."""
-    return classify_vectors(list(rd.roots), rd.root_form)
-
-
-def coroot_system_type(rd: RootDatum) -> str:
-    """Type label of the coroot system Phi^vee inside X^vee."""
-    return classify_vectors(list(rd.coroots), rd.coroot_form)
-
-
 @dataclass(frozen=True)
 class IrreducibleComponent:
     """One irreducible component of Phi: simple indices, all root indices, label."""

@@ -254,15 +254,6 @@ class SubsystemPoset:
                 labels[i] = f"{label}#{k}"
         return labels
 
-    def node_index_by_display_label(self, label: str) -> tuple[int, ...]:
-        """All node indices whose display label OR bare type label matches."""
-        hits = tuple(
-            i
-            for i in range(self.num_nodes)
-            if self.display_label(i) == label or self.type_label(i) == label
-        )
-        return hits
-
 
 @lru_cache(maxsize=None)
 def build_poset(rd: RootDatum, max_positive_roots: int = MAX_POSITIVE_ROOTS) -> SubsystemPoset:

@@ -20,7 +20,6 @@ from charvar.charsum import (
     SymbolicTorusElement,
     alpha,
     delta,
-    identity_element,
 )
 from charvar.cli import build_problem, load_config
 from charvar.count import ProblemSpec, count_polynomial
@@ -567,7 +566,7 @@ def test_criterion_09_property_suite():
         rd = build_root_datum(f"GL({n})")
         poset = build_poset(rd)
         datum = EigenvalueDatum(symbols=("a",))
-        one = identity_element(datum, rd.rank)
+        one = SymbolicTorusElement.from_words(datum, ["1"] * rd.rank)
         expected = RationalPoly.from_int(1)
         for i in range(1, n + 1):
             expected = expected * q_minus(i)

@@ -19,7 +19,6 @@ from charvar.charsum import (
     alpha,
     delta,
     evaluate_character,
-    identity_element,
     in_commutator,
     product_translate,
     strongly_regular,
@@ -195,7 +194,7 @@ def test_delta_at_identity_counts_torus():
     for desc, d in [("GL(2)", 2), ("SO(5)", 2), ("G2", 2)]:
         rd = build_root_datum(desc)
         datum = EigenvalueDatum(symbols=("a",))
-        one = identity_element(datum, rd.rank)
+        one = SymbolicTorusElement.from_words(datum, ["1"] * rd.rank)
         assert delta(rd, frozenset(), one) == q_minus(1) ** d
 
 
@@ -279,7 +278,7 @@ def test_alpha_empty_at_identity_gl(n, expected_factors):
     rd = build_root_datum(f"GL({n})")
     poset = build_poset(rd)
     datum = EigenvalueDatum(symbols=("a",))
-    one = identity_element(datum, rd.rank)
+    one = SymbolicTorusElement.from_words(datum, ["1"] * rd.rank)
     empty = poset.index_of[frozenset()]
     expected = RationalPoly.from_int(1)
     for i in range(1, n + 1):

@@ -364,6 +364,20 @@ class TestOracleCommand:
         assert "error[oracle-values]" in err
         assert "extra" in err
 
+    def test_oracle_rejects_zero_value(self, capsys, tmp_path):
+        # 0 is not a unit, so it satisfies z^4 = 1 in no F_q^x; reducing
+        # its exponents mod q - 1 would make 0^0 = 1 and wave it through
+        config = json.loads((CONFIGS / "gl2_genus1.json").read_text())
+        config["eigenvalues"] = {
+            "symbols": ["a", "b", "z"],
+            "relations": ["a*b = 1", "z^4 = 1"],
+        }
+        config["oracle"] = {"q": [5], "eigenvalues": {"a": 3, "b": 12, "z": 0}}
+        path = write_config(tmp_path, config)
+        code = main(["oracle", "--config", path])
+        assert code == 2
+        assert "error[oracle-values]" in capsys.readouterr().err
+
     def test_oracle_unsupported_group(self, capsys):
         code = main(["oracle", "--config", str(CONFIGS / "so5_display.json")])
         assert code == 2

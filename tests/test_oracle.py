@@ -19,21 +19,23 @@ from charvar.errors import (
     ResourceLimitError,
 )
 from charvar.oracle import (
-    GL2_COINCIDENT_TRIPLES,
-    GL2_GENERIC_TRIPLE,
-    GL2_TWO_UNIPOTENT_TRIPLE,
-    PGL2_RIGID_TRIPLES,
     FiniteGroupModel,
     brute_force_count,
     build_model,
     regular_unipotent_class,
     semisimple_class,
+)
+from charvar.rootdata import build_root_datum
+from charvar.subsystems import build_poset
+from witnesses import (
+    GL2_COINCIDENT_TRIPLES,
+    GL2_GENERIC_TRIPLE,
+    GL2_TWO_UNIPOTENT_TRIPLE,
+    PGL2_RIGID_TRIPLES,
     tuples_conjugate,
     verify_witness,
     witness_matrices,
 )
-from charvar.rootdata import build_root_datum
-from charvar.subsystems import build_poset
 
 
 def model(family, size, q) -> FiniteGroupModel:

@@ -1,17 +1,24 @@
-"""Package structure: no charvar module uses another module's private names.
+"""Package structure: private names stay private, and traced names exist.
 
 A name with a leading underscore is private to the module that defines it;
 a module that needs it from elsewhere should get a public name instead.
 Both ``from .count import _helper`` and ``from . import count`` followed
 by ``count._helper`` are caught.
+
+The benchmark's tracer (``perfbench/tracer.py``) wraps charvar functions
+and methods by name; a deletion or rename that breaks ``--trace 1`` fails
+here rather than only in the benchmark's own tests.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import charvar
 
 PACKAGE = Path(charvar.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def _is_private(name: str) -> bool:
@@ -69,3 +76,24 @@ def test_private_use_detector(tmp_path):
         "sample.py:5 uses ab._row_space_snf",
         "sample.py:6 uses qp._cache",
     ]
+
+
+def test_tracer_targets_resolve():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for layer, module_name, attribute in tracer.TARGETS:
+        if attribute == "json.dump":
+            continue  # wrapped through a proxy of the stdlib json module
+        owner = importlib.import_module(module_name)
+        if "." in attribute:
+            cls_name, method = attribute.split(".")
+            cls = getattr(owner, cls_name, None)
+            found = cls is not None and method in vars(cls)
+        else:
+            found = hasattr(owner, attribute)
+        if not found:
+            missing.append(f"{layer}: {module_name}.{attribute}")
+    assert len(tracer.TARGETS) > 40
+    assert missing == []

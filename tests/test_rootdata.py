@@ -19,17 +19,16 @@ from charvar.rootdata import (
     admissible_primes,
     build_root_datum,
     cartan_matrix,
+    classify_vectors,
     connected_center_check,
     center_invariants,
     cocenter_invariants,
-    coroot_system_type,
     enumerate_weyl,
     highest_root_coefficients,
     irreducible_components,
     modulus,
     order_polynomials,
     poincare_polynomial,
-    root_system_type,
     validate_root_datum,
 )
 
@@ -196,21 +195,29 @@ def test_center_ranks():
     assert cocenter_invariants(build_root_datum("SL(2)")).torsion == ()
 
 
+def root_type(rd):
+    return classify_vectors(list(rd.roots), rd.root_form)
+
+
+def coroot_type(rd):
+    return classify_vectors(list(rd.coroots), rd.coroot_form)
+
+
 def test_type_classification():
-    assert root_system_type(build_root_datum("GL(3)")) == "A2"
-    assert root_system_type(build_root_datum("SO(7)")) == "B3"
-    assert root_system_type(build_root_datum("Sp(6)")) == "C3"
-    assert coroot_system_type(build_root_datum("Sp(6)")) == "B3"
-    assert coroot_system_type(build_root_datum("SO(5)")) == "C2"
-    assert root_system_type(build_root_datum("G2")) == "G2"
-    assert coroot_system_type(build_root_datum("G2")) == "G2"
-    assert root_system_type(build_root_datum("D4")) == "D4"
-    assert root_system_type(build_root_datum("F4")) == "F4"
-    assert root_system_type(build_root_datum("E6")) == "E6"
-    assert root_system_type(build_root_datum("GL(2) x GL(2)")) == "A1xA1"
-    assert root_system_type(build_root_datum("T(2)")) == "empty"
+    assert root_type(build_root_datum("GL(3)")) == "A2"
+    assert root_type(build_root_datum("SO(7)")) == "B3"
+    assert root_type(build_root_datum("Sp(6)")) == "C3"
+    assert coroot_type(build_root_datum("Sp(6)")) == "B3"
+    assert coroot_type(build_root_datum("SO(5)")) == "C2"
+    assert root_type(build_root_datum("G2")) == "G2"
+    assert coroot_type(build_root_datum("G2")) == "G2"
+    assert root_type(build_root_datum("D4")) == "D4"
+    assert root_type(build_root_datum("F4")) == "F4"
+    assert root_type(build_root_datum("E6")) == "E6"
+    assert root_type(build_root_datum("GL(2) x GL(2)")) == "A1xA1"
+    assert root_type(build_root_datum("T(2)")) == "empty"
     # rank-2 double-bond systems are reported as C2 (B2 and C2 coincide)
-    assert root_system_type(build_root_datum("SO(5)")) == "C2"
+    assert root_type(build_root_datum("SO(5)")) == "C2"
 
 
 def test_highest_root_coefficients():
@@ -294,7 +301,7 @@ def test_explicit_dict_roundtrip():
     )
     assert explicit.rank == 2
     assert set(explicit.roots) == set(so5.roots)
-    assert coroot_system_type(explicit) == "C2"
+    assert coroot_type(explicit) == "C2"
     assert modulus(explicit) == 2
 
 

@@ -15,7 +15,8 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charvar.errors import ResourceLimitError
+from charvar.count import resolve_overrides
+from charvar.errors import InvalidInputError, ResourceLimitError
 from charvar.qpoly import Poly
 from charvar.rootdata import build_root_datum
 from charvar.subsystems import (
@@ -346,7 +347,9 @@ def test_f4_enumeration_runs():
 
 def test_override_label_resolution(so5_poset):
     p = so5_poset
-    assert len(p.node_index_by_display_label("A1")) == 4
-    assert len(p.node_index_by_display_label("A1-long")) == 2
-    assert len(p.node_index_by_display_label("C2")) == 1
-    assert p.node_index_by_display_label("B7") == ()
+    assert len(resolve_overrides(p, {"A1": True})) == 4
+    assert len(resolve_overrides(p, {"A1-long": True})) == 2
+    assert len(resolve_overrides(p, {"C2": True})) == 1
+    with pytest.raises(InvalidInputError) as exc:
+        resolve_overrides(p, {"B7": True})
+    assert exc.value.code == "override-label"
