@@ -9,10 +9,11 @@ Three layers, each feeding the next:
   quotient ℤ^d / ⟨generators⟩, read off the Smith form.
 * :class:`FPAbelianGroup` — a finitely presented abelian group given by
   relator rows over its generators (multiplicative notation outside, exponent
-  vectors inside), with a decidable word problem (:func:`is_identity`) and
-  d-th-power test (:func:`is_dth_power`), both via Smith-form membership,
-  and canonical coordinates of A/dA as an :class:`AdditiveMap`
-  (:func:`canonical_coordinates`).
+  vectors inside), with canonical coordinates of A/dA as an
+  :class:`AdditiveMap` (:func:`canonical_coordinates`, read off a Smith
+  form and cached on the group).  The word problem (:func:`is_identity`)
+  and the d-th-power test (:func:`is_dth_power`) ask whether a word lies
+  in the kernel of those coordinates.
 
 Matrices are tuples of tuples of ints; rows of a generator/relation matrix
 are the generating vectors/relators.
@@ -21,7 +22,6 @@ are the generating vectors/relators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -46,13 +46,6 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix
         tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
         for i in range(len(a))
     )
-
-
-def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> IntVector:
-    if not a:
-        return ()
-    cols = len(a[0])
-    return tuple(sum(v[k] * a[k][j] for k in range(len(v))) for j in range(cols))
 
 
 def det(m: Sequence[Sequence[int]]) -> int:
@@ -262,30 +255,8 @@ class FPAbelianGroup:
         return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _row_space_snf(relations: IntMatrix, width: int) -> SmithDecomposition | None:
-    """Smith data for testing membership in the row space of `relations`."""
-    return smith_normal_form(relations) if relations else None
-
-
-def _in_row_space(relations: IntMatrix, width: int, word: IntVector) -> bool:
-    snf = _row_space_snf(relations, width)
-    if snf is None:
-        return all(x == 0 for x in word)
-    b = vec_mat(word, snf.V)
-    k = len(snf.divisors)
-    for j, bj in enumerate(b):
-        if j < k:
-            if bj % snf.divisors[j] != 0:
-                return False
-        elif bj != 0:
-            return False
-    return True
-
-
 def is_identity(group: FPAbelianGroup, word: Sequence[int]) -> bool:
-    w = group._check(word)
-    return _in_row_space(group.relations, group.generator_count, w)
+    return canonical_coordinates(group).in_kernel(group._check(word))
 
 
 def _power_relations(group: FPAbelianGroup, d: int) -> IntMatrix:
@@ -299,15 +270,11 @@ def _power_relations(group: FPAbelianGroup, d: int) -> IntMatrix:
 def is_dth_power(group: FPAbelianGroup, word: Sequence[int], d: int) -> bool:
     """True iff the word is a d-th power in the group (exactly the declared one).
 
-    Solves d·y ≡ word (mod relations): membership of the word in the row
-    space of [d·I; relations].
+    Solves d·y ≡ word (mod relations): the word vanishes in A/dA.
     """
     if d <= 0:
         raise ValueError("d must be positive")
-    w = group._check(word)
-    if d == 1:
-        return True
-    return _in_row_space(_power_relations(group, d), group.generator_count, w)
+    return canonical_coordinates(group, d).in_kernel(group._check(word))
 
 
 @dataclass(frozen=True)
@@ -345,17 +312,21 @@ class AdditiveMap:
 def canonical_coordinates(group: FPAbelianGroup, d: int = 0) -> AdditiveMap:
     """Canonical coordinates of A/dA for A = ``group``; d = 0 gives A itself.
 
-    Read off the Smith form of the relator rows of A/dA (cached per distinct
-    rows): in the coordinates w·V the rows span the multiples of the
-    divisors, and the directions beyond the divisors are free.  Directions
-    along which A/dA is trivial are left out, so a word lies in dA (for
-    d = 0: is the identity) exactly when its image is zero.
+    Read off the Smith form of the relator rows of A/dA: in the coordinates
+    w·V the rows span the multiples of the divisors, and the directions
+    beyond the divisors are free.  Directions along which A/dA is trivial
+    are left out, so a word lies in dA (for d = 0: is the identity) exactly
+    when its image is zero.  The map is cached on ``group``, so it lives as
+    long as the group does.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
+    cache = group.__dict__.setdefault("_coordinates", {})
+    if d in cache:
+        return cache[d]
     t = group.generator_count
     relations = _power_relations(group, d) if d else group.relations
-    snf = _row_space_snf(relations, t)
+    snf = smith_normal_form(relations) if relations else None
     v_mat = snf.V if snf is not None else _identity(t)
     divisors = snf.divisors if snf is not None else ()
     divisors += (0,) * (t - len(divisors))
@@ -366,7 +337,8 @@ def canonical_coordinates(group: FPAbelianGroup, d: int = 0) -> AdditiveMap:
         column = ((i, row[k] % e if e else row[k]) for i, row in enumerate(v_mat))
         functionals.append(tuple((i, c) for i, c in column if c))
         moduli.append(e)
-    return AdditiveMap(functionals=tuple(functionals), moduli=tuple(moduli))
+    cache[d] = AdditiveMap(functionals=tuple(functionals), moduli=tuple(moduli))
+    return cache[d]
 
 
 def canonical_word(group: FPAbelianGroup, word: Sequence[int]) -> IntVector:

@@ -20,9 +20,10 @@ On top of that this module provides:
   a product of translates is the sum of their images, which is what lets
   the counting engine join per-class histograms instead of enumerating
   products;
-* ``delta`` / ``alpha`` — the per-subsystem factor
-  |Tor(X^vee/<Psi>)| (q-1)^rank [S in commutator] and its Mobius
-  alternation over the subsystem poset.
+* ``quotient_factor`` — |Tor(X^vee/<Psi>)| (q-1)^rank(X^vee/<Psi>), the
+  per-subsystem factor that Delta takes when S dies.  Delta, alpha and
+  the Mobius sum between them are ``count.delta_values`` and
+  ``count.mobius_sum``.
 """
 
 from __future__ import annotations
@@ -38,13 +39,11 @@ from .abelian import (
     canonical_coordinates,
     canonical_word,
     is_identity,
-    quotient_invariants,
     smith_normal_form,
 )
 from .errors import InvalidInputError
 from .qpoly import RationalPoly, q_minus
 from .rootdata import Matrix, RootDatum, Vector, enumerate_weyl
-from .subsystems import SubsystemPoset
 
 Word = tuple[int, ...]
 
@@ -286,21 +285,3 @@ def quotient_factor(inv: QuotientInvariants) -> RationalPoly:
     """|Tor(X^vee/<Psi>)| (q-1)^rank(X^vee/<Psi>): the value of delta when S dies."""
     return q_minus(1) ** inv.free_rank * RationalPoly.from_int(inv.torsion_order)
 
-
-def delta(rd: RootDatum, psi, element: SymbolicTorusElement) -> RationalPoly:
-    """|Tor(X^vee/<Psi>)| (q-1)^rank(X^vee/<Psi>) if S dies there, else 0."""
-    if not in_commutator(rd, psi, element):
-        return RationalPoly.from_int(0)
-    return quotient_factor(
-        quotient_invariants(rd.rank, [list(rd.coroots[i]) for i in psi])
-    )
-
-
-def alpha(poset: SubsystemPoset, node: int, element: SymbolicTorusElement) -> RationalPoly:
-    """Mobius alternation of delta over the nodes above ``node``."""
-    total = RationalPoly.from_int(0)
-    for j in poset.upper_set(node):
-        mu = poset.mobius(node, j)
-        if mu:
-            total = total + delta(poset.rd, poset.nodes[j], element) * RationalPoly.from_int(mu)
-    return total

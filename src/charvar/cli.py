@@ -46,15 +46,14 @@ import sys
 from .charsum import (
     EigenvalueDatum,
     SymbolicTorusElement,
-    in_commutator,
     node_map,
-    product_translate,
 )
 from .count import (
     DEFAULT_TRANSLATE_BUDGET,
     CountReport,
     ProblemSpec,
     count_polynomial,
+    emptiness,
     expected_dimension,
     pass_counts,
     resolve_overrides,
@@ -510,15 +509,8 @@ def cmd_check(args) -> tuple[int, dict, str]:
         )
     else:
         poset = build_poset(rd)
-        identity = tuple(
-            tuple(1 if r == c else 0 for c in range(rd.rank))
-            for r in range(rd.rank)
-        )
-        plain = product_translate(
-            [identity] * spec.m, list(spec.semisimple_classes)
-        )
-        full = poset.index_of[frozenset(range(rd.num_roots))]
-        nonempty = in_commutator(rd, poset.nodes[full], plain)
+        verdict = emptiness(spec, poset)
+        nonempty = verdict.computed
         if nonempty:
             emptiness_note = (
                 "ok: the class product lies in the commutator subgroup"
@@ -527,13 +519,10 @@ def cmd_check(args) -> tuple[int, dict, str]:
             emptiness_note = (
                 "empty: the class product is not in the commutator subgroup"
             )
-        full_label = poset.display_label(full)
-        overrides = spec.overrides_dict()
-        forced = overrides.get(full_label, overrides.get(poset.type_label(full)))
-        if forced is not None and forced != nonempty:
+        if verdict.nonempty != nonempty:
             emptiness_note += (
-                f" (note: the override on {full_label} asserts otherwise and "
-                "wins during counting)"
+                f" (note: the override on {poset.display_label(verdict.full)} "
+                "asserts otherwise and wins during counting)"
             )
     checks.append(("non-emptiness", emptiness_note))
     payload = _envelope("check")

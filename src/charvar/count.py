@@ -22,6 +22,10 @@ convolved in two halves, and one dictionary lookup per entry of one half
 against the negated other half counts the zero sums -- about 2 |W|^(m/2)
 entries per node rather than |W|^m products.
 
+The inner sum is ``mobius_sum`` applied to the D values.  The diagnostic
+table applies the same ``mobius_sum`` to the local factor Delta of the
+class product (``delta_values``), which gives alpha.
+
 Indicator overrides: purity decides "is this word a d-th power" questions
 from the relations alone.  When the user knows the arithmetic truth for
 their concrete eigenvalues, per-subsystem-type overrides replace the
@@ -42,7 +46,6 @@ from .charsum import (
     EigenvalueDatum,
     SymbolicTorusElement,
     node_map,
-    product_translate,
     quotient_factor,
     strongly_regular,
     translate,
@@ -222,10 +225,70 @@ def resolve_overrides(
 # ---------------------------------------------------------------------------
 
 
-def _identity_matrix(rank: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)
+@dataclass(frozen=True)
+class Emptiness:
+    """Whether the class product lies in the commutator subgroup.
+
+    ``product`` is the product of the semisimple classes as a ``flat()``
+    vector, and ``full`` the index of the full coroot system.  ``computed``
+    is the relation-forced answer, ``nonempty`` the answer after an
+    override on the full node, and ``overrides`` maps every overridden node
+    index to its value.
+    """
+
+    product: tuple[int, ...]
+    full: int
+    overrides: dict[int, bool]
+    computed: bool
+    nonempty: bool
+
+
+def emptiness(spec: ProblemSpec, poset: SubsystemPoset) -> Emptiness:
+    """The non-emptiness verdict of ``spec``, on the full node of ``poset``.
+
+    The class product must die in (X^vee / <Phi^vee>) (x) A.  Unknown
+    override labels raise ``override-label``.
+    """
+    overrides = resolve_overrides(poset, spec.overrides_dict())
+    full = poset.index_of[frozenset(range(spec.rd.num_roots))]
+    product = tuple(map(sum, zip(*(s.flat() for s in spec.semisimple_classes))))
+    full_map = node_map(spec.rd, poset.nodes[full], spec.eigenvalues.group)
+    computed = full_map.in_kernel(product)
+    return Emptiness(
+        product, full, overrides, computed, overrides.get(full, computed)
     )
+
+
+def mobius_sum(
+    poset: SubsystemPoset, i: int, values: list[RationalPoly]
+) -> RationalPoly:
+    """Sum over the nodes j above node i of mu(i, j) * values[j]."""
+    total = RationalPoly.from_int(0)
+    for j in poset.upper_set(i):
+        mu = poset.mobius(i, j)
+        if mu and not values[j].is_zero():
+            total = total + values[j] * RationalPoly.from_int(mu)
+    return total
+
+
+def delta_values(
+    poset: SubsystemPoset,
+    maps: list[AdditiveMap],
+    product: tuple[int, ...],
+    overrides: dict[int, bool],
+) -> list[RationalPoly]:
+    """Delta at every node: the quotient factor where the product dies, else 0.
+
+    ``maps`` are the nodes' compiled maps and ``product`` a ``flat()``
+    vector; an override replaces the computed indicator of its node.
+    """
+    zero = RationalPoly.from_int(0)
+    return [
+        quotient_factor(poset.quotient(j))
+        if overrides.get(j, nmap.in_kernel(product))
+        else zero
+        for j, nmap in enumerate(maps)
+    ]
 
 
 def pass_counts(
@@ -336,26 +399,16 @@ def count_polynomial(
         )
 
     poset = build_poset(rd)
-    node_override = resolve_overrides(poset, spec.overrides_dict())
+    verdict = emptiness(spec, poset)
     group = spec.eigenvalues.group
     maps = [node_map(rd, psi, group) for psi in poset.nodes]
-
-    # emptiness: the product of the semisimple classes must die in
-    # X^vee / <full coroot system>, i.e. lie in the commutator subgroup
-    identity = _identity_matrix(rd.rank)
-    plain_product = product_translate(
-        [identity] * m, list(spec.semisimple_classes)
-    )
-    full_node = poset.index_of[frozenset(range(rd.num_roots))]
-    computed_nonempty = maps[full_node].in_kernel(plain_product.flat())
-    effective_nonempty = node_override.get(full_node, computed_nonempty)
-    if full_node in node_override and computed_nonempty != effective_nonempty:
+    if verdict.computed != verdict.nonempty:
         warnings.append(
-            f"override for {poset.display_label(full_node)} asserts the "
-            f"monodromy product {'is' if effective_nonempty else 'is not'} in "
+            f"override for {poset.display_label(verdict.full)} asserts the "
+            f"monodromy product {'is' if verdict.nonempty else 'is not'} in "
             "the commutator subgroup, contrary to the relation-forced answer"
         )
-    if not effective_nonempty:
+    if not verdict.nonempty:
         return _finish_report(
             spec,
             polynomial=RationalPoly.from_int(0),
@@ -365,7 +418,7 @@ def count_polynomial(
                 "in the commutator subgroup of the group of points"
             ),
             warnings=warnings,
-            table=_diagnostic_table(poset, node_override, maps, plain_product),
+            table=_diagnostic_table(poset, verdict, maps),
         )
 
     # D(node) = |Tor| (q-1)^rank * (number of translate tuples passing);
@@ -375,11 +428,11 @@ def count_polynomial(
     mismatch: dict[str, list[int]] = {}
     d_values: list[RationalPoly] = []
     for j, passing in enumerate(pass_counts(spec, maps, budget)):
-        if j in node_override:
+        if j in verdict.overrides:
             counts = mismatch.setdefault(poset.display_label(j), [0, 0])
-            counts[0] += products - passing if node_override[j] else passing
+            counts[0] += products - passing if verdict.overrides[j] else passing
             counts[1] += products
-            passing = products if node_override[j] else 0
+            passing = products if verdict.overrides[j] else 0
         d_values.append(
             quotient_factor(poset.quotient(j)) * RationalPoly.from_int(passing)
         )
@@ -394,11 +447,7 @@ def count_polynomial(
     # master sum over the poset
     total = RationalPoly.from_int(0)
     for i in range(poset.num_nodes):
-        inner = RationalPoly.from_int(0)
-        for j in poset.upper_set(i):
-            mu = poset.mobius(i, j)
-            if mu:
-                inner = inner + d_values[j] * RationalPoly.from_int(mu)
+        inner = mobius_sum(poset, i, d_values)
         if inner.is_zero():
             continue
         w_order = poset.weyl_order(i)
@@ -431,34 +480,18 @@ def count_polynomial(
         is_empty=is_empty,
         empty_reason="master formula summed to zero" if is_empty else None,
         warnings=warnings,
-        table=_diagnostic_table(poset, node_override, maps, plain_product),
+        table=_diagnostic_table(poset, verdict, maps),
     )
 
 
 def _diagnostic_table(
-    poset: SubsystemPoset,
-    node_override: dict[int, bool],
-    maps: list[AdditiveMap],
-    plain_product: SymbolicTorusElement,
+    poset: SubsystemPoset, verdict: Emptiness, maps: list[AdditiveMap]
 ) -> tuple[TableRow, ...]:
     """Per-orbit rows: Weyl data, Poincare, quotient, Delta and alpha at S."""
-    flat = plain_product.flat()
-    zero = RationalPoly.from_int(0)
-    deltas = [
-        quotient_factor(poset.quotient(j))
-        if node_override.get(j, nmap.in_kernel(flat))
-        else zero
-        for j, nmap in enumerate(maps)
-    ]
-
+    deltas = delta_values(poset, maps, verdict.product, verdict.overrides)
     rows = []
     for orbit in poset.orbits():
         rep = orbit[0]
-        alpha_val = zero
-        for j in poset.upper_set(rep):
-            mu = poset.mobius(rep, j)
-            if mu and not deltas[j].is_zero():
-                alpha_val = alpha_val + deltas[j] * RationalPoly.from_int(mu)
         inv = poset.quotient(rep)
         rows.append(
             TableRow(
@@ -470,8 +503,8 @@ def _diagnostic_table(
                 torsion_order=inv.torsion_order,
                 free_rank=inv.free_rank,
                 delta=str(deltas[rep]),
-                alpha=str(alpha_val),
-                overridden=rep in node_override,
+                alpha=str(mobius_sum(poset, rep, deltas)),
+                overridden=rep in verdict.overrides,
             )
         )
     rows.sort(key=lambda row: (-row.weyl_order, row.label))

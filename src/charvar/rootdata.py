@@ -32,8 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .abelian import quotient_invariants, smith_normal_form
-from .errors import InvalidInputError, HypothesisError, ResourceLimitError
-from .qpoly import Poly, RationalPoly, q_minus
+from .errors import InvalidInputError, ResourceLimitError
+from .qpoly import Poly
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -811,7 +811,7 @@ def poincare_polynomial(
 
 
 # ---------------------------------------------------------------------------
-# Center, order polynomials
+# Center
 # ---------------------------------------------------------------------------
 
 
@@ -828,32 +828,6 @@ def connected_center_check(rd: RootDatum) -> bool:
 def cocenter_invariants(rd: RootDatum):
     """Invariants of X^vee / (coroot lattice); torsion = fundamental group."""
     return quotient_invariants(rd.rank, [list(v) for v in rd.coroots])
-
-
-def order_polynomials(rd: RootDatum) -> dict[str, RationalPoly]:
-    """Orders of G, B, T, Z over F_q as polynomials in q.
-
-    |T| = (q-1)^d, |B| = q^{#Phi+} (q-1)^d, |G| = |B| P(q) with P the
-    Poincare polynomial of W, and |Z| = (q-1)^z with z the central torus
-    rank.  Requires a connected center, since otherwise |Z(F_q)| is not a
-    polynomial in q of this shape.
-    """
-    if not connected_center_check(rd):
-        inv = center_invariants(rd)
-        raise HypothesisError(
-            "connected-center",
-            "the center of this group is not connected (component group "
-            f"{inv.describe() if inv.free_rank == 0 else 'with torsion'}); "
-            "order polynomials and the counting engine need a connected center",
-        )
-    d = rd.rank
-    z = center_invariants(rd).free_rank
-    qm1 = q_minus(1)
-    t = qm1**d
-    b = RationalPoly.q() ** rd.num_positive * t
-    g = b * RationalPoly(poincare_polynomial(rd))
-    zpoly = qm1**z
-    return {"G": g, "B": b, "T": t, "Z": zpoly}
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .rootdata import (
     Vector,
     classify_vectors,
     poincare_polynomial,
-    subsystem_weyl_elements,
 )
 
 MAX_POSITIVE_ROOTS = 24
@@ -103,6 +102,7 @@ class SubsystemPoset:
             node: i for i, node in enumerate(self.nodes)
         }
         self._mobius: dict[tuple[int, int], int] = {}
+        self._poincare: dict[int, Poly] = {}
         self._labels: list[str] | None = None
         self._display: list[str] | None = None
         self._orbits: tuple[tuple[int, ...], ...] | None = None
@@ -146,10 +146,13 @@ class SubsystemPoset:
         )
 
     def poincare(self, i: int) -> Poly:
-        return poincare_polynomial(self.rd, self.nodes[i])
+        if i not in self._poincare:
+            self._poincare[i] = poincare_polynomial(self.rd, self.nodes[i])
+        return self._poincare[i]
 
     def weyl_order(self, i: int) -> int:
-        return len(subsystem_weyl_elements(self.rd, self.nodes[i]))
+        """|W(Psi)| = P_Psi(1)."""
+        return int(self.poincare(i).evaluate(1))
 
     def type_label(self, i: int) -> str:
         if self._labels is None:

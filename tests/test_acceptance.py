@@ -15,14 +15,14 @@ import time
 from fractions import Fraction
 
 from charvar.abelian import quotient_invariants, smith_normal_form
-from charvar.charsum import (
-    EigenvalueDatum,
-    SymbolicTorusElement,
-    alpha,
-    delta,
-)
+from charvar.charsum import EigenvalueDatum, SymbolicTorusElement, node_map
 from charvar.cli import build_problem, load_config
-from charvar.count import ProblemSpec, count_polynomial
+from charvar.count import (
+    ProblemSpec,
+    count_polynomial,
+    delta_values,
+    mobius_sum,
+)
 from charvar.oracle import (
     brute_force_count,
     build_model,
@@ -33,6 +33,7 @@ from charvar.qpoly import RationalPoly, q_minus
 from charvar.rootdata import (
     build_root_datum,
     modulus,
+    subsystem_weyl_elements,
     validate_root_datum,
 )
 from charvar.subsystems import build_poset
@@ -45,6 +46,12 @@ QP1 = RationalPoly.from_coeffs([1, 1])
 
 def const(c: int) -> RationalPoly:
     return RationalPoly.from_int(c)
+
+
+def _deltas(poset, element):
+    """The diagnostic table's Delta(Psi, S) at every node, without overrides."""
+    maps = [node_map(poset.rd, psi, element.datum.group) for psi in poset.nodes]
+    return delta_values(poset, maps, element.flat(), {})
 
 
 # Poincare polynomials of the reflection groups that appear below.
@@ -550,16 +557,20 @@ def test_criterion_09_property_suite():
         poset = build_poset(rd)
         datum = EigenvalueDatum(symbols=("a", "b"), relations=relations)
         element = SymbolicTorusElement.from_words(datum, words)
+        deltas = _deltas(poset, element)
         total = RationalPoly.from_int(0)
         for i in range(poset.num_nodes):
-            total = total + alpha(poset, i, element)
-        assert total == delta(rd, frozenset(), element), desc
+            total = total + mobius_sum(poset, i, deltas)
+        assert total == deltas[poset.index_of[frozenset()]], desc
 
-    # P_Psi(1) = |W(Psi)| on every node of several posets
+    # P_Psi(1) = |W(Psi)| on every node of several posets, with W(Psi)
+    # generated from its simple reflections
     for desc in ("GL(3)", "SO(5)", "G2"):
-        poset = build_poset(build_root_datum(desc))
-        for i in range(poset.num_nodes):
-            assert poset.poincare(i).evaluate(1) == poset.weyl_order(i), desc
+        rd = build_root_datum(desc)
+        poset = build_poset(rd)
+        for i, node in enumerate(poset.nodes):
+            weyl = subsystem_weyl_elements(rd, node)
+            assert poset.poincare(i).evaluate(1) == len(weyl), desc
 
     # alpha at the empty node of GL(n), evaluated at the identity
     for n in (2, 3, 4):
@@ -570,7 +581,8 @@ def test_criterion_09_property_suite():
         expected = RationalPoly.from_int(1)
         for i in range(1, n + 1):
             expected = expected * q_minus(i)
-        assert alpha(poset, poset.index_of[frozenset()], one) == expected
+        deltas = _deltas(poset, one)
+        assert mobius_sum(poset, poset.index_of[frozenset()], deltas) == expected
 
     # bottom-to-top Mobius value of the GL(n) poset (partition lattice)
     for n, expected in ((2, -1), (3, 2), (4, -6), (5, 24)):

@@ -1,5 +1,7 @@
 """Tests for symbolic torus elements, Weyl translation, and Delta/alpha.
 
+Delta and alpha are the diagnostic table's: ``count.delta_values`` over
+every node, and ``count.mobius_sum`` of those values for alpha.
 Frozen values: the GL(2) pair delta(full) = q-1, delta(empty) = 0 for
 eigenvalues with a*b = 1; the identity-element alternation
 alpha(empty, 1) = (q-1)(q-2)...(q-n) for GL(n).  Structural oracles:
@@ -16,14 +18,14 @@ from hypothesis import given, settings, strategies as st
 from charvar.charsum import (
     EigenvalueDatum,
     SymbolicTorusElement,
-    alpha,
-    delta,
     evaluate_character,
     in_commutator,
+    node_map,
     product_translate,
     strongly_regular,
     translate,
 )
+from charvar.count import delta_values, mobius_sum
 from charvar.errors import InvalidInputError
 from charvar.qpoly import RationalPoly, q_minus
 from charvar.rootdata import build_root_datum, enumerate_weyl
@@ -32,6 +34,12 @@ from charvar.subsystems import build_poset
 
 def _element(datum, *words):
     return SymbolicTorusElement.from_words(datum, words)
+
+
+def _deltas(poset, s):
+    """Delta(Psi, S) at every node of the poset, without overrides."""
+    maps = [node_map(poset.rd, psi, s.datum.group) for psi in poset.nodes]
+    return delta_values(poset, maps, s.flat(), {})
 
 
 # ---------------------------------------------------------------------------
@@ -171,23 +179,26 @@ def test_strongly_regular_wrong_rank():
 
 def test_gl2_delta_frozen():
     rd = build_root_datum("GL(2)")
+    poset = build_poset(rd)
     datum = EigenvalueDatum(symbols=("a", "b"), relations=("a*b",))
     s = _element(datum, "a", "b")
     full = frozenset(range(rd.num_roots))
+    deltas = _deltas(poset, s)
     assert in_commutator(rd, full, s)
-    assert delta(rd, full, s) == q_minus(1)
+    assert deltas[poset.index_of[full]] == q_minus(1)
     assert not in_commutator(rd, frozenset(), s)
-    assert delta(rd, frozenset(), s) == RationalPoly.from_int(0)
+    assert deltas[poset.index_of[frozenset()]] == RationalPoly.from_int(0)
 
 
 def test_gl2_delta_generic_eigenvalues():
     rd = build_root_datum("GL(2)")
+    poset = build_poset(rd)
     datum = EigenvalueDatum(symbols=("a", "b"))  # no relations: generic
     s = _element(datum, "a", "b")
     full = frozenset(range(rd.num_roots))
     # det S = a*b is not forced trivial
     assert not in_commutator(rd, full, s)
-    assert delta(rd, full, s) == RationalPoly.from_int(0)
+    assert _deltas(poset, s)[poset.index_of[full]] == RationalPoly.from_int(0)
 
 
 def test_delta_at_identity_counts_torus():
@@ -195,7 +206,9 @@ def test_delta_at_identity_counts_torus():
         rd = build_root_datum(desc)
         datum = EigenvalueDatum(symbols=("a",))
         one = SymbolicTorusElement.from_words(datum, ["1"] * rd.rank)
-        assert delta(rd, frozenset(), one) == q_minus(1) ** d
+        poset = build_poset(rd)
+        empty = poset.index_of[frozenset()]
+        assert _deltas(poset, one)[empty] == q_minus(1) ** d
 
 
 def test_so5_torsion_power_condition():
@@ -211,7 +224,7 @@ def test_so5_torsion_power_condition():
     datum = EigenvalueDatum(symbols=("s", "u"))
     sq = SymbolicTorusElement(datum=datum, coords=((2, 0), (0, 2)))
     assert in_commutator(rd, node, sq)
-    assert delta(rd, node, sq) == RationalPoly.from_int(4)
+    assert _deltas(poset, sq)[a1a1] == RationalPoly.from_int(4)
     # generic (a, b): not forced to be squares
     datum2 = EigenvalueDatum(symbols=("a", "b"))
     gen = _element(datum2, "a", "b")
@@ -266,10 +279,11 @@ def test_alpha_telescopes_to_delta_at_empty():
         )
         words = ["a", "b", "1"][: rd.rank]
         s = _element(datum, *words)
+        deltas = _deltas(poset, s)
         total = RationalPoly.from_int(0)
         for i in range(poset.num_nodes):
-            total = total + alpha(poset, i, s)
-        assert total == delta(rd, frozenset(), s), desc
+            total = total + mobius_sum(poset, i, deltas)
+        assert total == deltas[poset.index_of[frozenset()]], desc
 
 
 @pytest.mark.parametrize("n,expected_factors", [(2, 2), (3, 3), (4, 4)])
@@ -283,7 +297,7 @@ def test_alpha_empty_at_identity_gl(n, expected_factors):
     expected = RationalPoly.from_int(1)
     for i in range(1, n + 1):
         expected = expected * q_minus(i)
-    assert alpha(poset, empty, one) == expected
+    assert mobius_sum(poset, empty, _deltas(poset, one)) == expected
 
 
 def test_canonical_key_identifies_equal_elements():
@@ -303,11 +317,13 @@ def test_canonical_key_identifies_equal_elements():
 )
 def test_delta_properties(rel, coords):
     rd = build_root_datum("SO(5)")
+    poset = build_poset(rd)
     datum = EigenvalueDatum(symbols=("a", "b"), relations=(rel,))
     s = SymbolicTorusElement(datum=datum, coords=tuple(coords))
     full = frozenset(range(rd.num_roots))
-    d_full = delta(rd, full, s)
-    d_empty = delta(rd, frozenset(), s)
+    deltas = _deltas(poset, s)
+    d_full = deltas[poset.index_of[full]]
+    d_empty = deltas[poset.index_of[frozenset()]]
     # full-node delta is the constant |Tor| when the element is inside
     assert d_full.is_polynomial()
     if not d_empty.is_zero():

@@ -302,6 +302,15 @@ class TestCheckCommand:
         text = capsys.readouterr().out
         assert "override on C2 asserts otherwise" in text
 
+    @pytest.mark.parametrize("command", ["check", "count"])
+    def test_unknown_override_label_exits_2(self, capsys, tmp_path, command):
+        path = write_config(tmp_path, gl2_config(overrides={"B7": True}))
+        code = main([command, "--config", path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error[override-label]" in err
+        assert "'B7' matches no subsystem" in err
+
 
 class TestOracleCommand:
     def test_oracle_match(self, capsys, tmp_path):

@@ -8,6 +8,9 @@ by ``count._helper`` are caught.
 The benchmark's tracer (``perfbench/tracer.py``) wraps charvar functions
 and methods by name; a deletion or rename that breaks ``--trace 1`` fails
 here rather than only in the benchmark's own tests.
+
+No process-global cache may grow with the problems a process counts:
+per-problem data lives on per-problem objects.
 """
 
 import ast
@@ -16,6 +19,9 @@ import importlib.util
 from pathlib import Path
 
 import charvar
+from charvar.charsum import EigenvalueDatum, SymbolicTorusElement
+from charvar.count import ProblemSpec, count_polynomial
+from charvar.rootdata import build_root_datum
 
 PACKAGE = Path(charvar.__file__).resolve().parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -97,3 +103,41 @@ def test_tracer_targets_resolve():
             missing.append(f"{layer}: {module_name}.{attribute}")
     assert len(tracer.TARGETS) > 40
     assert missing == []
+
+
+def functools_caches() -> dict:
+    """Every functools cache at module or class level in a charvar module."""
+    caches = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "charvar" if path.stem == "__init__" else f"charvar.{path.stem}"
+        module = importlib.import_module(name)
+        owners = [module] + [
+            v for v in vars(module).values()
+            if isinstance(v, type) and v.__module__ == name
+        ]
+        for owner in owners:
+            for value in vars(owner).values():
+                if callable(getattr(value, "cache_info", None)):
+                    caches[f"{value.__module__}.{value.__qualname__}"] = value
+    return caches
+
+
+def test_caches_do_not_grow_with_relation_sets():
+    rd = build_root_datum("GL(2)")
+
+    def count(k: int) -> None:
+        datum = EigenvalueDatum(symbols=("a", "b"), relations=("a*b", f"a^{k}"))
+        element = SymbolicTorusElement.from_words(datum, ["a", "b"])
+        count_polynomial(
+            ProblemSpec(rd=rd, genus=1, punctures=2, eigenvalues=datum,
+                        semisimple_classes=(element,))
+        )
+
+    count(3)
+    caches = functools_caches()
+    assert "charvar.subsystems.build_poset" in caches
+    before = {name: f.cache_info().currsize for name, f in caches.items()}
+    for k in range(4, 24):
+        count(k)
+    after = {name: f.cache_info().currsize for name, f in caches.items()}
+    assert after == before

@@ -11,6 +11,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from charvar.charsum import EigenvalueDatum, SymbolicTorusElement
+from charvar.count import ProblemSpec, validate_problem
 from charvar.errors import HypothesisError, InvalidInputError, ResourceLimitError
 from charvar.qpoly import Poly, RationalPoly
 from charvar.rootdata import (
@@ -27,7 +29,6 @@ from charvar.rootdata import (
     highest_root_coefficients,
     irreducible_components,
     modulus,
-    order_polynomials,
     poincare_polynomial,
     validate_root_datum,
 )
@@ -151,9 +152,18 @@ def _brute_gl_order(n, q):
     return sum(1 for flat in entries if det_mod(flat) != 0)
 
 
+def _order_polynomials(rd):
+    """|T|, |B|, |Z| and |G| = |B| P(q) over F_q, from the Poincare polynomial."""
+    q = RationalPoly.q()
+    t = (q - RationalPoly.from_int(1)) ** rd.rank
+    b = q ** rd.num_positive * t
+    z = (q - RationalPoly.from_int(1)) ** center_invariants(rd).free_rank
+    return {"G": b * RationalPoly(poincare_polynomial(rd)), "B": b, "T": t, "Z": z}
+
+
 def test_order_polynomials_gl2():
     rd = build_root_datum("GL(2)")
-    orders = order_polynomials(rd)
+    orders = _order_polynomials(rd)
     q = RationalPoly.q()
     one = RationalPoly.from_int(1)
     assert orders["T"] == (q - one) ** 2
@@ -166,13 +176,23 @@ def test_order_polynomials_gl2():
 
 def test_order_polynomials_gl3_matches_enumeration():
     rd = build_root_datum("GL(3)")
-    g = order_polynomials(rd)["G"]
+    g = _order_polynomials(rd)["G"]
     assert g.evaluate(2) == _brute_gl_order(3, 2) == 168
 
 
 def test_order_polynomials_need_connected_center():
+    rd = build_root_datum("SL(2)")
+    datum = EigenvalueDatum(symbols=("a", "b"), relations=("a*b",))
+    spec = ProblemSpec(
+        rd=rd,
+        genus=1,
+        punctures=2,
+        eigenvalues=datum,
+        semisimple_classes=(SymbolicTorusElement.from_words(datum, ["a"]),),
+    )
     with pytest.raises(HypothesisError) as exc:
-        order_polynomials(build_root_datum("SL(2)"))
+        validate_problem(spec)
+    assert exc.value.code == "connected-center"
     assert "center" in str(exc.value)
 
 
