@@ -21,7 +21,7 @@ are the generating vectors/relators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -34,43 +34,6 @@ def _freeze(rows: Iterable[Sequence[int]]) -> IntMatrix:
 
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    if not a:
-        return ()
-    inner = len(a[0])
-    assert inner == len(b), "dimension mismatch"
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
-        for i in range(len(a))
-    )
-
-
-def det(m: Sequence[Sequence[int]]) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -230,7 +193,6 @@ class FPAbelianGroup:
 
     generator_count: int
     relations: IntMatrix = ()
-    names: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         for r in self.relations:
@@ -242,17 +204,6 @@ class FPAbelianGroup:
         if len(w) != self.generator_count:
             raise ValueError(f"word length {len(w)} != generator count {self.generator_count}")
         return w
-
-    def quotient(self) -> QuotientInvariants:
-        """Invariants of the group itself (ℤ^t modulo the relations)."""
-        return quotient_invariants(self.generator_count, self.relations)
-
-    def word(self, **exponents: int) -> IntVector:
-        """Exponent vector from named generators, e.g. a=1, b=-1."""
-        out = [0] * self.generator_count
-        for name, e in exponents.items():
-            out[self.names.index(name)] += e
-        return tuple(out)
 
 
 def is_identity(group: FPAbelianGroup, word: Sequence[int]) -> bool:

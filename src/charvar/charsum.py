@@ -80,7 +80,6 @@ class EigenvalueDatum:
             cached = FPAbelianGroup(
                 generator_count=len(self.symbols),
                 relations=rows,
-                names=self.symbols,
             )
             self.__dict__["_group"] = cached
         return cached

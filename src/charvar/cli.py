@@ -70,6 +70,7 @@ from .oracle import (
     DEFAULT_ORACLE_BUDGET,
     brute_force_count,
     build_model,
+    check_enumeration,
     regular_unipotent_class,
     semisimple_class,
 )
@@ -738,6 +739,12 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
                     "(satisfying exactly the declared relations) found in "
                     "200 attempts; the field may be too small",
                 )
+        kinds = ("semisimple",) * spec.m + ("regular_unipotent",) * (
+            spec.punctures - spec.m
+        )
+        check_enumeration(
+            family, size, q, spec.genus, kinds, budget=budget, threads=threads
+        )
         classes = tuple(
             semisimple_class(model, eigen) for eigen in units.eigenvalues(concrete)
         ) + (regular_unipotent_class(model),) * (spec.punctures - spec.m)

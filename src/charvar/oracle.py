@@ -22,6 +22,7 @@ than rounded.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
@@ -342,7 +343,6 @@ def semisimple_class(
             tuple(values[i] if i == j else 0 for j in range(model.size))
             for i in range(model.size)
         )
-        torus_order = (q - 1) ** model.size
         label = f"semisimple{values}"
     else:
         if len(values) != 1:
@@ -357,11 +357,10 @@ def semisimple_class(
                 f"eigenvalue ratio {ratio} is not strongly regular mod {q}",
             )
         rep = model.canonical(((ratio, 0), (0, 1)))
-        torus_order = q - 1
         label = f"semisimple(ratio={values[0]})"
     key = model.class_key(rep)
     _, size = model.class_table()[key]
-    expected = model.order // torus_order
+    expected = class_size(model.family, model.size, q, "semisimple")
     if size != expected:
         raise InternalConsistencyError(
             "class-size",
@@ -380,8 +379,7 @@ def regular_unipotent_class(model: FiniteGroupModel) -> ConcreteClassData:
     rep = model.canonical(rep)
     key = model.class_key(rep)
     _, cls_size = model.class_table()[key]
-    ss_rank = size - 1 if model.family == "GL" else 1
-    expected = model.order // model.center_order // model.q**ss_rank
+    expected = class_size(model.family, size, model.q, "regular_unipotent")
     if cls_size != expected:
         raise InternalConsistencyError(
             "class-size",
@@ -389,6 +387,67 @@ def regular_unipotent_class(model: FiniteGroupModel) -> ConcreteClassData:
             f"{cls_size}, expected {expected}",
         )
     return ConcreteClassData("regular_unipotent", "regular_unipotent", key, rep, cls_size)
+
+
+def group_order(family: str, size: int, q: int) -> int:
+    """|GL(n, F_q)| = prod over i < n of (q^n - q^i); |PGL(2, F_q)| = q(q^2 - 1)."""
+    order = math.prod(q**size - q**i for i in range(size))
+    return order if family == "GL" else order // (q - 1)
+
+
+def class_count(family: str, size: int, q: int) -> int:
+    """Number of conjugacy classes of a supported group over F_q (q odd for PGL)."""
+    return {("GL", 2): q * q - 1, ("GL", 3): q**3 - q, ("PGL", 2): q + 2}[family, size]
+
+
+def class_size(family: str, size: int, q: int, kind: str) -> int:
+    """Size of a strongly regular semisimple or a regular unipotent class.
+
+    |G| over the order of the centralizer: the maximal torus, (q-1)^rank,
+    or Z times the unipotent radical's q^(n-1) points.
+    """
+    order = group_order(family, size, q)
+    if kind == "semisimple":
+        return order // (q - 1) ** (size if family == "GL" else size - 1)
+    return order // (q - 1 if family == "GL" else 1) // q ** (size - 1)
+
+
+def check_enumeration(
+    family: str,
+    size: int,
+    q: int,
+    genus: int,
+    kinds: tuple[str, ...],
+    *,
+    budget: int,
+    threads: int,
+) -> None:
+    """Validate a brute-force count's inputs and its step estimate.
+
+    ``kinds`` are the classes' kinds in puncture order.  The estimate comes
+    from closed forms, so an over-budget count is refused before the group's
+    class table is built.
+    """
+    if genus < 0:
+        raise InvalidInputError("oracle-input", "genus must be >= 0")
+    if not kinds:
+        raise InvalidInputError("oracle-input", "need at least one class")
+    if threads < 1:
+        raise InvalidInputError("oracle-input", "threads must be >= 1")
+    leaf_cost = math.prod(class_size(family, size, q, kind) for kind in kinds[:-1])
+    if genus == 0:
+        estimate = leaf_cost
+    else:
+        num_classes = class_count(family, size, q)
+        estimate = (
+            genus * num_classes * group_order(family, size, q) + num_classes * leaf_cost
+        )
+    if estimate > budget:
+        raise ResourceLimitError(
+            "oracle-budget",
+            f"enumeration needs about {estimate} steps "
+            f"(budget {budget})",
+        )
 
 
 def _split_chunks(items: list, parts: int) -> list[list]:
@@ -502,30 +561,13 @@ def brute_force_count(
     product relation with X_i in classes[i] (X_n solved for and
     membership-tested), then divides exactly by |(G/Z)(F_q)|.
     """
-    if genus < 0:
-        raise InvalidInputError("oracle-input", "genus must be >= 0")
-    if not classes:
-        raise InvalidInputError("oracle-input", "need at least one class")
-    if threads < 1:
-        raise InvalidInputError("oracle-input", "threads must be >= 1")
+    check_enumeration(
+        model.family, model.size, model.q, genus, tuple(cls.kind for cls in classes),
+        budget=budget, threads=threads,
+    )
     table = model.class_table()
-    num_classes = len(table)
-    free = classes[:-1]
-    leaf_cost = 1
-    for cls in free:
-        leaf_cost *= cls.size
-    if genus == 0:
-        estimate = leaf_cost
-    else:
-        estimate = genus * num_classes * model.order + num_classes * leaf_cost
-    if estimate > budget:
-        raise ResourceLimitError(
-            "oracle-budget",
-            f"enumeration needs about {estimate} steps "
-            f"(budget {budget})",
-        )
     target_key = model.class_key(model.inv(classes[-1].rep))
-    member_lists = [list(model.members(cls.key)) for cls in free]
+    member_lists = [list(model.members(cls.key)) for cls in classes[:-1]]
 
     def fold(prefix: Matrix) -> int:
         if threads > 1 and member_lists and len(member_lists[0]) >= threads:

@@ -15,6 +15,13 @@ explicit ``{"d": ..., "roots": ..., "coroots": ...}`` dictionary.  All
 paths run the full root-datum axiom check and report the first axiom that
 fails by name.
 
+Per-component invariants are read from the Cartan type that
+``classify_vectors`` assigns: Poincare polynomials from the fundamental
+degrees (Chevalley), the validity modulus from the lcm of the highest-root
+coefficients and the excluded primes from per-type tables.  The Weyl group
+enumerations (``enumerate_weyl``, ``subsystem_weyl_elements``) serve the
+translate sums and, for W(Psi), the tests that check those tables.
+
 Conventions: the Cartan matrix entry C[i][j] equals <alpha_j, alpha_i^vee>
 (row index = coroot).  Simply connected data use the fundamental-weight
 basis of X (simple roots are Cartan columns); adjoint data use the
@@ -28,7 +35,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .abelian import quotient_invariants, smith_normal_form
@@ -59,11 +65,6 @@ def _identity(d: int) -> Matrix:
 
 def _mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(_dot(row, v) for row in m)
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(tuple(_dot(row, col) for col in cols) for row in a)
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,6 @@ class RootDatum:
 
     def root_index(self, v: Vector) -> int:
         return self._root_lookup()[v]
-
-    def coroot_index(self, v: Vector) -> int:
-        return self._coroot_lookup()[v]
 
     def _root_lookup(self) -> dict[Vector, int]:
         cache = self.__dict__.get("_root_lookup_cache")
@@ -153,18 +151,7 @@ class RootDatum:
         """Indices of the indecomposable positive roots."""
         cache = self.__dict__.get("_simple_cache")
         if cache is None:
-            pos_vectors = {self.roots[i] for i in self.positive}
-            simple = []
-            for i in self.positive:
-                target = self.roots[i]
-                decomposable = any(
-                    tuple(t - b for t, b in zip(target, beta)) in pos_vectors
-                    for beta in pos_vectors
-                    if beta != target
-                )
-                if not decomposable:
-                    simple.append(i)
-            cache = tuple(sorted(simple))
+            cache = _indecomposable(self.roots, self.positive)
             self.__dict__["_simple_cache"] = cache
         return cache
 
@@ -175,13 +162,24 @@ class RootDatum:
             return 0
         return len(smith_normal_form([list(v) for v in self.roots]).divisors)
 
+    def _gram(self, key: str, vectors: tuple[Vector, ...]) -> Matrix:
+        """Gram matrix sum over vectors v of v v^T, cached under ``key``."""
+        cache = self.__dict__.get(key)
+        if cache is None:
+            cache = tuple(
+                tuple(sum(v[r] * v[c] for v in vectors) for c in range(self.rank))
+                for r in range(self.rank)
+            )
+            self.__dict__[key] = cache
+        return cache
+
     def root_form(self, x: Vector, y: Vector) -> int:
         """Canonical Weyl-invariant form on X: sum over coroots v of <x,v><y,v>."""
-        return sum(_dot(x, v) * _dot(y, v) for v in self.coroots)
+        return _dot(x, _mat_vec(self._gram("_root_gram", self.coroots), y))
 
     def coroot_form(self, x: Vector, y: Vector) -> int:
         """Canonical Weyl-invariant form on X^vee: sum over roots a of <a,x><a,y>."""
-        return sum(_dot(a, x) * _dot(a, y) for a in self.roots)
+        return _dot(x, _mat_vec(self._gram("_coroot_gram", self.roots), y))
 
     def dual(self) -> "RootDatum":
         """Swap roots with coroots (X with X^vee); an involution."""
@@ -235,23 +233,15 @@ def validate_root_datum(rd: RootDatum) -> None:
     if len(set(rd.coroots)) != len(rd.coroots):
         raise InvalidInputError("root-datum-axiom", "coroots must be distinct")
 
-    # reducedness: no root is a rational multiple c > 1 of another root
+    # reducedness: no root is a rational multiple c = w_k / v_k > 1 of another
     for v, w in itertools.permutations(rd.roots, 2):
-        ratio = None
-        proportional = True
-        for a, b in zip(v, w):
-            if a == 0 and b == 0:
-                continue
-            if a == 0 or b == 0:
-                proportional = False
-                break
-            r = Fraction(b, a)
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                proportional = False
-                break
-        if proportional and ratio is not None and ratio > 1:
+        k = next(i for i, a in enumerate(v) if a)
+        if w[k] * v[k] > v[k] * v[k] and all(
+            a * w[k] == b * v[k] for a, b in zip(v, w)
+        ):
+            g = math.gcd(w[k], v[k])
+            num, den = abs(w[k]) // g, abs(v[k]) // g
+            ratio = num if den == 1 else f"{num}/{den}"
             raise InvalidInputError(
                 "root-datum-axiom",
                 f"root system is not reduced: {w} is {ratio} times {v}",
@@ -322,37 +312,6 @@ def _positive_indices_by_height(roots: tuple[Vector, ...]) -> tuple[int, ...]:
     return tuple(i for i, v in enumerate(roots) if f(v) > 0)
 
 
-def _solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve rows . x = rhs over Q (any one solution; None if inconsistent)."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n_cols):
-        sel = next((r for r in range(row, n_rows) if aug[r][col] != 0), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pivot = aug[row][col]
-        aug[row] = [entry / pivot for entry in aug[row]]
-        for r in range(n_rows):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == n_rows:
-            break
-    for r in range(row, n_rows):
-        if aug[r][n_cols] != 0:
-            return None
-    x = [Fraction(0)] * n_cols
-    for r, c in pivots:
-        x[c] = aug[r][n_cols]
-    return x
-
-
 def _datum_from_simples(
     d: int,
     simple_roots: list[Vector],
@@ -377,22 +336,21 @@ def _datum_from_simples(
                     new.append(image)
         frontier = new
 
-    # positivity: a functional w on X^vee with <alpha_i, w> = 1 for simples,
-    # so <root, w> is the (signed) sum of its simple-root coefficients.
-    rows = [[Fraction(c) for c in root] for root in simple_roots]
-    rhs = [Fraction(1)] * len(simple_roots)
-    w = _solve_rational(rows, rhs)
-    if w is None:  # pragma: no cover - simple roots are independent
-        raise InvalidInputError("root-datum-axiom", "simple roots are dependent")
-
     roots = tuple(sorted(p[0] for p in pairs))
     order = {v: i for i, v in enumerate(roots)}
     coroots_list: list[Vector] = [()] * len(pairs)
     for root, coroot in pairs:
         coroots_list[order[root]] = coroot
-    positive = tuple(
-        i for i, v in enumerate(roots) if sum(Fraction(c) * wi for c, wi in zip(v, w)) > 0
-    )
+
+    # positivity by root strings: every positive root is reached from a
+    # simple root by adding one simple root at a time through roots
+    positive_set = set(simple_roots)
+    frontier = positive_set
+    while frontier:
+        sums = {_add(v, a) for v in frontier for a in simple_roots}
+        frontier = {s for s in sums if s in order} - positive_set
+        positive_set |= frontier
+    positive = tuple(i for i, v in enumerate(roots) if v in positive_set)
     return RootDatum(
         rank=d,
         roots=roots,
@@ -690,124 +648,84 @@ class WeylGroup:
     """The Weyl group as integer matrices acting on X^vee (column vectors)."""
 
     elements: tuple[Matrix, ...]
-    generators: tuple[Matrix, ...]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
 
-def _generate_matrix_group(
-    d: int, generators: tuple[Matrix, ...], bound: int
-) -> tuple[Matrix, ...]:
-    identity = _identity(d)
+def _reflection_group(rd: RootDatum, indices: tuple[int, ...]) -> tuple[Matrix, ...]:
+    """The group generated by the reflections at ``indices``, in BFS order.
+
+    s_alpha = I - coroot root^T maps a matrix m to m - coroot (root^T m), so
+    only the rows where the coroot is nonzero change.
+    """
+    generators = [
+        (
+            [(k, a) for k, a in enumerate(rd.roots[i]) if a],
+            [(r, b) for r, b in enumerate(rd.coroots[i]) if b],
+        )
+        for i in indices
+    ]
+    identity = _identity(rd.rank)
     seen: set[Matrix] = {identity}
     ordered: list[Matrix] = [identity]
     frontier = [identity]
     while frontier:
         new: list[Matrix] = []
         for m in frontier:
-            for g in generators:
-                prod = _mat_mul(g, m)
+            for root, coroot in generators:
+                w = [0] * rd.rank
+                for k, a in root:
+                    w = [y + a * x for x, y in zip(m[k], w)]
+                rows = list(m)
+                for r, b in coroot:
+                    rows[r] = tuple([x - b * y for x, y in zip(m[r], w)])
+                prod = tuple(rows)
                 if prod not in seen:
                     seen.add(prod)
                     ordered.append(prod)
                     new.append(prod)
-                    if len(seen) > bound:
+                    if len(seen) > WEYL_ENUMERATION_BOUND:
                         raise ResourceLimitError(
                             "weyl-bound",
-                            f"group enumeration exceeded {bound} elements",
+                            f"group enumeration exceeded {WEYL_ENUMERATION_BOUND} "
+                            f"elements",
                         )
         frontier = new
     return tuple(ordered)
 
 
 @lru_cache(maxsize=None)
-def enumerate_weyl(rd: RootDatum, bound: int = WEYL_ENUMERATION_BOUND) -> WeylGroup:
+def enumerate_weyl(rd: RootDatum) -> WeylGroup:
     """Enumerate the full Weyl group from simple reflections (BFS)."""
-    generators = tuple(rd.reflection_matrix(i) for i in rd.simple_root_indices())
-    elements = _generate_matrix_group(rd.rank, generators, bound)
-    return WeylGroup(elements=elements, generators=generators)
+    return WeylGroup(elements=_reflection_group(rd, rd.simple_root_indices()))
 
 
-# ---------------------------------------------------------------------------
-# Poincare polynomials
-# ---------------------------------------------------------------------------
-
-
-def _check_subsystem(rd: RootDatum, indices: frozenset[int]) -> None:
-    vectors = {rd.coroots[i] for i in indices}
-    for i in indices:
-        if _neg(rd.coroots[i]) not in vectors:
-            raise InvalidInputError(
-                "subsystem",
-                f"subsystem is not symmetric: missing negative of {rd.coroots[i]}",
-            )
-    lookup = rd._coroot_lookup()
-    for i in indices:
-        for j in indices:
-            s = _add(rd.coroots[i], rd.coroots[j])
-            k = lookup.get(s)
-            if k is not None and k not in indices:
-                raise InvalidInputError(
-                    "subsystem",
-                    f"subsystem is not closed: {rd.coroots[i]} + {rd.coroots[j]} "
-                    f"is a coroot outside it",
-                )
+def _indecomposable(vectors: tuple[Vector, ...], indices) -> tuple[int, ...]:
+    """The indices whose vector is not the sum of two vectors at ``indices``."""
+    pool = {vectors[i] for i in indices}
+    return tuple(
+        sorted(
+            i
+            for i in indices
+            if not any(tuple(t - b for t, b in zip(vectors[i], u)) in pool for u in pool)
+        )
+    )
 
 
 def subsystem_simple_indices(rd: RootDatum, indices: frozenset[int]) -> tuple[int, ...]:
     """Indecomposable positive elements of a closed symmetric coroot subsystem."""
-    pos = [i for i in indices if rd.is_positive(i)]
-    pos_vectors = {rd.coroots[i] for i in pos}
-    simple = []
-    for i in pos:
-        target = rd.coroots[i]
-        if not any(
-            tuple(t - b for t, b in zip(target, beta)) in pos_vectors
-            for beta in pos_vectors
-            if beta != target
-        ):
-            simple.append(i)
-    return tuple(sorted(simple))
+    return _indecomposable(rd.coroots, [i for i in indices if rd.is_positive(i)])
 
 
-def subsystem_weyl_elements(
-    rd: RootDatum, indices: frozenset[int], bound: int = WEYL_ENUMERATION_BOUND
-) -> tuple[Matrix, ...]:
-    """Elements of the reflection subgroup W(Psi) of a closed coroot subsystem."""
-    simple = subsystem_simple_indices(rd, indices)
-    generators = tuple(rd.reflection_matrix(i) for i in simple)
-    return _generate_matrix_group(rd.rank, generators, bound)
+def subsystem_weyl_elements(rd: RootDatum, indices: frozenset[int]) -> tuple[Matrix, ...]:
+    """Elements of the reflection subgroup W(Psi) of a closed coroot subsystem.
 
-
-def poincare_polynomial(
-    rd: RootDatum, subsystem: "frozenset[int] | tuple[int, ...] | None" = None
-) -> Poly:
-    """Length generating polynomial of W(Psi) for a closed coroot subsystem.
-
-    ``subsystem`` is a set of root/coroot indices (None means the whole
-    system).  Lengths count elements of Psi+ sent to negatives, with
-    positivity inherited from the ambient datum.  P(1) = |W(Psi)| and the
-    degree is |Psi+|.
+    The counting path reads |W(Psi)| and P_Psi(q) from the Cartan type; this
+    enumeration is the independent check the tests compare those against.
     """
-    if subsystem is None:
-        indices = frozenset(range(len(rd.roots)))
-    else:
-        indices = frozenset(subsystem)
-    _check_subsystem(rd, indices)
-    elements = subsystem_weyl_elements(rd, indices)
-    positive_in = [i for i in indices if rd.is_positive(i)]
-    lookup = rd._coroot_lookup()
-    counts = [0] * (len(positive_in) + 1)
-    for w in elements:
-        length = 0
-        for i in positive_in:
-            image = _mat_vec(w, rd.coroots[i])
-            if not rd.is_positive(lookup[image]):
-                length += 1
-        counts[length] += 1
-    return Poly(counts)
+    return _reflection_group(rd, subsystem_simple_indices(rd, indices))
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +749,7 @@ def cocenter_invariants(rd: RootDatum):
 
 
 # ---------------------------------------------------------------------------
-# Components, classification, admissible primes, modulus
+# Classification and the invariants read from the Cartan type
 # ---------------------------------------------------------------------------
 
 
@@ -894,97 +812,107 @@ def _classify_component(vectors: list[Vector], form) -> str:
     return "unknown"
 
 
-@dataclass(frozen=True)
-class IrreducibleComponent:
-    """One irreducible component of Phi: simple indices, all root indices, label."""
+# Fundamental degrees of the exceptional types (Bourbaki, plates V-IX); the
+# classical ones are A_r: 2..r+1, B_r and C_r: 2, 4, .., 2r, D_r: 2, 4, ..,
+# 2r-2 and r.
+_EXCEPTIONAL_DEGREES = {
+    "E6": (2, 5, 6, 8, 9, 12),
+    "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+    "F4": (2, 6, 8, 12),
+    "G2": (2, 6),
+}
 
-    simple_indices: tuple[int, ...]
-    root_indices: tuple[int, ...]
-    type_label: str
+# lcm of the highest root's coefficients in the simple roots (same plates):
+# by letter for the classical types, by letter and rank for the others.
+_HIGHEST_ROOT_LCM = {
+    "A": 1, "B": 2, "C": 2, "D": 2,
+    "E6": 6, "E7": 12, "E8": 60, "F4": 12, "G2": 6,
+}
 
 
-def irreducible_components(rd: RootDatum) -> tuple[IrreducibleComponent, ...]:
-    """Decompose Phi into irreducible components via the Dynkin graph."""
-    simples = rd.simple_root_indices()
-    if not simples:
+def component_types(label: str) -> tuple[tuple[str, int], ...]:
+    """(letter, rank) of each component of a ``classify_vectors`` label."""
+    if label == "empty":
         return ()
-    adj = {
-        i: {
-            j
-            for j in simples
-            if j != i and _dot(rd.roots[i], rd.coroots[j]) != 0
-        }
-        for i in simples
-    }
-    unassigned = set(simples)
-    groups: list[tuple[int, ...]] = []
-    while unassigned:
-        seed = min(unassigned)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            frontier = [j for i in frontier for j in adj[i] if j not in comp]
-            comp.update(frontier)
-        unassigned -= comp
-        groups.append(tuple(sorted(comp)))
-
-    components = []
-    for group in groups:
-        root_idxs = []
-        for i in range(len(rd.roots)):
-            coeffs = _expansion_coefficients(rd, rd.roots[i])
-            support = {j for j, c in coeffs.items() if c != 0}
-            if support and support <= set(group):
-                root_idxs.append(i)
-        vectors = [rd.roots[i] for i in root_idxs]
-        label = classify_vectors(vectors, rd.root_form)
-        components.append(
-            IrreducibleComponent(
-                simple_indices=group,
-                root_indices=tuple(root_idxs),
-                type_label=label,
+    types = []
+    for part in label.split("x"):
+        if part == "unknown":
+            raise InvalidInputError(
+                "descriptor", f"cannot classify component of type {part!r}"
             )
-        )
-    return tuple(components)
+        types.append((part[0], int(part[1:])))
+    return tuple(types)
 
 
-def _expansion_coefficients(rd: RootDatum, vector: Vector) -> dict[int, Fraction]:
-    """Coefficients of a root in the simple-root basis (exact, unique)."""
-    simples = rd.simple_root_indices()
-    columns = [rd.roots[i] for i in simples]
-    rows = [[Fraction(columns[j][k]) for j in range(len(simples))] for k in range(rd.rank)]
-    rhs = [Fraction(c) for c in vector]
-    sol = _solve_rational(rows, rhs)
-    if sol is None:  # pragma: no cover - roots lie in the simple span
-        raise InvalidInputError("root-datum-axiom", "root outside the simple-root span")
-    return {simples[j]: sol[j] for j in range(len(simples))}
+def fundamental_degrees(letter: str, r: int) -> tuple[int, ...]:
+    """Degrees of the basic invariants of the Weyl group of type letter+r."""
+    if letter == "A":
+        return tuple(range(2, r + 2))
+    if letter in ("B", "C"):
+        return tuple(range(2, 2 * r + 1, 2))
+    if letter == "D":
+        return tuple(range(2, 2 * r - 1, 2)) + (r,)
+    return _EXCEPTIONAL_DEGREES[f"{letter}{r}"]
 
 
-def highest_root_coefficients(rd: RootDatum, component: IrreducibleComponent) -> tuple[int, ...]:
-    """Coefficients of the highest root of a component in its simple-root basis.
+def type_poincare(label: str) -> Poly:
+    """Poincare polynomial of the Weyl group of a ``classify_vectors`` type.
 
-    The highest root is the unique positive root in the component to which
-    no simple root can be added inside Phi; equivalently its coefficient
-    vector dominates all others.
+    Chevalley's product over the fundamental degrees d of all components:
+    prod (1 + q + .. + q^(d-1)).
     """
-    best: tuple[int, ...] | None = None
-    best_height = -1
-    for i in component.root_indices:
-        if not rd.is_positive(i):
-            continue
-        coeffs = _expansion_coefficients(rd, rd.roots[i])
-        values = []
-        for j in component.simple_indices:
-            c = coeffs.get(j, Fraction(0))
-            if c.denominator != 1:  # pragma: no cover - integral for genuine roots
-                raise InvalidInputError("root-datum-axiom", "non-integral root coefficient")
-            values.append(int(c))
-        height = sum(values)
-        if height > best_height:
-            best_height = height
-            best = tuple(values)
-    assert best is not None
-    return best
+    p = Poly([1])
+    for letter, r in component_types(label):
+        for d in fundamental_degrees(letter, r):
+            p = p * Poly([1] * d)
+    return p
+
+
+def _check_subsystem(rd: RootDatum, indices: frozenset[int]) -> None:
+    vectors = {rd.coroots[i] for i in indices}
+    for i in indices:
+        if _neg(rd.coroots[i]) not in vectors:
+            raise InvalidInputError(
+                "subsystem",
+                f"subsystem is not symmetric: missing negative of {rd.coroots[i]}",
+            )
+    lookup = rd._coroot_lookup()
+    for i in indices:
+        for j in indices:
+            s = _add(rd.coroots[i], rd.coroots[j])
+            k = lookup.get(s)
+            if k is not None and k not in indices:
+                raise InvalidInputError(
+                    "subsystem",
+                    f"subsystem is not closed: {rd.coroots[i]} + {rd.coroots[j]} "
+                    f"is a coroot outside it",
+                )
+
+
+def poincare_polynomial(
+    rd: RootDatum, subsystem: "frozenset[int] | tuple[int, ...] | None" = None
+) -> Poly:
+    """Length generating polynomial of W(Psi) for a closed coroot subsystem.
+
+    ``subsystem`` is a set of root/coroot indices (None means the whole
+    system).  Psi is classified and the polynomial read from the
+    fundamental degrees of its type (``type_poincare``); P(1) = |W(Psi)| and
+    the degree is |Psi+|.  The tests check it against the lengths of the
+    enumerated ``subsystem_weyl_elements``.
+    """
+    if subsystem is None:
+        indices = frozenset(range(len(rd.roots)))
+    else:
+        indices = frozenset(subsystem)
+    _check_subsystem(rd, indices)
+    vectors = [rd.coroots[i] for i in sorted(indices)]
+    return type_poincare(classify_vectors(vectors, rd.coroot_form))
+
+
+def _root_types(rd: RootDatum) -> tuple[tuple[str, int], ...]:
+    """(letter, rank) of each irreducible component of the root system."""
+    return component_types(classify_vectors(list(rd.roots), rd.root_form))
 
 
 def _prime_factors(n: int) -> set[int]:
@@ -1007,9 +935,6 @@ class AdmissiblePrimes:
 
     excluded: tuple[int, ...]
 
-    def is_admissible(self, p: int) -> bool:
-        return p not in self.excluded
-
 
 def admissible_primes(rd: RootDatum) -> AdmissiblePrimes:
     """Characteristics where regular unipotent classes behave uniformly.
@@ -1019,35 +944,28 @@ def admissible_primes(rd: RootDatum) -> AdmissiblePrimes:
     primes dividing r-1, and 3 for the exceptional types (plus 5 for E8).
     """
     excluded = {2}
-    for comp in irreducible_components(rd):
-        label = comp.type_label
-        letter, rank_str = label[0], label[1:]
-        r = int(rank_str) if rank_str.isdigit() else 0
+    for letter, r in _root_types(rd):
         if letter in ("A", "C"):
             excluded |= _prime_factors(r + 1)
         elif letter == "B":
             excluded |= _prime_factors(2 * r - 1)
         elif letter == "D":
             excluded |= _prime_factors(r - 1)
-        elif letter in ("E", "F", "G"):
-            excluded.add(3)
-            if label == "E8":
-                excluded.add(5)
         else:
-            raise InvalidInputError(
-                "descriptor", f"cannot classify component of type {label!r}"
-            )
+            excluded.add(3)
+            if (letter, r) == ("E", 8):
+                excluded.add(5)
     return AdmissiblePrimes(excluded=tuple(sorted(excluded)))
 
 
 def modulus(rd: RootDatum) -> int:
     """Order of eigenvalue data needed for the counting formula to apply.
 
-    Computed as the lcm of all highest-root coefficients (per irreducible
-    component, in that component's simple-root basis) together with the
-    order of the torsion of X / (root lattice).
+    The lcm of all highest-root coefficients (per irreducible component, in
+    that component's simple-root basis, read from the type table) together
+    with the order of the torsion of X / (root lattice).
     """
     values = [center_invariants(rd).torsion_order]
-    for comp in irreducible_components(rd):
-        values.extend(highest_root_coefficients(rd, comp))
-    return math.lcm(*values) if values else 1
+    for letter, r in _root_types(rd):
+        values.append(_HIGHEST_ROOT_LCM[letter if letter in "ABCD" else f"{letter}{r}"])
+    return math.lcm(*values)

@@ -13,8 +13,9 @@ which can be adjoined one element at a time.
 
 ``SubsystemPoset`` precomputes the node list and serves per-node data:
 type labels (with long/short disambiguation where needed), quotient
-invariants of X^vee / <Psi>, Poincare polynomials, Weyl orbits of nodes,
-and Mobius values computed by the standard downward recursion.
+invariants of X^vee / <Psi>, Poincare polynomials (read from the type
+label's fundamental degrees), Weyl orbits of nodes, and Mobius values
+computed by the standard downward recursion.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .rootdata import (
     RootDatum,
     Vector,
     classify_vectors,
-    poincare_polynomial,
+    type_poincare,
 )
 
 MAX_POSITIVE_ROOTS = 24
@@ -58,22 +59,19 @@ def closure(rd: RootDatum, indices) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_closed_subsystems(
-    rd: RootDatum, max_positive_roots: int = MAX_POSITIVE_ROOTS
-) -> tuple[frozenset[int], ...]:
+def enumerate_closed_subsystems(rd: RootDatum) -> tuple[frozenset[int], ...]:
     """All closed symmetric subsystems of the coroot system, smallest first.
 
     Breadth-first walk of the lattice: from each known subsystem, adjoin one
     positive coroot not in it and take the closure.  Raises
-    ResourceLimitError when the ambient system exceeds the size bound
-    (override ``max_positive_roots`` to go bigger deliberately).
+    ResourceLimitError when the ambient system has more than
+    ``MAX_POSITIVE_ROOTS`` positive roots.
     """
-    if rd.num_positive > max_positive_roots:
+    if rd.num_positive > MAX_POSITIVE_ROOTS:
         raise ResourceLimitError(
             "poset-bound",
             f"coroot system has {rd.num_positive} positive roots, above the "
-            f"enumeration bound {max_positive_roots}; raise the bound to "
-            f"enumerate anyway",
+            f"enumeration bound {MAX_POSITIVE_ROOTS}",
         )
     empty: frozenset[int] = frozenset()
     seen: set[frozenset[int]] = {empty}
@@ -93,11 +91,9 @@ def enumerate_closed_subsystems(
 class SubsystemPoset:
     """The inclusion poset of closed coroot subsystems of one root datum."""
 
-    def __init__(self, rd: RootDatum, max_positive_roots: int = MAX_POSITIVE_ROOTS):
+    def __init__(self, rd: RootDatum):
         self.rd = rd
-        self.nodes: tuple[frozenset[int], ...] = enumerate_closed_subsystems(
-            rd, max_positive_roots
-        )
+        self.nodes: tuple[frozenset[int], ...] = enumerate_closed_subsystems(rd)
         self.index_of: dict[frozenset[int], int] = {
             node: i for i, node in enumerate(self.nodes)
         }
@@ -147,7 +143,7 @@ class SubsystemPoset:
 
     def poincare(self, i: int) -> Poly:
         if i not in self._poincare:
-            self._poincare[i] = poincare_polynomial(self.rd, self.nodes[i])
+            self._poincare[i] = type_poincare(self.type_label(i))
         return self._poincare[i]
 
     def weyl_order(self, i: int) -> int:
@@ -259,5 +255,5 @@ class SubsystemPoset:
 
 
 @lru_cache(maxsize=None)
-def build_poset(rd: RootDatum, max_positive_roots: int = MAX_POSITIVE_ROOTS) -> SubsystemPoset:
-    return SubsystemPoset(rd, max_positive_roots)
+def build_poset(rd: RootDatum) -> SubsystemPoset:
+    return SubsystemPoset(rd)

@@ -8,15 +8,47 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from charvar.abelian import (
     FPAbelianGroup,
     canonical_word,
-    det,
     is_dth_power,
     is_identity,
-    mat_mul,
     quotient_invariants,
     smith_normal_form,
 )
 
 entries = st.integers(min_value=-9, max_value=9)
+
+
+def mat_mul(a, b):
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
+        for i in range(len(a))
+    )
+
+
+def det(m):
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def matrices(max_dim=4):
@@ -117,20 +149,19 @@ def test_weight_mod_root_lattice_torsion_for_sl_n():
 
 
 def test_word_problem():
-    A = FPAbelianGroup(2, ((1, 1),), names=("a", "b"))
+    A = FPAbelianGroup(2, ((1, 1),))
     assert is_identity(A, (1, 1))
     assert not is_identity(A, (2, 0))
     assert is_identity(A, (0, 0))
     assert is_identity(A, (2, 2))
-    free = FPAbelianGroup(1, (), names=("a",))
+    free = FPAbelianGroup(1, ())
     assert is_identity(free, (0,))
     assert not is_identity(free, (3,))
-    assert A.word(a=1, b=-1) == (1, -1)
 
 
 def test_dth_power():
     # <a,b,t | a b t^-2>: ab is a declared square
-    A = FPAbelianGroup(3, ((1, 1, -2),), names=("a", "b", "t"))
+    A = FPAbelianGroup(3, ((1, 1, -2),))
     assert is_dth_power(A, (1, 1, 0), 2)
     # and so is a/b = (t/b)^2 modulo the relation
     assert is_dth_power(A, (1, -1, 0), 2)

@@ -7,6 +7,7 @@ import pytest
 
 from charvar.cli import build_problem, load_config, main
 from charvar.errors import InvalidInputError
+from charvar.oracle import FiniteGroupModel
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -403,6 +404,18 @@ class TestOracleCommand:
         code = main(
             ["oracle", "--config", str(CONFIGS / "gl2_sphere_generic.json"),
              "--budget", "10"]
+        )
+        assert code == 3
+        assert "error[oracle-budget]" in capsys.readouterr().err
+
+    def test_oracle_budget_checked_before_class_table(self, capsys, monkeypatch):
+        def refuse(model):
+            raise AssertionError("class table built before the budget check")
+
+        monkeypatch.setattr(FiniteGroupModel, "class_table", refuse)
+        code = main(
+            ["oracle", "--config", str(CONFIGS / "gl2_genus1.json"),
+             "--budget", "1000"]
         )
         assert code == 3
         assert "error[oracle-budget]" in capsys.readouterr().err

@@ -22,6 +22,9 @@ from charvar.oracle import (
     FiniteGroupModel,
     brute_force_count,
     build_model,
+    class_count,
+    class_size,
+    group_order,
     regular_unipotent_class,
     semisimple_class,
 )
@@ -243,6 +246,25 @@ def test_threads_agree_with_sequential():
     assert brute_force_count(
         m, 1, (semisimple_class(m, (2, 3)), unip), threads=2
     ) == 11200
+
+
+@pytest.mark.parametrize(
+    "family, size, q",
+    [("GL", 2, 3), ("GL", 2, 5), ("GL", 2, 7), ("GL", 3, 3),
+     ("PGL", 2, 3), ("PGL", 2, 5), ("PGL", 2, 7), ("PGL", 2, 11)],
+)
+def test_closed_forms_match_model(family, size, q):
+    m = model(family, size, q)
+    assert group_order(family, size, q) == m.order
+    assert class_count(family, size, q) == len(m.class_table())
+    unipotent = regular_unipotent_class(m)
+    assert class_size(family, size, q, "regular_unipotent") == unipotent.size
+    # a strongly regular semisimple class needs `size` distinct units (GL)
+    # or a ratio other than 0 and +-1 (PGL), which F_3 does not have
+    if q > 3:
+        values = (2,) if family == "PGL" else tuple(range(1, size + 1))
+        cls = semisimple_class(m, values)
+        assert class_size(family, size, q, "semisimple") == cls.size
 
 
 def test_budget_guard():

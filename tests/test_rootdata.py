@@ -7,6 +7,7 @@ structurally.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement
 from charvar.count import ProblemSpec, validate_problem
 from charvar.errors import HypothesisError, InvalidInputError, ResourceLimitError
+from charvar import rootdata
 from charvar.qpoly import Poly, RationalPoly
 from charvar.rootdata import (
     AdmissiblePrimes,
@@ -22,16 +24,18 @@ from charvar.rootdata import (
     build_root_datum,
     cartan_matrix,
     classify_vectors,
+    component_types,
     connected_center_check,
     center_invariants,
     cocenter_invariants,
     enumerate_weyl,
-    highest_root_coefficients,
-    irreducible_components,
+    fundamental_degrees,
     modulus,
     poincare_polynomial,
+    subsystem_weyl_elements,
     validate_root_datum,
 )
+from charvar.subsystems import build_poset
 
 DESCRIPTORS = [
     "GL(1)", "GL(2)", "GL(3)", "GL(4)",
@@ -83,10 +87,80 @@ def test_weyl_elements_permute_coroots():
         assert images == coroot_set
 
 
-def test_weyl_enumeration_bound():
+def test_weyl_enumeration_bound(monkeypatch):
     rd = build_root_datum("F4")
+    monkeypatch.setattr(rootdata, "WEYL_ENUMERATION_BOUND", 100)
+    enumerate_weyl.cache_clear()
     with pytest.raises(ResourceLimitError):
-        enumerate_weyl(rd, bound=100)
+        enumerate_weyl(rd)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+@pytest.mark.parametrize("desc", ["GL(3)", "SO(5)", "Sp(6)", "G2", "D4"])
+def test_forms_match_defining_sums(desc):
+    rd = build_root_datum(desc)
+    for x, y in itertools.product(rd.roots, repeat=2):
+        assert rd.root_form(x, y) == sum(_dot(x, v) * _dot(y, v) for v in rd.coroots)
+    for x, y in itertools.product(rd.coroots, repeat=2):
+        assert rd.coroot_form(x, y) == sum(_dot(a, x) * _dot(a, y) for a in rd.roots)
+
+
+def _enumerated_poincare(rd, indices):
+    """Length generating polynomial of the enumerated W(Psi).
+
+    The length of w counts the positive elements of Psi that w sends to
+    negative coroots.
+    """
+    positive_in = [i for i in indices if rd.is_positive(i)]
+    lookup = {v: i for i, v in enumerate(rd.coroots)}
+    counts = [0] * (len(positive_in) + 1)
+    for w in subsystem_weyl_elements(rd, frozenset(indices)):
+        length = sum(
+            1
+            for i in positive_in
+            if not rd.is_positive(lookup[tuple(_dot(row, rd.coroots[i]) for row in w)])
+        )
+        counts[length] += 1
+    return Poly(counts)
+
+
+@pytest.mark.parametrize("desc", ["GL(4)", "SO(5)", "SO(7)", "Sp(6)", "G2", "D4"])
+def test_poincare_matches_length_enumeration(desc):
+    rd = build_root_datum(desc)
+    poset = build_poset(rd)
+    for i, node in enumerate(poset.nodes):
+        expected = _enumerated_poincare(rd, node)
+        assert poset.poincare(i) == expected, (desc, poset.type_label(i))
+        assert poincare_polynomial(rd, node) == expected, (desc, poset.type_label(i))
+
+
+def test_poincare_f4_matches_length_enumeration():
+    rd = build_root_datum("F4")
+    assert poincare_polynomial(rd) == _enumerated_poincare(rd, range(rd.num_roots))
+
+
+IRREDUCIBLE_TYPES = (
+    [f"A{r}" for r in range(1, 8)]
+    + [f"{x}{r}" for x in "BC" for r in range(2, 7)]
+    + [f"D{r}" for r in range(4, 8)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+# |W| above 60,000 (322,560, 2,903,040 and 696,729,600): not enumerated
+LARGE_WEYL = {"D7", "E7", "E8"}
+
+
+@pytest.mark.parametrize("desc", IRREDUCIBLE_TYPES)
+def test_fundamental_degrees(desc):
+    rd = build_root_datum(desc)
+    degrees = fundamental_degrees(desc[0], int(desc[1:]))
+    assert len(degrees) == rd.semisimple_rank
+    assert sum(d - 1 for d in degrees) == rd.num_positive
+    if desc not in LARGE_WEYL:
+        assert math.prod(degrees) == enumerate_weyl(rd).order
+        enumerate_weyl.cache_clear()  # do not keep the large groups cached
 
 
 def test_poincare_full_system_identities():
@@ -240,16 +314,39 @@ def test_type_classification():
     assert root_type(build_root_datum("SO(5)")) == "C2"
 
 
+def _highest_root_coefficients(rd):
+    """Simple-root coefficients of the highest root of an irreducible system.
+
+    Walks root strings: from each simple root, add one simple root at a time
+    while the sum stays a root, recording coefficients along the way.
+    """
+    simples = rd.simple_root_indices()
+    roots = set(rd.roots)
+    coefficients = {
+        rd.roots[s]: tuple(int(t == s) for t in simples) for s in simples
+    }
+    frontier = dict(coefficients)
+    while frontier:
+        step = {}
+        for v, c in frontier.items():
+            for k, s in enumerate(simples):
+                u = tuple(a + b for a, b in zip(v, rd.roots[s]))
+                if u in roots and u not in coefficients:
+                    step[u] = tuple(x + (j == k) for j, x in enumerate(c))
+        coefficients.update(step)
+        frontier = step
+    return max(coefficients.values(), key=sum)
+
+
 def test_highest_root_coefficients():
-    rd = build_root_datum("G2")
-    (comp,) = irreducible_components(rd)
-    assert sorted(highest_root_coefficients(rd, comp)) == [2, 3]
-    rd = build_root_datum("A3")
-    (comp,) = irreducible_components(rd)
-    assert list(highest_root_coefficients(rd, comp)) == [1, 1, 1]
-    rd = build_root_datum("SO(7)")
-    (comp,) = irreducible_components(rd)
-    assert sorted(highest_root_coefficients(rd, comp)) == [1, 2, 2]
+    assert sorted(_highest_root_coefficients(build_root_datum("G2"))) == [2, 3]
+    assert _highest_root_coefficients(build_root_datum("A3")) == (1, 1, 1)
+    assert sorted(_highest_root_coefficients(build_root_datum("SO(7)"))) == [1, 2, 2]
+    # the modulus of an adjoint datum (X / root lattice trivial) is the lcm
+    # from the type table
+    for desc in ["A1", "A4", "B3", "C4", "D5", "E6", "E7", "E8", "F4", "G2"]:
+        rd = build_root_datum(f"{desc}(ad)")
+        assert modulus(rd) == math.lcm(*_highest_root_coefficients(rd)), desc
 
 
 def test_modulus_table():
@@ -278,8 +375,6 @@ def test_admissible_primes():
     for desc, expected in expectations.items():
         ap = admissible_primes(build_root_datum(desc))
         assert ap.excluded == expected, desc
-    ap = admissible_primes(build_root_datum("GL(2)"))
-    assert ap.is_admissible(3) and not ap.is_admissible(2)
 
 
 def test_dual_is_involution():
@@ -303,10 +398,12 @@ def test_product_structure():
     assert rd.rank == 3
     assert rd.num_roots == 2
     assert center_invariants(rd).free_rank == 2
-    comps = irreducible_components(rd)
-    assert len(comps) == 1 and comps[0].type_label == "A1"
+    assert component_types(classify_vectors(list(rd.roots), rd.root_form)) == (
+        ("A", 1),
+    )
     rd2 = build_root_datum("A1 x A1")
-    assert len(irreducible_components(rd2)) == 2
+    label = classify_vectors(list(rd2.roots), rd2.root_form)
+    assert component_types(label) == (("A", 1), ("A", 1))
 
 
 def test_explicit_dict_roundtrip():

@@ -327,9 +327,10 @@ def test_proper_subsystems_drop_at_least_two_rank(desc):
 
 
 def test_enumeration_bound():
-    rd = build_root_datum("SO(8)")
-    with pytest.raises(ResourceLimitError):
-        enumerate_closed_subsystems(rd, max_positive_roots=4)
+    rd = build_root_datum("E6")  # 36 positive roots, above MAX_POSITIVE_ROOTS
+    with pytest.raises(ResourceLimitError) as exc:
+        enumerate_closed_subsystems(rd)
+    assert exc.value.code == "poset-bound"
 
 
 def test_f4_enumeration_runs():
