@@ -71,6 +71,7 @@ from .oracle import (
     brute_force_count,
     build_model,
     check_enumeration,
+    check_field,
     regular_unipotent_class,
     semisimple_class,
 )
@@ -443,19 +444,16 @@ def cmd_poset(args) -> tuple[int, dict, str]:
         )
     mobius = []
     for i in range(poset.num_nodes):
-        for j in range(poset.num_nodes):
-            if poset.leq(i, j):
-                value = poset.mobius(i, j)
-                if value:
-                    mobius.append(
-                        {
-                            "lower": i,
-                            "lower_label": poset.display_label(i),
-                            "upper": j,
-                            "upper_label": poset.display_label(j),
-                            "mu": value,
-                        }
-                    )
+        for j, value in poset.mobius_row(i).items():
+            mobius.append(
+                {
+                    "lower": i,
+                    "lower_label": poset.display_label(i),
+                    "upper": j,
+                    "upper_label": poset.display_label(j),
+                    "mu": value,
+                }
+            )
     payload = _envelope("poset")
     payload.update(
         {"group": rd.label, "num_nodes": poset.num_nodes, "nodes": nodes,
@@ -702,7 +700,7 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
     runs = []
     verdict_ok = True
     for q in q_list:
-        model = build_model(family, size, q)
+        check_field(family, size, q)
         units = UnitSpecialization(spec, family, q, nodes, symbolic)
         sampled = False
         if explicit_values is not None:
@@ -745,6 +743,7 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
         check_enumeration(
             family, size, q, spec.genus, kinds, budget=budget, threads=threads
         )
+        model = build_model(family, size, q)
         classes = tuple(
             semisimple_class(model, eigen) for eigen in units.eigenvalues(concrete)
         ) + (regular_unipotent_class(model),) * (spec.punctures - spec.m)

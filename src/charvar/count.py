@@ -264,9 +264,8 @@ def mobius_sum(
 ) -> RationalPoly:
     """Sum over the nodes j above node i of mu(i, j) * values[j]."""
     total = RationalPoly.from_int(0)
-    for j in poset.upper_set(i):
-        mu = poset.mobius(i, j)
-        if mu and not values[j].is_zero():
+    for j, mu in poset.mobius_row(i).items():
+        if not values[j].is_zero():
             total = total + values[j] * RationalPoly.from_int(mu)
     return total
 

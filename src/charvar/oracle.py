@@ -251,10 +251,8 @@ class FiniteGroupModel:
         return cached
 
 
-def build_model(
-    family: str, size: int, q: int, *, cap: int = DEFAULT_FIELD_CAP
-) -> FiniteGroupModel:
-    """Enumerate GL(2), GL(3) or PGL(2) over F_q (q prime, q <= cap)."""
+def check_field(family: str, size: int, q: int) -> None:
+    """Refuse a group, field or enumeration size that ``build_model`` cannot take."""
     if (family, size) not in _SUPPORTED:
         raise InvalidInputError(
             "oracle-group",
@@ -272,9 +270,9 @@ def build_model(
             "oracle-field",
             "PGL(2) models require an odd prime field",
         )
-    if q > cap:
+    if q > DEFAULT_FIELD_CAP:
         raise ResourceLimitError(
-            "oracle-cap", f"q = {q} exceeds the field cap {cap}"
+            "oracle-cap", f"q = {q} exceeds the field cap {DEFAULT_FIELD_CAP}"
         )
     if q**(size * size) > MAX_ENUMERATION:
         raise ResourceLimitError(
@@ -282,6 +280,11 @@ def build_model(
             f"enumerating {family}({size}) over F_{q} needs "
             f"{q**(size*size)} candidates (limit {MAX_ENUMERATION})",
         )
+
+
+def build_model(family: str, size: int, q: int) -> FiniteGroupModel:
+    """Enumerate GL(2), GL(3) or PGL(2) over F_q (q prime, q <= DEFAULT_FIELD_CAP)."""
+    check_field(family, size, q)
     elements = []
     seen = set()
     for entries in itertools.product(range(q), repeat=size * size):

@@ -5,67 +5,94 @@ under negation) and summation-closed: whenever two of its elements add up
 to a coroot, that coroot also lies in Psi.  These subsets, ordered by
 inclusion, form the lattice the counting formula sums over.
 
-Subsystems are represented as frozensets of root/coroot indices of the
-ambient ``RootDatum``.  Enumeration walks the lattice from the empty set:
-repeatedly adjoin one positive coroot and close up.  Every closed subsystem
-is reached this way, because it is the closure of its own simple system,
+Subsystems are sets of root/coroot indices of the ambient ``RootDatum``,
+held internally as integer bitmasks (bit k for coroot k) and exposed as
+frozensets.  A sum-pair table, built once per root datum and cached on it,
+lists for each coroot i the pairs (j, k) with alpha_i^vee + alpha_j^vee =
+alpha_k^vee.  Closing a set is a worklist over that table: each coroot
+newly added is checked only against the pairs it takes part in.
+Enumeration walks the lattice from the empty set: repeatedly adjoin one
+positive coroot to a closed mask and close up.  Every closed subsystem is
+reached this way, because it is the closure of its own simple system,
 which can be adjoined one element at a time.
 
 ``SubsystemPoset`` precomputes the node list and serves per-node data:
 type labels (with long/short disambiguation where needed), quotient
 invariants of X^vee / <Psi>, Poincare polynomials (read from the type
-label's fundamental degrees), Weyl orbits of nodes, and Mobius values
-computed by the standard downward recursion.
+label's fundamental degrees), Weyl orbits of nodes, and Mobius rows
+mu(i, .), each computed on first request by the downward recursion over
+the nodes above i.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Mapping
 from functools import lru_cache
+from types import MappingProxyType
 
 from .abelian import QuotientInvariants, quotient_invariants
 from .errors import ResourceLimitError
 from .qpoly import Poly
-from .rootdata import (
-    Matrix,
-    RootDatum,
-    Vector,
-    classify_vectors,
-    type_poincare,
-)
+from .rootdata import RootDatum, Vector, classify_vectors, type_poincare
 
 MAX_POSITIVE_ROOTS = 24
 
 
+def _sum_pairs(rd: RootDatum) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per coroot i, the pairs (1 << j, k) with alpha_i^vee + alpha_j^vee = alpha_k^vee.
+
+    Cached on the root datum, like its coroot lookup.
+    """
+    table = rd.__dict__.get("_sum_pairs_cache")
+    if table is None:
+        lookup = rd._coroot_lookup()
+        table = tuple(
+            tuple(
+                (1 << j, k)
+                for j, w in enumerate(rd.coroots)
+                if (k := lookup.get(tuple(a + b for a, b in zip(v, w)))) is not None
+            )
+            for v in rd.coroots
+        )
+        rd.__dict__["_sum_pairs_cache"] = table
+    return table
+
+
+def _adjoin(rd: RootDatum, mask: int, indices) -> int:
+    """Closure of the closed mask ``mask`` with ``indices`` adjoined.
+
+    Worklist: a coroot is checked against its sum pairs when it is added.
+    Symmetry needs no extra step: both signs of each index go in first, and
+    whenever i + j = k goes in, so do -i and -j, and with them -k.
+    """
+    pairs = _sum_pairs(rd)
+    todo = [k for i in indices for k in (i, rd.negative_of(i))]
+    while todo:
+        i = todo.pop()
+        if not mask >> i & 1:
+            mask |= 1 << i
+            for bit, k in pairs[i]:
+                if mask & bit:
+                    todo.append(k)
+    return mask
+
+
+def _members(mask: int) -> frozenset[int]:
+    return frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
 def closure(rd: RootDatum, indices) -> frozenset[int]:
     """Smallest closed symmetric subset of the coroot system containing indices."""
-    lookup = rd._coroot_lookup()
-    current: set[int] = set()
-    for i in indices:
-        current.add(i)
-        current.add(rd.negative_of(i))
-    changed = True
-    while changed:
-        changed = False
-        members = sorted(current)
-        for i, j in itertools.combinations(members, 2):
-            s = tuple(a + b for a, b in zip(rd.coroots[i], rd.coroots[j]))
-            k = lookup.get(s)
-            if k is not None and k not in current:
-                current.add(k)
-                current.add(rd.negative_of(k))
-                changed = True
-    return frozenset(current)
+    return _members(_adjoin(rd, 0, indices))
 
 
 @lru_cache(maxsize=None)
 def enumerate_closed_subsystems(rd: RootDatum) -> tuple[frozenset[int], ...]:
     """All closed symmetric subsystems of the coroot system, smallest first.
 
-    Breadth-first walk of the lattice: from each known subsystem, adjoin one
-    positive coroot not in it and take the closure.  Raises
-    ResourceLimitError when the ambient system has more than
-    ``MAX_POSITIVE_ROOTS`` positive roots.
+    Walk of the lattice: from each known subsystem, adjoin one positive
+    coroot not in it and close up.  Raises ResourceLimitError when
+    the ambient system has more than ``MAX_POSITIVE_ROOTS`` positive roots.
     """
     if rd.num_positive > MAX_POSITIVE_ROOTS:
         raise ResourceLimitError(
@@ -73,19 +100,18 @@ def enumerate_closed_subsystems(rd: RootDatum) -> tuple[frozenset[int], ...]:
             f"coroot system has {rd.num_positive} positive roots, above the "
             f"enumeration bound {MAX_POSITIVE_ROOTS}",
         )
-    empty: frozenset[int] = frozenset()
-    seen: set[frozenset[int]] = {empty}
-    queue = [empty]
+    seen = {0}
+    queue = [0]
     while queue:
-        node = queue.pop()
+        mask = queue.pop()
         for p in rd.positive:
-            if p in node:
-                continue
-            bigger = closure(rd, node | {p})
-            if bigger not in seen:
-                seen.add(bigger)
-                queue.append(bigger)
-    return tuple(sorted(seen, key=lambda n: (len(n), tuple(sorted(n)))))
+            if not mask >> p & 1:
+                bigger = _adjoin(rd, mask, (p,))
+                if bigger not in seen:
+                    seen.add(bigger)
+                    queue.append(bigger)
+    nodes = map(_members, seen)
+    return tuple(sorted(nodes, key=lambda n: (len(n), tuple(sorted(n)))))
 
 
 class SubsystemPoset:
@@ -97,38 +123,49 @@ class SubsystemPoset:
         self.index_of: dict[frozenset[int], int] = {
             node: i for i, node in enumerate(self.nodes)
         }
-        self._mobius: dict[tuple[int, int], int] = {}
+        self.masks = tuple(sum(1 << k for k in node) for node in self.nodes)
+        self._mobius_rows: dict[int, Mapping[int, int]] = {}
         self._poincare: dict[int, Poly] = {}
         self._labels: list[str] | None = None
         self._display: list[str] | None = None
         self._orbits: tuple[tuple[int, ...], ...] | None = None
+        self._orbit_index: dict[int, int] = {}
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
 
     def leq(self, i: int, j: int) -> bool:
-        return self.nodes[i] <= self.nodes[j]
+        return not self.masks[i] & ~self.masks[j]
 
     def upper_set(self, i: int) -> tuple[int, ...]:
-        """Indices of all nodes containing node i (including i)."""
-        return tuple(j for j in range(self.num_nodes) if self.leq(i, j))
+        """Indices of all nodes containing node i (including i; none before i)."""
+        mask = self.masks[i]
+        return tuple(
+            j for j in range(i, self.num_nodes) if not mask & ~self.masks[j]
+        )
+
+    def mobius_row(self, i: int) -> Mapping[int, int]:
+        """The nonzero mu(i, j), by ascending j, as a read-only mapping.
+
+        Downward recursion mu(i, j) = -sum of mu(i, c) over i <= c < j: the
+        nodes c strictly inside j are smaller, so their values come first.
+        """
+        row = self._mobius_rows.get(i)
+        if row is None:
+            row = {i: 1}
+            masks = self.masks
+            for j in self.upper_set(i)[1:]:
+                outside = ~masks[j]
+                mu = -sum(v for c, v in row.items() if not masks[c] & outside)
+                if mu:
+                    row[j] = mu
+            row = self._mobius_rows[i] = MappingProxyType(row)
+        return row
 
     def mobius(self, i: int, j: int) -> int:
         """Mobius function of the inclusion poset: mu(i, j)."""
-        if not self.leq(i, j):
-            return 0
-        key = (i, j)
-        if key not in self._mobius:
-            if i == j:
-                self._mobius[key] = 1
-            else:
-                total = 0
-                for c in range(self.num_nodes):
-                    if c != j and self.leq(i, c) and self.leq(c, j):
-                        total += self.mobius(i, c)
-                self._mobius[key] = -total
-        return self._mobius[key]
+        return self.mobius_row(i).get(j, 0)
 
     # -- per-node data -----------------------------------------------------
 
@@ -163,50 +200,34 @@ class SubsystemPoset:
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Partition of node indices into Weyl-group orbits."""
         if self._orbits is None:
-            generators = [
-                self.rd.reflection_matrix(i) for i in self.rd.simple_root_indices()
+            rd, lookup = self.rd, self.rd._coroot_lookup()
+            # each simple reflection as a permutation of coroot indices
+            perms = [
+                [lookup[tuple(sum(a * b for a, b in zip(row, v)) for row in mat)]
+                 for v in rd.coroots]
+                for mat in map(rd.reflection_matrix, rd.simple_root_indices())
             ]
-            lookup = self.rd._coroot_lookup()
-
-            def apply(mat: Matrix, node: frozenset[int]) -> frozenset[int]:
-                out = []
-                for k in node:
-                    v = self.rd.coroots[k]
-                    image = tuple(
-                        sum(mat[r][c] * v[c] for c in range(self.rd.rank))
-                        for r in range(self.rd.rank)
-                    )
-                    out.append(lookup[image])
-                return frozenset(out)
-
-            assigned: dict[int, int] = {}
             orbit_list: list[tuple[int, ...]] = []
             for start in range(self.num_nodes):
-                if start in assigned:
+                if start in self._orbit_index:
                     continue
-                orbit = {start}
-                frontier = [self.nodes[start]]
+                orbit, frontier = {start}, [start]
                 while frontier:
-                    nxt = []
-                    for node in frontier:
-                        for g in generators:
-                            image = apply(g, node)
-                            idx = self.index_of[image]
-                            if idx not in orbit:
-                                orbit.add(idx)
-                                nxt.append(image)
-                    frontier = nxt
+                    node = self.nodes[frontier.pop()]
+                    for perm in perms:
+                        idx = self.index_of[frozenset(perm[k] for k in node)]
+                        if idx not in orbit:
+                            orbit.add(idx)
+                            frontier.append(idx)
                 for idx in orbit:
-                    assigned[idx] = len(orbit_list)
+                    self._orbit_index[idx] = len(orbit_list)
                 orbit_list.append(tuple(sorted(orbit)))
             self._orbits = tuple(orbit_list)
         return self._orbits
 
     def orbit_of(self, i: int) -> int:
-        for k, orbit in enumerate(self.orbits()):
-            if i in orbit:
-                return k
-        raise IndexError(i)  # pragma: no cover
+        self.orbits()
+        return self._orbit_index[i]
 
     # -- display labels -----------------------------------------------------
 
@@ -221,7 +242,6 @@ class SubsystemPoset:
         return self._display[i]
 
     def _compute_display_labels(self) -> list[str]:
-        orbits = self.orbits()
         by_label: dict[str, set[int]] = {}
         for i in range(self.num_nodes):
             by_label.setdefault(self.type_label(i), set()).add(i)
@@ -231,9 +251,7 @@ class SubsystemPoset:
         max_norm = max(norms) if norms else 0
         min_norm = min(norms) if norms else 0
         for label, members in by_label.items():
-            member_orbits = sorted(
-                {self.orbit_of(i) for i in members}
-            )
+            member_orbits = sorted({self.orbit_of(i) for i in members})
             if len(member_orbits) == 1:
                 for i in members:
                     labels[i] = label

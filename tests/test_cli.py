@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from charvar import cli
 from charvar.cli import build_problem, load_config, main
 from charvar.errors import InvalidInputError
 from charvar.oracle import FiniteGroupModel
@@ -417,6 +418,21 @@ class TestOracleCommand:
             ["oracle", "--config", str(CONFIGS / "gl2_genus1.json"),
              "--budget", "1000"]
         )
+        assert code == 3
+        assert "error[oracle-budget]" in capsys.readouterr().err
+
+    def test_oracle_budget_checked_before_model_build(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("group model built before the budget check")
+
+        monkeypatch.setattr(cli, "build_model", refuse)
+        config = json.loads(
+            (CONFIGS / "gl3_genus1_unit_eigenvalue.json").read_text()
+        )
+        config["oracle"] = {"q": [5], "budget": 1000000}
+        code = main(["oracle", "--config", write_config(tmp_path, config)])
         assert code == 3
         assert "error[oracle-budget]" in capsys.readouterr().err
 

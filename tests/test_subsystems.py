@@ -25,6 +25,11 @@ from charvar.subsystems import (
     closure,
     enumerate_closed_subsystems,
 )
+from subsystem_reference import (
+    reference_closure,
+    reference_enumeration,
+    reference_mobius,
+)
 
 
 def _node_by_vectors(poset, vectors):
@@ -354,3 +359,45 @@ def test_override_label_resolution(so5_poset):
     with pytest.raises(InvalidInputError) as exc:
         resolve_overrides(p, {"B7": True})
     assert exc.value.code == "override-label"
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the pair-scan references
+# ---------------------------------------------------------------------------
+
+CLOSURE_DATA = {
+    desc: build_root_datum(desc)
+    for desc in ("GL(4)", "SO(5)", "Sp(6)", "G2", "D4", "F4")
+}
+REFERENCE_POSETS = ("G2", "SO(5)", "GL(4)", "B3")
+
+
+@settings(max_examples=150, deadline=None)
+@given(desc=st.sampled_from(sorted(CLOSURE_DATA)), data=st.data())
+def test_closure_matches_pair_scan_reference(desc, data):
+    rd = CLOSURE_DATA[desc]
+    indices = data.draw(
+        st.sets(st.integers(min_value=0, max_value=rd.num_roots - 1), max_size=6)
+    )
+    assert closure(rd, indices) == reference_closure(rd, indices)
+
+
+@pytest.mark.parametrize("desc", REFERENCE_POSETS)
+def test_enumeration_matches_reference_bfs(desc):
+    rd = build_root_datum(desc)
+    assert enumerate_closed_subsystems(rd) == reference_enumeration(rd)
+
+
+@pytest.mark.parametrize("desc", REFERENCE_POSETS)
+def test_mobius_rows_match_pairwise_recursion(desc):
+    poset = SubsystemPoset(build_root_datum(desc))
+    expected = reference_mobius(poset.nodes)
+    for i in range(poset.num_nodes):
+        row = poset.mobius_row(i)
+        assert list(row) == sorted(row)
+        assert row == {j: mu for (low, j), mu in expected.items() if low == i and mu}
+        for j in range(poset.num_nodes):
+            assert poset.leq(i, j) == ((i, j) in expected)
+            assert poset.mobius(i, j) == expected.get((i, j), 0)
+        upper = tuple(j for j in range(poset.num_nodes) if (i, j) in expected)
+        assert poset.upper_set(i) == upper
