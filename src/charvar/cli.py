@@ -849,7 +849,10 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument(
                 "--threads", type=int, default=None,
-                help="worker processes for the enumeration",
+                help=(
+                    "accepted and checked (>= 1) for compatibility; the "
+                    "count runs in one process"
+                ),
             )
             p.add_argument(
                 "--seed", type=int, default=0,

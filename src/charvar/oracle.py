@@ -6,24 +6,33 @@ A ``FiniteGroupModel`` materializes GL(2), GL(3) or PGL(2) over a prime
 field F_q together with its conjugacy-class structure (classes are keyed
 by characteristic polynomial and minimal-polynomial degree; for PGL(2) by
 the scaling-invariant tr^2/det plus, for trace zero, the square class of
-the determinant).  Solution tuples
+the determinant; the class table checks that these keys are exactly the
+conjugacy classes).  Solution tuples
 
     [A_1,B_1] ... [A_g,B_g] X_1 ... X_n = 1,    X_i in C_i,
 
-are counted by enumerating X_1 .. X_{n-1} and solving for X_n (a single
-class-membership test), while the genus part is folded through conjugacy
-classes: the number of ways to express an element as a product of g
-commutators is a class function, computed for one representative per
-class and convolved g-1 times.  The tuple total is divided exactly by
-|(G/Z)(F_q)|; a failed division is reported as an internal error rather
-than rounded.
+are counted through class functions, each evaluated once per class
+representative:
+
+* commutators by orbit-stabilizer: as B runs over G, B A^-1 B^-1 covers
+  the class of A^-1, each element |C_G(A)| times, so one product per
+  element of G gives v(M) = #{(A, B) : [A, B] = M} on every class;
+* punctures by per-class leaf tables: N(P), the number of X_1 .. X_{n-1}
+  with P X_1 ... X_{n-1} in C_n^-1 (so X_n is determined and lies in
+  C_n), is built from the innermost class outwards, one table per class;
+* one convolution over G per further handle: v_g = v_{g-1} * v.
+
+Genus 0 reads N at the identity, |C_1| times the next table at C_1, so
+the outermost table is skipped; otherwise the tuple total is
+sum over classes K of |K| v_g(K) N(K).  Every product is an exact count of
+matrix tuples, and the total is divided exactly by |(G/Z)(F_q)|; a failed
+division is reported as an internal error rather than rounded.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
 
@@ -212,22 +221,36 @@ class FiniteGroupModel:
         return ("pgl-ss", t)
 
     def class_table(self) -> dict:
-        """Map class key -> (representative, class size)."""
+        """Map class key -> (representative, class size).
+
+        One pass over the elements also fills each element's key and each
+        key's members.  The counts treat the keys as exactly the conjugacy
+        classes, so a key count other than ``class_count`` or class sizes
+        not summing to |G| is an internal error.
+        """
         cached = self.__dict__.get("_class_table")
         if cached is None:
-            table: dict = {}
             keys: dict = {}
+            members: dict = {}
             for m in self.elements:
                 key = self.class_key(m)
                 keys[m] = key
-                if key in table:
-                    rep, size = table[key]
-                    table[key] = (rep, size + 1)
-                else:
-                    table[key] = (m, 1)
-            self.__dict__["_class_table"] = table
+                members.setdefault(key, []).append(m)
+            cached = {key: (group[0], len(group)) for key, group in members.items()}
+            expected = class_count(self.family, self.size, self.q)
+            order = group_order(self.family, self.size, self.q)
+            total = sum(size for _rep, size in cached.values())
+            if len(cached) != expected or total != order:
+                raise InternalConsistencyError(
+                    "class-table",
+                    f"{self.label} has {len(cached)} class keys over {total} "
+                    f"elements, expected {expected} classes over {order}",
+                )
+            self.__dict__["_class_table"] = cached
             self.__dict__["_element_keys"] = keys
-            cached = table
+            self.__dict__["_members"] = {
+                key: tuple(group) for key, group in members.items()
+            }
         return cached
 
     def element_key(self, m: Matrix) -> tuple:
@@ -236,12 +259,8 @@ class FiniteGroupModel:
         return self.__dict__["_element_keys"][m]
 
     def members(self, key: tuple) -> tuple[Matrix, ...]:
-        cached = self.__dict__.setdefault("_members", {})
-        if key not in cached:
-            self.class_table()
-            keys = self.__dict__["_element_keys"]
-            cached[key] = tuple(m for m in self.elements if keys[m] == key)
-        return cached[key]
+        self.class_table()
+        return self.__dict__["_members"].get(key, ())
 
     def inverse_table(self) -> dict:
         cached = self.__dict__.get("_inverse_table")
@@ -425,11 +444,16 @@ def check_enumeration(
     budget: int,
     threads: int,
 ) -> None:
-    """Validate a brute-force count's inputs and its step estimate.
+    """Validate a brute-force count's inputs and its group-product count.
 
-    ``kinds`` are the classes' kinds in puncture order.  The estimate comes
-    from closed forms, so an over-budget count is refused before the group's
-    class table is built.
+    ``kinds`` are the classes' kinds in puncture order.  The estimate is
+    the exact number of group products ``brute_force_count`` makes, from
+    closed forms, so an over-budget count is refused before the group's
+    class table is built: k = ``class_count`` products per element of each
+    class but the last (the puncture tables; at genus 0 the first class
+    needs none), and from genus 1 on |G| for the commutators plus k |G| per
+    further handle.  ``threads`` is only validated; the count runs in one
+    process.
     """
     if genus < 0:
         raise InvalidInputError("oracle-input", "genus must be >= 0")
@@ -437,14 +461,12 @@ def check_enumeration(
         raise InvalidInputError("oracle-input", "need at least one class")
     if threads < 1:
         raise InvalidInputError("oracle-input", "threads must be >= 1")
-    leaf_cost = math.prod(class_size(family, size, q, kind) for kind in kinds[:-1])
-    if genus == 0:
-        estimate = leaf_cost
-    else:
-        num_classes = class_count(family, size, q)
-        estimate = (
-            genus * num_classes * group_order(family, size, q) + num_classes * leaf_cost
-        )
+    num_classes = class_count(family, size, q)
+    tables = kinds[1:-1] if genus == 0 else kinds[:-1]
+    estimate = num_classes * sum(class_size(family, size, q, kind) for kind in tables)
+    if genus:
+        order = group_order(family, size, q)
+        estimate += order + (genus - 1) * num_classes * order
     if estimate > budget:
         raise ResourceLimitError(
             "oracle-budget",
@@ -453,71 +475,48 @@ def check_enumeration(
         )
 
 
-def _split_chunks(items: list, parts: int) -> list[list]:
-    chunks = [items[i::parts] for i in range(parts)]
-    return [c for c in chunks if c]
+def _puncture_counts(
+    model: FiniteGroupModel, classes: tuple[ConcreteClassData, ...]
+) -> dict:
+    """N[key] = #{X_i in C_i, i < n : P X_1 .. X_{n-1} in C_n^-1}, P in class key.
 
-
-def _leaf_count(model, prefix, member_lists, target_key) -> int:
-    if not member_lists:
-        return 1 if model.class_key(prefix) == target_key else 0
-    head = member_lists[0]
-    tail = member_lists[1:]
-    mul = model.mul
-    if not tail:
-        # Innermost loop: products stay inside the group, so the cached
-        # element->key table applies.
-        key_of = model.element_key
-        return sum(
-            1 for x in head if key_of(mul(prefix, x)) == target_key
-        )
-    return sum(_leaf_count(model, mul(prefix, x), tail, target_key) for x in head)
-
-
-def _leaf_chunk(args) -> int:
-    model, prefix, chunk, tail, target_key = args
-    total = 0
-    for x in chunk:
-        total += _leaf_count(model, model.mul(prefix, x), tail, target_key)
-    return total
-
-
-def _dist_chunk(args) -> dict:
-    model, chunk = args
-    inverses = model.inverse_table()
-    mul = model.mul
+    N is a class function (conjugating P conjugates the X_i), so it is
+    built from the innermost class outwards, one table per class:
+    N_j(P) = sum over x in C_j of N_{j+1}(P x), at one P per class.
+    """
+    table = model.class_table()
     key_of = model.element_key
-    hist: Counter = Counter()
-    for rep_a, size_a in chunk:
-        a_inv = inverses[rep_a]
-        for b in model.elements:
-            comm = mul(mul(rep_a, b), mul(a_inv, inverses[b]))
-            hist[key_of(comm)] += size_a
-    return dict(hist)
+    mul = model.mul
+    target_key = model.class_key(model.inv(classes[-1].rep))
+    counts = {key: int(key == target_key) for key in table}
+    for cls in reversed(classes[:-1]):
+        members = model.members(cls.key)
+        counts = {
+            key: sum(counts[key_of(mul(rep, x))] for x in members)
+            for key, (rep, _size) in table.items()
+        }
+    return counts
 
 
-def _commutator_distribution(model: FiniteGroupModel, threads: int) -> dict:
+def _commutator_distribution(model: FiniteGroupModel) -> dict:
     """Per-element count of commutator representations, by class key.
 
     Returns v with v[key] = #{(A, B) : [A, B] = M} for any single M in
     the class ``key`` (the count is a class function, so summing
-    |class| * v[key] recovers |G|^2).
+    |class| * v[key] recovers |G|^2).  As B runs over G, B A^-1 B^-1 meets
+    each element of the class of A^-1 exactly |C_G(A)| = |G| / |class(A)|
+    times, and the |class(A)| conjugates of A give the same histogram; so
+    each class representative a adds |G| for every y in the class of a^-1,
+    one product per element of G in all.
     """
     table = model.class_table()
-    items = [(rep, size) for rep, size in table.values()]
-    if threads > 1 and len(items) > 1:
-        chunks = _split_chunks(items, threads)
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(len(chunks)) as pool:
-            parts = pool.map(
-                _dist_chunk, [(model, chunk) for chunk in chunks]
-            )
-        hist: Counter = Counter()
-        for part in parts:
-            hist.update(part)
-    else:
-        hist = Counter(_dist_chunk((model, items)))
     order = model.order
+    key_of = model.element_key
+    mul = model.mul
+    hist: Counter = Counter()
+    for rep, _size in table.values():
+        for y in model.members(key_of(model.inv(rep))):
+            hist[key_of(mul(rep, y))] += order
     if sum(hist.values()) != order * order:
         raise InternalConsistencyError(
             "oracle-distribution",
@@ -558,39 +557,29 @@ def brute_force_count(
     budget: int = DEFAULT_ORACLE_BUDGET,
     threads: int = 1,
 ) -> int:
-    """Number of F_q-points of the character variety, by enumeration.
+    """Number of F_q-points of the character variety, by exact counting.
 
     Counts tuples (A_1, B_1, .., A_g, B_g, X_1, .., X_n) satisfying the
     product relation with X_i in classes[i] (X_n solved for and
-    membership-tested), then divides exactly by |(G/Z)(F_q)|.
+    membership-tested), then divides exactly by |(G/Z)(F_q)|.  ``threads``
+    is validated and otherwise unused: the count runs in one process.
     """
     check_enumeration(
         model.family, model.size, model.q, genus, tuple(cls.kind for cls in classes),
         budget=budget, threads=threads,
     )
-    table = model.class_table()
-    target_key = model.class_key(model.inv(classes[-1].rep))
-    member_lists = [list(model.members(cls.key)) for cls in classes[:-1]]
-
-    def fold(prefix: Matrix) -> int:
-        if threads > 1 and member_lists and len(member_lists[0]) >= threads:
-            chunks = _split_chunks(member_lists[0], threads)
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(len(chunks)) as pool:
-                parts = pool.map(
-                    _leaf_chunk,
-                    [
-                        (model, prefix, chunk, member_lists[1:], target_key)
-                        for chunk in chunks
-                    ],
-                )
-            return sum(parts)
-        return _leaf_count(model, prefix, member_lists, target_key)
-
-    if genus == 0:
-        total = fold(_identity(model.size))
+    if genus == 0 and len(classes) > 1:
+        # N at the identity: X_1 runs over C_1 itself, where the next
+        # table is constant, so the outermost table needs no products.
+        head = classes[0]
+        counts = _puncture_counts(model, classes[1:])
+        total = len(model.members(head.key)) * counts[head.key]
+    elif genus == 0:
+        total = _puncture_counts(model, classes)[model.class_key(_identity(model.size))]
     else:
-        v1 = _commutator_distribution(model, threads)
+        table = model.class_table()
+        counts = _puncture_counts(model, classes)
+        v1 = _commutator_distribution(model)
         v = v1
         for _ in range(genus - 1):
             v = _convolve(model, v, v1)
@@ -600,15 +589,9 @@ def brute_force_count(
                 "oracle-distribution",
                 f"genus-{genus} handle distribution does not sum to |G|^2g",
             )
-        memo: dict = {}
-        total = 0
-        for key, (rep, size) in table.items():
-            weight = v[key]
-            if not weight:
-                continue
-            if key not in memo:
-                memo[key] = _leaf_count(model, rep, member_lists, target_key)
-            total += size * weight * memo[key]
+        total = sum(
+            size * v[key] * counts[key] for key, (_rep, size) in table.items()
+        )
     if total % model.quotient_order:
         raise InternalConsistencyError(
             "oracle-division",

@@ -30,6 +30,7 @@ from charvar.oracle import (
 )
 from charvar.rootdata import build_root_datum
 from charvar.subsystems import build_poset
+from oracle_reference import reference_count
 from witnesses import (
     GL2_COINCIDENT_TRIPLES,
     GL2_GENERIC_TRIPLE,
@@ -274,6 +275,115 @@ def test_budget_guard():
     with pytest.raises(ResourceLimitError) as exc:
         brute_force_count(m, 0, classes, budget=10)
     assert exc.value.code == "oracle-budget"
+
+
+def _concrete(m, spec):
+    """Classes from a spec: a tuple of eigenvalues, or "u" for regular unipotent."""
+    return tuple(
+        regular_unipotent_class(m) if values == "u" else semisimple_class(m, values)
+        for values in spec
+    )
+
+
+@pytest.mark.parametrize(
+    "family, size, q, genus, spec, products",
+    [
+        # k = 24 classes, |G| = 480, |C| = 30 (semisimple), 24 (unipotent)
+        ("GL", 2, 5, 0, ((2, 3), "u", "u"), 24 * 24),
+        ("GL", 2, 5, 1, ((2, 3), "u"), 480 + 24 * 30),
+        ("GL", 2, 5, 2, ((2, 3), "u"), 480 + 24 * 480 + 24 * 30),
+        # k = 9 classes, |G| = 336, |C| = 56 (semisimple), 48 (unipotent)
+        ("PGL", 2, 7, 0, ((2,), (3,), "u"), 9 * 56),
+        ("PGL", 2, 7, 1, ((2,), "u"), 336 + 9 * 56),
+    ],
+)
+def test_budget_is_the_number_of_group_products(
+    monkeypatch, family, size, q, genus, spec, products
+):
+    m = model(family, size, q)
+    classes = _concrete(m, spec)
+    calls = 0
+    mul = FiniteGroupModel.mul
+
+    def counting_mul(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FiniteGroupModel, "mul", counting_mul)
+    count = brute_force_count(m, genus, classes)
+    assert calls == products
+    assert brute_force_count(m, genus, classes, budget=products) == count
+    with pytest.raises(ResourceLimitError) as exc:
+        brute_force_count(m, genus, classes, budget=products - 1)
+    assert exc.value.code == "oracle-budget"
+
+
+def test_class_table_checks_keys_are_the_classes(monkeypatch):
+    key = FiniteGroupModel.class_key
+
+    def merged(self, m):
+        # Dropping the determinant's square class merges the two order-2 classes.
+        k = key(self, m)
+        return k[:1] if k[0] == "pgl-order2" else k
+
+    monkeypatch.setattr(FiniteGroupModel, "class_key", merged)
+    with pytest.raises(InternalConsistencyError) as exc:
+        model("PGL", 2, 5).class_table()
+    assert exc.value.code == "class-table"
+
+
+def _outcome(count, m, genus, classes):
+    """The count, or the code of the internal error it raises."""
+    try:
+        return count(m, genus, classes)
+    except InternalConsistencyError as exc:
+        return exc.code
+
+
+# Class tuples per group; the four-class tuples only at genus 0, where the
+# reference's cost is one product per tuple of the first three classes.
+# PGL(2) classes are their own inverses, and so are those of GL(2, F_3) and
+# the unipotent ones; the GL(2, F_5) tuples ending in the class of
+# diag(1, 2) are the ones that tell C_n from C_n^-1.
+DIFFERENTIAL_CASES = [
+    ((family, size, q), genus, spec)
+    for (family, size, q), specs in [
+        (("GL", 2, 3), [((1, 2), "u"), ((1, 2), (1, 2), "u"), ("u", "u"),
+                        ("u", "u", "u")]),
+        (("GL", 2, 5), [((2, 3), "u"), ((1, 2), (2, 4), "u"), ("u", "u"),
+                        ((1, 2), (1, 3)), ((2, 4), "u", (1, 2))]),
+        (("PGL", 2, 5), [((2,), "u"), ((2,), (3,), "u"), ((2,), (2,), "u"),
+                         ("u", "u", "u")]),
+        (("PGL", 2, 7), [((2,), "u"), ((2,), (4,), "u"), ((3,), (5,), "u"),
+                         ("u", "u")]),
+    ]
+    for genus in (0, 1, 2)
+    for spec in specs
+] + [
+    (("GL", 2, 5), 0, ((2, 3), (2, 3), (2, 3), "u")),
+    (("GL", 2, 5), 0, ((1, 2), (2, 4), "u", "u")),
+    (("PGL", 2, 7), 0, ((3,), (5,), "u", "u")),
+    (("GL", 3, 3), 0, ("u", "u", "u")),
+]
+
+
+def _case_id(case):
+    (family, size, q), genus, spec = case
+    classes = "-".join(
+        "u" if values == "u" else "s" + "".join(map(str, values)) for values in spec
+    )
+    return f"{family}{size}_q{q}-g{genus}-{classes}"
+
+
+@pytest.mark.parametrize(
+    "group, genus, spec", DIFFERENTIAL_CASES, ids=map(_case_id, DIFFERENTIAL_CASES)
+)
+def test_class_function_count_matches_reference(group, genus, spec):
+    m = model(*group)
+    classes = _concrete(m, spec)
+    expected = _outcome(reference_count, m, genus, classes)
+    assert _outcome(brute_force_count, m, genus, classes) == expected
 
 
 # ---------------------------------------------------------------------------
