@@ -42,7 +42,7 @@ from .abelian import (
     smith_normal_form,
 )
 from .errors import InvalidInputError
-from .qpoly import RationalPoly, q_minus
+from .qpoly import IntPoly
 from .rootdata import Matrix, RootDatum, Vector, enumerate_weyl
 
 Word = tuple[int, ...]
@@ -280,7 +280,7 @@ def in_commutator(rd: RootDatum, psi, element: SymbolicTorusElement) -> bool:
     return node_map(rd, psi, element.datum.group).in_kernel(element.flat())
 
 
-def quotient_factor(inv: QuotientInvariants) -> RationalPoly:
+def quotient_factor(inv: QuotientInvariants) -> IntPoly:
     """|Tor(X^vee/<Psi>)| (q-1)^rank(X^vee/<Psi>): the value of delta when S dies."""
-    return q_minus(1) ** inv.free_rank * RationalPoly.from_int(inv.torsion_order)
+    return IntPoly([-1, 1]) ** inv.free_rank * inv.torsion_order
 

@@ -26,6 +26,17 @@ The inner sum is ``mobius_sum`` applied to the D values.  The diagnostic
 table applies the same ``mobius_sum`` to the local factor Delta of the
 class product (``delta_values``), which gives alpha.
 
+All of it is integer polynomial arithmetic (``qpoly.IntPoly``).  D(Psi) =
+|Tor| (q-1)^rank * (number of passing tuples) is an integer polynomial,
+and so is P_Psi.  The sum is taken times |W|^m, so each summand carries
+the integer weight (|W| / |W(Psi)|)^(m-1), |W(Psi)| dividing |W|.  The
+global constant z_factor |B|^chi is (q-1)^a q^b; positive exponents
+multiply, negative ones divide exactly (one division by the monic
+q^(-b) (q-1)^(-a)), and a nonzero remainder raises ``non-polynomial``.
+A final division by |W|^m that leaves a remainder raises
+``non-integral``.  Both checks are the theorem's, so both stay hard errors.
+The report converts the result to a ``RationalPoly`` only at the end.
+
 Indicator overrides: purity decides "is this word a d-th power" questions
 from the relations alone.  When the user knows the arithmetic truth for
 their concrete eigenvalues, per-subsystem-type overrides replace the
@@ -35,11 +46,8 @@ warns when the two disagree.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 from .abelian import AdditiveMap
 from .charsum import (
@@ -56,7 +64,7 @@ from .errors import (
     InvalidInputError,
     ResourceLimitError,
 )
-from .qpoly import Poly, RationalPoly, q_minus
+from .qpoly import IntPoly, Poly, RationalPoly, q_minus
 from .rootdata import (
     RootDatum,
     admissible_primes,
@@ -259,14 +267,12 @@ def emptiness(spec: ProblemSpec, poset: SubsystemPoset) -> Emptiness:
     )
 
 
-def mobius_sum(
-    poset: SubsystemPoset, i: int, values: list[RationalPoly]
-) -> RationalPoly:
+def mobius_sum(poset: SubsystemPoset, i: int, values: list[IntPoly]) -> IntPoly:
     """Sum over the nodes j above node i of mu(i, j) * values[j]."""
-    total = RationalPoly.from_int(0)
+    total = IntPoly()
     for j, mu in poset.mobius_row(i).items():
         if not values[j].is_zero():
-            total = total + values[j] * RationalPoly.from_int(mu)
+            total = total + values[j] * mu
     return total
 
 
@@ -275,13 +281,13 @@ def delta_values(
     maps: list[AdditiveMap],
     product: tuple[int, ...],
     overrides: dict[int, bool],
-) -> list[RationalPoly]:
+) -> list[IntPoly]:
     """Delta at every node: the quotient factor where the product dies, else 0.
 
     ``maps`` are the nodes' compiled maps and ``product`` a ``flat()``
     vector; an override replaces the computed indicator of its node.
     """
-    zero = RationalPoly.from_int(0)
+    zero = IntPoly()
     return [
         quotient_factor(poset.quotient(j))
         if overrides.get(j, nmap.in_kernel(product))
@@ -342,16 +348,54 @@ def _sum_histogram(
     return sums
 
 
-def _z_prefactor(rd: RootDatum, m: int, n: int, chi: int) -> RationalPoly:
-    """z_factor * |B|^chi: the global constant of the master formula."""
+def _z_exponents(rd: RootDatum, m: int, n: int, chi: int) -> tuple[int, int]:
+    """(a, b) with z_factor * |B|^chi = (q-1)^a q^b, the global constant.
+
+    z_factor = (q-1)^(z - m d + z (m - n)) q^(r (m - n)) and
+    |B| = q^|Phi+| (q-1)^d, with d the rank, r the semisimple rank and z
+    the rank of the center.
+    """
     d = rd.rank
     z = center_invariants(rd).free_rank
     r = rd.semisimple_rank
-    qm1 = q_minus(1)
-    q = RationalPoly.q()
-    z_factor = qm1 ** (z - m * d + z * (m - n)) * q ** (r * (m - n))
-    b_chi = q ** (rd.num_positive * chi) * qm1 ** (d * chi)
-    return z_factor * b_chi
+    return z - m * d + z * (m - n) + d * chi, r * (m - n) + rd.num_positive * chi
+
+
+def _divide_out(total: IntPoly, a: int, b: int, denominator: int) -> IntPoly:
+    """(q-1)^a q^b total / denominator, checked to be an integer polynomial.
+
+    Negative exponents divide exactly, by one division by the monic
+    q^(-b) (q-1)^(-a); a nonzero remainder raises ``non-polynomial``.  A
+    coefficient that ``denominator`` does not divide raises
+    ``non-integral``.  The messages print the rational value.
+    """
+    qm1 = IntPoly([-1, 1])
+    numerator = (total * qm1 ** max(a, 0)).shift(max(b, 0))
+    poly, rem = numerator.divmod((qm1 ** max(-a, 0)).shift(max(-b, 0)))
+    if not rem.is_zero():
+        raise InternalConsistencyError(
+            "non-polynomial",
+            "the master formula produced a non-polynomial count "
+            f"{_rational(total, a, b, denominator)}; this indicates "
+            "inconsistent overrides or an engine bug",
+        )
+    if any(c % denominator for c in poly.coeffs):
+        raise InternalConsistencyError(
+            "non-integral",
+            "the master formula produced non-integer coefficients in "
+            f"{_rational(total, a, b, denominator)}",
+        )
+    return IntPoly([c // denominator for c in poly.coeffs])
+
+
+def _rational(total: IntPoly, a: int, b: int, denominator: int) -> RationalPoly:
+    """(q-1)^a q^b total / denominator as a reduced rational function."""
+    return (
+        RationalPoly(Poly(total.coeffs))
+        * q_minus(1) ** a
+        * RationalPoly.q() ** b
+        / denominator
+    )
 
 
 def expected_dimension(spec: ProblemSpec) -> int:
@@ -359,20 +403,6 @@ def expected_dimension(spec: ProblemSpec) -> int:
     rd = spec.rd
     z = center_invariants(rd).free_rank
     return (2 * spec.genus - 2) * rd.dimension + 2 * z + spec.punctures * rd.num_roots
-
-
-def _ord_at_one(poly: Poly) -> int:
-    """Multiplicity of the root q = 1."""
-    order = 0
-    qm1 = Poly([-1, 1])
-    current = poly
-    while not current.is_zero():
-        quotient, remainder = current.divmod(qm1)
-        if not remainder.is_zero():
-            break
-        order += 1
-        current = quotient
-    return order
 
 
 def count_polynomial(
@@ -387,7 +417,7 @@ def count_polynomial(
     if spec.genus == 0 and n == 2:
         return _finish_report(
             spec,
-            polynomial=RationalPoly.from_int(0),
+            polynomial=IntPoly(),
             is_empty=True,
             empty_reason=(
                 "nonhyperbolic surface: genus 0 with 2 punctures is outside "
@@ -410,7 +440,7 @@ def count_polynomial(
     if not verdict.nonempty:
         return _finish_report(
             spec,
-            polynomial=RationalPoly.from_int(0),
+            polynomial=IntPoly(),
             is_empty=True,
             empty_reason=(
                 "empty variety: the product of the semisimple classes is not "
@@ -423,18 +453,17 @@ def count_polynomial(
     # D(node) = |Tor| (q-1)^rank * (number of translate tuples passing);
     # an override passes all |W|^m tuples or none, and the tuples where it
     # contradicts the computed indicator are tallied per display label
-    products = enumerate_weyl(rd).order ** m
+    weyl_order = enumerate_weyl(rd).order
+    products = weyl_order ** m
     mismatch: dict[str, list[int]] = {}
-    d_values: list[RationalPoly] = []
+    d_values: list[IntPoly] = []
     for j, passing in enumerate(pass_counts(spec, maps, budget)):
         if j in verdict.overrides:
             counts = mismatch.setdefault(poset.display_label(j), [0, 0])
             counts[0] += products - passing if verdict.overrides[j] else passing
             counts[1] += products
             passing = products if verdict.overrides[j] else 0
-        d_values.append(
-            quotient_factor(poset.quotient(j)) * RationalPoly.from_int(passing)
-        )
+        d_values.append(quotient_factor(poset.quotient(j)) * passing)
 
     for label, (bad, total_mult) in sorted(mismatch.items()):
         if bad:
@@ -443,34 +472,21 @@ def count_polynomial(
                 f"for {bad} of {total_mult} translate products (override wins)"
             )
 
-    # master sum over the poset
-    total = RationalPoly.from_int(0)
+    # master sum over the poset, times |W|^(m-1): each weight
+    # (|W| / |W(Psi)|)^(m-1) is an integer because |W(Psi)| divides |W|;
+    # P_Psi depends only on the type label, so P_Psi^chi is raised once each
+    powers: dict[str, IntPoly] = {}
+    total = IntPoly()
     for i in range(poset.num_nodes):
         inner = mobius_sum(poset, i, d_values)
         if inner.is_zero():
             continue
-        w_order = poset.weyl_order(i)
-        weight = RationalPoly.from_int(Fraction(1, w_order ** (m - 1)))
-        p_chi = RationalPoly(poset.poincare(i)) ** chi
-        total = total + weight * p_chi * inner
-
-    weyl_order = enumerate_weyl(rd).order
-    prefactor = _z_prefactor(rd, m, n, chi) * RationalPoly.from_int(
-        Fraction(1, weyl_order)
-    )
-    result = prefactor * total
-
-    if not result.is_polynomial():
-        raise InternalConsistencyError(
-            "non-polynomial",
-            f"the master formula produced a non-polynomial count {result}; "
-            "this indicates inconsistent overrides or an engine bug",
-        )
-    if any(c.denominator != 1 for c in result.polynomial_coeffs()):
-        raise InternalConsistencyError(
-            "non-integral",
-            f"the master formula produced non-integer coefficients in {result}",
-        )
+        label = poset.type_label(i)
+        if label not in powers:
+            powers[label] = IntPoly(map(int, poset.poincare(i).coeffs)) ** chi
+        weight = (weyl_order // poset.weyl_order(i)) ** (m - 1)
+        total = total + powers[label] * (inner * weight)
+    result = _divide_out(total, *_z_exponents(rd, m, n, chi), weyl_order ** m)
 
     is_empty = result.is_zero()
     return _finish_report(
@@ -512,7 +528,7 @@ def _diagnostic_table(
 
 def _finish_report(
     spec: ProblemSpec,
-    polynomial: RationalPoly,
+    polynomial: IntPoly,
     is_empty: bool,
     empty_reason: str | None,
     warnings: list[str],
@@ -520,16 +536,9 @@ def _finish_report(
 ) -> CountReport:
     rd = spec.rd
     g, n, m = spec.genus, spec.punctures, spec.m
-    euler = polynomial.evaluate(1)
-    if euler.denominator != 1:  # pragma: no cover - guarded by integrality check
-        raise InternalConsistencyError("non-integral", "non-integer Euler number")
-    euler = int(euler)
-
+    euler = sum(polynomial.coeffs)
     degree = polynomial.degree()
-    leading = None
-    if not polynomial.is_zero():
-        lead = polynomial.leading_coefficient()
-        leading = int(lead) if lead.denominator == 1 else None
+    leading = polynomial.coeffs[-1] if polynomial.coeffs else None
 
     # topology cross-checks (warnings, not errors: overrides can break them)
     num_components: int | None = None
@@ -555,7 +564,7 @@ def _finish_report(
         if rd.num_roots > 0 and (g > 0 or n - m > 2):
             d, z = rd.rank, center_invariants(rd).free_rank
             bound = (2 * g + n - m - 2) * d - (n - m - 2) * z
-            ord_one = _ord_at_one(Poly(polynomial.polynomial_coeffs()))
+            ord_one = polynomial.ord_at_one()
             if ord_one < bound:
                 warnings.append(
                     f"vanishing order {ord_one} at q = 1 is below the "
@@ -567,7 +576,7 @@ def _finish_report(
         genus=g,
         punctures=n,
         m=m,
-        polynomial=polynomial,
+        polynomial=RationalPoly(Poly(polynomial.coeffs)),
         is_empty=is_empty,
         empty_reason=empty_reason,
         euler_characteristic=euler,
@@ -576,16 +585,9 @@ def _finish_report(
         leading_coefficient=leading,
         num_components=num_components,
         validity_modulus=modulus(rd.dual()),
-        diagnostic_exponent_lcm=_poset_exponent_lcm(rd),
+        diagnostic_exponent_lcm=build_poset(rd).torsion_exponent_lcm(),
         excluded_primes=admissible_primes(rd).excluded,
         warnings=tuple(warnings),
         table=table,
         factored=polynomial.factored_str(),
     )
-
-
-@lru_cache(maxsize=None)
-def _poset_exponent_lcm(rd: RootDatum) -> int:
-    poset = build_poset(rd)
-    values = [poset.quotient(i).torsion_exponent for i in range(poset.num_nodes)]
-    return math.lcm(*values) if values else 1

@@ -1,30 +1,59 @@
-"""Exact univariate polynomial and rational-function arithmetic in the variable q.
+"""Exact univariate polynomial arithmetic in the variable q.
 
-Polynomials are dense lists of ``fractions.Fraction`` coefficients (index =
-power, no trailing zeros).  A :class:`RationalPoly` is a reduced fraction
-num/den of two such polynomials with a monic denominator; after reduction the
-representation is canonical, so equality is plain coefficient equality.
+:class:`IntPoly` is a dense polynomial with ``int`` coefficients (index =
+power, no trailing zeros).  The counting engine works in it from start to
+finish: every local factor, Poincare polynomial and Mobius sum has integer
+coefficients, and the master formula's only denominators are known
+in advance -- a power of q, a power of (q - 1) and the integer |W|^m.  So
+the engine divides by them exactly at the end (``IntPoly.divmod`` by a
+monic polynomial, then an integer division per coefficient), and a nonzero
+remainder is a failed polynomiality or integrality *check*.  Post-processing
+(``IntPoly.factored_str``) is integer arithmetic too.
 
-The counting pipeline genuinely needs rational functions: group-order
-prefactors carry negative powers of (q-1) and q that only cancel after the
-full sum is assembled.  Polynomiality of a final result is therefore a
-*check*, performed by :meth:`RationalPoly.polynomial_coeffs`, not an
-assumption baked into the arithmetic.
+:class:`Poly` (``fractions.Fraction`` coefficients) and :class:`RationalPoly`
+(a reduced fraction num/den of two such polynomials with a monic
+denominator, so equality is plain coefficient equality) are the public
+boundary: ``CountReport.polynomial`` is a ``RationalPoly``, and Poincare
+polynomials are ``Poly`` values.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 
-def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+def _strip(coeffs: list) -> tuple:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def _format(coeffs: Sequence[Scalar]) -> str:
+    """Display form, highest power first: ``3*q^3 - 2*q + 1``."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            var = "q" if i == 1 else f"q^{i}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        parts.append((sign, body))
+    first_sign, first_body = parts[0]
+    out = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        out += f" {sign} {body}"
+    return out
 
 
 class Poly:
@@ -147,43 +176,173 @@ class Poly:
 
     # -- display ------------------------------------------------------
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "q" if i == 1 else f"q^{i}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _format(self.coeffs)
 
     def __repr__(self) -> str:
         return f"Poly({self})"
 
 
-@lru_cache(maxsize=None)
+class IntPoly:
+    """Dense polynomial with integer coefficients; immutable."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[int] = ()):
+        self.coeffs: tuple[int, ...] = _strip(list(coeffs))
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, IntPoly):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __add__(self, other: "IntPoly") -> "IntPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return IntPoly(out)
+
+    def __mul__(self, other: "IntPoly | int") -> "IntPoly":
+        if isinstance(other, int):
+            return IntPoly([other * c for c in self.coeffs])
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return IntPoly()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+        return IntPoly(out)
+
+    def __pow__(self, n: int) -> "IntPoly":
+        if n < 0:
+            raise ValueError("IntPoly does not support negative powers")
+        result, base = IntPoly([1]), self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def shift(self, k: int) -> "IntPoly":
+        """The product with q^k, for k >= 0."""
+        return IntPoly([0] * k + list(self.coeffs)) if self.coeffs else self
+
+    def divmod(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
+        """Quotient and remainder on division by a monic polynomial.
+
+        Both are integer polynomials because the divisor is monic.
+        """
+        d = divisor.coeffs
+        if not d or d[-1] != 1:
+            raise ValueError("IntPoly divides only by monic polynomials")
+        k = len(d) - 1
+        rem = list(self.coeffs)
+        quot = [0] * max(len(rem) - k, 0)
+        for i in range(len(quot) - 1, -1, -1):
+            f = rem[i + k]
+            if f:
+                quot[i] = f
+                for j in range(k):
+                    rem[i + j] -= f * d[j]
+        return IntPoly(quot), IntPoly(rem[:k])
+
+    def ord_at_one(self) -> int:
+        """Multiplicity of the root q = 1; 0 for the zero polynomial."""
+        order, poly, qm1 = 0, self, IntPoly([-1, 1])
+        while not poly.is_zero():
+            poly, remainder = poly.divmod(qm1)
+            if not remainder.is_zero():
+                break
+            order += 1
+        return order
+
+    def __str__(self) -> str:
+        return _format(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"IntPoly({self})"
+
+    def factored_str(self, unit: Scalar = 1) -> str:
+        """Human-readable factorization of ``unit`` times this polynomial.
+
+        Pulls out the content (sign normalized to the leading coefficient),
+        the power of q, and cyclotomic factors by trial division; whatever
+        remains is printed expanded.  Intended for eyeballing counting
+        polynomials, whose factors are overwhelmingly of this shape.
+        """
+        coeffs = self.coeffs
+        if not coeffs:
+            return "0"
+        val = 0
+        while coeffs[val] == 0:
+            val += 1
+        content = math.gcd(*coeffs)
+        if coeffs[-1] < 0:
+            content = -content
+        body = IntPoly([c // content for c in coeffs[val:]])
+        content = content * unit
+        factors: list[tuple[str, int]] = []
+        table: dict[int, IntPoly] = {}
+        d = 1
+        while body.degree() > 0 and d <= body.degree():
+            phi = _cyclotomic(d, table)
+            if phi.degree() > body.degree():
+                d += 1
+                continue
+            quot, rem = body.divmod(phi)
+            if rem.is_zero():
+                if factors and factors[-1][0] == str(phi):
+                    factors[-1] = (factors[-1][0], factors[-1][1] + 1)
+                else:
+                    factors.append((str(phi), 1))
+                body = quot
+            else:
+                d += 1
+        one = IntPoly([1])
+        parts = []
+        if content != 1 or (val == 0 and not factors and body == one):
+            parts.append(str(content))
+        if val:
+            parts.append("q" if val == 1 else f"q^{val}")
+        for text, mult in factors:
+            parts.append(f"({text})" + (f"^{mult}" if mult > 1 else ""))
+        if body != one:
+            parts.append(f"({body})")
+        return " * ".join(parts) if parts else "1"
+
+
+def _cyclotomic(n: int, table: dict[int, IntPoly]) -> IntPoly:
+    """Phi_n: q^n - 1 divided by Phi_d for each proper divisor d of n.
+
+    ``table`` holds the Phi_d already built; the caller owns it.
+    """
+    phi = table.get(n)
+    if phi is None:
+        phi = IntPoly([-1] + [0] * (n - 1) + [1])
+        for d in range(1, n):
+            if n % d == 0:
+                phi = phi.divmod(_cyclotomic(d, table))[0]
+        table[n] = phi
+    return phi
+
+
 def cyclotomic(n: int) -> Poly:
     """The n-th cyclotomic polynomial, via exact division of q^n - 1."""
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
-    num = Poly([-1] + [0] * (n - 1) + [1])
-    for d in range(1, n):
-        if n % d == 0:
-            q_, r = num.divmod(cyclotomic(d))
-            assert r.is_zero()
-            num = q_
-    return num
+    return Poly(_cyclotomic(n, {}).coeffs)
 
 
 def _coerce(x: Union["RationalPoly", Poly, Scalar]) -> "RationalPoly":
@@ -206,7 +365,9 @@ class RationalPoly:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly = None):
-        den = Poly.const(1) if den is None else den
+        if den is None:  # a polynomial over 1 is already reduced
+            self.num, self.den = num, Poly.const(1)
+            return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
@@ -317,57 +478,16 @@ class RationalPoly:
         return f"RationalPoly({self})"
 
     def factored_str(self) -> str:
-        """Human-readable factorization of a polynomial value over the integers.
+        """``IntPoly.factored_str`` of a polynomial value with rational coefficients.
 
-        Pulls out the rational content, the power of q, and cyclotomic factors
-        by trial division; whatever remains is printed expanded.  Intended for
-        eyeballing counting polynomials, whose factors are overwhelmingly of
-        this shape.
+        The coefficients are scaled to integers by the lcm of their
+        denominators, which the content then divides back out.
         """
         coeffs = self.polynomial_coeffs()
-        if not coeffs:
-            return "0"
-        # power of q
-        val = 0
-        while coeffs[val] == 0:
-            val += 1
-        body = Poly(coeffs[val:])
-        # rational content, sign normalized to the leading coefficient
-        from math import gcd, lcm
-        denoms = [c.denominator for c in body.coeffs if c]
-        numers = [c.numerator for c in body.coeffs if c]
-        content = Fraction(gcd(*numers) if len(numers) > 1 else abs(numers[0]),
-                           lcm(*denoms) if len(denoms) > 1 else denoms[0])
-        if body.leading() < 0:
-            content = -content
-        body = body.scale(1 / content)
-        factors: list[tuple[str, int]] = []
-        d = 1
-        while body.degree() > 0 and d <= body.degree():
-            phi = cyclotomic(d)
-            if phi.degree() > body.degree():
-                d += 1
-                continue
-            quot, rem = body.divmod(phi)
-            if rem.is_zero():
-                if factors and factors[-1][0] == str(phi):
-                    factors[-1] = (factors[-1][0], factors[-1][1] + 1)
-                else:
-                    factors.append((str(phi), 1))
-                body = quot
-            else:
-                d += 1
-        parts = []
-        if content != 1 or (val == 0 and not factors and body == Poly.const(1)):
-            parts.append(str(content))
-        if val:
-            parts.append("q" if val == 1 else f"q^{val}")
-        for text, mult in factors:
-            parts.append(f"({text})" + (f"^{mult}" if mult > 1 else ""))
-        if body != Poly.const(1):
-            parts.append(f"({body})")
-        return " * ".join(parts) if parts else "1"
-
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        return IntPoly([int(c * scale) for c in coeffs]).factored_str(
+            Fraction(1, scale)
+        )
 
 ZERO = RationalPoly(Poly())
 ONE = RationalPoly.from_int(1)

@@ -26,6 +26,7 @@ the nodes above i.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
@@ -125,6 +126,7 @@ class SubsystemPoset:
         }
         self.masks = tuple(sum(1 << k for k in node) for node in self.nodes)
         self._mobius_rows: dict[int, Mapping[int, int]] = {}
+        self._quotients: dict[int, QuotientInvariants] = {}
         self._poincare: dict[int, Poly] = {}
         self._labels: list[str] | None = None
         self._display: list[str] | None = None
@@ -174,8 +176,16 @@ class SubsystemPoset:
 
     def quotient(self, i: int) -> QuotientInvariants:
         """Invariants of X^vee / <Psi> for node i."""
-        return quotient_invariants(
-            self.rd.rank, [list(v) for v in self.coroot_vectors(i)]
+        if i not in self._quotients:
+            self._quotients[i] = quotient_invariants(
+                self.rd.rank, [list(v) for v in self.coroot_vectors(i)]
+            )
+        return self._quotients[i]
+
+    def torsion_exponent_lcm(self) -> int:
+        """lcm over all nodes of the torsion exponent of X^vee / <Psi>."""
+        return math.lcm(
+            *(self.quotient(i).torsion_exponent for i in range(self.num_nodes))
         )
 
     def poincare(self, i: int) -> Poly:

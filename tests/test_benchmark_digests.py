@@ -3,9 +3,14 @@
 ``perfbench/digests.json`` pins a hash of the mathematical content of each
 benchmark problem's output (``perfbench.gate.output_digest``).  The
 ``poset`` and ``genus-rank`` problems do not depend on the seed, so their
-digests hold for every run; here each one runs through ``cli.main`` and
-must pass the benchmark's own gate, digest included.  A byte change the
-benchmark would reject fails here first.
+digests hold for every run; the ``translates`` digests are those of
+``gate.DEFAULT_SEED``.  Here each of these problems runs through
+``cli.main`` and must pass the benchmark's own gate, digest included.  A
+byte change the benchmark would reject fails here first.
+
+The ``count`` problems (``genus-rank``: m = 1 at high genus; ``translates``:
+m = 2..5) also count in-process against the ``Fraction`` reference of
+``qpoly_reference``.
 """
 
 import importlib.util
@@ -15,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from charvar.cli import main
+from charvar.cli import build_problem, main
+from charvar.count import count_polynomial
+from qpoly_reference import factored_str, reference_polynomial
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -35,9 +42,10 @@ gate = _load("gate")
 DIGESTS = gate.load_digests()
 PROBLEMS = [
     problem
-    for workload in ("poset", "genus-rank")
+    for workload in ("poset", "genus-rank", "translates")
     for problem in workloads.problems(workload, gate.DEFAULT_SEED)
 ]
+COUNT_PROBLEMS = [problem for problem in PROBLEMS if problem.command == "count"]
 
 
 @pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.name)
@@ -50,3 +58,11 @@ def test_output_matches_recorded_digest(problem, tmp_path, capsys):
     capsys.readouterr()
     assert DIGESTS[problem.name]["input"] == gate.input_digest(problem)
     assert gate.check(problem, code, out, DIGESTS) == []
+
+
+@pytest.mark.parametrize("problem", COUNT_PROBLEMS, ids=lambda p: p.name)
+def test_count_matches_fraction_reference(problem):
+    spec = build_problem(problem.config)
+    report = count_polynomial(spec)
+    assert report.polynomial == reference_polynomial(spec)
+    assert report.factored == factored_str(report.polynomial)

@@ -14,6 +14,7 @@ Expected polynomials come from three independent sources, all frozen here:
 
 import pytest
 
+from charvar import count
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement
 from charvar.count import (
     CountReport,
@@ -23,6 +24,7 @@ from charvar.count import (
 )
 from charvar.errors import (
     HypothesisError,
+    InternalConsistencyError,
     InvalidInputError,
     ResourceLimitError,
 )
@@ -442,6 +444,63 @@ def test_translate_budget_enforced():
     with pytest.raises(ResourceLimitError) as err:
         count_polynomial(spec, budget=3)
     assert err.value.code == "translate-budget"
+
+
+# The master formula's polynomiality and integrality are hard errors.  The
+# engine's inputs never break them, so each case feeds it inconsistent data:
+# pass counts that no set of translates gives, or a local factor stripped of
+# its (q-1)^rank.  The messages print the offending rational value.
+_PASS_COUNT_ERRORS = [
+    (
+        ("GL(2)", 0, 3, ["a", "b"], ["a*b"], [["a", "b"]]),
+        [2, 0],
+        "non-polynomial",
+        "the master formula produced a non-polynomial count (q - 1)/(q); "
+        "this indicates inconsistent overrides or an engine bug",
+    ),
+    (
+        ("GL(2)", 1, 2, ["a", "b"], ["a*b"], [["a", "b"]]),
+        [0, 1],
+        "non-integral",
+        "the master formula produced non-integer coefficients in "
+        "1/2*q^6 - 1/2*q^5 - 3/2*q^4 + 5/2*q^3 - q^2",
+    ),
+    (
+        ("GL(3)", 0, 3, list("abcdef"), ["a*b*c*d*e*f"],
+         [["a", "b", "c"], ["d", "e", "f"]]),
+        [0, 0, 0, 0, 1],
+        "non-integral",
+        "the master formula produced non-integer coefficients in "
+        "1/36*q^2 + 1/9*q",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,counts,code,message", _PASS_COUNT_ERRORS)
+def test_inconsistent_pass_counts_are_hard_errors(
+    monkeypatch, args, counts, code, message
+):
+    monkeypatch.setattr(count, "pass_counts", lambda *_, **__: list(counts))
+    with pytest.raises(InternalConsistencyError) as err:
+        count_polynomial(make_spec(*args))
+    assert (err.value.code, str(err.value)) == (code, message)
+
+
+def test_local_factor_without_torus_power_is_non_polynomial(monkeypatch):
+    real = count.quotient_factor
+    monkeypatch.setattr(count, "quotient_factor", lambda inv: real(inv) ** 0)
+    spec = make_spec(
+        "GL(2)", 0, 3,
+        ["a", "b", "c", "d"], ["a*b*c*d = 1"],
+        [["a", "b"], ["c", "d"]],
+    )
+    with pytest.raises(InternalConsistencyError) as err:
+        count_polynomial(spec)
+    assert err.value.code == "non-polynomial"
+    assert str(err.value) == (
+        "the master formula produced a non-polynomial count (1)/(q - 1); "
+        "this indicates inconsistent overrides or an engine bug"
+    )
 
 
 def test_negative_genus_rejected():

@@ -21,6 +21,7 @@ from pathlib import Path
 import charvar
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement
 from charvar.count import ProblemSpec, count_polynomial
+from charvar.qpoly import RationalPoly
 from charvar.rootdata import build_root_datum
 
 PACKAGE = Path(charvar.__file__).resolve().parent
@@ -139,5 +140,16 @@ def test_caches_do_not_grow_with_relation_sets():
     before = {name: f.cache_info().currsize for name, f in caches.items()}
     for k in range(4, 24):
         count(k)
+    after = {name: f.cache_info().currsize for name, f in caches.items()}
+    assert after == before
+
+
+def test_caches_do_not_grow_with_polynomial_degree():
+    q = RationalPoly.q()
+    (q ** 2 - 1).factored_str()
+    caches = functools_caches()
+    before = {name: f.cache_info().currsize for name, f in caches.items()}
+    for k in range(3, 30):
+        assert (q ** k - 1).factored_str().startswith("(q - 1)")
     after = {name: f.cache_info().currsize for name, f in caches.items()}
     assert after == before

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charvar.qpoly import ONE, Poly, Q, RationalPoly, ZERO, cyclotomic, q_minus
+from charvar.qpoly import ONE, IntPoly, Poly, Q, RationalPoly, ZERO, cyclotomic, q_minus
 
 qs = sympy.Symbol("q")
 
@@ -26,6 +26,10 @@ def test_ring_ops_match_sympy(a, b):
     assert to_sympy(pa + pb) == to_sympy(pa) + to_sympy(pb)
     assert to_sympy(pa - pb) == to_sympy(pa) - to_sympy(pb)
     assert to_sympy(pa * pb) == to_sympy(pa) * to_sympy(pb)
+    ia, ib = IntPoly(a), IntPoly(b)
+    assert Poly((ia + ib).coeffs) == pa + pb
+    assert Poly((ia * ib).coeffs) == pa * pb
+    assert Poly((ia ** 3).coeffs) == pa ** 3
 
 
 @given(poly_coeffs, poly_coeffs)
@@ -38,6 +42,16 @@ def test_divmod_is_exact_division_with_remainder(a, b):
     quot, rem = pa.divmod(pb)
     assert quot * pb + rem == pa
     assert rem.degree() < pb.degree() or rem.is_zero()
+
+
+@given(poly_coeffs, poly_coeffs)
+def test_int_divmod_by_monic_divisor(a, b):
+    dividend, divisor = IntPoly(a), IntPoly(b + [1])
+    quot, rem = dividend.divmod(divisor)
+    assert quot * divisor + rem == dividend
+    assert rem.degree() < divisor.degree()
+    with pytest.raises(ValueError):
+        dividend.divmod(IntPoly(b + [2]))
 
 
 @given(poly_coeffs, poly_coeffs)
