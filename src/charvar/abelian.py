@@ -11,7 +11,7 @@ Three layers, each feeding the next:
   relator rows over its generators (multiplicative notation outside, exponent
   vectors inside), with canonical coordinates of A/dA as an
   :class:`AdditiveMap` (:func:`canonical_coordinates`, read off a Smith
-  form and cached on the group).  The word problem (:func:`is_identity`)
+  form and kept on the group).  The word problem (:func:`is_identity`)
   and the d-th-power test (:func:`is_dth_power`) ask whether a word lies
   in the kernel of those coordinates.
 
@@ -21,7 +21,7 @@ are the generating vectors/relators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -135,10 +135,16 @@ def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SmithDecomposition:
 
 @dataclass(frozen=True)
 class QuotientInvariants:
-    """Invariant factors of a lattice quotient ℤ^d / ⟨generators⟩."""
+    """Invariant factors of a lattice quotient ℤ^d / ⟨generators⟩.
+
+    ``basis`` (not an invariant, so not compared) is V of the Smith form
+    U·M·V = D of the generator rows M: the quotient is ⊕ ℤ/d_j along its
+    columns, unit divisors first, then ``torsion``, then the free ones.
+    """
 
     free_rank: int
     torsion: tuple[int, ...]  # elementary divisors > 1, divisibility-sorted
+    basis: IntMatrix = field(compare=False, repr=False)
 
     @property
     def torsion_order(self) -> int:
@@ -176,11 +182,14 @@ def quotient_invariants(ambient_rank: int, generators: Iterable[Sequence[int]]) 
         if len(g) != ambient_rank:
             raise ValueError(f"generator length {len(g)} != ambient rank {ambient_rank}")
     if not gens:
-        return QuotientInvariants(free_rank=ambient_rank, torsion=())
+        basis = _freeze(_identity(ambient_rank))
+        return QuotientInvariants(free_rank=ambient_rank, torsion=(), basis=basis)
     snf = smith_normal_form(gens)
     rank = len(snf.divisors)
     torsion = tuple(d for d in snf.divisors if d > 1)
-    return QuotientInvariants(free_rank=ambient_rank - rank, torsion=torsion)
+    return QuotientInvariants(
+        free_rank=ambient_rank - rank, torsion=torsion, basis=snf.V
+    )
 
 
 @dataclass(frozen=True)
@@ -193,6 +202,10 @@ class FPAbelianGroup:
 
     generator_count: int
     relations: IntMatrix = ()
+    # canonical coordinates of A/dA by d, filled by canonical_coordinates
+    _coordinates: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         for r in self.relations:
@@ -267,12 +280,12 @@ def canonical_coordinates(group: FPAbelianGroup, d: int = 0) -> AdditiveMap:
     w·V the rows span the multiples of the divisors, and the directions
     beyond the divisors are free.  Directions along which A/dA is trivial
     are left out, so a word lies in dA (for d = 0: is the identity) exactly
-    when its image is zero.  The map is cached on ``group``, so it lives as
+    when its image is zero.  The map is kept on ``group``, so it lives as
     long as the group does.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    cache = group.__dict__.setdefault("_coordinates", {})
+    cache = group._coordinates
     if d in cache:
         return cache[d]
     t = group.generator_count

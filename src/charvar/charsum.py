@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .abelian import (
     AdditiveMap,
@@ -39,7 +39,7 @@ from .abelian import (
     canonical_coordinates,
     canonical_word,
     is_identity,
-    smith_normal_form,
+    quotient_invariants,
 )
 from .errors import InvalidInputError
 from .qpoly import IntPoly
@@ -72,17 +72,10 @@ class EigenvalueDatum:
                     "eigenvalue-data", f"invalid eigenvalue symbol {s!r}"
                 )
 
-    @property
+    @cached_property
     def group(self) -> FPAbelianGroup:
-        cached = self.__dict__.get("_group")
-        if cached is None:
-            rows = tuple(self.parse_relation(r) for r in self.relations)
-            cached = FPAbelianGroup(
-                generator_count=len(self.symbols),
-                relations=rows,
-            )
-            self.__dict__["_group"] = cached
-        return cached
+        rows = tuple(self.parse_relation(r) for r in self.relations)
+        return FPAbelianGroup(generator_count=len(self.symbols), relations=rows)
 
     def parse_word(self, text: str) -> Word:
         """Parse ``"a*b^-2"`` into an exponent vector over the symbols."""
@@ -231,41 +224,29 @@ def strongly_regular(rd: RootDatum, element: SymbolicTorusElement) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _psi_membership(rd: RootDatum, psi: tuple[int, ...]):
-    """Smith data of the lattice <Psi> inside X^vee: (V, divisors)."""
-    if not psi:
-        identity = tuple(
-            tuple(1 if r == c else 0 for c in range(rd.rank)) for r in range(rd.rank)
-        )
-        return identity, ()
-    snf = smith_normal_form([list(rd.coroots[i]) for i in psi])
-    return snf.V, snf.divisors
-
-
-def node_map(rd: RootDatum, psi, group: FPAbelianGroup) -> AdditiveMap:
+def node_map(inv: QuotientInvariants, group: FPAbelianGroup) -> AdditiveMap:
     """Compile the test "S dies in (X^vee / <Psi>) (x) A" into an AdditiveMap.
 
-    The map acts on ``S.flat()``, and S dies exactly when it lands in the
-    kernel.  With U C V = diag(d_j) the Smith form of the coroots of Psi (d_j = 0
-    past the rank of <Psi>), X^vee/<Psi> = (+) Z/d_j along the columns of V,
-    so (X^vee/<Psi>) (x) A = (+) A/d_jA and S maps to the words
+    ``inv`` is the quotient X^vee / <Psi> with its Smith basis, as
+    ``SubsystemPoset.quotient`` gives it.  The map acts on ``S.flat()``, and
+    S dies exactly when it lands in the kernel.  With U C V = diag(d_j) the
+    Smith form of the coroots of Psi (d_j = 0 past the rank of <Psi>),
+    X^vee/<Psi> = (+) Z/d_j along the columns of V, so
+    (X^vee/<Psi>) (x) A = (+) A/d_jA and S maps to the words
     b_j = sum_i V[i][j] S_i.  Each b_j goes through the canonical
     coordinates of A/d_jA; directions with d_j = 1 vanish and are skipped.
     """
-    v_mat, divisors = _psi_membership(rd, tuple(sorted(psi)))
+    v_mat = inv.basis
     width = group.generator_count
+    units = len(v_mat) - inv.free_rank - len(inv.torsion)
     functionals, moduli = [], []
-    for j in range(rd.rank):
-        d = divisors[j] if j < len(divisors) else 0
-        if d == 1:
-            continue
+    for j, d in enumerate(inv.torsion + (0,) * inv.free_rank, start=units):
         coords = canonical_coordinates(group, d)
         for terms, e in zip(coords.functionals, coords.moduli):
             composed = []
-            for i in range(rd.rank):
+            for i, row in enumerate(v_mat):
                 for t, c in terms:
-                    coeff = v_mat[i][j] * c
+                    coeff = row[j] * c
                     if e:
                         coeff %= e
                     if coeff:
@@ -277,7 +258,8 @@ def node_map(rd: RootDatum, psi, group: FPAbelianGroup) -> AdditiveMap:
 
 def in_commutator(rd: RootDatum, psi, element: SymbolicTorusElement) -> bool:
     """Does S become trivial in (X^vee / <Psi>) (x) A?"""
-    return node_map(rd, psi, element.datum.group).in_kernel(element.flat())
+    inv = quotient_invariants(rd.rank, [rd.coroots[i] for i in sorted(psi)])
+    return node_map(inv, element.datum.group).in_kernel(element.flat())
 
 
 def quotient_factor(inv: QuotientInvariants) -> IntPoly:

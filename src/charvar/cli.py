@@ -130,8 +130,11 @@ def load_config(path: str) -> dict:
     return config
 
 
-def _field_int(config: dict, key: str) -> int:
+def _field_int(config: dict, key: str, default: int | None = None) -> int:
+    """``config[key]``, which must be an integer; ``default`` if it is absent."""
     if key not in config:
+        if default is not None:
+            return default
         raise InvalidInputError("config-field", f"missing required key {key!r}")
     value = config[key]
     if isinstance(value, bool) or not isinstance(value, int):
@@ -586,7 +589,7 @@ class UnitSpecialization:
     """
 
     def __init__(
-        self, spec: ProblemSpec, family: str, q: int, nodes, symbolic: list[int]
+        self, spec: ProblemSpec, family: str, q: int, quotients, symbolic: list[int]
     ):
         self.spec, self.family, self.q, self.symbolic = spec, family, q, symbolic
         self.g = next(
@@ -595,7 +598,7 @@ class UnitSpecialization:
         )
         self.logs = {pow(self.g, k, q): k for k in range(q - 1)}
         self.datum = EigenvalueDatum(("g",), (f"g^{q - 1}",))
-        self.maps = [node_map(spec.rd, psi, self.datum.group) for psi in nodes]
+        self.maps = [node_map(inv, self.datum.group) for inv in quotients]
 
     def specialize(self, values: dict) -> ProblemSpec | None:
         """The problem over <g> at ``values`` (residues mod q), or None.
@@ -641,13 +644,15 @@ class UnitSpecialization:
 
 
 def symbolic_pass_counts(spec: ProblemSpec) -> tuple[list, list[int]]:
-    """The closed subsystems without an override, and their pass counts."""
+    """X^vee/<Psi> for each closed subsystem without an override, and its pass count."""
     poset = build_poset(spec.rd)
     overridden = resolve_overrides(poset, spec.overrides_dict())
-    nodes = [psi for j, psi in enumerate(poset.nodes) if j not in overridden]
+    quotients = [
+        poset.quotient(j) for j in range(poset.num_nodes) if j not in overridden
+    ]
     group = spec.eigenvalues.group
-    maps = [node_map(spec.rd, psi, group) for psi in nodes]
-    return nodes, pass_counts(spec, maps)
+    maps = [node_map(inv, group) for inv in quotients]
+    return quotients, pass_counts(spec, maps)
 
 
 def cmd_oracle(args) -> tuple[int, dict, str]:
@@ -677,9 +682,11 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
     budget = (
         args.budget
         if args.budget is not None
-        else section.get("budget", DEFAULT_ORACLE_BUDGET)
+        else _field_int(section, "budget", DEFAULT_ORACLE_BUDGET)
     )
-    threads = args.threads if args.threads is not None else section.get("threads", 1)
+    threads = (
+        args.threads if args.threads is not None else _field_int(section, "threads", 1)
+    )
     explicit_values = section.get("eigenvalues")
     if explicit_values is not None and (
         not isinstance(explicit_values, dict)
@@ -696,12 +703,12 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
         )
 
     report = count_polynomial(spec)
-    nodes, symbolic = symbolic_pass_counts(spec)
+    quotients, symbolic = symbolic_pass_counts(spec)
     runs = []
     verdict_ok = True
     for q in q_list:
         check_field(family, size, q)
-        units = UnitSpecialization(spec, family, q, nodes, symbolic)
+        units = UnitSpecialization(spec, family, q, quotients, symbolic)
         sampled = False
         if explicit_values is not None:
             values = {s: v % q for s, v in explicit_values.items()}

@@ -68,7 +68,6 @@ from .qpoly import IntPoly, Poly, RationalPoly, q_minus
 from .rootdata import (
     RootDatum,
     admissible_primes,
-    center_invariants,
     cocenter_invariants,
     connected_center_check,
     enumerate_weyl,
@@ -260,7 +259,7 @@ def emptiness(spec: ProblemSpec, poset: SubsystemPoset) -> Emptiness:
     overrides = resolve_overrides(poset, spec.overrides_dict())
     full = poset.index_of[frozenset(range(spec.rd.num_roots))]
     product = tuple(map(sum, zip(*(s.flat() for s in spec.semisimple_classes))))
-    full_map = node_map(spec.rd, poset.nodes[full], spec.eigenvalues.group)
+    full_map = node_map(poset.quotient(full), spec.eigenvalues.group)
     computed = full_map.in_kernel(product)
     return Emptiness(
         product, full, overrides, computed, overrides.get(full, computed)
@@ -356,7 +355,7 @@ def _z_exponents(rd: RootDatum, m: int, n: int, chi: int) -> tuple[int, int]:
     the rank of the center.
     """
     d = rd.rank
-    z = center_invariants(rd).free_rank
+    z = rd.center_invariants.free_rank
     r = rd.semisimple_rank
     return z - m * d + z * (m - n) + d * chi, r * (m - n) + rd.num_positive * chi
 
@@ -401,7 +400,7 @@ def _rational(total: IntPoly, a: int, b: int, denominator: int) -> RationalPoly:
 def expected_dimension(spec: ProblemSpec) -> int:
     """(2g-2) dim G + 2 dim Z + n |Phi| (every class here has dimension |Phi|)."""
     rd = spec.rd
-    z = center_invariants(rd).free_rank
+    z = rd.center_invariants.free_rank
     return (2 * spec.genus - 2) * rd.dimension + 2 * z + spec.punctures * rd.num_roots
 
 
@@ -430,7 +429,7 @@ def count_polynomial(
     poset = build_poset(rd)
     verdict = emptiness(spec, poset)
     group = spec.eigenvalues.group
-    maps = [node_map(rd, psi, group) for psi in poset.nodes]
+    maps = [node_map(poset.quotient(i), group) for i in range(poset.num_nodes)]
     if verdict.computed != verdict.nonempty:
         warnings.append(
             f"override for {poset.display_label(verdict.full)} asserts the "
@@ -562,7 +561,7 @@ def _finish_report(
                 f"n > m + 2"
             )
         if rd.num_roots > 0 and (g > 0 or n - m > 2):
-            d, z = rd.rank, center_invariants(rd).free_rank
+            d, z = rd.rank, rd.center_invariants.free_rank
             bound = (2 * g + n - m - 2) * d - (n - m - 2) * z
             ord_one = polynomial.ord_at_one()
             if ord_one < bound:

@@ -35,6 +35,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     InternalConsistencyError,
@@ -169,7 +170,7 @@ class FiniteGroupModel:
     ``elements`` holds every group element as a tuple-of-tuples matrix
     (canonical projective representatives for PGL: the first nonzero
     entry in row-major order is scaled to 1).  Conjugacy data is derived
-    lazily and cached on the instance.
+    on first use and kept on the instance.
     """
 
     family: str
@@ -220,6 +221,27 @@ class FiniteGroupModel:
             return ("pgl-order2", _legendre(_det(m, q), q))
         return ("pgl-ss", t)
 
+    @cached_property
+    def _classes(self) -> tuple[dict, dict, dict]:
+        """(class table, key of each element, members of each key), in one pass."""
+        keys: dict = {}
+        members: dict = {}
+        for m in self.elements:
+            key = self.class_key(m)
+            keys[m] = key
+            members.setdefault(key, []).append(m)
+        table = {key: (group[0], len(group)) for key, group in members.items()}
+        expected = class_count(self.family, self.size, self.q)
+        order = group_order(self.family, self.size, self.q)
+        total = sum(size for _rep, size in table.values())
+        if len(table) != expected or total != order:
+            raise InternalConsistencyError(
+                "class-table",
+                f"{self.label} has {len(table)} class keys over {total} "
+                f"elements, expected {expected} classes over {order}",
+            )
+        return table, keys, {key: tuple(group) for key, group in members.items()}
+
     def class_table(self) -> dict:
         """Map class key -> (representative, class size).
 
@@ -228,46 +250,19 @@ class FiniteGroupModel:
         classes, so a key count other than ``class_count`` or class sizes
         not summing to |G| is an internal error.
         """
-        cached = self.__dict__.get("_class_table")
-        if cached is None:
-            keys: dict = {}
-            members: dict = {}
-            for m in self.elements:
-                key = self.class_key(m)
-                keys[m] = key
-                members.setdefault(key, []).append(m)
-            cached = {key: (group[0], len(group)) for key, group in members.items()}
-            expected = class_count(self.family, self.size, self.q)
-            order = group_order(self.family, self.size, self.q)
-            total = sum(size for _rep, size in cached.values())
-            if len(cached) != expected or total != order:
-                raise InternalConsistencyError(
-                    "class-table",
-                    f"{self.label} has {len(cached)} class keys over {total} "
-                    f"elements, expected {expected} classes over {order}",
-                )
-            self.__dict__["_class_table"] = cached
-            self.__dict__["_element_keys"] = keys
-            self.__dict__["_members"] = {
-                key: tuple(group) for key, group in members.items()
-            }
-        return cached
+        return self._classes[0]
 
     def element_key(self, m: Matrix) -> tuple:
-        """Class key of a group element, via the cached lookup table."""
-        self.class_table()
-        return self.__dict__["_element_keys"][m]
+        """Class key of a group element, via the lookup table."""
+        return self._classes[1][m]
 
     def members(self, key: tuple) -> tuple[Matrix, ...]:
-        self.class_table()
-        return self.__dict__["_members"].get(key, ())
+        return self._classes[2].get(key, ())
 
+    @cached_property
     def inverse_table(self) -> dict:
-        cached = self.__dict__.get("_inverse_table")
-        if cached is None:
-            cached = {m: self.inv(m) for m in self.elements}
-            self.__dict__["_inverse_table"] = cached
-        return cached
+        """Inverse of each element."""
+        return {m: self.inv(m) for m in self.elements}
 
 
 def check_field(family: str, size: int, q: int) -> None:
@@ -305,19 +300,14 @@ def build_model(family: str, size: int, q: int) -> FiniteGroupModel:
     """Enumerate GL(2), GL(3) or PGL(2) over F_q (q prime, q <= DEFAULT_FIELD_CAP)."""
     check_field(family, size, q)
     elements = []
-    seen = set()
     for entries in itertools.product(range(q), repeat=size * size):
-        m = tuple(entries[i * size : (i + 1) * size] for i in range(size))
-        if _det(m, q) == 0:
+        # PGL: one matrix per class, the one whose first nonzero entry is 1
+        # (also the first of its class in this order)
+        if family == "PGL" and next((x for x in entries if x), 0) != 1:
             continue
-        if family == "PGL":
-            flat = next(x for x in entries if x)
-            scale = pow(flat, q - 2, q)
-            m = tuple(tuple((x * scale) % q for x in row) for row in m)
-            if m in seen:
-                continue
-            seen.add(m)
-        elements.append(m)
+        m = tuple(entries[i * size : (i + 1) * size] for i in range(size))
+        if _det(m, q):
+            elements.append(m)
     return FiniteGroupModel(
         family=family,
         size=size,
@@ -537,7 +527,7 @@ def _commutator_distribution(model: FiniteGroupModel) -> dict:
 def _convolve(model: FiniteGroupModel, v: dict, v1: dict) -> dict:
     """One more genus handle: v'(M) = sum_P v(P) v1(P^-1 M)."""
     table = model.class_table()
-    inverses = model.inverse_table()
+    inverses = model.inverse_table
     key_of = model.element_key
     mul = model.mul
     out = {}

@@ -4,8 +4,9 @@ A root datum is stored as a character lattice X = Z^d together with paired
 tuples of roots (vectors in X) and coroots (vectors in the cocharacter
 lattice X^vee = Z^d, paired with X by the dot product).  Index i of
 ``roots`` corresponds to index i of ``coroots``; a ``positive`` index set
-fixes a choice of positive roots.  Everything is integral and hashable, so
-root data can key caches.
+fixes a choice of positive roots.  Everything is integral and hashable.
+What a datum derives (lookups, Gram matrices, center invariants, the Weyl
+group, the closed-subsystem poset) is built on first use and kept on it.
 
 Construction goes through ``build_root_datum``, which accepts either a
 descriptor string — ``"GL(3)"``, ``"SO(5)"``, ``"Sp(4)"``, ``"SL(2)"``,
@@ -35,11 +36,15 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
+from typing import TYPE_CHECKING
 
-from .abelian import quotient_invariants, smith_normal_form
+from .abelian import QuotientInvariants, quotient_invariants, smith_normal_form
 from .errors import InvalidInputError, ResourceLimitError
 from .qpoly import Poly
+
+if TYPE_CHECKING:
+    from .subsystems import SubsystemPoset
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -98,31 +103,24 @@ class RootDatum:
         return len(self.roots) + self.rank
 
     def root_index(self, v: Vector) -> int:
-        return self._root_lookup()[v]
+        return self.root_lookup[v]
 
-    def _root_lookup(self) -> dict[Vector, int]:
-        cache = self.__dict__.get("_root_lookup_cache")
-        if cache is None:
-            cache = {v: i for i, v in enumerate(self.roots)}
-            self.__dict__["_root_lookup_cache"] = cache
-        return cache
+    @cached_property
+    def root_lookup(self) -> dict[Vector, int]:
+        """Index of each root."""
+        return {v: i for i, v in enumerate(self.roots)}
 
-    def _coroot_lookup(self) -> dict[Vector, int]:
-        cache = self.__dict__.get("_coroot_lookup_cache")
-        if cache is None:
-            cache = {v: i for i, v in enumerate(self.coroots)}
-            self.__dict__["_coroot_lookup_cache"] = cache
-        return cache
+    @cached_property
+    def coroot_lookup(self) -> dict[Vector, int]:
+        """Index of each coroot."""
+        return {v: i for i, v in enumerate(self.coroots)}
 
     def is_positive(self, index: int) -> bool:
-        return index in self._positive_set()
+        return index in self._positive_set
 
+    @cached_property
     def _positive_set(self) -> frozenset[int]:
-        cache = self.__dict__.get("_positive_set_cache")
-        if cache is None:
-            cache = frozenset(self.positive)
-            self.__dict__["_positive_set_cache"] = cache
-        return cache
+        return frozenset(self.positive)
 
     def negative_of(self, index: int) -> int:
         return self.root_index(_neg(self.roots[index]))
@@ -147,13 +145,10 @@ class RootDatum:
 
     # -- derived structure --------------------------------------------------
 
+    @cached_property
     def simple_root_indices(self) -> tuple[int, ...]:
         """Indices of the indecomposable positive roots."""
-        cache = self.__dict__.get("_simple_cache")
-        if cache is None:
-            cache = _indecomposable(self.roots, self.positive)
-            self.__dict__["_simple_cache"] = cache
-        return cache
+        return _indecomposable(self.roots, self.positive)
 
     @property
     def semisimple_rank(self) -> int:
@@ -162,24 +157,39 @@ class RootDatum:
             return 0
         return len(smith_normal_form([list(v) for v in self.roots]).divisors)
 
-    def _gram(self, key: str, vectors: tuple[Vector, ...]) -> Matrix:
-        """Gram matrix sum over vectors v of v v^T, cached under ``key``."""
-        cache = self.__dict__.get(key)
-        if cache is None:
-            cache = tuple(
-                tuple(sum(v[r] * v[c] for v in vectors) for c in range(self.rank))
-                for r in range(self.rank)
-            )
-            self.__dict__[key] = cache
-        return cache
+    @cached_property
+    def _grams(self) -> tuple[Matrix, Matrix]:
+        """Gram matrices, sum of v v^T, over the coroots and over the roots."""
+        span = range(self.rank)
+        return tuple(
+            tuple(tuple(sum(v[r] * v[c] for v in vectors) for c in span) for r in span)
+            for vectors in (self.coroots, self.roots)
+        )
 
     def root_form(self, x: Vector, y: Vector) -> int:
         """Canonical Weyl-invariant form on X: sum over coroots v of <x,v><y,v>."""
-        return _dot(x, _mat_vec(self._gram("_root_gram", self.coroots), y))
+        return _dot(x, _mat_vec(self._grams[0], y))
 
     def coroot_form(self, x: Vector, y: Vector) -> int:
         """Canonical Weyl-invariant form on X^vee: sum over roots a of <a,x><a,y>."""
-        return _dot(x, _mat_vec(self._gram("_coroot_gram", self.roots), y))
+        return _dot(x, _mat_vec(self._grams[1], y))
+
+    @cached_property
+    def center_invariants(self) -> QuotientInvariants:
+        """Invariants of X / (root lattice): free rank = central torus rank."""
+        return quotient_invariants(self.rank, self.roots)
+
+    @cached_property
+    def weyl_group(self) -> WeylGroup:
+        """The Weyl group, enumerated from the simple reflections (BFS)."""
+        return WeylGroup(elements=_reflection_group(self, self.simple_root_indices))
+
+    @cached_property
+    def poset(self) -> SubsystemPoset:
+        """The poset of closed subsystems of the coroot system."""
+        from .subsystems import SubsystemPoset  # subsystems imports this module
+
+        return SubsystemPoset(self)
 
     def dual(self) -> "RootDatum":
         """Swap roots with coroots (X with X^vee); an involution."""
@@ -254,7 +264,7 @@ def validate_root_datum(rd: RootDatum) -> None:
         raise InvalidInputError(
             "root-datum-axiom", "positive roots must be exactly half of all roots"
         )
-    lookup = rd._root_lookup()
+    lookup = rd.root_lookup
     for i in pos:
         j = lookup.get(_neg(rd.roots[i]))
         if j is None:
@@ -267,7 +277,7 @@ def validate_root_datum(rd: RootDatum) -> None:
                 f"roots {rd.roots[i]} and {rd.roots[j]} are both marked positive",
             )
 
-    croot_lookup = rd._coroot_lookup()
+    croot_lookup = rd.coroot_lookup
     for i in range(len(rd.roots)):
         s_on_x = rd.root_reflection_matrix(i)
         s_on_xv = rd.reflection_matrix(i)
@@ -696,10 +706,9 @@ def _reflection_group(rd: RootDatum, indices: tuple[int, ...]) -> tuple[Matrix, 
     return tuple(ordered)
 
 
-@lru_cache(maxsize=None)
 def enumerate_weyl(rd: RootDatum) -> WeylGroup:
-    """Enumerate the full Weyl group from simple reflections (BFS)."""
-    return WeylGroup(elements=_reflection_group(rd, rd.simple_root_indices()))
+    """The Weyl group of ``rd``, enumerated on first request and kept on it."""
+    return rd.weyl_group
 
 
 def _indecomposable(vectors: tuple[Vector, ...], indices) -> tuple[int, ...]:
@@ -733,14 +742,9 @@ def subsystem_weyl_elements(rd: RootDatum, indices: frozenset[int]) -> tuple[Mat
 # ---------------------------------------------------------------------------
 
 
-def center_invariants(rd: RootDatum):
-    """Invariants of X / (root lattice): free rank = central torus rank."""
-    return quotient_invariants(rd.rank, [list(v) for v in rd.roots])
-
-
 def connected_center_check(rd: RootDatum) -> bool:
     """True when X / (root lattice) is torsion-free (the center is a torus)."""
-    return not center_invariants(rd).torsion
+    return not rd.center_invariants.torsion
 
 
 def cocenter_invariants(rd: RootDatum):
@@ -877,7 +881,7 @@ def _check_subsystem(rd: RootDatum, indices: frozenset[int]) -> None:
                 "subsystem",
                 f"subsystem is not symmetric: missing negative of {rd.coroots[i]}",
             )
-    lookup = rd._coroot_lookup()
+    lookup = rd.coroot_lookup
     for i in indices:
         for j in indices:
             s = _add(rd.coroots[i], rd.coroots[j])
@@ -965,7 +969,7 @@ def modulus(rd: RootDatum) -> int:
     that component's simple-root basis, read from the type table) together
     with the order of the torsion of X / (root lattice).
     """
-    values = [center_invariants(rd).torsion_order]
+    values = [rd.center_invariants.torsion_order]
     for letter, r in _root_types(rd):
         values.append(_HIGHEST_ROOT_LCM[letter if letter in "ABCD" else f"{letter}{r}"])
     return math.lcm(*values)

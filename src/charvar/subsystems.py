@@ -7,28 +7,29 @@ inclusion, form the lattice the counting formula sums over.
 
 Subsystems are sets of root/coroot indices of the ambient ``RootDatum``,
 held internally as integer bitmasks (bit k for coroot k) and exposed as
-frozensets.  A sum-pair table, built once per root datum and cached on it,
-lists for each coroot i the pairs (j, k) with alpha_i^vee + alpha_j^vee =
-alpha_k^vee.  Closing a set is a worklist over that table: each coroot
-newly added is checked only against the pairs it takes part in.
-Enumeration walks the lattice from the empty set: repeatedly adjoin one
-positive coroot to a closed mask and close up.  Every closed subsystem is
-reached this way, because it is the closure of its own simple system,
-which can be adjoined one element at a time.
+frozensets.  A sum-pair table, built once per enumeration, lists for each
+coroot i the pairs (j, k) with alpha_i^vee + alpha_j^vee = alpha_k^vee.
+Closing a set is a worklist over that table: each coroot newly added is
+checked only against the pairs it takes part in.  Enumeration walks the
+lattice from the empty set: repeatedly adjoin one positive coroot to a
+closed mask and close up.  Every closed subsystem is reached this way,
+because it is the closure of its own simple system, which can be adjoined
+one element at a time.
 
 ``SubsystemPoset`` precomputes the node list and serves per-node data:
-type labels (with long/short disambiguation where needed), quotient
-invariants of X^vee / <Psi>, Poincare polynomials (read from the type
-label's fundamental degrees), Weyl orbits of nodes, and Mobius rows
-mu(i, .), each computed on first request by the downward recursion over
-the nodes above i.
+type labels (with long/short disambiguation where needed), Poincare
+polynomials (read from the type label's fundamental degrees) and Weyl
+orbits, each built for all nodes on first use; and, one node at a time,
+the quotient X^vee / <Psi> with its Smith basis and the Mobius row
+mu(i, .) (downward recursion over the nodes above i).  A root datum builds
+its poset once and keeps it (``build_poset``).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from functools import lru_cache
+from functools import cached_property
 from types import MappingProxyType
 
 from .abelian import QuotientInvariants, quotient_invariants
@@ -40,33 +41,26 @@ MAX_POSITIVE_ROOTS = 24
 
 
 def _sum_pairs(rd: RootDatum) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per coroot i, the pairs (1 << j, k) with alpha_i^vee + alpha_j^vee = alpha_k^vee.
-
-    Cached on the root datum, like its coroot lookup.
-    """
-    table = rd.__dict__.get("_sum_pairs_cache")
-    if table is None:
-        lookup = rd._coroot_lookup()
-        table = tuple(
-            tuple(
-                (1 << j, k)
-                for j, w in enumerate(rd.coroots)
-                if (k := lookup.get(tuple(a + b for a, b in zip(v, w)))) is not None
-            )
-            for v in rd.coroots
+    """Per coroot i, the pairs (1 << j, k) with alpha_i^vee + alpha_j^vee = alpha_k^vee."""
+    lookup = rd.coroot_lookup
+    return tuple(
+        tuple(
+            (1 << j, k)
+            for j, w in enumerate(rd.coroots)
+            if (k := lookup.get(tuple(a + b for a, b in zip(v, w)))) is not None
         )
-        rd.__dict__["_sum_pairs_cache"] = table
-    return table
+        for v in rd.coroots
+    )
 
 
-def _adjoin(rd: RootDatum, mask: int, indices) -> int:
+def _adjoin(rd: RootDatum, pairs, mask: int, indices) -> int:
     """Closure of the closed mask ``mask`` with ``indices`` adjoined.
 
-    Worklist: a coroot is checked against its sum pairs when it is added.
-    Symmetry needs no extra step: both signs of each index go in first, and
-    whenever i + j = k goes in, so do -i and -j, and with them -k.
+    Worklist over the sum-pair table ``pairs``: a coroot is checked against
+    its sum pairs when it is added.  Symmetry needs no extra step: both
+    signs of each index go in first, and whenever i + j = k goes in, so do
+    -i and -j, and with them -k.
     """
-    pairs = _sum_pairs(rd)
     todo = [k for i in indices for k in (i, rd.negative_of(i))]
     while todo:
         i = todo.pop()
@@ -84,10 +78,9 @@ def _members(mask: int) -> frozenset[int]:
 
 def closure(rd: RootDatum, indices) -> frozenset[int]:
     """Smallest closed symmetric subset of the coroot system containing indices."""
-    return _members(_adjoin(rd, 0, indices))
+    return _members(_adjoin(rd, _sum_pairs(rd), 0, indices))
 
 
-@lru_cache(maxsize=None)
 def enumerate_closed_subsystems(rd: RootDatum) -> tuple[frozenset[int], ...]:
     """All closed symmetric subsystems of the coroot system, smallest first.
 
@@ -101,13 +94,14 @@ def enumerate_closed_subsystems(rd: RootDatum) -> tuple[frozenset[int], ...]:
             f"coroot system has {rd.num_positive} positive roots, above the "
             f"enumeration bound {MAX_POSITIVE_ROOTS}",
         )
+    pairs = _sum_pairs(rd)
     seen = {0}
     queue = [0]
     while queue:
         mask = queue.pop()
         for p in rd.positive:
             if not mask >> p & 1:
-                bigger = _adjoin(rd, mask, (p,))
+                bigger = _adjoin(rd, pairs, mask, (p,))
                 if bigger not in seen:
                     seen.add(bigger)
                     queue.append(bigger)
@@ -127,11 +121,6 @@ class SubsystemPoset:
         self.masks = tuple(sum(1 << k for k in node) for node in self.nodes)
         self._mobius_rows: dict[int, Mapping[int, int]] = {}
         self._quotients: dict[int, QuotientInvariants] = {}
-        self._poincare: dict[int, Poly] = {}
-        self._labels: list[str] | None = None
-        self._display: list[str] | None = None
-        self._orbits: tuple[tuple[int, ...], ...] | None = None
-        self._orbit_index: dict[int, int] = {}
 
     @property
     def num_nodes(self) -> int:
@@ -175,12 +164,12 @@ class SubsystemPoset:
         return [self.rd.coroots[k] for k in sorted(self.nodes[i])]
 
     def quotient(self, i: int) -> QuotientInvariants:
-        """Invariants of X^vee / <Psi> for node i."""
-        if i not in self._quotients:
-            self._quotients[i] = quotient_invariants(
-                self.rd.rank, [list(v) for v in self.coroot_vectors(i)]
-            )
-        return self._quotients[i]
+        """Invariants of X^vee / <Psi> for node i, with its Smith basis."""
+        inv = self._quotients.get(i)
+        if inv is None:
+            inv = quotient_invariants(self.rd.rank, self.coroot_vectors(i))
+            self._quotients[i] = inv
+        return inv
 
     def torsion_exponent_lcm(self) -> int:
         """lcm over all nodes of the torsion exponent of X^vee / <Psi>."""
@@ -188,55 +177,68 @@ class SubsystemPoset:
             *(self.quotient(i).torsion_exponent for i in range(self.num_nodes))
         )
 
+    @cached_property
+    def _poincare(self) -> tuple[Poly, ...]:
+        return tuple(map(type_poincare, map(self.type_label, range(self.num_nodes))))
+
     def poincare(self, i: int) -> Poly:
-        if i not in self._poincare:
-            self._poincare[i] = type_poincare(self.type_label(i))
         return self._poincare[i]
 
     def weyl_order(self, i: int) -> int:
         """|W(Psi)| = P_Psi(1)."""
         return int(self.poincare(i).evaluate(1))
 
+    @cached_property
+    def _type_labels(self) -> tuple[str, ...]:
+        return tuple(
+            classify_vectors(self.coroot_vectors(k), self.rd.coroot_form)
+            for k in range(self.num_nodes)
+        )
+
     def type_label(self, i: int) -> str:
-        if self._labels is None:
-            self._labels = [
-                classify_vectors(self.coroot_vectors(k), self.rd.coroot_form)
-                for k in range(self.num_nodes)
-            ]
-        return self._labels[i]
+        return self._type_labels[i]
 
     # -- Weyl orbits ---------------------------------------------------------
 
+    @cached_property
+    def _orbits(self) -> tuple[tuple[int, ...], ...]:
+        rd, lookup = self.rd, self.rd.coroot_lookup
+        # each simple reflection as a permutation of coroot indices
+        perms = [
+            [lookup[tuple(sum(a * b for a, b in zip(row, v)) for row in mat)]
+             for v in rd.coroots]
+            for mat in map(rd.reflection_matrix, rd.simple_root_indices)
+        ]
+        orbit_list: list[tuple[int, ...]] = []
+        seen: set[int] = set()
+        for start in range(self.num_nodes):
+            if start in seen:
+                continue
+            orbit, frontier = {start}, [start]
+            while frontier:
+                node = self.nodes[frontier.pop()]
+                for perm in perms:
+                    idx = self.index_of[frozenset(perm[k] for k in node)]
+                    if idx not in orbit:
+                        orbit.add(idx)
+                        frontier.append(idx)
+            seen |= orbit
+            orbit_list.append(tuple(sorted(orbit)))
+        return tuple(orbit_list)
+
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Partition of node indices into Weyl-group orbits."""
-        if self._orbits is None:
-            rd, lookup = self.rd, self.rd._coroot_lookup()
-            # each simple reflection as a permutation of coroot indices
-            perms = [
-                [lookup[tuple(sum(a * b for a, b in zip(row, v)) for row in mat)]
-                 for v in rd.coroots]
-                for mat in map(rd.reflection_matrix, rd.simple_root_indices())
-            ]
-            orbit_list: list[tuple[int, ...]] = []
-            for start in range(self.num_nodes):
-                if start in self._orbit_index:
-                    continue
-                orbit, frontier = {start}, [start]
-                while frontier:
-                    node = self.nodes[frontier.pop()]
-                    for perm in perms:
-                        idx = self.index_of[frozenset(perm[k] for k in node)]
-                        if idx not in orbit:
-                            orbit.add(idx)
-                            frontier.append(idx)
-                for idx in orbit:
-                    self._orbit_index[idx] = len(orbit_list)
-                orbit_list.append(tuple(sorted(orbit)))
-            self._orbits = tuple(orbit_list)
         return self._orbits
 
+    @cached_property
+    def _orbit_index(self) -> tuple[int, ...]:
+        index = [0] * self.num_nodes
+        for k, orbit in enumerate(self.orbits()):
+            for i in orbit:
+                index[i] = k
+        return tuple(index)
+
     def orbit_of(self, i: int) -> int:
-        self.orbits()
         return self._orbit_index[i]
 
     # -- display labels -----------------------------------------------------
@@ -247,11 +249,10 @@ class SubsystemPoset:
         Rank-one nodes are suffixed ``-long``/``-short`` by coroot length;
         other ambiguous types get ``#k`` numbered by orbit.
         """
-        if self._display is None:
-            self._display = self._compute_display_labels()
-        return self._display[i]
+        return self._display_labels[i]
 
-    def _compute_display_labels(self) -> list[str]:
+    @cached_property
+    def _display_labels(self) -> tuple[str, ...]:
         by_label: dict[str, set[int]] = {}
         for i in range(self.num_nodes):
             by_label.setdefault(self.type_label(i), set()).add(i)
@@ -279,9 +280,9 @@ class SubsystemPoset:
             for i in members:
                 k = member_orbits.index(self.orbit_of(i)) + 1
                 labels[i] = f"{label}#{k}"
-        return labels
+        return tuple(labels)
 
 
-@lru_cache(maxsize=None)
 def build_poset(rd: RootDatum) -> SubsystemPoset:
-    return SubsystemPoset(rd)
+    """The closed-subsystem poset of ``rd``, built on first request and kept on it."""
+    return rd.poset

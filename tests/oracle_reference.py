@@ -1,5 +1,10 @@
 """Slow, literal reference for the brute-force oracle's tests.
 
+``rescaled_pgl_elements`` enumerates PGL(2, F_q) the direct way: every
+invertible matrix, rescaled so its first nonzero entry is 1, deduplicated
+in the order met; ``charvar.oracle.build_model`` must list the same
+elements in the same order.
+
 ``reference_count`` counts the same tuples as ``charvar.oracle.
 brute_force_count`` the direct way: the commutator histogram forms
 a b a^-1 b^-1 for every class representative a and every b in G, the
@@ -11,9 +16,24 @@ as the oracle and shares only the group model with it.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 from charvar.errors import InternalConsistencyError
+
+
+def rescaled_pgl_elements(q: int) -> tuple:
+    elements, seen = [], set()
+    for entries in itertools.product(range(q), repeat=4):
+        m = (entries[:2], entries[2:])
+        if (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % q == 0:
+            continue
+        scale = pow(next(x for x in entries if x), q - 2, q)
+        m = tuple(tuple((x * scale) % q for x in row) for row in m)
+        if m not in seen:
+            seen.add(m)
+            elements.append(m)
+    return tuple(elements)
 
 
 def _identity(size):
@@ -38,7 +58,7 @@ def _leaf_count(model, prefix, member_lists, target_key) -> int:
 
 def _commutator_distribution(model) -> dict:
     table = model.class_table()
-    inverses = model.inverse_table()
+    inverses = model.inverse_table
     mul = model.mul
     key_of = model.element_key
     hist: Counter = Counter()
@@ -67,7 +87,7 @@ def _commutator_distribution(model) -> dict:
 
 def _convolve(model, v, v1) -> dict:
     table = model.class_table()
-    inverses = model.inverse_table()
+    inverses = model.inverse_table
     key_of = model.element_key
     mul = model.mul
     out = {}

@@ -18,14 +18,14 @@ from math import gcd, lcm
 from charvar.charsum import node_map
 from charvar.count import ProblemSpec, emptiness, pass_counts
 from charvar.qpoly import Poly, RationalPoly, q_minus
-from charvar.rootdata import center_invariants, enumerate_weyl
+from charvar.rootdata import enumerate_weyl
 from charvar.subsystems import build_poset
 
 
 def _z_prefactor(rd, m: int, n: int, chi: int) -> RationalPoly:
     """z_factor * |B|^chi: the global constant of the master formula."""
     d = rd.rank
-    z = center_invariants(rd).free_rank
+    z = rd.center_invariants.free_rank
     r = rd.semisimple_rank
     qm1 = q_minus(1)
     q = RationalPoly.q()
@@ -51,7 +51,7 @@ def reference_polynomial(spec: ProblemSpec) -> RationalPoly:
     if not verdict.nonempty:
         return zero
     group = spec.eigenvalues.group
-    maps = [node_map(rd, psi, group) for psi in poset.nodes]
+    maps = [node_map(poset.quotient(i), group) for i in range(poset.num_nodes)]
     weyl_order = enumerate_weyl(rd).order
     d_values = []
     for j, passing in enumerate(pass_counts(spec, maps)):

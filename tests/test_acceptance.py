@@ -50,7 +50,8 @@ def const(c: int) -> RationalPoly:
 
 def _deltas(poset, element):
     """The diagnostic table's Delta(Psi, S) at every node, without overrides."""
-    maps = [node_map(poset.rd, psi, element.datum.group) for psi in poset.nodes]
+    group = element.datum.group
+    maps = [node_map(poset.quotient(i), group) for i in range(poset.num_nodes)]
     return delta_values(poset, maps, element.flat(), {})
 
 

@@ -42,7 +42,7 @@ def _element(datum, *words):
 
 def _deltas(poset, s):
     """Delta(Psi, S) at every node of the poset, without overrides."""
-    maps = [node_map(poset.rd, psi, s.datum.group) for psi in poset.nodes]
+    maps = [node_map(poset.quotient(i), s.datum.group) for i in range(poset.num_nodes)]
     return delta_values(poset, maps, s.flat(), {})
 
 

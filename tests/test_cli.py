@@ -436,6 +436,19 @@ class TestOracleCommand:
         assert code == 3
         assert "error[oracle-budget]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("threads", "2"), ("budget", "100"), ("budget", None),
+         ("threads", True), ("budget", 1.5)],
+    )
+    def test_oracle_config_integers(self, tmp_path, capsys, key, value):
+        config = json.loads((CONFIGS / "gl2_genus1.json").read_text())
+        config["oracle"][key] = value
+        code = main(["oracle", "--config", write_config(tmp_path, config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error[config-field]: '{key}' must be an integer" in err
+
     def test_oracle_nonprime_q_exits_2(self, capsys):
         code = main(
             ["oracle", "--config", str(CONFIGS / "gl2_sphere_generic.json"),

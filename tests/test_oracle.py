@@ -30,7 +30,7 @@ from charvar.oracle import (
 )
 from charvar.rootdata import build_root_datum
 from charvar.subsystems import build_poset
-from oracle_reference import reference_count
+from oracle_reference import reference_count, rescaled_pgl_elements
 from witnesses import (
     GL2_COINCIDENT_TRIPLES,
     GL2_GENERIC_TRIPLE,
@@ -90,7 +90,7 @@ def test_known_small_orders():
 @pytest.mark.parametrize("family,size,q", [("GL", 2, 3), ("PGL", 2, 3), ("PGL", 2, 5)])
 def test_class_keys_match_true_conjugacy_orbits(family, size, q):
     m = model(family, size, q)
-    inverses = m.inverse_table()
+    inverses = m.inverse_table
     seen = set()
     for rep, _size in m.class_table().values():
         orbit = {m.mul(m.mul(g, rep), inverses[g]) for g in m.elements}
@@ -142,6 +142,11 @@ def test_model_construction_guards():
     assert exc.value.code == "oracle-cap"
     with pytest.raises(ResourceLimitError):
         build_model("GL", 3, 7)  # 7^9 candidates exceed the enumeration guard
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_pgl_elements_match_rescaled_enumeration(q):
+    assert build_model("PGL", 2, q).elements == rescaled_pgl_elements(q)
 
 
 # ---------------------------------------------------------------------------

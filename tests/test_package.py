@@ -2,27 +2,31 @@
 
 A name with a leading underscore is private to the module that defines it;
 a module that needs it from elsewhere should get a public name instead.
-Both ``from .count import _helper`` and ``from . import count`` followed
-by ``count._helper`` are caught.
+Caught are ``from .count import _helper``, ``from . import count``
+followed by ``count._helper``, ``obj._name`` where the module defines no
+``_name``, and ``obj.__dict__`` on anything but ``self``.
 
 The benchmark's tracer (``perfbench/tracer.py``) wraps charvar functions
 and methods by name; a deletion or rename that breaks ``--trace 1`` fails
 here rather than only in the benchmark's own tests.
 
-No process-global cache may grow with the problems a process counts:
-per-problem data lives on per-problem objects.
+No module holds a functools cache: data derived from a root datum, a
+group or a poset is kept on that object and freed with it.
 """
 
 import ast
+import gc
 import importlib
 import importlib.util
+import weakref
 from pathlib import Path
 
 import charvar
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement
 from charvar.count import ProblemSpec, count_polynomial
 from charvar.qpoly import RationalPoly
-from charvar.rootdata import build_root_datum
+from charvar.rootdata import build_root_datum, enumerate_weyl
+from charvar.subsystems import build_poset
 
 PACKAGE = Path(charvar.__file__).resolve().parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -36,6 +40,7 @@ def private_uses(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     hits = []
     module_aliases = set()
+    defined = set()  # names the module defines: functions, classes, targets
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             internal = node.level > 0 or (node.module or "").split(".")[0] == "charvar"
@@ -50,14 +55,22 @@ def private_uses(path: Path) -> list[str]:
             for alias in node.names:
                 if alias.name.split(".")[0] == "charvar" and alias.asname:
                     module_aliases.add(alias.asname)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
     for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id in module_aliases
-            and _is_private(node.attr)
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = ast.unparse(node.value)
+        if _is_private(node.attr) and (
+            owner in module_aliases or node.attr not in defined
         ):
-            hits.append((node.lineno, f"uses {node.value.id}.{node.attr}"))
+            hits.append((node.lineno, f"uses {owner}.{node.attr}"))
+        elif node.attr == "__dict__" and owner != "self":
+            hits.append((node.lineno, f"uses {owner}.__dict__"))
     return [f"{path.name}:{line} {what}" for line, what in sorted(hits)]
 
 
@@ -75,13 +88,18 @@ def test_private_use_detector(tmp_path):
         "from . import abelian as ab\n"
         "import charvar.qpoly as qp\n"
         "x = ab._row_space_snf, qp.Poly, ab.__name__\n"
-        "y = qp._cache\n",
+        "y = qp._cache\n"
+        "def _local(rd):\n"
+        "    return rd._local, rd._gram, self.__dict__, rd.__dict__, self.rd.__dict__\n",
         encoding="utf-8",
     )
     assert private_uses(source) == [
         "sample.py:2 imports _resolve",
         "sample.py:5 uses ab._row_space_snf",
         "sample.py:6 uses qp._cache",
+        "sample.py:8 uses rd.__dict__",
+        "sample.py:8 uses rd._gram",
+        "sample.py:8 uses self.rd.__dict__",
     ]
 
 
@@ -134,14 +152,23 @@ def test_caches_do_not_grow_with_relation_sets():
                         semisimple_classes=(element,))
         )
 
-    count(3)
-    caches = functools_caches()
-    assert "charvar.subsystems.build_poset" in caches
-    before = {name: f.cache_info().currsize for name, f in caches.items()}
-    for k in range(4, 24):
+    for k in range(3, 24):
         count(k)
-    after = {name: f.cache_info().currsize for name, f in caches.items()}
-    assert after == before
+    assert functools_caches() == {}
+
+
+def test_datum_data_is_freed_with_the_datum():
+    rd = build_root_datum("GL(3)")
+    datum = EigenvalueDatum(symbols=("a", "b", "c"), relations=("a*b*c",))
+    spec = ProblemSpec(
+        rd=rd, genus=1, punctures=2, eigenvalues=datum,
+        semisimple_classes=(SymbolicTorusElement.from_words(datum, "abc"),),
+    )
+    count_polynomial(spec)
+    refs = [weakref.ref(x) for x in (rd, enumerate_weyl(rd), build_poset(rd))]
+    del rd, spec
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_caches_do_not_grow_with_polynomial_degree():

@@ -26,7 +26,6 @@ from charvar.rootdata import (
     classify_vectors,
     component_types,
     connected_center_check,
-    center_invariants,
     cocenter_invariants,
     enumerate_weyl,
     fundamental_degrees,
@@ -90,7 +89,6 @@ def test_weyl_elements_permute_coroots():
 def test_weyl_enumeration_bound(monkeypatch):
     rd = build_root_datum("F4")
     monkeypatch.setattr(rootdata, "WEYL_ENUMERATION_BOUND", 100)
-    enumerate_weyl.cache_clear()
     with pytest.raises(ResourceLimitError):
         enumerate_weyl(rd)
 
@@ -160,7 +158,6 @@ def test_fundamental_degrees(desc):
     assert sum(d - 1 for d in degrees) == rd.num_positive
     if desc not in LARGE_WEYL:
         assert math.prod(degrees) == enumerate_weyl(rd).order
-        enumerate_weyl.cache_clear()  # do not keep the large groups cached
 
 
 def test_poincare_full_system_identities():
@@ -184,7 +181,7 @@ def test_poincare_known_polynomials():
 def test_poincare_subsystem():
     rd = build_root_datum("GL(3)")
     # single root pair {alpha, -alpha} gives W = Z/2, P = 1 + q
-    i = rd.simple_root_indices()[0]
+    i = rd.simple_root_indices[0]
     pair = (i, rd.negative_of(i))
     assert poincare_polynomial(rd, pair) == Poly([1, 1])
     # empty subsystem: trivial group
@@ -204,7 +201,7 @@ def test_poincare_rejects_non_closed():
     with pytest.raises(InvalidInputError):
         poincare_polynomial(rd, tuple(short_pair))  # sums escape: not closed
     # asymmetric set
-    i = rd.simple_root_indices()[0]
+    i = rd.simple_root_indices[0]
     with pytest.raises(InvalidInputError):
         poincare_polynomial(rd, (i,))
 
@@ -231,7 +228,7 @@ def _order_polynomials(rd):
     q = RationalPoly.q()
     t = (q - RationalPoly.from_int(1)) ** rd.rank
     b = q ** rd.num_positive * t
-    z = (q - RationalPoly.from_int(1)) ** center_invariants(rd).free_rank
+    z = (q - RationalPoly.from_int(1)) ** rd.center_invariants.free_rank
     return {"G": b * RationalPoly(poincare_polynomial(rd)), "B": b, "T": t, "Z": z}
 
 
@@ -281,9 +278,9 @@ def test_connected_center():
 
 
 def test_center_ranks():
-    assert center_invariants(build_root_datum("GL(3)")).free_rank == 1
-    assert center_invariants(build_root_datum("T(2)")).free_rank == 2
-    assert center_invariants(build_root_datum("G2")).free_rank == 0
+    assert build_root_datum("GL(3)").center_invariants.free_rank == 1
+    assert build_root_datum("T(2)").center_invariants.free_rank == 2
+    assert build_root_datum("G2").center_invariants.free_rank == 0
     # fundamental group via the cocharacter side
     assert cocenter_invariants(build_root_datum("PGL(2)")).torsion == (2,)
     assert cocenter_invariants(build_root_datum("SL(2)")).torsion == ()
@@ -320,7 +317,7 @@ def _highest_root_coefficients(rd):
     Walks root strings: from each simple root, add one simple root at a time
     while the sum stays a root, recording coefficients along the way.
     """
-    simples = rd.simple_root_indices()
+    simples = rd.simple_root_indices
     roots = set(rd.roots)
     coefficients = {
         rd.roots[s]: tuple(int(t == s) for t in simples) for s in simples
@@ -389,7 +386,7 @@ def test_dual_is_involution():
 def test_duality_swaps_isogeny():
     # dual of SL(2) is PGL(2): connected center, fundamental group Z/2
     sl2 = build_root_datum("SL(2)")
-    assert center_invariants(sl2.dual()).torsion == ()
+    assert sl2.dual().center_invariants.torsion == ()
     assert cocenter_invariants(sl2.dual()).torsion == (2,)
 
 
@@ -397,7 +394,7 @@ def test_product_structure():
     rd = build_root_datum("GL(2) x T(1)")
     assert rd.rank == 3
     assert rd.num_roots == 2
-    assert center_invariants(rd).free_rank == 2
+    assert rd.center_invariants.free_rank == 2
     assert component_types(classify_vectors(list(rd.roots), rd.root_form)) == (
         ("A", 1),
     )
@@ -461,7 +458,7 @@ def test_descriptor_errors():
 def test_g2_coroot_table():
     """G2 in integer coordinates: frozen simple-root/coroot data."""
     rd = build_root_datum("G2")
-    simples = rd.simple_root_indices()
+    simples = rd.simple_root_indices
     assert len(simples) == 2
     # off-diagonal Cartan pairings of G2 are -3 (long root on short coroot)
     # and -1 (short root on long coroot)
@@ -492,4 +489,4 @@ def test_structural_invariants(desc):
     assert modulus(rd) >= 1
     assert 2 in admissible_primes(rd).excluded
     # simple roots: one per Dynkin node, i.e. semisimple rank many
-    assert len(rd.simple_root_indices()) == rd.semisimple_rank
+    assert len(rd.simple_root_indices) == rd.semisimple_rank

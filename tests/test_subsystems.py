@@ -309,7 +309,7 @@ def test_nodes_are_weyl_stable(g2_poset):
     rd = p.rd
     lookup = {v: i for i, v in enumerate(rd.coroots)}
     for node in p.nodes:
-        for s in rd.simple_root_indices():
+        for s in rd.simple_root_indices:
             mat = rd.reflection_matrix(s)
             image = frozenset(
                 lookup[tuple(sum(mat[r][c] * rd.coroots[k][c] for c in range(rd.rank))

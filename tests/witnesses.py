@@ -287,7 +287,7 @@ def tuples_conjugate(
     """Whether one tuple is a simultaneous conjugate of the other."""
     first = tuple(model.canonical(m) for m in first)
     second = tuple(model.canonical(m) for m in second)
-    inverses = model.inverse_table()
+    inverses = model.inverse_table
     for g in model.elements:
         g_inv = inverses[g]
         if all(
