@@ -42,7 +42,7 @@ from .abelian import (
     quotient_invariants,
 )
 from .errors import InvalidInputError
-from .qpoly import IntPoly
+from .qpoly import Poly
 from .rootdata import Matrix, RootDatum, Vector, enumerate_weyl
 
 Word = tuple[int, ...]
@@ -262,7 +262,7 @@ def in_commutator(rd: RootDatum, psi, element: SymbolicTorusElement) -> bool:
     return node_map(inv, element.datum.group).in_kernel(element.flat())
 
 
-def quotient_factor(inv: QuotientInvariants) -> IntPoly:
+def quotient_factor(inv: QuotientInvariants) -> Poly:
     """|Tor(X^vee/<Psi>)| (q-1)^rank(X^vee/<Psi>): the value of delta when S dies."""
-    return IntPoly([-1, 1]) ** inv.free_rank * inv.torsion_order
+    return Poly([-1, 1]) ** inv.free_rank * inv.torsion_order
 

@@ -61,7 +61,6 @@ from .count import (
 )
 from .errors import (
     CharvarError,
-    HypothesisError,
     InternalConsistencyError,
     InvalidInputError,
     ResourceLimitError,
@@ -279,21 +278,7 @@ def _polynomial_payload(report: CountReport) -> dict:
 
 
 def _table_payload(report: CountReport) -> list[dict]:
-    return [
-        {
-            "label": row.label,
-            "orbit_size": row.orbit_size,
-            "weyl_order": row.weyl_order,
-            "poincare": row.poincare,
-            "quotient": row.quotient,
-            "torsion_order": row.torsion_order,
-            "free_rank": row.free_rank,
-            "delta": row.delta,
-            "alpha": row.alpha,
-            "overridden": row.overridden,
-        }
-        for row in report.table
-    ]
+    return [dataclasses.asdict(row) for row in report.table]
 
 
 def report_payload(report: CountReport) -> dict:
@@ -747,16 +732,14 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
         kinds = ("semisimple",) * spec.m + ("regular_unipotent",) * (
             spec.punctures - spec.m
         )
-        check_enumeration(
-            family, size, q, spec.genus, kinds, budget=budget, threads=threads
-        )
+        if threads < 1:
+            raise InvalidInputError("oracle-input", "threads must be >= 1")
+        check_enumeration(family, size, q, spec.genus, kinds, budget=budget)
         model = build_model(family, size, q)
         classes = tuple(
             semisimple_class(model, eigen) for eigen in units.eigenvalues(concrete)
         ) + (regular_unipotent_class(model),) * (spec.punctures - spec.m)
-        count = brute_force_count(
-            model, spec.genus, classes, budget=budget, threads=threads
-        )
+        count = brute_force_count(model, spec.genus, classes, budget=budget)
         formula_value = report.polynomial.evaluate(q)
         if formula_value.denominator != 1:
             raise InternalConsistencyError(
@@ -822,8 +805,6 @@ def _exit_code_for(error: CharvarError) -> int:
         return 3
     if isinstance(error, InternalConsistencyError):
         return 4
-    if isinstance(error, (InvalidInputError, HypothesisError)):
-        return 2
     return 2
 
 

@@ -26,7 +26,7 @@ The inner sum is ``mobius_sum`` applied to the D values.  The diagnostic
 table applies the same ``mobius_sum`` to the local factor Delta of the
 class product (``delta_values``), which gives alpha.
 
-All of it is integer polynomial arithmetic (``qpoly.IntPoly``).  D(Psi) =
+All of it is ``qpoly.Poly`` arithmetic on ``int`` coefficients.  D(Psi) =
 |Tor| (q-1)^rank * (number of passing tuples) is an integer polynomial,
 and so is P_Psi.  The sum is taken times |W|^m, so each summand carries
 the integer weight (|W| / |W(Psi)|)^(m-1), |W(Psi)| dividing |W|.  The
@@ -64,7 +64,7 @@ from .errors import (
     InvalidInputError,
     ResourceLimitError,
 )
-from .qpoly import IntPoly, Poly, RationalPoly, q_minus
+from .qpoly import Poly, RationalPoly, q_minus
 from .rootdata import (
     RootDatum,
     admissible_primes,
@@ -266,9 +266,9 @@ def emptiness(spec: ProblemSpec, poset: SubsystemPoset) -> Emptiness:
     )
 
 
-def mobius_sum(poset: SubsystemPoset, i: int, values: list[IntPoly]) -> IntPoly:
+def mobius_sum(poset: SubsystemPoset, i: int, values: list[Poly]) -> Poly:
     """Sum over the nodes j above node i of mu(i, j) * values[j]."""
-    total = IntPoly()
+    total = Poly()
     for j, mu in poset.mobius_row(i).items():
         if not values[j].is_zero():
             total = total + values[j] * mu
@@ -280,13 +280,13 @@ def delta_values(
     maps: list[AdditiveMap],
     product: tuple[int, ...],
     overrides: dict[int, bool],
-) -> list[IntPoly]:
+) -> list[Poly]:
     """Delta at every node: the quotient factor where the product dies, else 0.
 
     ``maps`` are the nodes' compiled maps and ``product`` a ``flat()``
     vector; an override replaces the computed indicator of its node.
     """
-    zero = IntPoly()
+    zero = Poly()
     return [
         quotient_factor(poset.quotient(j))
         if overrides.get(j, nmap.in_kernel(product))
@@ -360,7 +360,7 @@ def _z_exponents(rd: RootDatum, m: int, n: int, chi: int) -> tuple[int, int]:
     return z - m * d + z * (m - n) + d * chi, r * (m - n) + rd.num_positive * chi
 
 
-def _divide_out(total: IntPoly, a: int, b: int, denominator: int) -> IntPoly:
+def _divide_out(total: Poly, a: int, b: int, denominator: int) -> Poly:
     """(q-1)^a q^b total / denominator, checked to be an integer polynomial.
 
     Negative exponents divide exactly, by one division by the monic
@@ -368,7 +368,7 @@ def _divide_out(total: IntPoly, a: int, b: int, denominator: int) -> IntPoly:
     coefficient that ``denominator`` does not divide raises
     ``non-integral``.  The messages print the rational value.
     """
-    qm1 = IntPoly([-1, 1])
+    qm1 = Poly([-1, 1])
     numerator = (total * qm1 ** max(a, 0)).shift(max(b, 0))
     poly, rem = numerator.divmod((qm1 ** max(-a, 0)).shift(max(-b, 0)))
     if not rem.is_zero():
@@ -384,13 +384,13 @@ def _divide_out(total: IntPoly, a: int, b: int, denominator: int) -> IntPoly:
             "the master formula produced non-integer coefficients in "
             f"{_rational(total, a, b, denominator)}",
         )
-    return IntPoly([c // denominator for c in poly.coeffs])
+    return Poly([c // denominator for c in poly.coeffs])
 
 
-def _rational(total: IntPoly, a: int, b: int, denominator: int) -> RationalPoly:
+def _rational(total: Poly, a: int, b: int, denominator: int) -> RationalPoly:
     """(q-1)^a q^b total / denominator as a reduced rational function."""
     return (
-        RationalPoly(Poly(total.coeffs))
+        RationalPoly(total)
         * q_minus(1) ** a
         * RationalPoly.q() ** b
         / denominator
@@ -416,7 +416,7 @@ def count_polynomial(
     if spec.genus == 0 and n == 2:
         return _finish_report(
             spec,
-            polynomial=IntPoly(),
+            polynomial=Poly(),
             is_empty=True,
             empty_reason=(
                 "nonhyperbolic surface: genus 0 with 2 punctures is outside "
@@ -439,7 +439,7 @@ def count_polynomial(
     if not verdict.nonempty:
         return _finish_report(
             spec,
-            polynomial=IntPoly(),
+            polynomial=Poly(),
             is_empty=True,
             empty_reason=(
                 "empty variety: the product of the semisimple classes is not "
@@ -455,7 +455,7 @@ def count_polynomial(
     weyl_order = enumerate_weyl(rd).order
     products = weyl_order ** m
     mismatch: dict[str, list[int]] = {}
-    d_values: list[IntPoly] = []
+    d_values: list[Poly] = []
     for j, passing in enumerate(pass_counts(spec, maps, budget)):
         if j in verdict.overrides:
             counts = mismatch.setdefault(poset.display_label(j), [0, 0])
@@ -474,15 +474,15 @@ def count_polynomial(
     # master sum over the poset, times |W|^(m-1): each weight
     # (|W| / |W(Psi)|)^(m-1) is an integer because |W(Psi)| divides |W|;
     # P_Psi depends only on the type label, so P_Psi^chi is raised once each
-    powers: dict[str, IntPoly] = {}
-    total = IntPoly()
+    powers: dict[str, Poly] = {}
+    total = Poly()
     for i in range(poset.num_nodes):
         inner = mobius_sum(poset, i, d_values)
         if inner.is_zero():
             continue
         label = poset.type_label(i)
         if label not in powers:
-            powers[label] = IntPoly(map(int, poset.poincare(i).coeffs)) ** chi
+            powers[label] = poset.poincare(i) ** chi
         weight = (weyl_order // poset.weyl_order(i)) ** (m - 1)
         total = total + powers[label] * (inner * weight)
     result = _divide_out(total, *_z_exponents(rd, m, n, chi), weyl_order ** m)
@@ -527,7 +527,7 @@ def _diagnostic_table(
 
 def _finish_report(
     spec: ProblemSpec,
-    polynomial: IntPoly,
+    polynomial: Poly,
     is_empty: bool,
     empty_reason: str | None,
     warnings: list[str],
@@ -575,7 +575,7 @@ def _finish_report(
         genus=g,
         punctures=n,
         m=m,
-        polynomial=RationalPoly(Poly(polynomial.coeffs)),
+        polynomial=RationalPoly(polynomial),
         is_empty=is_empty,
         empty_reason=empty_reason,
         euler_characteristic=euler,

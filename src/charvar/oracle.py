@@ -432,7 +432,6 @@ def check_enumeration(
     kinds: tuple[str, ...],
     *,
     budget: int,
-    threads: int,
 ) -> None:
     """Validate a brute-force count's inputs and its group-product count.
 
@@ -442,15 +441,12 @@ def check_enumeration(
     class table is built: k = ``class_count`` products per element of each
     class but the last (the puncture tables; at genus 0 the first class
     needs none), and from genus 1 on |G| for the commutators plus k |G| per
-    further handle.  ``threads`` is only validated; the count runs in one
-    process.
+    further handle.
     """
     if genus < 0:
         raise InvalidInputError("oracle-input", "genus must be >= 0")
     if not kinds:
         raise InvalidInputError("oracle-input", "need at least one class")
-    if threads < 1:
-        raise InvalidInputError("oracle-input", "threads must be >= 1")
     num_classes = class_count(family, size, q)
     tables = kinds[1:-1] if genus == 0 else kinds[:-1]
     estimate = num_classes * sum(class_size(family, size, q, kind) for kind in tables)
@@ -545,19 +541,15 @@ def brute_force_count(
     classes: tuple[ConcreteClassData, ...],
     *,
     budget: int = DEFAULT_ORACLE_BUDGET,
-    threads: int = 1,
 ) -> int:
     """Number of F_q-points of the character variety, by exact counting.
 
     Counts tuples (A_1, B_1, .., A_g, B_g, X_1, .., X_n) satisfying the
     product relation with X_i in classes[i] (X_n solved for and
-    membership-tested), then divides exactly by |(G/Z)(F_q)|.  ``threads``
-    is validated and otherwise unused: the count runs in one process.
+    membership-tested), then divides exactly by |(G/Z)(F_q)|.
     """
-    check_enumeration(
-        model.family, model.size, model.q, genus, tuple(cls.kind for cls in classes),
-        budget=budget, threads=threads,
-    )
+    kinds = tuple(cls.kind for cls in classes)
+    check_enumeration(model.family, model.size, model.q, genus, kinds, budget=budget)
     if genus == 0 and len(classes) > 1:
         # N at the identity: X_1 runs over C_1 itself, where the next
         # table is constant, so the outermost table needs no products.

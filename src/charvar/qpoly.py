@@ -1,20 +1,21 @@
 """Exact univariate polynomial arithmetic in the variable q.
 
-:class:`IntPoly` is a dense polynomial with ``int`` coefficients (index =
-power, no trailing zeros).  The counting engine works in it from start to
-finish: every local factor, Poincare polynomial and Mobius sum has integer
-coefficients, and the master formula's only denominators are known
-in advance -- a power of q, a power of (q - 1) and the integer |W|^m.  So
-the engine divides by them exactly at the end (``IntPoly.divmod`` by a
-monic polynomial, then an integer division per coefficient), and a nonzero
-remainder is a failed polynomiality or integrality *check*.  Post-processing
-(``IntPoly.factored_str``) is integer arithmetic too.
+:class:`Poly` is a dense polynomial (index = power, no trailing zeros)
+that keeps its coefficients as they come in: ``int`` arithmetic stays
+``int``, and a ``Fraction`` appears only from a rational input or from
+dividing by a leading coefficient other than 1.  The counting engine works
+in it with integer coefficients from start to finish: every local factor,
+Poincare polynomial and Mobius sum is an integer polynomial, and the
+master formula's only denominators are known in advance -- a power of q, a
+power of (q - 1) and the integer |W|^m.  So the engine divides by them
+exactly at the end (``Poly.divmod`` by a monic polynomial, then an integer
+division per coefficient), and a nonzero remainder is a failed
+polynomiality or integrality *check*.  Post-processing
+(``Poly.factored_str``, ``Poly.ord_at_one``) is integer arithmetic too.
 
-:class:`Poly` (``fractions.Fraction`` coefficients) and :class:`RationalPoly`
-(a reduced fraction num/den of two such polynomials with a monic
-denominator, so equality is plain coefficient equality) are the public
-boundary: ``CountReport.polynomial`` is a ``RationalPoly``, and Poincare
-polynomials are ``Poly`` values.
+:class:`RationalPoly` (a reduced fraction num/den of two polynomials with
+a monic denominator, so equality is plain coefficient equality) is the
+public boundary: ``CountReport.polynomial`` is a ``RationalPoly``.
 """
 
 from __future__ import annotations
@@ -57,17 +58,17 @@ def _format(coeffs: Sequence[Scalar]) -> str:
 
 
 class Poly:
-    """Dense polynomial over the rationals; immutable."""
+    """Dense polynomial with ``int`` or ``Fraction`` coefficients; immutable."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        self.coeffs: tuple[Fraction, ...] = _strip([Fraction(c) for c in coeffs])
+        self.coeffs: tuple[Scalar, ...] = _strip(list(coeffs))
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def const(c: Scalar) -> "Poly":
-        return Poly([Fraction(c)])
+        return Poly([c])
 
     @staticmethod
     def q() -> "Poly":
@@ -81,10 +82,8 @@ class Poly:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+    def leading(self) -> Scalar:
+        return self.coeffs[-1] if self.coeffs else 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
@@ -112,26 +111,23 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def __mul__(self, other: "Poly") -> "Poly":
+    def __mul__(self, other: "Poly | Scalar") -> "Poly":
+        if isinstance(other, (int, Fraction)):
+            return Poly([other * c for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
         return Poly(out)
 
-    def scale(self, c: Scalar) -> "Poly":
-        c = Fraction(c)
-        return Poly([c * x for x in self.coeffs])
-
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("Poly does not support negative powers; use RationalPoly")
-        result = Poly.const(1)
-        base = self
+        result, base = Poly([1]), self
         while n:
             if n & 1:
                 result = result * base
@@ -139,27 +135,38 @@ class Poly:
             n >>= 1
         return result
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
+    def shift(self, k: int) -> "Poly":
+        """The product with q^k, for k >= 0."""
+        return Poly([0] * k + list(self.coeffs)) if self.coeffs else self
+
+    def divmod(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
+        """Quotient and remainder.
+
+        Each quotient coefficient is divided by the divisor's leading
+        coefficient only when that is not 1, so division by a monic
+        polynomial keeps integer coefficients integer.
+        """
+        d = divisor.coeffs
+        if not d:
             raise ZeroDivisionError("polynomial division by zero")
+        k, lead = len(d) - 1, d[-1]
         rem = list(self.coeffs)
-        dq, dd = len(rem) - 1, other.degree()
-        lead = other.leading()
-        quot = [Fraction(0)] * max(dq - dd + 1, 0)
-        for i in range(dq, dd - 1, -1):
-            if rem and len(rem) - 1 == i and rem[-1] != 0:
-                f = rem[-1] / lead
-                quot[i - dd] = f
-                for j, c in enumerate(other.coeffs):
-                    rem[i - dd + j] -= f * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(quot), Poly(rem)
+        quot = [0] * max(len(rem) - k, 0)
+        for i in range(len(quot) - 1, -1, -1):
+            f = rem[i + k]
+            if f:
+                if lead != 1:
+                    f = Fraction(f) / lead
+                quot[i] = f
+                for j in range(k):
+                    rem[i + j] -= f * d[j]
+        return Poly(quot), Poly(rem[:k])
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        lead = self.leading()
+        if lead in (0, 1):
             return self
-        return self.scale(1 / self.leading())
+        return self * Fraction(1, lead)
 
     def gcd(self, other: "Poly") -> "Poly":
         a, b = self, other
@@ -167,12 +174,21 @@ class Poly:
             a, b = b, a.divmod(b)[1]
         return a.monic()
 
-    def evaluate(self, x: Scalar) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
+    def evaluate(self, x: Scalar) -> Scalar:
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+    def ord_at_one(self) -> int:
+        """Multiplicity of the root q = 1; 0 for the zero polynomial."""
+        order, poly, qm1 = 0, self, Poly([-1, 1])
+        while not poly.is_zero():
+            poly, remainder = poly.divmod(qm1)
+            if not remainder.is_zero():
+                break
+            order += 1
+        return order
 
     # -- display ------------------------------------------------------
     def __str__(self) -> str:
@@ -181,106 +197,16 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({self})"
 
+    def factored_str(self) -> str:
+        """Human-readable factorization.
 
-class IntPoly:
-    """Dense polynomial with integer coefficients; immutable."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        self.coeffs: tuple[int, ...] = _strip(list(coeffs))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IntPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    def __mul__(self, other: "IntPoly | int") -> "IntPoly":
-        if isinstance(other, int):
-            return IntPoly([other * c for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPoly(out)
-
-    def __pow__(self, n: int) -> "IntPoly":
-        if n < 0:
-            raise ValueError("IntPoly does not support negative powers")
-        result, base = IntPoly([1]), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def shift(self, k: int) -> "IntPoly":
-        """The product with q^k, for k >= 0."""
-        return IntPoly([0] * k + list(self.coeffs)) if self.coeffs else self
-
-    def divmod(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Quotient and remainder on division by a monic polynomial.
-
-        Both are integer polynomials because the divisor is monic.
-        """
-        d = divisor.coeffs
-        if not d or d[-1] != 1:
-            raise ValueError("IntPoly divides only by monic polynomials")
-        k = len(d) - 1
-        rem = list(self.coeffs)
-        quot = [0] * max(len(rem) - k, 0)
-        for i in range(len(quot) - 1, -1, -1):
-            f = rem[i + k]
-            if f:
-                quot[i] = f
-                for j in range(k):
-                    rem[i + j] -= f * d[j]
-        return IntPoly(quot), IntPoly(rem[:k])
-
-    def ord_at_one(self) -> int:
-        """Multiplicity of the root q = 1; 0 for the zero polynomial."""
-        order, poly, qm1 = 0, self, IntPoly([-1, 1])
-        while not poly.is_zero():
-            poly, remainder = poly.divmod(qm1)
-            if not remainder.is_zero():
-                break
-            order += 1
-        return order
-
-    def __str__(self) -> str:
-        return _format(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"IntPoly({self})"
-
-    def factored_str(self, unit: Scalar = 1) -> str:
-        """Human-readable factorization of ``unit`` times this polynomial.
-
-        Pulls out the content (sign normalized to the leading coefficient),
-        the power of q, and cyclotomic factors by trial division; whatever
-        remains is printed expanded.  Intended for eyeballing counting
-        polynomials, whose factors are overwhelmingly of this shape.
+        Pulls out the content (sign normalized to the leading coefficient;
+        a ``Fraction`` when a coefficient is one), the power of q, and
+        cyclotomic factors by trial division; whatever remains is printed
+        expanded.  The factoring itself is integer arithmetic: the
+        coefficients are scaled by the lcm of their denominators first.
+        Intended for eyeballing counting polynomials, whose factors are
+        overwhelmingly of this shape.
         """
         coeffs = self.coeffs
         if not coeffs:
@@ -288,13 +214,16 @@ class IntPoly:
         val = 0
         while coeffs[val] == 0:
             val += 1
-        content = math.gcd(*coeffs)
-        if coeffs[-1] < 0:
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * scale) for c in coeffs[val:]]
+        content = math.gcd(*ints)
+        if ints[-1] < 0:
             content = -content
-        body = IntPoly([c // content for c in coeffs[val:]])
-        content = content * unit
+        body = Poly([c // content for c in ints])
+        if scale != 1:
+            content = Fraction(content, scale)
         factors: list[tuple[str, int]] = []
-        table: dict[int, IntPoly] = {}
+        table: dict[int, Poly] = {}
         d = 1
         while body.degree() > 0 and d <= body.degree():
             phi = _cyclotomic(d, table)
@@ -310,7 +239,7 @@ class IntPoly:
                 body = quot
             else:
                 d += 1
-        one = IntPoly([1])
+        one = Poly([1])
         parts = []
         if content != 1 or (val == 0 and not factors and body == one):
             parts.append(str(content))
@@ -323,14 +252,14 @@ class IntPoly:
         return " * ".join(parts) if parts else "1"
 
 
-def _cyclotomic(n: int, table: dict[int, IntPoly]) -> IntPoly:
+def _cyclotomic(n: int, table: dict[int, Poly]) -> Poly:
     """Phi_n: q^n - 1 divided by Phi_d for each proper divisor d of n.
 
     ``table`` holds the Phi_d already built; the caller owns it.
     """
     phi = table.get(n)
     if phi is None:
-        phi = IntPoly([-1] + [0] * (n - 1) + [1])
+        phi = Poly([-1] + [0] * (n - 1) + [1])
         for d in range(1, n):
             if n % d == 0:
                 phi = phi.divmod(_cyclotomic(d, table))[0]
@@ -342,7 +271,7 @@ def cyclotomic(n: int) -> Poly:
     """The n-th cyclotomic polynomial, via exact division of q^n - 1."""
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
-    return Poly(_cyclotomic(n, {}).coeffs)
+    return _cyclotomic(n, {})
 
 
 def _coerce(x: Union["RationalPoly", Poly, Scalar]) -> "RationalPoly":
@@ -378,8 +307,9 @@ class RationalPoly:
         den, r2 = den.divmod(g)
         assert r1.is_zero() and r2.is_zero()
         lead = den.leading()
-        self.num = num.scale(1 / lead)
-        self.den = den.scale(1 / lead)
+        if lead != 1:
+            num, den = num * Fraction(1, lead), den * Fraction(1, lead)
+        self.num, self.den = num, den
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -401,7 +331,7 @@ class RationalPoly:
     def is_polynomial(self) -> bool:
         return self.den == Poly.const(1)
 
-    def polynomial_coeffs(self) -> tuple[Fraction, ...]:
+    def polynomial_coeffs(self) -> tuple[Scalar, ...]:
         if not self.is_polynomial():
             raise ValueError(f"not a polynomial: ({self.num})/({self.den})")
         return self.num.coeffs
@@ -411,7 +341,7 @@ class RationalPoly:
         self.polynomial_coeffs()
         return self.num.degree()
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Scalar:
         self.polynomial_coeffs()
         return self.num.leading()
 
@@ -419,7 +349,7 @@ class RationalPoly:
         d = self.den.evaluate(x)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at q={x}")
-        return self.num.evaluate(x) / d
+        return Fraction(self.num.evaluate(x), d)
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other) -> "RationalPoly":
@@ -478,16 +408,9 @@ class RationalPoly:
         return f"RationalPoly({self})"
 
     def factored_str(self) -> str:
-        """``IntPoly.factored_str`` of a polynomial value with rational coefficients.
-
-        The coefficients are scaled to integers by the lcm of their
-        denominators, which the content then divides back out.
-        """
-        coeffs = self.polynomial_coeffs()
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        return IntPoly([int(c * scale) for c in coeffs]).factored_str(
-            Fraction(1, scale)
-        )
+        """``Poly.factored_str`` of a polynomial value; raises on a proper fraction."""
+        self.polynomial_coeffs()
+        return self.num.factored_str()
 
 ZERO = RationalPoly(Poly())
 ONE = RationalPoly.from_int(1)

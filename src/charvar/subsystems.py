@@ -17,12 +17,13 @@ because it is the closure of its own simple system, which can be adjoined
 one element at a time.
 
 ``SubsystemPoset`` precomputes the node list and serves per-node data:
-type labels (with long/short disambiguation where needed), Poincare
-polynomials (read from the type label's fundamental degrees) and Weyl
-orbits, each built for all nodes on first use; and, one node at a time,
-the quotient X^vee / <Psi> with its Smith basis and the Mobius row
-mu(i, .) (downward recursion over the nodes above i).  A root datum builds
-its poset once and keeps it (``build_poset``).
+type labels (one classification per Weyl orbit, with long/short
+disambiguation where needed), Poincare polynomials (read from the type
+label's fundamental degrees) and Weyl orbits, each built for all nodes on
+first use; and, one node at a time, the quotient X^vee / <Psi> with its
+Smith basis and the Mobius row mu(i, .) (downward recursion over the
+nodes above i).  A root datum builds its poset once and keeps it
+(``build_poset``).
 """
 
 from __future__ import annotations
@@ -186,14 +187,18 @@ class SubsystemPoset:
 
     def weyl_order(self, i: int) -> int:
         """|W(Psi)| = P_Psi(1)."""
-        return int(self.poincare(i).evaluate(1))
+        return sum(self.poincare(i).coeffs)
 
     @cached_property
     def _type_labels(self) -> tuple[str, ...]:
-        return tuple(
-            classify_vectors(self.coroot_vectors(k), self.rd.coroot_form)
-            for k in range(self.num_nodes)
-        )
+        # one classification per Weyl orbit: the coroot form is W-invariant
+        labels = [""] * self.num_nodes
+        form = self.rd.coroot_form
+        for orbit in self.orbits():
+            label = classify_vectors(self.coroot_vectors(orbit[0]), form)
+            for i in orbit:
+                labels[i] = label
+        return tuple(labels)
 
     def type_label(self, i: int) -> str:
         return self._type_labels[i]

@@ -2,12 +2,12 @@
 
 ``charvar.count`` assembles the master formula on integer polynomials over
 one common denominator and factors the result with integer arithmetic.
-This module does the same work the direct way, on ``Fraction``-coefficient
-``RationalPoly`` values: each summand carries its own 1/|W(Psi)|^(m-1), the
-global constant is a rational function, and every operation reduces by a
-polynomial gcd.  Its factoring and vanishing order use ``Poly.divmod``
-with ``Fraction`` division and its own cyclotomic polynomials.  It shares
-with the engine only the poset, the emptiness verdict and the pass counts.
+This module does the same work the direct way, on ``RationalPoly`` values:
+each summand carries its own 1/|W(Psi)|^(m-1), the global constant is a
+rational function, and every operation reduces by a polynomial gcd.  Its
+factoring and vanishing order run ``Poly.divmod`` on ``Fraction``
+coefficients, with its own cyclotomic polynomials.  It shares with the
+engine only the poset, the emptiness verdict and the pass counts.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def reference_polynomial(spec: ProblemSpec) -> RationalPoly:
 def cyclotomic(n: int, table: dict[int, Poly]) -> Poly:
     """Phi_n over the rationals, by division of q^n - 1; ``table`` memoizes."""
     if n not in table:
-        num = Poly([-1] + [0] * (n - 1) + [1])
+        num = Poly(map(Fraction, [-1] + [0] * (n - 1) + [1]))
         for d in range(1, n):
             if n % d == 0:
                 num, rem = num.divmod(cyclotomic(d, table))
@@ -99,7 +99,7 @@ def factored_str(poly: RationalPoly) -> str:
     val = 0
     while coeffs[val] == 0:
         val += 1
-    body = Poly(coeffs[val:])
+    body = Poly(map(Fraction, coeffs[val:]))
     denoms = [c.denominator for c in body.coeffs if c]
     numers = [c.numerator for c in body.coeffs if c]
     content = Fraction(
@@ -108,7 +108,7 @@ def factored_str(poly: RationalPoly) -> str:
     )
     if body.leading() < 0:
         content = -content
-    body = body.scale(1 / content)
+    body = body * (1 / content)
     factors: list[tuple[str, int]] = []
     table: dict[int, Poly] = {}
     d = 1
@@ -141,7 +141,7 @@ def factored_str(poly: RationalPoly) -> str:
 def ord_at_one(poly: Poly) -> int:
     """Multiplicity of the root q = 1, by repeated ``Fraction`` division."""
     order = 0
-    qm1 = Poly([-1, 1])
+    qm1 = Poly([Fraction(-1), Fraction(1)])
     while not poly.is_zero():
         quotient, remainder = poly.divmod(qm1)
         if not remainder.is_zero():

@@ -28,12 +28,12 @@ from charvar.charsum import (
 )
 from charvar.count import delta_values, mobius_sum
 from charvar.errors import InvalidInputError
-from charvar.qpoly import IntPoly
+from charvar.qpoly import Poly
 from charvar.rootdata import build_root_datum, enumerate_weyl
 from charvar.subsystems import build_poset
 
 
-QM1 = IntPoly([-1, 1])
+QM1 = Poly([-1, 1])
 
 
 def _element(datum, *words):
@@ -191,7 +191,7 @@ def test_gl2_delta_frozen():
     assert in_commutator(rd, full, s)
     assert deltas[poset.index_of[full]] == QM1
     assert not in_commutator(rd, frozenset(), s)
-    assert deltas[poset.index_of[frozenset()]] == IntPoly()
+    assert deltas[poset.index_of[frozenset()]] == Poly()
 
 
 def test_gl2_delta_generic_eigenvalues():
@@ -202,7 +202,7 @@ def test_gl2_delta_generic_eigenvalues():
     full = frozenset(range(rd.num_roots))
     # det S = a*b is not forced trivial
     assert not in_commutator(rd, full, s)
-    assert _deltas(poset, s)[poset.index_of[full]] == IntPoly()
+    assert _deltas(poset, s)[poset.index_of[full]] == Poly()
 
 
 def test_delta_at_identity_counts_torus():
@@ -228,7 +228,7 @@ def test_so5_torsion_power_condition():
     datum = EigenvalueDatum(symbols=("s", "u"))
     sq = SymbolicTorusElement(datum=datum, coords=((2, 0), (0, 2)))
     assert in_commutator(rd, node, sq)
-    assert _deltas(poset, sq)[a1a1] == IntPoly([4])
+    assert _deltas(poset, sq)[a1a1] == Poly([4])
     # generic (a, b): not forced to be squares
     datum2 = EigenvalueDatum(symbols=("a", "b"))
     gen = _element(datum2, "a", "b")
@@ -284,7 +284,7 @@ def test_alpha_telescopes_to_delta_at_empty():
         words = ["a", "b", "1"][: rd.rank]
         s = _element(datum, *words)
         deltas = _deltas(poset, s)
-        total = IntPoly()
+        total = Poly()
         for i in range(poset.num_nodes):
             total = total + mobius_sum(poset, i, deltas)
         assert total == deltas[poset.index_of[frozenset()]], desc
@@ -298,9 +298,9 @@ def test_alpha_empty_at_identity_gl(n, expected_factors):
     datum = EigenvalueDatum(symbols=("a",))
     one = SymbolicTorusElement.from_words(datum, ["1"] * rd.rank)
     empty = poset.index_of[frozenset()]
-    expected = IntPoly([1])
+    expected = Poly([1])
     for i in range(1, n + 1):
-        expected = expected * IntPoly([-i, 1])
+        expected = expected * Poly([-i, 1])
     assert mobius_sum(poset, empty, _deltas(poset, one)) == expected
 
 

@@ -449,6 +449,19 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert f"error[config-field]: '{key}' must be an integer" in err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_oracle_threads_must_be_positive(self, tmp_path, capsys, source):
+        config = json.loads((CONFIGS / "gl2_genus1.json").read_text())
+        argv = ["oracle", "--config"]
+        if source == "flag":
+            argv += [str(CONFIGS / "gl2_genus1.json"), "--threads", "0"]
+        else:
+            config["oracle"]["threads"] = 0
+            argv.append(write_config(tmp_path, config))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error[oracle-input]: threads must be >= 1" in err
+
     def test_oracle_nonprime_q_exits_2(self, capsys):
         code = main(
             ["oracle", "--config", str(CONFIGS / "gl2_sphere_generic.json"),

@@ -248,10 +248,8 @@ def test_threads_agree_with_sequential():
         unip,
         unip,
     )
-    assert brute_force_count(m, 0, classes, threads=2) == 34
-    assert brute_force_count(
-        m, 1, (semisimple_class(m, (2, 3)), unip), threads=2
-    ) == 11200
+    assert brute_force_count(m, 0, classes) == 34
+    assert brute_force_count(m, 1, (semisimple_class(m, (2, 3)), unip)) == 11200
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charvar.qpoly import ONE, IntPoly, Poly, Q, RationalPoly, ZERO, cyclotomic, q_minus
+from charvar.qpoly import ONE, Poly, Q, RationalPoly, ZERO, cyclotomic, q_minus
 
 qs = sympy.Symbol("q")
 
@@ -26,10 +26,7 @@ def test_ring_ops_match_sympy(a, b):
     assert to_sympy(pa + pb) == to_sympy(pa) + to_sympy(pb)
     assert to_sympy(pa - pb) == to_sympy(pa) - to_sympy(pb)
     assert to_sympy(pa * pb) == to_sympy(pa) * to_sympy(pb)
-    ia, ib = IntPoly(a), IntPoly(b)
-    assert Poly((ia + ib).coeffs) == pa + pb
-    assert Poly((ia * ib).coeffs) == pa * pb
-    assert Poly((ia ** 3).coeffs) == pa ** 3
+    assert to_sympy(pa ** 3) == to_sympy(pa) ** 3
 
 
 @given(poly_coeffs, poly_coeffs)
@@ -46,12 +43,48 @@ def test_divmod_is_exact_division_with_remainder(a, b):
 
 @given(poly_coeffs, poly_coeffs)
 def test_int_divmod_by_monic_divisor(a, b):
-    dividend, divisor = IntPoly(a), IntPoly(b + [1])
+    dividend, divisor = Poly(a), Poly(b + [1])
     quot, rem = dividend.divmod(divisor)
     assert quot * divisor + rem == dividend
     assert rem.degree() < divisor.degree()
-    with pytest.raises(ValueError):
-        dividend.divmod(IntPoly(b + [2]))
+    assert all(type(c) is int for c in quot.coeffs + rem.coeffs)
+    # a non-monic divisor gives an exact rational quotient
+    divisor = Poly(b + [2])
+    quot, rem = dividend.divmod(divisor)
+    assert quot * divisor + rem == dividend
+    assert rem.degree() < divisor.degree()
+    assert all(type(c) in (int, Fraction) for c in quot.coeffs + rem.coeffs)
+
+
+def _types(*polys: Poly) -> set[type]:
+    return {type(c) for p in polys for c in p.coeffs}
+
+
+@given(poly_coeffs, poly_coeffs, st.integers(-9, 9), st.integers(0, 4))
+def test_int_arithmetic_stays_int(a, b, c, k):
+    pa, pb, monic = Poly(a), Poly(b), Poly(b + [1])
+    results = [pa + pb, pa - pb, pa * pb, pa * c, pa ** k, pa.shift(k)]
+    results += pa.divmod(monic)
+    assert _types(*results) <= {int}
+    assert type(pa.ord_at_one()) is int
+    assert "/" not in pa.factored_str()
+
+
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+mixed_coeffs = st.lists(st.one_of(coeff, fractions), max_size=6)
+
+
+@given(mixed_coeffs, mixed_coeffs, st.one_of(coeff, fractions), st.integers(0, 3))
+def test_mixed_arithmetic_never_floats(a, b, c, k):
+    pa, pb = Poly(a), Poly(b)
+    results = [pa + pb, pa - pb, pa * pb, pa * c, pa ** k, pa.shift(k), pa.monic()]
+    if not pb.is_zero():
+        results += pa.divmod(pb)
+        results.append(pa.gcd(pb))
+        r = RationalPoly(pa, pb)
+        results += [r.num, r.den]
+    assert _types(*results) <= {int, Fraction}
+    assert type(pa.evaluate(c)) in (int, Fraction)
 
 
 @given(poly_coeffs, poly_coeffs)

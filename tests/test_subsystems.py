@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from charvar.count import resolve_overrides
 from charvar.errors import InvalidInputError, ResourceLimitError
 from charvar.qpoly import Poly
-from charvar.rootdata import build_root_datum
+from charvar.rootdata import build_root_datum, classify_vectors
 from charvar.subsystems import (
     SubsystemPoset,
     build_poset,
@@ -349,6 +349,16 @@ def test_f4_enumeration_runs():
     for node in poset.nodes:
         if len(node) != rd.num_roots:
             assert rd.num_roots - len(node) >= 2 * 4
+
+
+@pytest.mark.parametrize("desc", ["B4", "C4", "D4", "F4", "G2", "GL(5)"])
+def test_orbit_labels_match_per_node_classification(desc):
+    # labels are classified once per Weyl orbit and copied to its members
+    rd = build_root_datum(desc)
+    poset = SubsystemPoset(rd)
+    for i in range(poset.num_nodes):
+        expected = classify_vectors(poset.coroot_vectors(i), rd.coroot_form)
+        assert poset.type_label(i) == expected, (desc, i)
 
 
 def test_override_label_resolution(so5_poset):
