@@ -55,7 +55,7 @@ from .count import (
     count_polynomial,
     emptiness,
     expected_dimension,
-    pass_counts,
+    orbit_pass_counts,
     resolve_overrides,
     validate_problem,
 )
@@ -567,10 +567,13 @@ class UnitSpecialization:
     A; values with extra multiplicative relations (easy in a small field)
     specialize a different counting problem.  ``faithful`` compares the
     counting engine's pass counts over A (``symbolic``, once per problem)
-    with those of node maps on <g> (compiled once per q).  Equal counts
-    suffice: phi is a homomorphism, so every tuple that dies in
-    (X^vee/<Psi>) (x) A also dies in (X^vee/<Psi>) (x) Z/(q-1), and with
-    equal counts no other tuple can.
+    with those of node maps on <g> (compiled once per q), one count per
+    Weyl orbit without an override.  Equal counts suffice: phi is a
+    homomorphism, so every tuple that dies in (X^vee/<Psi>) (x) A also dies
+    in (X^vee/<Psi>) (x) Z/(q-1), and with equal counts no other tuple can.
+    Comparing per orbit loses nothing, because an orbit's count is the
+    number D(Psi) of dying tuples at each of its members: the same numbers
+    a per-node comparison would see.
     """
 
     def __init__(
@@ -583,7 +586,9 @@ class UnitSpecialization:
         )
         self.logs = {pow(self.g, k, q): k for k in range(q - 1)}
         self.datum = EigenvalueDatum(("g",), (f"g^{q - 1}",))
-        self.maps = [node_map(inv, self.datum.group) for inv in quotients]
+        self.maps = [
+            [node_map(inv, self.datum.group) for inv in orbit] for orbit in quotients
+        ]
 
     def specialize(self, values: dict) -> ProblemSpec | None:
         """The problem over <g> at ``values`` (residues mod q), or None.
@@ -625,19 +630,25 @@ class UnitSpecialization:
         ]
 
     def faithful(self, concrete: ProblemSpec) -> bool:
-        return pass_counts(concrete, self.maps) == self.symbolic
+        return orbit_pass_counts(concrete, self.maps) == self.symbolic
 
 
 def symbolic_pass_counts(spec: ProblemSpec) -> tuple[list, list[int]]:
-    """X^vee/<Psi> for each closed subsystem without an override, and its pass count."""
+    """Per Weyl orbit without an override, X^vee/<Psi> of its members and its pass count.
+
+    Overrides name type or display labels, which are constant on orbits, so
+    an orbit is overridden as a whole.
+    """
     poset = build_poset(spec.rd)
     overridden = resolve_overrides(poset, spec.overrides_dict())
     quotients = [
-        poset.quotient(j) for j in range(poset.num_nodes) if j not in overridden
+        [poset.quotient(j) for j in orbit]
+        for orbit in poset.orbits()
+        if orbit[0] not in overridden
     ]
     group = spec.eigenvalues.group
-    maps = [node_map(inv, group) for inv in quotients]
-    return quotients, pass_counts(spec, maps)
+    maps = [[node_map(inv, group) for inv in orbit] for orbit in quotients]
+    return quotients, orbit_pass_counts(spec, maps)
 
 
 def cmd_oracle(args) -> tuple[int, dict, str]:
@@ -826,8 +837,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--budget", type=int, default=None,
                 help=(
                     "budget override: histogram entries of the translate "
-                    "join, |W|^floor(m/2) + |W|^ceil(m/2) (count, table), "
-                    "or brute-force enumeration steps (oracle)"
+                    "join, |W|^floor((m-1)/2) + |W|^ceil((m-1)/2) (count, "
+                    "table), or brute-force enumeration steps (oracle)"
                 ),
             )
         if oracle:

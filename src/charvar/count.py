@@ -16,11 +16,16 @@ with chi = 2g + n - 2, where D(Psi') adds up the local factor Delta over
 all W^m-translates of the semisimple classes.  Each node's membership test
 is compiled once into an additive map to a finitely generated abelian group
 (``charsum.node_map``); a product of translates dies exactly when the
-images of its factors sum to zero.  So D counts zero sums: each class
-contributes the histogram of its |W| translate images, the classes are
-convolved in two halves, and one dictionary lookup per entry of one half
-against the negated other half counts the zero sums -- about 2 |W|^(m/2)
-entries per node rather than |W|^m products.
+images of its factors sum to zero.  D is constant on Weyl orbits of
+closed subsystems, and summed over an orbit it needs no translate of the
+first class (``orbit_pass_counts``): per node, only the (m-1)-tuples of
+translates of the other classes are counted.  Those are zero sums: each
+class contributes the histogram of its |W| translate images, the classes
+are convolved in two halves, the first class's image shifting one of
+them, and one dictionary lookup per entry of one half against the negated
+other half counts the zero sums -- |W|^floor((m-1)/2) + |W|^ceil((m-1)/2)
+entries per node rather than |W|^m products, and one image per node when
+m = 1.
 
 The inner sum is ``mobius_sum`` applied to the D values.  The diagnostic
 table applies the same ``mobius_sum`` to the local factor Delta of the
@@ -47,6 +52,7 @@ warns when the two disagree.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .abelian import AdditiveMap
@@ -295,47 +301,68 @@ def delta_values(
     ]
 
 
-def pass_counts(
+def orbit_pass_counts(
     spec: ProblemSpec,
-    maps: list[AdditiveMap],
+    orbits: Sequence[Sequence[AdditiveMap]],
     budget: int = DEFAULT_TRANSLATE_BUDGET,
 ) -> list[int]:
-    """Per node map, the number of W^m-translate tuples whose product dies.
+    """Per Weyl orbit, the number of W^m-translate tuples whose product dies.
 
-    The maps are additive, so a tuple passes when the images of its
-    translates sum to zero.  The classes are split into two halves; each
-    half's histogram of image sums is the convolution of its classes'
-    histograms of |W| translate images, and the zero sums are counted with
-    one lookup per left entry against the negated right half.  ``budget``
+    Each orbit O is given by the node maps of all its members; its count is
+    D(Psi) at every Psi in O, the same number for each.  The count rests on
+    W-invariance: w.S dies in Psi exactly when S dies in w^-1 Psi, and left
+    multiplication by w permutes the translate tuples.  Grouping the tuples
+    by their first translate w therefore gives
+
+        D(Psi) = sum over w in W of N(w^-1 Psi)
+               = (|W| / |O|) * sum over Psi' in O of N(Psi'),
+
+    where N(Psi') counts the (m-1)-tuples (w_2, ..., w_m) for which
+    S_1 + w_2 S_2 + ... + w_m S_m dies at Psi', and w^-1 Psi runs over O,
+    meeting each member |W| / |O| times.
+
+    The maps are additive, so a tuple passes when the images of its terms
+    sum to zero.  S_2 .. S_m are split into two halves; each half's
+    histogram of image sums is the convolution of its classes' histograms
+    of |W| translate images, the left one shifted by the image of S_1, and
+    the zero sums are counted with one lookup per left entry against the
+    negated right half.  With m = 1 both halves are empty: N(Psi') is 1 or
+    0 as S_1 dies at Psi' or not, and no translate is computed.  ``budget``
     bounds the histogram entries: a strongly regular class has |W|
-    distinct translates, so each half holds at most |W|^(its class count).
+    distinct translates, so the halves hold at most
+    |W|^floor((m-1)/2) + |W|^ceil((m-1)/2) entries.
     """
     weyl = enumerate_weyl(spec.rd)
-    classes = spec.semisimple_classes
-    half = len(classes) // 2
-    entries = weyl.order ** half + weyl.order ** (len(classes) - half)
+    first, *rest = spec.semisimple_classes
+    half = len(rest) // 2
+    entries = weyl.order ** half + weyl.order ** (len(rest) - half)
     if entries > budget:
         raise ResourceLimitError(
             "translate-budget",
-            f"the translate histogram join needs up to {entries} entries, "
+            f"the translate histogram join builds up to {entries} entries "
+            f"(|W|^{half} + |W|^{len(rest) - half} with |W| = {weyl.order}), "
             f"exceeding the budget {budget}; raise the budget to proceed",
         )
-    translates = [[translate(w, s).flat() for w in weyl.elements] for s in classes]
+    translates = [[translate(w, s).flat() for w in weyl.elements] for s in rest]
+    start = first.flat()
     counts = []
-    for nmap in maps:
-        left = _sum_histogram(nmap, translates[:half])
-        right = _sum_histogram(nmap, translates[half:])
-        counts.append(
-            sum(mult * right.get(nmap.negate(x), 0) for x, mult in left.items())
-        )
+    for maps in orbits:
+        passing = 0
+        for nmap in maps:
+            left = _sum_histogram(nmap, nmap.image(start), translates[:half])
+            right = _sum_histogram(nmap, (0,) * len(nmap.moduli), translates[half:])
+            passing += sum(
+                mult * right.get(nmap.negate(x), 0) for x, mult in left.items()
+            )
+        counts.append(weyl.order // len(maps) * passing)
     return counts
 
 
 def _sum_histogram(
-    nmap: AdditiveMap, classes: list[list[tuple[int, ...]]]
+    nmap: AdditiveMap, start: tuple[int, ...], classes: list[list[tuple[int, ...]]]
 ) -> dict[tuple[int, ...], int]:
-    """Multiplicities of the image sums of one translate per class."""
-    sums = {(0,) * len(nmap.moduli): 1}
+    """Multiplicities of ``start`` plus the image sums of one translate per class."""
+    sums = {start: 1}
     for translates in classes:
         images = Counter(nmap.image(t) for t in translates)
         convolved: dict[tuple[int, ...], int] = {}
@@ -454,9 +481,13 @@ def count_polynomial(
     # contradicts the computed indicator are tallied per display label
     weyl_order = enumerate_weyl(rd).order
     products = weyl_order ** m
+    by_orbit = orbit_pass_counts(
+        spec, [[maps[j] for j in orbit] for orbit in poset.orbits()], budget
+    )
     mismatch: dict[str, list[int]] = {}
     d_values: list[Poly] = []
-    for j, passing in enumerate(pass_counts(spec, maps, budget)):
+    for j in range(poset.num_nodes):
+        passing = by_orbit[poset.orbit_of(j)]
         if j in verdict.overrides:
             counts = mismatch.setdefault(poset.display_label(j), [0, 0])
             counts[0] += products - passing if verdict.overrides[j] else passing

@@ -7,7 +7,8 @@ each summand carries its own 1/|W(Psi)|^(m-1), the global constant is a
 rational function, and every operation reduces by a polynomial gcd.  Its
 factoring and vanishing order run ``Poly.divmod`` on ``Fraction``
 coefficients, with its own cyclotomic polynomials.  It shares with the
-engine only the poset, the emptiness verdict and the pass counts.
+engine only the poset and the emptiness verdict; its pass counts come
+from the per-node join in ``translate_reference``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from charvar.charsum import node_map
-from charvar.count import ProblemSpec, emptiness, pass_counts
+from charvar.count import ProblemSpec, emptiness
 from charvar.qpoly import Poly, RationalPoly, q_minus
 from charvar.rootdata import enumerate_weyl
 from charvar.subsystems import build_poset
+from translate_reference import node_pass_counts
 
 
 def _z_prefactor(rd, m: int, n: int, chi: int) -> RationalPoly:
@@ -54,7 +56,7 @@ def reference_polynomial(spec: ProblemSpec) -> RationalPoly:
     maps = [node_map(poset.quotient(i), group) for i in range(poset.num_nodes)]
     weyl_order = enumerate_weyl(rd).order
     d_values = []
-    for j, passing in enumerate(pass_counts(spec, maps)):
+    for j, passing in enumerate(node_pass_counts(spec, maps)):
         if j in verdict.overrides:
             passing = weyl_order ** m if verdict.overrides[j] else 0
         inv = poset.quotient(j)

@@ -1,16 +1,20 @@
-"""Differential test of the translate histogram join against brute force.
+"""Differential tests of the translate join against brute force and per node.
 
-``count.pass_counts`` counts, per closed subsystem Psi, the W^m-translate
-tuples of the semisimple classes whose product dies in
-(X^vee / <Psi>) (x) A, by convolving per-class histograms of compiled node
-map images.  The reference below enumerates all |W|^m tuples and decides
+``count.orbit_pass_counts`` counts, per Weyl orbit of closed subsystems
+Psi, the W^m-translate tuples of the semisimple classes whose product dies
+in (X^vee / <Psi>) (x) A, by convolving per-class histograms of compiled
+node map images with the first class's translate fixed.  Two references
+check it.  The brute-force one enumerates all |W|^m tuples and decides
 each product with the per-product Smith test the node map replaced: with
 U C V = D the Smith form of the coroots of Psi, the word
 b_j = sum_i V[i][j] S_i must be a d_j-th power along each torsion
 direction and trivial along each free one, asked through the public
-``is_dth_power`` and ``is_identity``.
+``is_dth_power`` and ``is_identity``.  The per-node one is the join the
+orbit count replaced (``translate_reference``), run at every node with all
+m classes translated.
 """
 
+import dataclasses
 import itertools
 
 from hypothesis import given, settings
@@ -23,9 +27,11 @@ from charvar.charsum import (
     node_map,
     product_translate,
 )
-from charvar.count import ProblemSpec, pass_counts
+from charvar.cli import symbolic_pass_counts
+from charvar.count import ProblemSpec, orbit_pass_counts, resolve_overrides
 from charvar.rootdata import build_root_datum, enumerate_weyl
 from charvar.subsystems import build_poset
+from translate_reference import node_pass_counts
 
 # the largest m per group keeps |W|^m <= 576 brute-force products
 MAX_M = {"GL(2)": 3, "GL(3)": 3, "GL(4)": 2, "PGL(2)": 3, "SO(5)": 3, "G2": 2}
@@ -96,10 +102,48 @@ def problems(draw):
     )
 
 
+def engine_pass_counts(spec: ProblemSpec, poset) -> list[int]:
+    """The orbit counts of every orbit, read back per node."""
+    group = spec.eigenvalues.group
+    maps = [node_map(poset.quotient(i), group) for i in range(poset.num_nodes)]
+    orbits = poset.orbits()
+    counts = orbit_pass_counts(spec, [[maps[j] for j in orbit] for orbit in orbits])
+    return [counts[poset.orbit_of(j)] for j in range(poset.num_nodes)]
+
+
 @settings(max_examples=100, deadline=10_000)
 @given(problems())
 def test_join_matches_brute_force_enumeration(spec):
     poset = build_poset(spec.rd)
+    assert engine_pass_counts(spec, poset) == reference_pass_counts(spec, poset)
+
+
+@settings(max_examples=100, deadline=10_000)
+@given(problems(), st.data())
+def test_orbit_counts_match_per_node_join(spec, data):
+    """Orbit counts equal the per-node join, with and without overrides.
+
+    Overrides are drawn by type label; the oracle's symbolic counts cover
+    exactly the orbits they leave out, one count per orbit.
+    """
+    poset = build_poset(spec.rd)
     group = spec.eigenvalues.group
     maps = [node_map(poset.quotient(i), group) for i in range(poset.num_nodes)]
-    assert pass_counts(spec, maps) == reference_pass_counts(spec, poset)
+    per_node = node_pass_counts(spec, maps)
+    assert engine_pass_counts(spec, poset) == per_node
+
+    labels = sorted({poset.type_label(i) for i in range(poset.num_nodes)})
+    overrides = data.draw(
+        st.dictionaries(st.sampled_from(labels), st.booleans(), max_size=2)
+    )
+    spec = dataclasses.replace(spec, overrides=tuple(sorted(overrides.items())))
+    overridden = resolve_overrides(poset, spec.overrides_dict())
+    # labels are constant on orbits, so overrides cover whole orbits
+    assert all(
+        (j in overridden) == (orbit[0] in overridden)
+        for orbit in poset.orbits() for j in orbit
+    )
+    kept = [orbit for orbit in poset.orbits() if orbit[0] not in overridden]
+    quotients, symbolic = symbolic_pass_counts(spec)
+    assert [len(orbit) for orbit in quotients] == [len(orbit) for orbit in kept]
+    assert symbolic == [per_node[orbit[0]] for orbit in kept]
