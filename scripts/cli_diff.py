@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Check that two source trees give byte-identical `charvar` CLI output.
+
+Usage:
+
+    python3 scripts/cli_diff.py PARENT_SRC CHANGE_SRC
+
+Each argument is a directory holding the ``charvar`` package (a checkout's
+``src``).  Every command of the matrix below runs once per tree, each as its
+own cold ``python -m charvar.cli`` process, and the two runs are compared on
+exit code, stdout, stderr and the ``--json`` payload apart from
+``generated_at``.  The matrix:
+
+* ``count``, ``count --table``, ``table``, ``check`` and ``poset`` on every
+  curated config in ``configs/`` and every seed-0 benchmark problem of
+  ``perfbench/workloads.py``;
+* ``poset`` on the classical groups in ``POSET_GROUPS``;
+* ``oracle --seed 0`` (``--threads 1``) on every config with an ``oracle``
+  section.
+
+Each differing command is printed with what differs; the last line counts
+the differences, and the exit status is 1 when there is any.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402  (perfbench/ is read, never written)
+
+POSET_GROUPS = (
+    "SO(5)", "SO(7)", "SO(8)", "Sp(4)", "Sp(6)", "GL(4)", "PGL(3)", "SL(3)",
+    "SO(5) x GL(2)",
+)
+COUNT_COMMANDS = (("count",), ("count", "--table"), ("table",), ("check",), ("poset",))
+
+
+def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
+    """Every CLI argument list to compare, with configs written to config_dir."""
+    configs = sorted((ROOT / "configs").glob("*.json"))
+    for workload in workloads.WORKLOADS:
+        for problem in workloads.problems(workload, 0):
+            path = config_dir / f"{workload}-{problem.name}.json"
+            path.write_text(json.dumps(problem.config, indent=2))
+            configs.append(path)
+    runs = []
+    for path in configs:
+        for command in COUNT_COMMANDS:
+            runs.append(command[:1] + ("--config", str(path)) + command[1:])
+        if "oracle" in json.loads(path.read_text()):
+            runs.append(
+                ("oracle", "--config", str(path), "--seed", "0", "--threads", "1")
+            )
+    for k, group in enumerate(POSET_GROUPS):
+        path = config_dir / f"group-{k}.json"
+        path.write_text(json.dumps({"schema_version": 1, "group": group}))
+        runs.append(("poset", "--config", str(path)))
+    return runs
+
+
+def run(src: str, args: tuple[str, ...], json_path: pathlib.Path) -> tuple:
+    """(exit code, stdout, stderr, JSON payload without generated_at)."""
+    json_path.unlink(missing_ok=True)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "charvar.cli", *args, "--json", str(json_path)],
+        env=env, capture_output=True, text=True, cwd=json_path.parent,
+    )
+    payload = None
+    if json_path.exists():
+        payload = json.loads(json_path.read_text())
+        payload.pop("generated_at", None)
+    return proc.returncode, proc.stdout, proc.stderr, payload
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: cli_diff.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 2
+    parent, change = (str(pathlib.Path(p).resolve()) for p in argv)
+    fields = ("exit code", "stdout", "stderr", "json")
+    differences = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = pathlib.Path(tmp)
+        runs = matrix(tmp_path)
+        for args in runs:
+            before = run(parent, args, tmp_path / "out.json")
+            after = run(change, args, tmp_path / "out.json")
+            if before != after:
+                differences += 1
+                differ = [f for f, a, b in zip(fields, before, after) if a != b]
+                print(f"DIFF ({', '.join(differ)}): charvar {' '.join(args)}")
+                if before[0] != after[0] or before[2] != after[2]:
+                    print(f"  parent: exit {before[0]} {before[2].strip()}")
+                    print(f"  change: exit {after[0]} {after[2].strip()}")
+    print(f"{len(runs)} commands, {differences} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

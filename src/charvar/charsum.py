@@ -212,7 +212,7 @@ def strongly_regular(rd: RootDatum, element: SymbolicTorusElement) -> bool:
     identity = tuple(
         tuple(1 if r == c else 0 for c in range(rd.rank)) for r in range(rd.rank)
     )
-    for w in enumerate_weyl(rd).elements:
+    for w in enumerate_weyl(rd):
         if w == identity:
             continue
         moved = translate(w, element)

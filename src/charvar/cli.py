@@ -384,23 +384,23 @@ def report_text(report: CountReport, show_table: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_count(args) -> tuple[int, dict, str]:
-    config = load_config(args.config)
-    spec = build_problem(config)
+def _count_report(args, command: str) -> tuple[CountReport, dict]:
+    """Count the configured problem; its report and the ``command`` payload."""
+    spec = build_problem(load_config(args.config))
     budget = args.budget if args.budget is not None else DEFAULT_TRANSLATE_BUDGET
     report = count_polynomial(spec, budget=budget)
-    payload = _envelope("count")
+    payload = _envelope(command)
     payload.update(report_payload(report))
+    return report, payload
+
+
+def cmd_count(args) -> tuple[int, dict, str]:
+    report, payload = _count_report(args, "count")
     return 0, payload, report_text(report, show_table=args.table)
 
 
 def cmd_table(args) -> tuple[int, dict, str]:
-    config = load_config(args.config)
-    spec = build_problem(config)
-    budget = args.budget if args.budget is not None else DEFAULT_TRANSLATE_BUDGET
-    report = count_polynomial(spec, budget=budget)
-    payload = _envelope("table")
-    payload.update(report_payload(report))
+    report, payload = _count_report(args, "table")
     header = (
         f"diagnostic table for {report.group_label}, genus {report.genus}, "
         f"{report.punctures} punctures"
@@ -521,7 +521,7 @@ def cmd_check(args) -> tuple[int, dict, str]:
             "semisimple_classes": spec.m,
             "checks": [{"name": n, "result": r} for n, r in checks],
             "validity_modulus": modulus(rd.dual()),
-            "excluded_primes": list(primes.excluded),
+            "excluded_primes": list(primes),
             "expected_dimension": expected_dimension(spec),
             "non_empty": bool(nonempty),
         }
@@ -534,7 +534,7 @@ def cmd_check(args) -> tuple[int, dict, str]:
         lines.append(f"  {name}: {result}")
     lines.append(
         f"  validity: primes q = 1 mod {payload['validity_modulus']}, "
-        f"excluding {set(primes.excluded) or '{}'}"
+        f"excluding {set(primes) or '{}'}"
     )
     lines.append(f"  expected dimension: {payload['expected_dimension']}")
     return 0, payload, "\n".join(lines)

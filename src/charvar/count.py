@@ -335,15 +335,15 @@ def orbit_pass_counts(
     weyl = enumerate_weyl(spec.rd)
     first, *rest = spec.semisimple_classes
     half = len(rest) // 2
-    entries = weyl.order ** half + weyl.order ** (len(rest) - half)
+    entries = len(weyl) ** half + len(weyl) ** (len(rest) - half)
     if entries > budget:
         raise ResourceLimitError(
             "translate-budget",
             f"the translate histogram join builds up to {entries} entries "
-            f"(|W|^{half} + |W|^{len(rest) - half} with |W| = {weyl.order}), "
+            f"(|W|^{half} + |W|^{len(rest) - half} with |W| = {len(weyl)}), "
             f"exceeding the budget {budget}; raise the budget to proceed",
         )
-    translates = [[translate(w, s).flat() for w in weyl.elements] for s in rest]
+    translates = [[translate(w, s).flat() for w in weyl] for s in rest]
     start = first.flat()
     counts = []
     for maps in orbits:
@@ -354,7 +354,7 @@ def orbit_pass_counts(
             passing += sum(
                 mult * right.get(nmap.negate(x), 0) for x, mult in left.items()
             )
-        counts.append(weyl.order // len(maps) * passing)
+        counts.append(len(weyl) // len(maps) * passing)
     return counts
 
 
@@ -479,7 +479,7 @@ def count_polynomial(
     # D(node) = |Tor| (q-1)^rank * (number of translate tuples passing);
     # an override passes all |W|^m tuples or none, and the tuples where it
     # contradicts the computed indicator are tallied per display label
-    weyl_order = enumerate_weyl(rd).order
+    weyl_order = len(enumerate_weyl(rd))
     products = weyl_order ** m
     by_orbit = orbit_pass_counts(
         spec, [[maps[j] for j in orbit] for orbit in poset.orbits()], budget
@@ -616,7 +616,7 @@ def _finish_report(
         num_components=num_components,
         validity_modulus=modulus(rd.dual()),
         diagnostic_exponent_lcm=build_poset(rd).torsion_exponent_lcm(),
-        excluded_primes=admissible_primes(rd).excluded,
+        excluded_primes=admissible_primes(rd),
         warnings=tuple(warnings),
         table=table,
         factored=polynomial.factored_str(),

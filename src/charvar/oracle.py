@@ -56,7 +56,7 @@ _SUPPORTED = {("GL", 2), ("GL", 3), ("PGL", 2)}
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in range(2, int(n**0.5) + 1):
+    for p in range(2, math.isqrt(n) + 1):
         if n % p == 0:
             return False
     return True
@@ -273,6 +273,10 @@ def check_field(family: str, size: int, q: int) -> None:
             f"brute-force models support GL(2), GL(3), PGL(2); "
             f"got {family}({size})",
         )
+    if q > DEFAULT_FIELD_CAP:
+        raise ResourceLimitError(
+            "oracle-cap", f"q = {q} exceeds the field cap {DEFAULT_FIELD_CAP}"
+        )
     if not _is_prime(q):
         raise InvalidInputError(
             "oracle-field",
@@ -283,10 +287,6 @@ def check_field(family: str, size: int, q: int) -> None:
         raise InvalidInputError(
             "oracle-field",
             "PGL(2) models require an odd prime field",
-        )
-    if q > DEFAULT_FIELD_CAP:
-        raise ResourceLimitError(
-            "oracle-cap", f"q = {q} exceeds the field cap {DEFAULT_FIELD_CAP}"
         )
     if q**(size * size) > MAX_ENUMERATION:
         raise ResourceLimitError(

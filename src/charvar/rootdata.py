@@ -7,6 +7,9 @@ lattice X^vee = Z^d, paired with X by the dot product).  Index i of
 fixes a choice of positive roots.  Everything is integral and hashable.
 What a datum derives (lookups, Gram matrices, center invariants, the Weyl
 group, the closed-subsystem poset) is built on first use and kept on it.
+The Weyl group is the tuple of its matrices on X^vee; the semisimple rank
+and the cocenter are read off the center invariants of the datum and of
+its dual.
 
 Construction goes through ``build_root_datum``, which accepts either a
 descriptor string — ``"GL(3)"``, ``"SO(5)"``, ``"Sp(4)"``, ``"SL(2)"``,
@@ -135,14 +138,6 @@ class RootDatum:
             for r in range(self.rank)
         )
 
-    def root_reflection_matrix(self, index: int) -> Matrix:
-        """Matrix of s_alpha acting on X: x -> x - <x, alpha^vee> alpha."""
-        root, coroot = self.roots[index], self.coroots[index]
-        return tuple(
-            tuple((1 if r == c else 0) - root[r] * coroot[c] for c in range(self.rank))
-            for r in range(self.rank)
-        )
-
     # -- derived structure --------------------------------------------------
 
     @cached_property
@@ -152,10 +147,8 @@ class RootDatum:
 
     @property
     def semisimple_rank(self) -> int:
-        """Rank of the span of the roots."""
-        if not self.roots:
-            return 0
-        return len(smith_normal_form([list(v) for v in self.roots]).divisors)
+        """Rank of the span of the roots: d minus the central torus rank."""
+        return self.rank - self.center_invariants.free_rank
 
     @cached_property
     def _grams(self) -> tuple[Matrix, Matrix]:
@@ -180,9 +173,9 @@ class RootDatum:
         return quotient_invariants(self.rank, self.roots)
 
     @cached_property
-    def weyl_group(self) -> WeylGroup:
-        """The Weyl group, enumerated from the simple reflections (BFS)."""
-        return WeylGroup(elements=_reflection_group(self, self.simple_root_indices))
+    def weyl_group(self) -> tuple[Matrix, ...]:
+        """The Weyl group as matrices on X^vee, from the simple reflections (BFS)."""
+        return _reflection_group(self, self.simple_root_indices)
 
     @cached_property
     def poset(self) -> SubsystemPoset:
@@ -279,8 +272,9 @@ def validate_root_datum(rd: RootDatum) -> None:
 
     croot_lookup = rd.coroot_lookup
     for i in range(len(rd.roots)):
-        s_on_x = rd.root_reflection_matrix(i)
         s_on_xv = rd.reflection_matrix(i)
+        # s_alpha on X is its transpose: [r][c] = delta_rc - alpha[r] alpha^vee[c]
+        s_on_x = tuple(zip(*s_on_xv))
         for j in range(len(rd.roots)):
             image = _mat_vec(s_on_x, rd.roots[j])
             k = lookup.get(image)
@@ -473,44 +467,29 @@ def gl_datum(n: int) -> RootDatum:
     return RootDatum(rank=n, roots=roots, coroots=roots, positive=positive, label=f"GL({n})")
 
 
-def so_odd_datum(r: int) -> RootDatum:
-    """SO(2r+1): roots +/-e_i, +/-e_i+/-e_j; coroots +/-2e_i, +/-e_i+/-e_j."""
-    roots: list[Vector] = []
-    coroots: list[Vector] = []
-    for i in range(r):
-        for s in (1, -1):
-            roots.append(_unit(r, i, s))
-            coroots.append(_unit(r, i, 2 * s))
-    for v in _signed_pairs(r):
-        roots.append(v)
-        coroots.append(v)
+def _bc_datum(r: int, root_scale: int, coroot_scale: int, label: str) -> RootDatum:
+    """Type B/C: roots +/-root_scale e_i and +/-e_i+/-e_j, coroots likewise."""
+    units = [(i, s) for i in range(r) for s in (1, -1)]
+    pairs = tuple(_signed_pairs(r))
+    roots = tuple(_unit(r, i, root_scale * s) for i, s in units) + pairs
+    coroots = tuple(_unit(r, i, coroot_scale * s) for i, s in units) + pairs
     return RootDatum(
         rank=r,
-        roots=tuple(roots),
-        coroots=tuple(coroots),
-        positive=_positive_indices_by_height(tuple(roots)),
-        label=f"SO({2 * r + 1})",
+        roots=roots,
+        coroots=coroots,
+        positive=_positive_indices_by_height(roots),
+        label=label,
     )
+
+
+def so_odd_datum(r: int) -> RootDatum:
+    """SO(2r+1): roots +/-e_i, +/-e_i+/-e_j; coroots +/-2e_i, +/-e_i+/-e_j."""
+    return _bc_datum(r, 1, 2, f"SO({2 * r + 1})")
 
 
 def sp_datum(r: int) -> RootDatum:
     """Sp(2r): roots +/-2e_i, +/-e_i+/-e_j; coroots +/-e_i, +/-e_i+/-e_j."""
-    roots: list[Vector] = []
-    coroots: list[Vector] = []
-    for i in range(r):
-        for s in (1, -1):
-            roots.append(_unit(r, i, 2 * s))
-            coroots.append(_unit(r, i, s))
-    for v in _signed_pairs(r):
-        roots.append(v)
-        coroots.append(v)
-    return RootDatum(
-        rank=r,
-        roots=tuple(roots),
-        coroots=tuple(coroots),
-        positive=_positive_indices_by_height(tuple(roots)),
-        label=f"Sp({2 * r})",
-    )
+    return _bc_datum(r, 2, 1, f"Sp({2 * r})")
 
 
 def so_even_datum(r: int) -> RootDatum:
@@ -653,17 +632,6 @@ def build_root_datum(descriptor: str | dict) -> RootDatum:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeylGroup:
-    """The Weyl group as integer matrices acting on X^vee (column vectors)."""
-
-    elements: tuple[Matrix, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
 def _reflection_group(rd: RootDatum, indices: tuple[int, ...]) -> tuple[Matrix, ...]:
     """The group generated by the reflections at ``indices``, in BFS order.
 
@@ -706,8 +674,8 @@ def _reflection_group(rd: RootDatum, indices: tuple[int, ...]) -> tuple[Matrix, 
     return tuple(ordered)
 
 
-def enumerate_weyl(rd: RootDatum) -> WeylGroup:
-    """The Weyl group of ``rd``, enumerated on first request and kept on it."""
+def enumerate_weyl(rd: RootDatum) -> tuple[Matrix, ...]:
+    """The Weyl group of ``rd`` (``RootDatum.weyl_group``); |W| is its length."""
     return rd.weyl_group
 
 
@@ -747,9 +715,9 @@ def connected_center_check(rd: RootDatum) -> bool:
     return not rd.center_invariants.torsion
 
 
-def cocenter_invariants(rd: RootDatum):
-    """Invariants of X^vee / (coroot lattice); torsion = fundamental group."""
-    return quotient_invariants(rd.rank, [list(v) for v in rd.coroots])
+def cocenter_invariants(rd: RootDatum) -> QuotientInvariants:
+    """Invariants of X^vee / (coroot lattice), the dual's center; torsion = pi_1."""
+    return rd.dual().center_invariants
 
 
 # ---------------------------------------------------------------------------
@@ -933,15 +901,8 @@ def _prime_factors(n: int) -> set[int]:
     return out
 
 
-@dataclass(frozen=True)
-class AdmissiblePrimes:
-    """Primes that must be avoided by the field characteristic."""
-
-    excluded: tuple[int, ...]
-
-
-def admissible_primes(rd: RootDatum) -> AdmissiblePrimes:
-    """Characteristics where regular unipotent classes behave uniformly.
+def admissible_primes(rd: RootDatum) -> tuple[int, ...]:
+    """Excluded characteristics, sorted: outside them regular unipotents are uniform.
 
     Always excludes 2; per irreducible component of type A_r or C_r the
     primes dividing r+1, type B_r the primes dividing 2r-1, type D_r the
@@ -959,7 +920,7 @@ def admissible_primes(rd: RootDatum) -> AdmissiblePrimes:
             excluded.add(3)
             if (letter, r) == ("E", 8):
                 excluded.add(5)
-    return AdmissiblePrimes(excluded=tuple(sorted(excluded)))
+    return tuple(sorted(excluded))
 
 
 def modulus(rd: RootDatum) -> int:

@@ -54,7 +54,7 @@ def reference_polynomial(spec: ProblemSpec) -> RationalPoly:
         return zero
     group = spec.eigenvalues.group
     maps = [node_map(poset.quotient(i), group) for i in range(poset.num_nodes)]
-    weyl_order = enumerate_weyl(rd).order
+    weyl_order = len(enumerate_weyl(rd))
     d_values = []
     for j, passing in enumerate(node_pass_counts(spec, maps)):
         if j in verdict.overrides:

@@ -102,8 +102,7 @@ def test_translate_permutes_gl3_coordinates():
     rd = build_root_datum("GL(3)")
     datum = EigenvalueDatum(symbols=("a", "b", "c"))
     s = _element(datum, "a", "b", "c")
-    weyl = enumerate_weyl(rd)
-    images = {translate(w, s).coords for w in weyl.elements}
+    images = {translate(w, s).coords for w in enumerate_weyl(rd)}
     # W = S3 permutes the three coordinates freely here
     perms = {
         tuple(s.coords[i] for i in perm)
@@ -118,7 +117,7 @@ def test_product_translate_sums_coordinates():
     s1 = _element(datum, "a", "b")
     s2 = _element(datum, "c", "d")
     identity = tuple(tuple(1 if i == j else 0 for j in range(2)) for i in range(2))
-    swap = next(w for w in enumerate_weyl(rd).elements if w != identity)
+    swap = next(w for w in enumerate_weyl(rd) if w != identity)
     prod = product_translate([identity, swap], [s1, s2])
     # w2 swaps (c, d); the product multiplies coordinatewise
     assert prod.coords == (datum.parse_word("a*d"), datum.parse_word("b*c"))
@@ -258,7 +257,7 @@ def test_in_commutator_weyl_equivariant():
     lookup = {v: i for i, v in enumerate(rd.coroots)}
     datum = EigenvalueDatum(symbols=("a", "b"), relations=("a^2*b",))
     s = _element(datum, "a", "b")
-    for w in enumerate_weyl(rd).elements:
+    for w in enumerate_weyl(rd):
         ws = translate(w, s)
         for node in poset.nodes:
             image = frozenset(

@@ -478,6 +478,14 @@ class TestOracleCommand:
         assert code == 3
         assert "error[oracle-cap]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q", ["12", "1" + "0" * 400 + "7"])
+    def test_oracle_q_above_cap_exits_3_even_if_composite(self, capsys, q):
+        code = main(
+            ["oracle", "--config", str(CONFIGS / "gl2_genus1.json"), "--q", q]
+        )
+        assert code == 3
+        assert "error[oracle-cap]" in capsys.readouterr().err
+
     def test_oracle_pgl(self, capsys):
         code = main(
             ["oracle", "--config", str(CONFIGS / "pgl2_rigid.json")]

@@ -22,6 +22,7 @@ from charvar.oracle import (
     FiniteGroupModel,
     brute_force_count,
     build_model,
+    check_field,
     class_count,
     class_size,
     group_order,
@@ -142,6 +143,14 @@ def test_model_construction_guards():
     assert exc.value.code == "oracle-cap"
     with pytest.raises(ResourceLimitError):
         build_model("GL", 3, 7)  # 7^9 candidates exceed the enumeration guard
+
+
+def test_field_cap_comes_before_primality():
+    # the float square root of 10**400 + 7 overflows; 12 is composite
+    for q in (10**400 + 7, 12):
+        with pytest.raises(ResourceLimitError) as exc:
+            check_field("GL", 2, q)
+        assert exc.value.code == "oracle-cap", q
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11])

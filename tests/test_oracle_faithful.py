@@ -79,7 +79,7 @@ def reference_faithful(spec: ProblemSpec, values: dict, q: int) -> bool:
     poset = build_poset(rd)
     overridden = resolve_overrides(poset, spec.overrides_dict())
     products = {}
-    for ws in itertools.product(enumerate_weyl(rd).elements, repeat=spec.m):
+    for ws in itertools.product(enumerate_weyl(rd), repeat=spec.m):
         prod = product_translate(ws, spec.semisimple_classes)
         products.setdefault(prod.canonical_key(), prod)
     for j, psi in enumerate(poset.nodes):

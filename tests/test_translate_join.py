@@ -11,7 +11,9 @@ b_j = sum_i V[i][j] S_i must be a d_j-th power along each torsion
 direction and trivial along each free one, asked through the public
 ``is_dth_power`` and ``is_identity``.  The per-node one is the join the
 orbit count replaced (``translate_reference``), run at every node with all
-m classes translated.
+m classes translated.  A metamorphic test checks that the whole count is
+unchanged when a class is replaced by a Weyl translate or the classes are
+permuted.
 """
 
 import dataclasses
@@ -26,9 +28,16 @@ from charvar.charsum import (
     SymbolicTorusElement,
     node_map,
     product_translate,
+    translate,
 )
 from charvar.cli import symbolic_pass_counts
-from charvar.count import ProblemSpec, orbit_pass_counts, resolve_overrides
+from charvar.count import (
+    ProblemSpec,
+    count_polynomial,
+    orbit_pass_counts,
+    resolve_overrides,
+)
+from charvar.errors import CharvarError
 from charvar.rootdata import build_root_datum, enumerate_weyl
 from charvar.subsystems import build_poset
 from translate_reference import node_pass_counts
@@ -49,7 +58,7 @@ def reference_pass_counts(spec: ProblemSpec, poset) -> list[int]:
         else:
             smith.append((None, ()))
     counts = [0] * poset.num_nodes
-    weyl = enumerate_weyl(rd).elements
+    weyl = enumerate_weyl(rd)
     for ws in itertools.product(weyl, repeat=spec.m):
         prod = product_translate(ws, spec.semisimple_classes)
         for k, (v_mat, divisors) in enumerate(smith):
@@ -147,3 +156,43 @@ def test_orbit_counts_match_per_node_join(spec, data):
     quotients, symbolic = symbolic_pass_counts(spec)
     assert [len(orbit) for orbit in quotients] == [len(orbit) for orbit in kept]
     assert symbolic == [per_node[orbit[0]] for orbit in kept]
+
+
+def _count_outcome(spec: ProblemSpec):
+    """The count report, or the code of the error the count raises."""
+    try:
+        return count_polynomial(spec)
+    except CharvarError as exc:
+        return exc.code
+
+
+@settings(max_examples=150, deadline=10_000)
+@given(problems(), st.data())
+def test_count_is_invariant_under_translates_and_class_order(spec, data):
+    """The count sees each class only through its Weyl orbit, and the class
+    product is commutative: (a) replacing one class by a Weyl translate
+    keeps the polynomial, emptiness and warnings, (b) permuting the classes
+    keeps the table too; where the count fails, all three fail alike."""
+    spec = dataclasses.replace(
+        spec,
+        genus=data.draw(st.integers(0, 1)),
+        punctures=spec.m + data.draw(st.integers(1, 2)),
+    )
+    classes = spec.semisimple_classes
+    k = data.draw(st.integers(0, spec.m - 1))
+    w = data.draw(st.sampled_from(enumerate_weyl(spec.rd)))
+    moved = classes[:k] + (translate(w, classes[k]),) + classes[k + 1:]
+    order = data.draw(st.permutations(range(spec.m)))
+    base = _count_outcome(spec)
+    translated = _count_outcome(dataclasses.replace(spec, semisimple_classes=moved))
+    permuted = _count_outcome(
+        dataclasses.replace(spec, semisimple_classes=tuple(classes[i] for i in order))
+    )
+    if isinstance(base, str):
+        assert translated == permuted == base
+        return
+    for other in (translated, permuted):
+        assert (other.polynomial, other.is_empty, other.warnings) == (
+            base.polynomial, base.is_empty, base.warnings
+        )
+    assert permuted.table == base.table

@@ -23,7 +23,7 @@ def node_pass_counts(spec: ProblemSpec, maps: list[AdditiveMap]) -> list[int]:
     weyl = enumerate_weyl(spec.rd)
     classes = spec.semisimple_classes
     half = len(classes) // 2
-    translates = [[translate(w, s).flat() for w in weyl.elements] for s in classes]
+    translates = [[translate(w, s).flat() for w in weyl] for s in classes]
     counts = []
     for nmap in maps:
         left = _sum_histogram(nmap, translates[:half])
