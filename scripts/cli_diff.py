@@ -14,7 +14,7 @@ exit code, stdout, stderr and the ``--json`` payload apart from
 * ``count``, ``count --table``, ``table``, ``check`` and ``poset`` on every
   curated config in ``configs/`` and every seed-0 benchmark problem of
   ``perfbench/workloads.py``;
-* ``poset`` on the classical groups in ``POSET_GROUPS``;
+* ``poset`` on the groups in ``POSET_GROUPS``;
 * ``oracle --seed 0`` (``--threads 1``) on every config with an ``oracle``
   section.
 
@@ -36,9 +36,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402  (perfbench/ is read, never written)
 
+# E6 is above the enumeration bound, so it checks the exit-3 poset-bound path
 POSET_GROUPS = (
     "SO(5)", "SO(7)", "SO(8)", "Sp(4)", "Sp(6)", "GL(4)", "PGL(3)", "SL(3)",
-    "SO(5) x GL(2)",
+    "SO(5) x GL(2)", "F4", "G2", "GL(5)", "GL(6)", "E6",
 )
 COUNT_COMMANDS = (("count",), ("count", "--table"), ("table",), ("check",), ("poset",))
 

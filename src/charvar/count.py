@@ -27,9 +27,11 @@ other half counts the zero sums -- |W|^floor((m-1)/2) + |W|^ceil((m-1)/2)
 entries per node rather than |W|^m products, and one image per node when
 m = 1.
 
-The inner sum is ``mobius_sum`` applied to the D values.  The diagnostic
-table applies the same ``mobius_sum`` to the local factor Delta of the
-class product (``delta_values``), which gives alpha.
+The inner sum is ``mobius_sum`` applied to the D values.  Every factor of
+a summand is W-invariant, so the outer sum runs over orbit representatives,
+each weighted by its orbit's size, and Mobius rows are built only there.
+The diagnostic table applies the same ``mobius_sum`` to the local factor
+Delta of the class product (``delta_values``), which gives alpha.
 
 All of it is ``qpoly.Poly`` arithmetic on ``int`` coefficients.  D(Psi) =
 |Tor| (q-1)^rank * (number of passing tuples) is an integer polynomial,
@@ -502,19 +504,20 @@ def count_polynomial(
                 f"for {bad} of {total_mult} translate products (override wins)"
             )
 
-    # master sum over the poset, times |W|^(m-1): each weight
-    # (|W| / |W(Psi)|)^(m-1) is an integer because |W(Psi)| divides |W|;
+    # master sum over orbit representatives, times |W|^(m-1): each weight
+    # |O| (|W| / |W(Psi)|)^(m-1) is an integer because |W(Psi)| divides |W|;
     # P_Psi depends only on the type label, so P_Psi^chi is raised once each
     powers: dict[str, Poly] = {}
     total = Poly()
-    for i in range(poset.num_nodes):
+    for orbit in poset.orbits():
+        i = orbit[0]
         inner = mobius_sum(poset, i, d_values)
         if inner.is_zero():
             continue
         label = poset.type_label(i)
         if label not in powers:
             powers[label] = poset.poincare(i) ** chi
-        weight = (weyl_order // poset.weyl_order(i)) ** (m - 1)
+        weight = len(orbit) * (weyl_order // poset.weyl_order(i)) ** (m - 1)
         total = total + powers[label] * (inner * weight)
     result = _divide_out(total, *_z_exponents(rd, m, n, chi), weyl_order ** m)
 

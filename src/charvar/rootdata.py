@@ -128,16 +128,6 @@ class RootDatum:
     def negative_of(self, index: int) -> int:
         return self.root_index(_neg(self.roots[index]))
 
-    # -- reflections ------------------------------------------------------
-
-    def reflection_matrix(self, index: int) -> Matrix:
-        """Matrix of s_alpha acting on X^vee: v -> v - <alpha, v> alpha^vee."""
-        root, coroot = self.roots[index], self.coroots[index]
-        return tuple(
-            tuple((1 if r == c else 0) - coroot[r] * root[c] for c in range(self.rank))
-            for r in range(self.rank)
-        )
-
     # -- derived structure --------------------------------------------------
 
     @cached_property
@@ -270,25 +260,23 @@ def validate_root_datum(rd: RootDatum) -> None:
                 f"roots {rd.roots[i]} and {rd.roots[j]} are both marked positive",
             )
 
+    # pairing[i][j] = <beta_j, alpha_i^vee>: s_alpha_i maps beta_j to beta_j -
+    # pairing[i][j] alpha_i, and beta_j^vee to beta_j^vee - pairing[j][i] alpha_i^vee
     croot_lookup = rd.coroot_lookup
-    for i in range(len(rd.roots)):
-        s_on_xv = rd.reflection_matrix(i)
-        # s_alpha on X is its transpose: [r][c] = delta_rc - alpha[r] alpha^vee[c]
-        s_on_x = tuple(zip(*s_on_xv))
-        for j in range(len(rd.roots)):
-            image = _mat_vec(s_on_x, rd.roots[j])
-            k = lookup.get(image)
+    pairing = [[_dot(b, av) for b in rd.roots] for av in rd.coroots]
+    for i, (a, av) in enumerate(zip(rd.roots, rd.coroots)):
+        for j, (b, bv) in enumerate(zip(rd.roots, rd.coroots)):
+            k = lookup.get(tuple(x - pairing[i][j] * y for x, y in zip(b, a)))
             if k is None:
                 raise InvalidInputError(
                     "root-datum-axiom",
-                    f"reflection in root {rd.roots[i]} maps root {rd.roots[j]} "
-                    f"outside the root set",
+                    f"reflection in root {a} maps root {b} outside the root set",
                 )
-            coimage = _mat_vec(s_on_xv, rd.coroots[j])
-            if croot_lookup.get(coimage) != k:
+            p = pairing[j][i]
+            if croot_lookup.get(tuple(x - p * y for x, y in zip(bv, av))) != k:
                 raise InvalidInputError(
                     "root-datum-axiom",
-                    f"reflection in root {rd.roots[i]} does not act compatibly "
+                    f"reflection in root {a} does not act compatibly "
                     f"on root/coroot pair {j}",
                 )
 

@@ -14,21 +14,26 @@ checked only against the pairs it takes part in.  Enumeration walks the
 lattice from the empty set: repeatedly adjoin one positive coroot to a
 closed mask and close up.  Every closed subsystem is reached this way,
 because it is the closure of its own simple system, which can be adjoined
-one element at a time.
+one element at a time.  The walk runs one Weyl orbit at a time: only the
+first subsystem found in an orbit is extended, and each new one is closed
+under the simple reflections, acting on bitmasks as permutations of the
+coroot indices; each member records the simple reflection that reaches it.
 
 ``SubsystemPoset`` precomputes the node list and serves per-node data:
 type labels (one classification per Weyl orbit, with long/short
 disambiguation where needed), Poincare polynomials (read from the type
 label's fundamental degrees) and Weyl orbits, each built for all nodes on
 first use; and, one node at a time, the quotient X^vee / <Psi> with its
-Smith basis and the Mobius row mu(i, .) (downward recursion over the
-nodes above i).  A root datum builds its poset once and keeps it
+Smith basis (one Smith form per orbit, carried to the other members along
+the recorded reflections) and the Mobius row mu(i, .) (downward recursion
+over the nodes above i).  A root datum builds its poset once and keeps it
 (``build_poset``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from functools import cached_property
 from types import MappingProxyType
@@ -73,8 +78,12 @@ def _adjoin(rd: RootDatum, pairs, mask: int, indices) -> int:
     return mask
 
 
+def _indices(mask: int) -> tuple[int, ...]:
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
 def _members(mask: int) -> frozenset[int]:
-    return frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
+    return frozenset(_indices(mask))
 
 
 def closure(rd: RootDatum, indices) -> frozenset[int]:
@@ -82,12 +91,41 @@ def closure(rd: RootDatum, indices) -> frozenset[int]:
     return _members(_adjoin(rd, _sum_pairs(rd), 0, indices))
 
 
-def enumerate_closed_subsystems(rd: RootDatum) -> tuple[frozenset[int], ...]:
+def _simple_reflections(rd: RootDatum) -> list[tuple[int, tuple[int, ...]]]:
+    """(a, bits) per simple root a: s_a(beta_k^vee) =
+    beta_k^vee - <alpha, beta_k^vee> alpha^vee is the coroot with bit bits[k]."""
+    lookup, out = rd.coroot_lookup, []
+    for a in rd.simple_root_indices:
+        root, coroot = rd.roots[a], rd.coroots[a]
+        bits = []
+        for v in rd.coroots:
+            p = sum(map(operator.mul, root, v))
+            bits.append(1 << lookup[tuple(x - p * y for x, y in zip(v, coroot))])
+        out.append((a, tuple(bits)))
+    return out
+
+
+def _orbit_tree(mask: int, reflections) -> dict[int, tuple[int, int] | None]:
+    """Weyl orbit of ``mask`` as a tree: member -> (parent, a) or None at mask."""
+    tree, frontier = {mask: None}, [mask]
+    for member in frontier:
+        indices = _indices(member)
+        for a, bits in reflections:
+            image = sum(bits[k] for k in indices)
+            if image not in tree:
+                tree[image] = (member, a)
+                frontier.append(image)
+    return tree
+
+
+def enumerate_closed_subsystems(rd: RootDatum) -> dict[frozenset[int], tuple | None]:
     """All closed symmetric subsystems of the coroot system, smallest first.
 
-    Walk of the lattice: from each known subsystem, adjoin one positive
-    coroot not in it and close up.  Raises ResourceLimitError when
-    the ambient system has more than ``MAX_POSITIVE_ROOTS`` positive roots.
+    Each maps to None if it is the first (smallest) of its Weyl orbit, else
+    to (parent, a) with it = s_a(parent) for a simple root a.  Only the first
+    subsystem found in an orbit is extended, as adjoin(w Psi, beta) =
+    w adjoin(Psi, +-w^-1 beta).  Raises ResourceLimitError when the ambient
+    system has more than ``MAX_POSITIVE_ROOTS`` positive roots.
     """
     if rd.num_positive > MAX_POSITIVE_ROOTS:
         raise ResourceLimitError(
@@ -95,19 +133,22 @@ def enumerate_closed_subsystems(rd: RootDatum) -> tuple[frozenset[int], ...]:
             f"coroot system has {rd.num_positive} positive roots, above the "
             f"enumeration bound {MAX_POSITIVE_ROOTS}",
         )
-    pairs = _sum_pairs(rd)
-    seen = {0}
+    pairs, reflections = _sum_pairs(rd), _simple_reflections(rd)
+    moves: dict[int, tuple[int, int] | None] = {0: None}
     queue = [0]
     while queue:
         mask = queue.pop()
         for p in rd.positive:
             if not mask >> p & 1:
                 bigger = _adjoin(rd, pairs, mask, (p,))
-                if bigger not in seen:
-                    seen.add(bigger)
+                if bigger not in moves:
+                    first = min(_orbit_tree(bigger, reflections), key=_indices)
+                    moves.update(_orbit_tree(first, reflections))
                     queue.append(bigger)
-    nodes = map(_members, seen)
-    return tuple(sorted(nodes, key=lambda n: (len(n), tuple(sorted(n)))))
+    return {
+        _members(mask): moves[mask] and (_members(moves[mask][0]), moves[mask][1])
+        for mask in sorted(moves, key=lambda mask: (mask.bit_count(), _indices(mask)))
+    }
 
 
 class SubsystemPoset:
@@ -115,7 +156,9 @@ class SubsystemPoset:
 
     def __init__(self, rd: RootDatum):
         self.rd = rd
-        self.nodes: tuple[frozenset[int], ...] = enumerate_closed_subsystems(rd)
+        # per node: (parent node, simple root), None at its orbit's first node
+        self._moves = enumerate_closed_subsystems(rd)
+        self.nodes: tuple[frozenset[int], ...] = tuple(self._moves)
         self.index_of: dict[frozenset[int], int] = {
             node: i for i, node in enumerate(self.nodes)
         }
@@ -165,17 +208,33 @@ class SubsystemPoset:
         return [self.rd.coroots[k] for k in sorted(self.nodes[i])]
 
     def quotient(self, i: int) -> QuotientInvariants:
-        """Invariants of X^vee / <Psi> for node i, with its Smith basis."""
+        """Invariants of X^vee / <Psi> for node i, with its Smith basis.
+
+        The Smith form is computed at the first node of each orbit only.  A
+        node s_a(Psi) has generator rows M s_a^T, where M are those of Psi,
+        so U M V = D carries over with V' = s_a^T V = V - alpha (alpha^vee^T V).
+        """
         inv = self._quotients.get(i)
         if inv is None:
-            inv = quotient_invariants(self.rd.rank, self.coroot_vectors(i))
+            move = self._moves[self.nodes[i]]
+            if move is None:
+                inv = quotient_invariants(self.rd.rank, self.coroot_vectors(i))
+            else:
+                inv = self.quotient(self.index_of[move[0]])
+                root, coroot = self.rd.roots[move[1]], self.rd.coroots[move[1]]
+                pairing = [sum(map(operator.mul, coroot, c)) for c in zip(*inv.basis)]
+                basis = tuple(
+                    tuple(v - r * p for v, p in zip(row, pairing))
+                    for row, r in zip(inv.basis, root)
+                )
+                inv = QuotientInvariants(inv.free_rank, inv.torsion, basis)
             self._quotients[i] = inv
         return inv
 
     def torsion_exponent_lcm(self) -> int:
         """lcm over all nodes of the torsion exponent of X^vee / <Psi>."""
         return math.lcm(
-            *(self.quotient(i).torsion_exponent for i in range(self.num_nodes))
+            *(self.quotient(orbit[0]).torsion_exponent for orbit in self.orbits())
         )
 
     @cached_property
@@ -207,41 +266,21 @@ class SubsystemPoset:
 
     @cached_property
     def _orbits(self) -> tuple[tuple[int, ...], ...]:
-        rd, lookup = self.rd, self.rd.coroot_lookup
-        # each simple reflection as a permutation of coroot indices
-        perms = [
-            [lookup[tuple(sum(a * b for a, b in zip(row, v)) for row in mat)]
-             for v in rd.coroots]
-            for mat in map(rd.reflection_matrix, rd.simple_root_indices)
-        ]
-        orbit_list: list[tuple[int, ...]] = []
-        seen: set[int] = set()
-        for start in range(self.num_nodes):
-            if start in seen:
-                continue
-            orbit, frontier = {start}, [start]
-            while frontier:
-                node = self.nodes[frontier.pop()]
-                for perm in perms:
-                    idx = self.index_of[frozenset(perm[k] for k in node)]
-                    if idx not in orbit:
-                        orbit.add(idx)
-                        frontier.append(idx)
-            seen |= orbit
-            orbit_list.append(tuple(sorted(orbit)))
-        return tuple(orbit_list)
+        # moves lead each node back to its orbit's first node, the smallest
+        members: dict[frozenset[int], list[int]] = {}
+        for i, node in enumerate(self.nodes):
+            while self._moves[node] is not None:
+                node = self._moves[node][0]
+            members.setdefault(node, []).append(i)
+        return tuple(map(tuple, members.values()))
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Partition of node indices into Weyl-group orbits."""
         return self._orbits
 
     @cached_property
-    def _orbit_index(self) -> tuple[int, ...]:
-        index = [0] * self.num_nodes
-        for k, orbit in enumerate(self.orbits()):
-            for i in orbit:
-                index[i] = k
-        return tuple(index)
+    def _orbit_index(self) -> dict[int, int]:
+        return {i: k for k, orbit in enumerate(self.orbits()) for i in orbit}
 
     def orbit_of(self, i: int) -> int:
         return self._orbit_index[i]

@@ -35,6 +35,7 @@ from charvar.rootdata import (
     validate_root_datum,
 )
 from charvar.subsystems import build_poset
+from subsystem_reference import reference_reflection_matrix
 
 DESCRIPTORS = [
     "GL(1)", "GL(2)", "GL(3)", "GL(4)",
@@ -531,6 +532,31 @@ def reference_root_reflection(rd, index):
     )
 
 
+def reference_reflection_check(rd):
+    """The reflection axiom checked with d x d matrices, as validation did
+    before it used the pairing table: s_alpha on X^vee from its matrix, on
+    X from its transpose, the same index bijection on both sides."""
+    lookup, croot_lookup = rd.root_lookup, rd.coroot_lookup
+    for i in range(len(rd.roots)):
+        s_on_xv = reference_reflection_matrix(rd, i)
+        s_on_x = tuple(zip(*s_on_xv))
+        for j in range(len(rd.roots)):
+            k = lookup.get(tuple(_dot(row, rd.roots[j]) for row in s_on_x))
+            if k is None:
+                raise InvalidInputError(
+                    "root-datum-axiom",
+                    f"reflection in root {rd.roots[i]} maps root {rd.roots[j]} "
+                    f"outside the root set",
+                )
+            coimage = tuple(_dot(row, rd.coroots[j]) for row in s_on_xv)
+            if croot_lookup.get(coimage) != k:
+                raise InvalidInputError(
+                    "root-datum-axiom",
+                    f"reflection in root {rd.roots[i]} does not act compatibly "
+                    f"on root/coroot pair {j}",
+                )
+
+
 def reference_bc_datum(r, family):
     """SO(2r+1) or Sp(2r), one loop per family: the factor 2 on +/-e_i goes
     to the coroots (SO) or to the roots (Sp)."""
@@ -557,8 +583,35 @@ def test_invariants_match_direct_derivations(desc):
     got = cocenter_invariants(rd)
     assert (got.free_rank, got.torsion) == (expected.free_rank, expected.torsion)
     for i in range(rd.num_roots):
-        transpose = tuple(zip(*rd.reflection_matrix(i)))
+        transpose = tuple(zip(*reference_reflection_matrix(rd, i)))
         assert transpose == reference_root_reflection(rd, i)
+
+
+@pytest.mark.parametrize("desc", REFERENCE_DESCRIPTORS)
+def test_reflection_check_matches_matrix_loop(desc):
+    rd = build_root_datum(desc)  # passes the pairing-table check
+    reference_reflection_check(rd)
+    validate_root_datum(rd.dual())
+    reference_reflection_check(rd.dual())
+
+
+@pytest.mark.parametrize(
+    "roots,coroots",
+    [
+        # s_(1,0) maps (1,1) to (-1,1), not a root
+        ([(1, 0), (-1, 0), (1, 1), (-1, -1)], [(2, 0), (-2, 0), (1, 1), (-1, -1)]),
+        # roots stable, but s_(1,0) moves the coroot (1,2) of (0,1) to (-1,2)
+        ([(1, 0), (-1, 0), (0, 1), (0, -1)], [(2, 0), (-2, 0), (1, 2), (-1, -2)]),
+    ],
+)
+def test_reflection_check_fails_like_matrix_loop(roots, coroots):
+    rd = RootDatum(rank=2, roots=tuple(roots), coroots=tuple(coroots), positive=(0, 2))
+    with pytest.raises(InvalidInputError) as fast:
+        validate_root_datum(rd)
+    with pytest.raises(InvalidInputError) as slow:
+        reference_reflection_check(rd)
+    assert "reflection in root (1, 0)" in str(fast.value)
+    assert (fast.value.code, str(fast.value)) == (slow.value.code, str(slow.value))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

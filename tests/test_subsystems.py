@@ -8,6 +8,7 @@ formula mu(pi, sigma) = prod over blocks B of sigma of (-1)^(k_B - 1)
 checked against fully hand-frozen node/Mobius tables.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -15,6 +16,8 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from charvar import abelian
+from charvar.charsum import EigenvalueDatum, SymbolicTorusElement, node_map
 from charvar.count import resolve_overrides
 from charvar.errors import InvalidInputError, ResourceLimitError
 from charvar.qpoly import Poly
@@ -29,6 +32,9 @@ from subsystem_reference import (
     reference_closure,
     reference_enumeration,
     reference_mobius,
+    reference_orbits,
+    reference_quotients,
+    reference_reflection_matrix,
 )
 
 
@@ -310,7 +316,7 @@ def test_nodes_are_weyl_stable(g2_poset):
     lookup = {v: i for i, v in enumerate(rd.coroots)}
     for node in p.nodes:
         for s in rd.simple_root_indices:
-            mat = rd.reflection_matrix(s)
+            mat = reference_reflection_matrix(rd, s)
             image = frozenset(
                 lookup[tuple(sum(mat[r][c] * rd.coroots[k][c] for c in range(rd.rank))
                              for r in range(rd.rank))]
@@ -395,7 +401,7 @@ def test_closure_matches_pair_scan_reference(desc, data):
 @pytest.mark.parametrize("desc", REFERENCE_POSETS)
 def test_enumeration_matches_reference_bfs(desc):
     rd = build_root_datum(desc)
-    assert enumerate_closed_subsystems(rd) == reference_enumeration(rd)
+    assert tuple(enumerate_closed_subsystems(rd)) == reference_enumeration(rd)
 
 
 @pytest.mark.parametrize("desc", REFERENCE_POSETS)
@@ -411,3 +417,99 @@ def test_mobius_rows_match_pairwise_recursion(desc):
             assert poset.mobius(i, j) == expected.get((i, j), 0)
         upper = tuple(j for j in range(poset.num_nodes) if (i, j) in expected)
         assert poset.upper_set(i) == upper
+
+
+# ---------------------------------------------------------------------------
+# The orbit walk and the carried quotients against the per-node references
+# ---------------------------------------------------------------------------
+
+ORBIT_POSETS = (
+    "B4", "C4", "D4", "F4", "G2", "GL(5)", "GL(6)", "PGL(3)", "SO(5) x GL(2)", "T(2)",
+)
+
+
+@functools.cache
+def _orbit_case(desc):
+    """A fresh poset of ``desc`` with every node's quotient, carried and direct."""
+    poset = SubsystemPoset(build_root_datum(desc))
+    carried = [poset.quotient(i) for i in range(poset.num_nodes)]
+    return poset, carried, reference_quotients(poset)
+
+
+@pytest.mark.parametrize("desc", ORBIT_POSETS)
+def test_orbits_match_reference_walk(desc):
+    poset, _, _ = _orbit_case(desc)
+    assert poset.orbits() == reference_orbits(poset)
+    assert all(
+        poset.orbit_of(i) == k for k, orbit in enumerate(poset.orbits()) for i in orbit
+    )
+
+
+@pytest.mark.parametrize("desc", ORBIT_POSETS)
+def test_enumeration_moves_are_simple_reflections(desc):
+    """Each node other than its orbit's first is s_a of its recorded parent."""
+    rd = build_root_datum(desc)
+    lookup = rd.coroot_lookup
+    firsts = set()
+    for node, move in enumerate_closed_subsystems(rd).items():
+        if move is None:
+            firsts.add(node)
+            continue
+        parent, a = move
+        assert a in rd.simple_root_indices
+        mat = reference_reflection_matrix(rd, a)
+        image = frozenset(
+            lookup[tuple(sum(x * y for x, y in zip(row, rd.coroots[k])) for row in mat)]
+            for k in parent
+        )
+        assert image == node
+    poset, _, _ = _orbit_case(desc)
+    assert firsts == {poset.nodes[orbit[0]] for orbit in poset.orbits()}
+
+
+@pytest.mark.parametrize("desc", ORBIT_POSETS)
+def test_carried_quotients_match_smith_forms(desc):
+    poset, carried, direct = _orbit_case(desc)
+    for i in range(poset.num_nodes):
+        assert (carried[i].free_rank, carried[i].torsion) == (
+            direct[i].free_rank, direct[i].torsion
+        ), (desc, i)
+        assert len(carried[i].basis) == poset.rd.rank
+    for orbit in poset.orbits():
+        # the orbit's first node keeps the Smith basis of its own generators
+        assert carried[orbit[0]].basis == direct[orbit[0]].basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(desc=st.sampled_from(ORBIT_POSETS), data=st.data())
+def test_carried_node_maps_agree_on_kernel(desc, data):
+    """A carried Smith basis decides "S dies in X^vee/<Psi> (x) A" as the
+    node's own Smith basis does, for random S over a group with torsion."""
+    poset, carried, direct = _orbit_case(desc)
+    symbols = ("a", "b")
+    relations = data.draw(
+        st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2), max_size=2)
+    )
+    datum = EigenvalueDatum(
+        symbols, tuple(EigenvalueDatum(symbols).word_str(r) for r in relations)
+    )
+    word = st.lists(st.integers(-2, 2), min_size=2, max_size=2).map(tuple)
+    s = SymbolicTorusElement(
+        datum, tuple(data.draw(word) for _ in range(poset.rd.rank))
+    )
+    for i in range(poset.num_nodes):
+        got = node_map(carried[i], datum.group).in_kernel(s.flat())
+        assert got == node_map(direct[i], datum.group).in_kernel(s.flat()), (desc, i)
+
+
+def test_b4_poset_takes_one_smith_form_per_orbit(monkeypatch):
+    poset = SubsystemPoset(build_root_datum("B4"))
+    calls = []
+    smith = abelian.smith_normal_form
+    monkeypatch.setattr(
+        abelian, "smith_normal_form", lambda m: calls.append(m) or smith(m)
+    )
+    for i in range(poset.num_nodes):
+        poset.quotient(i)
+    # the empty node's quotient is the whole lattice and needs no Smith form
+    assert len(calls) == len(poset.orbits()) - 1 == 19

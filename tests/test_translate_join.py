@@ -13,7 +13,8 @@ direction and trivial along each free one, asked through the public
 orbit count replaced (``translate_reference``), run at every node with all
 m classes translated.  A metamorphic test checks that the whole count is
 unchanged when a class is replaced by a Weyl translate or the classes are
-permuted.
+permuted, and a floor on the share of drawn problems with a non-empty
+count keeps these tests reaching the master sum.
 """
 
 import dataclasses
@@ -84,7 +85,13 @@ def reference_pass_counts(spec: ProblemSpec, poset) -> list[int]:
 @st.composite
 def problems(draw):
     """Random classes over a few shared symbols, so translate products often
-    cancel, with up to three random monomial relations (torsion included)."""
+    cancel, with up to three random monomial relations (torsion included).
+
+    On about three draws in four the class product is made to die in the
+    cocentre X^vee / <Phi^vee> (x) A, so that the variety can be non-empty:
+    a relation b_j = 1 for each nontrivial direction j of the cocentre's
+    Smith basis, b_j the product's word along it.  For GL(n) that is the
+    relation "product of all determinants = 1"."""
     group = draw(st.sampled_from(sorted(MAX_M)))
     rd = build_root_datum(group)
     m = draw(st.integers(1, MAX_M[group]))
@@ -96,19 +103,33 @@ def problems(draw):
             max_size=3,
         )
     )
+    coords = [tuple(tuple(draw(words)) for _ in range(rd.rank)) for _ in range(m)]
+    if draw(st.integers(0, 3)):
+        relations += _central_relations(rd, coords)
     datum = EigenvalueDatum(
         symbols, tuple(EigenvalueDatum(symbols).word_str(r) for r in relations)
     )
-    classes = tuple(
-        SymbolicTorusElement(
-            datum, tuple(tuple(draw(words)) for _ in range(rd.rank))
-        )
-        for _ in range(m)
-    )
     return ProblemSpec(
         rd=rd, genus=0, punctures=m + 1, eigenvalues=datum,
-        semisimple_classes=classes,
+        semisimple_classes=tuple(SymbolicTorusElement(datum, c) for c in coords),
     )
+
+
+def _central_relations(rd, coords) -> list[list[int]]:
+    """Exponent rows that kill the class product in X^vee / <Phi^vee>.
+
+    With U C V = D the Smith form of the coroots, the product P maps to the
+    words b_j = sum_i V[i][j] P_i along the directions with d_j != 1.
+    """
+    snf = smith_normal_form([list(v) for v in rd.coroots])
+    divisors = snf.divisors + (0,) * (rd.rank - len(snf.divisors))
+    product = [list(map(sum, zip(*(c[i] for c in coords)))) for i in range(rd.rank)]
+    rows = [
+        [sum(snf.V[i][j] * product[i][t] for i in range(rd.rank))
+         for t in range(len(product[0]))]
+        for j, d in enumerate(divisors) if d != 1
+    ]
+    return [row for row in rows if any(row)]
 
 
 def engine_pass_counts(spec: ProblemSpec, poset) -> list[int]:
@@ -158,6 +179,15 @@ def test_orbit_counts_match_per_node_join(spec, data):
     assert symbolic == [per_node[orbit[0]] for orbit in kept]
 
 
+def _redraw_surface(spec: ProblemSpec, data) -> ProblemSpec:
+    """``spec`` at genus 0 or 1 with one or two unipotent punctures."""
+    return dataclasses.replace(
+        spec,
+        genus=data.draw(st.integers(0, 1)),
+        punctures=spec.m + data.draw(st.integers(1, 2)),
+    )
+
+
 def _count_outcome(spec: ProblemSpec):
     """The count report, or the code of the error the count raises."""
     try:
@@ -173,11 +203,7 @@ def test_count_is_invariant_under_translates_and_class_order(spec, data):
     product is commutative: (a) replacing one class by a Weyl translate
     keeps the polynomial, emptiness and warnings, (b) permuting the classes
     keeps the table too; where the count fails, all three fail alike."""
-    spec = dataclasses.replace(
-        spec,
-        genus=data.draw(st.integers(0, 1)),
-        punctures=spec.m + data.draw(st.integers(1, 2)),
-    )
+    spec = _redraw_surface(spec, data)
     classes = spec.semisimple_classes
     k = data.draw(st.integers(0, spec.m - 1))
     w = data.draw(st.sampled_from(enumerate_weyl(spec.rd)))
@@ -196,3 +222,21 @@ def test_count_is_invariant_under_translates_and_class_order(spec, data):
             base.polynomial, base.is_empty, base.warnings
         )
     assert permuted.table == base.table
+
+
+def test_problems_often_reach_the_master_sum():
+    """Of 200 fixed draws, surfaces as in the metamorphic test, at least 15%
+    count a non-empty variety (12% before the cocentre relations: 24 of
+    200, none of them GL(n); 42 of 200 with them)."""
+    outcomes = []
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(problems(), st.data())
+    def draw(spec, data):
+        outcomes.append(_count_outcome(_redraw_surface(spec, data)))
+
+    draw()
+    nonempty = [o for o in outcomes if not isinstance(o, str) and not o.is_empty]
+    assert len(outcomes) >= 100
+    assert len(nonempty) >= 0.15 * len(outcomes), (len(nonempty), len(outcomes))
+    assert any(o.group_label.startswith("GL") for o in nonempty)
