@@ -15,6 +15,8 @@ exit code, stdout, stderr and the ``--json`` payload apart from
   curated config in ``configs/`` and every seed-0 benchmark problem of
   ``perfbench/workloads.py``;
 * ``poset`` on the groups in ``POSET_GROUPS``;
+* ``check``, ``count`` and ``table`` on ``OVER_BOUND``, a valid GL(8)
+  problem above the poset bound (exit 3, ``poset-bound``);
 * ``oracle --seed 0`` (``--threads 1``) on every config with an ``oracle``
   section.
 
@@ -41,6 +43,12 @@ POSET_GROUPS = (
     "SO(5)", "SO(7)", "SO(8)", "Sp(4)", "Sp(6)", "GL(4)", "PGL(3)", "SL(3)",
     "SO(5) x GL(2)", "F4", "G2", "GL(5)", "GL(6)", "E6",
 )
+GL8_SYMBOLS = [f"a{i}" for i in range(8)]
+OVER_BOUND = {
+    "schema_version": 1, "group": "GL(8)", "genus": 1, "punctures": 2,
+    "eigenvalues": {"symbols": GL8_SYMBOLS},
+    "classes": [{"type": "semisimple", "coords": GL8_SYMBOLS}],
+}
 COUNT_COMMANDS = (("count",), ("count", "--table"), ("table",), ("check",), ("poset",))
 
 
@@ -64,6 +72,10 @@ def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
         path = config_dir / f"group-{k}.json"
         path.write_text(json.dumps({"schema_version": 1, "group": group}))
         runs.append(("poset", "--config", str(path)))
+    path = config_dir / "over-bound.json"
+    path.write_text(json.dumps(OVER_BOUND))
+    for command in ("check", "count", "table"):
+        runs.append((command, "--config", str(path)))
     return runs
 
 

@@ -21,8 +21,7 @@ are the generating vectors/relators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -36,8 +35,7 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """U·M·V = D with U, V unimodular and D in Smith normal form."""
 
     matrix: IntMatrix
@@ -133,18 +131,31 @@ def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SmithDecomposition:
     return SmithDecomposition(matrix=M, U=_freeze(u), D=D, V=_freeze(v), divisors=divisors)
 
 
-@dataclass(frozen=True)
 class QuotientInvariants:
     """Invariant factors of a lattice quotient ℤ^d / ⟨generators⟩.
 
     ``basis`` (not an invariant, so not compared) is V of the Smith form
     U·M·V = D of the generator rows M: the quotient is ⊕ ℤ/d_j along its
     columns, unit divisors first, then ``torsion``, then the free ones.
+    Immutable.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...]  # elementary divisors > 1, divisibility-sorted
-    basis: IntMatrix = field(compare=False, repr=False)
+    def __init__(self, free_rank: int, torsion: tuple[int, ...], basis: IntMatrix):
+        self.__dict__.update(free_rank=free_rank, torsion=torsion, basis=basis)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _compared(self) -> tuple:
+        return self.free_rank, self.torsion
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
 
     @property
     def torsion_order(self) -> int:
@@ -192,25 +203,38 @@ def quotient_invariants(ambient_rank: int, generators: Iterable[Sequence[int]]) 
     )
 
 
-@dataclass(frozen=True)
 class FPAbelianGroup:
     """Finitely presented abelian group ⟨x_1..x_t | relator rows⟩.
 
     Elements are exponent vectors of length ``generator_count``; the word
     problem reduces to membership in the relation row space over ℤ.
+    Immutable; equality and hashing ignore the kept coordinates.
     """
 
-    generator_count: int
-    relations: IntMatrix = ()
     # canonical coordinates of A/dA by d, filled by canonical_coordinates
-    _coordinates: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    _coordinates: dict
 
-    def __post_init__(self):
-        for r in self.relations:
-            if len(r) != self.generator_count:
+    def __init__(self, generator_count: int, relations: IntMatrix = ()):
+        for r in relations:
+            if len(r) != generator_count:
                 raise ValueError("relation length does not match generator count")
+        self.__dict__.update(
+            generator_count=generator_count, relations=relations, _coordinates={}
+        )
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _compared(self) -> tuple:
+        return self.generator_count, self.relations
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
 
     def _check(self, word: Sequence[int]) -> IntVector:
         w = tuple(int(x) for x in word)
@@ -241,8 +265,7 @@ def is_dth_power(group: FPAbelianGroup, word: Sequence[int], d: int) -> bool:
     return canonical_coordinates(group, d).in_kernel(group._check(word))
 
 
-@dataclass(frozen=True)
-class AdditiveMap:
+class AdditiveMap(NamedTuple):
     """An additive map from integer vectors to (+) Z/e (+) Z^f.
 
     Output coordinate k is a sparse functional, (index, coefficient) pairs,

@@ -29,8 +29,8 @@ On top of that this module provides:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .abelian import (
     AdditiveMap,
@@ -50,27 +50,38 @@ Word = tuple[int, ...]
 _TERM_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
 
-@dataclass(frozen=True)
 class EigenvalueDatum:
     """Named generators and relations for the eigenvalue group A.
 
     ``relations`` are strings like ``"a*b = t^2"`` or bare words like
     ``"a*b*c"`` (meaning the word equals 1).  Words multiply generators with
     ``*`` and exponentiate with ``^`` (negative exponents allowed); ``1``
-    denotes the empty word.
+    denotes the empty word.  Immutable.
     """
 
-    symbols: tuple[str, ...]
-    relations: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if len(set(self.symbols)) != len(self.symbols):
+    def __init__(self, symbols: tuple[str, ...], relations: tuple[str, ...] = ()):
+        if len(set(symbols)) != len(symbols):
             raise InvalidInputError("eigenvalue-data", "repeated eigenvalue symbols")
-        for s in self.symbols:
+        for s in symbols:
             if not _TERM_RE.match(s) or "^" in s:
                 raise InvalidInputError(
                     "eigenvalue-data", f"invalid eigenvalue symbol {s!r}"
                 )
+        self.__dict__.update(symbols=symbols, relations=relations)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _compared(self) -> tuple:
+        return self.symbols, self.relations
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
 
     @cached_property
     def group(self) -> FPAbelianGroup:
@@ -120,8 +131,7 @@ class EigenvalueDatum:
         return "*".join(terms) if terms else "1"
 
 
-@dataclass(frozen=True)
-class SymbolicTorusElement:
+class SymbolicTorusElement(NamedTuple):
     """S in T(k): one eigenvalue word per coordinate of X^vee = Z^d."""
 
     datum: EigenvalueDatum

@@ -37,11 +37,10 @@ admissible q).
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import datetime
 import json
 import random
 import sys
+import time
 
 from .charsum import (
     EigenvalueDatum,
@@ -262,9 +261,7 @@ def _envelope(command: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
+        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
     }
 
 
@@ -278,7 +275,7 @@ def _polynomial_payload(report: CountReport) -> dict:
 
 
 def _table_payload(report: CountReport) -> list[dict]:
-    return [dataclasses.asdict(row) for row in report.table]
+    return [row._asdict() for row in report.table]
 
 
 def report_payload(report: CountReport) -> dict:
@@ -474,7 +471,8 @@ def cmd_poset(args) -> tuple[int, dict, str]:
 def cmd_check(args) -> tuple[int, dict, str]:
     config = load_config(args.config)
     spec = build_problem(config)
-    validate_problem(spec)
+    nonhyperbolic = spec.genus == 0 and spec.punctures == 2
+    validate_problem(spec, builds_poset=not nonhyperbolic)
     rd = spec.rd
     primes = admissible_primes(rd)
     checks = [
@@ -488,7 +486,6 @@ def cmd_check(args) -> tuple[int, dict, str]:
             f"ok: 1 <= {spec.m} semisimple < {spec.punctures} punctures",
         ),
     ]
-    nonhyperbolic = spec.genus == 0 and spec.punctures == 2
     if nonhyperbolic:
         nonempty = False
         emptiness_note = (
@@ -606,8 +603,7 @@ class UnitSpecialization:
 
         if any(image(datum.parse_relation(r))[0] for r in datum.relations):
             return None
-        concrete = dataclasses.replace(
-            self.spec,
+        concrete = self.spec._replace(
             eigenvalues=self.datum,
             semisimple_classes=tuple(
                 SymbolicTorusElement(self.datum, tuple(map(image, s.coords)))

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abelian import AdditiveMap
 from .charsum import (
@@ -81,13 +81,12 @@ from .rootdata import (
     enumerate_weyl,
     modulus,
 )
-from .subsystems import SubsystemPoset, build_poset
+from .subsystems import SubsystemPoset, build_poset, check_poset_bound
 
 DEFAULT_TRANSLATE_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     """A puncture-counting problem: group, surface, and classes.
 
     ``semisimple_classes`` holds the m strongly regular semisimple classes;
@@ -117,8 +116,7 @@ class ProblemSpec:
         return dict(self.overrides)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One orbit of closed subsystems in the diagnostic table."""
 
     label: str
@@ -133,8 +131,7 @@ class TableRow:
     overridden: bool
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Everything the engine knows about one counting problem."""
 
     group_label: str
@@ -162,8 +159,13 @@ class CountReport:
 # ---------------------------------------------------------------------------
 
 
-def validate_problem(spec: ProblemSpec) -> None:
-    """Check every hypothesis of the counting theorem, naming failures."""
+def validate_problem(spec: ProblemSpec, builds_poset: bool = True) -> None:
+    """Check every hypothesis of the counting theorem, naming failures.
+
+    When the caller goes on to build the poset (``builds_poset``), a poset
+    above the enumeration bound is refused (``poset-bound``) before the
+    first strongly-regular test, which loops over all of W.
+    """
     rd = spec.rd
     if spec.genus < 0:
         raise InvalidInputError("surface", "genus must be nonnegative")
@@ -197,6 +199,8 @@ def validate_problem(spec: ProblemSpec) -> None:
                 "torus-element",
                 f"semisimple class {idx} uses a different eigenvalue datum",
             )
+        if builds_poset:
+            check_poset_bound(rd)
         if not strongly_regular(rd, s):
             raise HypothesisError(
                 "strongly-regular",
@@ -240,8 +244,7 @@ def resolve_overrides(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Emptiness:
+class Emptiness(NamedTuple):
     """Whether the class product lies in the commutator subgroup.
 
     ``product`` is the product of the semisimple classes as a ``flat()``

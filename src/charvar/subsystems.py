@@ -118,6 +118,16 @@ def _orbit_tree(mask: int, reflections) -> dict[int, tuple[int, int] | None]:
     return tree
 
 
+def check_poset_bound(rd: RootDatum) -> None:
+    """Raise ``poset-bound`` if the poset of ``rd`` is too big to enumerate."""
+    if rd.num_positive > MAX_POSITIVE_ROOTS:
+        raise ResourceLimitError(
+            "poset-bound",
+            f"coroot system has {rd.num_positive} positive roots, above the "
+            f"enumeration bound {MAX_POSITIVE_ROOTS}",
+        )
+
+
 def enumerate_closed_subsystems(rd: RootDatum) -> dict[frozenset[int], tuple | None]:
     """All closed symmetric subsystems of the coroot system, smallest first.
 
@@ -127,12 +137,7 @@ def enumerate_closed_subsystems(rd: RootDatum) -> dict[frozenset[int], tuple | N
     w adjoin(Psi, +-w^-1 beta).  Raises ResourceLimitError when the ambient
     system has more than ``MAX_POSITIVE_ROOTS`` positive roots.
     """
-    if rd.num_positive > MAX_POSITIVE_ROOTS:
-        raise ResourceLimitError(
-            "poset-bound",
-            f"coroot system has {rd.num_positive} positive roots, above the "
-            f"enumeration bound {MAX_POSITIVE_ROOTS}",
-        )
+    check_poset_bound(rd)
     pairs, reflections = _sum_pairs(rd), _simple_reflections(rd)
     moves: dict[int, tuple[int, int] | None] = {0: None}
     queue = [0]

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from charvar import cli
+from charvar import cli, count
 from charvar.cli import build_problem, load_config, main
 from charvar.errors import InvalidInputError
 from charvar.oracle import FiniteGroupModel
@@ -493,6 +493,76 @@ class TestOracleCommand:
         assert code == 0
         text = capsys.readouterr().out
         assert "oracle 2  formula 2  MATCH" in text
+
+
+def gl8_config(coords, genus=1, punctures=2):
+    """GL(8), one semisimple class: 28 positive roots, above the poset bound."""
+    symbols = sorted(set(coords))
+    return {
+        "schema_version": 1, "group": "GL(8)", "genus": genus,
+        "punctures": punctures, "eigenvalues": {"symbols": symbols},
+        "classes": [{"type": "semisimple", "coords": coords}],
+    }
+
+
+GL8_REGULAR = [f"a{i}" for i in range(8)]
+
+
+class TestOverBoundGroups:
+    """Groups above the poset bound fail before any loop over their Weyl group."""
+
+    @pytest.fixture(autouse=True)
+    def no_weyl_loop(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("strongly_regular ran on an over-bound group")
+
+        monkeypatch.setattr(count, "strongly_regular", refuse)
+
+    @pytest.mark.parametrize("command", ["check", "count", "table"])
+    def test_poset_bound_comes_first(self, capsys, tmp_path, command):
+        path = write_config(tmp_path, gl8_config(GL8_REGULAR))
+        assert main([command, "--config", path]) == 3
+        assert capsys.readouterr().err == (
+            "error[poset-bound]: coroot system has 28 positive roots, above "
+            "the enumeration bound 24\n"
+        )
+
+    @pytest.mark.parametrize("command", ["count", "table"])
+    def test_nonhyperbolic_count_fails_first(self, capsys, tmp_path, command):
+        """The report of a nonhyperbolic count still reads the poset."""
+        path = write_config(tmp_path, gl8_config(GL8_REGULAR, genus=0))
+        assert main([command, "--config", path]) == 3
+        assert "error[poset-bound]" in capsys.readouterr().err
+
+    def test_poset_bound_beats_strongly_regular(self, capsys, tmp_path):
+        """A class that is not strongly regular used to fail first (exit 2)."""
+        coords = ["a0", "a0"] + GL8_REGULAR[2:]
+        path = write_config(tmp_path, gl8_config(coords))
+        assert main(["count", "--config", path]) == 3
+        assert "error[poset-bound]" in capsys.readouterr().err
+
+    def test_cheap_hypotheses_still_come_first(self, capsys, tmp_path):
+        config = gl8_config(GL8_REGULAR, punctures=1)
+        assert main(["check", "--config", write_config(tmp_path, config)]) == 2
+        assert "error[class-counts]" in capsys.readouterr().err
+
+    def test_nonhyperbolic_check_builds_no_poset(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(count, "strongly_regular", lambda rd, s: True)
+        config = gl8_config(GL8_REGULAR, genus=0)
+        assert main(["check", "--config", write_config(tmp_path, config)]) == 0
+        assert "empty by convention" in capsys.readouterr().out
+
+    def test_group_above_the_rank_cap(self, capsys, tmp_path):
+        """GL(30) used to spend seconds on its roots before ``class-counts``."""
+        config = {"schema_version": 1, "group": "GL(30)", "genus": 1,
+                  "punctures": 2, "classes": []}
+        path = write_config(tmp_path, config)
+        for command in ("check", "count", "poset"):
+            assert main([command, "--config", path]) == 2
+            assert capsys.readouterr().err == (
+                "error[descriptor]: group 'GL(30)' has lattice rank 30, above "
+                "the cap 10\n"
+            )
 
 
 class TestCuratedConfigs:

@@ -4,7 +4,9 @@ A name with a leading underscore is private to the module that defines it;
 a module that needs it from elsewhere should get a public name instead.
 Caught are ``from .count import _helper``, ``from . import count``
 followed by ``count._helper``, ``obj._name`` where the module defines no
-``_name``, and ``obj.__dict__`` on anything but ``self``.
+``_name``, and ``obj.__dict__`` on anything but ``self``.  The public
+methods of named tuples (``row._asdict()``, ``spec._replace(...)``) carry
+an underscore only to keep clear of field names, and are allowed.
 
 The benchmark's tracer (``perfbench/tracer.py``) wraps charvar functions
 and methods by name; a deletion or rename that breaks ``--trace 1`` fails
@@ -18,6 +20,9 @@ import ast
 import gc
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 import weakref
 from pathlib import Path
@@ -31,6 +36,9 @@ from charvar.subsystems import build_poset
 
 PACKAGE = Path(charvar.__file__).resolve().parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+NAMEDTUPLE_API = {"_asdict", "_field_defaults", "_fields", "_make", "_replace"}
 
 
 def _is_private(name: str) -> bool:
@@ -66,7 +74,7 @@ def private_uses(path: Path) -> list[str]:
         if not isinstance(node, ast.Attribute):
             continue
         owner = ast.unparse(node.value)
-        if _is_private(node.attr) and (
+        if _is_private(node.attr) and node.attr not in NAMEDTUPLE_API and (
             owner in module_aliases or node.attr not in defined
         ):
             hits.append((node.lineno, f"uses {owner}.{node.attr}"))
@@ -91,7 +99,8 @@ def test_private_use_detector(tmp_path):
         "x = ab._row_space_snf, qp.Poly, ab.__name__\n"
         "y = qp._cache\n"
         "def _local(rd):\n"
-        "    return rd._local, rd._gram, self.__dict__, rd.__dict__, self.rd.__dict__\n",
+        "    return rd._local, rd._gram, self.__dict__, rd.__dict__, self.rd.__dict__\n"
+        "z = row._asdict(), spec._replace(genus=1)\n",
         encoding="utf-8",
     )
     assert private_uses(source) == [
@@ -123,6 +132,52 @@ def test_tracer_targets_resolve():
             missing.append(f"{layer}: {module_name}.{attribute}")
     assert len(tracer.TARGETS) > 40
     assert missing == []
+
+
+# stdlib modules a cold CLI process does not need: dataclasses pulls in
+# inspect, ast and dis, and each frozen dataclass execs generated code
+OFF_IMPORT_PATH = ("dataclasses", "inspect", "ast", "dis", "datetime")
+
+_IMPORT_PROBE = """
+import json, sys
+import charvar.cli
+targets = json.loads(sys.argv[1])
+unresolved = []
+for module_name, attribute in targets:
+    owner = sys.modules.get(module_name)
+    for part in attribute.split("."):
+        owner = getattr(owner, part, None)
+    if owner is None:
+        unresolved.append(module_name + "." + attribute)
+json.dump({"modules": sorted(sys.modules), "unresolved": unresolved}, sys.stdout)
+"""
+
+
+def test_cli_import_path():
+    """``import charvar.cli`` alone, as in a cold CLI process: it loads every
+    charvar module (the tracer wraps them from ``sys.modules`` after this one
+    import) and none of the stdlib modules in ``OFF_IMPORT_PATH``."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    targets = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "TARGETS"
+    )
+    pairs = [[module, attribute] for _layer, module, attribute in targets]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(pairs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(probe.stdout)
+    submodules = sorted(
+        f"charvar.{path.stem}" for path in PACKAGE.glob("*.py")
+        if path.stem != "__init__"
+    )
+    assert len(submodules) == 9
+    assert set(submodules) <= set(result["modules"])
+    assert [name for name in OFF_IMPORT_PATH if name in result["modules"]] == []
+    assert len(pairs) > 40
+    assert result["unresolved"] == []
 
 
 def functools_caches() -> dict:

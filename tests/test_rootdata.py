@@ -455,6 +455,47 @@ def test_descriptor_errors():
             build_root_datum(bad)
 
 
+@pytest.mark.parametrize("descriptor,rank", [
+    ("GL(11)", 11), ("GL(99999999)", 99999999), ("T(11)", 11),
+    ("SO(23)", 11), ("Sp(22)", 11), ("SL(12)", 11), ("B11", 11),
+    ("GL(6) x GL(5)", 11), ("E8 x GL(3)", 11),
+])
+def test_descriptor_above_the_rank_cap(monkeypatch, descriptor, rank):
+    """Refused with ``descriptor`` before any root is built."""
+    def no_roots(*args):
+        raise AssertionError("a root was built")
+
+    for name in ("gl_datum", "torus_datum", "semisimple_datum", "so_odd_datum",
+                 "sp_datum", "so_even_datum"):
+        monkeypatch.setattr(rootdata, name, no_roots)
+    with pytest.raises(InvalidInputError) as exc:
+        build_root_datum(descriptor)
+    assert exc.value.code == "descriptor"
+    assert str(exc.value) == (
+        f"group {descriptor!r} has lattice rank {rank}, above the cap 10"
+    )
+
+
+def test_rank_cap_admits_rank_ten():
+    assert rootdata.MAX_RANK == 10  # above E8 and GL(9)
+    for descriptor in ("GL(10)", "GL(9) x T(1)", "T(10)"):
+        assert build_root_datum(descriptor).rank == 10
+
+
+def test_explicit_datum_above_the_rank_cap():
+    with pytest.raises(InvalidInputError) as exc:
+        build_root_datum({"d": 11, "roots": [], "coroots": []})
+    assert exc.value.code == "descriptor"
+    assert "explicit root datum has lattice rank 11" in str(exc.value)
+
+
+def test_descriptor_numbers_have_at_most_nine_digits():
+    with pytest.raises(InvalidInputError) as exc:
+        build_root_datum("GL(" + "9" * 5000 + ")")
+    assert exc.value.code == "descriptor"
+    assert "cannot parse group descriptor" in str(exc.value)
+
+
 def test_g2_coroot_table():
     """G2 in integer coordinates: frozen simple-root/coroot data."""
     rd = build_root_datum("G2")

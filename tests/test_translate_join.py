@@ -17,7 +17,6 @@ permuted, and a floor on the share of drawn problems with a non-empty
 count keeps these tests reaching the master sum.
 """
 
-import dataclasses
 import itertools
 
 from hypothesis import given, settings
@@ -166,7 +165,7 @@ def test_orbit_counts_match_per_node_join(spec, data):
     overrides = data.draw(
         st.dictionaries(st.sampled_from(labels), st.booleans(), max_size=2)
     )
-    spec = dataclasses.replace(spec, overrides=tuple(sorted(overrides.items())))
+    spec = spec._replace(overrides=tuple(sorted(overrides.items())))
     overridden = resolve_overrides(poset, spec.overrides_dict())
     # labels are constant on orbits, so overrides cover whole orbits
     assert all(
@@ -181,8 +180,7 @@ def test_orbit_counts_match_per_node_join(spec, data):
 
 def _redraw_surface(spec: ProblemSpec, data) -> ProblemSpec:
     """``spec`` at genus 0 or 1 with one or two unipotent punctures."""
-    return dataclasses.replace(
-        spec,
+    return spec._replace(
         genus=data.draw(st.integers(0, 1)),
         punctures=spec.m + data.draw(st.integers(1, 2)),
     )
@@ -210,9 +208,9 @@ def test_count_is_invariant_under_translates_and_class_order(spec, data):
     moved = classes[:k] + (translate(w, classes[k]),) + classes[k + 1:]
     order = data.draw(st.permutations(range(spec.m)))
     base = _count_outcome(spec)
-    translated = _count_outcome(dataclasses.replace(spec, semisimple_classes=moved))
+    translated = _count_outcome(spec._replace(semisimple_classes=moved))
     permuted = _count_outcome(
-        dataclasses.replace(spec, semisimple_classes=tuple(classes[i] for i in order))
+        spec._replace(semisimple_classes=tuple(classes[i] for i in order))
     )
     if isinstance(base, str):
         assert translated == permuted == base
