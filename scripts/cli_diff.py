@@ -16,9 +16,11 @@ exit code, stdout, stderr and the ``--json`` payload apart from
   ``perfbench/workloads.py``;
 * ``poset`` on the groups in ``POSET_GROUPS``;
 * ``check``, ``count`` and ``table`` on ``OVER_BOUND``, a valid GL(8)
-  problem above the poset bound (exit 3, ``poset-bound``);
+  problem above the poset bound (exit 3, ``poset-bound``), and ``check`` on
+  its nonhyperbolic form (genus 0, 2 punctures);
 * ``oracle --seed 0`` (``--threads 1``) on every config with an ``oracle``
-  section.
+  section, and at the field cap (``--q 11``) on ``FIELD_CAP_CONFIGS``, one
+  GL(2) and one PGL(2) problem that match there.
 
 Each differing command is printed with what differs; the last line counts
 the differences, and the exit status is 1 when there is any.
@@ -49,6 +51,8 @@ OVER_BOUND = {
     "eigenvalues": {"symbols": GL8_SYMBOLS},
     "classes": [{"type": "semisimple", "coords": GL8_SYMBOLS}],
 }
+# GL(2) from the oracle workload's seed-0 problems, PGL(2) from configs/
+FIELD_CAP_CONFIGS = ("oracle-gl2_genus1_q7.json", "pgl2_rigid.json")
 COUNT_COMMANDS = (("count",), ("count", "--table"), ("table",), ("check",), ("poset",))
 
 
@@ -65,9 +69,10 @@ def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
         for command in COUNT_COMMANDS:
             runs.append(command[:1] + ("--config", str(path)) + command[1:])
         if "oracle" in json.loads(path.read_text()):
-            runs.append(
-                ("oracle", "--config", str(path), "--seed", "0", "--threads", "1")
-            )
+            oracle = ("oracle", "--config", str(path), "--seed", "0", "--threads", "1")
+            runs.append(oracle)
+            if path.name in FIELD_CAP_CONFIGS:
+                runs.append(oracle + ("--q", "11"))
     for k, group in enumerate(POSET_GROUPS):
         path = config_dir / f"group-{k}.json"
         path.write_text(json.dumps({"schema_version": 1, "group": group}))
@@ -76,6 +81,9 @@ def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
     path.write_text(json.dumps(OVER_BOUND))
     for command in ("check", "count", "table"):
         runs.append((command, "--config", str(path)))
+    path = config_dir / "over-bound-nonhyperbolic.json"
+    path.write_text(json.dumps(dict(OVER_BOUND, genus=0)))
+    runs.append(("check", "--config", str(path)))
     return runs
 
 

@@ -472,7 +472,7 @@ def cmd_check(args) -> tuple[int, dict, str]:
     config = load_config(args.config)
     spec = build_problem(config)
     nonhyperbolic = spec.genus == 0 and spec.punctures == 2
-    validate_problem(spec, builds_poset=not nonhyperbolic)
+    validate_problem(spec)
     rd = spec.rd
     primes = admissible_primes(rd)
     checks = [
@@ -679,6 +679,8 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
     threads = (
         args.threads if args.threads is not None else _field_int(section, "threads", 1)
     )
+    if threads < 1:
+        raise InvalidInputError("oracle-input", "threads must be >= 1")
     explicit_values = section.get("eigenvalues")
     if explicit_values is not None and (
         not isinstance(explicit_values, dict)
@@ -739,8 +741,6 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
         kinds = ("semisimple",) * spec.m + ("regular_unipotent",) * (
             spec.punctures - spec.m
         )
-        if threads < 1:
-            raise InvalidInputError("oracle-input", "threads must be >= 1")
         check_enumeration(family, size, q, spec.genus, kinds, budget=budget)
         model = build_model(family, size, q)
         classes = tuple(

@@ -159,12 +159,11 @@ class CountReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def validate_problem(spec: ProblemSpec, builds_poset: bool = True) -> None:
+def validate_problem(spec: ProblemSpec) -> None:
     """Check every hypothesis of the counting theorem, naming failures.
 
-    When the caller goes on to build the poset (``builds_poset``), a poset
-    above the enumeration bound is refused (``poset-bound``) before the
-    first strongly-regular test, which loops over all of W.
+    A poset above the enumeration bound is refused (``poset-bound``) before
+    the first strongly-regular test, which loops over all of W.
     """
     rd = spec.rd
     if spec.genus < 0:
@@ -199,8 +198,7 @@ def validate_problem(spec: ProblemSpec, builds_poset: bool = True) -> None:
                 "torus-element",
                 f"semisimple class {idx} uses a different eigenvalue datum",
             )
-        if builds_poset:
-            check_poset_bound(rd)
+        check_poset_bound(rd)
         if not strongly_regular(rd, s):
             raise HypothesisError(
                 "strongly-regular",

@@ -68,15 +68,6 @@ def _identity(size: int) -> Matrix:
     )
 
 
-def _mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
-    size = len(a)
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % q for col in cols)
-        for row in a
-    )
-
-
 def _det(m: Matrix, q: int) -> int:
     if len(m) == 2:
         return (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % q
@@ -102,60 +93,30 @@ def _mat_inv(m: Matrix, q: int) -> Matrix:
     return tuple(tuple((x * det_inv) % q for x in row) for row in cof)
 
 
-def _char_poly(m: Matrix, q: int) -> tuple[int, ...]:
-    """Non-leading coefficients (c_0, .., c_{n-1}) of det(xI - m) mod q."""
-    if len(m) == 2:
-        tr = m[0][0] + m[1][1]
-        return (_det(m, q), (-tr) % q)
-    tr = m[0][0] + m[1][1] + m[2][2]
-    minors = (
-        m[1][1] * m[2][2] - m[1][2] * m[2][1],
-        m[0][0] * m[2][2] - m[0][2] * m[2][0],
-        m[0][0] * m[1][1] - m[0][1] * m[1][0],
-    )
-    return ((-_det(m, q)) % q, sum(minors) % q, (-tr) % q)
+def _gl3_min_degree(m: Matrix, q: int) -> int:
+    """Degree of the minimal polynomial of a reduced 3x3 matrix over F_q.
 
-
-def _is_scalar(m: Matrix) -> bool:
-    size = len(m)
-    return all(
-        m[i][j] == (m[0][0] if i == j else 0)
-        for i in range(size)
-        for j in range(size)
-    )
-
-
-def _min_poly_degree(m: Matrix, q: int) -> int:
-    """Degree of the minimal polynomial of m over F_q (size <= 3)."""
-    if _is_scalar(m):
-        return 1
-    size = len(m)
-    if size == 2:
-        return 2
-    # size 3, non-scalar: degree 2 iff m^2 = x*m + y*I for some x, y.
-    m2 = _mat_mul(m, m, q)
-    x = None
-    for i in range(3):
-        for j in range(3):
-            if i != j and m[i][j] % q:
-                x = (m2[i][j] * pow(m[i][j], q - 2, q)) % q
-                break
-        if x is not None:
+    It is 2 exactly when n = m - lam I has rank 1 for some lam in F_q.  Take
+    an off-diagonal entry p = m[r][s] != 0 and t the third index: rank 1
+    means n[i][j] p = n[i][s] n[r][j] for i != r, j != s.  At (t, t) that
+    fixes lam; the other three are tested.  A diagonal m has one degree
+    per distinct diagonal entry.
+    """
+    for r, s in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+        if m[r][s]:
             break
-    if x is None:
-        # m is diagonal and non-scalar: use two distinct diagonal entries.
-        for i in range(1, 3):
-            diff = (m[i][i] - m[0][0]) % q
-            if diff:
-                x = ((m2[i][i] - m2[0][0]) * pow(diff, q - 2, q)) % q
-                break
-    y = (m2[0][0] - x * m[0][0]) % q
-    for i in range(3):
-        for j in range(3):
-            expect = (x * m[i][j] + (y if i == j else 0)) % q
-            if m2[i][j] != expect:
-                return 3
-    return 2
+    else:
+        return len({m[0][0], m[1][1], m[2][2]})
+    t = 3 - r - s
+    p = m[r][s]
+    lam = m[t][t] - m[t][s] * m[r][t] * pow(p, q - 2, q)
+    n_rr, n_ss = m[r][r] - lam, m[s][s] - lam
+    rank_one = (
+        (m[s][r] * p - n_ss * n_rr) % q == 0
+        and (m[s][t] * p - n_ss * m[r][t]) % q == 0
+        and (m[t][r] * p - m[t][s] * n_rr) % q == 0
+    )
+    return 2 if rank_one else 3
 
 
 def _legendre(x: int, q: int) -> int:
@@ -168,8 +129,10 @@ class FiniteGroupModel:
 
     ``elements`` holds every group element as a tuple-of-tuples matrix
     (canonical projective representatives for PGL: the first nonzero
-    entry in row-major order is scaled to 1).  Conjugacy data is derived
-    on first use and kept on the instance.  Immutable.
+    entry in row-major order is scaled to 1).  Products, the PGL rescaling
+    and class keys are fixed-size 2x2 and 3x3 code on matrices with
+    entries reduced mod q.  Conjugacy data is derived on first use and
+    kept on the instance.  Immutable.
     """
 
     def __init__(
@@ -207,32 +170,62 @@ class FiniteGroupModel:
         return self.order // self.center_order
 
     def canonical(self, m: Matrix) -> Matrix:
+        """A reduced matrix's representative: for PGL(2), row 0 (nonzero when
+        m is invertible) scaled so that its first nonzero entry is 1."""
         if self.family == "GL":
             return m
-        flat = [x for row in m for x in row]
-        lead = next(x for x in flat if x)
-        scale = pow(lead, self.q - 2, self.q)
-        return tuple(tuple((x * scale) % self.q for x in row) for row in m)
+        q = self.q
+        (a, b), (c, d) = m
+        lead = a or b
+        if lead == 1:
+            return m
+        s = pow(lead, q - 2, q)
+        return ((a * s) % q, (b * s) % q), ((c * s) % q, (d * s) % q)
 
     def mul(self, a: Matrix, b: Matrix) -> Matrix:
-        return self.canonical(_mat_mul(a, b, self.q))
+        q = self.q
+        if self.size == 3:
+            (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+            (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+            return (
+                ((a0 * b0 + a1 * b3 + a2 * b6) % q, (a0 * b1 + a1 * b4 + a2 * b7) % q,
+                 (a0 * b2 + a1 * b5 + a2 * b8) % q),
+                ((a3 * b0 + a4 * b3 + a5 * b6) % q, (a3 * b1 + a4 * b4 + a5 * b7) % q,
+                 (a3 * b2 + a4 * b5 + a5 * b8) % q),
+                ((a6 * b0 + a7 * b3 + a8 * b6) % q, (a6 * b1 + a7 * b4 + a8 * b7) % q,
+                 (a6 * b2 + a7 * b5 + a8 * b8) % q),
+            )
+        (a0, a1), (a2, a3) = a
+        (b0, b1), (b2, b3) = b
+        m = (
+            ((a0 * b0 + a1 * b2) % q, (a0 * b1 + a1 * b3) % q),
+            ((a2 * b0 + a3 * b2) % q, (a2 * b1 + a3 * b3) % q),
+        )
+        return m if self.family == "GL" else self.canonical(m)
 
     def inv(self, a: Matrix) -> Matrix:
         return self.canonical(_mat_inv(a, self.q))
 
     def class_key(self, m: Matrix) -> tuple:
+        """Closed-form class key of a reduced matrix (see the module docstring)."""
         q = self.q
+        if self.size == 3:
+            (a, b, c), (d, e, f), (g, h, i) = m
+            minors = e * i - f * h + a * i - c * g + a * e - b * d
+            char_poly = (-_det(m, q) % q, minors % q, -(a + e + i) % q)
+            return ("gl", char_poly, _gl3_min_degree(m, q))
+        (a, b), (c, d) = self.canonical(m)
+        det = (a * d - b * c) % q
+        scalar = not b and not c and a == d
         if self.family == "GL":
-            return ("gl", _char_poly(m, q), _min_poly_degree(m, q))
-        m = self.canonical(m)
-        if _is_scalar(m):
+            return ("gl", (det, -(a + d) % q), 1 if scalar else 2)
+        if scalar:
             return ("pgl-central",)
-        tr = (m[0][0] + m[1][1]) % q
-        t = (tr * tr * pow(_det(m, q), q - 2, q)) % q
+        t = ((a + d) ** 2 * pow(det, q - 2, q)) % q
         if t == 4 % q:
             return ("pgl-unipotent",)
         if t == 0:
-            return ("pgl-order2", _legendre(_det(m, q), q))
+            return ("pgl-order2", _legendre(det, q))
         return ("pgl-ss", t)
 
     @cached_property
@@ -265,10 +258,6 @@ class FiniteGroupModel:
         not summing to |G| is an internal error.
         """
         return self._classes[0]
-
-    def element_key(self, m: Matrix) -> tuple:
-        """Class key of a group element, via the lookup table."""
-        return self._classes[1][m]
 
     def members(self, key: tuple) -> tuple[Matrix, ...]:
         return self._classes[2].get(key, ())
@@ -313,20 +302,16 @@ def check_field(family: str, size: int, q: int) -> None:
 def build_model(family: str, size: int, q: int) -> FiniteGroupModel:
     """Enumerate GL(2), GL(3) or PGL(2) over F_q (q prime, q <= DEFAULT_FIELD_CAP)."""
     check_field(family, size, q)
-    elements = []
-    for entries in itertools.product(range(q), repeat=size * size):
-        # PGL: one matrix per class, the one whose first nonzero entry is 1
-        # (also the first of its class in this order)
-        if family == "PGL" and next((x for x in entries if x), 0) != 1:
-            continue
-        m = tuple(entries[i * size : (i + 1) * size] for i in range(size))
-        if _det(m, q):
-            elements.append(m)
+    rows = list(itertools.product(range(q), repeat=size))
+    # PGL: one matrix per class, the one whose first nonzero entry is 1
+    # (also the first of its class in this order); it lies in row 0
+    firsts = [r for r in rows if (r[0] or r[1]) == 1] if family == "PGL" else rows
+    candidates = itertools.product(firsts, *[rows] * (size - 1))
     return FiniteGroupModel(
         family=family,
         size=size,
         q=q,
-        elements=tuple(elements),
+        elements=tuple(m for m in candidates if _det(m, q)),
         label=f"{family}({size}, F_{q})",
     )
 
@@ -484,14 +469,14 @@ def _puncture_counts(
     N_j(P) = sum over x in C_j of N_{j+1}(P x), at one P per class.
     """
     table = model.class_table()
-    key_of = model.element_key
+    keys = model._classes[1]
     mul = model.mul
     target_key = model.class_key(model.inv(classes[-1].rep))
     counts = {key: int(key == target_key) for key in table}
     for cls in reversed(classes[:-1]):
         members = model.members(cls.key)
         counts = {
-            key: sum(counts[key_of(mul(rep, x))] for x in members)
+            key: sum(counts[keys[mul(rep, x)]] for x in members)
             for key, (rep, _size) in table.items()
         }
     return counts
@@ -510,12 +495,12 @@ def _commutator_distribution(model: FiniteGroupModel) -> dict:
     """
     table = model.class_table()
     order = model.order
-    key_of = model.element_key
+    keys = model._classes[1]
     mul = model.mul
     hist: Counter = Counter()
     for rep, _size in table.values():
-        for y in model.members(key_of(model.inv(rep))):
-            hist[key_of(mul(rep, y))] += order
+        for y in model.members(keys[model.inv(rep)]):
+            hist[keys[mul(rep, y)]] += order
     if sum(hist.values()) != order * order:
         raise InternalConsistencyError(
             "oracle-distribution",
@@ -537,12 +522,12 @@ def _convolve(model: FiniteGroupModel, v: dict, v1: dict) -> dict:
     """One more genus handle: v'(M) = sum_P v(P) v1(P^-1 M)."""
     table = model.class_table()
     inverses = model.inverse_table
-    key_of = model.element_key
+    keys = model._classes[1]
     mul = model.mul
     out = {}
     for key, (rep, _size) in table.items():
         out[key] = sum(
-            v[key_of(p)] * v1[key_of(mul(inverses[p], rep))]
+            v[keys[p]] * v1[keys[mul(inverses[p], rep)]]
             for p in model.elements
         )
     return out

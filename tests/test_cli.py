@@ -304,6 +304,14 @@ class TestCheckCommand:
         text = capsys.readouterr().out
         assert "override on C2 asserts otherwise" in text
 
+    def test_nonhyperbolic_check_within_the_bound_builds_no_poset(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "build_poset", refuse_poset)
+        config = dict(json.loads((CONFIGS / "gl2_genus1.json").read_text()), genus=0)
+        assert main(["check", "--config", write_config(tmp_path, config)]) == 0
+        assert "empty by convention" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", ["check", "count"])
     def test_unknown_override_label_exits_2(self, capsys, tmp_path, command):
         path = write_config(tmp_path, gl2_config(overrides={"B7": True}))
@@ -462,6 +470,16 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert "error[oracle-input]: threads must be >= 1" in err
 
+    def test_oracle_threads_checked_before_specialization(self, capsys, monkeypatch):
+        """No eigenvalues are drawn: GL(3) at q = 5 has no faithful ones (exit 3)."""
+        monkeypatch.setattr(cli, "UnitSpecialization", None)
+        code = main(
+            ["oracle", "--config", str(CONFIGS / "gl3_genus1_generic.json"),
+             "--q", "5", "--threads", "0"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error[oracle-input]: threads must be >= 1\n"
+
     def test_oracle_nonprime_q_exits_2(self, capsys):
         code = main(
             ["oracle", "--config", str(CONFIGS / "gl2_sphere_generic.json"),
@@ -493,6 +511,10 @@ class TestOracleCommand:
         assert code == 0
         text = capsys.readouterr().out
         assert "oracle 2  formula 2  MATCH" in text
+
+
+def refuse_poset(rd):
+    raise AssertionError("a closed-subsystem poset was built")
 
 
 def gl8_config(coords, genus=1, punctures=2):
@@ -547,10 +569,19 @@ class TestOverBoundGroups:
         assert "error[class-counts]" in capsys.readouterr().err
 
     def test_nonhyperbolic_check_builds_no_poset(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(count, "strongly_regular", lambda rd, s: True)
-        config = gl8_config(GL8_REGULAR, genus=0)
-        assert main(["check", "--config", write_config(tmp_path, config)]) == 0
-        assert "empty by convention" in capsys.readouterr().out
+        """``check`` refuses a nonhyperbolic surface as ``count`` does.
+
+        It used to skip the bound there and exit 0 ("empty by convention")
+        after a strongly-regular test over all 40,320 elements of W.
+        """
+        monkeypatch.setattr(cli, "build_poset", refuse_poset)
+        path = write_config(tmp_path, gl8_config(GL8_REGULAR, genus=0))
+        errors = []
+        for command in ("check", "count", "table"):
+            assert main([command, "--config", path]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors == [errors[0]] * 3
+        assert errors[0].startswith("error[poset-bound]")
 
     def test_group_above_the_rank_cap(self, capsys, tmp_path):
         """GL(30) used to spend seconds on its roots before ``class-counts``."""

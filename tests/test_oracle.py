@@ -8,6 +8,8 @@ statement in the suite.
 """
 
 import dataclasses
+import itertools
+import random
 
 import pytest
 
@@ -20,6 +22,7 @@ from charvar.errors import (
 )
 from charvar.oracle import (
     FiniteGroupModel,
+    _det,
     brute_force_count,
     build_model,
     check_field,
@@ -31,7 +34,8 @@ from charvar.oracle import (
 )
 from charvar.rootdata import build_root_datum
 from charvar.subsystems import build_poset
-from oracle_reference import reference_count, rescaled_pgl_elements
+import oracle_reference
+from oracle_reference import listed_gl_elements, reference_count, rescaled_pgl_elements
 from witnesses import (
     GL2_COINCIDENT_TRIPLES,
     GL2_GENERIC_TRIPLE,
@@ -156,6 +160,72 @@ def test_field_cap_comes_before_primality():
 @pytest.mark.parametrize("q", [3, 5, 7, 11])
 def test_pgl_elements_match_rescaled_enumeration(q):
     assert build_model("PGL", 2, q).elements == rescaled_pgl_elements(q)
+
+
+@pytest.mark.parametrize(
+    "size,q", [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3)]
+)
+def test_gl_elements_match_listed_enumeration(size, q):
+    assert build_model("GL", size, q).elements == listed_gl_elements(size, q)
+
+
+@pytest.mark.parametrize(
+    "family,size,q",
+    [
+        ("GL", 2, 2),
+        ("GL", 2, 3),
+        ("GL", 2, 5),
+        ("PGL", 2, 3),
+        ("PGL", 2, 5),
+        ("PGL", 2, 7),
+        ("GL", 3, 2),
+        ("GL", 3, 3),
+    ],
+)
+def test_kernels_match_generic_reference(family, size, q):
+    """The fixed-size kernels agree with the generic matrix code.
+
+    ``inv``, ``class_key`` and (on every invertible matrix) ``canonical``
+    on every element; ``mul`` on every pair of a group of order at most
+    200, else on 20,000 pairs drawn with a fixed seed.
+    """
+    ref = oracle_reference
+    m = model(family, size, q)
+    one = m.canonical(tuple(tuple(int(i == j) for j in range(size)) for i in range(size)))
+    scalars = range(1, q) if family == "PGL" else (1,)
+    for a in m.elements:
+        assert m.class_key(a) == ref.class_key(family, q, a)
+        assert m.inv(a) == ref.inv(family, q, a)
+        assert m.mul(a, m.inv(a)) == one
+        for s in scalars:
+            scaled = tuple(tuple((x * s) % q for x in row) for row in a)
+            assert m.canonical(scaled) == ref.canonical(family, q, scaled) == a
+    if m.order <= 200:
+        pairs = [(a, b) for a in m.elements for b in m.elements]
+    else:
+        rng = random.Random(0)
+        pairs = [(rng.choice(m.elements), rng.choice(m.elements)) for _ in range(20_000)]
+    for a, b in pairs:
+        assert m.mul(a, b) == ref.mul(family, q, a, b)
+
+
+def test_gl3_kernels_match_generic_reference_at_q5():
+    """GL(3, F_5), too large to list here: every diagonal matrix (three
+    distinct diagonal entries need q >= 5) and 5,000 drawn ones."""
+    m = FiniteGroupModel("GL", 3, 5, (), "GL(3, F_5)")
+    rng = random.Random(0)
+    drawn = [
+        tuple(tuple(rng.randrange(5) for _ in range(3)) for _ in range(3))
+        for _ in range(5_000)
+    ]
+    diagonal = [
+        tuple(tuple(d[i] if i == j else 0 for j in range(3)) for i in range(3))
+        for d in itertools.product(range(1, 5), repeat=3)
+    ]
+    matrices = [a for a in drawn + diagonal if _det(a, 5)]
+    for a, b in zip(matrices, reversed(matrices)):
+        assert m.class_key(a) == oracle_reference.class_key("GL", 5, a)
+        assert m.mul(a, b) == oracle_reference.mul("GL", 5, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,12 @@ from charvar.charsum import EigenvalueDatum
 from charvar.errors import InvalidInputError, ResourceLimitError
 from charvar.oracle import (
     FiniteGroupModel,
-    _char_poly,
     _det,
     _identity,
     _is_prime,
-    _is_scalar,
     _legendre,
-    _mat_mul,
-    _min_poly_degree,
 )
+from oracle_reference import char_poly, is_scalar, mat_mul, min_poly_degree
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -182,13 +179,13 @@ def _in_class(
             # char poly of a regular unipotent is (x-1)^size
             expected = _poly_from_roots([1] * size, q)
             return (
-                _char_poly(matrix, q) == expected
-                and _min_poly_degree(matrix, q) == size
+                char_poly(matrix, q) == expected
+                and min_poly_degree(matrix, q) == size
             )
         eigen = [_eval_expr(e, values, q) for e in cls]
-        return _char_poly(matrix, q) == _poly_from_roots(eigen, q)
+        return char_poly(matrix, q) == _poly_from_roots(eigen, q)
     # PGL(2): compare scaling-invariant class data against diag(r, 1).
-    if _is_scalar(matrix):
+    if is_scalar(matrix):
         return False
     tr = (matrix[0][0] + matrix[1][1]) % q
     det = _det(matrix, q)
@@ -266,12 +263,12 @@ def verify_witness(
     matrices = witness_matrices(witness, q, values)
     product = _identity(witness.size)
     for m in matrices:
-        product = _mat_mul(product, m, q)
+        product = mat_mul(product, m, q)
     if witness.family == "GL":
         if product != _identity(witness.size):
             return False
     else:
-        if not _is_scalar(product) or _det(product, q) == 0:
+        if not is_scalar(product) or _det(product, q) == 0:
             return False
     for matrix, cls in zip(matrices, witness.classes):
         if not _in_class(witness.family, q, matrix, cls, values):
