@@ -20,7 +20,11 @@ exit code, stdout, stderr and the ``--json`` payload apart from
   its nonhyperbolic form (genus 0, 2 punctures);
 * ``oracle --seed 0`` (``--threads 1``) on every config with an ``oracle``
   section, and at the field cap (``--q 11``) on ``FIELD_CAP_CONFIGS``, one
-  GL(2) and one PGL(2) problem that match there.
+  GL(2) and one PGL(2) problem that match there;
+* ``count``, ``table``, ``check`` and ``oracle`` on ``INCONSISTENT``, a
+  GL(2) and a GL(3) problem whose override on the empty subsystem makes
+  the master formula non-polynomial (exit 4, ``non-polynomial``, with the
+  reduced fraction in the message; ``check`` does not count and exits 0).
 
 Each differing command is printed with what differs; the last line counts
 the differences, and the exit status is 1 when there is any.
@@ -51,6 +55,18 @@ OVER_BOUND = {
     "eigenvalues": {"symbols": GL8_SYMBOLS},
     "classes": [{"type": "semisimple", "coords": GL8_SYMBOLS}],
 }
+# sphere with 3 punctures, one class with determinant 1 and the empty
+# subsystem's indicator overridden to "dies": not a polynomial count
+INCONSISTENT = tuple(
+    {
+        "schema_version": 1, "group": f"GL({len(symbols)})", "genus": 0,
+        "punctures": 3,
+        "eigenvalues": {"symbols": symbols, "relations": ["*".join(symbols)]},
+        "classes": [{"type": "semisimple", "coords": symbols}],
+        "overrides": {"empty": True}, "oracle": {"q": [q]},
+    }
+    for symbols, q in ((["a", "b"], 5), (["a", "b", "c"], 7))
+)
 # GL(2) from the oracle workload's seed-0 problems, PGL(2) from configs/
 FIELD_CAP_CONFIGS = ("oracle-gl2_genus1_q7.json", "pgl2_rigid.json")
 COUNT_COMMANDS = (("count",), ("count", "--table"), ("table",), ("check",), ("poset",))
@@ -84,6 +100,12 @@ def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
     path = config_dir / "over-bound-nonhyperbolic.json"
     path.write_text(json.dumps(dict(OVER_BOUND, genus=0)))
     runs.append(("check", "--config", str(path)))
+    for k, config in enumerate(INCONSISTENT):
+        path = config_dir / f"inconsistent-{k}.json"
+        path.write_text(json.dumps(config))
+        for command in ("count", "table", "check"):
+            runs.append((command, "--config", str(path)))
+        runs.append(("oracle", "--config", str(path), "--seed", "0", "--threads", "1"))
     return runs
 
 

@@ -24,7 +24,7 @@ from .errors import (
     InvalidInputError,
     ResourceLimitError,
 )
-from .qpoly import Poly, RationalPoly
+from .qpoly import Poly
 from .rootdata import RootDatum, build_root_datum
 from .subsystems import SubsystemPoset, build_poset
 
@@ -36,7 +36,6 @@ __all__ = [
     "InvalidInputError",
     "Poly",
     "ProblemSpec",
-    "RationalPoly",
     "ResourceLimitError",
     "RootDatum",
     "SubsystemPoset",

@@ -46,6 +46,7 @@ from .charsum import (
     EigenvalueDatum,
     SymbolicTorusElement,
     node_map,
+    strongly_regular,
 )
 from .count import (
     DEFAULT_TRANSLATE_BUDGET,
@@ -266,9 +267,8 @@ def _envelope(command: str) -> dict:
 
 
 def _polynomial_payload(report: CountReport) -> dict:
-    coefficients = [int(c) for c in report.polynomial.polynomial_coeffs()]
     return {
-        "coefficients": coefficients,
+        "coefficients": list(report.polynomial.coeffs),
         "display": str(report.polynomial),
         "factored": report.factored,
     }
@@ -573,10 +573,8 @@ class UnitSpecialization:
     a per-node comparison would see.
     """
 
-    def __init__(
-        self, spec: ProblemSpec, family: str, q: int, quotients, symbolic: list[int]
-    ):
-        self.spec, self.family, self.q, self.symbolic = spec, family, q, symbolic
+    def __init__(self, spec: ProblemSpec, q: int, quotients, symbolic: list[int]):
+        self.spec, self.q, self.symbolic = spec, q, symbolic
         self.g = next(
             g for g in range(1, q)
             if len({pow(g, k, q) for k in range(q - 1)}) == q - 1
@@ -591,7 +589,8 @@ class UnitSpecialization:
         """The problem over <g> at ``values`` (residues mod q), or None.
 
         None when phi is not defined on A (a value is 0 mod q or a declared
-        relator survives) or a class is not strongly regular at the values.
+        relator survives) or a class is not strongly regular at the values:
+        ``strongly_regular`` over <g>, the test ``validate_problem`` applies.
         """
         datum = self.spec.eigenvalues
         if any(values[s] not in self.logs for s in datum.symbols):
@@ -610,12 +609,9 @@ class UnitSpecialization:
                 for s in self.spec.semisimple_classes
             ),
         )
-        for eigen in self.eigenvalues(concrete):
-            if self.family == "GL":
-                if len(set(eigen)) != len(eigen):
-                    return None
-            elif eigen[0] in (1, self.q - 1):
-                return None
+        classes = concrete.semisimple_classes
+        if not all(strongly_regular(concrete.rd, s) for s in classes):
+            return None
         return concrete
 
     def eigenvalues(self, concrete: ProblemSpec) -> list[tuple[int, ...]]:
@@ -702,7 +698,7 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
     verdict_ok = True
     for q in q_list:
         check_field(family, size, q)
-        units = UnitSpecialization(spec, family, q, quotients, symbolic)
+        units = UnitSpecialization(spec, q, quotients, symbolic)
         sampled = False
         if explicit_values is not None:
             values = {s: v % q for s, v in explicit_values.items()}
@@ -748,16 +744,10 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
         ) + (regular_unipotent_class(model),) * (spec.punctures - spec.m)
         count = brute_force_count(model, spec.genus, classes, budget=budget)
         formula_value = report.polynomial.evaluate(q)
-        if formula_value.denominator != 1:
-            raise InternalConsistencyError(
-                "non-integral",
-                f"formula value at q={q} is not an integer: {formula_value}",
-            )
-        formula_int = int(formula_value)
         admissible = q not in report.excluded_primes and (
             report.validity_modulus == 1 or q % report.validity_modulus == 1
         )
-        match = count == formula_int
+        match = count == formula_value
         if admissible and not match:
             verdict_ok = False
         runs.append(
@@ -767,7 +757,7 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
                 "sampled": sampled,
                 "seed": args.seed if sampled else None,
                 "oracle_count": count,
-                "formula_value": formula_int,
+                "formula_value": formula_value,
                 "admissible": admissible,
                 "match": match,
             }

@@ -42,7 +42,7 @@ multiply, negative ones divide exactly (one division by the monic
 q^(-b) (q-1)^(-a)), and a nonzero remainder raises ``non-polynomial``.
 A final division by |W|^m that leaves a remainder raises
 ``non-integral``.  Both checks are the theorem's, so both stay hard errors.
-The report converts the result to a ``RationalPoly`` only at the end.
+``CountReport.polynomial`` is the resulting integer ``Poly``.
 
 Indicator overrides: purity decides "is this word a d-th power" questions
 from the relations alone.  When the user knows the arithmetic truth for
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
+from fractions import Fraction
 from typing import NamedTuple
 
 from .abelian import AdditiveMap
@@ -72,7 +73,7 @@ from .errors import (
     InvalidInputError,
     ResourceLimitError,
 )
-from .qpoly import Poly, RationalPoly, q_minus
+from .qpoly import Poly
 from .rootdata import (
     RootDatum,
     admissible_primes,
@@ -138,7 +139,7 @@ class CountReport(NamedTuple):
     genus: int
     punctures: int
     m: int
-    polynomial: RationalPoly
+    polynomial: Poly
     is_empty: bool
     empty_reason: str | None
     euler_characteristic: int
@@ -417,14 +418,21 @@ def _divide_out(total: Poly, a: int, b: int, denominator: int) -> Poly:
     return Poly([c // denominator for c in poly.coeffs])
 
 
-def _rational(total: Poly, a: int, b: int, denominator: int) -> RationalPoly:
-    """(q-1)^a q^b total / denominator as a reduced rational function."""
-    return (
-        RationalPoly(total)
-        * q_minus(1) ** a
-        * RationalPoly.q() ** b
-        / denominator
-    )
+def _rational(total: Poly, a: int, b: int, denominator: int) -> str:
+    """(q-1)^a q^b total / denominator as reduced text: ``num`` or ``(num)/(den)``.
+
+    The powers of q and of q - 1 in ``total`` join a and b; what is left is
+    prime to both, so the fraction is reduced once each net power sits on
+    the numerator or on the (monic) denominator.
+    """
+    qm1 = Poly([-1, 1])
+    low = next(i for i, c in enumerate(total.coeffs) if c)
+    ones = total.ord_at_one()
+    body = Poly(total.coeffs[low:]).divmod(qm1 ** ones)[0]
+    a, b = a + ones, b + low
+    num = (body * qm1 ** max(a, 0)).shift(max(b, 0)) * Fraction(1, denominator)
+    den = (qm1 ** max(-a, 0)).shift(max(-b, 0))
+    return str(num) if den.degree() == 0 else f"({num})/({den})"
 
 
 def expected_dimension(spec: ProblemSpec) -> int:
@@ -610,7 +618,7 @@ def _finish_report(
         genus=g,
         punctures=n,
         m=m,
-        polynomial=RationalPoly(polynomial),
+        polynomial=polynomial,
         is_empty=is_empty,
         empty_reason=empty_reason,
         euler_characteristic=euler,

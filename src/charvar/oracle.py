@@ -262,11 +262,6 @@ class FiniteGroupModel:
     def members(self, key: tuple) -> tuple[Matrix, ...]:
         return self._classes[2].get(key, ())
 
-    @cached_property
-    def inverse_table(self) -> dict:
-        """Inverse of each element."""
-        return {m: self.inv(m) for m in self.elements}
-
 
 def check_field(family: str, size: int, q: int) -> None:
     """Refuse a group, field or enumeration size that ``build_model`` cannot take."""
@@ -519,16 +514,19 @@ def _commutator_distribution(model: FiniteGroupModel) -> dict:
 
 
 def _convolve(model: FiniteGroupModel, v: dict, v1: dict) -> dict:
-    """One more genus handle: v'(M) = sum_P v(P) v1(P^-1 M)."""
+    """One more genus handle: v'(M) = sum_X v(X^-1) v1(X M).
+
+    v is a class function and X^-1 lies in the class of the inverse of X's
+    class representative, so each class's inverse is found once.
+    """
     table = model.class_table()
-    inverses = model.inverse_table
     keys = model._classes[1]
     mul = model.mul
+    at_inverse = {key: v[keys[model.inv(rep)]] for key, (rep, _) in table.items()}
     out = {}
     for key, (rep, _size) in table.items():
         out[key] = sum(
-            v[keys[p]] * v1[keys[mul(inverses[p], rep)]]
-            for p in model.elements
+            at_inverse[keys[x]] * v1[keys[mul(x, rep)]] for x in model.elements
         )
     return out
 

@@ -10,12 +10,14 @@ master formula's only denominators are known in advance -- a power of q, a
 power of (q - 1) and the integer |W|^m.  So the engine divides by them
 exactly at the end (``Poly.divmod`` by a monic polynomial, then an integer
 division per coefficient), and a nonzero remainder is a failed
-polynomiality or integrality *check*.  Post-processing
-(``Poly.factored_str``, ``Poly.ord_at_one``) is integer arithmetic too.
+polynomiality or integrality *check*.  ``CountReport.polynomial`` is that
+integer ``Poly``.  Post-processing (``Poly.factored_str``,
+``Poly.ord_at_one``) is integer arithmetic too.
 
 :class:`RationalPoly` (a reduced fraction num/den of two polynomials with
-a monic denominator, so equality is plain coefficient equality) is the
-public boundary: ``CountReport.polynomial`` is a ``RationalPoly``.
+a monic denominator, so equality is plain coefficient equality) is not
+on the count path.  The literal reference computations in ``tests/`` sum
+the master formula in it, and ``perfbench/tracer.py`` times its methods.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ class Poly:
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
-            raise ValueError("Poly does not support negative powers; use RationalPoly")
+            raise ValueError("Poly does not support negative powers")
         result, base = Poly([1]), self
         while n:
             if n & 1:
@@ -411,12 +413,3 @@ class RationalPoly:
         """``Poly.factored_str`` of a polynomial value; raises on a proper fraction."""
         self.polynomial_coeffs()
         return self.num.factored_str()
-
-ZERO = RationalPoly(Poly())
-ONE = RationalPoly.from_int(1)
-Q = RationalPoly.q()
-
-
-def q_minus(c: Scalar) -> RationalPoly:
-    """The linear polynomial q - c."""
-    return RationalPoly(Poly([-c, 1]))

@@ -175,9 +175,6 @@ class SubsystemPoset:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def leq(self, i: int, j: int) -> bool:
-        return not self.masks[i] & ~self.masks[j]
-
     def upper_set(self, i: int) -> tuple[int, ...]:
         """Indices of all nodes containing node i (including i; none before i)."""
         mask = self.masks[i]

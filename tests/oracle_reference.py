@@ -172,7 +172,7 @@ def _leaf_count(model, prefix, member_lists, target_key) -> int:
 
 def _commutator_distribution(model) -> dict:
     table = model.class_table()
-    inverses = model.inverse_table
+    inverses = {m: model.inv(m) for m in model.elements}
     mul = model.mul
     key_of = model.class_key
     hist: Counter = Counter()
@@ -201,7 +201,7 @@ def _commutator_distribution(model) -> dict:
 
 def _convolve(model, v, v1) -> dict:
     table = model.class_table()
-    inverses = model.inverse_table
+    inverses = {m: model.inv(m) for m in model.elements}
     key_of = model.class_key
     mul = model.mul
     out = {}

@@ -2,7 +2,8 @@
 
 ``charvar.count`` assembles the master formula on integer polynomials over
 one common denominator and factors the result with integer arithmetic.
-This module does the same work the direct way, on ``RationalPoly`` values:
+This module does the same work the direct way, on ``RationalPoly`` values
+(``Q``, ``ONE``, ``ZERO`` and ``q_minus`` build the common ones):
 each summand carries its own 1/|W(Psi)|^(m-1), the global constant is a
 rational function, and every operation reduces by a polynomial gcd.  Its
 factoring and vanishing order run ``Poly.divmod`` on ``Fraction``
@@ -18,10 +19,20 @@ from math import gcd, lcm
 
 from charvar.charsum import node_map
 from charvar.count import ProblemSpec, emptiness
-from charvar.qpoly import Poly, RationalPoly, q_minus
+from charvar.qpoly import Poly, RationalPoly, Scalar
 from charvar.rootdata import enumerate_weyl
 from charvar.subsystems import build_poset
 from translate_reference import node_pass_counts
+
+
+def q_minus(c: Scalar) -> RationalPoly:
+    """The linear polynomial q - c."""
+    return RationalPoly(Poly([-c, 1]))
+
+
+ZERO = RationalPoly(Poly())
+ONE = RationalPoly.from_int(1)
+Q = RationalPoly.q()
 
 
 def _z_prefactor(rd, m: int, n: int, chi: int) -> RationalPoly:
@@ -93,9 +104,9 @@ def cyclotomic(n: int, table: dict[int, Poly]) -> Poly:
     return table[n]
 
 
-def factored_str(poly: RationalPoly) -> str:
+def factored_str(poly: Poly) -> str:
     """Content, power of q and cyclotomic factors by ``Fraction`` trial division."""
-    coeffs = poly.polynomial_coeffs()
+    coeffs = poly.coeffs
     if not coeffs:
         return "0"
     val = 0

@@ -1,5 +1,6 @@
 """Slow, direct references for the closed-subsystem poset's tests.
 
+``leq`` is the inclusion order on the poset's frozenset nodes,
 ``reference_closure`` re-scans every pair of members until nothing new
 appears, ``reference_enumeration`` is a breadth-first walk that closes each
 extension from scratch, and ``reference_mobius`` is the pairwise downward
@@ -17,6 +18,11 @@ import itertools
 from collections import deque
 
 from charvar.abelian import quotient_invariants
+
+
+def leq(poset, i: int, j: int) -> bool:
+    """Is node i contained in node j?"""
+    return poset.nodes[i] <= poset.nodes[j]
 
 
 def reference_closure(rd, indices) -> frozenset[int]:

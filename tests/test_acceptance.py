@@ -12,7 +12,6 @@ rather than reusing engine internals wherever feasible.
 import json
 import pathlib
 import time
-from fractions import Fraction
 
 from charvar.abelian import quotient_invariants, smith_normal_form
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement, node_map
@@ -29,7 +28,7 @@ from charvar.oracle import (
     regular_unipotent_class,
     semisimple_class,
 )
-from charvar.qpoly import Poly, RationalPoly, q_minus
+from charvar.qpoly import Poly, RationalPoly
 from charvar.rootdata import (
     build_root_datum,
     modulus,
@@ -37,6 +36,8 @@ from charvar.rootdata import (
     validate_root_datum,
 )
 from charvar.subsystems import build_poset
+from qpoly_reference import q_minus
+from subsystem_reference import leq
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -215,7 +216,7 @@ def test_criterion_02_gl3_genus_closed_forms():
         got_unit = count_polynomial(gl3_spec(g, False)).polynomial
         assert got_generic == prefactor * generic_bracket, f"generic g={g}"
         assert got_unit == prefactor * unit_ratio_bracket, f"unit ratio g={g}"
-        degree = len(got_generic.polynomial_coeffs()) - 1
+        degree = len(got_generic.coeffs) - 1
         assert degree == 18 * g - 4
     print("criterion 02: PASS - GL(3) genus closed forms, g in {1,2}")
 
@@ -275,8 +276,8 @@ def test_criterion_05_so5_and_g2_displays():
     for i in range(so5.num_nodes):
         assert so5.mobius(i, i) == 1
     assert so5.mobius(a1xa1, full) == -1
-    below = [i for i in a1s if so5.leq(i, a1xa1)]
-    beside = [i for i in a1s if not so5.leq(i, a1xa1)]
+    below = [i for i in a1s if leq(so5, i, a1xa1)]
+    beside = [i for i in a1s if not leq(so5, i, a1xa1)]
     assert len(below) == len(beside) == 2
     for i in below:
         assert so5.mobius(i, full) == 0
@@ -301,17 +302,17 @@ def test_criterion_05_so5_and_g2_displays():
     for i in a1xa1s:
         assert g2.mobius(i, full) == -1
         assert g2.mobius(empty, i) == 1
-    long_a1s = [i for i in a1s if g2.leq(i, a2)]
-    short_a1s = [i for i in a1s if not g2.leq(i, a2)]
+    long_a1s = [i for i in a1s if leq(g2, i, a2)]
+    short_a1s = [i for i in a1s if not leq(g2, i, a2)]
     assert len(long_a1s) == len(short_a1s) == 3
     for i in long_a1s:
         assert g2.mobius(i, full) == 1
         assert g2.mobius(i, a2) == -1
-        (cover,) = [j for j in a1xa1s if g2.leq(i, j)]
+        (cover,) = [j for j in a1xa1s if leq(g2, i, j)]
         assert g2.mobius(i, cover) == -1
     for i in short_a1s:
         assert g2.mobius(i, full) == 0
-        (cover,) = [j for j in a1xa1s if g2.leq(i, j)]
+        (cover,) = [j for j in a1xa1s if leq(g2, i, j)]
         assert g2.mobius(i, cover) == -1
     assert g2.mobius(empty, full) == 0
     assert g2.mobius(empty, a2) == 2
@@ -389,7 +390,7 @@ def test_criterion_05_so5_and_g2_displays():
             if qm1_exp >= 0:
                 rhs = rhs * q_minus(1) ** qm1_exp
             else:  # move the negative power across to avoid division
-                lhs = lhs * q_minus(1) ** (-qm1_exp)
+                lhs = q_minus(1) ** (-qm1_exp) * lhs
             assert lhs == rhs, (group, g, n, m)
     print("criterion 05: PASS - SO(5)/G2 posets, tables, display formulas")
 
@@ -465,7 +466,7 @@ def test_criterion_08_oracle_equivalence():
             count = brute_force_count(model, genus, tuple(concrete))
             elapsed = time.perf_counter() - start
             formula = polynomial.evaluate(q)
-            assert formula == Fraction(count), (name, q, count, formula)
+            assert formula == count, (name, q, count, formula)
             assert elapsed < 120, (name, q, elapsed)
     print("criterion 08: PASS - oracle equals formula, GL(2), q in {5,7}")
 
@@ -501,11 +502,11 @@ def test_criterion_09_property_suite():
         poset = build_poset(build_root_datum(desc))
         for i in range(poset.num_nodes):
             for j in range(poset.num_nodes):
-                if poset.leq(i, j):
+                if leq(poset, i, j):
                     total = sum(
                         poset.mobius(k, j)
                         for k in range(poset.num_nodes)
-                        if poset.leq(i, k) and poset.leq(k, j)
+                        if leq(poset, i, k) and leq(poset, k, j)
                     )
                     assert total == (1 if i == j else 0)
 

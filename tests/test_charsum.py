@@ -31,6 +31,7 @@ from charvar.errors import InvalidInputError
 from charvar.qpoly import Poly
 from charvar.rootdata import build_root_datum, enumerate_weyl
 from charvar.subsystems import build_poset
+from subsystem_reference import leq
 
 
 QM1 = Poly([-1, 1])
@@ -247,7 +248,7 @@ def test_in_commutator_monotone():
     for s in samples:
         for i in range(poset.num_nodes):
             for j in range(poset.num_nodes):
-                if poset.leq(i, j) and in_commutator(rd, poset.nodes[i], s):
+                if leq(poset, i, j) and in_commutator(rd, poset.nodes[i], s):
                     assert in_commutator(rd, poset.nodes[j], s)
 
 

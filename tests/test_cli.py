@@ -596,6 +596,29 @@ class TestOverBoundGroups:
             )
 
 
+class TestInconsistentOverride:
+    """An override that breaks polynomiality reaches the CLI as exit 4."""
+
+    CONFIG = {
+        "schema_version": 1, "group": "GL(2)", "genus": 0, "punctures": 3,
+        "eigenvalues": {"symbols": ["a", "b"], "relations": ["a*b"]},
+        "classes": [{"type": "semisimple", "coords": ["a", "b"]}],
+        "overrides": {"empty": True}, "oracle": {"q": [5]},
+    }
+
+    @pytest.mark.parametrize("command", ["count", "table", "oracle"])
+    def test_non_polynomial_count_exits_4(self, capsys, tmp_path, command):
+        code = main([command, "--config", write_config(tmp_path, self.CONFIG)])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error[non-polynomial]: the master formula produced a "
+            "non-polynomial count (2*q - 1)/(q); this indicates inconsistent "
+            "overrides or an engine bug\n"
+        )
+
+
 class TestCuratedConfigs:
     """Every shipped config must at least pass `check` (or fail as designed)."""
 

@@ -31,11 +31,9 @@ from charvar.errors import (
     InvalidInputError,
     ResourceLimitError,
 )
-from charvar.qpoly import RationalPoly, q_minus
+from charvar.qpoly import RationalPoly
 from charvar.rootdata import build_root_datum
-
-Q = RationalPoly.q()
-ONE = RationalPoly.from_int(1)
+from qpoly_reference import ONE, Q, q_minus
 
 
 def make_spec(group, genus, punctures, symbols, relations, classes, overrides=()):
@@ -622,7 +620,7 @@ def test_counts_are_integer_polynomials(genus, punctures):
     spec = make_spec("GL(2)", genus, punctures, ["a", "b"], ["a*b = 1"],
                      [["a", "b"]])
     report = count_polynomial(spec)
-    coeffs = report.polynomial.polynomial_coeffs()
-    assert all(c.denominator == 1 for c in coeffs)
+    coeffs = report.polynomial.coeffs
+    assert all(type(c) is int for c in coeffs)
     if genus > 0:
         assert report.euler_characteristic == 0

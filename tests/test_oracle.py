@@ -95,7 +95,7 @@ def test_known_small_orders():
 @pytest.mark.parametrize("family,size,q", [("GL", 2, 3), ("PGL", 2, 3), ("PGL", 2, 5)])
 def test_class_keys_match_true_conjugacy_orbits(family, size, q):
     m = model(family, size, q)
-    inverses = m.inverse_table
+    inverses = {x: m.inv(x) for x in m.elements}
     seen = set()
     for rep, _size in m.class_table().values():
         orbit = {m.mul(m.mul(g, rep), inverses[g]) for g in m.elements}

@@ -158,7 +158,7 @@ def test_node_map_check_matches_per_product_reference():
     @given(cases())
     def check(case):
         spec, family, q, values = case
-        units = UnitSpecialization(spec, family, q, *symbolic_pass_counts(spec))
+        units = UnitSpecialization(spec, q, *symbolic_pass_counts(spec))
         concrete = units.specialize(values)
         admissible = reference_admissible(spec, values, q, family)
         assert (concrete is not None) == admissible

@@ -30,7 +30,7 @@ from pathlib import Path
 import charvar
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement
 from charvar.count import ProblemSpec, count_polynomial
-from charvar.qpoly import RationalPoly
+from charvar.qpoly import Poly
 from charvar.rootdata import build_root_datum, enumerate_weyl
 from charvar.subsystems import build_poset
 
@@ -232,11 +232,18 @@ def test_datum_data_is_freed_with_the_datum():
 
 
 def test_caches_do_not_grow_with_polynomial_degree():
-    q = RationalPoly.q()
-    (q ** 2 - 1).factored_str()
+    q, one = Poly.q(), Poly.const(1)
+    (q ** 2 - one).factored_str()
     caches = functools_caches()
     before = {name: f.cache_info().currsize for name, f in caches.items()}
     for k in range(3, 30):
-        assert (q ** k - 1).factored_str().startswith("(q - 1)")
+        assert (q ** k - one).factored_str().startswith("(q - 1)")
     after = {name: f.cache_info().currsize for name, f in caches.items()}
     assert after == before
+
+
+def test_public_api_names_no_rational_function_class():
+    """Counts are integer ``Poly`` values; ``RationalPoly`` is not exported."""
+    assert all(hasattr(charvar, name) for name in charvar.__all__)
+    assert "RationalPoly" not in charvar.__all__
+    assert not hasattr(charvar, "RationalPoly")

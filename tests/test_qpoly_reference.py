@@ -5,7 +5,9 @@ master formula and the ``Fraction`` factoring and vanishing order.  The
 engine's ``int``-coefficient versions must agree with it: on random products
 c * q^k * prod Phi_d^e * (residual), and on the count of every curated
 config (the benchmark's problems are checked in
-``test_benchmark_digests.py``).
+``test_benchmark_digests.py``), where the report's polynomial must be a
+``Poly`` on ``int`` coefficients.  The engine's error text for a count that
+is not an integer polynomial must print the reduced ``RationalPoly``.
 """
 
 import pathlib
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qpoly_reference as ref
+from charvar import count
 from charvar.cli import build_problem, load_config
 from charvar.count import count_polynomial
 from charvar.qpoly import Poly, RationalPoly
@@ -45,10 +48,26 @@ def factored_shapes(draw) -> Poly:
 def test_integer_factoring_matches_fraction_reference(poly, denominator):
     assert {type(c) for c in poly.coeffs} <= {int}
     fractional = Poly(map(Fraction, poly.coeffs))
-    assert poly.factored_str() == ref.factored_str(RationalPoly(fractional))
+    assert poly.factored_str() == ref.factored_str(fractional)
     assert poly.ord_at_one() == ref.ord_at_one(fractional)
-    scaled = RationalPoly(Poly(Fraction(c, denominator) for c in poly.coeffs))
+    scaled = Poly(Fraction(c, denominator) for c in poly.coeffs)
     assert scaled.factored_str() == ref.factored_str(scaled)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(any),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(-6, 6),
+    st.integers(-6, 6),
+    st.sampled_from([1, 2, 6, 24, 120]),
+)
+def test_error_text_matches_rational_reduction(coeffs, ones, low, a, b, denominator):
+    """The non-polynomial/non-integral message prints the reduced fraction."""
+    total = (Poly(coeffs) * Poly([-1, 1]) ** ones).shift(low)
+    value = RationalPoly(total) * ref.q_minus(1) ** a * ref.Q ** b / denominator
+    assert count._rational(total, a, b, denominator) == str(value)
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
@@ -57,3 +76,13 @@ def test_count_matches_fraction_reference_on_configs(path):
     report = count_polynomial(spec)
     assert report.polynomial == ref.reference_polynomial(spec)
     assert report.factored == ref.factored_str(report.polynomial)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+def test_report_polynomial_is_an_integer_poly(path):
+    """Every curated count is a ``Poly`` on ``int`` coefficients, valued in ``int``."""
+    report = count_polynomial(build_problem(load_config(str(path))))
+    assert type(report.polynomial) is Poly
+    assert all(type(c) is int for c in report.polynomial.coeffs)
+    for q in (2, 3, 5, 7, 11):
+        assert type(report.polynomial.evaluate(q)) is int

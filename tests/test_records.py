@@ -30,7 +30,7 @@ from charvar.count import (
 )
 from charvar.errors import InvalidInputError
 from charvar.oracle import ConcreteClassData, FiniteGroupModel
-from charvar.qpoly import RationalPoly
+from charvar.qpoly import Poly
 from charvar.rootdata import RootDatum
 
 DATUM = EigenvalueDatum(("a", "b"), ("a*b",))
@@ -64,7 +64,7 @@ RECORDS = [
     )), {}),
     (CountReport, {
         "group_label": "GL(2)", "genus": 1, "punctures": 2, "m": 1,
-        "polynomial": RationalPoly.q(), "is_empty": False,
+        "polynomial": Poly.q(), "is_empty": False,
         "empty_reason": None, "euler_characteristic": 0,
         "expected_dimension": 2, "degree": 1, "leading_coefficient": 1,
         "num_components": 1, "validity_modulus": 1,

@@ -284,7 +284,7 @@ def tuples_conjugate(
     """Whether one tuple is a simultaneous conjugate of the other."""
     first = tuple(model.canonical(m) for m in first)
     second = tuple(model.canonical(m) for m in second)
-    inverses = model.inverse_table
+    inverses = {m: model.inv(m) for m in model.elements}
     for g in model.elements:
         g_inv = inverses[g]
         if all(
