@@ -14,7 +14,10 @@ exit code, stdout, stderr and the ``--json`` payload apart from
 * ``count``, ``count --table``, ``table``, ``check`` and ``poset`` on every
   curated config in ``configs/`` and every seed-0 benchmark problem of
   ``perfbench/workloads.py``;
-* ``poset`` on the groups in ``POSET_GROUPS``;
+* ``poset`` on the groups in ``POSET_GROUPS``, among them adjoint and
+  product groups with several Weyl orbits per subsystem type (``#k`` and
+  ``-long``/``-short`` labels), whose Mobius rows and quotients are
+  carried from one node of each orbit;
 * ``check``, ``count`` and ``table`` on ``OVER_BOUND``, a valid GL(8)
   problem above the poset bound (exit 3, ``poset-bound``), and ``check`` on
   its nonhyperbolic form (genus 0, 2 punctures);
@@ -44,10 +47,13 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402  (perfbench/ is read, never written)
 
-# E6 is above the enumeration bound, so it checks the exit-3 poset-bound path
+# E6 is above the enumeration bound, so it checks the exit-3 poset-bound path;
+# the adjoint and product groups split one type into several orbits, so
+# their labels carry #k and -long/-short suffixes
 POSET_GROUPS = (
     "SO(5)", "SO(7)", "SO(8)", "Sp(4)", "Sp(6)", "GL(4)", "PGL(3)", "SL(3)",
     "SO(5) x GL(2)", "F4", "G2", "GL(5)", "GL(6)", "E6",
+    "B3(ad)", "C3(ad)", "D4(ad)", "SO(5) x SO(5)", "G2 x G2",
 )
 GL8_SYMBOLS = [f"a{i}" for i in range(8)]
 OVER_BOUND = {

@@ -14,10 +14,18 @@ regular monodromy classes.  The central entry points:
 
 All arithmetic is exact (integers and fractions); there is no floating
 point anywhere in the pipeline.
+
+The engine modules ``count``, ``charsum`` and ``oracle`` are registered
+lazily (``importlib.util.LazyLoader``): each is in ``sys.modules`` and
+bound here from the start, but its code runs only when one of its
+attributes is first used, so a process that only builds a poset never
+compiles them.  The public names they define are served on first use by
+the module-level ``__getattr__``.
 """
 
-from .count import CountReport, ProblemSpec, count_polynomial
-from .charsum import EigenvalueDatum, SymbolicTorusElement
+import importlib.util
+import sys
+
 from .errors import (
     CharvarError,
     InternalConsistencyError,
@@ -27,6 +35,37 @@ from .errors import (
 from .qpoly import Poly
 from .rootdata import RootDatum, build_root_datum
 from .subsystems import SubsystemPoset, build_poset
+
+
+def _register_lazily(name: str):
+    """Put ``charvar.<name>`` in ``sys.modules``; it runs on first attribute use."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+charsum = _register_lazily("charsum")
+count = _register_lazily("count")
+oracle = _register_lazily("oracle")
+
+# public names of the lazily registered modules, by defining module
+_LAZY_NAMES = {
+    "CountReport": count,
+    "ProblemSpec": count,
+    "count_polynomial": count,
+    "EigenvalueDatum": charsum,
+    "SymbolicTorusElement": charsum,
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_NAMES:
+        return getattr(_LAZY_NAMES[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CharvarError",

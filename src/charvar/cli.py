@@ -32,6 +32,12 @@ identical config produce byte-identical JSON apart from the
 agreement), 2 invalid input or a failed hypothesis, 3 resource limit
 exceeded, 4 internal inconsistency (including an oracle mismatch at an
 admissible q).
+
+The engine modules are bound as modules (``count.count_polynomial``,
+``oracle.build_model``), not imported by name: the package registers
+``count``, ``charsum`` and ``oracle`` lazily, so each runs only when a
+command first uses it.  ``poset`` runs none of them, ``count``, ``table``
+and ``check`` never run ``oracle``.
 """
 
 from __future__ import annotations
@@ -42,37 +48,12 @@ import random
 import sys
 import time
 
-from .charsum import (
-    EigenvalueDatum,
-    SymbolicTorusElement,
-    node_map,
-    strongly_regular,
-)
-from .count import (
-    DEFAULT_TRANSLATE_BUDGET,
-    CountReport,
-    ProblemSpec,
-    count_polynomial,
-    emptiness,
-    expected_dimension,
-    orbit_pass_counts,
-    resolve_overrides,
-    validate_problem,
-)
+from . import charsum, count, oracle
 from .errors import (
     CharvarError,
     InternalConsistencyError,
     InvalidInputError,
     ResourceLimitError,
-)
-from .oracle import (
-    DEFAULT_ORACLE_BUDGET,
-    brute_force_count,
-    build_model,
-    check_enumeration,
-    check_field,
-    regular_unipotent_class,
-    semisimple_class,
 )
 from .rootdata import admissible_primes, build_root_datum, modulus
 from .subsystems import build_poset
@@ -160,7 +141,7 @@ def _string_list(value, where: str) -> list[str]:
     return value
 
 
-def parse_eigenvalue_datum(config: dict) -> EigenvalueDatum:
+def parse_eigenvalue_datum(config: dict) -> charsum.EigenvalueDatum:
     section = config.get("eigenvalues", {})
     if not isinstance(section, dict):
         raise InvalidInputError(
@@ -175,7 +156,7 @@ def parse_eigenvalue_datum(config: dict) -> EigenvalueDatum:
     relations = _string_list(
         section.get("relations", []), "eigenvalues.relations"
     )
-    return EigenvalueDatum(tuple(symbols), tuple(relations))
+    return charsum.EigenvalueDatum(tuple(symbols), tuple(relations))
 
 
 def parse_classes(config: dict) -> tuple[tuple[tuple[str, ...], ...], int]:
@@ -217,7 +198,7 @@ def parse_classes(config: dict) -> tuple[tuple[tuple[str, ...], ...], int]:
     return tuple(semisimple), unipotent
 
 
-def build_problem(config: dict) -> ProblemSpec:
+def build_problem(config: dict) -> count.ProblemSpec:
     group = _field_str(config, "group")
     genus = _field_int(config, "genus")
     punctures = _field_int(config, "punctures")
@@ -240,10 +221,10 @@ def build_problem(config: dict) -> ProblemSpec:
         )
     rd = build_root_datum(group)
     classes = tuple(
-        SymbolicTorusElement.from_words(datum, list(words))
+        charsum.SymbolicTorusElement.from_words(datum, list(words))
         for words in semisimple_words
     )
-    return ProblemSpec(
+    return count.ProblemSpec(
         rd=rd,
         genus=genus,
         punctures=punctures,
@@ -266,7 +247,7 @@ def _envelope(command: str) -> dict:
     }
 
 
-def _polynomial_payload(report: CountReport) -> dict:
+def _polynomial_payload(report: count.CountReport) -> dict:
     return {
         "coefficients": list(report.polynomial.coeffs),
         "display": str(report.polynomial),
@@ -274,11 +255,11 @@ def _polynomial_payload(report: CountReport) -> dict:
     }
 
 
-def _table_payload(report: CountReport) -> list[dict]:
+def _table_payload(report: count.CountReport) -> list[dict]:
     return [row._asdict() for row in report.table]
 
 
-def report_payload(report: CountReport) -> dict:
+def report_payload(report: count.CountReport) -> dict:
     return {
         "group": report.group_label,
         "genus": report.genus,
@@ -312,7 +293,7 @@ def _align(rows: list[list[str]]) -> list[str]:
     ]
 
 
-def table_text(report: CountReport) -> list[str]:
+def table_text(report: count.CountReport) -> list[str]:
     if not report.table:
         return ["(no diagnostic table: the formula was not evaluated)"]
     rows = [
@@ -339,7 +320,7 @@ def table_text(report: CountReport) -> list[str]:
     return lines
 
 
-def report_text(report: CountReport, show_table: bool) -> str:
+def report_text(report: count.CountReport, show_table: bool) -> str:
     lines = [
         f"group: {report.group_label}   genus: {report.genus}   "
         f"punctures: {report.punctures}   semisimple classes: {report.m}"
@@ -381,11 +362,11 @@ def report_text(report: CountReport, show_table: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _count_report(args, command: str) -> tuple[CountReport, dict]:
+def _count_report(args, command: str) -> tuple[count.CountReport, dict]:
     """Count the configured problem; its report and the ``command`` payload."""
     spec = build_problem(load_config(args.config))
-    budget = args.budget if args.budget is not None else DEFAULT_TRANSLATE_BUDGET
-    report = count_polynomial(spec, budget=budget)
+    budget = args.budget if args.budget is not None else count.DEFAULT_TRANSLATE_BUDGET
+    report = count.count_polynomial(spec, budget=budget)
     payload = _envelope(command)
     payload.update(report_payload(report))
     return report, payload
@@ -411,20 +392,31 @@ def cmd_poset(args) -> tuple[int, dict, str]:
     group = _field_str(config, "group")
     rd = build_root_datum(group)
     poset = build_poset(rd)
+    # per orbit, from its first node: X^vee/<w Psi> is isomorphic to
+    # X^vee/<Psi>, and |W(Psi)| and P_Psi depend only on the type
+    by_orbit = []
+    for orbit in poset.orbits():
+        inv = poset.quotient(orbit[0])
+        by_orbit.append(
+            (poset.weyl_order(orbit[0]), str(poset.poincare(orbit[0])),
+             inv.free_rank, inv.torsion)
+        )
+    labels = [poset.display_label(i) for i in range(poset.num_nodes)]
     nodes = []
     for i in range(poset.num_nodes):
-        inv = poset.quotient(i)
+        orbit = poset.orbit_of(i)
+        weyl_order, poincare, free_rank, torsion = by_orbit[orbit]
         nodes.append(
             {
                 "index": i,
-                "label": poset.display_label(i),
+                "label": labels[i],
                 "type": poset.type_label(i),
                 "num_roots": len(poset.nodes[i]),
-                "weyl_order": poset.weyl_order(i),
-                "orbit": poset.orbit_of(i),
-                "poincare": str(poset.poincare(i)),
-                "free_rank": inv.free_rank,
-                "torsion": list(inv.torsion),
+                "weyl_order": weyl_order,
+                "orbit": orbit,
+                "poincare": poincare,
+                "free_rank": free_rank,
+                "torsion": list(torsion),
             }
         )
     mobius = []
@@ -433,9 +425,9 @@ def cmd_poset(args) -> tuple[int, dict, str]:
             mobius.append(
                 {
                     "lower": i,
-                    "lower_label": poset.display_label(i),
+                    "lower_label": labels[i],
                     "upper": j,
-                    "upper_label": poset.display_label(j),
+                    "upper_label": labels[j],
                     "mu": value,
                 }
             )
@@ -472,7 +464,7 @@ def cmd_check(args) -> tuple[int, dict, str]:
     config = load_config(args.config)
     spec = build_problem(config)
     nonhyperbolic = spec.genus == 0 and spec.punctures == 2
-    validate_problem(spec)
+    count.validate_problem(spec)
     rd = spec.rd
     primes = admissible_primes(rd)
     checks = [
@@ -493,7 +485,7 @@ def cmd_check(args) -> tuple[int, dict, str]:
         )
     else:
         poset = build_poset(rd)
-        verdict = emptiness(spec, poset)
+        verdict = count.emptiness(spec, poset)
         nonempty = verdict.computed
         if nonempty:
             emptiness_note = (
@@ -519,7 +511,7 @@ def cmd_check(args) -> tuple[int, dict, str]:
             "checks": [{"name": n, "result": r} for n, r in checks],
             "validity_modulus": modulus(rd.dual()),
             "excluded_primes": list(primes),
-            "expected_dimension": expected_dimension(spec),
+            "expected_dimension": count.expected_dimension(spec),
             "non_empty": bool(nonempty),
         }
     )
@@ -573,19 +565,20 @@ class UnitSpecialization:
     a per-node comparison would see.
     """
 
-    def __init__(self, spec: ProblemSpec, q: int, quotients, symbolic: list[int]):
+    def __init__(self, spec: count.ProblemSpec, q: int, quotients, symbolic: list[int]):
         self.spec, self.q, self.symbolic = spec, q, symbolic
         self.g = next(
             g for g in range(1, q)
             if len({pow(g, k, q) for k in range(q - 1)}) == q - 1
         )
         self.logs = {pow(self.g, k, q): k for k in range(q - 1)}
-        self.datum = EigenvalueDatum(("g",), (f"g^{q - 1}",))
+        self.datum = charsum.EigenvalueDatum(("g",), (f"g^{q - 1}",))
         self.maps = [
-            [node_map(inv, self.datum.group) for inv in orbit] for orbit in quotients
+            [charsum.node_map(inv, self.datum.group) for inv in orbit]
+            for orbit in quotients
         ]
 
-    def specialize(self, values: dict) -> ProblemSpec | None:
+    def specialize(self, values: dict) -> count.ProblemSpec | None:
         """The problem over <g> at ``values`` (residues mod q), or None.
 
         None when phi is not defined on A (a value is 0 mod q or a declared
@@ -605,42 +598,42 @@ class UnitSpecialization:
         concrete = self.spec._replace(
             eigenvalues=self.datum,
             semisimple_classes=tuple(
-                SymbolicTorusElement(self.datum, tuple(map(image, s.coords)))
+                charsum.SymbolicTorusElement(self.datum, tuple(map(image, s.coords)))
                 for s in self.spec.semisimple_classes
             ),
         )
         classes = concrete.semisimple_classes
-        if not all(strongly_regular(concrete.rd, s) for s in classes):
+        if not all(charsum.strongly_regular(concrete.rd, s) for s in classes):
             return None
         return concrete
 
-    def eigenvalues(self, concrete: ProblemSpec) -> list[tuple[int, ...]]:
+    def eigenvalues(self, concrete: count.ProblemSpec) -> list[tuple[int, ...]]:
         """Per class, its eigenvalues g^phi(w) mod q."""
         return [
             tuple(pow(self.g, w[0], self.q) for w in s.coords)
             for s in concrete.semisimple_classes
         ]
 
-    def faithful(self, concrete: ProblemSpec) -> bool:
-        return orbit_pass_counts(concrete, self.maps) == self.symbolic
+    def faithful(self, concrete: count.ProblemSpec) -> bool:
+        return count.orbit_pass_counts(concrete, self.maps) == self.symbolic
 
 
-def symbolic_pass_counts(spec: ProblemSpec) -> tuple[list, list[int]]:
+def symbolic_pass_counts(spec: count.ProblemSpec) -> tuple[list, list[int]]:
     """Per Weyl orbit without an override, X^vee/<Psi> of its members and its pass count.
 
     Overrides name type or display labels, which are constant on orbits, so
     an orbit is overridden as a whole.
     """
     poset = build_poset(spec.rd)
-    overridden = resolve_overrides(poset, spec.overrides_dict())
+    overridden = count.resolve_overrides(poset, spec.overrides_dict())
     quotients = [
         [poset.quotient(j) for j in orbit]
         for orbit in poset.orbits()
         if orbit[0] not in overridden
     ]
     group = spec.eigenvalues.group
-    maps = [[node_map(inv, group) for inv in orbit] for orbit in quotients]
-    return quotients, orbit_pass_counts(spec, maps)
+    maps = [[charsum.node_map(inv, group) for inv in orbit] for orbit in quotients]
+    return quotients, count.orbit_pass_counts(spec, maps)
 
 
 def cmd_oracle(args) -> tuple[int, dict, str]:
@@ -670,7 +663,7 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
     budget = (
         args.budget
         if args.budget is not None
-        else _field_int(section, "budget", DEFAULT_ORACLE_BUDGET)
+        else _field_int(section, "budget", oracle.DEFAULT_ORACLE_BUDGET)
     )
     threads = (
         args.threads if args.threads is not None else _field_int(section, "threads", 1)
@@ -692,12 +685,12 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
             f"symbols {spec.eigenvalues.symbols}",
         )
 
-    report = count_polynomial(spec)
+    report = count.count_polynomial(spec)
     quotients, symbolic = symbolic_pass_counts(spec)
     runs = []
     verdict_ok = True
     for q in q_list:
-        check_field(family, size, q)
+        oracle.check_field(family, size, q)
         units = UnitSpecialization(spec, q, quotients, symbolic)
         sampled = False
         if explicit_values is not None:
@@ -737,17 +730,20 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
         kinds = ("semisimple",) * spec.m + ("regular_unipotent",) * (
             spec.punctures - spec.m
         )
-        check_enumeration(family, size, q, spec.genus, kinds, budget=budget)
-        model = build_model(family, size, q)
+        oracle.check_enumeration(family, size, q, spec.genus, kinds, budget=budget)
+        model = oracle.build_model(family, size, q)
         classes = tuple(
-            semisimple_class(model, eigen) for eigen in units.eigenvalues(concrete)
-        ) + (regular_unipotent_class(model),) * (spec.punctures - spec.m)
-        count = brute_force_count(model, spec.genus, classes, budget=budget)
+            oracle.semisimple_class(model, eigen)
+            for eigen in units.eigenvalues(concrete)
+        ) + (oracle.regular_unipotent_class(model),) * (spec.punctures - spec.m)
+        oracle_count = oracle.brute_force_count(
+            model, spec.genus, classes, budget=budget
+        )
         formula_value = report.polynomial.evaluate(q)
         admissible = q not in report.excluded_primes and (
             report.validity_modulus == 1 or q % report.validity_modulus == 1
         )
-        match = count == formula_value
+        match = oracle_count == formula_value
         if admissible and not match:
             verdict_ok = False
         runs.append(
@@ -756,7 +752,7 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
                 "eigenvalues": {k: values[k] for k in sorted(values)},
                 "sampled": sampled,
                 "seed": args.seed if sampled else None,
-                "oracle_count": count,
+                "oracle_count": oracle_count,
                 "formula_value": formula_value,
                 "admissible": admissible,
                 "match": match,

@@ -85,6 +85,12 @@ from .rootdata import (
 from .subsystems import SubsystemPoset, build_poset, check_poset_bound
 
 DEFAULT_TRANSLATE_BUDGET = 1_000_000
+# Largest degree a count may have.  The degree is the expected dimension,
+# known before any poset work, and the report's tail (powers and the
+# factored display) grows about cubically in it: at degree ~1,000 a count
+# takes 1-3 s in-process (GL(5) genus 20, F4 genus 10), at ~2,000 up to
+# 18 s (F4 genus 20).  The benchmark's largest problem has degree 212.
+MAX_DEGREE = 1_000
 
 
 class ProblemSpec(NamedTuple):
@@ -445,8 +451,19 @@ def expected_dimension(spec: ProblemSpec) -> int:
 def count_polynomial(
     spec: ProblemSpec, budget: int = DEFAULT_TRANSLATE_BUDGET
 ) -> CountReport:
-    """Run the master formula and assemble the full report."""
+    """Run the master formula and assemble the full report.
+
+    A count whose degree, the expected dimension, is above ``MAX_DEGREE``
+    is refused (``degree-bound``) before the poset is built.
+    """
     validate_problem(spec)
+    degree = expected_dimension(spec)
+    if degree > MAX_DEGREE:
+        raise ResourceLimitError(
+            "degree-bound",
+            f"the count has degree {degree} (the expected dimension), above "
+            f"the cap {MAX_DEGREE}",
+        )
     rd = spec.rd
     m, n, chi = spec.m, spec.punctures, spec.chi_exponent
     warnings: list[str] = []

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -60,7 +61,7 @@ MAX_RANK = 10
 
 
 def _dot(u: Vector, v: Vector) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def _neg(v: Vector) -> Vector:
@@ -178,7 +179,14 @@ class RootDatum:
 
     def coroot_form(self, x: Vector, y: Vector) -> int:
         """Canonical Weyl-invariant form on X^vee: sum over roots a of <a,x><a,y>."""
-        return _dot(x, _mat_vec(self._grams[1], y))
+        image = self._coroot_images.get(y)
+        return _dot(x, _mat_vec(self._grams[1], y) if image is None else image)
+
+    @cached_property
+    def _coroot_images(self) -> dict[Vector, Vector]:
+        """Gram image G y of each coroot y, G the Gram matrix of ``coroot_form``."""
+        gram = self._grams[1]
+        return {v: _mat_vec(gram, v) for v in self.coroots}
 
     @cached_property
     def center_invariants(self) -> QuotientInvariants:
@@ -250,18 +258,19 @@ def validate_root_datum(rd: RootDatum) -> None:
         raise InvalidInputError("root-datum-axiom", "coroots must be distinct")
 
     # reducedness: no root is a rational multiple c = w_k / v_k > 1 of another
-    for v, w in itertools.permutations(rd.roots, 2):
+    # (v itself fails the test, as v_k v_k is not above v_k v_k)
+    for v in rd.roots:
         k = next(i for i, a in enumerate(v) if a)
-        if w[k] * v[k] > v[k] * v[k] and all(
-            a * w[k] == b * v[k] for a, b in zip(v, w)
-        ):
-            g = math.gcd(w[k], v[k])
-            num, den = abs(w[k]) // g, abs(v[k]) // g
-            ratio = num if den == 1 else f"{num}/{den}"
-            raise InvalidInputError(
-                "root-datum-axiom",
-                f"root system is not reduced: {w} is {ratio} times {v}",
-            )
+        square = v[k] * v[k]
+        for w in rd.roots:
+            if w[k] * v[k] > square and all(a * w[k] == b * v[k] for a, b in zip(v, w)):
+                g = math.gcd(w[k], v[k])
+                num, den = abs(w[k]) // g, abs(v[k]) // g
+                ratio = num if den == 1 else f"{num}/{den}"
+                raise InvalidInputError(
+                    "root-datum-axiom",
+                    f"root system is not reduced: {w} is {ratio} times {v}",
+                )
 
     pos = set(rd.positive)
     if not pos <= set(range(len(rd.roots))):
@@ -284,19 +293,27 @@ def validate_root_datum(rd: RootDatum) -> None:
             )
 
     # pairing[i][j] = <beta_j, alpha_i^vee>: s_alpha_i maps beta_j to beta_j -
-    # pairing[i][j] alpha_i, and beta_j^vee to beta_j^vee - pairing[j][i] alpha_i^vee
-    croot_lookup = rd.coroot_lookup
+    # pairing[i][j] alpha_i, and beta_j^vee to beta_j^vee - pairing[j][i] alpha_i^vee;
+    # the multiples p alpha_i and p alpha_i^vee are built once per value p
+    croot_lookup, sub = rd.coroot_lookup, operator.sub
     pairing = [[_dot(b, av) for b in rd.roots] for av in rd.coroots]
     for i, (a, av) in enumerate(zip(rd.roots, rd.coroots)):
+        root_multiples: dict[int, list[int]] = {}
+        coroot_multiples: dict[int, list[int]] = {}
         for j, (b, bv) in enumerate(zip(rd.roots, rd.coroots)):
-            k = lookup.get(tuple(x - pairing[i][j] * y for x, y in zip(b, a)))
+            p = pairing[i][j]
+            if p not in root_multiples:
+                root_multiples[p] = [p * y for y in a]
+            k = lookup.get(tuple(map(sub, b, root_multiples[p])))
             if k is None:
                 raise InvalidInputError(
                     "root-datum-axiom",
                     f"reflection in root {a} maps root {b} outside the root set",
                 )
             p = pairing[j][i]
-            if croot_lookup.get(tuple(x - p * y for x, y in zip(bv, av))) != k:
+            if p not in coroot_multiples:
+                coroot_multiples[p] = [p * y for y in av]
+            if croot_lookup.get(tuple(map(sub, bv, coroot_multiples[p]))) != k:
                 raise InvalidInputError(
                     "root-datum-axiom",
                     f"reflection in root {a} does not act compatibly "

@@ -21,12 +21,15 @@ coroot indices; each member records the simple reflection that reaches it.
 
 ``SubsystemPoset`` precomputes the node list and serves per-node data:
 type labels (one classification per Weyl orbit, with long/short
-disambiguation where needed), Poincare polynomials (read from the type
-label's fundamental degrees) and Weyl orbits, each built for all nodes on
-first use; and, one node at a time, the quotient X^vee / <Psi> with its
-Smith basis (one Smith form per orbit, carried to the other members along
-the recorded reflections) and the Mobius row mu(i, .) (downward recursion
-over the nodes above i).  A root datum builds its poset once and keeps it
+disambiguation where needed), Poincare polynomials (one per type label,
+read from its fundamental degrees) and Weyl orbits, each built for all
+nodes on first use; and, one node at a time, the quotient X^vee / <Psi>
+with its Smith basis and the Mobius row mu(i, .).  Both are computed at
+the first node of each orbit only (a Smith form; the downward recursion
+over the nodes above it) and carried to the other members along the
+recorded reflections: the Smith basis by a rank-one update, the Mobius
+row through the reflection's permutation of the nodes, a poset
+automorphism.  A root datum builds its poset once and keeps it
 (``build_poset``).
 """
 
@@ -79,7 +82,13 @@ def _adjoin(rd: RootDatum, pairs, mask: int, indices) -> int:
 
 
 def _indices(mask: int) -> tuple[int, ...]:
-    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+    """The set bits of ``mask``, ascending: the lowest one is taken off each turn."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _members(mask: int) -> frozenset[int]:
@@ -111,7 +120,7 @@ def _orbit_tree(mask: int, reflections) -> dict[int, tuple[int, int] | None]:
     for member in frontier:
         indices = _indices(member)
         for a, bits in reflections:
-            image = sum(bits[k] for k in indices)
+            image = sum(map(bits.__getitem__, indices))
             if image not in tree:
                 tree[image] = (member, a)
                 frontier.append(image)
@@ -185,20 +194,41 @@ class SubsystemPoset:
     def mobius_row(self, i: int) -> Mapping[int, int]:
         """The nonzero mu(i, j), by ascending j, as a read-only mapping.
 
-        Downward recursion mu(i, j) = -sum of mu(i, c) over i <= c < j: the
-        nodes c strictly inside j are smaller, so their values come first.
+        At the first node of an orbit, the downward recursion mu(i, j) =
+        -sum of mu(i, c) over i <= c < j: the nodes c strictly inside j are
+        smaller, so their values come first.  A node s_a(Psi) maps the row of
+        Psi through the node permutation of s_a, an automorphism of the
+        poset: mu(s i, s j) = mu(i, j).
         """
         row = self._mobius_rows.get(i)
         if row is None:
-            row = {i: 1}
-            masks = self.masks
-            for j in self.upper_set(i)[1:]:
-                outside = ~masks[j]
-                mu = -sum(v for c, v in row.items() if not masks[c] & outside)
-                if mu:
-                    row[j] = mu
+            move = self._moves[self.nodes[i]]
+            if move is None:
+                row = {i: 1}
+                masks = self.masks
+                for j in self.upper_set(i)[1:]:
+                    outside = ~masks[j]
+                    mu = -sum(v for c, v in row.items() if not masks[c] & outside)
+                    if mu:
+                        row[j] = mu
+            else:
+                perm = self._node_permutations[move[1]]
+                parent = self.mobius_row(self.index_of[move[0]])
+                row = dict(sorted((perm[j], v) for j, v in parent.items()))
             row = self._mobius_rows[i] = MappingProxyType(row)
         return row
+
+    @cached_property
+    def _node_permutations(self) -> dict[int, tuple[int, ...]]:
+        """Per simple root a, node j -> the node s_a(j)."""
+        node_of = {mask: j for j, mask in enumerate(self.masks)}
+        return {
+            a: tuple(
+                node_of[sum(map(bits.__getitem__, _indices(mask)))]
+                for mask in self.masks
+            )
+            for a, bits in _simple_reflections(self.rd)
+        }
 
     def mobius(self, i: int, j: int) -> int:
         """Mobius function of the inclusion poset: mu(i, j)."""
@@ -241,7 +271,10 @@ class SubsystemPoset:
 
     @cached_property
     def _poincare(self) -> tuple[Poly, ...]:
-        return tuple(map(type_poincare, map(self.type_label, range(self.num_nodes))))
+        # labels in node order, so an unclassifiable one fails where it used to
+        labels = tuple(map(self.type_label, range(self.num_nodes)))
+        by_label = {label: type_poincare(label) for label in dict.fromkeys(labels)}
+        return tuple(map(by_label.__getitem__, labels))
 
     def poincare(self, i: int) -> Poly:
         return self._poincare[i]

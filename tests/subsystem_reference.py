@@ -3,13 +3,16 @@
 ``leq`` is the inclusion order on the poset's frozenset nodes,
 ``reference_closure`` re-scans every pair of members until nothing new
 appears, ``reference_enumeration`` is a breadth-first walk that closes each
-extension from scratch, and ``reference_mobius`` is the pairwise downward
-recursion over frozensets.  ``reference_orbits`` closes each node under
-the simple reflections as d x d matrices, and ``reference_quotients``
-computes X^vee / <Psi> from the Smith form of every node.  None of them
+extension from scratch, ``reference_mobius`` is the pairwise downward
+recursion over frozensets and ``reference_mobius_row`` the downward
+recursion of one row, run at every node.  ``reference_orbits`` closes each
+node under the simple reflections as d x d matrices, and
+``reference_quotients`` computes X^vee / <Psi> from the Smith form of
+every node.  None of them
 shares code with ``charvar.subsystems``, which works on bitmasks, a
-sum-pair table, one Mobius row per node, orbits found during the
-enumeration and one Smith form per orbit.
+sum-pair table, one Mobius recursion and one Smith form per orbit (carried
+to the other members along simple reflections) and orbits found during
+the enumeration.
 """
 
 from __future__ import annotations
@@ -122,3 +125,20 @@ def reference_quotients(poset) -> list:
         quotient_invariants(poset.rd.rank, poset.coroot_vectors(i))
         for i in range(poset.num_nodes)
     ]
+
+
+def reference_mobius_row(poset, i: int) -> dict[int, int]:
+    """The nonzero mu(i, j) by ascending j, by the downward recursion at node i.
+
+    mu(i, j) = -sum of mu(i, c) over the nodes c with i <= c < j, on the
+    frozenset nodes; every node is computed from its own recursion, with no
+    row carried from another node.
+    """
+    nodes = poset.nodes
+    row = {i: 1}
+    for j in range(i + 1, len(nodes)):
+        if nodes[i] <= nodes[j]:
+            mu = -sum(v for c, v in row.items() if nodes[c] <= nodes[j])
+            if mu:
+                row[j] = mu
+    return row

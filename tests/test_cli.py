@@ -2,13 +2,17 @@
 
 import json
 import pathlib
+import time
 
 import pytest
 
-from charvar import cli, count
+from charvar import cli, count, oracle
 from charvar.cli import build_problem, load_config, main
 from charvar.errors import InvalidInputError
 from charvar.oracle import FiniteGroupModel
+from charvar.rootdata import build_root_datum, poincare_polynomial
+from charvar.subsystems import build_poset
+from subsystem_reference import reference_quotients
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -282,6 +286,23 @@ class TestPosetCommand:
         full = [n for n in payload["nodes"] if n["label"] == "G2"]
         assert len(full) == 1 and full[0]["num_roots"] == 12
 
+    @pytest.mark.parametrize("group", ["B3(ad)", "D4(ad)", "SO(5) x SO(5)", "G2 x G2"])
+    def test_node_invariants_match_per_node_values(self, capsys, tmp_path, group):
+        """The per-orbit invariants the command prints are every member's own."""
+        out = tmp_path / "poset.json"
+        path = write_config(tmp_path, {"schema_version": 1, "group": group})
+        assert main(["poset", "--config", path, "--json", str(out)]) == 0
+        capsys.readouterr()
+        poset = build_poset(build_root_datum(group))
+        direct = reference_quotients(poset)
+        for node in json.loads(out.read_text())["nodes"]:
+            i = node["index"]
+            expected = poincare_polynomial(poset.rd, poset.nodes[i])
+            assert node["poincare"] == str(expected), (group, i)
+            assert node["weyl_order"] == expected.evaluate(1)
+            assert node["free_rank"] == direct[i].free_rank
+            assert node["torsion"] == list(direct[i].torsion)
+
 
 class TestCheckCommand:
     def test_check_ok(self, capsys):
@@ -435,7 +456,7 @@ class TestOracleCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("group model built before the budget check")
 
-        monkeypatch.setattr(cli, "build_model", refuse)
+        monkeypatch.setattr(oracle, "build_model", refuse)
         config = json.loads(
             (CONFIGS / "gl3_genus1_unit_eigenvalue.json").read_text()
         )
@@ -594,6 +615,33 @@ class TestOverBoundGroups:
                 "error[descriptor]: group 'GL(30)' has lattice rank 30, above "
                 "the cap 10\n"
             )
+
+
+class TestDegreeBound:
+    """A count above ``MAX_DEGREE`` is refused before any power is taken."""
+
+    @pytest.mark.parametrize("command", ["count", "table", "oracle"])
+    def test_huge_genus_exits_3_fast(self, capsys, tmp_path, command):
+        """Genus 10^30 used to run until killed (degree 8 * 10^30 - 2)."""
+        config = json.loads((CONFIGS / "gl2_genus1.json").read_text())
+        config["genus"] = 10**30
+        path = write_config(tmp_path, config)
+        start = time.perf_counter()
+        assert main([command, "--config", path]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error[degree-bound]: the count has degree {8 * 10**30 - 2} (the "
+            f"expected dimension), above the cap {count.MAX_DEGREE}\n"
+        )
+
+    def test_check_answers_above_the_cap(self, capsys, tmp_path):
+        """``check`` takes no power, so only the counting commands refuse."""
+        config = gl2_config(genus=126)  # degree 8 * 126 - 2 = 1006
+        assert count.expected_dimension(build_problem(config)) > count.MAX_DEGREE
+        path = write_config(tmp_path, config)
+        assert main(["check", "--config", path]) == 0
+        assert main(["count", "--config", path]) == 3
+        assert "error[degree-bound]" in capsys.readouterr().err
 
 
 class TestInconsistentOverride:

@@ -27,6 +27,8 @@ import sys
 import weakref
 from pathlib import Path
 
+import pytest
+
 import charvar
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement
 from charvar.count import ProblemSpec, count_polynomial
@@ -154,7 +156,7 @@ json.dump({"modules": sorted(sys.modules), "unresolved": unresolved}, sys.stdout
 
 
 def test_cli_import_path():
-    """``import charvar.cli`` alone, as in a cold CLI process: it loads every
+    """``import charvar.cli`` alone, as in a cold CLI process: it registers every
     charvar module (the tracer wraps them from ``sys.modules`` after this one
     import) and none of the stdlib modules in ``OFF_IMPORT_PATH``."""
     tree = ast.parse(TRACER.read_text(encoding="utf-8"))
@@ -178,6 +180,40 @@ def test_cli_import_path():
     assert [name for name in OFF_IMPORT_PATH if name in result["modules"]] == []
     assert len(pairs) > 40
     assert result["unresolved"] == []
+
+
+# runs one CLI command, then prints which lazily registered modules have run:
+# a module that has not run is still of LazyLoader's module type
+_RUN_PROBE = """
+import json, sys, types
+from charvar.cli import main
+code = main(sys.argv[1:])
+lazy = ("charvar.charsum", "charvar.count", "charvar.oracle")
+ran = [name for name in lazy if type(sys.modules[name]) is types.ModuleType]
+print(json.dumps({"code": code, "ran": ran}))
+"""
+
+
+@pytest.mark.parametrize(
+    "command,ran",
+    [
+        ("poset", []),
+        ("count", ["charvar.charsum", "charvar.count"]),
+        ("table", ["charvar.charsum", "charvar.count"]),
+        ("check", ["charvar.charsum", "charvar.count"]),
+        ("oracle", ["charvar.charsum", "charvar.count", "charvar.oracle"]),
+    ],
+)
+def test_each_command_runs_only_the_engine_modules_it_uses(command, ran):
+    """A cold ``poset`` runs none of count, charsum and oracle, and only
+    ``oracle`` runs the brute-force oracle."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "gl2_genus1.json"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = subprocess.run(
+        [sys.executable, "-c", _RUN_PROBE, command, "--config", str(config)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(probe.stdout.splitlines()[-1]) == {"code": 0, "ran": ran}
 
 
 def functools_caches() -> dict:

@@ -21,7 +21,7 @@ from charvar.charsum import EigenvalueDatum, SymbolicTorusElement, node_map
 from charvar.count import resolve_overrides
 from charvar.errors import InvalidInputError, ResourceLimitError
 from charvar.qpoly import Poly
-from charvar.rootdata import build_root_datum, classify_vectors
+from charvar.rootdata import build_root_datum, classify_vectors, poincare_polynomial
 from charvar.subsystems import (
     SubsystemPoset,
     build_poset,
@@ -33,6 +33,7 @@ from subsystem_reference import (
     reference_closure,
     reference_enumeration,
     reference_mobius,
+    reference_mobius_row,
     reference_orbits,
     reference_quotients,
     reference_reflection_matrix,
@@ -514,3 +515,41 @@ def test_b4_poset_takes_one_smith_form_per_orbit(monkeypatch):
         poset.quotient(i)
     # the empty node's quotient is the whole lattice and needs no Smith form
     assert len(calls) == len(poset.orbits()) - 1 == 19
+
+
+# ---------------------------------------------------------------------------
+# Per-orbit data: carried Mobius rows, orbit invariants read at one node
+# ---------------------------------------------------------------------------
+
+# several orbits per type (#k and -long/-short labels) in the ad and product cases
+ROW_POSETS = (
+    "B3(ad)", "B4", "C4", "D4", "D4(ad)", "F4", "G2", "GL(5)", "SO(5) x SO(5)",
+    "G2 x G2",
+)
+
+
+@pytest.mark.parametrize("desc", ROW_POSETS)
+def test_carried_mobius_rows_match_downward_recursion(desc):
+    """Rows other than an orbit's first are carried along simple reflections;
+    each equals the node's own recursion, entries in the same order."""
+    poset = SubsystemPoset(build_root_datum(desc))
+    assert any(len(orbit) > 1 for orbit in poset.orbits())
+    for i in range(poset.num_nodes):
+        expected = reference_mobius_row(poset, i)
+        assert list(poset.mobius_row(i).items()) == list(expected.items()), (desc, i)
+
+
+@pytest.mark.parametrize("desc", ROW_POSETS)
+def test_orbit_invariants_match_per_node_values(desc):
+    """X^vee/<w Psi> and P_{w Psi} are those of Psi, so one node per orbit serves."""
+    poset = SubsystemPoset(build_root_datum(desc))
+    direct = reference_quotients(poset)
+    for orbit in poset.orbits():
+        first = poset.quotient(orbit[0])
+        poincare = poset.poincare(orbit[0])
+        for i in orbit:
+            assert (direct[i].free_rank, direct[i].torsion) == (
+                first.free_rank, first.torsion
+            ), (desc, i)
+            assert poincare_polynomial(poset.rd, poset.nodes[i]) == poincare, (desc, i)
+            assert poset.poincare(i) == poincare
