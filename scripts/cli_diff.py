@@ -24,6 +24,10 @@ exit code, stdout, stderr and the ``--json`` payload apart from
 * ``oracle --seed 0`` (``--threads 1``) on every config with an ``oracle``
   section, and at the field cap (``--q 11``) on ``FIELD_CAP_CONFIGS``, one
   GL(2) and one PGL(2) problem that match there;
+* ``count`` and ``table`` on ``HIGH_GENUS``, one m = 1 class at high genus
+  under the degree cap: GL(2) genus 125 (degree 998), GL(3) genus 40
+  (716), GL(4) genus 10 (314) and G2 genus 20 (556), whose ``factored``
+  strings are long;
 * ``count``, ``table``, ``check`` and ``oracle`` on ``INCONSISTENT``, a
   GL(2) and a GL(3) problem whose override on the empty subsystem makes
   the master formula non-polynomial (exit 4, ``non-polynomial``, with the
@@ -73,6 +77,8 @@ INCONSISTENT = tuple(
     }
     for symbols, q in ((["a", "b"], 5), (["a", "b", "c"], 7))
 )
+# (group, genus, rank): one generic class, the GL ones with determinant 1
+HIGH_GENUS = (("GL(2)", 125, 2), ("GL(3)", 40, 3), ("GL(4)", 10, 4), ("G2", 20, 2))
 # GL(2) from the oracle workload's seed-0 problems, PGL(2) from configs/
 FIELD_CAP_CONFIGS = ("oracle-gl2_genus1_q7.json", "pgl2_rigid.json")
 COUNT_COMMANDS = (("count",), ("count", "--table"), ("table",), ("check",), ("poset",))
@@ -106,6 +112,17 @@ def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
     path = config_dir / "over-bound-nonhyperbolic.json"
     path.write_text(json.dumps(dict(OVER_BOUND, genus=0)))
     runs.append(("check", "--config", str(path)))
+    for group, genus, rank in HIGH_GENUS:
+        symbols = [f"a{i}" for i in range(1, rank + 1)]
+        relations = ["*".join(symbols) + " = 1"] if group.startswith("GL") else []
+        path = config_dir / f"high-genus-{group}-{genus}.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "group": group, "genus": genus, "punctures": 2,
+            "eigenvalues": {"symbols": symbols, "relations": relations},
+            "classes": [{"type": "semisimple", "coords": symbols}],
+        }))
+        for command in ("count", "table"):
+            runs.append((command, "--config", str(path)))
     for k, config in enumerate(INCONSISTENT):
         path = config_dir / f"inconsistent-{k}.json"
         path.write_text(json.dumps(config))

@@ -11,7 +11,8 @@ On top of that this module provides:
 * ``evaluate_character`` — pair a character (vector in X) with S;
 * ``translate`` / ``product_translate`` — the Weyl action on torus
   elements, and the product of several translated elements;
-* ``strongly_regular`` — no root trivial on S and trivial Weyl stabilizer;
+* ``strongly_regular`` — no root trivial on S and trivial Weyl stabilizer,
+  the latter without a loop over W where Steinberg's theorem gives it;
 * ``node_map`` — the test "S dies in (X^vee / <Psi>) (x) A", compiled
   once per closed subsystem Psi into an additive map to (+) Z/e (+) Z^f
   (the Smith form of <Psi> composed with canonical coordinates of each
@@ -43,7 +44,13 @@ from .abelian import (
 )
 from .errors import InvalidInputError
 from .qpoly import Poly
-from .rootdata import Matrix, RootDatum, Vector, enumerate_weyl
+from .rootdata import (
+    Matrix,
+    RootDatum,
+    Vector,
+    cocenter_invariants,
+    enumerate_weyl,
+)
 
 Word = tuple[int, ...]
 
@@ -210,6 +217,14 @@ def strongly_regular(rd: RootDatum, element: SymbolicTorusElement) -> bool:
     Both clauses are decided inside A: a root kills S when the relations
     force alpha(S) = 1, and w fixes S when every coordinate of w.S / S is
     forced trivial.
+
+    The loop over W is skipped when X^vee / Z Phi^vee is torsion-free and
+    the torsion of A is cyclic (Steinberg's shortcut).  A then embeds in
+    C^x, and X^vee (x) - keeps the embedding injective, since X^vee is
+    free; so S is a regular element s of T(C), fixed by w exactly when S
+    is.  The derived group is simply connected, so by Steinberg ("Torsion
+    in reductive groups", 1975) the centralizer of s is connected, hence
+    equal to T, and the W-stabilizer of s is trivial.
     """
     if len(element.coords) != rd.rank:
         raise InvalidInputError(
@@ -219,6 +234,9 @@ def strongly_regular(rd: RootDatum, element: SymbolicTorusElement) -> bool:
     for i in rd.positive:
         if is_identity(group, evaluate_character(rd.roots[i], element)):
             return False
+    torsion = [e for e in canonical_coordinates(group).moduli if e]
+    if not cocenter_invariants(rd).torsion and len(torsion) <= 1:
+        return True
     identity = tuple(
         tuple(1 if r == c else 0 for c in range(rd.rank)) for r in range(rd.rank)
     )

@@ -91,6 +91,8 @@ def load_config(path: str) -> dict:
             "config-parse",
             f"{path}: line {err.lineno} column {err.colno}: {err.msg}",
         )
+    except ValueError as err:  # too many digits in an integer, or not UTF-8
+        raise InvalidInputError("config-parse", f"{path}: {err}")
     if not isinstance(config, dict):
         raise InvalidInputError(
             "config-parse", f"{path}: top level must be a JSON object"

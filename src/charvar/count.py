@@ -55,7 +55,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from fractions import Fraction
 from typing import NamedTuple
 
 from .abelian import AdditiveMap
@@ -337,22 +336,24 @@ def orbit_pass_counts(
     of |W| translate images, the left one shifted by the image of S_1, and
     the zero sums are counted with one lookup per left entry against the
     negated right half.  With m = 1 both halves are empty: N(Psi') is 1 or
-    0 as S_1 dies at Psi' or not, and no translate is computed.  ``budget``
+    0 as S_1 dies at Psi' or not, no translate is computed and W is not
+    enumerated (|W| is read off the poset, ``weyl_group_order``).  ``budget``
     bounds the histogram entries: a strongly regular class has |W|
     distinct translates, so the halves hold at most
     |W|^floor((m-1)/2) + |W|^ceil((m-1)/2) entries.
     """
-    weyl = enumerate_weyl(spec.rd)
+    order = weyl_group_order(spec.rd)
     first, *rest = spec.semisimple_classes
     half = len(rest) // 2
-    entries = len(weyl) ** half + len(weyl) ** (len(rest) - half)
+    entries = order ** half + order ** (len(rest) - half)
     if entries > budget:
         raise ResourceLimitError(
             "translate-budget",
             f"the translate histogram join builds up to {entries} entries "
-            f"(|W|^{half} + |W|^{len(rest) - half} with |W| = {len(weyl)}), "
+            f"(|W|^{half} + |W|^{len(rest) - half} with |W| = {order}), "
             f"exceeding the budget {budget}; raise the budget to proceed",
         )
+    weyl = enumerate_weyl(spec.rd) if rest else ()
     translates = [[translate(w, s).flat() for w in weyl] for s in rest]
     start = first.flat()
     counts = []
@@ -364,8 +365,14 @@ def orbit_pass_counts(
             passing += sum(
                 mult * right.get(nmap.negate(x), 0) for x, mult in left.items()
             )
-        counts.append(len(weyl) // len(maps) * passing)
+        counts.append(order // len(maps) * passing)
     return counts
+
+
+def weyl_group_order(rd: RootDatum) -> int:
+    """|W| = P_Phi(1), read at the full node of the poset of ``rd``."""
+    poset = build_poset(rd)
+    return poset.weyl_order(poset.index_of[frozenset(range(rd.num_roots))])
 
 
 def _sum_histogram(
@@ -431,10 +438,11 @@ def _rational(total: Poly, a: int, b: int, denominator: int) -> str:
     prime to both, so the fraction is reduced once each net power sits on
     the numerator or on the (monic) denominator.
     """
+    from fractions import Fraction
+
     qm1 = Poly([-1, 1])
-    low = next(i for i, c in enumerate(total.coeffs) if c)
-    ones = total.ord_at_one()
-    body = Poly(total.coeffs[low:]).divmod(qm1 ** ones)[0]
+    low, ones, minus_ones, rest = total.unit_roots()
+    body = Poly(rest) * Poly([1, 1]) ** minus_ones
     a, b = a + ones, b + low
     num = (body * qm1 ** max(a, 0)).shift(max(b, 0)) * Fraction(1, denominator)
     den = (qm1 ** max(-a, 0)).shift(max(-b, 0))
@@ -507,7 +515,7 @@ def count_polynomial(
     # D(node) = |Tor| (q-1)^rank * (number of translate tuples passing);
     # an override passes all |W|^m tuples or none, and the tuples where it
     # contradicts the computed indicator are tallied per display label
-    weyl_order = len(enumerate_weyl(rd))
+    weyl_order = weyl_group_order(rd)
     products = weyl_order ** m
     by_orbit = orbit_pass_counts(
         spec, [[maps[j] for j in orbit] for orbit in poset.orbits()], budget

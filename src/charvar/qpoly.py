@@ -3,7 +3,8 @@
 :class:`Poly` is a dense polynomial (index = power, no trailing zeros)
 that keeps its coefficients as they come in: ``int`` arithmetic stays
 ``int``, and a ``Fraction`` appears only from a rational input or from
-dividing by a leading coefficient other than 1.  The counting engine works
+dividing by a leading coefficient other than 1 (so ``fractions`` is
+imported only in the branches that can make one).  The counting engine works
 in it with integer coefficients from start to finish: every local factor,
 Poincare polynomial and Mobius sum is an integer polynomial, and the
 master formula's only denominators are known in advance -- a power of q, a
@@ -12,7 +13,10 @@ exactly at the end (``Poly.divmod`` by a monic polynomial, then an integer
 division per coefficient), and a nonzero remainder is a failed
 polynomiality or integrality *check*.  ``CountReport.polynomial`` is that
 integer ``Poly``.  Post-processing (``Poly.factored_str``,
-``Poly.ord_at_one``) is integer arithmetic too.
+``Poly.ord_at_one``) is integer arithmetic too, and close to linear in the
+degree: the powers of q - 1 and q + 1 come from one pass of running sums
+per factor (``Poly.unit_roots``), and a cyclotomic Phi_d with d >= 3 is
+divided out only where a residue mod a prime p = 1 (mod d) allows it.
 
 :class:`RationalPoly` (a reduced fraction num/den of two polynomials with
 a monic denominator, so equality is plain coefficient equality) is not
@@ -23,10 +27,17 @@ the master formula in it, and ``perfbench/tracer.py`` times its methods.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from itertools import accumulate, count
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Scalar = int | Fraction
+
+# least prime of the filter in ``factored_str``: a body that Phi_d does not
+# divide passes the residue test with chance about 1 / p
+_FILTER_PRIME_FLOOR = 1 << 16
 
 
 def _strip(coeffs: list) -> tuple:
@@ -62,7 +73,8 @@ def _format(coeffs: Sequence[Scalar]) -> str:
 class Poly:
     """Dense polynomial with ``int`` or ``Fraction`` coefficients; immutable."""
 
-    __slots__ = ("coeffs",)
+    # ``_split`` holds ``unit_roots()`` once computed
+    __slots__ = ("coeffs", "_split")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         self.coeffs: tuple[Scalar, ...] = _strip(list(coeffs))
@@ -90,9 +102,9 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Poly.const(other)
-        return NotImplemented
+        if isinstance(other, RationalPoly):
+            return NotImplemented
+        return self.coeffs == _strip([other])
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
@@ -114,7 +126,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             return Poly([other * c for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -158,6 +170,8 @@ class Poly:
             f = rem[i + k]
             if f:
                 if lead != 1:
+                    from fractions import Fraction
+
                     f = Fraction(f) / lead
                 quot[i] = f
                 for j in range(k):
@@ -168,6 +182,8 @@ class Poly:
         lead = self.leading()
         if lead in (0, 1):
             return self
+        from fractions import Fraction
+
         return self * Fraction(1, lead)
 
     def gcd(self, other: "Poly") -> "Poly":
@@ -182,15 +198,29 @@ class Poly:
             acc = acc * x + c
         return acc
 
+    def unit_roots(self) -> tuple[int, int, int, tuple]:
+        """(v, a, b, rest) with self = q^v (q - 1)^a (q + 1)^b Poly(rest).
+
+        ``rest`` does not vanish at 0, 1 or -1; the zero polynomial gives
+        (0, 0, 0, ()).  Each factor q - 1 or q + 1 is taken out by one pass
+        of running sums (``_peel``).  The result is kept on the value, so
+        the vanishing order, the factored display and the error text of a
+        count read one computation.
+        """
+        try:
+            return self._split
+        except AttributeError:
+            pass
+        coeffs = self.coeffs
+        v = next((i for i, c in enumerate(coeffs) if c), 0)
+        a, rest = _peel(coeffs[v:], 1)
+        b, rest = _peel(rest, -1)
+        self._split = (v, a, b, tuple(rest))
+        return self._split
+
     def ord_at_one(self) -> int:
         """Multiplicity of the root q = 1; 0 for the zero polynomial."""
-        order, poly, qm1 = 0, self, Poly([-1, 1])
-        while not poly.is_zero():
-            poly, remainder = poly.divmod(qm1)
-            if not remainder.is_zero():
-                break
-            order += 1
-        return order
+        return self.unit_roots()[1]
 
     # -- display ------------------------------------------------------
     def __str__(self) -> str:
@@ -204,54 +234,125 @@ class Poly:
 
         Pulls out the content (sign normalized to the leading coefficient;
         a ``Fraction`` when a coefficient is one), the power of q, and
-        cyclotomic factors by trial division; whatever remains is printed
-        expanded.  The factoring itself is integer arithmetic: the
-        coefficients are scaled by the lcm of their denominators first.
+        cyclotomic factors Phi_d in increasing d, each only while d is at
+        most the degree left; whatever remains is printed expanded.  The
+        powers of Phi_1 = q - 1 and Phi_2 = q + 1 come from
+        ``unit_roots``.  For d >= 3 the body is first evaluated mod a prime
+        p = 1 (mod d) at an element of order d (``_may_vanish``): a nonzero
+        residue proves that Phi_d does not divide it, and only the d that
+        pass are tried by division.  The factoring is integer arithmetic:
+        the coefficients are scaled by the lcm of their denominators first.
         Intended for eyeballing counting polynomials, whose factors are
         overwhelmingly of this shape.
         """
         coeffs = self.coeffs
         if not coeffs:
             return "0"
-        val = 0
-        while coeffs[val] == 0:
-            val += 1
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        ints = [int(c * scale) for c in coeffs[val:]]
+        val, ones, minus_ones, rest = self.unit_roots()
+        # q - 1 and q + 1 are monic, so rest carries all of the content
+        scale = math.lcm(*(c.denominator for c in rest))
+        ints = [int(c * scale) for c in rest]
         content = math.gcd(*ints)
         if ints[-1] < 0:
             content = -content
-        body = Poly([c // content for c in ints])
+        body = [c // content for c in ints]
         if scale != 1:
+            from fractions import Fraction
+
             content = Fraction(content, scale)
         factors: list[tuple[str, int]] = []
+        if ones:
+            factors.append(("q - 1", ones))
+        if minus_ones and len(body) == 1:
+            # the body is (q + 1)^b: Phi_2 is taken out only down to degree 2
+            minus_ones, body = minus_ones - 1, [1, 1]
+        if minus_ones:
+            factors.append(("q + 1", minus_ones))
+        left = Poly(body)
         table: dict[int, Poly] = {}
-        d = 1
-        while body.degree() > 0 and d <= body.degree():
-            phi = _cyclotomic(d, table)
-            if phi.degree() > body.degree():
-                d += 1
-                continue
-            quot, rem = body.divmod(phi)
-            if rem.is_zero():
-                if factors and factors[-1][0] == str(phi):
-                    factors[-1] = (factors[-1][0], factors[-1][1] + 1)
-                else:
-                    factors.append((str(phi), 1))
-                body = quot
-            else:
-                d += 1
-        one = Poly([1])
+        d = 3
+        while d <= left.degree():
+            if _may_vanish(left.coeffs, d):
+                phi, mult = _cyclotomic(d, table), 0
+                while d <= left.degree():
+                    quot, rem = left.divmod(phi)
+                    if rem.coeffs:
+                        break
+                    left, mult = quot, mult + 1
+                if mult:
+                    factors.append((str(phi), mult))
+            d += 1
         parts = []
-        if content != 1 or (val == 0 and not factors and body == one):
+        if content != 1 or (val == 0 and not factors and left.coeffs == (1,)):
             parts.append(str(content))
         if val:
             parts.append("q" if val == 1 else f"q^{val}")
         for text, mult in factors:
             parts.append(f"({text})" + (f"^{mult}" if mult > 1 else ""))
-        if body != one:
-            parts.append(f"({body})")
+        if left.coeffs != (1,):
+            parts.append(f"({left})")
         return " * ".join(parts) if parts else "1"
+
+
+def _peel(coeffs: Sequence[Scalar], root: int) -> tuple[int, list]:
+    """(e, quotient) with coeffs = (q - root)^e quotient, quotient(root) != 0.
+
+    ``root`` is 1 or -1 and ``coeffs`` lists a polynomial lowest power
+    first.  Synthetic division by q - 1 is a running sum from the top
+    coefficient down: the partial sums are the quotient and the last one,
+    the value at 1, is the remainder.  For root -1 the signs of the odd
+    powers are flipped (q -> -q) before and after.
+    """
+    work = list(coeffs)
+    if root == -1:
+        work[1::2] = [-c for c in work[1::2]]
+    work.reverse()
+    e = 0
+    while len(work) > 1:
+        sums = list(accumulate(work))
+        if sums.pop():
+            break
+        work, e = sums, e + 1
+    work.reverse()
+    if root == -1:
+        # P(-q) = (q - 1)^e R(q) gives P(q) = (q + 1)^e (-1)^e R(-q)
+        flip = slice((e + 1) % 2, None, 2)
+        work[flip] = [-c for c in work[flip]]
+    return e, work
+
+
+def _may_vanish(coeffs: Sequence[int], d: int) -> bool:
+    """False when Phi_d certainly does not divide the integer polynomial.
+
+    Horner's rule mod a prime p = 1 (mod d) at an element w of order d:
+    Phi_d(w) = 0 in F_p, so a multiple of Phi_d vanishes at w.
+    """
+    p, w = _root_of_unity(d)
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * w + c) % p
+    return not acc
+
+
+def _root_of_unity(d: int) -> tuple[int, int]:
+    """A prime p = 1 (mod d) above ``_FILTER_PRIME_FLOOR`` and w of order d in F_p."""
+    primes, n, r = [], d, 2
+    while r * r <= n:
+        if n % r == 0:
+            primes.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        primes.append(n)
+    step = math.lcm(2, d)
+    p = (_FILTER_PRIME_FLOOR // step + 1) * step + 1
+    while not all(p % k for k in range(3, math.isqrt(p) + 1, 2)):
+        p += step
+    for g in count(2):
+        w = pow(g, (p - 1) // d, p)
+        if all(pow(w, d // r, p) != 1 for r in primes):
+            return p, w
 
 
 def _cyclotomic(n: int, table: dict[int, Poly]) -> Poly:
@@ -276,7 +377,9 @@ def cyclotomic(n: int) -> Poly:
     return _cyclotomic(n, {})
 
 
-def _coerce(x: Union["RationalPoly", Poly, Scalar]) -> "RationalPoly":
+def _coerce(x: RationalPoly | Poly | Scalar) -> RationalPoly:
+    from fractions import Fraction
+
     if isinstance(x, RationalPoly):
         return x
     if isinstance(x, Poly):
@@ -290,7 +393,8 @@ class RationalPoly:
     """Quotient num/den of exact polynomials in q, kept fully reduced.
 
     Canonical form: gcd(num, den) = 1 and den monic, so two equal rational
-    functions have identical coefficient tuples.
+    functions have identical coefficient tuples.  Not on the count path, so
+    its methods import ``Fraction`` where they use it.
     """
 
     __slots__ = ("num", "den")
@@ -310,6 +414,8 @@ class RationalPoly:
         assert r1.is_zero() and r2.is_zero()
         lead = den.leading()
         if lead != 1:
+            from fractions import Fraction
+
             num, den = num * Fraction(1, lead), den * Fraction(1, lead)
         self.num, self.den = num, den
 
@@ -351,6 +457,8 @@ class RationalPoly:
         d = self.den.evaluate(x)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at q={x}")
+        from fractions import Fraction
+
         return Fraction(self.num.evaluate(x), d)
 
     # -- arithmetic ---------------------------------------------------
@@ -392,6 +500,8 @@ class RationalPoly:
         return RationalPoly(self.den ** (-n), self.num ** (-n))
 
     def __eq__(self, other: object) -> bool:
+        from fractions import Fraction
+
         if isinstance(other, (RationalPoly, Poly, int, Fraction)):
             o = _coerce(other)
             return self.num == o.num and self.den == o.den

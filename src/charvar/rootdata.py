@@ -24,7 +24,9 @@ Per-component invariants are read from the Cartan type that
 degrees (Chevalley), the validity modulus from the lcm of the highest-root
 coefficients and the excluded primes from per-type tables.  The Weyl group
 enumerations (``enumerate_weyl``, ``subsystem_weyl_elements``) serve the
-translate sums and, for W(Psi), the tests that check those tables.
+translate sums of two or more classes, the strong-regularity loop where
+Steinberg's shortcut does not apply and, for W(Psi), the tests that check
+those tables.
 
 Conventions: the Cartan matrix entry C[i][j] equals <alpha_j, alpha_i^vee>
 (row index = coroot).  Simply connected data use the fundamental-weight

@@ -5,11 +5,16 @@ one common denominator and factors the result with integer arithmetic.
 This module does the same work the direct way, on ``RationalPoly`` values
 (``Q``, ``ONE``, ``ZERO`` and ``q_minus`` build the common ones):
 each summand carries its own 1/|W(Psi)|^(m-1), the global constant is a
-rational function, and every operation reduces by a polynomial gcd.  Its
-factoring and vanishing order run ``Poly.divmod`` on ``Fraction``
-coefficients, with its own cyclotomic polynomials.  It shares with the
-engine only the poset and the emptiness verdict; its pass counts come
-from the per-node join in ``translate_reference``.
+rational function, and every operation reduces by a polynomial gcd.  It
+shares with the engine only the poset and the emptiness verdict; its pass
+counts come from the per-node join in ``translate_reference``.
+
+Its factoring and vanishing order are the engine's former ones: trial
+division by every cyclotomic polynomial Phi_d up to the degree, and
+repeated division by q - 1, each by ``Poly.divmod`` with its own
+cyclotomic polynomials.  The engine now filters the Phi_d by a residue
+mod a prime and takes out q - 1 and q + 1 by running sums; it must print
+the same bytes.
 """
 
 from __future__ import annotations
@@ -19,13 +24,13 @@ from math import gcd, lcm
 
 from charvar.charsum import node_map
 from charvar.count import ProblemSpec, emptiness
-from charvar.qpoly import Poly, RationalPoly, Scalar
+from charvar.qpoly import Poly, RationalPoly
 from charvar.rootdata import enumerate_weyl
 from charvar.subsystems import build_poset
 from translate_reference import node_pass_counts
 
 
-def q_minus(c: Scalar) -> RationalPoly:
+def q_minus(c: int | Fraction) -> RationalPoly:
     """The linear polynomial q - c."""
     return RationalPoly(Poly([-c, 1]))
 
@@ -93,35 +98,42 @@ def reference_polynomial(spec: ProblemSpec) -> RationalPoly:
 
 
 def cyclotomic(n: int, table: dict[int, Poly]) -> Poly:
-    """Phi_n over the rationals, by division of q^n - 1; ``table`` memoizes."""
-    if n not in table:
-        num = Poly(map(Fraction, [-1] + [0] * (n - 1) + [1]))
+    """Phi_n: q^n - 1 divided by Phi_d for each proper divisor d of n.
+
+    ``table`` holds the Phi_d already built; the caller owns it.
+    """
+    phi = table.get(n)
+    if phi is None:
+        phi = Poly([-1] + [0] * (n - 1) + [1])
         for d in range(1, n):
             if n % d == 0:
-                num, rem = num.divmod(cyclotomic(d, table))
+                phi, rem = phi.divmod(cyclotomic(d, table))
                 assert rem.is_zero()
-        table[n] = num
-    return table[n]
+        table[n] = phi
+    return phi
 
 
 def factored_str(poly: Poly) -> str:
-    """Content, power of q and cyclotomic factors by ``Fraction`` trial division."""
+    """Content, power of q and cyclotomic factors by trial division.
+
+    Every Phi_d with d at most the degree left is tried by ``divmod``, in
+    increasing d; what is left is printed expanded.  Coefficients are
+    scaled to integers by the lcm of their denominators first.
+    """
     coeffs = poly.coeffs
     if not coeffs:
         return "0"
     val = 0
     while coeffs[val] == 0:
         val += 1
-    body = Poly(map(Fraction, coeffs[val:]))
-    denoms = [c.denominator for c in body.coeffs if c]
-    numers = [c.numerator for c in body.coeffs if c]
-    content = Fraction(
-        gcd(*numers) if len(numers) > 1 else abs(numers[0]),
-        lcm(*denoms) if len(denoms) > 1 else denoms[0],
-    )
-    if body.leading() < 0:
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs[val:]]
+    content = gcd(*ints)
+    if ints[-1] < 0:
         content = -content
-    body = body * (1 / content)
+    body = Poly([c // content for c in ints])
+    if scale != 1:
+        content = Fraction(content, scale)
     factors: list[tuple[str, int]] = []
     table: dict[int, Poly] = {}
     d = 1
@@ -139,26 +151,25 @@ def factored_str(poly: Poly) -> str:
             body = quot
         else:
             d += 1
+    one = Poly([1])
     parts = []
-    if content != 1 or (val == 0 and not factors and body == Poly.const(1)):
+    if content != 1 or (val == 0 and not factors and body == one):
         parts.append(str(content))
     if val:
         parts.append("q" if val == 1 else f"q^{val}")
     for text, mult in factors:
         parts.append(f"({text})" + (f"^{mult}" if mult > 1 else ""))
-    if body != Poly.const(1):
+    if body != one:
         parts.append(f"({body})")
     return " * ".join(parts) if parts else "1"
 
 
 def ord_at_one(poly: Poly) -> int:
-    """Multiplicity of the root q = 1, by repeated ``Fraction`` division."""
-    order = 0
-    qm1 = Poly([Fraction(-1), Fraction(1)])
+    """Multiplicity of the root q = 1, by repeated division by q - 1."""
+    order, qm1 = 0, Poly([-1, 1])
     while not poly.is_zero():
-        quotient, remainder = poly.divmod(qm1)
+        poly, remainder = poly.divmod(qm1)
         if not remainder.is_zero():
             break
         order += 1
-        poly = quotient
     return order

@@ -15,7 +15,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charvar.abelian import quotient_invariants
+from charvar import charsum
+from charvar.abelian import is_identity, quotient_invariants
 from charvar.charsum import (
     EigenvalueDatum,
     SymbolicTorusElement,
@@ -32,6 +33,7 @@ from charvar.qpoly import Poly
 from charvar.rootdata import build_root_datum, enumerate_weyl
 from charvar.subsystems import build_poset
 from subsystem_reference import leq
+import translate_reference
 
 
 QM1 = Poly([-1, 1])
@@ -174,6 +176,89 @@ def test_strongly_regular_wrong_rank():
     datum = EigenvalueDatum(symbols=("a",))
     with pytest.raises(InvalidInputError):
         strongly_regular(rd, _element(datum, "a"))
+
+
+# B2(ad) is SO(5) (an adjoint group of type B2 = C2); PGL(2), SO(5) and
+# B2(ad) have torsion in X^vee / Z Phi^vee, so the loop over W always runs
+REGULARITY_GROUPS = (
+    "GL(2)", "GL(3)", "GL(4)", "SO(5)", "Sp(4)", "G2", "PGL(2)", "B2(ad)"
+)
+TORSION_KINDS = ("none", "cyclic", "non-cyclic")
+
+
+@st.composite
+def regularity_problems(draw):
+    """(group, kind, S): S over symbols a, b, c whose relations give A the
+    torsion ``kind``: none (c eliminated), Z/e (a^e) or (Z/e)^2 (a^e, b^e)."""
+    group = draw(st.sampled_from(REGULARITY_GROUPS))
+    kind = draw(st.sampled_from(TORSION_KINDS))
+    e = draw(st.integers(2, 4))
+    power = st.sampled_from([f"^{k}" for k in range(-2, 3)])
+    if kind == "none":
+        relations = (f"c = a{draw(power)}*b{draw(power)}",)
+    elif kind == "cyclic":
+        relations = (f"a^{e}",)
+    else:
+        relations = (f"a^{e}", f"b^{e}")
+    datum = EigenvalueDatum(symbols=("a", "b", "c"), relations=relations)
+    rank = build_root_datum(group).rank
+    words = [
+        "*".join(f"{s}{draw(power)}" for s in "abc")
+        for _ in range(rank)
+    ]
+    return group, kind, _element(datum, *words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(regularity_problems())
+def test_strong_regularity_matches_the_loop_over_w(problem):
+    group, kind, s = problem
+    rd = build_root_datum(group)
+    torsion = quotient_invariants(3, s.datum.group.relations).torsion
+    assert len(torsion) == {"none": 0, "cyclic": 1, "non-cyclic": 2}[kind]
+    assert strongly_regular(rd, s) == translate_reference.strongly_regular(rd, s)
+
+
+def _refuse_weyl(rd):
+    raise AssertionError("the Weyl group was enumerated")
+
+
+@pytest.mark.parametrize("group", ["GL(2)", "GL(4)", "Sp(4)", "G2"])
+@pytest.mark.parametrize("relations", [(), ("a1^3",)])
+def test_steinberg_shortcut_skips_the_loop_over_w(monkeypatch, group, relations):
+    """Torsion-free X^vee / Z Phi^vee and cyclic torsion in A: no W."""
+    rd = build_root_datum(group)
+    symbols = tuple(f"a{i}" for i in range(1, rd.rank + 1))
+    datum = EigenvalueDatum(symbols=symbols, relations=relations)
+    monkeypatch.setattr(charsum, "enumerate_weyl", _refuse_weyl)
+    assert strongly_regular(rd, _element(datum, *symbols))
+
+
+@pytest.mark.parametrize(
+    "group,relations",
+    [("GL(2)", ("a^2", "b^2")), ("PGL(2)", ()), ("SO(5)", ())],
+)
+def test_loop_over_w_runs_outside_the_shortcut(monkeypatch, group, relations):
+    """Non-cyclic torsion in A, or torsion in X^vee / Z Phi^vee."""
+    rd = build_root_datum(group)
+    datum = EigenvalueDatum(symbols=("a", "b"), relations=relations)
+    s = _element(datum, *"ab"[: rd.rank])
+    monkeypatch.setattr(charsum, "enumerate_weyl", _refuse_weyl)
+    with pytest.raises(AssertionError, match="enumerated"):
+        strongly_regular(rd, s)
+
+
+def test_loop_over_w_finds_a_fixed_regular_element():
+    """SO(5) at S = (a, b) with a^2 = b^2 = 1: no root is trivial, and -1 in
+    W fixes S; only the loop over W can see it."""
+    rd = build_root_datum("SO(5)")
+    datum = EigenvalueDatum(symbols=("a", "b"), relations=("a^2", "b^2"))
+    s = _element(datum, "a", "b")
+    group = datum.group
+    assert not any(
+        is_identity(group, evaluate_character(rd.roots[i], s)) for i in rd.positive
+    )
+    assert not strongly_regular(rd, s)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,24 @@ class TestLoadConfig:
         assert err.value.code == "config-parse"
         assert "line 1" in str(err.value)
 
+    @pytest.mark.parametrize("command", ["count", "check", "poset"])
+    def test_integer_above_the_digit_limit_exits_2(self, capsys, tmp_path, command):
+        """json.load refuses integers above 4,300 digits with a plain ValueError."""
+        text = (CONFIGS / "gl2_genus1.json").read_text()
+        path = tmp_path / "huge.json"
+        path.write_text(text.replace('"genus": 1', '"genus": ' + "9" * 5001))
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config-parse]")
+        assert "Traceback" not in err
+
+    def test_non_utf8_config_exits_2(self, capsys, tmp_path):
+        """A decoding error is a ValueError, not a JSONDecodeError, too."""
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"group": "GL(2)\xff"}')
+        assert main(["count", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error[config-parse]")
+
     def test_top_level_must_be_object(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

@@ -32,7 +32,7 @@ from charvar.errors import (
     ResourceLimitError,
 )
 from charvar.qpoly import RationalPoly
-from charvar.rootdata import build_root_datum
+from charvar.rootdata import RootDatum, build_root_datum
 from qpoly_reference import ONE, Q, q_minus
 
 
@@ -492,6 +492,21 @@ def test_one_class_needs_no_weyl_translate(monkeypatch):
 
     monkeypatch.setattr(count, "translate", no_translate)
     assert count_polynomial(spec).polynomial == expected
+
+
+def test_one_class_enumerates_no_weyl_group(monkeypatch):
+    """|W| is P_Phi(1) at the full node, and strong regularity of a GL class
+    needs no loop over W (Steinberg's shortcut)."""
+    spec = gl_genus_one(5)
+    expected = qpoly_reference.reference_polynomial(spec)
+
+    def refuse(rd):
+        raise AssertionError("an m = 1 count must not enumerate W")
+
+    monkeypatch.setattr(RootDatum, "weyl_group", property(refuse))
+    report = count_polynomial(spec)
+    assert report.polynomial == expected
+    assert report.warnings == ()
 
 
 def test_gl6_genus_one_is_fast_and_structural():

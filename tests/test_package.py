@@ -138,7 +138,9 @@ def test_tracer_targets_resolve():
 
 # stdlib modules a cold CLI process does not need: dataclasses pulls in
 # inspect, ast and dis, and each frozen dataclass execs generated code
-OFF_IMPORT_PATH = ("dataclasses", "inspect", "ast", "dis", "datetime")
+OFF_IMPORT_PATH = (
+    "dataclasses", "inspect", "ast", "dis", "datetime", "fractions", "decimal"
+)
 
 _IMPORT_PROBE = """
 import json, sys
@@ -190,7 +192,8 @@ from charvar.cli import main
 code = main(sys.argv[1:])
 lazy = ("charvar.charsum", "charvar.count", "charvar.oracle")
 ran = [name for name in lazy if type(sys.modules[name]) is types.ModuleType]
-print(json.dumps({"code": code, "ran": ran}))
+rational = [name for name in ("fractions", "decimal") if name in sys.modules]
+print(json.dumps({"code": code, "ran": ran, "rational": rational}))
 """
 
 
@@ -206,14 +209,20 @@ print(json.dumps({"code": code, "ran": ran}))
 )
 def test_each_command_runs_only_the_engine_modules_it_uses(command, ran):
     """A cold ``poset`` runs none of count, charsum and oracle, and only
-    ``oracle`` runs the brute-force oracle."""
+    ``oracle`` runs the brute-force oracle.  An integer count never makes a
+    ``Fraction``, so ``fractions`` (and the ``decimal`` it imports) stay
+    unloaded by every command but ``oracle``."""
     config = Path(__file__).resolve().parents[1] / "configs" / "gl2_genus1.json"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     probe = subprocess.run(
         [sys.executable, "-c", _RUN_PROBE, command, "--config", str(config)],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert json.loads(probe.stdout.splitlines()[-1]) == {"code": 0, "ran": ran}
+    result = json.loads(probe.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert result["ran"] == ran
+    if command != "oracle":
+        assert result["rational"] == []
 
 
 def functools_caches() -> dict:

@@ -1,10 +1,12 @@
-"""The integer polynomial path against its ``Fraction`` reference.
+"""The integer polynomial path against its literal reference.
 
 ``qpoly_reference`` keeps the direct ``RationalPoly`` assembly of the
-master formula and the ``Fraction`` factoring and vanishing order.  The
-engine's ``int``-coefficient versions must agree with it: on random products
-c * q^k * prod Phi_d^e * (residual), and on the count of every curated
-config (the benchmark's problems are checked in
+master formula, and the factoring and vanishing order by trial division.
+The engine's versions (a residue filter before each division by Phi_d,
+running sums for q - 1 and q + 1) must print the same bytes and find the
+same order: on random products c * q^k * prod Phi_d^e * (residual), on
+products of Phi_d up to d = 300, on random integer polynomials, and on
+the count of every curated config (the benchmark's problems are checked in
 ``test_benchmark_digests.py``), where the report's polynomial must be a
 ``Poly`` on ``int`` coefficients.  The engine's error text for a count that
 is not an integer polynomial must print the reduced ``RationalPoly``.
@@ -47,11 +49,50 @@ def factored_shapes(draw) -> Poly:
 @given(factored_shapes(), st.integers(1, 12))
 def test_integer_factoring_matches_fraction_reference(poly, denominator):
     assert {type(c) for c in poly.coeffs} <= {int}
+    assert_matches_reference(poly)
     fractional = Poly(map(Fraction, poly.coeffs))
-    assert poly.factored_str() == ref.factored_str(fractional)
-    assert poly.ord_at_one() == ref.ord_at_one(fractional)
+    assert fractional.factored_str() == ref.factored_str(poly)
+    assert fractional.ord_at_one() == ref.ord_at_one(poly)
     scaled = Poly(Fraction(c, denominator) for c in poly.coeffs)
     assert scaled.factored_str() == ref.factored_str(scaled)
+
+
+@st.composite
+def cyclotomic_products(draw) -> Poly:
+    """+-c * q^k * a product of Phi_d^e with d <= 300, of degree at most 320."""
+    table: dict[int, Poly] = {}
+    sign = draw(st.sampled_from([-1, 1]))
+    poly = Poly([sign * draw(st.integers(1, 60))]).shift(draw(st.integers(0, 5)))
+    indices = st.one_of(st.integers(1, 12), st.integers(1, 300))
+    for d in draw(st.lists(indices, max_size=6)):
+        phi = ref.cyclotomic(d, table)
+        for _ in range(draw(st.integers(1, 3))):
+            if poly.degree() + phi.degree() <= 320:
+                poly = poly * phi
+    return poly
+
+
+def assert_matches_reference(poly: Poly) -> None:
+    """Fresh values each time: ``unit_roots`` is kept on the value."""
+    assert Poly(poly.coeffs).factored_str() == ref.factored_str(poly)
+    assert Poly(poly.coeffs).ord_at_one() == ref.ord_at_one(poly)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cyclotomic_products())
+def test_factoring_matches_trial_division_on_cyclotomic_products(poly):
+    assert_matches_reference(poly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=40),
+    st.integers(0, 6),
+    st.integers(0, 6),
+)
+def test_factoring_matches_trial_division_on_random_polynomials(coeffs, a, b):
+    poly = Poly(coeffs) * Poly([-1, 1]) ** a * Poly([1, 1]) ** b
+    assert_matches_reference(poly)
 
 
 @settings(max_examples=300, deadline=None)

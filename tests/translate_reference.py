@@ -6,16 +6,19 @@ translate fixed.  This module keeps the join it replaced: at every node,
 the histograms of all m classes' |W| translate images, convolved in two
 halves and joined by one lookup per left entry.  It shares with the engine
 only the node maps and the Weyl group.
+
+It also keeps the strong-regularity test as it was before Steinberg's
+shortcut: every nontrivial Weyl element is tried on S.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from charvar.abelian import AdditiveMap
-from charvar.charsum import translate
+from charvar.abelian import AdditiveMap, is_identity
+from charvar.charsum import SymbolicTorusElement, evaluate_character, translate
 from charvar.count import ProblemSpec
-from charvar.rootdata import enumerate_weyl
+from charvar.rootdata import RootDatum, enumerate_weyl
 
 
 def node_pass_counts(spec: ProblemSpec, maps: list[AdditiveMap]) -> list[int]:
@@ -48,3 +51,24 @@ def _sum_histogram(
                 convolved[z] = convolved.get(z, 0) + a * b
         sums = convolved
     return sums
+
+
+def strongly_regular(rd: RootDatum, element: SymbolicTorusElement) -> bool:
+    """No root is forced to 1 on S, and no nontrivial w in W fixes S."""
+    group = element.datum.group
+    for i in rd.positive:
+        if is_identity(group, evaluate_character(rd.roots[i], element)):
+            return False
+    identity = tuple(
+        tuple(1 if r == c else 0 for c in range(rd.rank)) for r in range(rd.rank)
+    )
+    for w in enumerate_weyl(rd):
+        if w == identity:
+            continue
+        moved = translate(w, element)
+        if all(
+            is_identity(group, tuple(a - b for a, b in zip(mc, ec)))
+            for mc, ec in zip(moved.coords, element.coords)
+        ):
+            return False
+    return True
