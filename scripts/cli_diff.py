@@ -31,7 +31,15 @@ exit code, stdout, stderr and the ``--json`` payload apart from
 * ``count``, ``table``, ``check`` and ``oracle`` on ``INCONSISTENT``, a
   GL(2) and a GL(3) problem whose override on the empty subsystem makes
   the master formula non-polynomial (exit 4, ``non-polynomial``, with the
-  reduced fraction in the message; ``check`` does not count and exits 0).
+  reduced fraction in the message; ``check`` does not count and exits 0);
+* ``ERRORS``, configs that each fail on one message of the config checks
+  or the oracle's checks: unknown keys at the top level, in
+  ``eigenvalues``, in ``oracle`` and in each kind of class entry;
+  ``eigenvalues``, ``oracle`` or a class entry that is not an object; an
+  unsupported oracle group; explicit oracle values that break a relation
+  or satisfy extra ones; q = 9 (not prime) and q = 13 (above the field
+  cap).  Those that fail in the shared parsing run under ``count``,
+  ``check`` and ``oracle``, the oracle's own under ``oracle`` only.
 
 Each differing command is printed with what differs; the last line counts
 the differences, and the exit status is 1 when there is any.
@@ -82,6 +90,32 @@ HIGH_GENUS = (("GL(2)", 125, 2), ("GL(3)", 40, 3), ("GL(4)", 10, 4), ("G2", 20, 
 # GL(2) from the oracle workload's seed-0 problems, PGL(2) from configs/
 FIELD_CAP_CONFIGS = ("oracle-gl2_genus1_q7.json", "pgl2_rigid.json")
 COUNT_COMMANDS = (("count",), ("count", "--table"), ("table",), ("check",), ("poset",))
+GL2_EIGENVALUES = {"symbols": ["a", "b"], "relations": ["a*b = 1"]}
+SEMISIMPLE = {"type": "semisimple", "coords": ["a", "b"]}
+# (name, curated config, top-level keys replaced, oracle-only, extra oracle argv)
+ERRORS = (
+    ("unknown-top", "gl2_genus1.json", {"zeta": 1, "extra": 2}, False, ()),
+    ("unknown-eigenvalues", "gl2_genus1.json",
+     {"eigenvalues": dict(GL2_EIGENVALUES, extra=1)}, False, ()),
+    ("unknown-semisimple", "gl2_genus1.json",
+     {"classes": [dict(SEMISIMPLE, zeta=1, extra=2)]}, False, ()),
+    ("unknown-unipotent", "gl2_genus1.json",
+     {"classes": [SEMISIMPLE, {"type": "regular_unipotent", "extra": 1}]}, False, ()),
+    ("eigenvalues-not-object", "gl2_genus1.json", {"eigenvalues": ["a", "b"]}, False, ()),
+    ("class-not-object", "gl2_genus1.json", {"classes": [SEMISIMPLE, "a"]}, False, ()),
+    ("unknown-oracle", "gl2_genus1.json",
+     {"oracle": {"q": [5], "zeta": 1, "extra": 2}}, True, ()),
+    ("oracle-not-object", "gl2_genus1.json", {"oracle": [5]}, True, ()),
+    ("oracle-group", "so5_display.json", {"oracle": {"q": [5]}}, True, ()),
+    # a*b = 4 mod 5, against the declared a*b = 1
+    ("values-break-relation", "gl2_genus1.json",
+     {"oracle": {"q": [5], "eigenvalues": {"a": 2, "b": 2}}}, True, ()),
+    # a*b*c*d = 1 mod 5 as declared, but also a*c = 1 and b*d = 1
+    ("values-unfaithful", "gl2_sphere_generic.json",
+     {"oracle": {"q": [5], "eigenvalues": {"a": 2, "b": 1, "c": 3, "d": 1}}}, True, ()),
+    ("field-not-prime", "gl2_genus1.json", {}, True, ("--q", "9")),
+    ("field-above-cap", "gl2_genus1.json", {}, True, ("--q", "13")),
+)
 
 
 def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
@@ -129,6 +163,15 @@ def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
         for command in ("count", "table", "check"):
             runs.append((command, "--config", str(path)))
         runs.append(("oracle", "--config", str(path), "--seed", "0", "--threads", "1"))
+    for name, base, edits, oracle_only, extra in ERRORS:
+        config = json.loads((ROOT / "configs" / base).read_text())
+        path = config_dir / f"error-{name}.json"
+        path.write_text(json.dumps(dict(config, **edits)))
+        if not oracle_only:
+            runs += [(command, "--config", str(path)) for command in ("count", "check")]
+        runs.append(
+            ("oracle", "--config", str(path), "--seed", "0", "--threads", "1") + extra
+        )
     return runs
 
 

@@ -16,12 +16,16 @@ Three layers, each feeding the next:
   in the kernel of those coordinates.
 
 Matrices are tuples of tuples of ints; rows of a generator/relation matrix
-are the generating vectors/relators.
+are the generating vectors/relators.  The package's identity matrix
+(:func:`identity`) and trial division (:func:`prime_factors`, :func:`is_prime`) live here.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple, Sequence
+
+from .record import Record
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -31,8 +35,32 @@ def _freeze(rows: Iterable[Sequence[int]]) -> IntMatrix:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def identity(n: int) -> IntMatrix:
+    """The n x n identity matrix."""
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending (none for 0 and +-1).
+
+    Trial division by 2 and the odd numbers, up to the root of what is left."""
+    n, out, p = abs(n), [], 2
+    while n and p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_prime(n: int) -> bool:
+    """Trial division by 2 and the odd numbers, stopping at the first divisor."""
+    if n < 3:
+        return n == 2
+    return n % 2 == 1 and all(n % k for k in range(3, math.isqrt(n) + 1, 2))
 
 
 class SmithDecomposition(NamedTuple):
@@ -50,8 +78,8 @@ def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SmithDecomposition:
     rows = len(M)
     cols = len(M[0]) if rows else 0
     a = [list(r) for r in M]
-    u = _identity(rows)
-    v = _identity(cols)
+    u = [list(r) for r in identity(rows)]
+    v = [list(r) for r in identity(cols)]
 
     def row_op(i, j, c):  # row_i -= c * row_j  (applied to a and u)
         a[i] = [x - c * y for x, y in zip(a[i], a[j])]
@@ -131,7 +159,7 @@ def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SmithDecomposition:
     return SmithDecomposition(matrix=M, U=_freeze(u), D=D, V=_freeze(v), divisors=divisors)
 
 
-class QuotientInvariants:
+class QuotientInvariants(Record):
     """Invariant factors of a lattice quotient ℤ^d / ⟨generators⟩.
 
     ``basis`` (not an invariant, so not compared) is V of the Smith form
@@ -140,22 +168,10 @@ class QuotientInvariants:
     Immutable.
     """
 
+    _compared = ("free_rank", "torsion")
+
     def __init__(self, free_rank: int, torsion: tuple[int, ...], basis: IntMatrix):
         self.__dict__.update(free_rank=free_rank, torsion=torsion, basis=basis)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def _compared(self) -> tuple:
-        return self.free_rank, self.torsion
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self._compared() == other._compared()
-
-    def __hash__(self):
-        return hash(self._compared())
 
     @property
     def torsion_order(self) -> int:
@@ -193,8 +209,7 @@ def quotient_invariants(ambient_rank: int, generators: Iterable[Sequence[int]]) 
         if len(g) != ambient_rank:
             raise ValueError(f"generator length {len(g)} != ambient rank {ambient_rank}")
     if not gens:
-        basis = _freeze(_identity(ambient_rank))
-        return QuotientInvariants(free_rank=ambient_rank, torsion=(), basis=basis)
+        return QuotientInvariants(ambient_rank, (), identity(ambient_rank))
     snf = smith_normal_form(gens)
     rank = len(snf.divisors)
     torsion = tuple(d for d in snf.divisors if d > 1)
@@ -203,7 +218,7 @@ def quotient_invariants(ambient_rank: int, generators: Iterable[Sequence[int]]) 
     )
 
 
-class FPAbelianGroup:
+class FPAbelianGroup(Record):
     """Finitely presented abelian group ⟨x_1..x_t | relator rows⟩.
 
     Elements are exponent vectors of length ``generator_count``; the word
@@ -211,6 +226,7 @@ class FPAbelianGroup:
     Immutable; equality and hashing ignore the kept coordinates.
     """
 
+    _compared = ("generator_count", "relations")
     # canonical coordinates of A/dA by d, filled by canonical_coordinates
     _coordinates: dict
 
@@ -221,20 +237,6 @@ class FPAbelianGroup:
         self.__dict__.update(
             generator_count=generator_count, relations=relations, _coordinates={}
         )
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def _compared(self) -> tuple:
-        return self.generator_count, self.relations
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self._compared() == other._compared()
-
-    def __hash__(self):
-        return hash(self._compared())
 
     def _check(self, word: Sequence[int]) -> IntVector:
         w = tuple(int(x) for x in word)
@@ -249,10 +251,8 @@ def is_identity(group: FPAbelianGroup, word: Sequence[int]) -> bool:
 
 def _power_relations(group: FPAbelianGroup, d: int) -> IntMatrix:
     """Relator rows of A/dA: d·I stacked on the relations of A."""
-    t = group.generator_count
-    return tuple(
-        tuple(d if i == j else 0 for j in range(t)) for i in range(t)
-    ) + group.relations
+    scaled = identity(group.generator_count)
+    return tuple(tuple(d * x for x in row) for row in scaled) + group.relations
 
 
 def is_dth_power(group: FPAbelianGroup, word: Sequence[int], d: int) -> bool:
@@ -314,7 +314,7 @@ def canonical_coordinates(group: FPAbelianGroup, d: int = 0) -> AdditiveMap:
     t = group.generator_count
     relations = _power_relations(group, d) if d else group.relations
     snf = smith_normal_form(relations) if relations else None
-    v_mat = snf.V if snf is not None else _identity(t)
+    v_mat = snf.V if snf is not None else identity(t)
     divisors = snf.divisors if snf is not None else ()
     divisors += (0,) * (t - len(divisors))
     functionals, moduli = [], []

@@ -44,6 +44,7 @@ from .abelian import (
 )
 from .errors import InvalidInputError
 from .qpoly import Poly
+from .record import Record
 from .rootdata import (
     Matrix,
     RootDatum,
@@ -57,7 +58,7 @@ Word = tuple[int, ...]
 _TERM_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
 
-class EigenvalueDatum:
+class EigenvalueDatum(Record):
     """Named generators and relations for the eigenvalue group A.
 
     ``relations`` are strings like ``"a*b = t^2"`` or bare words like
@@ -65,6 +66,8 @@ class EigenvalueDatum:
     ``*`` and exponentiate with ``^`` (negative exponents allowed); ``1``
     denotes the empty word.  Immutable.
     """
+
+    _compared = ("symbols", "relations")
 
     def __init__(self, symbols: tuple[str, ...], relations: tuple[str, ...] = ()):
         if len(set(symbols)) != len(symbols):
@@ -75,20 +78,6 @@ class EigenvalueDatum:
                     "eigenvalue-data", f"invalid eigenvalue symbol {s!r}"
                 )
         self.__dict__.update(symbols=symbols, relations=relations)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def _compared(self) -> tuple:
-        return self.symbols, self.relations
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self._compared() == other._compared()
-
-    def __hash__(self):
-        return hash(self._compared())
 
     @cached_property
     def group(self) -> FPAbelianGroup:
@@ -237,12 +226,7 @@ def strongly_regular(rd: RootDatum, element: SymbolicTorusElement) -> bool:
     torsion = [e for e in canonical_coordinates(group).moduli if e]
     if not cocenter_invariants(rd).torsion and len(torsion) <= 1:
         return True
-    identity = tuple(
-        tuple(1 if r == c else 0 for c in range(rd.rank)) for r in range(rd.rank)
-    )
-    for w in enumerate_weyl(rd):
-        if w == identity:
-            continue
+    for w in enumerate_weyl(rd)[1:]:  # the identity comes first
         moved = translate(w, element)
         if all(
             is_identity(group, tuple(a - b for a, b in zip(mc, ec)))

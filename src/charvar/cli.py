@@ -72,8 +72,6 @@ _CONFIG_KEYS = {
     "description",
 }
 
-_ORACLE_GROUPS = {"GL(2)": ("GL", 2), "GL(3)": ("GL", 3), "PGL(2)": ("PGL", 2)}
-
 
 # ---------------------------------------------------------------------------
 # config loading
@@ -97,11 +95,7 @@ def load_config(path: str) -> dict:
         raise InvalidInputError(
             "config-parse", f"{path}: top level must be a JSON object"
         )
-    unknown = sorted(set(config) - _CONFIG_KEYS)
-    if unknown:
-        raise InvalidInputError(
-            "config-field", f"unknown config keys: {', '.join(unknown)}"
-        )
+    _check_keys(config, _CONFIG_KEYS, "unknown config keys: ")
     version = config.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise InvalidInputError(
@@ -112,22 +106,30 @@ def load_config(path: str) -> dict:
     return config
 
 
+def _check_keys(section: dict, allowed: set[str], prefix: str) -> None:
+    """Refuse the keys of ``section`` outside ``allowed``, listed after ``prefix``."""
+    unknown = sorted(set(section) - allowed)
+    if unknown:
+        raise InvalidInputError("config-field", prefix + ", ".join(unknown))
+
+
+def _required(config: dict, key: str):
+    """``config[key]``; a missing key is a ``config-field`` error."""
+    if key not in config:
+        raise InvalidInputError("config-field", f"missing required key {key!r}")
+    return config[key]
+
+
 def _field_int(config: dict, key: str, default: int | None = None) -> int:
     """``config[key]``, which must be an integer; ``default`` if it is absent."""
-    if key not in config:
-        if default is not None:
-            return default
-        raise InvalidInputError("config-field", f"missing required key {key!r}")
-    value = config[key]
+    value = _required(config, key) if default is None else config.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidInputError("config-field", f"{key!r} must be an integer")
     return value
 
 
 def _field_str(config: dict, key: str) -> str:
-    if key not in config:
-        raise InvalidInputError("config-field", f"missing required key {key!r}")
-    value = config[key]
+    value = _required(config, key)
     if not isinstance(value, str):
         raise InvalidInputError("config-field", f"{key!r} must be a string")
     return value
@@ -149,11 +151,7 @@ def parse_eigenvalue_datum(config: dict) -> charsum.EigenvalueDatum:
         raise InvalidInputError(
             "config-field", "'eigenvalues' must be an object"
         )
-    unknown = sorted(set(section) - {"symbols", "relations"})
-    if unknown:
-        raise InvalidInputError(
-            "config-field", f"unknown eigenvalue keys: {', '.join(unknown)}"
-        )
+    _check_keys(section, {"symbols", "relations"}, "unknown eigenvalue keys: ")
     symbols = _string_list(section.get("symbols", []), "eigenvalues.symbols")
     relations = _string_list(
         section.get("relations", []), "eigenvalues.relations"
@@ -163,9 +161,7 @@ def parse_eigenvalue_datum(config: dict) -> charsum.EigenvalueDatum:
 
 def parse_classes(config: dict) -> tuple[tuple[tuple[str, ...], ...], int]:
     """Returns (semisimple coordinate words, explicit unipotent count)."""
-    if "classes" not in config:
-        raise InvalidInputError("config-field", "missing required key 'classes'")
-    entries = config["classes"]
+    entries = _required(config, "classes")
     if not isinstance(entries, list):
         raise InvalidInputError("config-field", "'classes' must be a list")
     semisimple: list[tuple[str, ...]] = []
@@ -176,21 +172,11 @@ def parse_classes(config: dict) -> tuple[tuple[tuple[str, ...], ...], int]:
             raise InvalidInputError("config-field", f"{where} must be an object")
         kind = entry.get("type")
         if kind == "semisimple":
-            unknown = sorted(set(entry) - {"type", "coords"})
-            if unknown:
-                raise InvalidInputError(
-                    "config-field",
-                    f"{where}: unknown keys {', '.join(unknown)}",
-                )
+            _check_keys(entry, {"type", "coords"}, f"{where}: unknown keys ")
             coords = _string_list(entry.get("coords", None) or [], f"{where}.coords")
             semisimple.append(tuple(coords))
         elif kind == "regular_unipotent":
-            unknown = sorted(set(entry) - {"type"})
-            if unknown:
-                raise InvalidInputError(
-                    "config-field",
-                    f"{where}: unknown keys {', '.join(unknown)}",
-                )
+            _check_keys(entry, {"type"}, f"{where}: unknown keys ")
             unipotent += 1
         else:
             raise InvalidInputError(
@@ -535,11 +521,9 @@ def _oracle_section(config: dict) -> dict:
     section = config.get("oracle", {})
     if not isinstance(section, dict):
         raise InvalidInputError("config-field", "'oracle' must be an object")
-    unknown = sorted(set(section) - {"q", "eigenvalues", "budget", "threads"})
-    if unknown:
-        raise InvalidInputError(
-            "config-field", f"unknown oracle keys: {', '.join(unknown)}"
-        )
+    _check_keys(
+        section, {"q", "eigenvalues", "budget", "threads"}, "unknown oracle keys: "
+    )
     return section
 
 
@@ -567,7 +551,7 @@ class UnitSpecialization:
     a per-node comparison would see.
     """
 
-    def __init__(self, spec: count.ProblemSpec, q: int, quotients, symbolic: list[int]):
+    def __init__(self, spec: count.ProblemSpec, q: int, symbolic: list[int]):
         self.spec, self.q, self.symbolic = spec, q, symbolic
         self.g = next(
             g for g in range(1, q)
@@ -575,10 +559,7 @@ class UnitSpecialization:
         )
         self.logs = {pow(self.g, k, q): k for k in range(q - 1)}
         self.datum = charsum.EigenvalueDatum(("g",), (f"g^{q - 1}",))
-        self.maps = [
-            [charsum.node_map(inv, self.datum.group) for inv in orbit]
-            for orbit in quotients
-        ]
+        self.maps = orbit_maps(spec, self.datum.group)
 
     def specialize(self, values: dict) -> count.ProblemSpec | None:
         """The problem over <g> at ``values`` (residues mod q), or None.
@@ -620,22 +601,19 @@ class UnitSpecialization:
         return count.orbit_pass_counts(concrete, self.maps) == self.symbolic
 
 
-def symbolic_pass_counts(spec: count.ProblemSpec) -> tuple[list, list[int]]:
-    """Per Weyl orbit without an override, X^vee/<Psi> of its members and its pass count.
+def orbit_maps(spec: count.ProblemSpec, group) -> list[list]:
+    """Per Weyl orbit without an override, the node maps of its members over ``group``.
 
     Overrides name type or display labels, which are constant on orbits, so
     an orbit is overridden as a whole.
     """
     poset = build_poset(spec.rd)
     overridden = count.resolve_overrides(poset, spec.overrides_dict())
-    quotients = [
-        [poset.quotient(j) for j in orbit]
+    return [
+        [charsum.node_map(poset.quotient(j), group) for j in orbit]
         for orbit in poset.orbits()
         if orbit[0] not in overridden
     ]
-    group = spec.eigenvalues.group
-    maps = [[charsum.node_map(inv, group) for inv in orbit] for orbit in quotients]
-    return quotients, count.orbit_pass_counts(spec, maps)
 
 
 def cmd_oracle(args) -> tuple[int, dict, str]:
@@ -643,13 +621,13 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
     spec = build_problem(config)
     group = _field_str(config, "group")
     normalized = group.replace(" ", "")
-    if normalized not in _ORACLE_GROUPS:
+    if normalized not in oracle.GROUPS:
         raise InvalidInputError(
             "oracle-group",
-            f"the brute-force oracle supports GL(2), GL(3), PGL(2); "
+            f"the brute-force oracle supports {', '.join(oracle.GROUPS)}; "
             f"got {group!r}",
         )
-    family, size = _ORACLE_GROUPS[normalized]
+    family, size = oracle.GROUPS[normalized]
     section = _oracle_section(config)
     if args.q is not None:
         q_list = [args.q]
@@ -688,12 +666,12 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
         )
 
     report = count.count_polynomial(spec)
-    quotients, symbolic = symbolic_pass_counts(spec)
+    symbolic = count.orbit_pass_counts(spec, orbit_maps(spec, spec.eigenvalues.group))
     runs = []
     verdict_ok = True
     for q in q_list:
         oracle.check_field(family, size, q)
-        units = UnitSpecialization(spec, q, quotients, symbolic)
+        units = UnitSpecialization(spec, q, symbolic)
         sampled = False
         if explicit_values is not None:
             values = {s: v % q for s, v in explicit_values.items()}

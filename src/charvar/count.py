@@ -480,7 +480,6 @@ def count_polynomial(
         return _finish_report(
             spec,
             polynomial=Poly(),
-            is_empty=True,
             empty_reason=(
                 "nonhyperbolic surface: genus 0 with 2 punctures is outside "
                 "the counting theorem"
@@ -503,7 +502,6 @@ def count_polynomial(
         return _finish_report(
             spec,
             polynomial=Poly(),
-            is_empty=True,
             empty_reason=(
                 "empty variety: the product of the semisimple classes is not "
                 "in the commutator subgroup of the group of points"
@@ -555,12 +553,10 @@ def count_polynomial(
         total = total + powers[label] * (inner * weight)
     result = _divide_out(total, *_z_exponents(rd, m, n, chi), weyl_order ** m)
 
-    is_empty = result.is_zero()
     return _finish_report(
         spec,
         polynomial=result,
-        is_empty=is_empty,
-        empty_reason="master formula summed to zero" if is_empty else None,
+        empty_reason="master formula summed to zero" if result.is_zero() else None,
         warnings=warnings,
         table=_diagnostic_table(poset, verdict, maps),
     )
@@ -596,12 +592,13 @@ def _diagnostic_table(
 def _finish_report(
     spec: ProblemSpec,
     polynomial: Poly,
-    is_empty: bool,
     empty_reason: str | None,
     warnings: list[str],
     table: tuple[TableRow, ...],
 ) -> CountReport:
+    """The report of ``polynomial``; the count is empty when it is zero."""
     rd = spec.rd
+    is_empty = polynomial.is_zero()
     g, n, m = spec.genus, spec.punctures, spec.m
     euler = sum(polynomial.coeffs)
     degree = polynomial.degree()

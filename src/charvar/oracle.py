@@ -37,11 +37,13 @@ from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
+from .abelian import identity, is_prime
 from .errors import (
     InternalConsistencyError,
     InvalidInputError,
     ResourceLimitError,
 )
+from .record import Record
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -50,22 +52,8 @@ DEFAULT_FIELD_CAP = 11
 # Guard on raw enumeration size q**(size*size); keeps GL(3) at q <= 5.
 MAX_ENUMERATION = 8_000_000
 
-_SUPPORTED = {("GL", 2), ("GL", 3), ("PGL", 2)}
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, math.isqrt(n) + 1):
-        if n % p == 0:
-            return False
-    return True
-
-
-def _identity(size: int) -> Matrix:
-    return tuple(
-        tuple(1 if i == j else 0 for j in range(size)) for i in range(size)
-    )
+# the groups the models support: (family, size) by descriptor
+GROUPS = {"GL(2)": ("GL", 2), "GL(3)": ("GL", 3), "PGL(2)": ("PGL", 2)}
 
 
 def _det(m: Matrix, q: int) -> int:
@@ -124,7 +112,7 @@ def _legendre(x: int, q: int) -> int:
     return pow(x % q, (q - 1) // 2, q)
 
 
-class FiniteGroupModel:
+class FiniteGroupModel(Record):
     """One of GL(2), GL(3), PGL(2) over a prime field, fully enumerated.
 
     ``elements`` holds every group element as a tuple-of-tuples matrix
@@ -135,26 +123,14 @@ class FiniteGroupModel:
     kept on the instance.  Immutable.
     """
 
+    _compared = ("family", "size", "q", "elements", "label")
+
     def __init__(
         self, family: str, size: int, q: int, elements: tuple[Matrix, ...], label: str
     ):
         self.__dict__.update(
             family=family, size=size, q=q, elements=elements, label=label
         )
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def _compared(self) -> tuple:
-        return self.family, self.size, self.q, self.elements, self.label
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self._compared() == other._compared()
-
-    def __hash__(self):
-        return hash(self._compared())
 
     @property
     def order(self) -> int:
@@ -265,17 +241,16 @@ class FiniteGroupModel:
 
 def check_field(family: str, size: int, q: int) -> None:
     """Refuse a group, field or enumeration size that ``build_model`` cannot take."""
-    if (family, size) not in _SUPPORTED:
+    if (family, size) not in GROUPS.values():
         raise InvalidInputError(
             "oracle-group",
-            f"brute-force models support GL(2), GL(3), PGL(2); "
-            f"got {family}({size})",
+            f"brute-force models support {', '.join(GROUPS)}; got {family}({size})",
         )
     if q > DEFAULT_FIELD_CAP:
         raise ResourceLimitError(
             "oracle-cap", f"q = {q} exceeds the field cap {DEFAULT_FIELD_CAP}"
         )
-    if not _is_prime(q):
+    if not is_prime(q):
         raise InvalidInputError(
             "oracle-field",
             f"q = {q} is not prime; models are implemented over prime "
@@ -361,37 +336,35 @@ def semisimple_class(
                 "oracle-class",
                 f"eigenvalue ratio {ratio} is not strongly regular mod {q}",
             )
-        rep = model.canonical(((ratio, 0), (0, 1)))
+        rep = ((ratio, 0), (0, 1))
         label = f"semisimple(ratio={values[0]})"
-    key = model.class_key(rep)
-    _, size = model.class_table()[key]
-    expected = class_size(model.family, model.size, q, "semisimple")
-    if size != expected:
-        raise InternalConsistencyError(
-            "class-size",
-            f"{label} in {model.label} has size {size}, expected {expected}",
-        )
-    return ConcreteClassData(label, "semisimple", key, rep, size)
+    return _concrete_class(model, label, label, "semisimple", rep)
 
 
 def regular_unipotent_class(model: FiniteGroupModel) -> ConcreteClassData:
     """The regular unipotent class (single Jordan block, eigenvalue 1)."""
-    size = model.size
     rep = tuple(
-        tuple(1 if j == i or j == i + 1 else 0 for j in range(size))
-        for i in range(size)
+        tuple(1 if j == i or j == i + 1 else 0 for j in range(model.size))
+        for i in range(model.size)
     )
+    kind = "regular_unipotent"
+    return _concrete_class(model, kind, "regular unipotent class", kind, rep)
+
+
+def _concrete_class(
+    model: FiniteGroupModel, label: str, what: str, kind: str, rep: Matrix
+) -> ConcreteClassData:
+    """The class of ``rep``, its size checked against ``class_size``."""
     rep = model.canonical(rep)
     key = model.class_key(rep)
-    _, cls_size = model.class_table()[key]
-    expected = class_size(model.family, size, model.q, "regular_unipotent")
-    if cls_size != expected:
+    _, size = model.class_table()[key]
+    expected = class_size(model.family, model.size, model.q, kind)
+    if size != expected:
         raise InternalConsistencyError(
             "class-size",
-            f"regular unipotent class in {model.label} has size "
-            f"{cls_size}, expected {expected}",
+            f"{what} in {model.label} has size {size}, expected {expected}",
         )
-    return ConcreteClassData("regular_unipotent", "regular_unipotent", key, rep, cls_size)
+    return ConcreteClassData(label, kind, key, rep, size)
 
 
 def group_order(family: str, size: int, q: int) -> int:
@@ -553,7 +526,7 @@ def brute_force_count(
         counts = _puncture_counts(model, classes[1:])
         total = len(model.members(head.key)) * counts[head.key]
     elif genus == 0:
-        total = _puncture_counts(model, classes)[model.class_key(_identity(model.size))]
+        total = _puncture_counts(model, classes)[model.class_key(identity(model.size))]
     else:
         table = model.class_table()
         counts = _puncture_counts(model, classes)

@@ -30,6 +30,8 @@ import math
 from itertools import accumulate, count
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from .abelian import is_prime, prime_factors
+
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -336,18 +338,10 @@ def _may_vanish(coeffs: Sequence[int], d: int) -> bool:
 
 def _root_of_unity(d: int) -> tuple[int, int]:
     """A prime p = 1 (mod d) above ``_FILTER_PRIME_FLOOR`` and w of order d in F_p."""
-    primes, n, r = [], d, 2
-    while r * r <= n:
-        if n % r == 0:
-            primes.append(r)
-            while n % r == 0:
-                n //= r
-        r += 1
-    if n > 1:
-        primes.append(n)
+    primes = prime_factors(d)
     step = math.lcm(2, d)
     p = (_FILTER_PRIME_FLOOR // step + 1) * step + 1
-    while not all(p % k for k in range(3, math.isqrt(p) + 1, 2)):
+    while not is_prime(p):
         p += step
     for g in count(2):
         w = pow(g, (p - 1) // d, p)

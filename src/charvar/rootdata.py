@@ -6,7 +6,8 @@ lattice X^vee = Z^d, paired with X by the dot product).  Index i of
 ``roots`` corresponds to index i of ``coroots``; a ``positive`` index set
 fixes a choice of positive roots.  Everything is integral and hashable.
 What a datum derives (lookups, Gram matrices, center invariants, the Weyl
-group, the closed-subsystem poset) is built on first use and kept on it.
+group, the closed-subsystem poset, the dual) is built on first use and kept
+on it.
 The Weyl group is the tuple of its matrices on X^vee; the semisimple rank
 and the cocenter are read off the center invariants of the datum and of
 its dual.
@@ -44,9 +45,16 @@ import re
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .abelian import QuotientInvariants, quotient_invariants, smith_normal_form
+from .abelian import (
+    QuotientInvariants,
+    identity,
+    prime_factors,
+    quotient_invariants,
+    smith_normal_form,
+)
 from .errors import InvalidInputError, ResourceLimitError
 from .qpoly import Poly
+from .record import Record
 
 if TYPE_CHECKING:
     from .subsystems import SubsystemPoset
@@ -74,21 +82,19 @@ def _add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def _identity(d: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-
 def _mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(_dot(row, v) for row in m)
 
 
-class RootDatum:
+class RootDatum(Record):
     """A root datum (X, roots, X^vee, coroots) with a positivity choice.
 
     ``rank`` is the rank d of X; ``roots[i]`` pairs with ``coroots[i]``;
     ``positive`` lists the indices of the positive roots.  The label is
     cosmetic and excluded from equality/hashing.  Immutable.
     """
+
+    _compared = ("rank", "roots", "coroots", "positive")
 
     def __init__(
         self,
@@ -101,20 +107,6 @@ class RootDatum:
         self.__dict__.update(
             rank=rank, roots=roots, coroots=coroots, positive=positive, label=label
         )
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def _compared(self) -> tuple:
-        return self.rank, self.roots, self.coroots, self.positive
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self._compared() == other._compared()
-
-    def __hash__(self):
-        return hash(self._compared())
 
     # -- basic index structure -------------------------------------------
 
@@ -208,7 +200,11 @@ class RootDatum:
         return SubsystemPoset(self)
 
     def dual(self) -> "RootDatum":
-        """Swap roots with coroots (X with X^vee); an involution."""
+        """Swap roots with coroots (X with X^vee); an involution, built once and kept."""
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "RootDatum":
         return RootDatum(
             rank=self.rank,
             roots=self.coroots,
@@ -254,10 +250,9 @@ def validate_root_datum(rd: RootDatum) -> None:
                 f"pairing <root, coroot> must be 2 at index {i}, got {_dot(a, av)}",
             )
 
-    if len(set(rd.roots)) != len(rd.roots):
-        raise InvalidInputError("root-datum-axiom", "roots must be distinct")
-    if len(set(rd.coroots)) != len(rd.coroots):
-        raise InvalidInputError("root-datum-axiom", "coroots must be distinct")
+    for name, vectors in (("roots", rd.roots), ("coroots", rd.coroots)):
+        if len(set(vectors)) != len(vectors):
+            raise InvalidInputError("root-datum-axiom", f"{name} must be distinct")
 
     # reducedness: no root is a rational multiple c = w_k / v_k > 1 of another
     # (v itself fails the test, as v_k v_k is not above v_k v_k)
@@ -455,10 +450,10 @@ def semisimple_datum(letter: str, r: int, isogeny: str = "sc") -> RootDatum:
     if isogeny == "sc":
         # X in the fundamental-weight basis: simple root j = column j of C
         simple_roots = [tuple(c[i][j] for i in range(r)) for j in range(r)]
-        simple_coroots = [tuple(1 if i == j else 0 for i in range(r)) for j in range(r)]
+        simple_coroots = list(identity(r))
     elif isogeny == "ad":
         # X in the simple-root basis: simple coroot i = row i of C
-        simple_roots = [tuple(1 if i == j else 0 for i in range(r)) for j in range(r)]
+        simple_roots = list(identity(r))
         simple_coroots = [tuple(c[j][i] for i in range(r)) for j in range(r)]
     else:
         raise InvalidInputError("descriptor", f"unknown isogeny {isogeny!r}")
@@ -697,6 +692,8 @@ def build_root_datum(descriptor: str | dict) -> RootDatum:
 def _reflection_group(rd: RootDatum, indices: tuple[int, ...]) -> tuple[Matrix, ...]:
     """The group generated by the reflections at ``indices``, in BFS order.
 
+    The BFS starts from the identity, so the identity is the first element.
+
     s_alpha = I - coroot root^T maps a matrix m to m - coroot (root^T m), so
     only the rows where the coroot is nonzero change.
     """
@@ -707,10 +704,10 @@ def _reflection_group(rd: RootDatum, indices: tuple[int, ...]) -> tuple[Matrix, 
         )
         for i in indices
     ]
-    identity = _identity(rd.rank)
-    seen: set[Matrix] = {identity}
-    ordered: list[Matrix] = [identity]
-    frontier = [identity]
+    one = identity(rd.rank)
+    seen: set[Matrix] = {one}
+    ordered: list[Matrix] = [one]
+    frontier = [one]
     while frontier:
         new: list[Matrix] = []
         for m in frontier:
@@ -949,20 +946,6 @@ def _root_types(rd: RootDatum) -> tuple[tuple[str, int], ...]:
     return component_types(classify_vectors(list(rd.roots), rd.root_form))
 
 
-def _prime_factors(n: int) -> set[int]:
-    n = abs(n)
-    out = set()
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out.add(p)
-            n //= p
-        p += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def admissible_primes(rd: RootDatum) -> tuple[int, ...]:
     """Excluded characteristics, sorted: outside them regular unipotents are uniform.
 
@@ -973,11 +956,11 @@ def admissible_primes(rd: RootDatum) -> tuple[int, ...]:
     excluded = {2}
     for letter, r in _root_types(rd):
         if letter in ("A", "C"):
-            excluded |= _prime_factors(r + 1)
+            excluded.update(prime_factors(r + 1))
         elif letter == "B":
-            excluded |= _prime_factors(2 * r - 1)
+            excluded.update(prime_factors(2 * r - 1))
         elif letter == "D":
-            excluded |= _prime_factors(r - 1)
+            excluded.update(prime_factors(r - 1))
         else:
             excluded.add(3)
             if (letter, r) == ("E", 8):

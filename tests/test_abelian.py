@@ -10,6 +10,8 @@ from charvar.abelian import (
     canonical_word,
     is_dth_power,
     is_identity,
+    is_prime,
+    prime_factors,
     quotient_invariants,
     smith_normal_form,
 )
@@ -202,3 +204,26 @@ def test_canonical_word_constant_on_cosets(rels, w, combo):
     w2 = [a + b for a, b in zip(w, shift)]
     assert canonical_word(A, w) == canonical_word(A, w2)
     assert is_identity(A, [a - b for a, b in zip(w, w2)])
+
+
+# 0, +-1, 2, negatives, Carmichael numbers (561 first), squares of primes and
+# the primes just above 2^16, where qpoly's cyclotomic filter looks for one
+PRIME_SAMPLE = sorted(
+    set(range(-60, 1200))
+    | {561, 1105, 1729, 2465, 41041, 97 ** 2, 65537 ** 2, 2 ** 31 - 1}
+    | set(range(2 ** 16 - 40, 2 ** 16 + 400))
+    | {-(2 ** 16 + 1), -561, 3 * (10 ** 9 + 7), 2 ** 40}
+)
+
+
+def test_prime_helpers_match_sympy():
+    for n in PRIME_SAMPLE:
+        assert prime_factors(n) == sympy.primefactors(n), n
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-(10 ** 9), max_value=10 ** 9))
+def test_prime_helpers_match_sympy_on_random_integers(n):
+    assert prime_factors(n) == sympy.primefactors(n)
+    assert is_prime(n) == sympy.isprime(n)

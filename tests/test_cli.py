@@ -180,6 +180,25 @@ class TestBuildProblem:
             build_problem(config)
         assert "generators" in str(err.value)
 
+    @pytest.mark.parametrize("edits,message", [
+        ({"zeta": 1, "extra": 2}, "unknown config keys: extra, zeta"),
+        ({"eigenvalues": {"symbols": ["a", "b"], "relations": [], "extra": 1}},
+         "unknown eigenvalue keys: extra"),
+        ({"classes": [{"type": "semisimple", "coords": ["a", "b"], "zeta": 1,
+                       "extra": 2}]},
+         "classes[0]: unknown keys extra, zeta"),
+        ({"classes": [{"type": "semisimple", "coords": ["a", "b"]},
+                      {"type": "regular_unipotent", "extra": 1}]},
+         "classes[1]: unknown keys extra"),
+        ({"oracle": {"q": [5], "zeta": 1}}, "unknown oracle keys: zeta"),
+        ({"oracle": [5]}, "'oracle' must be an object"),
+        ({"classes": ["a"]}, "classes[0] must be an object"),
+    ])
+    def test_config_key_messages(self, tmp_path, capsys, edits, message):
+        config = gl2_config(**{"oracle": {"q": [5]}, **edits})
+        assert main(["oracle", "--config", write_config(tmp_path, config)]) == 2
+        assert capsys.readouterr().err == f"error[config-field]: {message}\n"
+
 
 # ---------------------------------------------------------------------------
 # subcommands end to end

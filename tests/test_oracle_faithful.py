@@ -28,8 +28,8 @@ from charvar.charsum import (
     in_commutator,
     product_translate,
 )
-from charvar.cli import UnitSpecialization, symbolic_pass_counts
-from charvar.count import ProblemSpec, resolve_overrides
+from charvar.cli import UnitSpecialization, orbit_maps
+from charvar.count import ProblemSpec, orbit_pass_counts, resolve_overrides
 from charvar.rootdata import build_root_datum, enumerate_weyl
 from charvar.subsystems import build_poset
 
@@ -158,7 +158,8 @@ def test_node_map_check_matches_per_product_reference():
     @given(cases())
     def check(case):
         spec, family, q, values = case
-        units = UnitSpecialization(spec, q, *symbolic_pass_counts(spec))
+        symbolic = orbit_pass_counts(spec, orbit_maps(spec, spec.eigenvalues.group))
+        units = UnitSpecialization(spec, q, symbolic)
         concrete = units.specialize(values)
         admissible = reference_admissible(spec, values, q, family)
         assert (concrete is not None) == admissible

@@ -177,7 +177,7 @@ def test_cli_import_path():
         f"charvar.{path.stem}" for path in PACKAGE.glob("*.py")
         if path.stem != "__init__"
     )
-    assert len(submodules) == 9
+    assert len(submodules) == 10
     assert set(submodules) <= set(result["modules"])
     assert [name for name in OFF_IMPORT_PATH if name in result["modules"]] == []
     assert len(pairs) > 40

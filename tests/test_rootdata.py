@@ -16,7 +16,7 @@ from charvar.charsum import EigenvalueDatum, SymbolicTorusElement
 from charvar.count import ProblemSpec, validate_problem
 from charvar.errors import HypothesisError, InvalidInputError, ResourceLimitError
 from charvar import rootdata
-from charvar.abelian import quotient_invariants, smith_normal_form
+from charvar.abelian import identity, quotient_invariants, smith_normal_form
 from charvar.qpoly import Poly, RationalPoly
 from charvar.rootdata import (
     RootDatum,
@@ -75,6 +75,19 @@ def test_weyl_orders():
     ]:
         rd = build_root_datum(desc)
         assert len(enumerate_weyl(rd)) == order, desc
+
+
+@pytest.mark.parametrize(
+    "desc",
+    ["GL(1)", "GL(4)", "SO(5)", "SO(8)", "Sp(6)", "G2", "F4", "B3(ad)",
+     "SO(5) x GL(2)", "T(2)"],
+)
+def test_weyl_enumeration_starts_at_the_identity(desc):
+    """``charsum.strongly_regular`` skips the first element as the identity."""
+    rd = build_root_datum(desc)
+    weyl = enumerate_weyl(rd)
+    assert weyl[0] == identity(rd.rank)
+    assert identity(rd.rank) not in weyl[1:]
 
 
 def test_weyl_elements_permute_coroots():
@@ -381,6 +394,21 @@ def test_dual_is_involution():
         validate_root_datum(rd.dual())
     so5 = build_root_datum("SO(5)")
     assert so5.dual().roots == so5.coroots
+
+
+def test_dual_and_cocenter_are_built_once(monkeypatch):
+    rd = build_root_datum("SO(5)")
+    assert rd.dual() is rd.dual()
+    calls = []
+    built = rootdata.quotient_invariants
+    monkeypatch.setattr(
+        rootdata, "quotient_invariants", lambda *args: calls.append(args) or built(*args)
+    )
+    cocenter = cocenter_invariants(rd)
+    assert cocenter_invariants(rd) is cocenter
+    assert rd.dual().center_invariants is cocenter
+    assert calls == [(rd.rank, rd.coroots)]
+    assert cocenter.torsion == (2,)
 
 
 def test_duality_swaps_isogeny():

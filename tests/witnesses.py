@@ -14,15 +14,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from charvar.abelian import identity, is_prime
 from charvar.charsum import EigenvalueDatum
 from charvar.errors import InvalidInputError, ResourceLimitError
-from charvar.oracle import (
-    FiniteGroupModel,
-    _det,
-    _identity,
-    _is_prime,
-    _legendre,
-)
+from charvar.oracle import FiniteGroupModel, _det, _legendre
 from oracle_reference import char_poly, is_scalar, mat_mul, min_poly_degree
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -227,7 +222,7 @@ def verify_witness(
     seeded generator until the relations and constraints hold; running
     out of attempts raises (inconclusive), it does not return False.
     """
-    if not _is_prime(q):
+    if not is_prime(q):
         raise InvalidInputError("oracle-field", f"q = {q} is not prime")
     if witness.family == "PGL" and q == 2:
         raise InvalidInputError(
@@ -261,11 +256,11 @@ def verify_witness(
                 f"F_{q} found in {attempts} attempts (inconclusive)",
             )
     matrices = witness_matrices(witness, q, values)
-    product = _identity(witness.size)
+    product = identity(witness.size)
     for m in matrices:
         product = mat_mul(product, m, q)
     if witness.family == "GL":
-        if product != _identity(witness.size):
+        if product != identity(witness.size):
             return False
     else:
         if not is_scalar(product) or _det(product, q) == 0:
