@@ -28,6 +28,14 @@ exit code, stdout, stderr and the ``--json`` payload apart from
   under the degree cap: GL(2) genus 125 (degree 998), GL(3) genus 40
   (716), GL(4) genus 10 (314) and G2 genus 20 (556), whose ``factored``
   strings are long;
+* ``count --table`` and ``table`` on the carry matrix (``carry_config``):
+  PGL(3), SO(5), B3(ad) and ``SO(5) x GL(2)``, groups with torsion in
+  X^vee / Z Phi^vee and Weyl orbits of several closed subsystems, with
+  m = 1, 2, 3 classes over an eigenvalue group with an element of order 2,
+  and at m = 2 once more with the override in ``CARRY_GROUPS`` on one
+  orbit.  At m >= 2 the class product dies at some members of an orbit
+  and not at others, so the membership carried to each orbit's first node
+  decides both Delta and the orbit counts;
 * ``count``, ``table``, ``check`` and ``oracle`` on ``INCONSISTENT``, a
   GL(2) and a GL(3) problem whose override on the empty subsystem makes
   the master formula non-polynomial (exit 4, ``non-polynomial``, with the
@@ -85,6 +93,10 @@ INCONSISTENT = tuple(
     }
     for symbols, q in ((["a", "b"], 5), (["a", "b", "c"], 7))
 )
+# carry matrix: (group, display label of one Weyl orbit to override at m = 2)
+CARRY_GROUPS = (
+    ("PGL(3)", "A1"), ("SO(5)", "A1-long"), ("B3(ad)", "C2"), ("SO(5) x GL(2)", "A1#1"),
+)
 # (group, genus, rank): one generic class, the GL ones with determinant 1
 HIGH_GENUS = (("GL(2)", 125, 2), ("GL(3)", 40, 3), ("GL(4)", 10, 4), ("G2", 20, 2))
 # GL(2) from the oracle workload's seed-0 problems, PGL(2) from configs/
@@ -118,8 +130,44 @@ ERRORS = (
 )
 
 
+def _word(exponents) -> str:
+    return "*".join(f"{s}^{e}" for s, e in exponents if e) or "1"
+
+
+def carry_config(rd, m: int) -> dict:
+    """A problem on ``rd`` with m classes; u (u^2 = 1) enters the first.
+
+    At m = 1, genus 1, the class is the sum of alpha_j^vee (x) y_j over the
+    simple coroots (times u along the first), so it dies at the full node.
+    At m >= 2, genus 0, the classes are on fresh symbols, and relations make
+    their product beta^vee (x) x for the first positive coroot beta^vee.
+    """
+    if m == 1:
+        simple = [rd.coroots[a] for a in rd.simple_root_indices]
+        symbols = ["u"] + [f"y{j}" for j in range(len(simple))]
+        coords = [
+            _word([("u", simple[0][i])] + [(f"y{j}", v[i]) for j, v in enumerate(simple)])
+            for i in range(rd.rank)
+        ]
+        classes, relations = [coords], ["u^2"]
+    else:
+        beta = rd.coroots[rd.positive[0]]
+        classes = [[f"a{k}{i}" for i in range(rd.rank)] for k in range(m)]
+        symbols = ["u", "x"] + [s for c in classes for s in c]
+        classes[0][0] += "*u"
+        relations = ["u^2"] + [
+            "*".join(c[i] for c in classes) + f" = x^{b}" for i, b in enumerate(beta)
+        ]
+    return {
+        "schema_version": 1, "group": rd.label, "genus": 1 if m == 1 else 0,
+        "punctures": m + 1, "eigenvalues": {"symbols": symbols, "relations": relations},
+        "classes": [{"type": "semisimple", "coords": c} for c in classes],
+    }
+
+
 def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
     """Every CLI argument list to compare, with configs written to config_dir."""
+    from charvar.rootdata import build_root_datum
     configs = sorted((ROOT / "configs").glob("*.json"))
     for workload in workloads.WORKLOADS:
         for problem in workloads.problems(workload, 0):
@@ -157,6 +205,13 @@ def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
         }))
         for command in ("count", "table"):
             runs.append((command, "--config", str(path)))
+    for group, label in CARRY_GROUPS:
+        rd = build_root_datum(group)
+        for m, overrides in ((1, {}), (2, {}), (3, {}), (2, {label: False})):
+            path = config_dir / f"carry-{group}-{m}-{len(overrides)}.json"
+            path.write_text(json.dumps(dict(carry_config(rd, m), overrides=overrides)))
+            runs.append(("count", "--config", str(path), "--table"))
+            runs.append(("table", "--config", str(path)))
     for k, config in enumerate(INCONSISTENT):
         path = config_dir / f"inconsistent-{k}.json"
         path.write_text(json.dumps(config))
@@ -195,6 +250,7 @@ def main(argv: list[str]) -> int:
         print("usage: cli_diff.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
         return 2
     parent, change = (str(pathlib.Path(p).resolve()) for p in argv)
+    sys.path.insert(0, parent)  # the carry matrix reads root data from the parent
     fields = ("exit code", "stdout", "stderr", "json")
     differences = 0
     with tempfile.TemporaryDirectory() as tmp:

@@ -14,7 +14,7 @@ On top of that this module provides:
 * ``strongly_regular`` — no root trivial on S and trivial Weyl stabilizer,
   the latter without a loop over W where Steinberg's theorem gives it;
 * ``node_map`` — the test "S dies in (X^vee / <Psi>) (x) A", compiled
-  once per closed subsystem Psi into an additive map to (+) Z/e (+) Z^f
+  for a closed subsystem Psi into an additive map to (+) Z/e (+) Z^f
   (the Smith form of <Psi> composed with canonical coordinates of each
   A/d_iA) whose kernel is exactly the dying elements; ``in_commutator``
   asks whether S maps to zero.  Because the map is additive, the image of

@@ -243,10 +243,6 @@ def _polynomial_payload(report: count.CountReport) -> dict:
     }
 
 
-def _table_payload(report: count.CountReport) -> list[dict]:
-    return [row._asdict() for row in report.table]
-
-
 def report_payload(report: count.CountReport) -> dict:
     return {
         "group": report.group_label,
@@ -265,7 +261,7 @@ def report_payload(report: count.CountReport) -> dict:
         "diagnostic_exponent_lcm": report.diagnostic_exponent_lcm,
         "excluded_primes": list(report.excluded_primes),
         "warnings": list(report.warnings),
-        "table": _table_payload(report),
+        "table": [row._asdict() for row in report.table],
     }
 
 
@@ -517,16 +513,6 @@ def cmd_check(args) -> tuple[int, dict, str]:
     return 0, payload, "\n".join(lines)
 
 
-def _oracle_section(config: dict) -> dict:
-    section = config.get("oracle", {})
-    if not isinstance(section, dict):
-        raise InvalidInputError("config-field", "'oracle' must be an object")
-    _check_keys(
-        section, {"q", "eigenvalues", "budget", "threads"}, "unknown oracle keys: "
-    )
-    return section
-
-
 class UnitSpecialization:
     """Eigenvalue specializations of one problem into F_q^x, q prime.
 
@@ -542,10 +528,10 @@ class UnitSpecialization:
     A; values with extra multiplicative relations (easy in a small field)
     specialize a different counting problem.  ``faithful`` compares the
     counting engine's pass counts over A (``symbolic``, once per problem)
-    with those of node maps on <g> (compiled once per q), one count per
-    Weyl orbit without an override.  Equal counts suffice: phi is a
-    homomorphism, so every tuple that dies in (X^vee/<Psi>) (x) A also dies
-    in (X^vee/<Psi>) (x) Z/(q-1), and with equal counts no other tuple can.
+    with those of one node map per orbit on <g> (compiled once per q), one
+    count per Weyl orbit without an override.  Equal counts suffice: phi is
+    a homomorphism, so every tuple that dies in (X^vee/<Psi>) (x) A also
+    dies in (X^vee/<Psi>) (x) Z/(q-1), and with equal counts no other tuple can.
     Comparing per orbit loses nothing, because an orbit's count is the
     number D(Psi) of dying tuples at each of its members: the same numbers
     a per-node comparison would see.
@@ -559,7 +545,7 @@ class UnitSpecialization:
         )
         self.logs = {pow(self.g, k, q): k for k in range(q - 1)}
         self.datum = charsum.EigenvalueDatum(("g",), (f"g^{q - 1}",))
-        self.maps = orbit_maps(spec, self.datum.group)
+        self.maps = count.representative_maps(spec, self.datum.group, overridden=False)
 
     def specialize(self, values: dict) -> count.ProblemSpec | None:
         """The problem over <g> at ``values`` (residues mod q), or None.
@@ -601,21 +587,6 @@ class UnitSpecialization:
         return count.orbit_pass_counts(concrete, self.maps) == self.symbolic
 
 
-def orbit_maps(spec: count.ProblemSpec, group) -> list[list]:
-    """Per Weyl orbit without an override, the node maps of its members over ``group``.
-
-    Overrides name type or display labels, which are constant on orbits, so
-    an orbit is overridden as a whole.
-    """
-    poset = build_poset(spec.rd)
-    overridden = count.resolve_overrides(poset, spec.overrides_dict())
-    return [
-        [charsum.node_map(poset.quotient(j), group) for j in orbit]
-        for orbit in poset.orbits()
-        if orbit[0] not in overridden
-    ]
-
-
 def cmd_oracle(args) -> tuple[int, dict, str]:
     config = load_config(args.config)
     spec = build_problem(config)
@@ -628,7 +599,12 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
             f"got {group!r}",
         )
     family, size = oracle.GROUPS[normalized]
-    section = _oracle_section(config)
+    section = config.get("oracle", {})
+    if not isinstance(section, dict):
+        raise InvalidInputError("config-field", "'oracle' must be an object")
+    _check_keys(
+        section, {"q", "eigenvalues", "budget", "threads"}, "unknown oracle keys: "
+    )
     if args.q is not None:
         q_list = [args.q]
     else:
@@ -666,7 +642,9 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
         )
 
     report = count.count_polynomial(spec)
-    symbolic = count.orbit_pass_counts(spec, orbit_maps(spec, spec.eigenvalues.group))
+    symbolic = count.orbit_pass_counts(
+        spec, count.representative_maps(spec, spec.eigenvalues.group, overridden=False)
+    )
     runs = []
     verdict_ok = True
     for q in q_list:

@@ -13,19 +13,20 @@ The engine evaluates the closed master formula
              sum over Psi' >= Psi of mu(Psi, Psi') D(Psi')
 
 with chi = 2g + n - 2, where D(Psi') adds up the local factor Delta over
-all W^m-translates of the semisimple classes.  Each node's membership test
-is compiled once into an additive map to a finitely generated abelian group
-(``charsum.node_map``); a product of translates dies exactly when the
-images of its factors sum to zero.  D is constant on Weyl orbits of
-closed subsystems, and summed over an orbit it needs no translate of the
-first class (``orbit_pass_counts``): per node, only the (m-1)-tuples of
-translates of the other classes are counted.  Those are zero sums: each
-class contributes the histogram of its |W| translate images, the classes
-are convolved in two halves, the first class's image shifting one of
+all W^m-translates of the semisimple classes.  The membership test is
+compiled once per Weyl orbit of closed subsystems into an additive map to
+a finitely generated abelian group (``representative_maps``): S dies at
+w(Psi_0) exactly when w^-1 S (``SubsystemPoset.carry``) dies at the
+orbit's first node Psi_0, and a product of translates dies exactly when
+the images of its factors sum to zero.  D is constant on Weyl orbits, and
+summed over an orbit it needs no translate of the first class
+(``orbit_pass_counts``): only the (m-1)-tuples of translates of the other
+classes are counted.  Those are zero sums: each class contributes the
+histogram of its |W| translate images, the classes are convolved in two
+halves once per orbit, each member's carried first class shifting one of
 them, and one dictionary lookup per entry of one half against the negated
 other half counts the zero sums -- |W|^floor((m-1)/2) + |W|^ceil((m-1)/2)
-entries per node rather than |W|^m products, and one image per node when
-m = 1.
+entries per orbit rather than |W|^m products, one image per node at m = 1.
 
 The inner sum is ``mobius_sum`` applied to the D values.  Every factor of
 a summand is W-invariant, so the outer sum runs over orbit representatives,
@@ -54,10 +55,9 @@ warns when the two disagree.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
 from typing import NamedTuple
 
-from .abelian import AdditiveMap
+from .abelian import AdditiveMap, FPAbelianGroup
 from .charsum import (
     EigenvalueDatum,
     SymbolicTorusElement,
@@ -217,30 +217,22 @@ def resolve_overrides(
     poset: SubsystemPoset, overrides: dict[str, bool]
 ) -> dict[int, bool]:
     """Map override labels to node indices; display labels beat bare labels."""
-    generic: dict[int, bool] = {}
-    specific: dict[int, bool] = {}
-    for label, value in overrides.items():
-        display_hits = [
-            i for i in range(poset.num_nodes) if poset.display_label(i) == label
-        ]
-        type_hits = [
-            i for i in range(poset.num_nodes) if poset.type_label(i) == label
-        ]
-        if not display_hits and not type_hits:
-            available = sorted(
-                {poset.display_label(i) for i in range(poset.num_nodes)}
-            )
+    display = {poset.display_label(i) for i in range(poset.num_nodes)}
+    types = {poset.type_label(i) for i in range(poset.num_nodes)}
+    for label in overrides:
+        if label not in display | types:
             raise InvalidInputError(
                 "override-label",
                 f"override label {label!r} matches no subsystem; available "
-                f"labels: {', '.join(available)}",
+                f"labels: {', '.join(sorted(display))}",
             )
-        for i in type_hits:
-            generic[i] = value
-        for i in display_hits:
-            specific[i] = value
-    generic.update(specific)
-    return generic
+    resolved: dict[int, bool] = {}
+    for orbit in poset.orbits():  # labels are constant on Weyl orbits
+        value = overrides.get(poset.type_label(orbit[0]))
+        value = overrides.get(poset.display_label(orbit[0]), value)
+        if value is not None:
+            resolved.update(dict.fromkeys(orbit, value))
+    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -290,57 +282,74 @@ def mobius_sum(poset: SubsystemPoset, i: int, values: list[Poly]) -> Poly:
     return total
 
 
+def representative_maps(
+    spec: ProblemSpec, group: FPAbelianGroup, overridden: bool = True
+) -> dict[int, AdditiveMap]:
+    """By Weyl orbit index, the node map over ``group`` of the orbit's first node.
+
+    With ``overridden`` false, the orbits with an override are left out.
+    """
+    poset = build_poset(spec.rd)
+    skip = () if overridden else resolve_overrides(poset, spec.overrides_dict())
+    return {
+        k: node_map(poset.quotient(orbit[0]), group)
+        for k, orbit in enumerate(poset.orbits())
+        if orbit[0] not in skip
+    }
+
+
 def delta_values(
     poset: SubsystemPoset,
-    maps: list[AdditiveMap],
+    maps: dict[int, AdditiveMap],
     product: tuple[int, ...],
     overrides: dict[int, bool],
 ) -> list[Poly]:
     """Delta at every node: the quotient factor where the product dies, else 0.
 
-    ``maps`` are the nodes' compiled maps and ``product`` a ``flat()``
+    ``maps`` are the ``representative_maps`` and ``product`` a ``flat()``
     vector; an override replaces the computed indicator of its node.
     """
-    zero = Poly()
+    carried, orbits = poset.carry(product), poset.orbits()
     return [
-        quotient_factor(poset.quotient(j))
-        if overrides.get(j, nmap.in_kernel(product))
-        else zero
-        for j, nmap in enumerate(maps)
+        quotient_factor(poset.quotient(orbits[k][0]))
+        if overrides.get(j, maps[k].in_kernel(carried[j]))
+        else Poly()
+        for j, k in enumerate(map(poset.orbit_of, range(poset.num_nodes)))
     ]
 
 
 def orbit_pass_counts(
     spec: ProblemSpec,
-    orbits: Sequence[Sequence[AdditiveMap]],
+    maps: dict[int, AdditiveMap],
     budget: int = DEFAULT_TRANSLATE_BUDGET,
-) -> list[int]:
-    """Per Weyl orbit, the number of W^m-translate tuples whose product dies.
+) -> dict[int, int]:
+    """By Weyl orbit index, the number of W^m-translate tuples whose product dies.
 
-    Each orbit O is given by the node maps of all its members; its count is
-    D(Psi) at every Psi in O, the same number for each.  The count rests on
-    W-invariance: w.S dies in Psi exactly when S dies in w^-1 Psi, and left
-    multiplication by w permutes the translate tuples.  Grouping the tuples
-    by their first translate w therefore gives
+    ``maps`` are ``representative_maps``, and each of their orbits gets its
+    count: D(Psi) at every Psi in the orbit, the same number for each.  The
+    count rests on W-invariance: w.S dies in Psi exactly when S dies in
+    w^-1 Psi, and left multiplication by w permutes the translate tuples.
+    Grouping the tuples by their first translate w therefore gives
 
         D(Psi) = sum over w in W of N(w^-1 Psi)
                = (|W| / |O|) * sum over Psi' in O of N(Psi'),
 
     where N(Psi') counts the (m-1)-tuples (w_2, ..., w_m) for which
     S_1 + w_2 S_2 + ... + w_m S_m dies at Psi', and w^-1 Psi runs over O,
-    meeting each member |W| / |O| times.
+    meeting each member |W| / |O| times.  Reindexing the tuples by w^-1,
+    N(w Psi_0) is N(Psi_0) with S_1 replaced by its carry w^-1 S_1.
 
     The maps are additive, so a tuple passes when the images of its terms
     sum to zero.  S_2 .. S_m are split into two halves; each half's
-    histogram of image sums is the convolution of its classes' histograms
-    of |W| translate images, the left one shifted by the image of S_1, and
-    the zero sums are counted with one lookup per left entry against the
-    negated right half.  With m = 1 both halves are empty: N(Psi') is 1 or
-    0 as S_1 dies at Psi' or not, no translate is computed and W is not
-    enumerated (|W| is read off the poset, ``weyl_group_order``).  ``budget``
-    bounds the histogram entries: a strongly regular class has |W|
-    distinct translates, so the halves hold at most
-    |W|^floor((m-1)/2) + |W|^ceil((m-1)/2) entries.
+    histogram of image sums at Psi_0 is the convolution of its classes'
+    histograms of |W| translate images, the left one shifted by the image
+    of each member's carried S_1, and the zero sums are counted with one
+    lookup per left entry against the negated right half.  With m = 1 both
+    halves are empty: N(Psi') is 1 or 0 as S_1 dies at Psi' or not, no
+    translate is computed and W is not enumerated (|W| is read off the
+    poset, ``weyl_group_order``).  ``budget`` bounds the histogram entries:
+    a strongly regular class has |W| distinct translates, so the halves
+    hold at most |W|^floor((m-1)/2) + |W|^ceil((m-1)/2) entries.
     """
     order = weyl_group_order(spec.rd)
     first, *rest = spec.semisimple_classes
@@ -355,17 +364,20 @@ def orbit_pass_counts(
         )
     weyl = enumerate_weyl(spec.rd) if rest else ()
     translates = [[translate(w, s).flat() for w in weyl] for s in rest]
-    start = first.flat()
-    counts = []
-    for maps in orbits:
-        passing = 0
-        for nmap in maps:
-            left = _sum_histogram(nmap, nmap.image(start), translates[:half])
-            right = _sum_histogram(nmap, (0,) * len(nmap.moduli), translates[half:])
-            passing += sum(
-                mult * right.get(nmap.negate(x), 0) for x, mult in left.items()
-            )
-        counts.append(order // len(maps) * passing)
+    poset = build_poset(spec.rd)
+    carried = poset.carry(first.flat())
+    counts = {}
+    for k, nmap in maps.items():
+        orbit = poset.orbits()[k]
+        left = _sum_histogram(nmap, translates[:half])
+        right = _sum_histogram(nmap, translates[half:])
+        starts = Counter(nmap.image(carried[j]) for j in orbit)
+        passing = sum(
+            n * mult * right.get(nmap.negate(nmap.add(start, x)), 0)
+            for start, n in starts.items()
+            for x, mult in left.items()
+        )
+        counts[k] = order // len(orbit) * passing
     return counts
 
 
@@ -376,10 +388,10 @@ def weyl_group_order(rd: RootDatum) -> int:
 
 
 def _sum_histogram(
-    nmap: AdditiveMap, start: tuple[int, ...], classes: list[list[tuple[int, ...]]]
+    nmap: AdditiveMap, classes: list[list[tuple[int, ...]]]
 ) -> dict[tuple[int, ...], int]:
-    """Multiplicities of ``start`` plus the image sums of one translate per class."""
-    sums = {start: 1}
+    """Multiplicities of the image sums of one translate per class."""
+    sums = {(0,) * len(nmap.moduli): 1}
     for translates in classes:
         images = Counter(nmap.image(t) for t in translates)
         convolved: dict[tuple[int, ...], int] = {}
@@ -412,9 +424,8 @@ def _divide_out(total: Poly, a: int, b: int, denominator: int) -> Poly:
     coefficient that ``denominator`` does not divide raises
     ``non-integral``.  The messages print the rational value.
     """
-    qm1 = Poly([-1, 1])
-    numerator = (total * qm1 ** max(a, 0)).shift(max(b, 0))
-    poly, rem = numerator.divmod((qm1 ** max(-a, 0)).shift(max(-b, 0)))
+    numerator, monic = _over_monic(total, a, b)
+    poly, rem = numerator.divmod(monic)
     if not rem.is_zero():
         raise InternalConsistencyError(
             "non-polynomial",
@@ -440,13 +451,19 @@ def _rational(total: Poly, a: int, b: int, denominator: int) -> str:
     """
     from fractions import Fraction
 
-    qm1 = Poly([-1, 1])
     low, ones, minus_ones, rest = total.unit_roots()
-    body = Poly(rest) * Poly([1, 1]) ** minus_ones
-    a, b = a + ones, b + low
-    num = (body * qm1 ** max(a, 0)).shift(max(b, 0)) * Fraction(1, denominator)
-    den = (qm1 ** max(-a, 0)).shift(max(-b, 0))
+    num, den = _over_monic(Poly(rest) * Poly([1, 1]) ** minus_ones, a + ones, b + low)
+    num = num * Fraction(1, denominator)
     return str(num) if den.degree() == 0 else f"({num})/({den})"
+
+
+def _over_monic(total: Poly, a: int, b: int) -> tuple[Poly, Poly]:
+    """(q-1)^a q^b total as a numerator over the monic q^(-b) (q-1)^(-a)."""
+    qm1 = Poly([-1, 1])
+    return (
+        (total * qm1 ** max(a, 0)).shift(max(b, 0)),
+        (qm1 ** max(-a, 0)).shift(max(-b, 0)),
+    )
 
 
 def expected_dimension(spec: ProblemSpec) -> int:
@@ -490,8 +507,7 @@ def count_polynomial(
 
     poset = build_poset(rd)
     verdict = emptiness(spec, poset)
-    group = spec.eigenvalues.group
-    maps = [node_map(poset.quotient(i), group) for i in range(poset.num_nodes)]
+    maps = representative_maps(spec, spec.eigenvalues.group)
     if verdict.computed != verdict.nonempty:
         warnings.append(
             f"override for {poset.display_label(verdict.full)} asserts the "
@@ -515,19 +531,18 @@ def count_polynomial(
     # contradicts the computed indicator are tallied per display label
     weyl_order = weyl_group_order(rd)
     products = weyl_order ** m
-    by_orbit = orbit_pass_counts(
-        spec, [[maps[j] for j in orbit] for orbit in poset.orbits()], budget
-    )
+    by_orbit = orbit_pass_counts(spec, maps, budget)
     mismatch: dict[str, list[int]] = {}
     d_values: list[Poly] = []
     for j in range(poset.num_nodes):
+        orbit = poset.orbits()[poset.orbit_of(j)]
         passing = by_orbit[poset.orbit_of(j)]
         if j in verdict.overrides:
             counts = mismatch.setdefault(poset.display_label(j), [0, 0])
             counts[0] += products - passing if verdict.overrides[j] else passing
             counts[1] += products
             passing = products if verdict.overrides[j] else 0
-        d_values.append(quotient_factor(poset.quotient(j)) * passing)
+        d_values.append(quotient_factor(poset.quotient(orbit[0])) * passing)
 
     for label, (bad, total_mult) in sorted(mismatch.items()):
         if bad:

@@ -183,6 +183,11 @@ class RootDatum(Record):
         return {v: _mat_vec(gram, v) for v in self.coroots}
 
     @cached_property
+    def root_types(self) -> tuple[tuple[str, int], ...]:
+        """(letter, rank) of each irreducible component of the root system."""
+        return component_types(classify_vectors(list(self.roots), self.root_form))
+
+    @cached_property
     def center_invariants(self) -> QuotientInvariants:
         """Invariants of X / (root lattice): free rank = central torus rank."""
         return quotient_invariants(self.rank, self.roots)
@@ -540,20 +545,14 @@ def torus_datum(d: int) -> RootDatum:
 def product_datum(a: RootDatum, b: RootDatum) -> RootDatum:
     """Direct product: lattices, roots, and coroots in block-diagonal form."""
 
-    def pad_left(v: Vector) -> Vector:
-        return v + (0,) * b.rank
+    def blocks(left: tuple[Vector, ...], right: tuple[Vector, ...]) -> tuple[Vector, ...]:
+        return tuple(v + (0,) * b.rank for v in left) + tuple((0,) * a.rank + v for v in right)
 
-    def pad_right(v: Vector) -> Vector:
-        return (0,) * a.rank + v
-
-    roots = tuple(pad_left(v) for v in a.roots) + tuple(pad_right(v) for v in b.roots)
-    coroots = tuple(pad_left(v) for v in a.coroots) + tuple(pad_right(v) for v in b.coroots)
-    positive = a.positive + tuple(i + len(a.roots) for i in b.positive)
     return RootDatum(
         rank=a.rank + b.rank,
-        roots=roots,
-        coroots=coroots,
-        positive=positive,
+        roots=blocks(a.roots, b.roots),
+        coroots=blocks(a.coroots, b.coroots),
+        positive=a.positive + tuple(i + len(a.roots) for i in b.positive),
         label=f"{a.label} x {b.label}",
     )
 
@@ -563,8 +562,7 @@ def product_datum(a: RootDatum, b: RootDatum) -> RootDatum:
 _FACTOR_RE = re.compile(
     r"^(?:"
     r"(?P<gl>GL)\((?P<gln>\d{1,9})\)|"
-    r"(?P<sl>SL)\((?P<sln>\d{1,9})\)|"
-    r"(?P<pgl>PGL)\((?P<pgln>\d{1,9})\)|"
+    r"(?P<a>SL|PGL)\((?P<an>\d{1,9})\)|"
     r"(?P<so>SO)\((?P<son>\d{1,9})\)|"
     r"(?P<sp>Sp)\((?P<spn>\d{1,9})\)|"
     r"(?P<t>T)\((?P<td>\d{1,9})\)|"
@@ -574,7 +572,7 @@ _FACTOR_RE = re.compile(
 
 # lattice rank of a factor from its number, by the regex group holding it
 _FACTOR_RANK = {
-    "gln": lambda n: n, "sln": lambda n: n - 1, "pgln": lambda n: n - 1,
+    "gln": lambda n: n, "an": lambda n: n - 1,
     "son": lambda n: n // 2, "spn": lambda n: n // 2, "td": lambda n: n,
     "rank": lambda n: n,
 }
@@ -607,18 +605,12 @@ def _build_factor(text: str) -> RootDatum:
         )
     if m.group("gl"):
         return gl_datum(int(m.group("gln")))
-    if m.group("sl"):
-        n = int(m.group("sln"))
+    if m.group("a"):  # SL(n) or PGL(n): type A_(n-1), simply connected or adjoint
+        name, n = m.group("a"), int(m.group("an"))
         if n < 2:
-            raise InvalidInputError("descriptor", "SL(n) needs n >= 2")
-        rd = semisimple_datum("A", n - 1, "sc")
-        return RootDatum(rd.rank, rd.roots, rd.coroots, rd.positive, label=f"SL({n})")
-    if m.group("pgl"):
-        n = int(m.group("pgln"))
-        if n < 2:
-            raise InvalidInputError("descriptor", "PGL(n) needs n >= 2")
-        rd = semisimple_datum("A", n - 1, "ad")
-        return RootDatum(rd.rank, rd.roots, rd.coroots, rd.positive, label=f"PGL({n})")
+            raise InvalidInputError("descriptor", f"{name}(n) needs n >= 2")
+        rd = semisimple_datum("A", n - 1, "sc" if name == "SL" else "ad")
+        return RootDatum(rd.rank, rd.roots, rd.coroots, rd.positive, label=f"{name}({n})")
     if m.group("so"):
         n = int(m.group("son"))
         if n < 3:
@@ -941,11 +933,6 @@ def poincare_polynomial(
     return type_poincare(classify_vectors(vectors, rd.coroot_form))
 
 
-def _root_types(rd: RootDatum) -> tuple[tuple[str, int], ...]:
-    """(letter, rank) of each irreducible component of the root system."""
-    return component_types(classify_vectors(list(rd.roots), rd.root_form))
-
-
 def admissible_primes(rd: RootDatum) -> tuple[int, ...]:
     """Excluded characteristics, sorted: outside them regular unipotents are uniform.
 
@@ -954,7 +941,7 @@ def admissible_primes(rd: RootDatum) -> tuple[int, ...]:
     primes dividing r-1, and 3 for the exceptional types (plus 5 for E8).
     """
     excluded = {2}
-    for letter, r in _root_types(rd):
+    for letter, r in rd.root_types:
         if letter in ("A", "C"):
             excluded.update(prime_factors(r + 1))
         elif letter == "B":
@@ -976,6 +963,6 @@ def modulus(rd: RootDatum) -> int:
     with the order of the torsion of X / (root lattice).
     """
     values = [rd.center_invariants.torsion_order]
-    for letter, r in _root_types(rd):
+    for letter, r in rd.root_types:
         values.append(_HIGHEST_ROOT_LCM[letter if letter in "ABCD" else f"{letter}{r}"])
     return math.lcm(*values)

@@ -24,20 +24,21 @@ type labels (one classification per Weyl orbit, with long/short
 disambiguation where needed), Poincare polynomials (one per type label,
 read from its fundamental degrees) and Weyl orbits, each built for all
 nodes on first use; and, one node at a time, the quotient X^vee / <Psi>
-with its Smith basis and the Mobius row mu(i, .).  Both are computed at
-the first node of each orbit only (a Smith form; the downward recursion
-over the nodes above it) and carried to the other members along the
-recorded reflections: the Smith basis by a rank-one update, the Mobius
-row through the reflection's permutation of the nodes, a poset
-automorphism.  A root datum builds its poset once and keeps it
-(``build_poset``).
+with its Smith basis and the Mobius row mu(i, .).  A Mobius row is
+computed at the first node of each orbit only (the downward recursion
+over the nodes above it) and carried to the other members through the
+recorded reflection's permutation of the nodes, a poset automorphism.
+Torus elements are carried the other way (``carry``): S dies at w(Psi)
+exactly when w^-1 S dies at Psi, so one membership test per orbit, at
+its first node, decides every member.  A root datum builds its poset
+once and keeps it (``build_poset``).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 from types import MappingProxyType
 
@@ -219,6 +220,10 @@ class SubsystemPoset:
         return row
 
     @cached_property
+    def _reflections(self) -> dict[int, tuple[int, ...]]:
+        return dict(_simple_reflections(self.rd))
+
+    @cached_property
     def _node_permutations(self) -> dict[int, tuple[int, ...]]:
         """Per simple root a, node j -> the node s_a(j)."""
         node_of = {mask: j for j, mask in enumerate(self.masks)}
@@ -227,7 +232,7 @@ class SubsystemPoset:
                 node_of[sum(map(bits.__getitem__, _indices(mask)))]
                 for mask in self.masks
             )
-            for a, bits in _simple_reflections(self.rd)
+            for a, bits in self._reflections.items()
         }
 
     def mobius(self, i: int, j: int) -> int:
@@ -240,28 +245,39 @@ class SubsystemPoset:
         return [self.rd.coroots[k] for k in sorted(self.nodes[i])]
 
     def quotient(self, i: int) -> QuotientInvariants:
-        """Invariants of X^vee / <Psi> for node i, with its Smith basis.
+        """Invariants of X^vee / <Psi> for node i, with its Smith basis."""
+        if i not in self._quotients:
+            self._quotients[i] = quotient_invariants(self.rd.rank, self.coroot_vectors(i))
+        return self._quotients[i]
 
-        The Smith form is computed at the first node of each orbit only.  A
-        node s_a(Psi) has generator rows M s_a^T, where M are those of Psi,
-        so U M V = D carries over with V' = s_a^T V = V - alpha (alpha^vee^T V).
+    def carry(self, vector: Sequence[int]) -> list[tuple[int, ...]]:
+        """Per node w(Psi_0), Psi_0 its orbit's first node, w^-1 S for S = ``vector``.
+
+        S (as ``S.flat()``) dies in (X^vee/<w Psi_0>) (x) A exactly when w^-1 S
+        dies in (X^vee/<Psi_0>) (x) A.  A node s_a(p), p = w_p(Psi_0), reflects
+        p's element once: w^-1 = w_p^-1 s_a = s_b w_p^-1 for alpha_b =
+        w_p^-1 alpha_a, and s_b S = S - alpha_b(S) alpha_b^vee.
         """
-        inv = self._quotients.get(i)
-        if inv is None:
-            move = self._moves[self.nodes[i]]
-            if move is None:
-                inv = quotient_invariants(self.rd.rank, self.coroot_vectors(i))
-            else:
-                inv = self.quotient(self.index_of[move[0]])
-                root, coroot = self.rd.roots[move[1]], self.rd.coroots[move[1]]
-                pairing = [sum(map(operator.mul, coroot, c)) for c in zip(*inv.basis)]
-                basis = tuple(
-                    tuple(v - r * p for v, p in zip(row, pairing))
-                    for row, r in zip(inv.basis, root)
-                )
-                inv = QuotientInvariants(inv.free_rank, inv.torsion, basis)
-            self._quotients[i] = inv
-        return inv
+        rd, simple = self.rd, self._reflections
+        width = len(vector) // (rd.rank or 1)
+        # node -> (w^-1 S, the root index of w^-1 alpha_k at k)
+        done = {o[0]: (tuple(vector), range(rd.num_roots)) for o in self.orbits()}
+
+        def carried(i: int) -> tuple:
+            if i not in done:
+                parent, a = self._moves[self.nodes[i]]
+                v, inverse = carried(self.index_of[parent])
+                b = inverse[a]
+                rows = [v[k * width:(k + 1) * width] for k in range(rd.rank)]
+                value = [sum(map(operator.mul, rd.roots[b], col)) for col in zip(*rows)]
+                done[i] = tuple(
+                    x - c * y
+                    for c, row in zip(rd.coroots[b], rows)
+                    for x, y in zip(row, value)
+                ), tuple(inverse[bit.bit_length() - 1] for bit in simple[a])
+            return done[i]
+
+        return [carried(i)[0] for i in range(self.num_nodes)]
 
     def torsion_exponent_lcm(self) -> int:
         """lcm over all nodes of the torsion exponent of X^vee / <Psi>."""

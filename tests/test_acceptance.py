@@ -52,7 +52,7 @@ def const(c: int) -> RationalPoly:
 def _deltas(poset, element):
     """The diagnostic table's Delta(Psi, S) at every node, without overrides."""
     group = element.datum.group
-    maps = [node_map(poset.quotient(i), group) for i in range(poset.num_nodes)]
+    maps = [node_map(poset.quotient(orbit[0]), group) for orbit in poset.orbits()]
     return delta_values(poset, maps, element.flat(), {})
 
 

@@ -45,7 +45,8 @@ def _element(datum, *words):
 
 def _deltas(poset, s):
     """Delta(Psi, S) at every node of the poset, without overrides."""
-    maps = [node_map(poset.quotient(i), s.datum.group) for i in range(poset.num_nodes)]
+    group = s.datum.group
+    maps = [node_map(poset.quotient(orbit[0]), group) for orbit in poset.orbits()]
     return delta_values(poset, maps, s.flat(), {})
 
 

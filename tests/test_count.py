@@ -12,12 +12,14 @@ Expected polynomials come from three independent sources, all frozen here:
   values.
 """
 
+import pathlib
 import time
+from collections import Counter
 
 import pytest
 
 import qpoly_reference
-from charvar import count
+from charvar import cli, count, rootdata
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement
 from charvar.count import (
     CountReport,
@@ -33,7 +35,10 @@ from charvar.errors import (
 )
 from charvar.qpoly import RationalPoly
 from charvar.rootdata import RootDatum, build_root_datum
+from charvar.subsystems import build_poset
 from qpoly_reference import ONE, Q, q_minus
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_spec(group, genus, punctures, symbols, relations, classes, overrides=()):
@@ -519,6 +524,44 @@ def test_gl6_genus_one_is_fast_and_structural():
     assert report.leading_coefficient == report.num_components == 1
     assert report.euler_characteristic == 0
     assert report.warnings == ()
+
+
+def test_gl7_count_compiles_one_node_map_per_orbit(monkeypatch):
+    """Membership at every node is read off one map per Weyl orbit (15 on
+    GL(7)'s 877 nodes), plus the full node's map for the emptiness verdict."""
+    spec = gl_genus_one(7)
+    compiled = []
+    real = count.node_map
+    monkeypatch.setattr(
+        count, "node_map", lambda inv, group: compiled.append(inv) or real(inv, group)
+    )
+    report = count_polynomial(spec)
+    assert len(build_poset(spec.rd).orbits()) == 15
+    assert len(compiled) <= 16
+    assert report.degree == report.expected_dimension and report.warnings == ()
+
+
+def test_root_system_is_classified_once_per_datum(monkeypatch, capsys):
+    """Reports and ``check`` read the component types kept on the datum and
+    on its dual: one classification of each root system, however often."""
+    spec = gl_genus_one(3)
+    rd = spec.rd
+    classified = Counter()
+    real = rootdata.classify_vectors
+
+    def counting(vectors, form):
+        if form.__func__ is RootDatum.root_form:
+            classified[form.__self__.label] += 1
+        return real(vectors, form)
+
+    monkeypatch.setattr(rootdata, "classify_vectors", counting)
+    monkeypatch.setattr(cli, "build_problem", lambda config: spec)
+    config = str(CONFIGS / "gl3_genus1_generic.json")
+    for command in ("count", "check", "count", "check"):
+        assert cli.main([command, "--config", config]) == 0
+    count_polynomial(spec)
+    capsys.readouterr()
+    assert classified == {rd.label: 1, rd.dual().label: 1}
 
 
 # The master formula's polynomiality and integrality are hard errors.  The

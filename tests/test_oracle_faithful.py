@@ -28,8 +28,13 @@ from charvar.charsum import (
     in_commutator,
     product_translate,
 )
-from charvar.cli import UnitSpecialization, orbit_maps
-from charvar.count import ProblemSpec, orbit_pass_counts, resolve_overrides
+from charvar.cli import UnitSpecialization
+from charvar.count import (
+    ProblemSpec,
+    orbit_pass_counts,
+    representative_maps,
+    resolve_overrides,
+)
 from charvar.rootdata import build_root_datum, enumerate_weyl
 from charvar.subsystems import build_poset
 
@@ -158,7 +163,9 @@ def test_node_map_check_matches_per_product_reference():
     @given(cases())
     def check(case):
         spec, family, q, values = case
-        symbolic = orbit_pass_counts(spec, orbit_maps(spec, spec.eigenvalues.group))
+        symbolic = orbit_pass_counts(
+            spec, representative_maps(spec, spec.eigenvalues.group, overridden=False)
+        )
         units = UnitSpecialization(spec, q, symbolic)
         concrete = units.specialize(values)
         admissible = reference_admissible(spec, values, q, family)

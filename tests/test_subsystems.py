@@ -18,7 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 from charvar import abelian
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement, node_map
-from charvar.count import resolve_overrides
+from charvar.count import (
+    ProblemSpec,
+    count_polynomial,
+    resolve_overrides,
+    validate_problem,
+)
 from charvar.errors import InvalidInputError, ResourceLimitError
 from charvar.qpoly import Poly
 from charvar.rootdata import build_root_datum, classify_vectors, poincare_polynomial
@@ -422,7 +427,7 @@ def test_mobius_rows_match_pairwise_recursion(desc):
 
 
 # ---------------------------------------------------------------------------
-# The orbit walk and the carried quotients against the per-node references
+# The orbit walk, the quotients and the carry against the per-node references
 # ---------------------------------------------------------------------------
 
 ORBIT_POSETS = (
@@ -432,10 +437,10 @@ ORBIT_POSETS = (
 
 @functools.cache
 def _orbit_case(desc):
-    """A fresh poset of ``desc`` with every node's quotient, carried and direct."""
+    """A fresh poset of ``desc`` with every node's quotient, served and reference."""
     poset = SubsystemPoset(build_root_datum(desc))
-    carried = [poset.quotient(i) for i in range(poset.num_nodes)]
-    return poset, carried, reference_quotients(poset)
+    served = [poset.quotient(i) for i in range(poset.num_nodes)]
+    return poset, served, reference_quotients(poset)
 
 
 @pytest.mark.parametrize("desc", ORBIT_POSETS)
@@ -471,26 +476,30 @@ def test_enumeration_moves_are_simple_reflections(desc):
 
 @pytest.mark.parametrize("desc", ORBIT_POSETS)
 def test_carried_quotients_match_smith_forms(desc):
-    poset, carried, direct = _orbit_case(desc)
+    """Every node's quotient is its own Smith form, basis included."""
+    poset, served, direct = _orbit_case(desc)
     for i in range(poset.num_nodes):
-        assert (carried[i].free_rank, carried[i].torsion) == (
+        assert (served[i].free_rank, served[i].torsion) == (
             direct[i].free_rank, direct[i].torsion
         ), (desc, i)
-        assert len(carried[i].basis) == poset.rd.rank
-    for orbit in poset.orbits():
-        # the orbit's first node keeps the Smith basis of its own generators
-        assert carried[orbit[0]].basis == direct[orbit[0]].basis
+        assert served[i].basis == direct[i].basis, (desc, i)
+
+
+# orbits of several nodes; all but G2 have torsion in X^vee / Z Phi^vee
+CARRY_POSETS = ("PGL(3)", "SO(5)", "G2", "B3(ad)", "SO(5) x GL(2)")
 
 
 @settings(max_examples=60, deadline=None)
-@given(desc=st.sampled_from(ORBIT_POSETS), data=st.data())
+@given(desc=st.sampled_from(CARRY_POSETS), data=st.data())
 def test_carried_node_maps_agree_on_kernel(desc, data):
-    """A carried Smith basis decides "S dies in X^vee/<Psi> (x) A" as the
-    node's own Smith basis does, for random S over a group with torsion."""
-    poset, carried, direct = _orbit_case(desc)
+    """The carried element at an orbit's first node decides "S dies in
+    X^vee/<Psi> (x) A" as the node's own map does, at every node, for
+    random S over a group with torsion."""
+    poset = build_poset(build_root_datum(desc))
     symbols = ("a", "b")
-    relations = data.draw(
-        st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2), max_size=2)
+    order = data.draw(st.sampled_from((2, 3, 4, 6)))
+    relations = [(order, 0)] + data.draw(
+        st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2), max_size=1)
     )
     datum = EigenvalueDatum(
         symbols, tuple(EigenvalueDatum(symbols).word_str(r) for r in relations)
@@ -499,22 +508,38 @@ def test_carried_node_maps_agree_on_kernel(desc, data):
     s = SymbolicTorusElement(
         datum, tuple(data.draw(word) for _ in range(poset.rd.rank))
     )
-    for i in range(poset.num_nodes):
-        got = node_map(carried[i], datum.group).in_kernel(s.flat())
-        assert got == node_map(direct[i], datum.group).in_kernel(s.flat()), (desc, i)
+    carried = poset.carry(s.flat())
+    for orbit in poset.orbits():
+        first = node_map(poset.quotient(orbit[0]), datum.group)
+        for i in orbit:
+            expected = node_map(poset.quotient(i), datum.group).in_kernel(s.flat())
+            assert first.in_kernel(carried[i]) == expected, (desc, i)
 
 
 def test_b4_poset_takes_one_smith_form_per_orbit(monkeypatch):
-    poset = SubsystemPoset(build_root_datum("B4"))
+    """A B4 count reads X^vee/<Psi> at the first node of each orbit only."""
+    # a^-1 c is a square, so the class product dies at the full node
+    datum = EigenvalueDatum(("a", "b", "c", "d", "t"), ("c = a*t^2",))
+    spec = ProblemSpec(
+        rd=build_root_datum("B4(ad)"), genus=1, punctures=2, eigenvalues=datum,
+        semisimple_classes=(SymbolicTorusElement.from_words(datum, "abcd"),),
+    )
+    # the (co)center's Smith forms are those of all (co)roots, as at the full node
+    validate_problem(spec)
+    poset = build_poset(spec.rd)
+    nodes = {
+        tuple(map(tuple, poset.coroot_vectors(i))): i for i in range(1, poset.num_nodes)
+    }
     calls = []
     smith = abelian.smith_normal_form
     monkeypatch.setattr(
         abelian, "smith_normal_form", lambda m: calls.append(m) or smith(m)
     )
-    for i in range(poset.num_nodes):
-        poset.quotient(i)
+    assert not count_polynomial(spec).is_empty
+    quotients = [nodes[m] for m in map(tuple, calls) if m in nodes]
     # the empty node's quotient is the whole lattice and needs no Smith form
-    assert len(calls) == len(poset.orbits()) - 1 == 19
+    assert sorted(quotients) == sorted(orbit[0] for orbit in poset.orbits()[1:])
+    assert len(quotients) == 19
 
 
 # ---------------------------------------------------------------------------

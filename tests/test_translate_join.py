@@ -2,8 +2,9 @@
 
 ``count.orbit_pass_counts`` counts, per Weyl orbit of closed subsystems
 Psi, the W^m-translate tuples of the semisimple classes whose product dies
-in (X^vee / <Psi>) (x) A, by convolving per-class histograms of compiled
-node map images with the first class's translate fixed.  Two references
+in (X^vee / <Psi>) (x) A, by convolving per-class histograms of images
+under one compiled node map per orbit, with the first class's translate
+fixed and carried to each member.  Two references
 check it.  The brute-force one enumerates all |W|^m tuples and decides
 each product with the per-product Smith test the node map replaced: with
 U C V = D the Smith form of the coroots of Psi, the word
@@ -30,11 +31,11 @@ from charvar.charsum import (
     product_translate,
     translate,
 )
-from charvar.cli import orbit_maps
 from charvar.count import (
     ProblemSpec,
     count_polynomial,
     orbit_pass_counts,
+    representative_maps,
     resolve_overrides,
 )
 from charvar.errors import CharvarError
@@ -133,10 +134,7 @@ def _central_relations(rd, coords) -> list[list[int]]:
 
 def engine_pass_counts(spec: ProblemSpec, poset) -> list[int]:
     """The orbit counts of every orbit, read back per node."""
-    group = spec.eigenvalues.group
-    maps = [node_map(poset.quotient(i), group) for i in range(poset.num_nodes)]
-    orbits = poset.orbits()
-    counts = orbit_pass_counts(spec, [[maps[j] for j in orbit] for orbit in orbits])
+    counts = orbit_pass_counts(spec, representative_maps(spec, spec.eigenvalues.group))
     return [counts[poset.orbit_of(j)] for j in range(poset.num_nodes)]
 
 
@@ -172,11 +170,13 @@ def test_orbit_counts_match_per_node_join(spec, data):
         (j in overridden) == (orbit[0] in overridden)
         for orbit in poset.orbits() for j in orbit
     )
-    kept = [orbit for orbit in poset.orbits() if orbit[0] not in overridden]
-    symbolic_maps = orbit_maps(spec, group)
-    assert [len(orbit) for orbit in symbolic_maps] == [len(orbit) for orbit in kept]
+    kept = {
+        k: orbit for k, orbit in enumerate(poset.orbits()) if orbit[0] not in overridden
+    }
+    symbolic_maps = representative_maps(spec, group, overridden=False)
+    assert symbolic_maps.keys() == kept.keys()
     symbolic = orbit_pass_counts(spec, symbolic_maps)
-    assert symbolic == [per_node[orbit[0]] for orbit in kept]
+    assert symbolic == {k: per_node[orbit[0]] for k, orbit in kept.items()}
 
 
 def _redraw_surface(spec: ProblemSpec, data) -> ProblemSpec:
