@@ -24,16 +24,21 @@ exit code, stdout, stderr and the ``--json`` payload apart from
 * ``oracle --seed 0`` (``--threads 1``) on every config with an ``oracle``
   section, and at the field cap (``--q 11``) on ``FIELD_CAP_CONFIGS``, one
   GL(2) and one PGL(2) problem that match there;
+* ``oracle --seed 0`` on ``ORACLE_OVERRIDE_CONFIGS``, two GL(2) problems
+  whose counts succeed, with the empty subsystem's indicator overridden
+  each way: on ``gl2_genus1`` once as the relations force it (``false``)
+  and once against them.  The faithfulness test leaves the overridden
+  orbit out of its comparison;
 * ``count`` and ``table`` on ``HIGH_GENUS``, one m = 1 class at high genus
   under the degree cap: GL(2) genus 125 (degree 998), GL(3) genus 40
   (716), GL(4) genus 10 (314) and G2 genus 20 (556), whose ``factored``
   strings are long;
-* ``count --table`` and ``table`` on the carry matrix (``carry_config``):
-  PGL(3), SO(5), B3(ad) and ``SO(5) x GL(2)``, groups with torsion in
-  X^vee / Z Phi^vee and Weyl orbits of several closed subsystems, with
-  m = 1, 2, 3 classes over an eigenvalue group with an element of order 2,
-  and at m = 2 once more with the override in ``CARRY_GROUPS`` on one
-  orbit.  At m >= 2 the class product dies at some members of an orbit
+* ``count --table``, ``table`` and ``check`` on the carry matrix
+  (``carry_config``): PGL(3), SO(5), B3(ad) and ``SO(5) x GL(2)``, groups
+  with torsion in X^vee / Z Phi^vee and Weyl orbits of several closed
+  subsystems, with m = 1, 2, 3 classes over an eigenvalue group with an
+  element of order 2, and at m = 2 once more with the override in
+  ``CARRY_GROUPS`` on one orbit.  At m >= 2 the class product dies at some members of an orbit
   and not at others, so the membership carried to each orbit's first node
   decides both Delta and the orbit counts;
 * ``count``, ``table``, ``check`` and ``oracle`` on ``INCONSISTENT``, a
@@ -101,6 +106,8 @@ CARRY_GROUPS = (
 HIGH_GENUS = (("GL(2)", 125, 2), ("GL(3)", 40, 3), ("GL(4)", 10, 4), ("G2", 20, 2))
 # GL(2) from the oracle workload's seed-0 problems, PGL(2) from configs/
 FIELD_CAP_CONFIGS = ("oracle-gl2_genus1_q7.json", "pgl2_rigid.json")
+# curated configs run by the oracle with {"empty": false} and {"empty": true}
+ORACLE_OVERRIDE_CONFIGS = ("gl2_genus1.json", "gl2_sphere_generic.json")
 COUNT_COMMANDS = (("count",), ("count", "--table"), ("table",), ("check",), ("poset",))
 GL2_EIGENVALUES = {"symbols": ["a", "b"], "relations": ["a*b = 1"]}
 SEMISIMPLE = {"type": "semisimple", "coords": ["a", "b"]}
@@ -212,6 +219,13 @@ def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
             path.write_text(json.dumps(dict(carry_config(rd, m), overrides=overrides)))
             runs.append(("count", "--config", str(path), "--table"))
             runs.append(("table", "--config", str(path)))
+            runs.append(("check", "--config", str(path)))
+    for name in ORACLE_OVERRIDE_CONFIGS:
+        config = json.loads((ROOT / "configs" / name).read_text())
+        for value in (False, True):
+            path = config_dir / f"oracle-override-{value}-{name}"
+            path.write_text(json.dumps(dict(config, overrides={"empty": value})))
+            runs.append(("oracle", "--config", str(path), "--seed", "0", "--threads", "1"))
     for k, config in enumerate(INCONSISTENT):
         path = config_dir / f"inconsistent-{k}.json"
         path.write_text(json.dumps(config))

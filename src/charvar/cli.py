@@ -468,8 +468,7 @@ def cmd_check(args) -> tuple[int, dict, str]:
             "empty by convention: genus 0 with 2 punctures is nonhyperbolic"
         )
     else:
-        poset = build_poset(rd)
-        verdict = count.emptiness(spec, poset)
+        verdict = count.emptiness(spec)
         nonempty = verdict.computed
         if nonempty:
             emptiness_note = (
@@ -481,7 +480,7 @@ def cmd_check(args) -> tuple[int, dict, str]:
             )
         if verdict.nonempty != nonempty:
             emptiness_note += (
-                f" (note: the override on {poset.display_label(verdict.full)} "
+                f" (note: the override on {verdict.poset.display_label(verdict.full)} "
                 "asserts otherwise and wins during counting)"
             )
     checks.append(("non-emptiness", emptiness_note))
@@ -527,17 +526,17 @@ class UnitSpecialization:
     override sees the same dying W^m-translate tuples over Z/(q-1) as over
     A; values with extra multiplicative relations (easy in a small field)
     specialize a different counting problem.  ``faithful`` compares the
-    counting engine's pass counts over A (``symbolic``, once per problem)
-    with those of one node map per orbit on <g> (compiled once per q), one
-    count per Weyl orbit without an override.  Equal counts suffice: phi is
-    a homomorphism, so every tuple that dies in (X^vee/<Psi>) (x) A also
+    counting engine's pass counts over A (``symbolic``, once per problem,
+    by Weyl orbit without an override) with those of the same orbits' node
+    maps on <g> (``count.orbit_maps``, once per q).  Equal counts suffice:
+    phi is a homomorphism, so every tuple that dies in (X^vee/<Psi>) (x) A also
     dies in (X^vee/<Psi>) (x) Z/(q-1), and with equal counts no other tuple can.
     Comparing per orbit loses nothing, because an orbit's count is the
     number D(Psi) of dying tuples at each of its members: the same numbers
     a per-node comparison would see.
     """
 
-    def __init__(self, spec: count.ProblemSpec, q: int, symbolic: list[int]):
+    def __init__(self, spec: count.ProblemSpec, q: int, symbolic: dict[int, int]):
         self.spec, self.q, self.symbolic = spec, q, symbolic
         self.g = next(
             g for g in range(1, q)
@@ -545,7 +544,8 @@ class UnitSpecialization:
         )
         self.logs = {pow(self.g, k, q): k for k in range(q - 1)}
         self.datum = charsum.EigenvalueDatum(("g",), (f"g^{q - 1}",))
-        self.maps = count.representative_maps(spec, self.datum.group, overridden=False)
+        maps = count.orbit_maps(build_poset(spec.rd), self.datum.group)
+        self.maps = {k: maps[k] for k in symbolic}
 
     def specialize(self, values: dict) -> count.ProblemSpec | None:
         """The problem over <g> at ``values`` (residues mod q), or None.
@@ -642,9 +642,9 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
         )
 
     report = count.count_polynomial(spec)
-    symbolic = count.orbit_pass_counts(
-        spec, count.representative_maps(spec, spec.eigenvalues.group, overridden=False)
-    )
+    verdict = count.emptiness(spec)
+    kept = {k: m for k, m in verdict.maps.items() if k not in verdict.overrides}
+    symbolic = count.orbit_pass_counts(spec, kept)
     runs = []
     verdict_ok = True
     for q in q_list:

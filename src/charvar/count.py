@@ -15,7 +15,7 @@ The engine evaluates the closed master formula
 with chi = 2g + n - 2, where D(Psi') adds up the local factor Delta over
 all W^m-translates of the semisimple classes.  The membership test is
 compiled once per Weyl orbit of closed subsystems into an additive map to
-a finitely generated abelian group (``representative_maps``): S dies at
+a finitely generated abelian group (``orbit_maps``): S dies at
 w(Psi_0) exactly when w^-1 S (``SubsystemPoset.carry``) dies at the
 orbit's first node Psi_0, and a product of translates dies exactly when
 the images of its factors sum to zero.  D is constant on Weyl orbits, and
@@ -28,11 +28,12 @@ them, and one dictionary lookup per entry of one half against the negated
 other half counts the zero sums -- |W|^floor((m-1)/2) + |W|^ceil((m-1)/2)
 entries per orbit rather than |W|^m products, one image per node at m = 1.
 
-The inner sum is ``mobius_sum`` applied to the D values.  Every factor of
-a summand is W-invariant, so the outer sum runs over orbit representatives,
-each weighted by its orbit's size, and Mobius rows are built only there.
-The diagnostic table applies the same ``mobius_sum`` to the local factor
-Delta of the class product (``delta_values``), which gives alpha.
+The inner sum is ``mobius_sum`` of the D values, one per orbit, over the
+Mobius row summed by orbit.  Every factor of a summand is W-invariant, so
+the outer sum runs over orbit representatives, each weighted by its
+orbit's size, and Mobius rows are built only there.  The diagnostic table
+applies ``mobius_sum`` to the local factor Delta of the class product
+(``delta_values``), which gives alpha: Delta is the only per-node value.
 
 All of it is ``qpoly.Poly`` arithmetic on ``int`` coefficients.  D(Psi) =
 |Tor| (q-1)^rank * (number of passing tuples) is an integer polynomial,
@@ -55,6 +56,7 @@ warns when the two disagree.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from typing import NamedTuple
 
 from .abelian import AdditiveMap, FPAbelianGroup
@@ -216,7 +218,7 @@ def validate_problem(spec: ProblemSpec) -> None:
 def resolve_overrides(
     poset: SubsystemPoset, overrides: dict[str, bool]
 ) -> dict[int, bool]:
-    """Map override labels to node indices; display labels beat bare labels."""
+    """Map override labels to Weyl orbit indices; display labels beat bare labels."""
     display = {poset.display_label(i) for i in range(poset.num_nodes)}
     types = {poset.type_label(i) for i in range(poset.num_nodes)}
     for label in overrides:
@@ -227,11 +229,11 @@ def resolve_overrides(
                 f"labels: {', '.join(sorted(display))}",
             )
     resolved: dict[int, bool] = {}
-    for orbit in poset.orbits():  # labels are constant on Weyl orbits
+    for k, orbit in enumerate(poset.orbits()):  # labels are constant on orbits
         value = overrides.get(poset.type_label(orbit[0]))
         value = overrides.get(poset.display_label(orbit[0]), value)
         if value is not None:
-            resolved.update(dict.fromkeys(orbit, value))
+            resolved[k] = value
     return resolved
 
 
@@ -241,15 +243,17 @@ def resolve_overrides(
 
 
 class Emptiness(NamedTuple):
-    """Whether the class product lies in the commutator subgroup.
+    """One problem's membership data by Weyl orbit index, and its verdict.
 
-    ``product`` is the product of the semisimple classes as a ``flat()``
-    vector, and ``full`` the index of the full coroot system.  ``computed``
-    is the relation-forced answer, ``nonempty`` the answer after an
-    override on the full node, and ``overrides`` maps every overridden node
-    index to its value.
+    ``maps`` are the ``orbit_maps`` of ``poset`` over the eigenvalue group,
+    ``overrides`` maps every overridden orbit to its value, ``product`` is
+    the class product as a ``flat()`` vector and ``full`` the index of the
+    full coroot system, an orbit of its own.  ``computed`` is the
+    relation-forced answer, ``nonempty`` the answer after an override.
     """
 
+    poset: SubsystemPoset
+    maps: dict[int, AdditiveMap]
     product: tuple[int, ...]
     full: int
     overrides: dict[int, bool]
@@ -257,62 +261,49 @@ class Emptiness(NamedTuple):
     nonempty: bool
 
 
-def emptiness(spec: ProblemSpec, poset: SubsystemPoset) -> Emptiness:
-    """The non-emptiness verdict of ``spec``, on the full node of ``poset``.
+def emptiness(spec: ProblemSpec) -> Emptiness:
+    """The per-orbit record of ``spec`` and its verdict on the full node.
 
     The class product must die in (X^vee / <Phi^vee>) (x) A.  Unknown
     override labels raise ``override-label``.
     """
+    poset = build_poset(spec.rd)
     overrides = resolve_overrides(poset, spec.overrides_dict())
     full = poset.index_of[frozenset(range(spec.rd.num_roots))]
     product = tuple(map(sum, zip(*(s.flat() for s in spec.semisimple_classes))))
-    full_map = node_map(poset.quotient(full), spec.eigenvalues.group)
-    computed = full_map.in_kernel(product)
-    return Emptiness(
-        product, full, overrides, computed, overrides.get(full, computed)
-    )
+    maps = orbit_maps(poset, spec.eigenvalues.group)
+    computed = maps[poset.orbit_of(full)].in_kernel(product)
+    nonempty = overrides.get(poset.orbit_of(full), computed)
+    return Emptiness(poset, maps, product, full, overrides, computed, nonempty)
 
 
-def mobius_sum(poset: SubsystemPoset, i: int, values: list[Poly]) -> Poly:
-    """Sum over the nodes j above node i of mu(i, j) * values[j]."""
+def orbit_maps(poset: SubsystemPoset, group: FPAbelianGroup) -> dict[int, AdditiveMap]:
+    """By Weyl orbit index, the node map over ``group`` of the orbit's first node."""
+    return {
+        k: node_map(poset.quotient(orbit[0]), group)
+        for k, orbit in enumerate(poset.orbits())
+    }
+
+
+def mobius_sum(row: Mapping[int, int], values: list[Poly]) -> Poly:
+    """Sum over the entries (j, mu) of a Mobius row of mu * values[j]."""
     total = Poly()
-    for j, mu in poset.mobius_row(i).items():
+    for j, mu in row.items():
         if not values[j].is_zero():
             total = total + values[j] * mu
     return total
 
 
-def representative_maps(
-    spec: ProblemSpec, group: FPAbelianGroup, overridden: bool = True
-) -> dict[int, AdditiveMap]:
-    """By Weyl orbit index, the node map over ``group`` of the orbit's first node.
-
-    With ``overridden`` false, the orbits with an override are left out.
-    """
-    poset = build_poset(spec.rd)
-    skip = () if overridden else resolve_overrides(poset, spec.overrides_dict())
-    return {
-        k: node_map(poset.quotient(orbit[0]), group)
-        for k, orbit in enumerate(poset.orbits())
-        if orbit[0] not in skip
-    }
-
-
-def delta_values(
-    poset: SubsystemPoset,
-    maps: dict[int, AdditiveMap],
-    product: tuple[int, ...],
-    overrides: dict[int, bool],
-) -> list[Poly]:
+def delta_values(verdict: Emptiness) -> list[Poly]:
     """Delta at every node: the quotient factor where the product dies, else 0.
 
-    ``maps`` are the ``representative_maps`` and ``product`` a ``flat()``
-    vector; an override replaces the computed indicator of its node.
+    An override replaces the computed indicator at every node of its orbit.
     """
-    carried, orbits = poset.carry(product), poset.orbits()
+    poset = verdict.poset
+    carried, orbits = poset.carry(verdict.product), poset.orbits()
     return [
         quotient_factor(poset.quotient(orbits[k][0]))
-        if overrides.get(j, maps[k].in_kernel(carried[j]))
+        if verdict.overrides.get(k, verdict.maps[k].in_kernel(carried[j]))
         else Poly()
         for j, k in enumerate(map(poset.orbit_of, range(poset.num_nodes)))
     ]
@@ -325,7 +316,7 @@ def orbit_pass_counts(
 ) -> dict[int, int]:
     """By Weyl orbit index, the number of W^m-translate tuples whose product dies.
 
-    ``maps`` are ``representative_maps``, and each of their orbits gets its
+    ``maps`` are ``orbit_maps``, and each of their orbits gets its
     count: D(Psi) at every Psi in the orbit, the same number for each.  The
     count rests on W-invariance: w.S dies in Psi exactly when S dies in
     w^-1 Psi, and left multiplication by w permutes the translate tuples.
@@ -346,12 +337,13 @@ def orbit_pass_counts(
     of each member's carried S_1, and the zero sums are counted with one
     lookup per left entry against the negated right half.  With m = 1 both
     halves are empty: N(Psi') is 1 or 0 as S_1 dies at Psi' or not, no
-    translate is computed and W is not enumerated (|W| is read off the
-    poset, ``weyl_group_order``).  ``budget`` bounds the histogram entries:
+    translate is computed and W is not enumerated (|W| = P_Phi(1) is read
+    at the poset's full node).  ``budget`` bounds the histogram entries:
     a strongly regular class has |W| distinct translates, so the halves
     hold at most |W|^floor((m-1)/2) + |W|^ceil((m-1)/2) entries.
     """
-    order = weyl_group_order(spec.rd)
+    poset = build_poset(spec.rd)
+    order = poset.weyl_order(poset.index_of[frozenset(range(spec.rd.num_roots))])
     first, *rest = spec.semisimple_classes
     half = len(rest) // 2
     entries = order ** half + order ** (len(rest) - half)
@@ -364,7 +356,6 @@ def orbit_pass_counts(
         )
     weyl = enumerate_weyl(spec.rd) if rest else ()
     translates = [[translate(w, s).flat() for w in weyl] for s in rest]
-    poset = build_poset(spec.rd)
     carried = poset.carry(first.flat())
     counts = {}
     for k, nmap in maps.items():
@@ -379,12 +370,6 @@ def orbit_pass_counts(
         )
         counts[k] = order // len(orbit) * passing
     return counts
-
-
-def weyl_group_order(rd: RootDatum) -> int:
-    """|W| = P_Phi(1), read at the full node of the poset of ``rd``."""
-    poset = build_poset(rd)
-    return poset.weyl_order(poset.index_of[frozenset(range(rd.num_roots))])
 
 
 def _sum_histogram(
@@ -505,9 +490,8 @@ def count_polynomial(
             table=(),
         )
 
-    poset = build_poset(rd)
-    verdict = emptiness(spec, poset)
-    maps = representative_maps(spec, spec.eigenvalues.group)
+    verdict = emptiness(spec)
+    poset = verdict.poset
     if verdict.computed != verdict.nonempty:
         warnings.append(
             f"override for {poset.display_label(verdict.full)} asserts the "
@@ -523,25 +507,23 @@ def count_polynomial(
                 "in the commutator subgroup of the group of points"
             ),
             warnings=warnings,
-            table=_diagnostic_table(poset, verdict, maps),
+            table=_diagnostic_table(verdict),
         )
 
-    # D(node) = |Tor| (q-1)^rank * (number of translate tuples passing);
+    # D per orbit = |Tor| (q-1)^rank * (number of translate tuples passing);
     # an override passes all |W|^m tuples or none, and the tuples where it
-    # contradicts the computed indicator are tallied per display label
-    weyl_order = weyl_group_order(rd)
+    # contradicts the computed indicator are tallied at each orbit member
+    weyl_order = poset.weyl_order(verdict.full)
     products = weyl_order ** m
-    by_orbit = orbit_pass_counts(spec, maps, budget)
-    mismatch: dict[str, list[int]] = {}
+    by_orbit = orbit_pass_counts(spec, verdict.maps, budget)
+    mismatch: dict[str, tuple[int, int]] = {}
     d_values: list[Poly] = []
-    for j in range(poset.num_nodes):
-        orbit = poset.orbits()[poset.orbit_of(j)]
-        passing = by_orbit[poset.orbit_of(j)]
-        if j in verdict.overrides:
-            counts = mismatch.setdefault(poset.display_label(j), [0, 0])
-            counts[0] += products - passing if verdict.overrides[j] else passing
-            counts[1] += products
-            passing = products if verdict.overrides[j] else 0
+    for k, orbit in enumerate(poset.orbits()):
+        passing = by_orbit[k]
+        if k in verdict.overrides:
+            bad = products - passing if verdict.overrides[k] else passing
+            mismatch[poset.display_label(orbit[0])] = len(orbit) * bad, len(orbit) * products
+            passing = products if verdict.overrides[k] else 0
         d_values.append(quotient_factor(poset.quotient(orbit[0])) * passing)
 
     for label, (bad, total_mult) in sorted(mismatch.items()):
@@ -553,12 +535,15 @@ def count_polynomial(
 
     # master sum over orbit representatives, times |W|^(m-1): each weight
     # |O| (|W| / |W(Psi)|)^(m-1) is an integer because |W(Psi)| divides |W|;
-    # P_Psi depends only on the type label, so P_Psi^chi is raised once each
+    # P_Psi^chi is raised once per type label, and D once per orbit
     powers: dict[str, Poly] = {}
     total = Poly()
     for orbit in poset.orbits():
         i = orbit[0]
-        inner = mobius_sum(poset, i, d_values)
+        row: Counter[int] = Counter()
+        for j, mu in poset.mobius_row(i).items():
+            row[poset.orbit_of(j)] += mu
+        inner = mobius_sum(row, d_values)
         if inner.is_zero():
             continue
         label = poset.type_label(i)
@@ -573,17 +558,16 @@ def count_polynomial(
         polynomial=result,
         empty_reason="master formula summed to zero" if result.is_zero() else None,
         warnings=warnings,
-        table=_diagnostic_table(poset, verdict, maps),
+        table=_diagnostic_table(verdict),
     )
 
 
-def _diagnostic_table(
-    poset: SubsystemPoset, verdict: Emptiness, maps: list[AdditiveMap]
-) -> tuple[TableRow, ...]:
+def _diagnostic_table(verdict: Emptiness) -> tuple[TableRow, ...]:
     """Per-orbit rows: Weyl data, Poincare, quotient, Delta and alpha at S."""
-    deltas = delta_values(poset, maps, verdict.product, verdict.overrides)
+    poset = verdict.poset
+    deltas = delta_values(verdict)
     rows = []
-    for orbit in poset.orbits():
+    for k, orbit in enumerate(poset.orbits()):
         rep = orbit[0]
         inv = poset.quotient(rep)
         rows.append(
@@ -596,8 +580,8 @@ def _diagnostic_table(
                 torsion_order=inv.torsion_order,
                 free_rank=inv.free_rank,
                 delta=str(deltas[rep]),
-                alpha=str(mobius_sum(poset, rep, deltas)),
-                overridden=rep in verdict.overrides,
+                alpha=str(mobius_sum(poset.mobius_row(rep), deltas)),
+                overridden=k in verdict.overrides,
             )
         )
     rows.sort(key=lambda row: (-row.weyl_order, row.label))

@@ -65,7 +65,7 @@ def reference_polynomial(spec: ProblemSpec) -> RationalPoly:
     if spec.genus == 0 and n == 2:
         return zero
     poset = build_poset(rd)
-    verdict = emptiness(spec, poset)
+    verdict = emptiness(spec)
     if not verdict.nonempty:
         return zero
     group = spec.eigenvalues.group
@@ -73,8 +73,8 @@ def reference_polynomial(spec: ProblemSpec) -> RationalPoly:
     weyl_order = len(enumerate_weyl(rd))
     d_values = []
     for j, passing in enumerate(node_pass_counts(spec, maps)):
-        if j in verdict.overrides:
-            passing = weyl_order ** m if verdict.overrides[j] else 0
+        if poset.orbit_of(j) in verdict.overrides:
+            passing = weyl_order ** m if verdict.overrides[poset.orbit_of(j)] else 0
         inv = poset.quotient(j)
         d_values.append(
             q_minus(1) ** inv.free_rank

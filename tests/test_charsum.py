@@ -22,12 +22,11 @@ from charvar.charsum import (
     SymbolicTorusElement,
     evaluate_character,
     in_commutator,
-    node_map,
     product_translate,
     strongly_regular,
     translate,
 )
-from charvar.count import delta_values, mobius_sum
+from charvar.count import ProblemSpec, delta_values, emptiness, mobius_sum
 from charvar.errors import InvalidInputError
 from charvar.qpoly import Poly
 from charvar.rootdata import build_root_datum, enumerate_weyl
@@ -45,9 +44,9 @@ def _element(datum, *words):
 
 def _deltas(poset, s):
     """Delta(Psi, S) at every node of the poset, without overrides."""
-    group = s.datum.group
-    maps = [node_map(poset.quotient(orbit[0]), group) for orbit in poset.orbits()]
-    return delta_values(poset, maps, s.flat(), {})
+    verdict = emptiness(ProblemSpec(poset.rd, 0, 2, s.datum, (s,)))
+    assert verdict.poset is poset
+    return delta_values(verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +371,7 @@ def test_alpha_telescopes_to_delta_at_empty():
         deltas = _deltas(poset, s)
         total = Poly()
         for i in range(poset.num_nodes):
-            total = total + mobius_sum(poset, i, deltas)
+            total = total + mobius_sum(poset.mobius_row(i), deltas)
         assert total == deltas[poset.index_of[frozenset()]], desc
 
 
@@ -387,7 +386,7 @@ def test_alpha_empty_at_identity_gl(n, expected_factors):
     expected = Poly([1])
     for i in range(1, n + 1):
         expected = expected * Poly([-i, 1])
-    assert mobius_sum(poset, empty, _deltas(poset, one)) == expected
+    assert mobius_sum(poset.mobius_row(empty), _deltas(poset, one)) == expected
 
 
 def test_canonical_key_identifies_equal_elements():

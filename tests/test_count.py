@@ -19,8 +19,8 @@ from collections import Counter
 import pytest
 
 import qpoly_reference
-from charvar import cli, count, rootdata
-from charvar.charsum import EigenvalueDatum, SymbolicTorusElement
+from charvar import charsum, cli, count, rootdata
+from charvar.charsum import EigenvalueDatum, SymbolicTorusElement, node_map
 from charvar.count import (
     CountReport,
     ProblemSpec,
@@ -37,6 +37,7 @@ from charvar.qpoly import RationalPoly
 from charvar.rootdata import RootDatum, build_root_datum
 from charvar.subsystems import build_poset
 from qpoly_reference import ONE, Q, q_minus
+from translate_reference import node_pass_counts
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -365,6 +366,31 @@ def test_override_mismatch_counts_translate_products(override, bad):
     )
 
 
+@pytest.mark.parametrize("override", [True, False])
+def test_override_mismatch_counts_every_orbit_member(override):
+    """An override on GL(3)'s A1 orbit, three nodes, tallies the translate
+    products of all three: 3 * 6^2 = 108 of them.  The disagreements are
+    summed from the per-node reference join on per-node maps."""
+    spec = make_spec(
+        "GL(3)", 0, 3, list("abcdef"), ["a*d = 1", "b*e = 1", "c*f = 1"],
+        [["a", "b", "c"], ["d", "e", "f"]],
+        overrides=(("A1", override),),
+    )
+    poset = build_poset(spec.rd)
+    group = spec.eigenvalues.group
+    maps = [node_map(poset.quotient(i), group) for i in range(poset.num_nodes)]
+    passing = node_pass_counts(spec, maps)
+    members = [j for j in range(poset.num_nodes) if poset.type_label(j) == "A1"]
+    assert len(members) == 3
+    bad = sum(36 - passing[j] if override else passing[j] for j in members)
+    assert bad % 3 == 0 and 0 < bad < 108
+    report = count_polynomial(spec)
+    assert report.warnings == (
+        "override for A1: relation-forced indicator disagrees for "
+        f"{bad} of 108 translate products (override wins)",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Emptiness, degenerate surfaces, and hypothesis failures
 # ---------------------------------------------------------------------------
@@ -526,19 +552,39 @@ def test_gl6_genus_one_is_fast_and_structural():
     assert report.warnings == ()
 
 
-def test_gl7_count_compiles_one_node_map_per_orbit(monkeypatch):
-    """Membership at every node is read off one map per Weyl orbit (15 on
-    GL(7)'s 877 nodes), plus the full node's map for the emptiness verdict."""
-    spec = gl_genus_one(7)
+def _count_node_maps(monkeypatch) -> list:
+    """Record every node map compiled from now on, by count or charsum."""
     compiled = []
-    real = count.node_map
-    monkeypatch.setattr(
-        count, "node_map", lambda inv, group: compiled.append(inv) or real(inv, group)
-    )
+    real = charsum.node_map
+
+    def counting(inv, group):
+        compiled.append(inv)
+        return real(inv, group)
+
+    monkeypatch.setattr(count, "node_map", counting)
+    monkeypatch.setattr(charsum, "node_map", counting)
+    return compiled
+
+
+def test_gl7_count_compiles_one_node_map_per_orbit(monkeypatch):
+    """Membership at every node, the emptiness verdict included, is read off
+    one map per Weyl orbit: 15 on GL(7)'s 877 nodes."""
+    spec = gl_genus_one(7)
+    compiled = _count_node_maps(monkeypatch)
     report = count_polynomial(spec)
     assert len(build_poset(spec.rd).orbits()) == 15
-    assert len(compiled) <= 16
+    assert len(compiled) == 15
     assert report.degree == report.expected_dimension and report.warnings == ()
+
+
+def test_gl7_check_compiles_at_most_one_node_map_per_orbit(monkeypatch, capsys):
+    spec = gl_genus_one(7)
+    monkeypatch.setattr(cli, "build_problem", lambda config: spec)
+    compiled = _count_node_maps(monkeypatch)
+    config = str(CONFIGS / "gl3_genus1_generic.json")
+    assert cli.main(["check", "--config", config]) == 0
+    assert "non-emptiness: ok" in capsys.readouterr().out
+    assert 0 < len(compiled) <= len(build_poset(spec.rd).orbits()) == 15
 
 
 def test_root_system_is_classified_once_per_datum(monkeypatch, capsys):

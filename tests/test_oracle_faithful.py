@@ -31,8 +31,8 @@ from charvar.charsum import (
 from charvar.cli import UnitSpecialization
 from charvar.count import (
     ProblemSpec,
+    emptiness,
     orbit_pass_counts,
-    representative_maps,
     resolve_overrides,
 )
 from charvar.rootdata import build_root_datum, enumerate_weyl
@@ -88,7 +88,7 @@ def reference_faithful(spec: ProblemSpec, values: dict, q: int) -> bool:
         prod = product_translate(ws, spec.semisimple_classes)
         products.setdefault(prod.canonical_key(), prod)
     for j, psi in enumerate(poset.nodes):
-        if j in overridden:
+        if poset.orbit_of(j) in overridden:
             continue
         if psi:
             snf = smith_normal_form([list(rd.coroots[i]) for i in sorted(psi)])
@@ -163,9 +163,9 @@ def test_node_map_check_matches_per_product_reference():
     @given(cases())
     def check(case):
         spec, family, q, values = case
-        symbolic = orbit_pass_counts(
-            spec, representative_maps(spec, spec.eigenvalues.group, overridden=False)
-        )
+        verdict = emptiness(spec)
+        kept = {k: m for k, m in verdict.maps.items() if k not in verdict.overrides}
+        symbolic = orbit_pass_counts(spec, kept)
         units = UnitSpecialization(spec, q, symbolic)
         concrete = units.specialize(values)
         admissible = reference_admissible(spec, values, q, family)

@@ -32,6 +32,7 @@ from charvar.errors import InvalidInputError
 from charvar.oracle import ConcreteClassData, FiniteGroupModel
 from charvar.qpoly import Poly
 from charvar.rootdata import RootDatum
+from charvar.subsystems import build_poset
 
 DATUM = EigenvalueDatum(("a", "b"), ("a*b",))
 GL2 = RootDatum(2, ((1, -1), (-1, 1)), ((1, -1), (-1, 1)), (0,), "GL(2)")
@@ -72,6 +73,7 @@ RECORDS = [
         "warnings": (), "table": (ROW,), "factored": "q",
     }, {}),
     (Emptiness, {
+        "poset": build_poset(GL2), "maps": {0: AdditiveMap((((0, 1),),), (2,))},
         "product": (1, 1), "full": 1, "overrides": {1: True},
         "computed": True, "nonempty": True,
     }, {}),

@@ -376,9 +376,23 @@ def test_orbit_labels_match_per_node_classification(desc):
 
 def test_override_label_resolution(so5_poset):
     p = so5_poset
-    assert len(resolve_overrides(p, {"A1": True})) == 4
-    assert len(resolve_overrides(p, {"A1-long": True})) == 2
-    assert len(resolve_overrides(p, {"C2": True})) == 1
+
+    def orbits(label):
+        """The orbit indices of the nodes with this display label."""
+        return {p.orbit_of(i) for i in range(7) if p.display_label(i) == label}
+
+    long, short = orbits("A1-long"), orbits("A1-short")
+    assert len(long) == len(short) == 1
+    # a bare label covers both A1 orbits, 4 nodes in all
+    assert resolve_overrides(p, {"A1": True}) == dict.fromkeys(long | short, True)
+    assert sum(len(p.orbits()[k]) for k in resolve_overrides(p, {"A1": True})) == 4
+    assert resolve_overrides(p, {"A1-long": True}) == dict.fromkeys(long, True)
+    assert resolve_overrides(p, {"C2": True}) == dict.fromkeys(orbits("C2"), True)
+    # display labels beat bare labels, whichever comes first
+    for overrides in ({"A1": True, "A1-long": False}, {"A1-long": False, "A1": True}):
+        assert resolve_overrides(p, overrides) == {
+            **dict.fromkeys(long, False), **dict.fromkeys(short, True)
+        }
     with pytest.raises(InvalidInputError) as exc:
         resolve_overrides(p, {"B7": True})
     assert exc.value.code == "override-label"

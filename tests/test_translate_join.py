@@ -34,8 +34,9 @@ from charvar.charsum import (
 from charvar.count import (
     ProblemSpec,
     count_polynomial,
+    emptiness,
+    orbit_maps,
     orbit_pass_counts,
-    representative_maps,
     resolve_overrides,
 )
 from charvar.errors import CharvarError
@@ -134,7 +135,7 @@ def _central_relations(rd, coords) -> list[list[int]]:
 
 def engine_pass_counts(spec: ProblemSpec, poset) -> list[int]:
     """The orbit counts of every orbit, read back per node."""
-    counts = orbit_pass_counts(spec, representative_maps(spec, spec.eigenvalues.group))
+    counts = orbit_pass_counts(spec, orbit_maps(poset, spec.eigenvalues.group))
     return [counts[poset.orbit_of(j)] for j in range(poset.num_nodes)]
 
 
@@ -165,15 +166,20 @@ def test_orbit_counts_match_per_node_join(spec, data):
     )
     spec = spec._replace(overrides=tuple(sorted(overrides.items())))
     overridden = resolve_overrides(poset, spec.overrides_dict())
-    # labels are constant on orbits, so overrides cover whole orbits
+    # labels are constant on orbits: an orbit is overridden exactly when
+    # each of its members carries an overridden type label
     assert all(
-        (j in overridden) == (orbit[0] in overridden)
-        for orbit in poset.orbits() for j in orbit
+        (poset.orbit_of(j) in overridden) == (poset.type_label(j) in overrides)
+        for j in range(poset.num_nodes)
     )
     kept = {
-        k: orbit for k, orbit in enumerate(poset.orbits()) if orbit[0] not in overridden
+        k: orbit for k, orbit in enumerate(poset.orbits()) if k not in overridden
     }
-    symbolic_maps = representative_maps(spec, group, overridden=False)
+    verdict = emptiness(spec)
+    assert verdict.overrides == overridden
+    symbolic_maps = {
+        k: m for k, m in verdict.maps.items() if k not in verdict.overrides
+    }
     assert symbolic_maps.keys() == kept.keys()
     symbolic = orbit_pass_counts(spec, symbolic_maps)
     assert symbolic == {k: per_node[orbit[0]] for k, orbit in kept.items()}
