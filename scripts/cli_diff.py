@@ -31,8 +31,12 @@ exit code, stdout, stderr and the ``--json`` payload apart from
   orbit out of its comparison;
 * ``count`` and ``table`` on ``HIGH_GENUS``, one m = 1 class at high genus
   under the degree cap: GL(2) genus 125 (degree 998), GL(3) genus 40
-  (716), GL(4) genus 10 (314) and G2 genus 20 (556), whose ``factored``
-  strings are long;
+  (716), GL(4) genus 10 (314), G2 genus 20 (556) and F4 genus 9 (928, 19
+  Cartan types over 24 Weyl orbits), whose ``factored`` strings are long;
+  and on ``CARRY_HIGH_GENUS``, the m = 1 carry problems (below) of
+  ``SO(5) x GL(2)`` (6 types over 10 orbits) and B3(ad) at genus 3.  The
+  master sum gathers the orbits of one type before it multiplies by the
+  type's Poincare power, so these are the rows where that grouping shows;
 * ``count --table``, ``table`` and ``check`` on the carry matrix
   (``carry_config``): PGL(3), SO(5), B3(ad) and ``SO(5) x GL(2)``, groups
   with torsion in X^vee / Z Phi^vee and Weyl orbits of several closed
@@ -103,7 +107,11 @@ CARRY_GROUPS = (
     ("PGL(3)", "A1"), ("SO(5)", "A1-long"), ("B3(ad)", "C2"), ("SO(5) x GL(2)", "A1#1"),
 )
 # (group, genus, rank): one generic class, the GL ones with determinant 1
-HIGH_GENUS = (("GL(2)", 125, 2), ("GL(3)", 40, 3), ("GL(4)", 10, 4), ("G2", 20, 2))
+HIGH_GENUS = (
+    ("GL(2)", 125, 2), ("GL(3)", 40, 3), ("GL(4)", 10, 4), ("G2", 20, 2), ("F4", 9, 4),
+)
+# (group, genus): non-empty m = 1 carry problems with repeated Cartan types
+CARRY_HIGH_GENUS = (("SO(5) x GL(2)", 3), ("B3(ad)", 3))
 # GL(2) from the oracle workload's seed-0 problems, PGL(2) from configs/
 FIELD_CAP_CONFIGS = ("oracle-gl2_genus1_q7.json", "pgl2_rigid.json")
 # curated configs run by the oracle with {"empty": false} and {"empty": true}
@@ -210,6 +218,11 @@ def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
             "eigenvalues": {"symbols": symbols, "relations": relations},
             "classes": [{"type": "semisimple", "coords": symbols}],
         }))
+        for command in ("count", "table"):
+            runs.append((command, "--config", str(path)))
+    for group, genus in CARRY_HIGH_GENUS:
+        path = config_dir / f"carry-high-genus-{group}-{genus}.json"
+        path.write_text(json.dumps(dict(carry_config(build_root_datum(group), 1), genus=genus)))
         for command in ("count", "table"):
             runs.append((command, "--config", str(path)))
     for group, label in CARRY_GROUPS:

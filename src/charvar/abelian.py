@@ -22,6 +22,7 @@ are the generating vectors/relators.  The package's identity matrix
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
@@ -175,10 +176,7 @@ class QuotientInvariants(Record):
 
     @property
     def torsion_order(self) -> int:
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
+        return math.prod(self.torsion)
 
     @property
     def torsion_exponent(self) -> int:
@@ -191,15 +189,9 @@ class QuotientInvariants(Record):
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        i = 0
-        while i < len(self.torsion):
-            d = self.torsion[i]
-            j = i
-            while j < len(self.torsion) and self.torsion[j] == d:
-                j += 1
-            mult = j - i
+        for d, run in itertools.groupby(self.torsion):
+            mult = len(list(run))
             parts.append(f"Z/{d}" if mult == 1 else f"(Z/{d})^{mult}")
-            i = j
         return " x ".join(parts) if parts else "1"
 
 

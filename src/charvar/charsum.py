@@ -97,7 +97,12 @@ class EigenvalueDatum(Record):
                 raise InvalidInputError(
                     "eigenvalue-word", f"cannot parse term {raw.strip()!r} in {text!r}"
                 )
-            name, exp = m.group(1), int(m.group(2) or 1)
+            try:
+                name, exp = m.group(1), int(m.group(2) or 1)
+            except ValueError:  # more digits than int() converts
+                raise InvalidInputError(
+                    "eigenvalue-word", f"exponent of {m.group(1)!r} has too many digits"
+                ) from None
             if name not in index:
                 raise InvalidInputError(
                     "eigenvalue-word", f"unknown eigenvalue symbol {name!r} in {text!r}"

@@ -120,10 +120,15 @@ def _required(config: dict, key: str):
     return config[key]
 
 
+def _is_int(value) -> bool:
+    """An integer and not a bool (JSON's true and false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _field_int(config: dict, key: str, default: int | None = None) -> int:
     """``config[key]``, which must be an integer; ``default`` if it is absent."""
     value = _required(config, key) if default is None else config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise InvalidInputError("config-field", f"{key!r} must be an integer")
     return value
 
@@ -544,8 +549,7 @@ class UnitSpecialization:
         )
         self.logs = {pow(self.g, k, q): k for k in range(q - 1)}
         self.datum = charsum.EigenvalueDatum(("g",), (f"g^{q - 1}",))
-        maps = count.orbit_maps(build_poset(spec.rd), self.datum.group)
-        self.maps = {k: maps[k] for k in symbolic}
+        self.maps = count.orbit_maps(build_poset(spec.rd), self.datum.group, symbolic)
 
     def specialize(self, values: dict) -> count.ProblemSpec | None:
         """The problem over <g> at ``values`` (residues mod q), or None.
@@ -562,7 +566,7 @@ class UnitSpecialization:
         def image(word) -> tuple[int]:
             return (sum(e * k for e, k in zip(word, phi)) % (self.q - 1),)
 
-        if any(image(datum.parse_relation(r))[0] for r in datum.relations):
+        if any(image(r)[0] for r in datum.group.relations):
             return None
         concrete = self.spec._replace(
             eigenvalues=self.datum,
@@ -609,9 +613,7 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
         q_list = [args.q]
     else:
         q_list = section.get("q")
-        if not q_list or not isinstance(q_list, list) or not all(
-            isinstance(q, int) and not isinstance(q, bool) for q in q_list
-        ):
+        if not q_list or not isinstance(q_list, list) or not all(map(_is_int, q_list)):
             raise InvalidInputError(
                 "config-field",
                 "oracle runs need a prime list: config oracle.q or --q",
@@ -630,10 +632,7 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
     if explicit_values is not None and (
         not isinstance(explicit_values, dict)
         or set(explicit_values) != set(spec.eigenvalues.symbols)
-        or any(
-            isinstance(v, bool) or not isinstance(v, int)
-            for v in explicit_values.values()
-        )
+        or not all(map(_is_int, explicit_values.values()))
     ):
         raise InvalidInputError(
             "config-field",

@@ -6,19 +6,21 @@ presented as symbolic torus elements) and n - m regular unipotent classes.
 Output: the number of k-points of the associated character variety, as a
 polynomial in q = |k|, valid for q in the admissible congruence class.
 
-The engine evaluates the closed master formula
+The engine evaluates the closed master formula by Cartan type
 
-    |X(k)| = (z_factor |B|^chi / |W|) * sum over closed coroot subsystems
-             Psi of |W(Psi)|^(1-m) P_Psi(q)^chi *
-             sum over Psi' >= Psi of mu(Psi, Psi') D(Psi')
+    |X(k)| = (q-1)^a q^b |W|^(-m) * sum over types A of c_A(q) P_A(q)^chi,
+    c_A = sum over the Weyl orbits O of closed coroot subsystems of type A
+          of |O| (|W| / |W(Psi)|)^(m-1) sum over Psi' >= Psi of
+          mu(Psi, Psi') D(Psi')        (Psi the first node of O)
 
-with chi = 2g + n - 2, where D(Psi') adds up the local factor Delta over
-all W^m-translates of the semisimple classes.  The membership test is
-compiled once per Weyl orbit of closed subsystems into an additive map to
-a finitely generated abelian group (``orbit_maps``): S dies at
-w(Psi_0) exactly when w^-1 S (``SubsystemPoset.carry``) dies at the
-orbit's first node Psi_0, and a product of translates dies exactly when
-the images of its factors sum to zero.  D is constant on Weyl orbits, and
+with chi = 2g + n - 2 and (q-1)^a q^b = z_factor |B|^chi, where D(Psi')
+adds up the local factor Delta over all W^m-translates of the semisimple
+classes.  The membership test is compiled once per Weyl orbit of closed
+subsystems into an additive map to a finitely generated abelian group
+(``orbit_maps``): S dies at w(Psi_0) exactly when w^-1 S
+(``SubsystemPoset.carry``) dies at the orbit's first node Psi_0, and a
+product of translates dies exactly when the images of its factors sum to
+zero.  D is constant on Weyl orbits, and
 summed over an orbit it needs no translate of the first class
 (``orbit_pass_counts``): only the (m-1)-tuples of translates of the other
 classes are counted.  Those are zero sums: each class contributes the
@@ -30,10 +32,11 @@ entries per orbit rather than |W|^m products, one image per node at m = 1.
 
 The inner sum is ``mobius_sum`` of the D values, one per orbit, over the
 Mobius row summed by orbit.  Every factor of a summand is W-invariant, so
-the outer sum runs over orbit representatives, each weighted by its
-orbit's size, and Mobius rows are built only there.  The diagnostic table
-applies ``mobius_sum`` to the local factor Delta of the class product
-(``delta_values``), which gives alpha: Delta is the only per-node value.
+c_A runs over orbit representatives, each weighted by its orbit's size,
+Mobius rows are built only there, and P_A^chi is raised once per type.
+The diagnostic table applies ``mobius_sum`` to the local factor Delta of
+the class product (``delta_values``), which gives alpha: Delta is the only
+per-node value.
 
 All of it is ``qpoly.Poly`` arithmetic on ``int`` coefficients.  D(Psi) =
 |Tor| (q-1)^rank * (number of passing tuples) is an integer polynomial,
@@ -56,7 +59,7 @@ warns when the two disagree.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from typing import NamedTuple
 
 from .abelian import AdditiveMap, FPAbelianGroup
@@ -271,18 +274,17 @@ def emptiness(spec: ProblemSpec) -> Emptiness:
     overrides = resolve_overrides(poset, spec.overrides_dict())
     full = poset.index_of[frozenset(range(spec.rd.num_roots))]
     product = tuple(map(sum, zip(*(s.flat() for s in spec.semisimple_classes))))
-    maps = orbit_maps(poset, spec.eigenvalues.group)
+    maps = orbit_maps(poset, spec.eigenvalues.group, range(len(poset.orbits())))
     computed = maps[poset.orbit_of(full)].in_kernel(product)
     nonempty = overrides.get(poset.orbit_of(full), computed)
     return Emptiness(poset, maps, product, full, overrides, computed, nonempty)
 
 
-def orbit_maps(poset: SubsystemPoset, group: FPAbelianGroup) -> dict[int, AdditiveMap]:
-    """By Weyl orbit index, the node map over ``group`` of the orbit's first node."""
-    return {
-        k: node_map(poset.quotient(orbit[0]), group)
-        for k, orbit in enumerate(poset.orbits())
-    }
+def orbit_maps(
+    poset: SubsystemPoset, group: FPAbelianGroup, orbits: Iterable[int]
+) -> dict[int, AdditiveMap]:
+    """By index, for each orbit in ``orbits``, its first node's map over ``group``."""
+    return {k: node_map(poset.quotient(poset.orbits()[k][0]), group) for k in orbits}
 
 
 def mobius_sum(row: Mapping[int, int], values: list[Poly]) -> Poly:
@@ -455,7 +457,14 @@ def expected_dimension(spec: ProblemSpec) -> int:
     """(2g-2) dim G + 2 dim Z + n |Phi| (every class here has dimension |Phi|)."""
     rd = spec.rd
     z = rd.center_invariants.free_rank
-    return (2 * spec.genus - 2) * rd.dimension + 2 * z + spec.punctures * rd.num_roots
+    dim = (2 * spec.genus - 2) * rd.dimension + 2 * z + spec.punctures * rd.num_roots
+    try:
+        str(dim)
+    except ValueError:  # more digits than str() converts, so no report can show it
+        raise ResourceLimitError(
+            "degree-bound", "the expected dimension has too many digits to print"
+        ) from None
+    return dim
 
 
 def count_polynomial(
@@ -533,24 +542,22 @@ def count_polynomial(
                 f"for {bad} of {total_mult} translate products (override wins)"
             )
 
-    # master sum over orbit representatives, times |W|^(m-1): each weight
-    # |O| (|W| / |W(Psi)|)^(m-1) is an integer because |W(Psi)| divides |W|;
-    # P_Psi^chi is raised once per type label, and D once per orbit
-    powers: dict[str, Poly] = {}
-    total = Poly()
+    # master sum by Cartan type, times |W|^(m-1): c_A sums the inner sums of
+    # the orbits of type A, each weighted by |O| (|W| / |W(Psi)|)^(m-1), an
+    # integer because |W(Psi)| divides |W|; then P_A^chi multiplies c_A once
+    by_type: dict[str, tuple[int, Poly]] = {}
     for orbit in poset.orbits():
-        i = orbit[0]
+        i, label = orbit[0], poset.type_label(orbit[0])
         row: Counter[int] = Counter()
         for j, mu in poset.mobius_row(i).items():
             row[poset.orbit_of(j)] += mu
-        inner = mobius_sum(row, d_values)
-        if inner.is_zero():
-            continue
-        label = poset.type_label(i)
-        if label not in powers:
-            powers[label] = poset.poincare(i) ** chi
         weight = len(orbit) * (weyl_order // poset.weyl_order(i)) ** (m - 1)
-        total = total + powers[label] * (inner * weight)
+        rep, c_type = by_type.get(label, (i, Poly()))
+        by_type[label] = rep, c_type + mobius_sum(row, d_values) * weight
+    total = Poly()
+    for rep, c_type in by_type.values():
+        if not c_type.is_zero():
+            total = total + poset.poincare(rep) ** chi * c_type
     result = _divide_out(total, *_z_exponents(rd, m, n, chi), weyl_order ** m)
 
     return _finish_report(
@@ -602,11 +609,11 @@ def _finish_report(
     euler = sum(polynomial.coeffs)
     degree = polynomial.degree()
     leading = polynomial.coeffs[-1] if polynomial.coeffs else None
+    expected_dim = expected_dimension(spec)
 
     # topology cross-checks (warnings, not errors: overrides can break them)
     num_components: int | None = None
     if not is_empty:
-        expected_dim = expected_dimension(spec)
         if degree != expected_dim:
             warnings.append(
                 f"count has degree {degree} but the expected dimension is "
@@ -643,7 +650,7 @@ def _finish_report(
         is_empty=is_empty,
         empty_reason=empty_reason,
         euler_characteristic=euler,
-        expected_dimension=expected_dimension(spec),
+        expected_dimension=expected_dim,
         degree=degree,
         leading_coefficient=leading,
         num_components=num_components,

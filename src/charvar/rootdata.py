@@ -411,17 +411,11 @@ def cartan_matrix(letter: str, r: int) -> list[list[int]]:
 
     if letter == "A":
         return chain([(i, i + 1) for i in range(r - 1)])
-    if letter == "B":  # last simple root short
-        if r == 1:
-            return [[2]]
+    if letter in ("B", "C"):  # the last simple root is short in B, long in C
         c = chain([(i, i + 1) for i in range(r - 1)])
-        c[r - 1][r - 2] = -2
-        return c
-    if letter == "C":  # last simple root long
-        if r == 1:
-            return [[2]]
-        c = chain([(i, i + 1) for i in range(r - 1)])
-        c[r - 2][r - 1] = -2
+        if r > 1:  # <alpha_long, alpha_short^vee> = -2
+            short, long = (r - 1, r - 2) if letter == "B" else (r - 2, r - 1)
+            c[short][long] = -2
         return c
     if letter == "D":
         if r < 2:
@@ -578,15 +572,6 @@ _FACTOR_RANK = {
 }
 
 
-def _factor_rank(text: str) -> int:
-    """Lattice rank of one descriptor factor, read off its text (0 if unparsable)."""
-    m = _FACTOR_RE.match(text)
-    if m is None:
-        return 0
-    key = next(k for k in _FACTOR_RANK if m.group(k))
-    return _FACTOR_RANK[key](int(m.group(key)))
-
-
 def _check_rank(rank: int, what: str) -> None:
     """Refuse a datum above MAX_RANK before any of its roots is built."""
     if rank > MAX_RANK:
@@ -595,8 +580,7 @@ def _check_rank(rank: int, what: str) -> None:
         )
 
 
-def _build_factor(text: str) -> RootDatum:
-    m = _FACTOR_RE.match(text)
+def _build_factor(text: str, m: re.Match | None) -> RootDatum:
     if m is None:
         raise InvalidInputError(
             "descriptor",
@@ -663,8 +647,14 @@ def build_root_datum(descriptor: str | dict) -> RootDatum:
         factors = [part.strip() for part in descriptor.split("x")]
         if not factors or any(not part for part in factors):
             raise InvalidInputError("descriptor", f"empty factor in {descriptor!r}")
-        _check_rank(sum(map(_factor_rank, factors)), f"group {descriptor!r}")
-        data = [_build_factor(part) for part in factors]
+        matches = [_FACTOR_RE.match(part) for part in factors]
+        ranks = (
+            rank(int(m.group(key)))
+            for m in matches if m
+            for key, rank in _FACTOR_RANK.items() if m.group(key)
+        )
+        _check_rank(sum(ranks), f"group {descriptor!r}")  # an unparsable factor adds 0
+        data = [_build_factor(part, m) for part, m in zip(factors, matches)]
         rd = data[0]
         for extra in data[1:]:
             rd = product_datum(rd, extra)

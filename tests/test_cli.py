@@ -3,10 +3,11 @@
 import json
 import pathlib
 import time
+from collections import Counter
 
 import pytest
 
-from charvar import cli, count, oracle
+from charvar import charsum, cli, count, oracle
 from charvar.cli import build_problem, load_config, main
 from charvar.errors import InvalidInputError
 from charvar.oracle import FiniteGroupModel
@@ -569,6 +570,78 @@ class TestOracleCommand:
         assert code == 0
         text = capsys.readouterr().out
         assert "oracle 2  formula 2  MATCH" in text
+
+
+class TestOracleWork:
+    """The oracle parses the declared relations once, however many values
+    it samples."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relations_are_parsed_once(self, tmp_path, monkeypatch, capsys, seed):
+        config = json.loads((CONFIGS / "gl2_sphere_generic.json").read_text())
+        del config["oracle"]["eigenvalues"]
+        calls = Counter()
+        real_parse = charsum.EigenvalueDatum.parse_relation
+        real_specialize = cli.UnitSpecialization.specialize
+
+        def parse(self, text):
+            calls["parse"] += 1
+            return real_parse(self, text)
+
+        def specialize(self, values):
+            calls["specialize"] += 1
+            return real_specialize(self, values)
+
+        monkeypatch.setattr(charsum.EigenvalueDatum, "parse_relation", parse)
+        monkeypatch.setattr(cli.UnitSpecialization, "specialize", specialize)
+        path = write_config(tmp_path, config)
+        assert main(["oracle", "--config", path, "--seed", str(seed)]) == 0
+        assert "[sampled, seed" in capsys.readouterr().out
+        # a*b*c*d = 1 once, and g^(q-1) once for each of q = 5, 7
+        assert calls["specialize"] > 2
+        assert calls["parse"] == 3
+
+
+class TestDigitLimit:
+    """Python converts at most 4,300 digits between int and str; inputs past
+    that exit with a named error, and those below it keep their output."""
+
+    @pytest.mark.parametrize("where", ["coords", "relations"])
+    @pytest.mark.parametrize("command", ["count", "check", "oracle"])
+    def test_long_word_exponent_exits_2(self, tmp_path, capsys, where, command):
+        word = "a^" + "9" * 5000
+        config = json.loads((CONFIGS / "gl2_genus1.json").read_text())
+        if where == "coords":
+            config["classes"][0]["coords"] = [word, "b"]
+        else:
+            config["eigenvalues"]["relations"] = [word + " = b"]
+        assert main([command, "--config", write_config(tmp_path, config)]) == 2
+        assert capsys.readouterr().err == (
+            "error[eigenvalue-word]: exponent of 'a' has too many digits\n"
+        )
+
+    @pytest.mark.parametrize("command", ["count", "check", "table", "oracle"])
+    def test_unprintable_dimension_exits_3(self, tmp_path, capsys, command):
+        config = json.loads((CONFIGS / "gl3_genus1_generic.json").read_text())
+        config["genus"], config["oracle"] = int("9" * 4300), {"q": [5]}
+        assert main([command, "--config", write_config(tmp_path, config)]) == 3
+        assert capsys.readouterr().err == (
+            "error[degree-bound]: the expected dimension has too many digits "
+            "to print\n"
+        )
+
+    def test_long_genus_below_the_limit_keeps_its_output(self, tmp_path, capsys):
+        config = json.loads((CONFIGS / "gl3_genus1_generic.json").read_text())
+        config["genus"] = int("9" * 4296)
+        path = write_config(tmp_path, config)
+        dimension = (2 * config["genus"] - 2) * 9 + 2 + 2 * 6  # dim GL(3) = 9, |Phi| = 6
+        assert main(["check", "--config", path]) == 0
+        assert capsys.readouterr().out.endswith(f"expected dimension: {dimension}\n")
+        assert main(["count", "--config", path]) == 3
+        assert capsys.readouterr().err == (
+            f"error[degree-bound]: the count has degree {dimension} (the "
+            f"expected dimension), above the cap {count.MAX_DEGREE}\n"
+        )
 
 
 def refuse_poset(rd):

@@ -12,6 +12,7 @@ Expected polynomials come from three independent sources, all frozen here:
   values.
 """
 
+import json
 import pathlib
 import time
 from collections import Counter
@@ -33,7 +34,7 @@ from charvar.errors import (
     InvalidInputError,
     ResourceLimitError,
 )
-from charvar.qpoly import RationalPoly
+from charvar.qpoly import Poly, RationalPoly
 from charvar.rootdata import RootDatum, build_root_datum
 from charvar.subsystems import build_poset
 from qpoly_reference import ONE, Q, q_minus
@@ -585,6 +586,85 @@ def test_gl7_check_compiles_at_most_one_node_map_per_orbit(monkeypatch, capsys):
     assert cli.main(["check", "--config", config]) == 0
     assert "non-emptiness: ok" in capsys.readouterr().out
     assert 0 < len(compiled) <= len(build_poset(spec.rd).orbits()) == 15
+
+
+def _per_orbit_sum(spec) -> Poly:
+    """The master sum taken one orbit at a time, times |W|^(m-1).
+
+    Each orbit's inner Mobius sum, weighted by |O| (|W| / |W(Psi)|)^(m-1),
+    is multiplied by its own P_Psi^chi: the engine's former loop, written
+    out from the poset and the orbit counts.
+    """
+    poset, m, chi = build_poset(spec.rd), spec.m, spec.chi_exponent
+    verdict = count.emptiness(spec)
+    passing = count.orbit_pass_counts(spec, verdict.maps)
+    orbits = poset.orbits()
+    d_values = [
+        charsum.quotient_factor(poset.quotient(orbit[0])) * passing[k]
+        for k, orbit in enumerate(orbits)
+    ]
+    order = poset.weyl_order(verdict.full)
+    total = Poly()
+    for orbit in orbits:
+        row = Counter()
+        for j, mu in poset.mobius_row(orbit[0]).items():
+            row[poset.orbit_of(j)] += mu
+        weight = len(orbit) * (order // poset.weyl_order(orbit[0])) ** (m - 1)
+        inner = count.mobius_sum(row, d_values) * weight
+        total = total + poset.poincare(orbit[0]) ** chi * inner
+    return total
+
+
+@pytest.mark.parametrize("group,genus,types,orbits", [("G2", 20, 5, 6), ("F4", 9, 19, 24)])
+def test_master_sum_multiplies_by_each_type_power_once(
+    monkeypatch, group, genus, types, orbits
+):
+    """c_A gathers the orbits of type A, so each P_A^chi multiplies once,
+    and the sum by type equals the sum by orbit."""
+    symbols = [f"a{i}" for i in range(1, build_root_datum(group).rank + 1)]
+    spec = make_spec(group, genus, 2, symbols, [], [symbols])
+    poset = build_poset(spec.rd)
+    labels = {poset.type_label(i) for i in range(poset.num_nodes)}
+    assert (len(labels), len(poset.orbits())) == (types, orbits)
+    poincares = {poset.poincare(i) for i in range(poset.num_nodes)}
+    powers, products = [], []
+    real_pow, real_mul = Poly.__pow__, Poly.__mul__
+
+    def pow_(self, n):
+        result = real_pow(self, n)
+        if n == spec.chi_exponent and self in poincares:
+            powers.append(result)
+        return result
+
+    def mul(self, other):
+        if any(self is p or other is p for p in powers):
+            products.append(self)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Poly, "__pow__", pow_)
+    monkeypatch.setattr(Poly, "__mul__", mul)
+    report = count_polynomial(spec)
+    monkeypatch.undo()
+    assert 0 < len(products) <= len(powers) <= types
+    # (q-1)^a q^b total / |W|^m, with a, b >= 0 for these groups
+    a, b = count._z_exponents(spec.rd, spec.m, spec.punctures, spec.chi_exponent)
+    assert a >= 0 and b >= 0
+    order = poset.weyl_order(poset.index_of[frozenset(range(spec.rd.num_roots))])
+    expected = (_per_orbit_sum(spec) * Poly([-1, 1]) ** a).shift(b)
+    assert report.polynomial * order ** spec.m == expected
+
+
+def test_oracle_compiles_maps_only_for_the_orbits_it_compares(monkeypatch, tmp_path):
+    config = json.loads((CONFIGS / "gl2_genus1.json").read_text())
+    config["overrides"] = {"empty": False}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    compiled = _count_node_maps(monkeypatch)
+    assert cli.main(["oracle", "--config", str(path), "--seed", "0", "--threads", "1"]) == 0
+    # 2 orbit maps over A for each of the two verdicts (the count's and the
+    # faithfulness test's), then, at each of q = 5, 7, one map for the orbit
+    # without the override (8 when every orbit was compiled)
+    assert len(compiled) == 6
 
 
 def test_root_system_is_classified_once_per_datum(monkeypatch, capsys):

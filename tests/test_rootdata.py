@@ -487,6 +487,10 @@ def test_descriptor_errors():
     ("GL(11)", 11), ("GL(99999999)", 99999999), ("T(11)", 11),
     ("SO(23)", 11), ("Sp(22)", 11), ("SL(12)", 11), ("B11", 11),
     ("GL(6) x GL(5)", 11), ("E8 x GL(3)", 11),
+    # the cap comes before a malformed factor's own error; an unparsable
+    # factor adds nothing to the rank
+    ("GL(11) x Q5", 11), ("SL(1) x GL(11)", 11), ("Sp(3) x B10", 11),
+    ("E5 x T(11)", 16),
 ])
 def test_descriptor_above_the_rank_cap(monkeypatch, descriptor, rank):
     """Refused with ``descriptor`` before any root is built."""

@@ -135,7 +135,8 @@ def _central_relations(rd, coords) -> list[list[int]]:
 
 def engine_pass_counts(spec: ProblemSpec, poset) -> list[int]:
     """The orbit counts of every orbit, read back per node."""
-    counts = orbit_pass_counts(spec, orbit_maps(poset, spec.eigenvalues.group))
+    maps = orbit_maps(poset, spec.eigenvalues.group, range(len(poset.orbits())))
+    counts = orbit_pass_counts(spec, maps)
     return [counts[poset.orbit_of(j)] for j in range(poset.num_nodes)]
 
 
