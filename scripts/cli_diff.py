@@ -49,6 +49,9 @@ exit code, stdout, stderr and the ``--json`` payload apart from
   GL(2) and a GL(3) problem whose override on the empty subsystem makes
   the master formula non-polynomial (exit 4, ``non-polynomial``, with the
   reduced fraction in the message; ``check`` does not count and exits 0);
+* ``oracle --seed 0`` on ``EARLY_RETURN``, two GL(2) problems whose count
+  returns before the orbit counts, an empty variety and a nonhyperbolic
+  sphere: the faithfulness test still needs the symbolic counts;
 * ``ERRORS``, configs that each fail on one message of the config checks
   or the oracle's checks: unknown keys at the top level, in
   ``eigenvalues``, in ``oracle`` and in each kind of class entry;
@@ -101,6 +104,17 @@ INCONSISTENT = tuple(
         "overrides": {"empty": True}, "oracle": {"q": [q]},
     }
     for symbols, q in ((["a", "b"], 5), (["a", "b", "c"], 7))
+)
+# one class (a, b) with oracle.q = [5, 7]: an empty variety (no relation, so
+# the product is not in the commutator subgroup) and a nonhyperbolic sphere
+EARLY_RETURN = tuple(
+    {
+        "schema_version": 1, "group": "GL(2)", "genus": genus, "punctures": 2,
+        "eigenvalues": {"symbols": ["a", "b"], "relations": relations},
+        "classes": [{"type": "semisimple", "coords": ["a", "b"]}],
+        "oracle": {"q": [5, 7]},
+    }
+    for genus, relations in ((1, []), (0, ["a*b = 1"]))
 )
 # carry matrix: (group, display label of one Weyl orbit to override at m = 2)
 CARRY_GROUPS = (
@@ -244,6 +258,10 @@ def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
         path.write_text(json.dumps(config))
         for command in ("count", "table", "check"):
             runs.append((command, "--config", str(path)))
+        runs.append(("oracle", "--config", str(path), "--seed", "0", "--threads", "1"))
+    for k, config in enumerate(EARLY_RETURN):
+        path = config_dir / f"early-return-{k}.json"
+        path.write_text(json.dumps(config))
         runs.append(("oracle", "--config", str(path), "--seed", "0", "--threads", "1"))
     for name, base, edits, oracle_only, extra in ERRORS:
         config = json.loads((ROOT / "configs" / base).read_text())

@@ -49,12 +49,7 @@ import sys
 import time
 
 from . import charsum, count, oracle
-from .errors import (
-    CharvarError,
-    InternalConsistencyError,
-    InvalidInputError,
-    ResourceLimitError,
-)
+from .errors import CharvarError, InvalidInputError, ResourceLimitError
 from .rootdata import admissible_primes, build_root_datum, modulus
 from .subsystems import build_poset
 
@@ -325,15 +320,11 @@ def report_text(report: count.CountReport, show_table: bool) -> str:
             f"{report.expected_dimension}"
         )
         lines.append(f"euler characteristic: {report.euler_characteristic}")
-        if report.num_components is not None:
-            lines.append(
-                f"components: {report.num_components}   "
-                f"leading coefficient: {report.leading_coefficient}"
-            )
-        else:
-            lines.append(
-                f"leading coefficient: {report.leading_coefficient}"
-            )
+        components = report.num_components
+        lines.append(
+            ("" if components is None else f"components: {components}   ")
+            + f"leading coefficient: {report.leading_coefficient}"
+        )
     lines.append(
         f"valid for primes q = 1 mod {report.validity_modulus}, "
         f"excluding {set(report.excluded_primes) or '{}'}"
@@ -450,9 +441,7 @@ def cmd_poset(args) -> tuple[int, dict, str]:
 
 
 def cmd_check(args) -> tuple[int, dict, str]:
-    config = load_config(args.config)
-    spec = build_problem(config)
-    nonhyperbolic = spec.genus == 0 and spec.punctures == 2
+    spec = build_problem(load_config(args.config))
     count.validate_problem(spec)
     rd = spec.rd
     primes = admissible_primes(rd)
@@ -467,25 +456,22 @@ def cmd_check(args) -> tuple[int, dict, str]:
             f"ok: 1 <= {spec.m} semisimple < {spec.punctures} punctures",
         ),
     ]
-    if nonhyperbolic:
+    if spec.genus == 0 and spec.punctures == 2:
         nonempty = False
         emptiness_note = (
             "empty by convention: genus 0 with 2 punctures is nonhyperbolic"
         )
     else:
-        verdict = count.emptiness(spec)
-        nonempty = verdict.computed
-        if nonempty:
-            emptiness_note = (
-                "ok: the class product lies in the commutator subgroup"
-            )
-        else:
-            emptiness_note = (
-                "empty: the class product is not in the commutator subgroup"
-            )
-        if verdict.nonempty != nonempty:
+        engine = count.Engine(spec)
+        nonempty = engine.computed
+        emptiness_note = (
+            "ok: the class product lies in the commutator subgroup"
+            if nonempty
+            else "empty: the class product is not in the commutator subgroup"
+        )
+        if engine.nonempty != nonempty:
             emptiness_note += (
-                f" (note: the override on {verdict.poset.display_label(verdict.full)} "
+                f" (note: the override on {engine.poset.display_label(engine.full)} "
                 "asserts otherwise and wins during counting)"
             )
     checks.append(("non-emptiness", emptiness_note))
@@ -531,8 +517,8 @@ class UnitSpecialization:
     override sees the same dying W^m-translate tuples over Z/(q-1) as over
     A; values with extra multiplicative relations (easy in a small field)
     specialize a different counting problem.  ``faithful`` compares the
-    counting engine's pass counts over A (``symbolic``, once per problem,
-    by Weyl orbit without an override) with those of the same orbits' node
+    counting engine's pass counts over A (``symbolic``: the record's, by
+    Weyl orbit without an override) with those of the same orbits' node
     maps on <g> (``count.orbit_maps``, once per q).  Equal counts suffice:
     phi is a homomorphism, so every tuple that dies in (X^vee/<Psi>) (x) A also
     dies in (X^vee/<Psi>) (x) Z/(q-1), and with equal counts no other tuple can.
@@ -588,7 +574,7 @@ class UnitSpecialization:
         ]
 
     def faithful(self, concrete: count.ProblemSpec) -> bool:
-        return count.orbit_pass_counts(concrete, self.maps) == self.symbolic
+        return count.orbit_pass_counts(count.Engine(concrete), self.maps) == self.symbolic
 
 
 def cmd_oracle(args) -> tuple[int, dict, str]:
@@ -640,10 +626,10 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
             f"symbols {spec.eigenvalues.symbols}",
         )
 
-    report = count.count_polynomial(spec)
-    verdict = count.emptiness(spec)
-    kept = {k: m for k, m in verdict.maps.items() if k not in verdict.overrides}
-    symbolic = count.orbit_pass_counts(spec, kept)
+    engine = count.Engine(spec)
+    report = count.count_polynomial(engine)
+    overridden = engine.overrides  # resolved before any orbit is counted
+    symbolic = {k: n for k, n in engine.pass_counts.items() if k not in overridden}
     runs = []
     verdict_ok = True
     for q in q_list:
@@ -750,14 +736,6 @@ def cmd_oracle(args) -> tuple[int, dict, str]:
 # ---------------------------------------------------------------------------
 
 
-def _exit_code_for(error: CharvarError) -> int:
-    if isinstance(error, ResourceLimitError):
-        return 3
-    if isinstance(error, InternalConsistencyError):
-        return 4
-    return 2
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="charvar",
@@ -838,12 +816,16 @@ def main(argv=None) -> int:
         code, payload, text = args.handler(args)
     except CharvarError as error:
         print(f"error[{error.code}]: {error}", file=sys.stderr)
-        return _exit_code_for(error)
+        return error.exit_code
     print(text)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        except OSError as err:
+            print(f"error[output-file]: cannot write {args.json}: {err}", file=sys.stderr)
+            return 2
     return code
 
 

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Mapping
+from functools import cached_property
 from typing import NamedTuple
 
 from .abelian import AdditiveMap, FPAbelianGroup
@@ -78,6 +79,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .qpoly import Poly
+from .record import Record
 from .rootdata import (
     RootDatum,
     admissible_primes,
@@ -122,9 +124,6 @@ class ProblemSpec(NamedTuple):
     @property
     def chi_exponent(self) -> int:
         return 2 * self.genus + self.punctures - 2
-
-    def overrides_dict(self) -> dict[str, bool]:
-        return dict(self.overrides)
 
 
 class TableRow(NamedTuple):
@@ -245,39 +244,57 @@ def resolve_overrides(
 # ---------------------------------------------------------------------------
 
 
-class Emptiness(NamedTuple):
-    """One problem's membership data by Weyl orbit index, and its verdict.
+class Engine(Record):
+    """One problem's engine record; each field is computed on first use.
 
-    ``maps`` are the ``orbit_maps`` of ``poset`` over the eigenvalue group,
-    ``overrides`` maps every overridden orbit to its value, ``product`` is
-    the class product as a ``flat()`` vector and ``full`` the index of the
-    full coroot system, an orbit of its own.  ``computed`` is the
-    relation-forced answer, ``nonempty`` the answer after an override.
+    By Weyl orbit index: ``overrides``, ``maps`` over the eigenvalue group
+    and ``pass_counts`` within ``budget``.  ``full`` is the full coroot
+    system's node, ``computed`` and ``nonempty`` the verdicts on the class
+    ``product`` there before and after an override, and ``carried`` the
+    first class carried to every node.
     """
 
-    poset: SubsystemPoset
-    maps: dict[int, AdditiveMap]
-    product: tuple[int, ...]
-    full: int
-    overrides: dict[int, bool]
-    computed: bool
-    nonempty: bool
+    _compared = ("spec", "budget")
 
+    def __init__(self, spec: ProblemSpec, budget: int = DEFAULT_TRANSLATE_BUDGET):
+        self.__dict__.update(spec=spec, budget=budget)
 
-def emptiness(spec: ProblemSpec) -> Emptiness:
-    """The per-orbit record of ``spec`` and its verdict on the full node.
+    @cached_property
+    def poset(self) -> SubsystemPoset:
+        return build_poset(self.spec.rd)
 
-    The class product must die in (X^vee / <Phi^vee>) (x) A.  Unknown
-    override labels raise ``override-label``.
-    """
-    poset = build_poset(spec.rd)
-    overrides = resolve_overrides(poset, spec.overrides_dict())
-    full = poset.index_of[frozenset(range(spec.rd.num_roots))]
-    product = tuple(map(sum, zip(*(s.flat() for s in spec.semisimple_classes))))
-    maps = orbit_maps(poset, spec.eigenvalues.group, range(len(poset.orbits())))
-    computed = maps[poset.orbit_of(full)].in_kernel(product)
-    nonempty = overrides.get(poset.orbit_of(full), computed)
-    return Emptiness(poset, maps, product, full, overrides, computed, nonempty)
+    @cached_property
+    def full(self) -> int:
+        return self.poset.index_of[frozenset(range(self.spec.rd.num_roots))]
+
+    @cached_property
+    def overrides(self) -> dict[int, bool]:
+        return resolve_overrides(self.poset, dict(self.spec.overrides))
+
+    @cached_property
+    def maps(self) -> dict[int, AdditiveMap]:
+        orbits = range(len(self.poset.orbits()))
+        return orbit_maps(self.poset, self.spec.eigenvalues.group, orbits)
+
+    @cached_property
+    def product(self) -> tuple[int, ...]:
+        return tuple(map(sum, zip(*(s.flat() for s in self.spec.semisimple_classes))))
+
+    @cached_property
+    def computed(self) -> bool:
+        return self.maps[self.poset.orbit_of(self.full)].in_kernel(self.product)
+
+    @cached_property
+    def nonempty(self) -> bool:
+        return self.overrides.get(self.poset.orbit_of(self.full), self.computed)
+
+    @cached_property
+    def carried(self) -> list[tuple[int, ...]]:
+        return self.poset.carry(self.spec.semisimple_classes[0].flat())
+
+    @cached_property
+    def pass_counts(self) -> dict[int, int]:
+        return orbit_pass_counts(self, self.maps)
 
 
 def orbit_maps(
@@ -296,30 +313,26 @@ def mobius_sum(row: Mapping[int, int], values: list[Poly]) -> Poly:
     return total
 
 
-def delta_values(verdict: Emptiness) -> list[Poly]:
+def delta_values(engine: Engine) -> list[Poly]:
     """Delta at every node: the quotient factor where the product dies, else 0.
 
     An override replaces the computed indicator at every node of its orbit.
     """
-    poset = verdict.poset
-    carried, orbits = poset.carry(verdict.product), poset.orbits()
+    poset, orbits = engine.poset, engine.poset.orbits()
+    carried = engine.carried if engine.spec.m == 1 else poset.carry(engine.product)
     return [
         quotient_factor(poset.quotient(orbits[k][0]))
-        if verdict.overrides.get(k, verdict.maps[k].in_kernel(carried[j]))
+        if engine.overrides.get(k, engine.maps[k].in_kernel(carried[j]))
         else Poly()
         for j, k in enumerate(map(poset.orbit_of, range(poset.num_nodes)))
     ]
 
 
-def orbit_pass_counts(
-    spec: ProblemSpec,
-    maps: dict[int, AdditiveMap],
-    budget: int = DEFAULT_TRANSLATE_BUDGET,
-) -> dict[int, int]:
+def orbit_pass_counts(engine: Engine, maps: dict[int, AdditiveMap]) -> dict[int, int]:
     """By Weyl orbit index, the number of W^m-translate tuples whose product dies.
 
-    ``maps`` are ``orbit_maps``, and each of their orbits gets its
-    count: D(Psi) at every Psi in the orbit, the same number for each.  The
+    ``maps`` are ``orbit_maps`` of ``engine``'s problem; each of their
+    orbits gets D(Psi), the same number at every Psi in the orbit.  The
     count rests on W-invariance: w.S dies in Psi exactly when S dies in
     w^-1 Psi, and left multiplication by w permutes the translate tuples.
     Grouping the tuples by their first translate w therefore gives
@@ -344,9 +357,9 @@ def orbit_pass_counts(
     a strongly regular class has |W| distinct translates, so the halves
     hold at most |W|^floor((m-1)/2) + |W|^ceil((m-1)/2) entries.
     """
-    poset = build_poset(spec.rd)
-    order = poset.weyl_order(poset.index_of[frozenset(range(spec.rd.num_roots))])
-    first, *rest = spec.semisimple_classes
+    spec, poset, budget = engine.spec, engine.poset, engine.budget
+    order = poset.weyl_order(engine.full)
+    rest = spec.semisimple_classes[1:]
     half = len(rest) // 2
     entries = order ** half + order ** (len(rest) - half)
     if entries > budget:
@@ -358,13 +371,12 @@ def orbit_pass_counts(
         )
     weyl = enumerate_weyl(spec.rd) if rest else ()
     translates = [[translate(w, s).flat() for w in weyl] for s in rest]
-    carried = poset.carry(first.flat())
     counts = {}
     for k, nmap in maps.items():
         orbit = poset.orbits()[k]
         left = _sum_histogram(nmap, translates[:half])
         right = _sum_histogram(nmap, translates[half:])
-        starts = Counter(nmap.image(carried[j]) for j in orbit)
+        starts = Counter(nmap.image(engine.carried[j]) for j in orbit)
         passing = sum(
             n * mult * right.get(nmap.negate(nmap.add(start, x)), 0)
             for start, n in starts.items()
@@ -468,13 +480,16 @@ def expected_dimension(spec: ProblemSpec) -> int:
 
 
 def count_polynomial(
-    spec: ProblemSpec, budget: int = DEFAULT_TRANSLATE_BUDGET
+    spec: ProblemSpec | Engine, budget: int = DEFAULT_TRANSLATE_BUDGET
 ) -> CountReport:
     """Run the master formula and assemble the full report.
 
-    A count whose degree, the expected dimension, is above ``MAX_DEGREE``
-    is refused (``degree-bound``) before the poset is built.
+    ``spec`` may be an ``Engine``, with its own budget, for the caller to
+    read on.  A count of degree (the expected dimension) above
+    ``MAX_DEGREE`` is refused (``degree-bound``) before the poset is built.
     """
+    engine = spec if isinstance(spec, Engine) else Engine(spec, budget)
+    spec = engine.spec
     validate_problem(spec)
     degree = expected_dimension(spec)
     if degree > MAX_DEGREE:
@@ -483,7 +498,6 @@ def count_polynomial(
             f"the count has degree {degree} (the expected dimension), above "
             f"the cap {MAX_DEGREE}",
         )
-    rd = spec.rd
     m, n, chi = spec.m, spec.punctures, spec.chi_exponent
     warnings: list[str] = []
 
@@ -499,15 +513,14 @@ def count_polynomial(
             table=(),
         )
 
-    verdict = emptiness(spec)
-    poset = verdict.poset
-    if verdict.computed != verdict.nonempty:
+    poset = engine.poset
+    if engine.nonempty != engine.computed:
         warnings.append(
-            f"override for {poset.display_label(verdict.full)} asserts the "
-            f"monodromy product {'is' if verdict.nonempty else 'is not'} in "
+            f"override for {poset.display_label(engine.full)} asserts the "
+            f"monodromy product {'is' if engine.nonempty else 'is not'} in "
             "the commutator subgroup, contrary to the relation-forced answer"
         )
-    if not verdict.nonempty:
+    if not engine.nonempty:
         return _finish_report(
             spec,
             polynomial=Poly(),
@@ -516,23 +529,22 @@ def count_polynomial(
                 "in the commutator subgroup of the group of points"
             ),
             warnings=warnings,
-            table=_diagnostic_table(verdict),
+            table=_diagnostic_table(engine),
         )
 
     # D per orbit = |Tor| (q-1)^rank * (number of translate tuples passing);
     # an override passes all |W|^m tuples or none, and the tuples where it
     # contradicts the computed indicator are tallied at each orbit member
-    weyl_order = poset.weyl_order(verdict.full)
+    weyl_order = poset.weyl_order(engine.full)
     products = weyl_order ** m
-    by_orbit = orbit_pass_counts(spec, verdict.maps, budget)
     mismatch: dict[str, tuple[int, int]] = {}
     d_values: list[Poly] = []
     for k, orbit in enumerate(poset.orbits()):
-        passing = by_orbit[k]
-        if k in verdict.overrides:
-            bad = products - passing if verdict.overrides[k] else passing
+        passing = engine.pass_counts[k]
+        if k in engine.overrides:
+            bad = products - passing if engine.overrides[k] else passing
             mismatch[poset.display_label(orbit[0])] = len(orbit) * bad, len(orbit) * products
-            passing = products if verdict.overrides[k] else 0
+            passing = products if engine.overrides[k] else 0
         d_values.append(quotient_factor(poset.quotient(orbit[0])) * passing)
 
     for label, (bad, total_mult) in sorted(mismatch.items()):
@@ -558,21 +570,21 @@ def count_polynomial(
     for rep, c_type in by_type.values():
         if not c_type.is_zero():
             total = total + poset.poincare(rep) ** chi * c_type
-    result = _divide_out(total, *_z_exponents(rd, m, n, chi), weyl_order ** m)
+    result = _divide_out(total, *_z_exponents(spec.rd, m, n, chi), weyl_order ** m)
 
     return _finish_report(
         spec,
         polynomial=result,
         empty_reason="master formula summed to zero" if result.is_zero() else None,
         warnings=warnings,
-        table=_diagnostic_table(verdict),
+        table=_diagnostic_table(engine),
     )
 
 
-def _diagnostic_table(verdict: Emptiness) -> tuple[TableRow, ...]:
+def _diagnostic_table(engine: Engine) -> tuple[TableRow, ...]:
     """Per-orbit rows: Weyl data, Poincare, quotient, Delta and alpha at S."""
-    poset = verdict.poset
-    deltas = delta_values(verdict)
+    poset = engine.poset
+    deltas = delta_values(engine)
     rows = []
     for k, orbit in enumerate(poset.orbits()):
         rep = orbit[0]
@@ -588,7 +600,7 @@ def _diagnostic_table(verdict: Emptiness) -> tuple[TableRow, ...]:
                 free_rank=inv.free_rank,
                 delta=str(deltas[rep]),
                 alpha=str(mobius_sum(poset.mobius_row(rep), deltas)),
-                overridden=k in verdict.overrides,
+                overridden=k in engine.overrides,
             )
         )
     rows.sort(key=lambda row: (-row.weyl_order, row.label))

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 Every error carries a short machine-readable ``code`` alongside the human
-message; the CLI maps exception classes to exit codes (hypothesis/input
+message, and its class the CLI's ``exit_code`` (hypothesis/input
 violations exit 2, resource limits 3, internal consistency failures 4).
 """
 
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 class CharvarError(Exception):
     """Base class; ``code`` is a stable machine-readable identifier."""
+
+    exit_code = 2
 
     def __init__(self, code: str, message: str):
         self.code = code
@@ -27,9 +29,13 @@ class HypothesisError(CharvarError):
 class ResourceLimitError(CharvarError):
     """A configured enumeration bound or budget was exceeded."""
 
+    exit_code = 3
+
 
 class InternalConsistencyError(CharvarError):
     """The engine derived something impossible (e.g. a non-polynomial count).
 
     This indicates a bug or an inconsistent override, never a mere bad input.
     """
+
+    exit_code = 4

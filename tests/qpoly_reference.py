@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from charvar.charsum import node_map
-from charvar.count import ProblemSpec, emptiness
+from charvar.count import Engine, ProblemSpec
 from charvar.qpoly import Poly, RationalPoly
 from charvar.rootdata import enumerate_weyl
 from charvar.subsystems import build_poset
@@ -65,7 +65,7 @@ def reference_polynomial(spec: ProblemSpec) -> RationalPoly:
     if spec.genus == 0 and n == 2:
         return zero
     poset = build_poset(rd)
-    verdict = emptiness(spec)
+    verdict = Engine(spec)
     if not verdict.nonempty:
         return zero
     group = spec.eigenvalues.group

@@ -17,10 +17,10 @@ from charvar.abelian import quotient_invariants, smith_normal_form
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement
 from charvar.cli import build_problem, load_config
 from charvar.count import (
+    Engine,
     ProblemSpec,
     count_polynomial,
     delta_values,
-    emptiness,
     mobius_sum,
 )
 from charvar.oracle import (
@@ -52,9 +52,9 @@ def const(c: int) -> RationalPoly:
 
 def _deltas(poset, element):
     """The diagnostic table's Delta(Psi, S) at every node, without overrides."""
-    verdict = emptiness(ProblemSpec(poset.rd, 0, 2, element.datum, (element,)))
-    assert verdict.poset is poset
-    return delta_values(verdict)
+    engine = Engine(ProblemSpec(poset.rd, 0, 2, element.datum, (element,)))
+    assert engine.poset is poset
+    return delta_values(engine)
 
 
 # Poincare polynomials of the reflection groups that appear below.

@@ -26,7 +26,7 @@ from charvar.charsum import (
     strongly_regular,
     translate,
 )
-from charvar.count import ProblemSpec, delta_values, emptiness, mobius_sum
+from charvar.count import Engine, ProblemSpec, delta_values, mobius_sum
 from charvar.errors import InvalidInputError
 from charvar.qpoly import Poly
 from charvar.rootdata import build_root_datum, enumerate_weyl
@@ -44,9 +44,9 @@ def _element(datum, *words):
 
 def _deltas(poset, s):
     """Delta(Psi, S) at every node of the poset, without overrides."""
-    verdict = emptiness(ProblemSpec(poset.rd, 0, 2, s.datum, (s,)))
-    assert verdict.poset is poset
-    return delta_values(verdict)
+    engine = Engine(ProblemSpec(poset.rd, 0, 2, s.datum, (s,)))
+    assert engine.poset is poset
+    return delta_values(engine)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,18 @@ class TestCountCommand:
         assert code == 2
         assert "error[config-parse]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["missing/out.json", ""])
+    def test_unwritable_json_path_exits_2(self, capsys, tmp_path, target):
+        """A missing directory or a directory as the --json path is a named
+        error after the text report, not a traceback."""
+        path = tmp_path / target
+        config = str(CONFIGS / "gl2_genus1.json")
+        assert main(["count", "--config", config, "--json", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert "|X(F_q)| = q^6" in out
+        assert err.startswith(f"error[output-file]: cannot write {path}: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_json_deterministic_modulo_timestamp(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:
@@ -395,6 +407,34 @@ class TestOracleCommand:
         assert payload["verdict"] == "match"
         assert [run["q"] for run in payload["runs"]] == [5, 7]
         assert all(run["match"] for run in payload["runs"])
+
+    @pytest.mark.parametrize("genus,relations,reason", [
+        (1, [], "empty variety"),
+        (0, ["a*b = 1"], "nonhyperbolic surface"),
+    ])
+    def test_oracle_where_the_count_returns_early(
+        self, capsys, tmp_path, genus, relations, reason
+    ):
+        """The count stops before the orbit counts; the faithfulness test
+        still reads its symbolic counts from the same record."""
+        config = gl2_config(
+            genus=genus,
+            eigenvalues={"symbols": ["a", "b"], "relations": relations},
+            classes=[{"type": "semisimple", "coords": ["a", "b"]}],
+            oracle={"q": [5, 7]},
+        )
+        out = tmp_path / "oracle.json"
+        path = write_config(tmp_path, config)
+        assert main(["oracle", "--config", path, "--seed", "0", "--json", str(out)]) == 0
+        assert "verdict: MATCH" in capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        assert [
+            (run["q"], run["oracle_count"], run["formula_value"], run["match"])
+            for run in payload["runs"]
+        ] == [(5, 0, 0, True), (7, 0, 0, True)]
+        assert all(run["sampled"] for run in payload["runs"])
+        assert main(["count", "--config", path]) == 0
+        assert f"empty: {reason}" in capsys.readouterr().out
 
     def test_oracle_single_q_flag(self, capsys, tmp_path):
         out = tmp_path / "oracle.json"

@@ -36,7 +36,7 @@ from charvar.errors import (
 )
 from charvar.qpoly import Poly, RationalPoly
 from charvar.rootdata import RootDatum, build_root_datum
-from charvar.subsystems import build_poset
+from charvar.subsystems import SubsystemPoset, build_poset
 from qpoly_reference import ONE, Q, q_minus
 from translate_reference import node_pass_counts
 
@@ -596,14 +596,14 @@ def _per_orbit_sum(spec) -> Poly:
     out from the poset and the orbit counts.
     """
     poset, m, chi = build_poset(spec.rd), spec.m, spec.chi_exponent
-    verdict = count.emptiness(spec)
-    passing = count.orbit_pass_counts(spec, verdict.maps)
+    engine = count.Engine(spec)
+    passing = engine.pass_counts
     orbits = poset.orbits()
     d_values = [
         charsum.quotient_factor(poset.quotient(orbit[0])) * passing[k]
         for k, orbit in enumerate(orbits)
     ]
-    order = poset.weyl_order(verdict.full)
+    order = poset.weyl_order(engine.full)
     total = Poly()
     for orbit in orbits:
         row = Counter()
@@ -661,10 +661,65 @@ def test_oracle_compiles_maps_only_for_the_orbits_it_compares(monkeypatch, tmp_p
     path.write_text(json.dumps(config))
     compiled = _count_node_maps(monkeypatch)
     assert cli.main(["oracle", "--config", str(path), "--seed", "0", "--threads", "1"]) == 0
-    # 2 orbit maps over A for each of the two verdicts (the count's and the
-    # faithfulness test's), then, at each of q = 5, 7, one map for the orbit
-    # without the override (8 when every orbit was compiled)
-    assert len(compiled) == 6
+    # 2 orbit maps over A for the one engine record, then, at each of
+    # q = 5, 7, one map for the orbit without the override
+    assert len(compiled) == 4
+
+
+def test_oracle_builds_one_engine_record(monkeypatch, capsys):
+    """The count and the faithfulness test share one record: over A, its
+    orbit maps (one node map per orbit) and its orbit counts are computed
+    once per run (twice each when the oracle built a record of its own)."""
+    calls = Counter()
+
+    def counting(owner, name, over_a):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name, over_a(*args)] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    over_a = tuple("abcd")  # the symbols of A; <g> has one
+    counting(count.Engine, "__init__", lambda _, spec, *__: spec.eigenvalues.symbols == over_a)
+    counting(count, "orbit_maps", lambda poset, group, orbits: group.generator_count == 4)
+    for owner in (count, charsum):
+        counting(owner, "node_map", lambda inv, group: group.generator_count == 4)
+    counting(
+        count, "orbit_pass_counts", lambda engine, _: engine.spec.eigenvalues.symbols == over_a
+    )
+    config = str(CONFIGS / "gl2_sphere_generic.json")
+    assert cli.main(["oracle", "--config", config, "--seed", "0", "--threads", "1"]) == 0
+    assert "verdict: MATCH" in capsys.readouterr().out
+    assert len(build_poset(build_root_datum("GL(2)")).orbits()) == 2
+    # over <g>, at each of q = 5, 7: one set of maps, one per orbit, and
+    # one record of the specialized problem, whose orbits are counted once
+    assert calls == {
+        ("__init__", True): 1, ("__init__", False): 2,
+        ("orbit_maps", True): 1, ("orbit_maps", False): 2,
+        ("node_map", True): 2, ("node_map", False): 4,
+        ("orbit_pass_counts", True): 1, ("orbit_pass_counts", False): 2,
+    }
+
+
+def test_one_class_count_carries_the_class_once(monkeypatch, capsys):
+    """At m = 1 the class product is the class: Delta and D read one carry
+    (``count --table`` on the benchmark's ``gl5_genus1``)."""
+    spec = gl_genus_one(5)
+    monkeypatch.setattr(cli, "build_problem", lambda config: spec)
+    carried = []
+    real = SubsystemPoset.carry
+
+    def carry(self, vector):
+        carried.append(vector)
+        return real(self, vector)
+
+    monkeypatch.setattr(SubsystemPoset, "carry", carry)
+    config = str(CONFIGS / "gl3_genus1_generic.json")
+    assert cli.main(["count", "--config", config, "--table"]) == 0
+    assert "alpha" in capsys.readouterr().out
+    assert len(carried) == 1
 
 
 def test_root_system_is_classified_once_per_datum(monkeypatch, capsys):

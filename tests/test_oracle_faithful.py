@@ -29,12 +29,7 @@ from charvar.charsum import (
     product_translate,
 )
 from charvar.cli import UnitSpecialization
-from charvar.count import (
-    ProblemSpec,
-    emptiness,
-    orbit_pass_counts,
-    resolve_overrides,
-)
+from charvar.count import Engine, ProblemSpec, resolve_overrides
 from charvar.rootdata import build_root_datum, enumerate_weyl
 from charvar.subsystems import build_poset
 
@@ -82,7 +77,7 @@ def concrete_dies(datum, prod, v_mat, divisors, values: dict, q: int) -> bool:
 def reference_faithful(spec: ProblemSpec, values: dict, q: int) -> bool:
     rd = spec.rd
     poset = build_poset(rd)
-    overridden = resolve_overrides(poset, spec.overrides_dict())
+    overridden = resolve_overrides(poset, dict(spec.overrides))
     products = {}
     for ws in itertools.product(enumerate_weyl(rd), repeat=spec.m):
         prod = product_translate(ws, spec.semisimple_classes)
@@ -163,9 +158,8 @@ def test_node_map_check_matches_per_product_reference():
     @given(cases())
     def check(case):
         spec, family, q, values = case
-        verdict = emptiness(spec)
-        kept = {k: m for k, m in verdict.maps.items() if k not in verdict.overrides}
-        symbolic = orbit_pass_counts(spec, kept)
+        engine = Engine(spec)
+        symbolic = {k: n for k, n in engine.pass_counts.items() if k not in engine.overrides}
         units = UnitSpecialization(spec, q, symbolic)
         concrete = units.specialize(values)
         admissible = reference_admissible(spec, values, q, family)

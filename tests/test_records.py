@@ -1,13 +1,14 @@
 """The package's record types: construction, equality, hashing, immutability.
 
-Eight plain value records are ``typing.NamedTuple``s; the five records
+Seven plain value records are ``typing.NamedTuple``s; the six records
 that keep derived data on the instance (``RootDatum``,
-``QuotientInvariants``, ``FPAbelianGroup``, ``EigenvalueDatum`` and
-``FiniteGroupModel``) are plain classes.  Either way a record is built
-positionally or by keyword, with defaults for its trailing fields; equal
-fields give equal records with equal hashes, except that a root datum's
-label, a quotient's Smith basis and a group's kept coordinates are not
-compared; and no field can be assigned or deleted.
+``QuotientInvariants``, ``FPAbelianGroup``, ``EigenvalueDatum``,
+``FiniteGroupModel`` and the count's ``Engine``) are plain classes.
+Either way a record is built positionally or by keyword, with defaults
+for its trailing fields; equal fields give equal records with equal
+hashes, except that a root datum's label, a quotient's Smith basis and a
+group's kept coordinates are not compared; and no field can be assigned
+or deleted.
 """
 
 import pytest
@@ -22,8 +23,9 @@ from charvar.abelian import (
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement
 from charvar.cli import report_payload
 from charvar.count import (
+    DEFAULT_TRANSLATE_BUDGET,
     CountReport,
-    Emptiness,
+    Engine,
     ProblemSpec,
     TableRow,
     count_polynomial,
@@ -32,11 +34,11 @@ from charvar.errors import InvalidInputError
 from charvar.oracle import ConcreteClassData, FiniteGroupModel
 from charvar.qpoly import Poly
 from charvar.rootdata import RootDatum
-from charvar.subsystems import build_poset
 
 DATUM = EigenvalueDatum(("a", "b"), ("a*b",))
 GL2 = RootDatum(2, ((1, -1), (-1, 1)), ((1, -1), (-1, 1)), (0,), "GL(2)")
 ELEMENT = SymbolicTorusElement(DATUM, ((1, 0), (0, 1)))
+SPEC = ProblemSpec(GL2, 1, 2, DATUM, (ELEMENT,), (("A1", True),))
 ROW = TableRow("A1", 1, 2, "q + 1", "Z", 1, 1, "q - 1", "q - 1", False)
 
 # (record, its fields in order with sample values, defaults of trailing fields)
@@ -72,11 +74,7 @@ RECORDS = [
         "diagnostic_exponent_lcm": 1, "excluded_primes": (2,),
         "warnings": (), "table": (ROW,), "factored": "q",
     }, {}),
-    (Emptiness, {
-        "poset": build_poset(GL2), "maps": {0: AdditiveMap((((0, 1),),), (2,))},
-        "product": (1, 1), "full": 1, "overrides": {1: True},
-        "computed": True, "nonempty": True,
-    }, {}),
+    (Engine, {"spec": SPEC, "budget": 10}, {"budget": DEFAULT_TRANSLATE_BUDGET}),
     (FiniteGroupModel, {
         "family": "GL", "size": 1, "q": 3, "elements": (((1,),), ((2,),)),
         "label": "GL(1, F_3)",
@@ -129,6 +127,8 @@ def test_positional_and_keyword_construction(record, fields, defaults):
     (DATUM, EigenvalueDatum(("a", "b"))),
     (FiniteGroupModel("GL", 1, 2, (((1,),),), "GL(1, F_2)"),
      FiniteGroupModel("GL", 1, 2, (((1,),),), "GL(1, F_two)")),
+    (Engine(SPEC), Engine(SPEC, 10)),
+    (Engine(SPEC), Engine(SPEC._replace(genus=2))),
 ])
 def test_plain_records_with_other_compared_fields_differ(a, b):
     assert a != b and not a == b
@@ -146,7 +146,7 @@ def test_fields_cannot_be_assigned_or_deleted(record, fields, defaults):
 
 
 def test_plain_records_reject_new_attributes():
-    for value in (GL2, DATUM, FPAbelianGroup(1), QuotientInvariants(0, (), ())):
+    for value in (GL2, DATUM, FPAbelianGroup(1), QuotientInvariants(0, (), ()), Engine(SPEC)):
         with pytest.raises(AttributeError):
             value.extra = 1
 
@@ -173,6 +173,16 @@ def test_group_coordinates_are_not_compared():
     fresh = FPAbelianGroup(2, ((2, 0),))
     assert used == fresh and hash(used) == hash(fresh)
     assert canonical_coordinates(fresh) == canonical_coordinates(used)
+
+
+def test_engine_fields_are_filled_on_first_use_and_not_compared():
+    filled, fresh = Engine(SPEC), Engine(SPEC)
+    assert filled.pass_counts is filled.pass_counts  # computed once, then kept
+    assert {"poset", "maps", "carried", "pass_counts"} <= set(vars(filled))
+    assert set(vars(fresh)) == {"spec", "budget"}
+    assert filled == fresh and hash(filled) == hash(fresh)
+    with pytest.raises(AttributeError):
+        filled.pass_counts = {}
 
 
 def test_records_of_different_types_differ():

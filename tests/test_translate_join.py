@@ -32,10 +32,9 @@ from charvar.charsum import (
     translate,
 )
 from charvar.count import (
+    Engine,
     ProblemSpec,
     count_polynomial,
-    emptiness,
-    orbit_maps,
     orbit_pass_counts,
     resolve_overrides,
 )
@@ -135,8 +134,7 @@ def _central_relations(rd, coords) -> list[list[int]]:
 
 def engine_pass_counts(spec: ProblemSpec, poset) -> list[int]:
     """The orbit counts of every orbit, read back per node."""
-    maps = orbit_maps(poset, spec.eigenvalues.group, range(len(poset.orbits())))
-    counts = orbit_pass_counts(spec, maps)
+    counts = Engine(spec).pass_counts
     return [counts[poset.orbit_of(j)] for j in range(poset.num_nodes)]
 
 
@@ -166,7 +164,7 @@ def test_orbit_counts_match_per_node_join(spec, data):
         st.dictionaries(st.sampled_from(labels), st.booleans(), max_size=2)
     )
     spec = spec._replace(overrides=tuple(sorted(overrides.items())))
-    overridden = resolve_overrides(poset, spec.overrides_dict())
+    overridden = resolve_overrides(poset, dict(spec.overrides))
     # labels are constant on orbits: an orbit is overridden exactly when
     # each of its members carries an overridden type label
     assert all(
@@ -176,14 +174,13 @@ def test_orbit_counts_match_per_node_join(spec, data):
     kept = {
         k: orbit for k, orbit in enumerate(poset.orbits()) if k not in overridden
     }
-    verdict = emptiness(spec)
-    assert verdict.overrides == overridden
-    symbolic_maps = {
-        k: m for k, m in verdict.maps.items() if k not in verdict.overrides
-    }
-    assert symbolic_maps.keys() == kept.keys()
-    symbolic = orbit_pass_counts(spec, symbolic_maps)
+    engine = Engine(spec)
+    assert engine.overrides == overridden
+    symbolic = {k: n for k, n in engine.pass_counts.items() if k not in engine.overrides}
     assert symbolic == {k: per_node[orbit[0]] for k, orbit in kept.items()}
+    # the faithfulness test counts over the kept orbits' maps alone
+    kept_maps = {k: engine.maps[k] for k in kept}
+    assert orbit_pass_counts(engine, kept_maps) == symbolic
 
 
 def _redraw_surface(spec: ProblemSpec, data) -> ProblemSpec:
