@@ -45,6 +45,11 @@ exit code, stdout, stderr and the ``--json`` payload apart from
   ``CARRY_GROUPS`` on one orbit.  At m >= 2 the class product dies at some members of an orbit
   and not at others, so the membership carried to each orbit's first node
   decides both Delta and the orbit counts;
+* ``check``, ``count`` and ``table`` on ``MANY_RELATIONS``, GL(2) problems
+  with one class (s1, s2) whose eigenvalue relations are the rows of dense
+  relator matrices (``many_relations_config``): eight relations over six
+  symbols (A trivial, and the class not strongly regular, exit 2) and nine
+  over eight (A = Z/5), on which naive elimination takes seconds;
 * ``count``, ``table``, ``check`` and ``oracle`` on ``INCONSISTENT``, a
   GL(2) and a GL(3) problem whose override on the empty subsystem makes
   the master formula non-polynomial (exit 4, ``non-polynomial``, with the
@@ -115,6 +120,16 @@ EARLY_RETURN = tuple(
         "oracle": {"q": [5, 7]},
     }
     for genus, relations in ((1, []), (0, ["a*b = 1"]))
+)
+# relator rows over s1, s2, ...: entries at most 12, on which naive
+# elimination grows entries of tens of thousands of bits
+MANY_RELATIONS = (
+    ((0, 3, -2, 2, -6, 0), (-6, 1, -6, 1, 12, 3), (2, 0, 4, -1, 1, 0),
+     (4, -6, 0, -2, 0, -6), (1, 0, 2, -1, 0, -2), (0, 4, 2, -1, 0, -2),
+     (0, -6, 0, 0, 4, 3), (4, 3, 1, 12, 1, -1)),
+    ((3, -2, -2, -2, -6, 0, 4, 4), (-2, 4, 1, 0, 1, 0, 2, 0), (0, 4, 0, -1, 0, 0, 3, 0),
+     (3, 0, 0, 2, 0, 12, 0, -2), (2, 3, 3, -6, 12, 1, -6, 0), (0, 12, -6, 1, 3, 2, 2, 3),
+     (0, -2, -2, 3, 1, 1, 0, 3), (3, -1, 1, -6, 0, 0, -6, 1), (0, 0, 2, 4, -2, 0, 1, 0)),
 )
 # carry matrix: (group, display label of one Weyl orbit to override at m = 2)
 CARRY_GROUPS = (
@@ -194,6 +209,18 @@ def carry_config(rd, m: int) -> dict:
     }
 
 
+def many_relations_config(rows) -> dict:
+    """GL(2), genus 1, one class (s1, s2), with the rows as relations."""
+    symbols = [f"s{k}" for k in range(1, len(rows[0]) + 1)]
+    return {
+        "schema_version": 1, "group": "GL(2)", "genus": 1, "punctures": 2,
+        "eigenvalues": {
+            "symbols": symbols, "relations": [_word(zip(symbols, row)) for row in rows],
+        },
+        "classes": [{"type": "semisimple", "coords": ["s1", "s2"]}],
+    }
+
+
 def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
     """Every CLI argument list to compare, with configs written to config_dir."""
     from charvar.rootdata import build_root_datum
@@ -253,6 +280,11 @@ def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
             path = config_dir / f"oracle-override-{value}-{name}"
             path.write_text(json.dumps(dict(config, overrides={"empty": value})))
             runs.append(("oracle", "--config", str(path), "--seed", "0", "--threads", "1"))
+    for k, rows in enumerate(MANY_RELATIONS):
+        path = config_dir / f"many-relations-{k}.json"
+        path.write_text(json.dumps(many_relations_config(rows)))
+        for command in ("check", "count", "table"):
+            runs.append((command, "--config", str(path)))
     for k, config in enumerate(INCONSISTENT):
         path = config_dir / f"inconsistent-{k}.json"
         path.write_text(json.dumps(config))

@@ -3,8 +3,9 @@
 Three layers, each feeding the next:
 
 * :func:`smith_normal_form` — U·M·V = D with U, V unimodular and D diagonal
-  with a divisibility chain d_1 | d_2 | ...; all arithmetic in arbitrary
-  precision.
+  with a divisibility chain d_1 | d_2 | ..., by one elimination loop that
+  pivots on the smallest entry, which keeps U and V small; all arithmetic
+  in arbitrary precision.
 * :func:`quotient_invariants` — free rank and elementary divisors of a lattice
   quotient ℤ^d / ⟨generators⟩, read off the Smith form.
 * :class:`FPAbelianGroup` — a finitely presented abelian group given by
@@ -75,6 +76,18 @@ class SmithDecomposition(NamedTuple):
 
 
 def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SmithDecomposition:
+    """U·M·V = D by one elimination loop over the diagonal positions t.
+
+    Each pass moves the smallest nonzero entry of the block past t to (t, t)
+    (ties keep the current pivot) and clears its row and column.  A nonzero
+    remainder is smaller than the pivot and becomes the next pass's pivot.
+    When nothing is left and the pivot divides the whole block, t moves on;
+    otherwise the row of an entry it does not divide is added to row t, and
+    clearing that row leaves a remainder.  So every repeat pass at t has a
+    strictly smaller pivot, and the loop ends.  Pivoting on the smallest
+    entry keeps U and V small; naive elimination lets them blow up
+    (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+    """
     M = _freeze(matrix)
     rows = len(M)
     cols = len(M[0]) if rows else 0
@@ -87,77 +100,40 @@ def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SmithDecomposition:
         u[i] = [x - c * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, c):  # col_i -= c * col_j  (applied to a and v)
-        for r in a:
-            r[i] -= c * r[j]
-        for r in v:
+        for r in a + v:
             r[i] -= c * r[j]
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def diagonalize():
-        t = 0
-        while t < min(rows, cols):
-            # find pivot: smallest |entry| in the remaining block
-            pivot = None
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                        best = abs(a[i][j])
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
-            # clear row and column t by Euclidean steps
-            while True:
-                progressed = False
-                for i in range(t + 1, rows):
-                    if a[i][t] != 0:
-                        c = a[i][t] // a[t][t]
-                        row_op(i, t, c)
-                        if a[i][t] != 0:  # remainder smaller than pivot: swap up
-                            swap_rows(t, i)
-                            progressed = True
-                for j in range(t + 1, cols):
-                    if a[t][j] != 0:
-                        c = a[t][j] // a[t][t]
-                        col_op(j, t, c)
-                        if a[t][j] != 0:
-                            swap_cols(t, j)
-                            progressed = True
-                if not progressed:
-                    break
-            t += 1
-        for i in range(min(rows, cols)):
-            if a[i][i] < 0:
-                a[i] = [-x for x in a[i]]
-                u[i] = [-x for x in u[i]]
-
-    # diagonalize, then repair divisibility-chain violations by folding the
-    # offending column in and rediagonalizing; the violating entry strictly
-    # shrinks to a proper divisor each pass, so this terminates
-    diagonalize()
-    while True:
-        r = sum(1 for i in range(min(rows, cols)) if a[i][i] != 0)
-        bad = next(
-            (i for i in range(r - 1) if a[i + 1][i + 1] % a[i][i] != 0), None
-        )
-        if bad is None:
+    t = 0
+    while t < min(rows, cols):
+        block = [
+            (abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]
+        ]
+        if not block:
             break
-        col_op(bad, bad + 1, -1)  # col_bad += col_{bad+1}
-        diagonalize()
-    D = _freeze(a)
-    divisors = tuple(a[i][i] for i in range(min(rows, cols)) if a[i][i] != 0)
-    return SmithDecomposition(matrix=M, U=_freeze(u), D=D, V=_freeze(v), divisors=divisors)
+        _, i, j = min(block)
+        a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
+        for r in a + v:
+            r[t], r[j] = r[j], r[t]
+        p = a[t][t]
+        for i in range(t + 1, rows):
+            if a[i][t]:
+                row_op(i, t, a[i][t] // p)
+        for j in range(t + 1, cols):
+            if a[t][j]:
+                col_op(j, t, a[t][j] // p)
+        if abs(p) > 1:  # a unit pivot leaves no remainder and divides the block
+            if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1:]):
+                continue
+            bad = [i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1:])]
+            if bad:
+                row_op(t, bad[0], -1)
+                continue
+        if p < 0:
+            a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
+        t += 1
+    divisors = tuple(a[i][i] for i in range(t))
+    U, D, V = (tuple(map(tuple, x)) for x in (u, a, v))
+    return SmithDecomposition(matrix=M, U=U, D=D, V=V, divisors=divisors)
 
 
 class QuotientInvariants(Record):

@@ -1,5 +1,6 @@
 """Smith normal form, lattice quotients, and finitely presented abelian groups."""
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +94,58 @@ def test_snf_diagonal_matches_sympy(m):
     theirs = sympy_snf(sympy.Matrix(m))
     sy = [abs(theirs[i, i]) for i in range(min(theirs.shape)) if theirs[i, i] != 0]
     assert list(ours) == sy
+
+
+# relator matrices with entries at most 12 on which naive elimination (pivot
+# once per position, then repair the divisibility chain from position 0)
+# grows entries of tens of thousands of bits and takes seconds to minutes
+M1 = (
+    (0, 3, -2, 2, -6, 0), (-6, 1, -6, 1, 12, 3), (2, 0, 4, -1, 1, 0),
+    (4, -6, 0, -2, 0, -6), (1, 0, 2, -1, 0, -2), (0, 4, 2, -1, 0, -2),
+    (0, -6, 0, 0, 4, 3), (4, 3, 1, 12, 1, -1),
+)
+M2 = (
+    (3, -2, -2, -2, -6, 0, 4, 4), (-2, 4, 1, 0, 1, 0, 2, 0), (0, 4, 0, -1, 0, 0, 3, 0),
+    (3, 0, 0, 2, 0, 12, 0, -2), (2, 3, 3, -6, 12, 1, -6, 0), (0, 12, -6, 1, 3, 2, 2, 3),
+    (0, -2, -2, 3, 1, 1, 0, 3), (3, -1, 1, -6, 0, 0, -6, 1), (0, 0, 2, 4, -2, 0, 1, 0),
+    (-6, -1, 0, 2, 1, 3, 3, 1),
+)
+
+
+def sympy_divisors(m):
+    theirs = sympy_snf(sympy.Matrix(m))
+    return tuple(abs(theirs[i, i]) for i in range(min(theirs.shape)) if theirs[i, i] != 0)
+
+
+def transform_bits(snf):
+    return max(abs(x).bit_length() for mat in (snf.U, snf.V) for row in mat for x in row)
+
+
+@pytest.mark.parametrize("m, divisors", [(M1, (1,) * 6), (M2, (1,) * 7 + (5,))])
+def test_snf_small_transforms_on_relator_matrices(m, divisors):
+    snf = smith_normal_form(m)
+    assert snf.divisors == divisors == sympy_divisors(m)
+    assert mat_mul(mat_mul(snf.U, snf.matrix), snf.V) == snf.D
+    assert transform_bits(snf) <= 64
+
+
+relator_entries = st.sampled_from([0, 1, -1, 2, -2, 3, -3, 4, -6, 12])
+
+
+@given(
+    st.integers(1, 16).flatmap(
+        lambda r: st.integers(1, 12).flatmap(
+            lambda c: st.lists(
+                st.lists(relator_entries, min_size=c, max_size=c), min_size=r, max_size=r
+            )
+        )
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_snf_transforms_stay_small(m):
+    snf = smith_normal_form(m)
+    assert snf.divisors == sympy_divisors(m)
+    assert transform_bits(snf) <= 256
 
 
 def test_snf_edge_cases():

@@ -767,6 +767,40 @@ class TestOverBoundGroups:
             )
 
 
+class TestManyRelations:
+    """Ten relations over eight symbols whose eigenvalue group is Z/5.
+
+    Naive elimination grows the Smith form of these relator rows to entries
+    of tens of thousands of bits, and ``check`` then runs for minutes.
+    """
+
+    RELATIONS = [
+        "s1^3*s2^-2*s3^-2*s4^-2*s5^-6*s7^4*s8^4", "s1^-2*s2^4*s3*s5*s7^2",
+        "s2^4*s4^-1*s7^3", "s1^3*s4^2*s6^12*s8^-2",
+        "s1^2*s2^3*s3^3*s4^-6*s5^12*s6*s7^-6", "s2^12*s3^-6*s4*s5^3*s6^2*s7^2*s8^3",
+        "s2^-2*s3^-2*s4^3*s5*s6*s8^3", "s1^3*s2^-1*s3*s4^-6*s7^-6*s8",
+        "s3^2*s4^4*s5^-2*s7", "s1^-6*s2^-1*s4^2*s5*s6^3*s7^3*s8",
+    ]
+    CONFIG = {
+        "schema_version": 1, "group": "GL(2)", "genus": 1, "punctures": 2,
+        "eigenvalues": {"symbols": [f"s{k}" for k in range(1, 9)], "relations": RELATIONS},
+        "classes": [{"type": "semisimple", "coords": ["s1", "s2"]}],
+    }
+
+    def test_check_and_count_answer_fast(self, capsys, tmp_path):
+        path = write_config(tmp_path, self.CONFIG)
+        out = tmp_path / "out.json"
+        start = time.perf_counter()
+        assert main(["check", "--config", path, "--json", str(out)]) == 0
+        assert time.perf_counter() - start < 5.0
+        assert json.loads(out.read_text())["non_empty"] is False
+        start = time.perf_counter()
+        assert main(["count", "--config", path, "--json", str(out)]) == 0
+        assert time.perf_counter() - start < 5.0
+        assert json.loads(out.read_text())["polynomial"]["coefficients"] == []
+        assert "|X(F_q)| = 0" in capsys.readouterr().out
+
+
 class TestDegreeBound:
     """A count above ``MAX_DEGREE`` is refused before any power is taken."""
 

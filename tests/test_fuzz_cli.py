@@ -3,9 +3,11 @@
 Each draw takes a config from ``configs/`` and applies one to three
 mutations: a top-level value of the wrong type, an integer near the 4,300
 digits that Python converts between ``int`` and ``str``, a malformed
-eigenvalue word or symbol (in a relation or a class coordinate), a
-malformed group descriptor, a malformed ``overrides`` map or a malformed
-``oracle`` section.  ``count``, ``check``, ``table``, ``poset`` and
+eigenvalue word or symbol (in a relation or a class coordinate), 1 to 10
+relations over the config's own symbols with exponents in -12..12 in place
+of its relations (dense relator matrices, on which naive elimination
+blows up), a malformed group descriptor, a malformed ``overrides`` map or
+a malformed ``oracle`` section.  ``count``, ``check``, ``table``, ``poset`` and
 ``oracle`` then run in-process through ``cli.main``, each with ``--json``.
 Every run must exit 0, 2 or 3, print exactly one ``error[code]: message``
 line on stderr when it fails, raise nothing out of ``main`` and finish
@@ -136,13 +138,17 @@ override_maps = st.one_of(
 )
 
 
+def _word(terms) -> str:
+    return "*".join(f"{name}^{e}" for name, e in terms if e) or "1"
+
+
 @st.composite
 def mutations(draw, config: dict) -> None:
     """Apply one mutation to ``config`` in place."""
     kind = draw(st.sampled_from([  # repeated kinds are drawn more often
         "top", "genus", "genus", "punctures", "punctures", "group", "relation",
-        "relation", "symbol", "coords", "coords", "coords", "class", "overrides",
-        "oracle", "oracle",
+        "relation", "relations", "symbol", "coords", "coords", "coords", "class",
+        "overrides", "oracle", "oracle",
     ]))
     if kind == "top":
         key = draw(st.sampled_from(TOP_KEYS))
@@ -160,6 +166,17 @@ def mutations(draw, config: dict) -> None:
         items = list(items) if isinstance(items, list) else []
         items.insert(draw(st.integers(0, len(items))), draw(words))
         section[field] = items
+    elif kind == "relations":
+        section = config.get("eigenvalues")
+        if not isinstance(section, dict):
+            section = config["eigenvalues"] = {}
+        symbols = section.get("symbols")
+        symbols = [x for x in symbols if isinstance(x, str)] if isinstance(symbols, list) else []
+        if symbols:
+            rows = st.lists(st.integers(-12, 12), min_size=len(symbols), max_size=len(symbols))
+            section["relations"] = [
+                _word(zip(symbols, row)) for row in draw(st.lists(rows, min_size=1, max_size=10))
+            ]
     elif kind == "coords":
         classes = config.get("classes")
         classes = classes if isinstance(classes, list) else []
