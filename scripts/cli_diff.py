@@ -37,6 +37,10 @@ exit code, stdout, stderr and the ``--json`` payload apart from
   ``SO(5) x GL(2)`` (6 types over 10 orbits) and B3(ad) at genus 3.  The
   master sum gathers the orbits of one type before it multiplies by the
   type's Poincare power, so these are the rows where that grouping shows;
+* ``count --table`` on ``LARGE_ORBITS``, GL(7) at genus 1 with one class
+  whose eigenvalues have product 1: 877 closed subsystems in 15 Weyl
+  orbits, so each orbit map images many carried classes, each once,
+  for both the orbit counts and Delta;
 * ``count --table``, ``table`` and ``check`` on the carry matrix
   (``carry_config``): PGL(3), SO(5), B3(ad) and ``SO(5) x GL(2)``, groups
   with torsion in X^vee / Z Phi^vee and Weyl orbits of several closed
@@ -139,6 +143,13 @@ CARRY_GROUPS = (
 HIGH_GENUS = (
     ("GL(2)", 125, 2), ("GL(3)", 40, 3), ("GL(4)", 10, 4), ("G2", 20, 2), ("F4", 9, 4),
 )
+# GL(7), genus 1, one class of determinant 1: 877 nodes in 15 Weyl orbits
+GL7_SYMBOLS = [f"a{i}" for i in range(1, 8)]
+LARGE_ORBITS = {
+    "schema_version": 1, "group": "GL(7)", "genus": 1, "punctures": 2,
+    "eigenvalues": {"symbols": GL7_SYMBOLS, "relations": ["*".join(GL7_SYMBOLS) + " = 1"]},
+    "classes": [{"type": "semisimple", "coords": GL7_SYMBOLS}],
+}
 # (group, genus): non-empty m = 1 carry problems with repeated Cartan types
 CARRY_HIGH_GENUS = (("SO(5) x GL(2)", 3), ("B3(ad)", 3))
 # GL(2) from the oracle workload's seed-0 problems, PGL(2) from configs/
@@ -266,6 +277,9 @@ def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
         path.write_text(json.dumps(dict(carry_config(build_root_datum(group), 1), genus=genus)))
         for command in ("count", "table"):
             runs.append((command, "--config", str(path)))
+    path = config_dir / "large-orbits.json"
+    path.write_text(json.dumps(LARGE_ORBITS))
+    runs.append(("count", "--config", str(path), "--table"))
     for group, label in CARRY_GROUPS:
         rd = build_root_datum(group)
         for m, overrides in ((1, {}), (2, {}), (3, {}), (2, {label: False})):

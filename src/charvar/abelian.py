@@ -4,10 +4,10 @@ Three layers, each feeding the next:
 
 * :func:`smith_normal_form` — U·M·V = D with U, V unimodular and D diagonal
   with a divisibility chain d_1 | d_2 | ..., by one elimination loop that
-  pivots on the smallest entry, which keeps U and V small; all arithmetic
-  in arbitrary precision.
+  pivots on the smallest entry, which keeps V small (U is not built); all
+  arithmetic in arbitrary precision.
 * :func:`quotient_invariants` — free rank and elementary divisors of a lattice
-  quotient ℤ^d / ⟨generators⟩, read off the Smith form.
+  quotient ℤ^d / ⟨generators⟩, with V as its basis, read off the Smith form.
 * :class:`FPAbelianGroup` — a finitely presented abelian group given by
   relator rows over its generators (multiplicative notation outside, exponent
   vectors inside), with canonical coordinates of A/dA as an
@@ -66,10 +66,9 @@ def is_prime(n: int) -> bool:
 
 
 class SmithDecomposition(NamedTuple):
-    """U·M·V = D with U, V unimodular and D in Smith normal form."""
+    """U·M·V = D with U, V unimodular and D in Smith normal form; U is not kept."""
 
     matrix: IntMatrix
-    U: IntMatrix
     D: IntMatrix
     V: IntMatrix
     divisors: tuple[int, ...]  # nonzero diagonal entries, divisibility-sorted
@@ -85,19 +84,17 @@ def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SmithDecomposition:
     otherwise the row of an entry it does not divide is added to row t, and
     clearing that row leaves a remainder.  So every repeat pass at t has a
     strictly smaller pivot, and the loop ends.  Pivoting on the smallest
-    entry keeps U and V small; naive elimination lets them blow up
-    (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+    entry keeps V small; naive elimination lets it blow up (Kannan and
+    Bachem, SIAM J. Comput. 8, 1979).
     """
     M = _freeze(matrix)
     rows = len(M)
     cols = len(M[0]) if rows else 0
     a = [list(r) for r in M]
-    u = [list(r) for r in identity(rows)]
     v = [list(r) for r in identity(cols)]
 
-    def row_op(i, j, c):  # row_i -= c * row_j  (applied to a and u)
+    def row_op(i, j, c):  # row_i -= c * row_j
         a[i] = [x - c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - c * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, c):  # col_i -= c * col_j  (applied to a and v)
         for r in a + v:
@@ -111,7 +108,7 @@ def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SmithDecomposition:
         if not block:
             break
         _, i, j = min(block)
-        a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
+        a[t], a[i] = a[i], a[t]
         for r in a + v:
             r[t], r[j] = r[j], r[t]
         p = a[t][t]
@@ -129,11 +126,11 @@ def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SmithDecomposition:
                 row_op(t, bad[0], -1)
                 continue
         if p < 0:
-            a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
+            a[t] = [-x for x in a[t]]
         t += 1
     divisors = tuple(a[i][i] for i in range(t))
-    U, D, V = (tuple(map(tuple, x)) for x in (u, a, v))
-    return SmithDecomposition(matrix=M, U=U, D=D, V=V, divisors=divisors)
+    D, V = (tuple(map(tuple, x)) for x in (a, v))
+    return SmithDecomposition(matrix=M, D=D, V=V, divisors=divisors)
 
 
 class QuotientInvariants(Record):
@@ -172,6 +169,8 @@ class QuotientInvariants(Record):
 
 
 def quotient_invariants(ambient_rank: int, generators: Iterable[Sequence[int]]) -> QuotientInvariants:
+    """ℤ^d / ⟨generators⟩, d = ``ambient_rank``, off one Smith form: V is the
+    basis, and the divisors give the free rank and (those above 1) the torsion."""
     gens = _freeze(generators)
     for g in gens:
         if len(g) != ambient_rank:

@@ -84,7 +84,7 @@ def load_config(path: str) -> dict:
             "config-parse",
             f"{path}: line {err.lineno} column {err.colno}: {err.msg}",
         )
-    except ValueError as err:  # too many digits in an integer, or not UTF-8
+    except (ValueError, RecursionError) as err:  # too many digits, not UTF-8, too deep
         raise InvalidInputError("config-parse", f"{path}: {err}")
     if not isinstance(config, dict):
         raise InvalidInputError(
@@ -518,8 +518,8 @@ class UnitSpecialization:
     A; values with extra multiplicative relations (easy in a small field)
     specialize a different counting problem.  ``faithful`` compares the
     counting engine's pass counts over A (``symbolic``: the record's, by
-    Weyl orbit without an override) with those of the same orbits' node
-    maps on <g> (``count.orbit_maps``, once per q).  Equal counts suffice:
+    Weyl orbit without an override) with those of a ``count.Engine`` of
+    the specialized problem on the same orbits.  Equal counts suffice:
     phi is a homomorphism, so every tuple that dies in (X^vee/<Psi>) (x) A also
     dies in (X^vee/<Psi>) (x) Z/(q-1), and with equal counts no other tuple can.
     Comparing per orbit loses nothing, because an orbit's count is the
@@ -535,7 +535,6 @@ class UnitSpecialization:
         )
         self.logs = {pow(self.g, k, q): k for k in range(q - 1)}
         self.datum = charsum.EigenvalueDatum(("g",), (f"g^{q - 1}",))
-        self.maps = count.orbit_maps(build_poset(spec.rd), self.datum.group, symbolic)
 
     def specialize(self, values: dict) -> count.ProblemSpec | None:
         """The problem over <g> at ``values`` (residues mod q), or None.
@@ -574,7 +573,7 @@ class UnitSpecialization:
         ]
 
     def faithful(self, concrete: count.ProblemSpec) -> bool:
-        return count.orbit_pass_counts(count.Engine(concrete), self.maps) == self.symbolic
+        return self.symbolic.items() <= count.Engine(concrete).pass_counts.items()
 
 
 def cmd_oracle(args) -> tuple[int, dict, str]:

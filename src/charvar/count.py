@@ -17,18 +17,19 @@ with chi = 2g + n - 2 and (q-1)^a q^b = z_factor |B|^chi, where D(Psi')
 adds up the local factor Delta over all W^m-translates of the semisimple
 classes.  The membership test is compiled once per Weyl orbit of closed
 subsystems into an additive map to a finitely generated abelian group
-(``orbit_maps``): S dies at w(Psi_0) exactly when w^-1 S
+(``Engine.maps``): S dies at w(Psi_0) exactly when w^-1 S
 (``SubsystemPoset.carry``) dies at the orbit's first node Psi_0, and a
 product of translates dies exactly when the images of its factors sum to
-zero.  D is constant on Weyl orbits, and
-summed over an orbit it needs no translate of the first class
-(``orbit_pass_counts``): only the (m-1)-tuples of translates of the other
-classes are counted.  Those are zero sums: each class contributes the
-histogram of its |W| translate images, the classes are convolved in two
-halves once per orbit, each member's carried first class shifting one of
-them, and one dictionary lookup per entry of one half against the negated
-other half counts the zero sums -- |W|^floor((m-1)/2) + |W|^ceil((m-1)/2)
-entries per orbit rather than |W|^m products, one image per node at m = 1.
+zero.  D is constant on Weyl orbits, and summed over an orbit it needs
+no translate of the first class (``orbit_pass_counts``): only the
+(m-1)-tuples of translates of the other classes are counted.  Those are
+zero sums: each class contributes the histogram of its |W| translate
+images, the classes are convolved in two halves once per orbit, each
+member's image of the carried first class (``Engine.images``, read by
+Delta too at m = 1) shifting one of them, and one dictionary lookup per
+entry of one half against the negated other half counts the zero sums --
+|W|^floor((m-1)/2) + |W|^ceil((m-1)/2) entries per orbit rather than
+|W|^m products, one image per node at m = 1.
 
 The inner sum is ``mobius_sum`` of the D values, one per orbit, over the
 Mobius row summed by orbit.  Every factor of a summand is W-invariant, so
@@ -59,11 +60,11 @@ warns when the two disagree.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from functools import cached_property
 from typing import NamedTuple
 
-from .abelian import AdditiveMap, FPAbelianGroup
+from .abelian import AdditiveMap
 from .charsum import (
     EigenvalueDatum,
     SymbolicTorusElement,
@@ -173,7 +174,7 @@ def validate_problem(spec: ProblemSpec) -> None:
     """Check every hypothesis of the counting theorem, naming failures.
 
     A poset above the enumeration bound is refused (``poset-bound``) before
-    the first strongly-regular test, which loops over all of W.
+    the strongly-regular tests; without Steinberg's shortcut they loop over W.
     """
     rd = spec.rd
     if spec.genus < 0:
@@ -250,8 +251,8 @@ class Engine(Record):
     By Weyl orbit index: ``overrides``, ``maps`` over the eigenvalue group
     and ``pass_counts`` within ``budget``.  ``full`` is the full coroot
     system's node, ``computed`` and ``nonempty`` the verdicts on the class
-    ``product`` there before and after an override, and ``carried`` the
-    first class carried to every node.
+    ``product`` there before and after an override, and ``images`` the
+    first class carried to every node and imaged under its orbit's map.
     """
 
     _compared = ("spec", "budget")
@@ -272,9 +273,9 @@ class Engine(Record):
         return resolve_overrides(self.poset, dict(self.spec.overrides))
 
     @cached_property
-    def maps(self) -> dict[int, AdditiveMap]:
-        orbits = range(len(self.poset.orbits()))
-        return orbit_maps(self.poset, self.spec.eigenvalues.group, orbits)
+    def maps(self) -> list[AdditiveMap]:
+        group, poset = self.spec.eigenvalues.group, self.poset
+        return [node_map(poset.quotient(orbit[0]), group) for orbit in poset.orbits()]
 
     @cached_property
     def product(self) -> tuple[int, ...]:
@@ -288,20 +289,18 @@ class Engine(Record):
     def nonempty(self) -> bool:
         return self.overrides.get(self.poset.orbit_of(self.full), self.computed)
 
+    def carry_images(self, vector: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """``vector`` carried to every node and imaged there under its orbit's map."""
+        carried = enumerate(self.poset.carry(vector))
+        return [self.maps[self.poset.orbit_of(j)].image(v) for j, v in carried]
+
     @cached_property
-    def carried(self) -> list[tuple[int, ...]]:
-        return self.poset.carry(self.spec.semisimple_classes[0].flat())
+    def images(self) -> list[tuple[int, ...]]:
+        return self.carry_images(self.spec.semisimple_classes[0].flat())
 
     @cached_property
     def pass_counts(self) -> dict[int, int]:
-        return orbit_pass_counts(self, self.maps)
-
-
-def orbit_maps(
-    poset: SubsystemPoset, group: FPAbelianGroup, orbits: Iterable[int]
-) -> dict[int, AdditiveMap]:
-    """By index, for each orbit in ``orbits``, its first node's map over ``group``."""
-    return {k: node_map(poset.quotient(poset.orbits()[k][0]), group) for k in orbits}
+        return orbit_pass_counts(self)
 
 
 def mobius_sum(row: Mapping[int, int], values: list[Poly]) -> Poly:
@@ -316,23 +315,25 @@ def mobius_sum(row: Mapping[int, int], values: list[Poly]) -> Poly:
 def delta_values(engine: Engine) -> list[Poly]:
     """Delta at every node: the quotient factor where the product dies, else 0.
 
-    An override replaces the computed indicator at every node of its orbit.
+    The class product is imaged at every node (at m = 1 it is the first
+    class, ``engine.images``).  An override replaces the computed
+    indicator at every node of its orbit.
     """
     poset, orbits = engine.poset, engine.poset.orbits()
-    carried = engine.carried if engine.spec.m == 1 else poset.carry(engine.product)
+    images = engine.images if engine.spec.m == 1 else engine.carry_images(engine.product)
     return [
         quotient_factor(poset.quotient(orbits[k][0]))
-        if engine.overrides.get(k, engine.maps[k].in_kernel(carried[j]))
+        if engine.overrides.get(k, not any(images[j]))
         else Poly()
         for j, k in enumerate(map(poset.orbit_of, range(poset.num_nodes)))
     ]
 
 
-def orbit_pass_counts(engine: Engine, maps: dict[int, AdditiveMap]) -> dict[int, int]:
+def orbit_pass_counts(engine: Engine) -> dict[int, int]:
     """By Weyl orbit index, the number of W^m-translate tuples whose product dies.
 
-    ``maps`` are ``orbit_maps`` of ``engine``'s problem; each of their
-    orbits gets D(Psi), the same number at every Psi in the orbit.  The
+    Every orbit of ``engine``'s poset gets D(Psi), read through its map in
+    ``engine.maps``: the same number at every Psi in the orbit.  The
     count rests on W-invariance: w.S dies in Psi exactly when S dies in
     w^-1 Psi, and left multiplication by w permutes the translate tuples.
     Grouping the tuples by their first translate w therefore gives
@@ -349,11 +350,12 @@ def orbit_pass_counts(engine: Engine, maps: dict[int, AdditiveMap]) -> dict[int,
     sum to zero.  S_2 .. S_m are split into two halves; each half's
     histogram of image sums at Psi_0 is the convolution of its classes'
     histograms of |W| translate images, the left one shifted by the image
-    of each member's carried S_1, and the zero sums are counted with one
-    lookup per left entry against the negated right half.  With m = 1 both
-    halves are empty: N(Psi') is 1 or 0 as S_1 dies at Psi' or not, no
-    translate is computed and W is not enumerated (|W| = P_Phi(1) is read
-    at the poset's full node).  ``budget`` bounds the histogram entries:
+    of each member's carried S_1 (``engine.images``), and the zero sums
+    are counted with one lookup per left entry against the negated right
+    half.  With m = 1 both halves are empty: N(Psi') is 1 or 0 as the
+    image of S_1 at Psi' is zero or not, no translate is computed and W is
+    not enumerated (|W| = P_Phi(1) is read at the poset's full node).
+    ``budget`` bounds the histogram entries:
     a strongly regular class has |W| distinct translates, so the halves
     hold at most |W|^floor((m-1)/2) + |W|^ceil((m-1)/2) entries.
     """
@@ -372,11 +374,10 @@ def orbit_pass_counts(engine: Engine, maps: dict[int, AdditiveMap]) -> dict[int,
     weyl = enumerate_weyl(spec.rd) if rest else ()
     translates = [[translate(w, s).flat() for w in weyl] for s in rest]
     counts = {}
-    for k, nmap in maps.items():
-        orbit = poset.orbits()[k]
+    for k, (nmap, orbit) in enumerate(zip(engine.maps, poset.orbits())):
         left = _sum_histogram(nmap, translates[:half])
         right = _sum_histogram(nmap, translates[half:])
-        starts = Counter(nmap.image(engine.carried[j]) for j in orbit)
+        starts = Counter(engine.images[j] for j in orbit)
         passing = sum(
             n * mult * right.get(nmap.negate(nmap.add(start, x)), 0)
             for start, n in starts.items()

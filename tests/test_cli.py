@@ -77,6 +77,16 @@ class TestLoadConfig:
         assert main(["count", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error[config-parse]")
 
+    @pytest.mark.parametrize("command", ["count", "table", "check", "poset", "oracle"])
+    def test_nesting_deeper_than_the_recursion_limit_exits_2(self, capsys, tmp_path, command):
+        """json.load raises RecursionError on nesting past the recursion limit."""
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config-parse]")
+        assert "Traceback" not in err
+
     def test_top_level_must_be_object(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

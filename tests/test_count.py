@@ -12,6 +12,7 @@ Expected polynomials come from three independent sources, all frozen here:
   values.
 """
 
+import functools
 import json
 import pathlib
 import time
@@ -21,6 +22,7 @@ import pytest
 
 import qpoly_reference
 from charvar import charsum, cli, count, rootdata
+from charvar.abelian import AdditiveMap
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement, node_map
 from charvar.count import (
     CountReport,
@@ -654,22 +656,12 @@ def test_master_sum_multiplies_by_each_type_power_once(
     assert report.polynomial * order ** spec.m == expected
 
 
-def test_oracle_compiles_maps_only_for_the_orbits_it_compares(monkeypatch, tmp_path):
-    config = json.loads((CONFIGS / "gl2_genus1.json").read_text())
-    config["overrides"] = {"empty": False}
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    compiled = _count_node_maps(monkeypatch)
-    assert cli.main(["oracle", "--config", str(path), "--seed", "0", "--threads", "1"]) == 0
-    # 2 orbit maps over A for the one engine record, then, at each of
-    # q = 5, 7, one map for the orbit without the override
-    assert len(compiled) == 4
-
-
 def test_oracle_builds_one_engine_record(monkeypatch, capsys):
     """The count and the faithfulness test share one record: over A, its
     orbit maps (one node map per orbit) and its orbit counts are computed
-    once per run (twice each when the oracle built a record of its own)."""
+    once per run (twice each when the oracle built a record of its own).
+    Over <g>, each specialized problem's orbit counts come from a record
+    of its own, with no maps compiled outside it."""
     calls = Counter()
 
     def counting(owner, name, over_a):
@@ -683,24 +675,70 @@ def test_oracle_builds_one_engine_record(monkeypatch, capsys):
 
     over_a = tuple("abcd")  # the symbols of A; <g> has one
     counting(count.Engine, "__init__", lambda _, spec, *__: spec.eigenvalues.symbols == over_a)
-    counting(count, "orbit_maps", lambda poset, group, orbits: group.generator_count == 4)
+    real_maps = count.Engine.maps.func
+
+    def maps(engine):
+        calls["maps", engine.spec.eigenvalues.symbols == over_a] += 1
+        return real_maps(engine)
+
+    filled = functools.cached_property(maps)
+    filled.__set_name__(count.Engine, "maps")
+    monkeypatch.setattr(count.Engine, "maps", filled)
     for owner in (count, charsum):
         counting(owner, "node_map", lambda inv, group: group.generator_count == 4)
     counting(
-        count, "orbit_pass_counts", lambda engine, _: engine.spec.eigenvalues.symbols == over_a
+        count, "orbit_pass_counts", lambda engine: engine.spec.eigenvalues.symbols == over_a
     )
     config = str(CONFIGS / "gl2_sphere_generic.json")
     assert cli.main(["oracle", "--config", config, "--seed", "0", "--threads", "1"]) == 0
     assert "verdict: MATCH" in capsys.readouterr().out
     assert len(build_poset(build_root_datum("GL(2)")).orbits()) == 2
-    # over <g>, at each of q = 5, 7: one set of maps, one per orbit, and
-    # one record of the specialized problem, whose orbits are counted once
+    # over <g>, at each of q = 5, 7: one record of the specialized problem,
+    # whose maps (one per orbit) are filled once and orbits counted once
     assert calls == {
         ("__init__", True): 1, ("__init__", False): 2,
-        ("orbit_maps", True): 1, ("orbit_maps", False): 2,
+        ("maps", True): 1, ("maps", False): 2,
         ("node_map", True): 2, ("node_map", False): 4,
         ("orbit_pass_counts", True): 1, ("orbit_pass_counts", False): 2,
     }
+
+
+def test_one_class_count_images_each_node_once(monkeypatch, capsys):
+    """At m = 1 the orbit counts and Delta read one image per node; the
+    other images are the strong-regularity test's and the full node's
+    emptiness verdict.  ``check`` reads the verdict and images no node."""
+    spec = gl_genus_one(7)
+    poset = build_poset(spec.rd)
+    images = []
+    real = AdditiveMap.image
+
+    def image(self, vector):
+        images.append(vector)
+        return real(self, vector)
+
+    monkeypatch.setattr(AdditiveMap, "image", image)
+    count.validate_problem(spec)
+    regularity = len(images)
+    images.clear()
+    report = count_polynomial(spec)
+    assert report.table and not report.is_empty
+    assert (poset.num_nodes, len(poset.orbits())) == (877, 15)
+    assert len(images) <= poset.num_nodes + regularity + 1
+
+    engines = []
+    real_init = count.Engine.__init__
+
+    def init(self, *args, **kwargs):
+        engines.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(count.Engine, "__init__", init)
+    monkeypatch.setattr(cli, "build_problem", lambda config: spec)
+    config = str(CONFIGS / "gl3_genus1_generic.json")
+    assert cli.main(["check", "--config", config]) == 0
+    assert "non-emptiness: ok" in capsys.readouterr().out
+    assert len(engines) == 1
+    assert "computed" in vars(engines[0]) and "images" not in vars(engines[0])
 
 
 def test_one_class_count_carries_the_class_once(monkeypatch, capsys):

@@ -44,8 +44,8 @@ ROW = TableRow("A1", 1, 2, "q + 1", "Z", 1, 1, "q - 1", "q - 1", False)
 # (record, its fields in order with sample values, defaults of trailing fields)
 RECORDS = [
     (SmithDecomposition, {
-        "matrix": ((2, 0), (0, 3)), "U": ((1, 0), (0, 1)), "D": ((1, 0), (0, 6)),
-        "V": ((1, 0), (0, 1)), "divisors": (1, 6),
+        "matrix": ((2, 0), (0, 3)), "D": ((1, 0), (0, 6)), "V": ((1, 0), (0, 1)),
+        "divisors": (1, 6),
     }, {}),
     (AdditiveMap, {"functionals": (((0, 1),),), "moduli": (2,)}, {}),
     (QuotientInvariants, {
@@ -178,7 +178,7 @@ def test_group_coordinates_are_not_compared():
 def test_engine_fields_are_filled_on_first_use_and_not_compared():
     filled, fresh = Engine(SPEC), Engine(SPEC)
     assert filled.pass_counts is filled.pass_counts  # computed once, then kept
-    assert {"poset", "maps", "carried", "pass_counts"} <= set(vars(filled))
+    assert {"poset", "maps", "images", "pass_counts"} <= set(vars(filled))
     assert set(vars(fresh)) == {"spec", "budget"}
     assert filled == fresh and hash(filled) == hash(fresh)
     with pytest.raises(AttributeError):

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charvar.abelian import is_dth_power, is_identity, smith_normal_form
+from charvar.cli import UnitSpecialization
 from charvar.charsum import (
     EigenvalueDatum,
     SymbolicTorusElement,
@@ -35,7 +36,6 @@ from charvar.count import (
     Engine,
     ProblemSpec,
     count_polynomial,
-    orbit_pass_counts,
     resolve_overrides,
 )
 from charvar.errors import CharvarError
@@ -178,9 +178,14 @@ def test_orbit_counts_match_per_node_join(spec, data):
     assert engine.overrides == overridden
     symbolic = {k: n for k, n in engine.pass_counts.items() if k not in engine.overrides}
     assert symbolic == {k: per_node[orbit[0]] for k, orbit in kept.items()}
-    # the faithfulness test counts over the kept orbits' maps alone
-    kept_maps = {k: engine.maps[k] for k in kept}
-    assert orbit_pass_counts(engine, kept_maps) == symbolic
+    # every orbit is counted, overridden or not, and the faithfulness test
+    # compares the kept orbits alone: the problem is faithful to itself,
+    # and a changed count on a kept orbit is caught
+    assert engine.pass_counts == {k: per_node[o[0]] for k, o in enumerate(poset.orbits())}
+    assert UnitSpecialization(spec, 5, symbolic).faithful(spec)
+    for k in list(kept)[:1]:
+        changed = {**symbolic, k: symbolic[k] + 1}
+        assert not UnitSpecialization(spec, 5, changed).faithful(spec)
 
 
 def _redraw_surface(spec: ProblemSpec, data) -> ProblemSpec:
