@@ -37,6 +37,11 @@ exit code, stdout, stderr and the ``--json`` payload apart from
   ``SO(5) x GL(2)`` (6 types over 10 orbits) and B3(ad) at genus 3.  The
   master sum gathers the orbits of one type before it multiplies by the
   type's Poincare power, so these are the rows where that grouping shows;
+* ``check`` and ``count`` on ``STABILIZER``, one genus-1 class each on
+  the paths only the Weyl stabilizer decides: SO(5) with a^2 = b^2 = 1 and
+  PGL(2) with t^2 = 1, regular but fixed by a w != 1 (exit 2,
+  ``strongly-regular``), and GL(3) with t^2 = u^2 = 1, PGL(3) and B3(ad),
+  strongly regular (exit 0);
 * ``count --table`` on ``LARGE_ORBITS``, GL(7) at genus 1 with one class
   whose eigenvalues have product 1: 877 closed subsystems in 15 Weyl
   orbits, so each orbit map images many carried classes, each once,
@@ -150,6 +155,16 @@ LARGE_ORBITS = {
     "eigenvalues": {"symbols": GL7_SYMBOLS, "relations": ["*".join(GL7_SYMBOLS) + " = 1"]},
     "classes": [{"type": "semisimple", "coords": GL7_SYMBOLS}],
 }
+# (group, symbols, relations, coords): genus 1, one class, on the paths the
+# Weyl stabilizer decides.  SO(5) and PGL(2) are regular but fixed by a
+# w != 1 (exit 2, strongly-regular); the others are strongly regular (exit 0)
+STABILIZER = (
+    ("SO(5)", ["a", "b"], ["a^2", "b^2"], ["a", "b"]),
+    ("PGL(2)", ["t"], ["t^2"], ["t"]),
+    ("GL(3)", ["a", "t", "u"], ["t^2", "u^2"], ["a", "a*t", "a*u"]),
+    ("PGL(3)", ["a", "b"], [], ["a", "b"]),
+    ("B3(ad)", ["a", "b", "c"], [], ["a", "b", "c"]),
+)
 # (group, genus): non-empty m = 1 carry problems with repeated Cartan types
 CARRY_HIGH_GENUS = (("SO(5) x GL(2)", 3), ("B3(ad)", 3))
 # GL(2) from the oracle workload's seed-0 problems, PGL(2) from configs/
@@ -276,6 +291,15 @@ def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
         path = config_dir / f"carry-high-genus-{group}-{genus}.json"
         path.write_text(json.dumps(dict(carry_config(build_root_datum(group), 1), genus=genus)))
         for command in ("count", "table"):
+            runs.append((command, "--config", str(path)))
+    for group, symbols, relations, coords in STABILIZER:
+        path = config_dir / f"stabilizer-{group}.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "group": group, "genus": 1, "punctures": 2,
+            "eigenvalues": {"symbols": symbols, "relations": relations},
+            "classes": [{"type": "semisimple", "coords": coords}],
+        }))
+        for command in ("check", "count"):
             runs.append((command, "--config", str(path)))
     path = config_dir / "large-orbits.json"
     path.write_text(json.dumps(LARGE_ORBITS))

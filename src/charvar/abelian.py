@@ -12,9 +12,9 @@ Three layers, each feeding the next:
   relator rows over its generators (multiplicative notation outside, exponent
   vectors inside), with canonical coordinates of A/dA as an
   :class:`AdditiveMap` (:func:`canonical_coordinates`, read off a Smith
-  form and kept on the group).  The word problem (:func:`is_identity`)
-  and the d-th-power test (:func:`is_dth_power`) ask whether a word lies
-  in the kernel of those coordinates.
+  form and kept on the group).  A word is the identity exactly when its
+  image is zero, and the d-th-power test (:func:`is_dth_power`) asks
+  whether a word lies in the kernel of the coordinates of A/dA.
 
 Matrices are tuples of tuples of ints; rows of a generator/relation matrix
 are the generating vectors/relators.  The package's identity matrix
@@ -210,10 +210,6 @@ class FPAbelianGroup(Record):
         if len(w) != self.generator_count:
             raise ValueError(f"word length {len(w)} != generator count {self.generator_count}")
         return w
-
-
-def is_identity(group: FPAbelianGroup, word: Sequence[int]) -> bool:
-    return canonical_coordinates(group).in_kernel(group._check(word))
 
 
 def _power_relations(group: FPAbelianGroup, d: int) -> IntMatrix:

@@ -12,7 +12,7 @@ On top of that this module provides:
 * ``translate`` / ``product_translate`` — the Weyl action on torus
   elements, and the product of several translated elements;
 * ``strongly_regular`` — no root trivial on S and trivial Weyl stabilizer,
-  the latter without a loop over W where Steinberg's theorem gives it;
+  both read from the root values on S, with no loop over W;
 * ``node_map`` — the test "S dies in (X^vee / <Psi>) (x) A", compiled
   for a closed subsystem Psi into an additive map to (+) Z/e (+) Z^f
   (the Smith form of <Psi> composed with canonical coordinates of each
@@ -39,19 +39,12 @@ from .abelian import (
     QuotientInvariants,
     canonical_coordinates,
     canonical_word,
-    is_identity,
     quotient_invariants,
 )
 from .errors import InvalidInputError
 from .qpoly import Poly
 from .record import Record
-from .rootdata import (
-    Matrix,
-    RootDatum,
-    Vector,
-    cocenter_invariants,
-    enumerate_weyl,
-)
+from .rootdata import Matrix, RootDatum, Vector
 
 Word = tuple[int, ...]
 
@@ -208,35 +201,46 @@ def product_translate(ws, elements) -> SymbolicTorusElement:
 def strongly_regular(rd: RootDatum, element: SymbolicTorusElement) -> bool:
     """No root evaluates to 1 on S, and only the identity of W fixes S.
 
-    Both clauses are decided inside A: a root kills S when the relations
-    force alpha(S) = 1, and w fixes S when every coordinate of w.S / S is
-    forced trivial.
-
-    The loop over W is skipped when X^vee / Z Phi^vee is torsion-free and
-    the torsion of A is cyclic (Steinberg's shortcut).  A then embeds in
-    C^x, and X^vee (x) - keeps the embedding injective, since X^vee is
-    free; so S is a regular element s of T(C), fixed by w exactly when S
-    is.  The derived group is simply connected, so by Steinberg ("Torsion
-    in reductive groups", 1975) the centralizer of s is connected, hence
-    equal to T, and the W-stabilizer of s is trivial.
+    A root kills S when the canonical image of alpha(S) in A is zero.  If
+    w.S = S, w maps each simple root alpha_i to a root b_i with b_i(S) =
+    alpha_i(S), and the b_i keep the Cartan integers; those bases are built
+    one simple root at a time.  Each other one is reduced: while some b_k
+    is negative, w becomes w s_k, so b becomes s_(b_k) b and S becomes
+    s_k S, and w.S stays.  This ends at the simple roots within |Phi+|
+    steps exactly when w lies in W (W acts simply transitively on bases,
+    Bourbaki VI 1.5), and then w.S is the reduced S.
     """
     if len(element.coords) != rd.rank:
         raise InvalidInputError(
             "torus-element", "torus element has wrong number of coordinates"
         )
-    group = element.datum.group
-    for i in rd.positive:
-        if is_identity(group, evaluate_character(rd.roots[i], element)):
-            return False
-    torsion = [e for e in canonical_coordinates(group).moduli if e]
-    if not cocenter_invariants(rd).torsion and len(torsion) <= 1:
-        return True
-    for w in enumerate_weyl(rd)[1:]:  # the identity comes first
-        moved = translate(w, element)
-        if all(
-            is_identity(group, tuple(a - b for a, b in zip(mc, ec)))
-            for mc, ec in zip(moved.coords, element.coords)
-        ):
+    image = canonical_coordinates(element.datum.group).image
+    values = [image(evaluate_character(root, element)) for root in rd.roots]
+    if not all(map(any, values)):
+        return False
+    simple, pairing, width = rd.simple_root_indices, rd.pairing, len(element.datum.symbols)
+    bases: list[tuple[int, ...]] = [()]
+    for a in simple:
+        bases = [
+            base + (b,)
+            for base in bases
+            for b, value in enumerate(values)
+            if value == values[a] and all(
+                pairing[c][b] == pairing[s][a] and pairing[b][c] == pairing[a][s]
+                for s, c in zip(simple, base)
+            )
+        ]
+    key = element.canonical_key()
+    for base in set(bases) - {simple}:
+        flat = element.flat()
+        for _ in range(rd.num_positive):
+            k = next((k for k, b in enumerate(base) if not rd.is_positive(b)), None)
+            if k is None:
+                break
+            base = tuple(map(rd.reflections[base[k]].__getitem__, base))
+            flat = rd.reflect(simple[k], flat)
+        moved = tuple(flat[k * width:(k + 1) * width] for k in range(rd.rank))
+        if base == simple and element._replace(coords=moved).canonical_key() == key:
             return False
     return True
 

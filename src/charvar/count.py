@@ -174,7 +174,7 @@ def validate_problem(spec: ProblemSpec) -> None:
     """Check every hypothesis of the counting theorem, naming failures.
 
     A poset above the enumeration bound is refused (``poset-bound``) before
-    the strongly-regular tests; without Steinberg's shortcut they loop over W.
+    the strongly-regular tests, so such a problem keeps its error code.
     """
     rd = spec.rd
     if spec.genus < 0:

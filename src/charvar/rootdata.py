@@ -5,12 +5,13 @@ tuples of roots (vectors in X) and coroots (vectors in the cocharacter
 lattice X^vee = Z^d, paired with X by the dot product).  Index i of
 ``roots`` corresponds to index i of ``coroots``; a ``positive`` index set
 fixes a choice of positive roots.  Everything is integral and hashable.
-What a datum derives (lookups, Gram matrices, center invariants, the Weyl
-group, the closed-subsystem poset, the dual) is built on first use and kept
-on it.
-The Weyl group is the tuple of its matrices on X^vee; the semisimple rank
-and the cocenter are read off the center invariants of the datum and of
-its dual.
+What a datum derives (lookups, the Cartan integers, the reflection table,
+Gram matrices, center invariants, the Weyl group, the closed-subsystem
+poset, the dual) is built on first use and kept on it.  The reflection
+table lists the index of s_i(beta_j) for every pair of roots; building it
+is the last axiom check.  The Weyl group is the tuple of its matrices on
+X^vee; the semisimple rank and the cocenter are read off the center
+invariants of the datum and of its dual.
 
 Construction goes through ``build_root_datum``, which accepts either a
 descriptor string — ``"GL(3)"``, ``"SO(5)"``, ``"Sp(4)"``, ``"SL(2)"``,
@@ -24,10 +25,9 @@ Per-component invariants are read from the Cartan type that
 ``classify_vectors`` assigns: Poincare polynomials from the fundamental
 degrees (Chevalley), the validity modulus from the lcm of the highest-root
 coefficients and the excluded primes from per-type tables.  The Weyl group
-enumerations (``enumerate_weyl``, ``subsystem_weyl_elements``) serve the
-translate sums of two or more classes, the strong-regularity loop where
-Steinberg's shortcut does not apply and, for W(Psi), the tests that check
-those tables.
+enumerations (``enumerate_weyl``, ``subsystem_weyl_elements``) serve only
+the translate sums of two or more classes and, for W(Psi), the tests that
+check those tables; strong regularity reads the reflection table instead.
 
 Conventions: the Cartan matrix entry C[i][j] equals <alpha_j, alpha_i^vee>
 (row index = coroot).  Simply connected data use the fundamental-weight
@@ -123,9 +123,6 @@ class RootDatum(Record):
         """dim G = |Phi| + rank of the torus."""
         return len(self.roots) + self.rank
 
-    def root_index(self, v: Vector) -> int:
-        return self.root_lookup[v]
-
     @cached_property
     def root_lookup(self) -> dict[Vector, int]:
         """Index of each root."""
@@ -144,7 +141,7 @@ class RootDatum(Record):
         return frozenset(self.positive)
 
     def negative_of(self, index: int) -> int:
-        return self.root_index(_neg(self.roots[index]))
+        return self.reflections[index][index]  # s_i(beta_i) = -beta_i
 
     # -- derived structure --------------------------------------------------
 
@@ -193,6 +190,53 @@ class RootDatum(Record):
         return quotient_invariants(self.rank, self.roots)
 
     @cached_property
+    def pairing(self) -> Matrix:
+        """The Cartan integers: ``pairing[i][j]`` = <beta_j, alpha_i^vee>."""
+        return tuple(tuple(_dot(b, av) for b in self.roots) for av in self.coroots)
+
+    @cached_property
+    def reflections(self) -> Matrix:
+        """Row i: per root j, the index of s_i(beta_j), which s_i(beta_j^vee) shares.
+
+        s_i maps beta_j to beta_j - pairing[i][j] alpha_i and beta_j^vee to
+        beta_j^vee - pairing[j][i] alpha_i^vee.  A missing image, or a coroot
+        image at another index, raises ``root-datum-axiom``.
+        """
+        lookup, croot_lookup, sub = self.root_lookup, self.coroot_lookup, operator.sub
+        pairing, rows = self.pairing, []
+        for i, (a, av) in enumerate(zip(self.roots, self.coroots)):
+            on_roots, on_coroots = pairing[i], [r[i] for r in pairing]
+            root_multiples = {p: [p * y for y in a] for p in set(on_roots)}
+            coroot_multiples = {p: [p * y for y in av] for p in set(on_coroots)}
+            row = []
+            for j, (b, bv) in enumerate(zip(self.roots, self.coroots)):
+                k = lookup.get(tuple(map(sub, b, root_multiples[on_roots[j]])))
+                if k is None:
+                    raise InvalidInputError(
+                        "root-datum-axiom",
+                        f"reflection in root {a} maps root {b} outside the root set",
+                    )
+                if croot_lookup.get(tuple(map(sub, bv, coroot_multiples[on_coroots[j]]))) != k:
+                    raise InvalidInputError(
+                        "root-datum-axiom",
+                        f"reflection in root {a} does not act compatibly "
+                        f"on root/coroot pair {j}",
+                    )
+                row.append(k)
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    def reflect(self, b: int, v: Vector) -> Vector:
+        """s_b v = v - <alpha_b, v> alpha_b^vee on each column of X^vee (x) Z^w.
+
+        ``v`` is flat, as ``SymbolicTorusElement.flat``: entry k * w + t is
+        coordinate k of column t.
+        """
+        w = len(v) // self.rank
+        value = [_dot(self.roots[b], v[t::w]) for t in range(w)]
+        return tuple(x - self.coroots[b][k // w] * value[k % w] for k, x in enumerate(v))
+
+    @cached_property
     def weyl_group(self) -> tuple[Matrix, ...]:
         """The Weyl group as matrices on X^vee, from the simple reflections (BFS)."""
         return _reflection_group(self, self.simple_root_indices)
@@ -230,7 +274,7 @@ def validate_root_datum(rd: RootDatum) -> None:
     Checks: coordinate shapes, <alpha, alpha^vee> = 2, distinctness,
     reducedness (no root is a multiple of another), the +/- partition
     defined by ``positive``, and stability of roots and coroots under every
-    reflection, with the SAME index bijection on both sides.
+    reflection with the SAME index bijection (``RootDatum.reflections``).
     """
     d = rd.rank
     if d < 0:
@@ -281,9 +325,8 @@ def validate_root_datum(rd: RootDatum) -> None:
         raise InvalidInputError(
             "root-datum-axiom", "positive roots must be exactly half of all roots"
         )
-    lookup = rd.root_lookup
     for i in pos:
-        j = lookup.get(_neg(rd.roots[i]))
+        j = rd.root_lookup.get(_neg(rd.roots[i]))
         if j is None:
             raise InvalidInputError(
                 "root-datum-axiom", f"negative of root {rd.roots[i]} is missing"
@@ -294,33 +337,7 @@ def validate_root_datum(rd: RootDatum) -> None:
                 f"roots {rd.roots[i]} and {rd.roots[j]} are both marked positive",
             )
 
-    # pairing[i][j] = <beta_j, alpha_i^vee>: s_alpha_i maps beta_j to beta_j -
-    # pairing[i][j] alpha_i, and beta_j^vee to beta_j^vee - pairing[j][i] alpha_i^vee;
-    # the multiples p alpha_i and p alpha_i^vee are built once per value p
-    croot_lookup, sub = rd.coroot_lookup, operator.sub
-    pairing = [[_dot(b, av) for b in rd.roots] for av in rd.coroots]
-    for i, (a, av) in enumerate(zip(rd.roots, rd.coroots)):
-        root_multiples: dict[int, list[int]] = {}
-        coroot_multiples: dict[int, list[int]] = {}
-        for j, (b, bv) in enumerate(zip(rd.roots, rd.coroots)):
-            p = pairing[i][j]
-            if p not in root_multiples:
-                root_multiples[p] = [p * y for y in a]
-            k = lookup.get(tuple(map(sub, b, root_multiples[p])))
-            if k is None:
-                raise InvalidInputError(
-                    "root-datum-axiom",
-                    f"reflection in root {a} maps root {b} outside the root set",
-                )
-            p = pairing[j][i]
-            if p not in coroot_multiples:
-                coroot_multiples[p] = [p * y for y in av]
-            if croot_lookup.get(tuple(map(sub, bv, coroot_multiples[p]))) != k:
-                raise InvalidInputError(
-                    "root-datum-axiom",
-                    f"reflection in root {a} does not act compatibly "
-                    f"on root/coroot pair {j}",
-                )
+    rd.reflections  # built once, checking every reflection on the way
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +581,9 @@ _FACTOR_RE = re.compile(
     r")$"
 )
 
+# the "x" of a product, not one inside a factor's parentheses
+_PRODUCT_RE = re.compile(r"x(?![^()]*\))")
+
 # lattice rank of a factor from its number, by the regex group holding it
 _FACTOR_RANK = {
     "gln": lambda n: n, "an": lambda n: n - 1,
@@ -644,7 +664,7 @@ def build_root_datum(descriptor: str | dict) -> RootDatum:
     if isinstance(descriptor, dict):
         rd = _build_explicit(descriptor)
     elif isinstance(descriptor, str):
-        factors = [part.strip() for part in descriptor.split("x")]
+        factors = [part.strip() for part in _PRODUCT_RE.split(descriptor)]
         if not factors or any(not part for part in factors):
             raise InvalidInputError("descriptor", f"empty factor in {descriptor!r}")
         matches = [_FACTOR_RE.match(part) for part in factors]

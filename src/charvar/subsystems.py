@@ -37,7 +37,6 @@ once and keeps it (``build_poset``).
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Mapping, Sequence
 from functools import cached_property
 from types import MappingProxyType
@@ -102,17 +101,8 @@ def closure(rd: RootDatum, indices) -> frozenset[int]:
 
 
 def _simple_reflections(rd: RootDatum) -> list[tuple[int, tuple[int, ...]]]:
-    """(a, bits) per simple root a: s_a(beta_k^vee) =
-    beta_k^vee - <alpha, beta_k^vee> alpha^vee is the coroot with bit bits[k]."""
-    lookup, out = rd.coroot_lookup, []
-    for a in rd.simple_root_indices:
-        root, coroot = rd.roots[a], rd.coroots[a]
-        bits = []
-        for v in rd.coroots:
-            p = sum(map(operator.mul, root, v))
-            bits.append(1 << lookup[tuple(x - p * y for x, y in zip(v, coroot))])
-        out.append((a, tuple(bits)))
-    return out
+    """(a, bits) per simple root a: s_a(beta_k^vee) is the coroot with bit bits[k]."""
+    return [(a, tuple(1 << k for k in rd.reflections[a])) for a in rd.simple_root_indices]
 
 
 def _orbit_tree(mask: int, reflections) -> dict[int, tuple[int, int] | None]:
@@ -220,10 +210,6 @@ class SubsystemPoset:
         return row
 
     @cached_property
-    def _reflections(self) -> dict[int, tuple[int, ...]]:
-        return dict(_simple_reflections(self.rd))
-
-    @cached_property
     def _node_permutations(self) -> dict[int, tuple[int, ...]]:
         """Per simple root a, node j -> the node s_a(j)."""
         node_of = {mask: j for j, mask in enumerate(self.masks)}
@@ -232,7 +218,7 @@ class SubsystemPoset:
                 node_of[sum(map(bits.__getitem__, _indices(mask)))]
                 for mask in self.masks
             )
-            for a, bits in self._reflections.items()
+            for a, bits in _simple_reflections(self.rd)
         }
 
     def mobius(self, i: int, j: int) -> int:
@@ -258,8 +244,7 @@ class SubsystemPoset:
         p's element once: w^-1 = w_p^-1 s_a = s_b w_p^-1 for alpha_b =
         w_p^-1 alpha_a, and s_b S = S - alpha_b(S) alpha_b^vee.
         """
-        rd, simple = self.rd, self._reflections
-        width = len(vector) // (rd.rank or 1)
+        rd = self.rd
         # node -> (w^-1 S, the root index of w^-1 alpha_k at k)
         done = {o[0]: (tuple(vector), range(rd.num_roots)) for o in self.orbits()}
 
@@ -267,14 +252,9 @@ class SubsystemPoset:
             if i not in done:
                 parent, a = self._moves[self.nodes[i]]
                 v, inverse = carried(self.index_of[parent])
-                b = inverse[a]
-                rows = [v[k * width:(k + 1) * width] for k in range(rd.rank)]
-                value = [sum(map(operator.mul, rd.roots[b], col)) for col in zip(*rows)]
-                done[i] = tuple(
-                    x - c * y
-                    for c, row in zip(rd.coroots[b], rows)
-                    for x, y in zip(row, value)
-                ), tuple(inverse[bit.bit_length() - 1] for bit in simple[a])
+                done[i] = rd.reflect(inverse[a], v), tuple(
+                    map(inverse.__getitem__, rd.reflections[a])
+                )
             return done[i]
 
         return [carried(i)[0] for i in range(self.num_nodes)]

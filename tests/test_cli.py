@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from charvar import charsum, cli, count, oracle
+from charvar import charsum, cli, count, oracle, rootdata
 from charvar.cli import build_problem, load_config, main
 from charvar.errors import InvalidInputError
 from charvar.oracle import FiniteGroupModel
@@ -364,7 +364,36 @@ class TestPosetCommand:
             assert node["torsion"] == list(direct[i].torsion)
 
 
+# genus 1, one class: groups with torsion in X^vee / Z Phi^vee, and GL(3)
+# over an eigenvalue group with non-cyclic torsion
+NO_WEYL_PROBLEMS = (
+    ("PGL(3)", ["a", "b"], [], ["a", "b"]),
+    ("SO(5)", ["a", "b"], [], ["a", "b"]),
+    ("B3(ad)", ["a", "b", "c"], [], ["a", "b", "c"]),
+    ("D4(ad)", ["a", "b", "c", "d"], [], ["a", "b", "c", "d"]),
+    ("SO(5) x GL(2)", ["a", "b", "c", "d"], [], ["a", "b", "c", "d"]),
+    ("GL(3)", ["a", "t", "u"], ["t^2", "u^2"], ["a", "a*t", "a*u"]),
+)
+
+
 class TestCheckCommand:
+    @pytest.mark.parametrize("command", ["check", "count"])
+    @pytest.mark.parametrize("group,symbols,relations,coords", NO_WEYL_PROBLEMS)
+    def test_strongly_regular_classes_pass_without_the_weyl_group(
+        self, capsys, tmp_path, monkeypatch, command, group, symbols, relations, coords
+    ):
+        def refuse(*args):
+            raise AssertionError("a Weyl group was enumerated")
+
+        monkeypatch.setattr(rootdata, "_reflection_group", refuse)
+        path = write_config(tmp_path, {
+            "schema_version": 1, "group": group, "genus": 1, "punctures": 2,
+            "eigenvalues": {"symbols": symbols, "relations": relations},
+            "classes": [{"type": "semisimple", "coords": coords}],
+        })
+        assert main([command, "--config", path]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_check_ok(self, capsys):
         code = main(["check", "--config", str(CONFIGS / "gl2_genus1.json")])
         assert code == 0

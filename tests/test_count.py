@@ -529,8 +529,8 @@ def test_one_class_needs_no_weyl_translate(monkeypatch):
 
 
 def test_one_class_enumerates_no_weyl_group(monkeypatch):
-    """|W| is P_Phi(1) at the full node, and strong regularity of a GL class
-    needs no loop over W (Steinberg's shortcut)."""
+    """|W| is P_Phi(1) at the full node, and strong regularity needs no loop
+    over W: it reads the root values on S and the reflection table."""
     spec = gl_genus_one(5)
     expected = qpoly_reference.reference_polynomial(spec)
 

@@ -83,7 +83,7 @@ def test_weyl_orders():
      "SO(5) x GL(2)", "T(2)"],
 )
 def test_weyl_enumeration_starts_at_the_identity(desc):
-    """``charsum.strongly_regular`` skips the first element as the identity."""
+    """The BFS from the identity lists it first, and only there."""
     rd = build_root_datum(desc)
     weyl = enumerate_weyl(rd)
     assert weyl[0] == identity(rd.rank)
@@ -506,6 +506,16 @@ def test_descriptor_above_the_rank_cap(monkeypatch, descriptor, rank):
     assert str(exc.value) == (
         f"group {descriptor!r} has lattice rank {rank}, above the cap 10"
     )
+
+
+@pytest.mark.parametrize("descriptor", ["E6(adx)", "B2(ax)", "B2(xx)", "GL(2) x B2(xx)"])
+def test_descriptor_splits_only_at_an_x_outside_parentheses(descriptor):
+    """An x inside a factor's parentheses is part of the factor the message quotes."""
+    factor = descriptor.split(" x ")[-1]
+    with pytest.raises(InvalidInputError) as exc:
+        build_root_datum(descriptor)
+    assert exc.value.code == "descriptor"
+    assert str(exc.value).startswith(f"cannot parse group descriptor {factor!r};")
 
 
 def test_rank_cap_admits_rank_ten():

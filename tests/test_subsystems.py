@@ -26,7 +26,12 @@ from charvar.count import (
 )
 from charvar.errors import InvalidInputError, ResourceLimitError
 from charvar.qpoly import Poly
-from charvar.rootdata import build_root_datum, classify_vectors, poincare_polynomial
+from charvar.rootdata import (
+    build_root_datum,
+    classify_vectors,
+    cocenter_invariants,
+    poincare_polynomial,
+)
 from charvar.subsystems import (
     SubsystemPoset,
     build_poset,
@@ -540,6 +545,7 @@ def test_b4_poset_takes_one_smith_form_per_orbit(monkeypatch):
     )
     # the (co)center's Smith forms are those of all (co)roots, as at the full node
     validate_problem(spec)
+    cocenter_invariants(spec.rd)
     poset = build_poset(spec.rd)
     nodes = {
         tuple(map(tuple, poset.coroot_vectors(i))): i for i in range(1, poset.num_nodes)

@@ -10,7 +10,7 @@ each product with the per-product Smith test the node map replaced: with
 U C V = D the Smith form of the coroots of Psi, the word
 b_j = sum_i V[i][j] S_i must be a d_j-th power along each torsion
 direction and trivial along each free one, asked through the public
-``is_dth_power`` and ``is_identity``.  The per-node one is the join the
+``is_dth_power`` and the reference's ``is_identity``.  The per-node one is the join the
 orbit count replaced (``translate_reference``), run at every node with all
 m classes translated.  A metamorphic test checks that the whole count is
 unchanged when a class is replaced by a Weyl translate or the classes are
@@ -23,7 +23,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charvar.abelian import is_dth_power, is_identity, smith_normal_form
+from charvar.abelian import is_dth_power, smith_normal_form
 from charvar.cli import UnitSpecialization
 from charvar.charsum import (
     EigenvalueDatum,
@@ -41,7 +41,7 @@ from charvar.count import (
 from charvar.errors import CharvarError
 from charvar.rootdata import build_root_datum, enumerate_weyl
 from charvar.subsystems import build_poset
-from translate_reference import node_pass_counts
+from translate_reference import is_identity, node_pass_counts
 
 # the largest m per group keeps |W|^m <= 576 brute-force products
 MAX_M = {"GL(2)": 3, "GL(3)": 3, "GL(4)": 2, "PGL(2)": 3, "SO(5)": 3, "G2": 2}

@@ -7,15 +7,17 @@ the histograms of all m classes' |W| translate images, convolved in two
 halves and joined by one lookup per left entry.  It shares with the engine
 only the node maps and the Weyl group.
 
-It also keeps the strong-regularity test as it was before Steinberg's
-shortcut: every nontrivial Weyl element is tried on S.
+It also keeps the strong-regularity test as a loop over W: every
+nontrivial Weyl element is tried on S, with the word problem of A
+(``is_identity``) deciding each coordinate of w.S / S.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 
-from charvar.abelian import AdditiveMap, is_identity
+from charvar.abelian import AdditiveMap, FPAbelianGroup, canonical_coordinates
 from charvar.charsum import SymbolicTorusElement, evaluate_character, translate
 from charvar.count import ProblemSpec
 from charvar.rootdata import RootDatum, enumerate_weyl
@@ -51,6 +53,11 @@ def _sum_histogram(
                 convolved[z] = convolved.get(z, 0) + a * b
         sums = convolved
     return sums
+
+
+def is_identity(group: FPAbelianGroup, word: Sequence[int]) -> bool:
+    """The word problem in A: is the word forced to 1 by the relations?"""
+    return canonical_coordinates(group).in_kernel(group._check(word))
 
 
 def strongly_regular(rd: RootDatum, element: SymbolicTorusElement) -> bool:
