@@ -17,7 +17,8 @@ exit code, stdout, stderr and the ``--json`` payload apart from
 * ``poset`` on the groups in ``POSET_GROUPS``, among them adjoint and
   product groups with several Weyl orbits per subsystem type (``#k`` and
   ``-long``/``-short`` labels), whose Mobius rows and quotients are
-  carried from one node of each orbit;
+  carried from one node of each orbit, and simply connected types, whose
+  positive roots are read in the fundamental-weight basis;
 * ``check``, ``count`` and ``table`` on ``OVER_BOUND``, a valid GL(8)
   problem above the poset bound (exit 3, ``poset-bound``), and ``check`` on
   its nonhyperbolic form (genus 0, 2 punctures);
@@ -95,11 +96,13 @@ import workloads  # noqa: E402  (perfbench/ is read, never written)
 
 # E6 is above the enumeration bound, so it checks the exit-3 poset-bound path;
 # the adjoint and product groups split one type into several orbits, so
-# their labels carry #k and -long/-short suffixes
+# their labels carry #k and -long/-short suffixes; the simply connected A3,
+# B3, C3 and D4 take their positive roots in the fundamental-weight basis
 POSET_GROUPS = (
     "SO(5)", "SO(7)", "SO(8)", "Sp(4)", "Sp(6)", "GL(4)", "PGL(3)", "SL(3)",
     "SO(5) x GL(2)", "F4", "G2", "GL(5)", "GL(6)", "E6",
     "B3(ad)", "C3(ad)", "D4(ad)", "SO(5) x SO(5)", "G2 x G2",
+    "A3", "B3", "C3", "D4",
 )
 GL8_SYMBOLS = [f"a{i}" for i in range(8)]
 OVER_BOUND = {

@@ -346,7 +346,7 @@ def _count_report(args, command: str) -> tuple[count.CountReport, dict]:
     """Count the configured problem; its report and the ``command`` payload."""
     spec = build_problem(load_config(args.config))
     budget = args.budget if args.budget is not None else count.DEFAULT_TRANSLATE_BUDGET
-    report = count.count_polynomial(spec, budget=budget)
+    report = count.count_polynomial(count.Engine(spec, budget))
     payload = _envelope(command)
     payload.update(report_payload(report))
     return report, payload

@@ -480,16 +480,15 @@ def expected_dimension(spec: ProblemSpec) -> int:
     return dim
 
 
-def count_polynomial(
-    spec: ProblemSpec | Engine, budget: int = DEFAULT_TRANSLATE_BUDGET
-) -> CountReport:
+def count_polynomial(spec: ProblemSpec | Engine) -> CountReport:
     """Run the master formula and assemble the full report.
 
-    ``spec`` may be an ``Engine``, with its own budget, for the caller to
-    read on.  A count of degree (the expected dimension) above
-    ``MAX_DEGREE`` is refused (``degree-bound``) before the poset is built.
+    ``spec`` may be an ``Engine``, which carries the translate budget, for
+    the caller to read on; a bare spec runs under the default budget.  A
+    count of degree (the expected dimension) above ``MAX_DEGREE`` is refused
+    (``degree-bound``) before the poset is built.
     """
-    engine = spec if isinstance(spec, Engine) else Engine(spec, budget)
+    engine = spec if isinstance(spec, Engine) else Engine(spec)
     spec = engine.spec
     validate_problem(spec)
     degree = expected_dimension(spec)

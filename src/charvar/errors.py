@@ -19,7 +19,7 @@ class CharvarError(Exception):
 
 
 class InvalidInputError(CharvarError):
-    """Malformed descriptors, config files, or explicit root data."""
+    """Invalid input: a malformed descriptor or config, or data that break an axiom."""
 
 
 class HypothesisError(CharvarError):

@@ -289,7 +289,6 @@ def build_model(family: str, size: int, q: int) -> FiniteGroupModel:
 class ConcreteClassData(NamedTuple):
     """A conjugacy class of the model: key, representative, size."""
 
-    label: str
     kind: str  # "semisimple" | "regular_unipotent"
     key: tuple
     rep: Matrix
@@ -323,7 +322,7 @@ def semisimple_class(
             tuple(values[i] if i == j else 0 for j in range(model.size))
             for i in range(model.size)
         )
-        label = f"semisimple{values}"
+        what = f"semisimple{values}"
     else:
         if len(values) != 1:
             raise InvalidInputError(
@@ -337,8 +336,8 @@ def semisimple_class(
                 f"eigenvalue ratio {ratio} is not strongly regular mod {q}",
             )
         rep = ((ratio, 0), (0, 1))
-        label = f"semisimple(ratio={values[0]})"
-    return _concrete_class(model, label, label, "semisimple", rep)
+        what = f"semisimple(ratio={values[0]})"
+    return _concrete_class(model, what, "semisimple", rep)
 
 
 def regular_unipotent_class(model: FiniteGroupModel) -> ConcreteClassData:
@@ -347,12 +346,11 @@ def regular_unipotent_class(model: FiniteGroupModel) -> ConcreteClassData:
         tuple(1 if j == i or j == i + 1 else 0 for j in range(model.size))
         for i in range(model.size)
     )
-    kind = "regular_unipotent"
-    return _concrete_class(model, kind, "regular unipotent class", kind, rep)
+    return _concrete_class(model, "regular unipotent class", "regular_unipotent", rep)
 
 
 def _concrete_class(
-    model: FiniteGroupModel, label: str, what: str, kind: str, rep: Matrix
+    model: FiniteGroupModel, what: str, kind: str, rep: Matrix
 ) -> ConcreteClassData:
     """The class of ``rep``, its size checked against ``class_size``."""
     rep = model.canonical(rep)
@@ -364,7 +362,7 @@ def _concrete_class(
             "class-size",
             f"{what} in {model.label} has size {size}, expected {expected}",
         )
-    return ConcreteClassData(label, kind, key, rep, size)
+    return ConcreteClassData(kind, key, rep, size)
 
 
 def group_order(family: str, size: int, q: int) -> int:

@@ -3,23 +3,27 @@
 A root datum is stored as a character lattice X = Z^d together with paired
 tuples of roots (vectors in X) and coroots (vectors in the cocharacter
 lattice X^vee = Z^d, paired with X by the dot product).  Index i of
-``roots`` corresponds to index i of ``coroots``; a ``positive`` index set
-fixes a choice of positive roots.  Everything is integral and hashable.
-What a datum derives (lookups, the Cartan integers, the reflection table,
-Gram matrices, center invariants, the Weyl group, the closed-subsystem
-poset, the dual) is built on first use and kept on it.  The reflection
-table lists the index of s_i(beta_j) for every pair of roots; building it
-is the last axiom check.  The Weyl group is the tuple of its matrices on
-X^vee; the semisimple rank and the cocenter are read off the center
-invariants of the datum and of its dual.
+``roots`` corresponds to index i of ``coroots``.  Everything is integral
+and hashable.  What a datum derives (lookups, the Cartan integers, the
+reflection table, Gram matrices, center invariants, the Weyl group, the
+closed-subsystem poset, the dual) is built on first use and kept on it.
+The reflection table lists the index of s_i(beta_j) for every pair of
+roots; building it is the last axiom check.  The Weyl group is the tuple of
+its matrices on X^vee; the semisimple rank and the cocenter are read off
+the center invariants of the datum and of its dual.
 
-Construction goes through ``build_root_datum``, which accepts either a
-descriptor string — ``"GL(3)"``, ``"SO(5)"``, ``"Sp(4)"``, ``"SL(2)"``,
-``"PGL(2)"``, ``"T(2)"``, Dynkin types like ``"B2"``/``"G2(ad)"`` (bare
-types are simply connected), and products joined with ``x`` — or an
-explicit ``{"d": ..., "roots": ..., "coroots": ...}`` dictionary.  All
-paths run the full root-datum axiom check and report the first axiom that
-fails by name.
+Every builder picks the positive roots by one rule: a root is positive when
+its first nonzero coordinate is positive (``_positive_indices``).  The
+coroots at the same indices are then positive in the dual.  The count never
+depends on this choice.  The simple roots are the indecomposable positive
+roots, so a Dynkin datum's simple roots need not be the Cartan columns (or
+rows) that generate it.
+
+Construction goes through ``build_root_datum``, which takes a descriptor
+string: ``"GL(3)"``, ``"SO(5)"``, ``"Sp(4)"``, ``"SL(2)"``, ``"PGL(2)"``,
+``"T(2)"``, Dynkin types like ``"B2"``/``"G2(ad)"`` (bare types are simply
+connected), and products joined with ``x``.  It runs the full root-datum
+axiom check and reports the first axiom that fails by name.
 
 Per-component invariants are read from the Cartan type that
 ``classify_vectors`` assigns: Poincare polynomials from the fundamental
@@ -31,9 +35,10 @@ check those tables; strong regularity reads the reflection table instead.
 
 Conventions: the Cartan matrix entry C[i][j] equals <alpha_j, alpha_i^vee>
 (row index = coroot).  Simply connected data use the fundamental-weight
-basis of X (simple roots are Cartan columns); adjoint data use the
-simple-root basis (simple coroots are Cartan rows).  Classical groups
-GL/SO/Sp use the standard diagonal-torus coordinates.
+basis of X (the roots are generated from the Cartan columns); adjoint data
+use the simple-root basis (the coroots are generated from the Cartan
+rows).  Classical groups GL/SO/Sp use the standard diagonal-torus
+coordinates.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import itertools
 import math
 import operator
 import re
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import TYPE_CHECKING
 
 from .abelian import (
@@ -87,11 +92,13 @@ def _mat_vec(m: Matrix, v: Vector) -> Vector:
 
 
 class RootDatum(Record):
-    """A root datum (X, roots, X^vee, coroots) with a positivity choice.
+    """A root datum (X, roots, X^vee, coroots) with its positive roots.
 
     ``rank`` is the rank d of X; ``roots[i]`` pairs with ``coroots[i]``;
-    ``positive`` lists the indices of the positive roots.  The label is
-    cosmetic and excluded from equality/hashing.  Immutable.
+    ``positive`` lists the indices of the positive roots, which the dual
+    shares index for index.  The builders fill it by the first-nonzero-
+    coordinate rule.  The label is cosmetic and excluded from
+    equality/hashing.  Immutable.
     """
 
     _compared = ("rank", "roots", "coroots", "positive")
@@ -345,22 +352,13 @@ def validate_root_datum(rd: RootDatum) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _positive_indices_by_height(roots: tuple[Vector, ...]) -> tuple[int, ...]:
-    """Split +/- deterministically with a linear functional positive on half.
+def _positive_indices(roots: tuple[Vector, ...]) -> tuple[int, ...]:
+    """Indices of the roots whose first nonzero coordinate is positive.
 
-    Uses f(v) = sum v_i B^i with B large enough that f vanishes only at 0,
-    so the sign of f is well defined on every root.
+    Lexicographic order on X respects addition, so this picks out a
+    positive system of any root system (Humphreys, section 10.1).
     """
-    if not roots:
-        return ()
-    m = max(abs(c) for v in roots for c in v)
-    base = m + 2
-    weights = [base**i for i in range(len(roots[0]))]
-
-    def f(v: Vector) -> int:
-        return sum(c * w for c, w in zip(v, weights))
-
-    return tuple(i for i, v in enumerate(roots) if f(v) > 0)
+    return tuple(i for i, v in enumerate(roots) if next(c for c in v if c) > 0)
 
 
 def _datum_from_simples(
@@ -392,21 +390,11 @@ def _datum_from_simples(
     coroots_list: list[Vector] = [()] * len(pairs)
     for root, coroot in pairs:
         coroots_list[order[root]] = coroot
-
-    # positivity by root strings: every positive root is reached from a
-    # simple root by adding one simple root at a time through roots
-    positive_set = set(simple_roots)
-    frontier = positive_set
-    while frontier:
-        sums = {_add(v, a) for v in frontier for a in simple_roots}
-        frontier = {s for s in sums if s in order} - positive_set
-        positive_set |= frontier
-    positive = tuple(i for i, v in enumerate(roots) if v in positive_set)
     return RootDatum(
         rank=d,
         roots=roots,
         coroots=tuple(coroots_list),
-        positive=positive,
+        positive=_positive_indices(roots),
         label=label,
     )
 
@@ -500,12 +488,9 @@ def gl_datum(n: int) -> RootDatum:
         for j in range(n)
         if i != j
     )
-    positive = tuple(
-        idx
-        for idx, v in enumerate(roots)
-        if next(c for c in v if c != 0) > 0
+    return RootDatum(
+        rank=n, roots=roots, coroots=roots, positive=_positive_indices(roots), label=f"GL({n})"
     )
-    return RootDatum(rank=n, roots=roots, coroots=roots, positive=positive, label=f"GL({n})")
 
 
 def _bc_datum(r: int, root_scale: int, coroot_scale: int, label: str) -> RootDatum:
@@ -518,7 +503,7 @@ def _bc_datum(r: int, root_scale: int, coroot_scale: int, label: str) -> RootDat
         rank=r,
         roots=roots,
         coroots=coroots,
-        positive=_positive_indices_by_height(roots),
+        positive=_positive_indices(roots),
         label=label,
     )
 
@@ -542,7 +527,7 @@ def so_even_datum(r: int) -> RootDatum:
         rank=r,
         roots=roots,
         coroots=roots,
-        positive=_positive_indices_by_height(roots),
+        positive=_positive_indices(roots),
         label=f"SO({2 * r})",
     )
 
@@ -559,11 +544,12 @@ def product_datum(a: RootDatum, b: RootDatum) -> RootDatum:
     def blocks(left: tuple[Vector, ...], right: tuple[Vector, ...]) -> tuple[Vector, ...]:
         return tuple(v + (0,) * b.rank for v in left) + tuple((0,) * a.rank + v for v in right)
 
+    roots = blocks(a.roots, b.roots)
     return RootDatum(
         rank=a.rank + b.rank,
-        roots=blocks(a.roots, b.roots),
+        roots=roots,
         coroots=blocks(a.coroots, b.coroots),
-        positive=a.positive + tuple(i + len(a.roots) for i in b.positive),
+        positive=_positive_indices(roots),
         label=f"{a.label} x {b.label}",
     )
 
@@ -590,14 +576,6 @@ _FACTOR_RANK = {
     "son": lambda n: n // 2, "spn": lambda n: n // 2, "td": lambda n: n,
     "rank": lambda n: n,
 }
-
-
-def _check_rank(rank: int, what: str) -> None:
-    """Refuse a datum above MAX_RANK before any of its roots is built."""
-    if rank > MAX_RANK:
-        raise InvalidInputError(
-            "descriptor", f"{what} has lattice rank {rank}, above the cap {MAX_RANK}"
-        )
 
 
 def _build_factor(text: str, m: re.Match | None) -> RootDatum:
@@ -630,58 +608,33 @@ def _build_factor(text: str, m: re.Match | None) -> RootDatum:
     return semisimple_datum(m.group("letter"), int(m.group("rank")), m.group("iso") or "sc")
 
 
-def _build_explicit(data: dict) -> RootDatum:
-    try:
-        d = int(data["d"])
-        roots = tuple(tuple(int(c) for c in v) for v in data["roots"])
-        coroots = tuple(tuple(int(c) for c in v) for v in data["coroots"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(
-            "descriptor",
-            "explicit root datum needs integer 'd' and integer vector lists "
-            "'roots' and 'coroots'",
-        ) from exc
-    _check_rank(d, "explicit root datum")
-    if "positive" in data:
-        positive = tuple(int(i) for i in data["positive"])
-    else:
-        positive = _positive_indices_by_height(roots)
-    return RootDatum(
-        rank=d,
-        roots=roots,
-        coroots=coroots,
-        positive=positive,
-        label=str(data.get("label", "explicit")),
-    )
-
-
-def build_root_datum(descriptor: str | dict) -> RootDatum:
-    """Build and validate a root datum from a descriptor string or dict.
+def build_root_datum(descriptor: str) -> RootDatum:
+    """Build and validate a root datum from a descriptor string.
 
     A descriptor of lattice rank above ``MAX_RANK`` (summed over the
     factors of a product) is refused before any root is built.
     """
-    if isinstance(descriptor, dict):
-        rd = _build_explicit(descriptor)
-    elif isinstance(descriptor, str):
-        factors = [part.strip() for part in _PRODUCT_RE.split(descriptor)]
-        if not factors or any(not part for part in factors):
-            raise InvalidInputError("descriptor", f"empty factor in {descriptor!r}")
-        matches = [_FACTOR_RE.match(part) for part in factors]
-        ranks = (
-            rank(int(m.group(key)))
-            for m in matches if m
-            for key, rank in _FACTOR_RANK.items() if m.group(key)
-        )
-        _check_rank(sum(ranks), f"group {descriptor!r}")  # an unparsable factor adds 0
-        data = [_build_factor(part, m) for part, m in zip(factors, matches)]
-        rd = data[0]
-        for extra in data[1:]:
-            rd = product_datum(rd, extra)
-    else:
+    if not isinstance(descriptor, str):
         raise InvalidInputError(
-            "descriptor", f"descriptor must be a string or dict, got {type(descriptor)}"
+            "descriptor", f"descriptor must be a string, got {type(descriptor)}"
         )
+    factors = [part.strip() for part in _PRODUCT_RE.split(descriptor)]
+    if any(not part for part in factors):
+        raise InvalidInputError("descriptor", f"empty factor in {descriptor!r}")
+    matches = [_FACTOR_RE.match(part) for part in factors]
+    rank = sum(  # an unparsable factor adds 0
+        rank_of(int(m.group(key)))
+        for m in matches if m
+        for key, rank_of in _FACTOR_RANK.items() if m.group(key)
+    )
+    if rank > MAX_RANK:
+        raise InvalidInputError(
+            "descriptor",
+            f"group {descriptor!r} has lattice rank {rank}, above the cap {MAX_RANK}",
+        )
+    rd = reduce(
+        product_datum, [_build_factor(part, m) for part, m in zip(factors, matches)]
+    )
     validate_root_datum(rd)
     return rd
 

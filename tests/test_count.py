@@ -13,6 +13,7 @@ Expected polynomials come from three independent sources, all frozen here:
 """
 
 import functools
+import importlib.util
 import json
 import pathlib
 import time
@@ -26,6 +27,7 @@ from charvar.abelian import AdditiveMap
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement, node_map
 from charvar.count import (
     CountReport,
+    Engine,
     ProblemSpec,
     count_polynomial,
     expected_dimension,
@@ -477,7 +479,7 @@ def test_translate_budget_enforced():
         [["a", "b"], ["c", "d"]],
     )
     with pytest.raises(ResourceLimitError) as err:
-        count_polynomial(spec, budget=2)
+        count_polynomial(Engine(spec, 2))
     assert err.value.code == "translate-budget"
 
 
@@ -499,9 +501,9 @@ def test_translate_budget_boundary(group, symbols, classes, entries, split):
     spec = make_spec(
         group, 0, len(classes) + 2, symbols, ["*".join(symbols) + " = 1"], classes
     )
-    assert not count_polynomial(spec, budget=entries).is_empty
+    assert not count_polynomial(Engine(spec, entries)).is_empty
     with pytest.raises(ResourceLimitError) as err:
-        count_polynomial(spec, budget=entries - 1)
+        count_polynomial(Engine(spec, entries - 1))
     assert (err.value.code, str(err.value)) == (
         "translate-budget",
         f"the translate histogram join builds up to {entries} entries ({split}), "
@@ -901,3 +903,130 @@ def test_counts_are_integer_polynomials(genus, punctures):
     assert all(type(c) is int for c in coeffs)
     if genus > 0:
         assert report.euler_characteristic == 0
+
+
+# ---------------------------------------------------------------------------
+# The product rule: over disjoint symbols, G1 x G2 counts the product
+# ---------------------------------------------------------------------------
+#
+# The representation variety of G1 x G2 is the product of the factors'
+# varieties, and (G1 x G2)/Z acts factorwise, so the count is the product of
+# the counts.  This checks the product datum, its poset (pairs of nodes,
+# multiplicative Mobius function), its orbits and its quotients against
+# single-factor runs.
+
+
+def product_spec(left: ProblemSpec, right: ProblemSpec) -> ProblemSpec:
+    """G1 x G2 over both symbol sets; class k concatenates the factors' k-th."""
+    datum = EigenvalueDatum(
+        left.eigenvalues.symbols + right.eigenvalues.symbols,
+        left.eigenvalues.relations + right.eigenvalues.relations,
+    )
+    n_left, n_right = len(left.eigenvalues.symbols), len(right.eigenvalues.symbols)
+    classes = tuple(
+        SymbolicTorusElement(
+            datum,
+            tuple(w + (0,) * n_right for w in a.coords)
+            + tuple((0,) * n_left + w for w in b.coords),
+        )
+        for a, b in zip(left.semisimple_classes, right.semisimple_classes, strict=True)
+    )
+    return left._replace(
+        rd=build_root_datum(f"{left.rd.label} x {right.rd.label}"),
+        eigenvalues=datum,
+        semisimple_classes=classes,
+    )
+
+
+def split_spec(spec: ProblemSpec, rank: int) -> tuple[ProblemSpec, ProblemSpec]:
+    """The factor problems of a product problem whose first factor has ``rank``.
+
+    A symbol belongs to the factor whose coordinates use it, or else to the
+    factor of the relations that use it; no relation mixes the two.
+    """
+    names, rows = spec.eigenvalues.symbols, spec.eigenvalues.group.relations
+    side: dict[int, bool] = {}
+    for cls in spec.semisimple_classes:
+        for i, word in enumerate(cls.coords):
+            for s in (s for s, e in enumerate(word) if e):
+                assert side.setdefault(s, i >= rank) == (i >= rank)
+    row_sides = []
+    for row in rows:
+        support = [s for s, e in enumerate(row) if e]
+        sides = {side[s] for s in support if s in side}
+        assert len(sides) == 1, row
+        row_sides.append(sides.pop())
+        side.update(dict.fromkeys(support, row_sides[-1]))
+    assert len(side) == len(names)
+    factors = []
+    for group, right, coords in zip(
+        spec.rd.label.split(" x "), (False, True), (slice(rank), slice(rank, None))
+    ):
+        kept = [s for s in range(len(names)) if side[s] == right]
+        words = EigenvalueDatum(tuple(names[s] for s in kept))
+        datum = EigenvalueDatum(words.symbols, tuple(
+            words.word_str([row[s] for s in kept])
+            for row, row_side in zip(rows, row_sides) if row_side == right
+        ))
+        classes = tuple(
+            SymbolicTorusElement(
+                datum, tuple(tuple(w[s] for s in kept) for w in c.coords[coords])
+            )
+            for c in spec.semisimple_classes
+        )
+        factors.append(spec._replace(
+            rd=build_root_datum(group), eigenvalues=datum, semisimple_classes=classes
+        ))
+    return tuple(factors)
+
+
+def assert_product_rule(product: ProblemSpec, left: ProblemSpec, right: ProblemSpec):
+    whole, a, b = (count_polynomial(s) for s in (product, left, right))
+    assert whole.polynomial == a.polynomial * b.polynomial
+    assert whole.is_empty == (a.is_empty or b.is_empty)
+    return whole
+
+
+@pytest.mark.parametrize(
+    "left, right, degree",
+    [
+        # GL(2) x GL(3), genus 1, one class with determinant 1 in each factor
+        (("GL(2)", 1, 2, ["a", "b"], ["a*b = 1"], [["a", "b"]]),
+         ("GL(3)", 1, 2, ["c", "d", "e"], ["c*d*e = 1"], [["c", "d", "e"]]), 20),
+        # G2 x PGL(2), genus 0, four punctures, two classes
+        (("G2", 0, 4, ["a", "b", "c", "d"], [], [["a", "b"], ["c", "d"]]),
+         ("PGL(2)", 0, 4, ["e", "f"], ["e*f = 1"], [["e"], ["f"]]), 22),
+        # a torus factor with a trivial class multiplies by (q - 1)^(2g)
+        (("GL(2)", 1, 2, ["a", "b"], ["a*b = 1"], [["a", "b"]]),
+         ("T(1)", 1, 2, ["t"], ["t = 1"], [["t"]]), 8),
+        # ... and with a free one both counts are empty
+        (("GL(2)", 1, 2, ["a", "b"], ["a*b = 1"], [["a", "b"]]),
+         ("T(1)", 1, 2, ["t"], [], [["t"]]), -1),
+    ],
+    ids=["GLxGL", "G2xPGL", "GLxT-trivial", "GLxT-free"],
+)
+def test_product_rule(left, right, degree):
+    left, right = make_spec(*left), make_spec(*right)
+    whole = assert_product_rule(product_spec(left, right), left, right)
+    assert whole.degree == degree
+    if right.rd.label == "T(1)" and degree > 0:
+        assert count_polynomial(right).polynomial == Q * Q - 2 * Q + 1
+
+
+@functools.cache
+def _carry_config():
+    """``carry_config`` of ``scripts/cli_diff.py``, loaded from its file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "cli_diff.py"
+    spec = importlib.util.spec_from_file_location("cli_diff", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.carry_config
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_product_rule_on_the_carry_problems(m):
+    """The cli_diff carry problem of SO(5) x GL(2) split into its factors."""
+    spec = cli.build_problem(_carry_config()(build_root_datum("SO(5) x GL(2)"), m))
+    left, right = split_spec(spec, 2)
+    assert (left.rd.label, right.rd.label) == ("SO(5)", "GL(2)")
+    assert_product_rule(spec, left, right)

@@ -80,7 +80,7 @@ RECORDS = [
         "label": "GL(1, F_3)",
     }, {}),
     (ConcreteClassData, {
-        "label": "semisimple(2,)", "kind": "semisimple", "key": ("gl",),
+        "kind": "semisimple", "key": ("gl",),
         "rep": ((2,),), "size": 1,
     }, {}),
     (RootDatum, {

@@ -54,6 +54,15 @@ def test_constructions_satisfy_axioms(desc):
     rd = build_root_datum(desc)  # build_root_datum validates internally
     validate_root_datum(rd)  # and explicitly once more
     assert len(rd.roots) == 2 * len(rd.positive)
+    # one rule for every builder: the first nonzero coordinate is positive
+    assert rd.positive == tuple(
+        i for i, v in enumerate(rd.roots) if [c for c in v if c][0] > 0
+    )
+    # a positive system of the roots, and of the coroots at the same indices
+    for vectors, lookup in ((rd.roots, rd.root_lookup), (rd.coroots, rd.coroot_lookup)):
+        for i, j in itertools.combinations(rd.positive, 2):
+            k = lookup.get(tuple(a + b for a, b in zip(vectors[i], vectors[j])))
+            assert k is None or rd.is_positive(k), (desc, vectors[i], vectors[j])
 
 
 def test_root_counts():
@@ -431,50 +440,40 @@ def test_product_structure():
     assert component_types(label) == (("A", 1), ("A", 1))
 
 
-def test_explicit_dict_roundtrip():
-    so5 = build_root_datum("SO(5)")
-    explicit = build_root_datum(
-        {
-            "d": 2,
-            "roots": [list(v) for v in so5.roots],
-            "coroots": [list(v) for v in so5.coroots],
-            "label": "SO(5) by hand",
-        }
-    )
-    assert explicit.rank == 2
-    assert set(explicit.roots) == set(so5.roots)
-    assert coroot_type(explicit) == "C2"
-    assert modulus(explicit) == 2
-
-
 def test_validation_rejects_bad_pairing():
     with pytest.raises(InvalidInputError) as exc:
-        build_root_datum({"d": 1, "roots": [[1], [-1]], "coroots": [[1], [-1]]})
+        validate_root_datum(RootDatum(1, ((1,), (-1,)), ((1,), (-1,)), (0,)))
     assert "pairing" in str(exc.value)
 
 
 def test_validation_rejects_nonreduced():
     with pytest.raises(InvalidInputError) as exc:
-        build_root_datum(
-            {
-                "d": 1,
-                "roots": [[1], [-1], [2], [-2]],
-                "coroots": [[2], [-2], [1], [-1]],
-            }
+        validate_root_datum(
+            RootDatum(
+                1, ((1,), (-1,), (2,), (-2,)), ((2,), (-2,), (1,), (-1,)), (0, 2)
+            )
         )
     assert "reduced" in str(exc.value)
 
 
 def test_validation_rejects_broken_reflection():
     with pytest.raises(InvalidInputError) as exc:
-        build_root_datum(
-            {
-                "d": 2,
-                "roots": [[1, 0], [-1, 0], [1, 1], [-1, -1]],
-                "coroots": [[2, 0], [-2, 0], [1, 1], [-1, -1]],
-            }
+        validate_root_datum(
+            RootDatum(
+                2,
+                ((1, 0), (-1, 0), (1, 1), (-1, -1)),
+                ((2, 0), (-2, 0), (1, 1), (-1, -1)),
+                (0, 2),
+            )
         )
     assert "reflection" in str(exc.value)
+
+
+def test_descriptor_must_be_a_string():
+    with pytest.raises(InvalidInputError) as exc:
+        build_root_datum({"d": 1, "roots": [[1], [-1]], "coroots": [[2], [-2]]})
+    assert exc.value.code == "descriptor"
+    assert str(exc.value) == "descriptor must be a string, got <class 'dict'>"
 
 
 def test_descriptor_errors():
@@ -522,13 +521,6 @@ def test_rank_cap_admits_rank_ten():
     assert rootdata.MAX_RANK == 10  # above E8 and GL(9)
     for descriptor in ("GL(10)", "GL(9) x T(1)", "T(10)"):
         assert build_root_datum(descriptor).rank == 10
-
-
-def test_explicit_datum_above_the_rank_cap():
-    with pytest.raises(InvalidInputError) as exc:
-        build_root_datum({"d": 11, "roots": [], "coroots": []})
-    assert exc.value.code == "descriptor"
-    assert "explicit root datum has lattice rank 11" in str(exc.value)
 
 
 def test_descriptor_numbers_have_at_most_nine_digits():
@@ -705,7 +697,7 @@ def test_bc_data_match_per_family_loops(r):
     ):
         roots, coroots = reference_bc_datum(r, family)
         assert (rd.roots, rd.coroots, rd.label) == (roots, coroots, label)
-        # positive: the last nonzero coordinate is positive
+        # positive: the first nonzero coordinate is positive
         assert rd.positive == tuple(
-            i for i, v in enumerate(roots) if [c for c in v if c][-1] > 0
+            i for i, v in enumerate(roots) if [c for c in v if c][0] > 0
         )

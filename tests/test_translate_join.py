@@ -12,10 +12,12 @@ b_j = sum_i V[i][j] S_i must be a d_j-th power along each torsion
 direction and trivial along each free one, asked through the public
 ``is_dth_power`` and the reference's ``is_identity``.  The per-node one is the join the
 orbit count replaced (``translate_reference``), run at every node with all
-m classes translated.  A metamorphic test checks that the whole count is
-unchanged when a class is replaced by a Weyl translate or the classes are
-permuted, and a floor on the share of drawn problems with a non-empty
-count keeps these tests reaching the master sum.
+m classes translated.  Metamorphic tests check that the whole count is
+unchanged when a class is replaced by a Weyl translate, the classes are
+permuted, the eigenvalue generators change by a unimodular matrix (the
+relations rewritten to match) or a redundant symbol is added with its
+defining relation, and a floor on the share of drawn problems with a
+non-empty count keeps these tests reaching the master sum.
 """
 
 import itertools
@@ -45,6 +47,8 @@ from translate_reference import is_identity, node_pass_counts
 
 # the largest m per group keeps |W|^m <= 576 brute-force products
 MAX_M = {"GL(2)": 3, "GL(3)": 3, "GL(4)": 2, "PGL(2)": 3, "SO(5)": 3, "G2": 2}
+# the metamorphic tests run no brute force, so G2 goes to m = 3 there
+METAMORPHIC_MAX_M = dict(MAX_M, G2=3)
 
 
 def reference_pass_counts(spec: ProblemSpec, poset) -> list[int]:
@@ -83,7 +87,7 @@ def reference_pass_counts(spec: ProblemSpec, poset) -> list[int]:
 
 
 @st.composite
-def problems(draw):
+def problems(draw, max_m=MAX_M):
     """Random classes over a few shared symbols, so translate products often
     cancel, with up to three random monomial relations (torsion included).
 
@@ -92,9 +96,9 @@ def problems(draw):
     a relation b_j = 1 for each nontrivial direction j of the cocentre's
     Smith basis, b_j the product's word along it.  For GL(n) that is the
     relation "product of all determinants = 1"."""
-    group = draw(st.sampled_from(sorted(MAX_M)))
+    group = draw(st.sampled_from(sorted(max_m)))
     rd = build_root_datum(group)
-    m = draw(st.integers(1, MAX_M[group]))
+    m = draw(st.integers(1, max_m[group]))
     symbols = ("a", "b", "c")[: draw(st.integers(1, 3))]
     words = st.lists(st.integers(-2, 2), min_size=len(symbols), max_size=len(symbols))
     relations = draw(
@@ -230,6 +234,111 @@ def test_count_is_invariant_under_translates_and_class_order(spec, data):
             base.polynomial, base.is_empty, base.warnings
         )
     assert permuted.table == base.table
+
+
+def _rewrite(spec: ProblemSpec, datum: EigenvalueDatum, change) -> ProblemSpec:
+    """``spec`` over ``datum``, each class word w becoming ``change(w)``."""
+    return spec._replace(
+        eigenvalues=datum,
+        semisimple_classes=tuple(
+            SymbolicTorusElement(datum, tuple(map(change, c.coords)))
+            for c in spec.semisimple_classes
+        ),
+    )
+
+
+def change_generators(spec: ProblemSpec, u) -> ProblemSpec:
+    """(c) Old generator i becomes the word ``u[i]`` in new ones (u unimodular):
+    a word w becomes w u, in the classes and in the relations alike."""
+    def change(word):
+        return tuple(sum(e * row[j] for e, row in zip(word, u)) for j in range(len(u)))
+
+    words = EigenvalueDatum(spec.eigenvalues.symbols)
+    relations = tuple(words.word_str(change(r)) for r in spec.eigenvalues.group.relations)
+    return _rewrite(spec, EigenvalueDatum(words.symbols, relations), change)
+
+
+def add_symbol(spec: ProblemSpec, word) -> ProblemSpec:
+    """(d) A new symbol z with the defining relation z = ``word``."""
+    old = spec.eigenvalues
+    datum = EigenvalueDatum(
+        old.symbols + ("z",), old.relations + (f"z = {old.word_str(word)}",)
+    )
+    return _rewrite(spec, datum, lambda w: w + (0,))
+
+
+@st.composite
+def unimodular(draw, n: int):
+    """An n x n integer matrix of determinant +-1: elementary column moves."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        k = draw(st.integers(-2, 2))
+        for row in u:
+            if i == j:
+                row[i] = -row[i]
+            else:
+                row[i] += k * row[j]
+    return u
+
+
+@settings(max_examples=100, deadline=10_000)
+@given(problems(METAMORPHIC_MAX_M), st.data())
+def test_count_is_invariant_under_generator_changes(spec, data):
+    """The count sees the symbols only through the group A they present:
+    (c) a unimodular change of generators, the relations rewritten to match,
+    and (d) a redundant symbol with its defining relation keep the
+    polynomial, emptiness, warnings and table; failures fail alike."""
+    spec = _redraw_surface(spec, data)
+    n = len(spec.eigenvalues.symbols)
+    changed = change_generators(spec, data.draw(unimodular(n)))
+    word = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    added = add_symbol(spec, tuple(word))
+    base = _count_outcome(spec)
+    for other in (_count_outcome(changed), _count_outcome(added)):
+        if isinstance(base, str):
+            assert other == base
+        else:
+            assert (other.polynomial, other.is_empty, other.warnings, other.table) == (
+                base.polynomial, base.is_empty, base.warnings, base.table
+            )
+
+
+def test_generator_changes_on_a_gl3_sphere():
+    """GL(3), genus 0, four punctures, two classes with a*b*c*d*e*f = 1 and
+    a^2*d = f^3: a non-empty count of degree 8, kept by a -> x*y, b -> y
+    (the relations rewritten to match) and by a symbol z = a*b^2."""
+    datum = EigenvalueDatum(tuple("abcdef"), ("a*b*c*d*e*f = 1", "a^2*d = f^3"))
+    spec = ProblemSpec(
+        rd=build_root_datum("GL(3)"), genus=0, punctures=4, eigenvalues=datum,
+        semisimple_classes=(
+            SymbolicTorusElement.from_words(datum, ["a", "b", "c"]),
+            SymbolicTorusElement.from_words(datum, ["d", "e", "f"]),
+        ),
+    )
+    base = count_polynomial(spec)
+    assert (base.is_empty, base.degree) == (False, 8)
+    # a -> x*y, b -> y, written out by hand
+    renamed = EigenvalueDatum(
+        tuple("xycdef"), ("x*y^2*c*d*e*f = 1", "x^2*y^2*d = f^3")
+    )
+    by_hand = ProblemSpec(
+        rd=spec.rd, genus=0, punctures=4, eigenvalues=renamed,
+        semisimple_classes=(
+            SymbolicTorusElement.from_words(renamed, ["x*y", "y", "c"]),
+            SymbolicTorusElement.from_words(renamed, ["d", "e", "f"]),
+        ),
+    )
+    u = [[int(i == j or (i, j) == (0, 1)) for j in range(6)] for i in range(6)]
+    changed = change_generators(spec, u)
+    assert [c.coords for c in changed.semisimple_classes] == [
+        c.coords for c in by_hand.semisimple_classes
+    ]
+    for other in (count_polynomial(by_hand), count_polynomial(changed)):
+        assert (other.polynomial, other.warnings, other.table) == (
+            base.polynomial, base.warnings, base.table
+        )
+    assert count_polynomial(add_symbol(spec, (1, 2, 0, 0, 0, 0))).polynomial == base.polynomial
 
 
 def test_problems_often_reach_the_master_sum():
