@@ -15,26 +15,18 @@ regular monodromy classes.  The central entry points:
 All arithmetic is exact (integers and fractions); there is no floating
 point anywhere in the pipeline.
 
-The engine modules ``count``, ``charsum`` and ``oracle`` are registered
-lazily (``importlib.util.LazyLoader``): each is in ``sys.modules`` and
-bound here from the start, but its code runs only when one of its
-attributes is first used, so a process that only builds a poset never
-compiles them.  The public names they define are served on first use by
-the module-level ``__getattr__``.
+The engine modules ``count``, ``charsum`` and ``oracle``, the CLI's glue
+for the commands that use them (``cli_count``, ``cli_oracle``) and the
+factoring code of count reports (``factor``) are registered lazily
+(``importlib.util.LazyLoader``): each is in ``sys.modules`` and bound
+here from the start, but its code runs only when one of its attributes
+is first used, so a process that only builds a poset never compiles
+them.  The public names they define are served on first use by the
+module-level ``__getattr__``.
 """
 
 import importlib.util
 import sys
-
-from .errors import (
-    CharvarError,
-    InternalConsistencyError,
-    InvalidInputError,
-    ResourceLimitError,
-)
-from .qpoly import Poly
-from .rootdata import RootDatum, build_root_datum
-from .subsystems import SubsystemPoset, build_poset
 
 
 def _register_lazily(name: str):
@@ -47,9 +39,23 @@ def _register_lazily(name: str):
     return module
 
 
+# registered before the eager imports below, because ``qpoly`` binds ``factor``
 charsum = _register_lazily("charsum")
 count = _register_lazily("count")
 oracle = _register_lazily("oracle")
+cli_count = _register_lazily("cli_count")
+cli_oracle = _register_lazily("cli_oracle")
+factor = _register_lazily("factor")
+
+from .errors import (
+    CharvarError,
+    InternalConsistencyError,
+    InvalidInputError,
+    ResourceLimitError,
+)
+from .qpoly import Poly
+from .rootdata import RootDatum, build_root_datum
+from .subsystems import SubsystemPoset, build_poset
 
 # public names of the lazily registered modules, by defining module
 _LAZY_NAMES = {

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Iterable, Sequence
 
 from .record import Record
 
@@ -65,13 +66,14 @@ def is_prime(n: int) -> bool:
     return n % 2 == 1 and all(n % k for k in range(3, math.isqrt(n) + 1, 2))
 
 
-class SmithDecomposition(NamedTuple):
-    """U·M·V = D with U, V unimodular and D in Smith normal form; U is not kept."""
+class SmithDecomposition(namedtuple("SmithDecomposition", "matrix D V divisors")):
+    """U·M·V = D with U, V unimodular and D in Smith normal form; U is not kept.
 
-    matrix: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    divisors: tuple[int, ...]  # nonzero diagonal entries, divisibility-sorted
+    ``matrix``, ``D`` and ``V`` are integer matrices (tuples of rows), and
+    ``divisors`` the nonzero diagonal entries of D, divisibility-sorted.
+    """
+
+    __slots__ = ()
 
 
 def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SmithDecomposition:
@@ -228,7 +230,7 @@ def is_dth_power(group: FPAbelianGroup, word: Sequence[int], d: int) -> bool:
     return canonical_coordinates(group, d).in_kernel(group._check(word))
 
 
-class AdditiveMap(NamedTuple):
+class AdditiveMap(namedtuple("AdditiveMap", "functionals moduli")):
     """An additive map from integer vectors to (+) Z/e (+) Z^f.
 
     Output coordinate k is a sparse functional, (index, coefficient) pairs,
@@ -237,8 +239,7 @@ class AdditiveMap(NamedTuple):
     ``add``/``negate`` are its group operations on images.
     """
 
-    functionals: tuple[tuple[tuple[int, int], ...], ...]
-    moduli: tuple[int, ...]
+    __slots__ = ()
 
     def image(self, vector: Sequence[int]) -> IntVector:
         out = []

@@ -30,8 +30,8 @@ On top of that this module provides:
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .abelian import (
     AdditiveMap,
@@ -125,11 +125,14 @@ class EigenvalueDatum(Record):
         return "*".join(terms) if terms else "1"
 
 
-class SymbolicTorusElement(NamedTuple):
-    """S in T(k): one eigenvalue word per coordinate of X^vee = Z^d."""
+class SymbolicTorusElement(namedtuple("SymbolicTorusElement", "datum coords")):
+    """S in T(k): one eigenvalue word per coordinate of X^vee = Z^d.
 
-    datum: EigenvalueDatum
-    coords: tuple[Word, ...]
+    ``datum`` is the ``EigenvalueDatum`` the words are over, and ``coords``
+    the tuple of words, one per coordinate.
+    """
+
+    __slots__ = ()
 
     @staticmethod
     def from_words(datum: EigenvalueDatum, words) -> "SymbolicTorusElement":

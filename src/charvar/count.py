@@ -59,15 +59,12 @@ warns when the two disagree.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Mapping
 from functools import cached_property
-from typing import NamedTuple
 
 from .abelian import AdditiveMap
 from .charsum import (
-    EigenvalueDatum,
-    SymbolicTorusElement,
     node_map,
     quotient_factor,
     strongly_regular,
@@ -100,23 +97,25 @@ DEFAULT_TRANSLATE_BUDGET = 1_000_000
 MAX_DEGREE = 1_000
 
 
-class ProblemSpec(NamedTuple):
+class ProblemSpec(namedtuple(
+    "ProblemSpec",
+    "rd genus punctures eigenvalues semisimple_classes overrides",
+    defaults=((),),
+)):
     """A puncture-counting problem: group, surface, and classes.
 
-    ``semisimple_classes`` holds the m strongly regular semisimple classes;
-    the remaining n - m punctures carry regular unipotent classes.
-    ``overrides`` maps subsystem type labels (bare like ``"A1"`` or
-    display-disambiguated like ``"A1-long"``) to the arithmetic truth of
-    the membership indicator for that subsystem type; display labels take
-    precedence over bare type labels when both are given.
+    ``rd`` is the ``RootDatum``, ``eigenvalues`` the ``EigenvalueDatum``
+    the classes are written over.  ``semisimple_classes`` holds the m
+    strongly regular semisimple classes (``SymbolicTorusElement``s); the
+    remaining n - m punctures carry regular unipotent classes.
+    ``overrides`` (default empty) is a tuple of (label, bool) pairs mapping
+    subsystem type labels (bare like ``"A1"`` or display-disambiguated
+    like ``"A1-long"``) to the arithmetic truth of the membership
+    indicator for that subsystem type; display labels take precedence over
+    bare type labels when both are given.
     """
 
-    rd: RootDatum
-    genus: int
-    punctures: int
-    eigenvalues: EigenvalueDatum
-    semisimple_classes: tuple[SymbolicTorusElement, ...]
-    overrides: tuple[tuple[str, bool], ...] = ()
+    __slots__ = ()
 
     @property
     def m(self) -> int:
@@ -127,42 +126,36 @@ class ProblemSpec(NamedTuple):
         return 2 * self.genus + self.punctures - 2
 
 
-class TableRow(NamedTuple):
-    """One orbit of closed subsystems in the diagnostic table."""
+class TableRow(namedtuple(
+    "TableRow",
+    "label orbit_size weyl_order poincare quotient torsion_order free_rank "
+    "delta alpha overridden",
+)):
+    """One orbit of closed subsystems in the diagnostic table.
 
-    label: str
-    orbit_size: int
-    weyl_order: int
-    poincare: str
-    quotient: str
-    torsion_order: int
-    free_rank: int
-    delta: str
-    alpha: str
-    overridden: bool
+    The display fields (``label``, ``poincare``, ``quotient``, ``delta``,
+    ``alpha``) are strings, ``overridden`` is a bool, and the rest are ints.
+    """
+
+    __slots__ = ()
 
 
-class CountReport(NamedTuple):
-    """Everything the engine knows about one counting problem."""
+class CountReport(namedtuple(
+    "CountReport",
+    "group_label genus punctures m polynomial is_empty empty_reason "
+    "euler_characteristic expected_dimension degree leading_coefficient "
+    "num_components validity_modulus diagnostic_exponent_lcm excluded_primes "
+    "warnings table factored",
+)):
+    """Everything the engine knows about one counting problem.
 
-    group_label: str
-    genus: int
-    punctures: int
-    m: int
-    polynomial: Poly
-    is_empty: bool
-    empty_reason: str | None
-    euler_characteristic: int
-    expected_dimension: int
-    degree: int
-    leading_coefficient: int | None
-    num_components: int | None
-    validity_modulus: int
-    diagnostic_exponent_lcm: int
-    excluded_primes: tuple[int, ...]
-    warnings: tuple[str, ...]
-    table: tuple[TableRow, ...]
-    factored: str
+    ``polynomial`` is the count as an integer ``Poly`` and ``factored`` its
+    factored display; ``empty_reason``, ``leading_coefficient`` and
+    ``num_components`` may be None; ``excluded_primes`` and ``warnings``
+    are tuples, and ``table`` is a tuple of ``TableRow``s.
+    """
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

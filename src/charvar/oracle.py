@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .abelian import identity, is_prime
 from .errors import (
@@ -286,13 +285,15 @@ def build_model(family: str, size: int, q: int) -> FiniteGroupModel:
     )
 
 
-class ConcreteClassData(NamedTuple):
-    """A conjugacy class of the model: key, representative, size."""
+class ConcreteClassData(namedtuple("ConcreteClassData", "kind key rep size")):
+    """A conjugacy class of the model: key, representative, size.
 
-    kind: str  # "semisimple" | "regular_unipotent"
-    key: tuple
-    rep: Matrix
-    size: int
+    ``kind`` is ``"semisimple"`` or ``"regular_unipotent"``, ``key`` the
+    class key, ``rep`` a representative matrix and ``size`` the number of
+    elements.
+    """
+
+    __slots__ = ()
 
 
 def semisimple_class(

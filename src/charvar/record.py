@@ -1,6 +1,6 @@
 """The immutable-record protocol of the records that keep derived data.
 
-Such a record cannot be a ``NamedTuple``: its ``__init__`` stores the
+Such a record cannot be a ``namedtuple``: its ``__init__`` stores the
 fields with ``self.__dict__.update``, and ``_compared`` names, in order,
 the fields that equality and hashing read.  The others (a label, a basis,
 kept coordinates) are carried but not compared.

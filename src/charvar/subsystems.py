@@ -106,12 +106,25 @@ def _simple_reflections(rd: RootDatum) -> list[tuple[int, tuple[int, ...]]]:
 
 
 def _orbit_tree(mask: int, reflections) -> dict[int, tuple[int, int] | None]:
-    """Weyl orbit of ``mask`` as a tree: member -> (parent, a) or None at mask."""
-    tree, frontier = {mask: None}, [mask]
+    """Weyl orbit of ``mask`` as a tree: member -> (parent, a), None at the root.
+
+    The root is the orbit's first member (least ``_indices``).  A walk from
+    ``mask`` finds the members and each one's image under every simple
+    reflection; a breadth-first walk over those images from the root
+    builds the tree.
+    """
+    images, seen, frontier = {}, {mask}, [mask]
     for member in frontier:
         indices = _indices(member)
-        for a, bits in reflections:
-            image = sum(map(bits.__getitem__, indices))
+        images[member] = row = [sum(map(bits.__getitem__, indices)) for _, bits in reflections]
+        for image in row:
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    first = min(frontier, key=_indices)
+    tree, frontier = {first: None}, [first]
+    for member in frontier:
+        for (a, _), image in zip(reflections, images[member]):
             if image not in tree:
                 tree[image] = (member, a)
                 frontier.append(image)
@@ -147,12 +160,12 @@ def enumerate_closed_subsystems(rd: RootDatum) -> dict[frozenset[int], tuple | N
             if not mask >> p & 1:
                 bigger = _adjoin(rd, pairs, mask, (p,))
                 if bigger not in moves:
-                    first = min(_orbit_tree(bigger, reflections), key=_indices)
-                    moves.update(_orbit_tree(first, reflections))
+                    moves.update(_orbit_tree(bigger, reflections))
                     queue.append(bigger)
+    members = {mask: _indices(mask) for mask in moves}
     return {
-        _members(mask): moves[mask] and (_members(moves[mask][0]), moves[mask][1])
-        for mask in sorted(moves, key=lambda mask: (mask.bit_count(), _indices(mask)))
+        frozenset(members[mask]): moves[mask] and (frozenset(members[moves[mask][0]]), moves[mask][1])
+        for mask in sorted(moves, key=lambda mask: (len(members[mask]), members[mask]))
     }
 
 

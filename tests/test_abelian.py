@@ -288,7 +288,7 @@ def test_canonical_word_constant_on_cosets(rels, w, combo):
 
 
 # 0, +-1, 2, negatives, Carmichael numbers (561 first), squares of primes and
-# the primes just above 2^16, where qpoly's cyclotomic filter looks for one
+# the primes just above 2^16, where factor's cyclotomic filter looks for one
 PRIME_SAMPLE = sorted(
     set(range(-60, 1200))
     | {561, 1105, 1729, 2465, 41041, 97 ** 2, 65537 ** 2, 2 ** 31 - 1}

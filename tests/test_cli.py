@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from charvar import charsum, cli, count, oracle, rootdata
+from charvar import charsum, cli, cli_oracle, count, oracle, rootdata
 from charvar.cli import build_problem, load_config, main
 from charvar.errors import InvalidInputError
 from charvar.oracle import FiniteGroupModel
@@ -610,7 +610,7 @@ class TestOracleCommand:
 
     def test_oracle_threads_checked_before_specialization(self, capsys, monkeypatch):
         """No eigenvalues are drawn: GL(3) at q = 5 has no faithful ones (exit 3)."""
-        monkeypatch.setattr(cli, "UnitSpecialization", None)
+        monkeypatch.setattr(cli_oracle, "UnitSpecialization", None)
         code = main(
             ["oracle", "--config", str(CONFIGS / "gl3_genus1_generic.json"),
              "--q", "5", "--threads", "0"]
@@ -661,7 +661,7 @@ class TestOracleWork:
         del config["oracle"]["eigenvalues"]
         calls = Counter()
         real_parse = charsum.EigenvalueDatum.parse_relation
-        real_specialize = cli.UnitSpecialization.specialize
+        real_specialize = cli_oracle.UnitSpecialization.specialize
 
         def parse(self, text):
             calls["parse"] += 1
@@ -672,7 +672,7 @@ class TestOracleWork:
             return real_specialize(self, values)
 
         monkeypatch.setattr(charsum.EigenvalueDatum, "parse_relation", parse)
-        monkeypatch.setattr(cli.UnitSpecialization, "specialize", specialize)
+        monkeypatch.setattr(cli_oracle.UnitSpecialization, "specialize", specialize)
         path = write_config(tmp_path, config)
         assert main(["oracle", "--config", path, "--seed", str(seed)]) == 0
         assert "[sampled, seed" in capsys.readouterr().out

@@ -22,7 +22,7 @@ from collections import Counter
 import pytest
 
 import qpoly_reference
-from charvar import charsum, cli, count, rootdata
+from charvar import charsum, cli, cli_count, count, rootdata
 from charvar.abelian import AdditiveMap
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement, node_map
 from charvar.count import (
@@ -584,7 +584,7 @@ def test_gl7_count_compiles_one_node_map_per_orbit(monkeypatch):
 
 def test_gl7_check_compiles_at_most_one_node_map_per_orbit(monkeypatch, capsys):
     spec = gl_genus_one(7)
-    monkeypatch.setattr(cli, "build_problem", lambda config: spec)
+    monkeypatch.setattr(cli_count, "build_problem", lambda config: spec)
     compiled = _count_node_maps(monkeypatch)
     config = str(CONFIGS / "gl3_genus1_generic.json")
     assert cli.main(["check", "--config", config]) == 0
@@ -735,7 +735,7 @@ def test_one_class_count_images_each_node_once(monkeypatch, capsys):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(count.Engine, "__init__", init)
-    monkeypatch.setattr(cli, "build_problem", lambda config: spec)
+    monkeypatch.setattr(cli_count, "build_problem", lambda config: spec)
     config = str(CONFIGS / "gl3_genus1_generic.json")
     assert cli.main(["check", "--config", config]) == 0
     assert "non-emptiness: ok" in capsys.readouterr().out
@@ -747,7 +747,7 @@ def test_one_class_count_carries_the_class_once(monkeypatch, capsys):
     """At m = 1 the class product is the class: Delta and D read one carry
     (``count --table`` on the benchmark's ``gl5_genus1``)."""
     spec = gl_genus_one(5)
-    monkeypatch.setattr(cli, "build_problem", lambda config: spec)
+    monkeypatch.setattr(cli_count, "build_problem", lambda config: spec)
     carried = []
     real = SubsystemPoset.carry
 
@@ -776,7 +776,7 @@ def test_root_system_is_classified_once_per_datum(monkeypatch, capsys):
         return real(vectors, form)
 
     monkeypatch.setattr(rootdata, "classify_vectors", counting)
-    monkeypatch.setattr(cli, "build_problem", lambda config: spec)
+    monkeypatch.setattr(cli_count, "build_problem", lambda config: spec)
     config = str(CONFIGS / "gl3_genus1_generic.json")
     for command in ("count", "check", "count", "check"):
         assert cli.main([command, "--config", config]) == 0
@@ -1026,7 +1026,7 @@ def _carry_config():
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_product_rule_on_the_carry_problems(m):
     """The cli_diff carry problem of SO(5) x GL(2) split into its factors."""
-    spec = cli.build_problem(_carry_config()(build_root_datum("SO(5) x GL(2)"), m))
+    spec = cli_count.build_problem(_carry_config()(build_root_datum("SO(5) x GL(2)"), m))
     left, right = split_spec(spec, 2)
     assert (left.rd.label, right.rd.label) == ("SO(5)", "GL(2)")
     assert_product_rule(spec, left, right)

@@ -1,6 +1,6 @@
 """Differential test of the oracle's faithfulness check against a per-product one.
 
-``cli.UnitSpecialization`` decides whether concrete eigenvalues in F_q^x
+``cli_oracle.UnitSpecialization`` decides whether concrete eigenvalues in F_q^x
 specialize the same counting problem as the symbolic ones by running the
 counting engine's node maps on F_q^x = <g | g^(q-1)> and comparing pass
 counts per closed subsystem.  The reference below is the check it
@@ -28,7 +28,7 @@ from charvar.charsum import (
     in_commutator,
     product_translate,
 )
-from charvar.cli import UnitSpecialization
+from charvar.cli_oracle import UnitSpecialization
 from charvar.count import Engine, ProblemSpec, resolve_overrides
 from charvar.rootdata import build_root_datum, enumerate_weyl
 from charvar.subsystems import build_poset

@@ -136,6 +136,15 @@ def test_tracer_targets_resolve():
     assert missing == []
 
 
+def test_records_are_not_typing_namedtuples():
+    """``typing.NamedTuple`` compiles one ``ForwardRef`` per string annotation
+    of a field; value records subclass ``collections.namedtuple`` instead."""
+    assert [
+        path.name for path in sorted(PACKAGE.glob("*.py"))
+        if "NamedTuple" in path.read_text(encoding="utf-8")
+    ] == []
+
+
 # stdlib modules a cold CLI process does not need: dataclasses pulls in
 # inspect, ast and dis, and each frozen dataclass execs generated code
 OFF_IMPORT_PATH = (
@@ -177,7 +186,7 @@ def test_cli_import_path():
         f"charvar.{path.stem}" for path in PACKAGE.glob("*.py")
         if path.stem != "__init__"
     )
-    assert len(submodules) == 10
+    assert len(submodules) == 13
     assert set(submodules) <= set(result["modules"])
     assert [name for name in OFF_IMPORT_PATH if name in result["modules"]] == []
     assert len(pairs) > 40
@@ -189,33 +198,42 @@ def test_cli_import_path():
 _RUN_PROBE = """
 import json, sys, types
 from charvar.cli import main
-code = main(sys.argv[1:])
-lazy = ("charvar.charsum", "charvar.count", "charvar.oracle")
+lazy = json.loads(sys.argv[1])
+code = main(sys.argv[2:])
 ran = [name for name in lazy if type(sys.modules[name]) is types.ModuleType]
 rational = [name for name in ("fractions", "decimal") if name in sys.modules]
 print(json.dumps({"code": code, "ran": ran, "rational": rational}))
 """
+
+LAZY = (
+    "charvar.charsum", "charvar.cli_count", "charvar.cli_oracle",
+    "charvar.count", "charvar.factor", "charvar.oracle",
+)
+COUNTING = ["charvar.charsum", "charvar.cli_count", "charvar.count"]
 
 
 @pytest.mark.parametrize(
     "command,ran",
     [
         ("poset", []),
-        ("count", ["charvar.charsum", "charvar.count"]),
-        ("table", ["charvar.charsum", "charvar.count"]),
-        ("check", ["charvar.charsum", "charvar.count"]),
-        ("oracle", ["charvar.charsum", "charvar.count", "charvar.oracle"]),
+        ("count", COUNTING + ["charvar.factor"]),
+        ("table", COUNTING + ["charvar.factor"]),
+        ("check", COUNTING),
+        ("oracle", list(LAZY)),
     ],
 )
 def test_each_command_runs_only_the_engine_modules_it_uses(command, ran):
-    """A cold ``poset`` runs none of count, charsum and oracle, and only
-    ``oracle`` runs the brute-force oracle.  An integer count never makes a
-    ``Fraction``, so ``fractions`` (and the ``decimal`` it imports) stay
-    unloaded by every command but ``oracle``."""
+    """A cold ``poset`` runs none of count, charsum and oracle, nor the other
+    commands' glue (``cli_count``, ``cli_oracle``) or the factoring code;
+    ``count``, ``table`` and ``check`` never run the oracle's glue or the
+    brute-force oracle.  An integer count never makes a ``Fraction``, so
+    ``fractions`` (and the ``decimal`` it imports) stay unloaded by every
+    command but ``oracle``."""
     config = Path(__file__).resolve().parents[1] / "configs" / "gl2_genus1.json"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     probe = subprocess.run(
-        [sys.executable, "-c", _RUN_PROBE, command, "--config", str(config)],
+        [sys.executable, "-c", _RUN_PROBE, json.dumps(LAZY), command,
+         "--config", str(config)],
         env=env, capture_output=True, text=True, check=True,
     )
     result = json.loads(probe.stdout.splitlines()[-1])

@@ -1,7 +1,7 @@
 """The package's record types: construction, equality, hashing, immutability.
 
-Seven plain value records are ``typing.NamedTuple``s; the six records
-that keep derived data on the instance (``RootDatum``,
+Seven plain value records are ``collections.namedtuple`` subclasses; the
+six records that keep derived data on the instance (``RootDatum``,
 ``QuotientInvariants``, ``FPAbelianGroup``, ``EigenvalueDatum``,
 ``FiniteGroupModel`` and the count's ``Engine``) are plain classes.
 Either way a record is built positionally or by keyword, with defaults
@@ -21,7 +21,7 @@ from charvar.abelian import (
     canonical_coordinates,
 )
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement
-from charvar.cli import report_payload
+from charvar.cli_count import report_payload
 from charvar.count import (
     DEFAULT_TRANSLATE_BUDGET,
     CountReport,

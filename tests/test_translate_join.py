@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charvar.abelian import is_dth_power, smith_normal_form
-from charvar.cli import UnitSpecialization
+from charvar.cli_oracle import UnitSpecialization
 from charvar.charsum import (
     EigenvalueDatum,
     SymbolicTorusElement,
