@@ -74,7 +74,11 @@ exit code, stdout, stderr and the ``--json`` payload apart from
   unsupported oracle group; explicit oracle values that break a relation
   or satisfy extra ones; q = 9 (not prime) and q = 13 (above the field
   cap).  Those that fail in the shared parsing run under ``count``,
-  ``check`` and ``oracle``, the oracle's own under ``oracle`` only.
+  ``check`` and ``oracle``, the oracle's own under ``oracle`` only;
+* ``ARGPARSE_PATH``, argv the CLI does not parse itself but leaves to
+  ``argparse``: ``--help`` for each command, ``--config=PATH``, an
+  abbreviated option, a repeated one, a missing value, an unknown option,
+  and the signed values ``--budget -5`` and ``--seed +3``.
 
 Each differing command is printed with what differs; the last line counts
 the differences, and the exit status is 1 when there is any.
@@ -175,6 +179,20 @@ FIELD_CAP_CONFIGS = ("oracle-gl2_genus1_q7.json", "pgl2_rigid.json")
 # curated configs run by the oracle with {"empty": false} and {"empty": true}
 ORACLE_OVERRIDE_CONFIGS = ("gl2_genus1.json", "gl2_sphere_generic.json")
 COUNT_COMMANDS = (("count",), ("count", "--table"), ("table",), ("check",), ("poset",))
+# argv, with {config} for configs/gl2_genus1.json and {sampled} for the oracle
+# workload's GL(2) genus-1 config, whose eigenvalues are sampled
+ARGPARSE_PATH = (
+    [(command, "--help") for command in ("count", "poset", "table", "oracle", "check")]
+    + [
+        ("count", "--config={config}"),
+        ("count", "--conf", "{config}"),
+        ("count", "--config", "{config}", "--config", "{config}"),
+        ("count", "--config", "{config}", "--budget"),
+        ("count", "--config", "{config}", "--bogus", "1"),
+        ("count", "--config", "{config}", "--budget", "-5"),
+        ("oracle", "--config", "{sampled}", "--seed", "+3", "--threads", "1"),
+    ]
+)
 GL2_EIGENVALUES = {"symbols": ["a", "b"], "relations": ["a*b = 1"]}
 SEMISIMPLE = {"type": "semisimple", "coords": ["a", "b"]}
 # (name, curated config, top-level keys replaced, oracle-only, extra oracle argv)
@@ -345,6 +363,12 @@ def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
         runs.append(
             ("oracle", "--config", str(path), "--seed", "0", "--threads", "1") + extra
         )
+    paths = {
+        "config": ROOT / "configs" / "gl2_genus1.json",
+        "sampled": config_dir / "oracle-gl2_genus1_q7.json",
+    }
+    for args in ARGPARSE_PATH:
+        runs.append(tuple(arg.format(**paths) for arg in args))
     return runs
 
 

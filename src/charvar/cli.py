@@ -44,14 +44,18 @@ and ``build_parser`` names none, so ``poset`` compiles none of them, and
 handlers and ``build_problem``, ``report_payload`` and ``report_text``
 are still attributes of this module: ``__getattr__`` serves them from
 the module that defines them.
+
+``main`` parses well-formed argv itself (``parse_args``) and imports
+``argparse`` only for the rest, in ``build_parser``: help, errors and
+the spellings ``parse_args`` leaves out.  Both read one option table.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
+import types
 from json.encoder import encode_basestring, encode_basestring_ascii
 
 from . import cli_count, cli_oracle
@@ -326,7 +330,46 @@ def __getattr__(name: str):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+# every option: name -> (type, default, help); ``bool`` is a flag
+_OPTIONS = {
+    "config": (str, None, "JSON config path"),
+    "json": (str, None, "also write a JSON payload to this path"),
+    "budget": (
+        int, None,
+        "budget override: histogram entries of the translate join, "
+        "|W|^floor((m-1)/2) + |W|^ceil((m-1)/2) (count, table), or "
+        "brute-force enumeration steps (oracle)",
+    ),
+    "table": (bool, False, "append the diagnostic table"),
+    "q": (int, None, "run the oracle at this prime only"),
+    "threads": (
+        int, None,
+        "accepted and checked (>= 1) for compatibility; the count runs in "
+        "one process",
+    ),
+    "seed": (int, 0, "seed for sampled eigenvalue specializations"),
+}
+# every command: name -> (help, its options in order); --config is required
+_COMMANDS = {
+    "count": ("evaluate the counting polynomial", ("config", "json", "budget", "table")),
+    "poset": (
+        "dump the closed-subsystem poset and its mobius values", ("config", "json")
+    ),
+    "table": (
+        "emit the per-subsystem diagnostic table", ("config", "json", "budget")
+    ),
+    "oracle": (
+        "compare the formula against brute-force enumeration",
+        ("config", "json", "budget", "q", "threads", "seed"),
+    ),
+    "check": ("validate the hypotheses without counting", ("config", "json")),
+}
+
+
+def build_parser():
+    """The ``argparse`` parser of ``_COMMANDS``; ``argparse`` is imported here."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="charvar",
         description=(
@@ -335,61 +378,65 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, budget=False, oracle=False):
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--json", help="also write a JSON payload to this path")
-        if budget:
-            p.add_argument(
-                "--budget", type=int, default=None,
-                help=(
-                    "budget override: histogram entries of the translate "
-                    "join, |W|^floor((m-1)/2) + |W|^ceil((m-1)/2) (count, "
-                    "table), or brute-force enumeration steps (oracle)"
-                ),
-            )
-        if oracle:
-            p.add_argument(
-                "--q", type=int, default=None,
-                help="run the oracle at this prime only",
-            )
-            p.add_argument(
-                "--threads", type=int, default=None,
-                help=(
-                    "accepted and checked (>= 1) for compatibility; the "
-                    "count runs in one process"
-                ),
-            )
-            p.add_argument(
-                "--seed", type=int, default=0,
-                help="seed for sampled eigenvalue specializations",
-            )
-
-    p_count = sub.add_parser("count", help="evaluate the counting polynomial")
-    common(p_count, budget=True)
-    p_count.add_argument(
-        "--table", action="store_true", help="append the diagnostic table"
-    )
-    common(sub.add_parser(
-        "poset", help="dump the closed-subsystem poset and its mobius values"
-    ))
-    common(
-        sub.add_parser("table", help="emit the per-subsystem diagnostic table"),
-        budget=True,
-    )
-    common(
-        sub.add_parser(
-            "oracle", help="compare the formula against brute-force enumeration"
-        ),
-        budget=True, oracle=True,
-    )
-    common(sub.add_parser("check", help="validate the hypotheses without counting"))
-
+    for command, (help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names:
+            kind, default, option_help = _OPTIONS[name]
+            if kind is bool:
+                p.add_argument(f"--{name}", action="store_true", help=option_help)
+            else:
+                p.add_argument(
+                    f"--{name}", type=kind, default=default,
+                    required=name == "config", help=option_help,
+                )
     return parser
 
 
+def parse_args(argv: list[str]):
+    """The arguments of well-formed ``argv``, parsed without ``argparse``.
+
+    Well-formed: a command of ``_COMMANDS``, then some of its options, each
+    once and spelled out (``--name value``, or ``--name`` for a flag),
+    ``--config`` among them; no value starts with ``-``, and an integer is
+    ASCII digits.  Anything else (help, an error, ``--name=value``, an
+    abbreviation, a repeat) returns None and is left to ``build_parser``,
+    whose namespace for well-formed argv has the same attributes.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    names = _COMMANDS[argv[0]][1]
+    values = {name: _OPTIONS[name][1] for name in names}
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name = token[2:]
+        if not token.startswith("--") or name not in names or name in given:
+            return None
+        given.add(name)
+        kind = _OPTIONS[name][0]
+        if kind is bool:
+            values[name] = True
+            continue
+        value = next(tokens, "-")  # a missing value fails like a dash-led one
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than int() converts
+                return None
+        values[name] = value
+    if "config" not in given:
+        return None
+    return types.SimpleNamespace(command=argv[0], **values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parse_args(argv) or build_parser().parse_args(argv)
     # looked up as a module attribute when called: ``cmd_poset`` is defined
     # here, the other handlers come through ``__getattr__``
     handler = getattr(sys.modules[__name__], f"cmd_{args.command}")
@@ -411,4 +458,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # ``python -m charvar.cli``: the glue modules import this module as
+    # ``charvar.cli``, which would otherwise compile it a second time
+    sys.modules["charvar.cli"] = sys.modules[__name__]
     sys.exit(main())

@@ -7,7 +7,12 @@ field F_q together with its conjugacy-class structure (classes are keyed
 by characteristic polynomial and minimal-polynomial degree; for PGL(2) by
 the scaling-invariant tr^2/det plus, for trace zero, the square class of
 the determinant; the class table checks that these keys are exactly the
-conjugacy classes).  Solution tuples
+conjugacy classes).  One pass over the elements numbers the classes and
+builds a class index: a bytearray addressed by a matrix's base-q code
+(its row-major entries read as digits), holding the class number.  Every
+group product goes through ``FiniteGroupModel.products``, which computes
+such codes from flat digit tuples, so a product's class is one lookup.
+Solution tuples
 
     [A_1,B_1] ... [A_g,B_g] X_1 ... X_n = 1,    X_i in C_i,
 
@@ -20,7 +25,8 @@ representative:
 * punctures by per-class leaf tables: N(P), the number of X_1 .. X_{n-1}
   with P X_1 ... X_{n-1} in C_n^-1 (so X_n is determined and lies in
   C_n), is built from the innermost class outwards, one table per class;
-* one convolution over G per further handle: v_g = v_{g-1} * v.
+* one convolution over G per further handle: v_g = v_{g-1} * v, over
+  the elements where v_{g-1} does not vanish, which is [G, G].
 
 Genus 0 reads N at the identity, |C_1| times the next table at C_1, so
 the outermost table is skipped; otherwise the tuple total is
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter, namedtuple
 from functools import cached_property
 
@@ -50,6 +57,8 @@ DEFAULT_ORACLE_BUDGET = 10**9
 DEFAULT_FIELD_CAP = 11
 # Guard on raw enumeration size q**(size*size); keeps GL(3) at q <= 5.
 MAX_ENUMERATION = 8_000_000
+# class index entry of a code that is no group element (at most 120 classes)
+NO_CLASS = 255
 
 # the groups the models support: (family, size) by descriptor
 GROUPS = {"GL(2)": ("GL", 2), "GL(3)": ("GL", 3), "PGL(2)": ("PGL", 2)}
@@ -118,8 +127,9 @@ class FiniteGroupModel(Record):
     (canonical projective representatives for PGL: the first nonzero
     entry in row-major order is scaled to 1).  Products, the PGL rescaling
     and class keys are fixed-size 2x2 and 3x3 code on matrices with
-    entries reduced mod q.  Conjugacy data is derived on first use and
-    kept on the instance.  Immutable.
+    entries reduced mod q.  Conjugacy data (the class table, the class
+    index and each class's members) is derived on first use and kept on
+    the instance.  Immutable.
     """
 
     _compared = ("family", "size", "q", "elements", "label")
@@ -157,39 +167,71 @@ class FiniteGroupModel(Record):
         s = pow(lead, q - 2, q)
         return ((a * s) % q, (b * s) % q), ((c * s) % q, (d * s) % q)
 
-    def mul(self, a: Matrix, b: Matrix) -> Matrix:
+    def products(self, a: tuple, xs) -> list[int]:
+        """The base-q codes of a x, for x in ``xs``: every group product.
+
+        ``a`` and each x are flat digit tuples (row-major entries reduced
+        mod q); a code is those digits of a x read as a base-q number.
+        For PGL(2) the product is not rescaled: the class index covers
+        every scalar multiple of an element.
+        """
         q = self.q
+        codes = []
+        append = codes.append  # a loop: a comprehension's closure costs more
         if self.size == 3:
-            (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
-            (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
-            return (
-                ((a0 * b0 + a1 * b3 + a2 * b6) % q, (a0 * b1 + a1 * b4 + a2 * b7) % q,
-                 (a0 * b2 + a1 * b5 + a2 * b8) % q),
-                ((a3 * b0 + a4 * b3 + a5 * b6) % q, (a3 * b1 + a4 * b4 + a5 * b7) % q,
-                 (a3 * b2 + a4 * b5 + a5 * b8) % q),
-                ((a6 * b0 + a7 * b3 + a8 * b6) % q, (a6 * b1 + a7 * b4 + a8 * b7) % q,
-                 (a6 * b2 + a7 * b5 + a8 * b8) % q),
+            a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+            for x0, x1, x2, x3, x4, x5, x6, x7, x8 in xs:
+                append(
+                    ((((((((a0 * x0 + a1 * x3 + a2 * x6) % q * q
+                           + (a0 * x1 + a1 * x4 + a2 * x7) % q) * q
+                          + (a0 * x2 + a1 * x5 + a2 * x8) % q) * q
+                         + (a3 * x0 + a4 * x3 + a5 * x6) % q) * q
+                        + (a3 * x1 + a4 * x4 + a5 * x7) % q) * q
+                       + (a3 * x2 + a4 * x5 + a5 * x8) % q) * q
+                      + (a6 * x0 + a7 * x3 + a8 * x6) % q) * q
+                     + (a6 * x1 + a7 * x4 + a8 * x7) % q) * q
+                    + (a6 * x2 + a7 * x5 + a8 * x8) % q
+                )
+            return codes
+        a0, a1, a2, a3 = a
+        for x0, x1, x2, x3 in xs:
+            append(
+                (((a0 * x0 + a1 * x2) % q * q + (a0 * x1 + a1 * x3) % q) * q
+                 + (a2 * x0 + a3 * x2) % q) * q
+                + (a2 * x1 + a3 * x3) % q
             )
-        (a0, a1), (a2, a3) = a
-        (b0, b1), (b2, b3) = b
-        m = (
-            ((a0 * b0 + a1 * b2) % q, (a0 * b1 + a1 * b3) % q),
-            ((a2 * b0 + a3 * b2) % q, (a2 * b1 + a3 * b3) % q),
-        )
-        return m if self.family == "GL" else self.canonical(m)
+        return codes
+
+    def mul(self, a: Matrix, b: Matrix) -> Matrix:
+        """a b, through ``products``."""
+        code = self.products(_flat(a), (_flat(b),))[0]
+        rows = self._rows
+        product = []
+        for _ in range(self.size):
+            code, k = divmod(code, len(rows))
+            product.append(rows[k])
+        return self.canonical(tuple(reversed(product)))
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        """Every row of digits, in order: the row at k has base-q code k."""
+        return tuple(itertools.product(range(self.q), repeat=self.size))
 
     def inv(self, a: Matrix) -> Matrix:
         return self.canonical(_mat_inv(a, self.q))
 
     def class_key(self, m: Matrix) -> tuple:
-        """Closed-form class key of a reduced matrix (see the module docstring)."""
+        """Closed-form class key of a reduced matrix (see the module docstring).
+
+        Every key is invariant under scaling, so PGL(2) needs no rescaling.
+        """
         q = self.q
         if self.size == 3:
             (a, b, c), (d, e, f), (g, h, i) = m
             minors = e * i - f * h + a * i - c * g + a * e - b * d
             char_poly = (-_det(m, q) % q, minors % q, -(a + e + i) % q)
             return ("gl", char_poly, _gl3_min_degree(m, q))
-        (a, b), (c, d) = self.canonical(m)
+        (a, b), (c, d) = m
         det = (a * d - b * c) % q
         scalar = not b and not c and a == d
         if self.family == "GL":
@@ -204,38 +246,88 @@ class FiniteGroupModel(Record):
         return ("pgl-ss", t)
 
     @cached_property
-    def _classes(self) -> tuple[dict, dict, dict]:
-        """(class table, key of each element, members of each key), in one pass."""
-        keys: dict = {}
-        members: dict = {}
+    def _classes(self) -> tuple[bytearray, dict, list, dict]:
+        """(class index, class numbers, members, class table), in one pass.
+
+        Classes are numbered in order of first appearance.  The index holds,
+        at each element's base-q code, its class number (for PGL(2), at the
+        code of every scalar multiple too), and ``NO_CLASS`` at every other
+        code.  ``numbers`` maps each class key to its number; ``members[k]``
+        lists class k's elements as flat digit tuples, in element order.
+        """
+        q, n = self.q, self.size
+        expected = class_count(self.family, n, q)
+        index = bytearray([NO_CLASS]) * q ** (n * n)
+        numbers: dict = {}
+        reps, members = [], []
+        row_code = {row: k for k, row in enumerate(self._rows)}
+        width = len(row_code)
+        key_of, number_of = self.class_key, numbers.get
         for m in self.elements:
-            key = self.class_key(m)
-            keys[m] = key
-            members.setdefault(key, []).append(m)
-        table = {key: (group[0], len(group)) for key, group in members.items()}
-        expected = class_count(self.family, self.size, self.q)
-        order = group_order(self.family, self.size, self.q)
-        total = sum(size for _rep, size in table.values())
+            key = key_of(m)
+            number = number_of(key)
+            if number is None:
+                if len(reps) == expected:
+                    break  # too many keys: refused below
+                number = numbers[key] = len(reps)
+                reps.append(m)
+                members.append([])
+            members[number].append(sum(m, ()))
+            code = 0
+            for row in m:
+                code = code * width + row_code[row]
+            index[code] = number
+        if self.family == "PGL":
+            # first row s r, second row (c, d): the class of (r; c/s, d/s),
+            # whose first row r (leading entry 1) is indexed above
+            for s in range(2, q):
+                t = pow(s, q - 2, q)
+                moved = operator.itemgetter(
+                    *((c * t) % q * q + (d * t) % q for c in range(q) for d in range(q))
+                )
+                for (a, b), k in row_code.items():
+                    if (a or b) == 1:
+                        start = k * width
+                        scaled = row_code[(a * s) % q, (b * s) % q] * width
+                        index[scaled : scaled + width] = bytes(
+                            moved(index[start : start + width])
+                        )
+        table = {key: (reps[k], len(members[k])) for key, k in numbers.items()}
+        order = group_order(self.family, n, q)
+        total = sum(map(len, members))
         if len(table) != expected or total != order:
             raise InternalConsistencyError(
                 "class-table",
                 f"{self.label} has {len(table)} class keys over {total} "
                 f"elements, expected {expected} classes over {order}",
             )
-        return table, keys, {key: tuple(group) for key, group in members.items()}
+        return index, numbers, members, table
 
     def class_table(self) -> dict:
         """Map class key -> (representative, class size).
 
-        One pass over the elements also fills each element's key and each
-        key's members.  The counts treat the keys as exactly the conjugacy
-        classes, so a key count other than ``class_count`` or class sizes
-        not summing to |G| is an internal error.
+        One pass over the elements also builds the class index and each
+        class's members (flat digit tuples).  The counts treat the keys as
+        exactly the conjugacy classes, so a key count other than
+        ``class_count`` or class sizes not summing to |G| is an internal
+        error.
         """
-        return self._classes[0]
+        return self._classes[3]
 
-    def members(self, key: tuple) -> tuple[Matrix, ...]:
-        return self._classes[2].get(key, ())
+    def class_number(self, m: Matrix) -> int:
+        """The number of m's class, read from the class index."""
+        return self._classes[0][_code(_flat(m), self.q)]
+
+
+def _flat(m: Matrix) -> tuple[int, ...]:
+    return sum(m, ())
+
+
+def _code(flat: tuple[int, ...], q: int) -> int:
+    code = 0
+    for digit in flat:
+        code = code * q + digit
+    return code
 
 
 def check_field(family: str, size: int, q: int) -> None:
@@ -389,6 +481,17 @@ def class_size(family: str, size: int, q: int, kind: str) -> int:
     return order // (q - 1 if family == "GL" else 1) // q ** (size - 1)
 
 
+def derived_order(family: str, size: int, q: int) -> int:
+    """|[G, G]|: SL(n, F_q) in GL(n) and PSL(2, F_q) in PGL(2) (q odd).
+
+    GL(2, F_2) = S_3 is the exception: its commutators form A_3.  In every
+    group a model supports, each element of [G, G] is a commutator.
+    """
+    if (family, size, q) == ("GL", 2, 2):
+        return 3
+    return group_order(family, size, q) // (q - 1 if family == "GL" else 2)
+
+
 def check_enumeration(
     family: str,
     size: int,
@@ -405,8 +508,8 @@ def check_enumeration(
     closed forms, so an over-budget count is refused before the group's
     class table is built: k = ``class_count`` products per element of each
     class but the last (the puncture tables; at genus 0 the first class
-    needs none), and from genus 1 on |G| for the commutators plus k |G| per
-    further handle.
+    needs none), and from genus 1 on |G| for the commutators plus k |[G, G]|
+    per further handle (the handle distributions vanish off [G, G]).
     """
     if genus < 0:
         raise InvalidInputError("oracle-input", "genus must be >= 0")
@@ -416,8 +519,8 @@ def check_enumeration(
     tables = kinds[1:-1] if genus == 0 else kinds[:-1]
     estimate = num_classes * sum(class_size(family, size, q, kind) for kind in tables)
     if genus:
-        order = group_order(family, size, q)
-        estimate += order + (genus - 1) * num_classes * order
+        estimate += group_order(family, size, q)
+        estimate += (genus - 1) * num_classes * derived_order(family, size, q)
     if estimate > budget:
         raise ResourceLimitError(
             "oracle-budget",
@@ -428,79 +531,81 @@ def check_enumeration(
 
 def _puncture_counts(
     model: FiniteGroupModel, classes: tuple[ConcreteClassData, ...]
-) -> dict:
-    """N[key] = #{X_i in C_i, i < n : P X_1 .. X_{n-1} in C_n^-1}, P in class key.
+) -> list[int]:
+    """N[k] = #{X_i in C_i, i < n : P X_1 .. X_{n-1} in C_n^-1}, P in class k.
 
     N is a class function (conjugating P conjugates the X_i), so it is
     built from the innermost class outwards, one table per class:
     N_j(P) = sum over x in C_j of N_{j+1}(P x), at one P per class.
     """
-    table = model.class_table()
-    keys = model._classes[1]
-    mul = model.mul
-    target_key = model.class_key(model.inv(classes[-1].rep))
-    counts = {key: int(key == target_key) for key in table}
+    index, numbers, members, table = model._classes
+    reps = [_flat(rep) for rep, _size in table.values()]
+    counts = [0] * len(reps)
+    counts[model.class_number(model.inv(classes[-1].rep))] = 1
     for cls in reversed(classes[:-1]):
-        members = model.members(cls.key)
-        counts = {
-            key: sum(counts[keys[mul(rep, x)]] for x in members)
-            for key, (rep, _size) in table.items()
-        }
+        xs = members[numbers[cls.key]]
+        counts = [
+            sum(map(counts.__getitem__, map(index.__getitem__, model.products(a, xs))))
+            for a in reps
+        ]
     return counts
 
 
-def _commutator_distribution(model: FiniteGroupModel) -> dict:
-    """Per-element count of commutator representations, by class key.
+def _commutator_distribution(model: FiniteGroupModel) -> list[int]:
+    """Per-element count of commutator representations, by class number.
 
-    Returns v with v[key] = #{(A, B) : [A, B] = M} for any single M in
-    the class ``key`` (the count is a class function, so summing
-    |class| * v[key] recovers |G|^2).  As B runs over G, B A^-1 B^-1 meets
-    each element of the class of A^-1 exactly |C_G(A)| = |G| / |class(A)|
-    times, and the |class(A)| conjugates of A give the same histogram; so
-    each class representative a adds |G| for every y in the class of a^-1,
-    one product per element of G in all.
+    Returns v with v[k] = #{(A, B) : [A, B] = M} for any single M in
+    class k (the count is a class function, so summing |class| * v[k]
+    recovers |G|^2).  As B runs over G, B A^-1 B^-1 meets each element of
+    the class of A^-1 exactly |C_G(A)| = |G| / |class(A)| times, and the
+    |class(A)| conjugates of A give the same histogram; so each class
+    representative a adds |G| for every y in the class of a^-1, one
+    product per element of G in all.
     """
-    table = model.class_table()
+    index, _numbers, members, table = model._classes
     order = model.order
-    keys = model._classes[1]
-    mul = model.mul
     hist: Counter = Counter()
     for rep, _size in table.values():
-        for y in model.members(keys[model.inv(rep)]):
-            hist[keys[mul(rep, y)]] += order
-    if sum(hist.values()) != order * order:
+        ys = members[model.class_number(model.inv(rep))]
+        hist.update(map(index.__getitem__, model.products(_flat(rep), ys)))
+    if sum(hist.values()) != order:  # each product stands for |G| pairs
         raise InternalConsistencyError(
             "oracle-distribution",
             "commutator histogram does not account for |G|^2 pairs",
         )
-    dist = {}
-    for key, (rep, size) in table.items():
-        total = hist.get(key, 0)
+    dist = []
+    for k, (key, (_rep, size)) in enumerate(table.items()):
+        total = hist[k] * order
         if total % size:
             raise InternalConsistencyError(
                 "oracle-distribution",
                 f"commutator count onto class {key} is not a class function",
             )
-        dist[key] = total // size
+        dist.append(total // size)
     return dist
 
 
-def _convolve(model: FiniteGroupModel, v: dict, v1: dict) -> dict:
+def _convolve(model: FiniteGroupModel, v: list[int], v1: list[int]) -> list[int]:
     """One more genus handle: v'(M) = sum_X v(X^-1) v1(X M).
 
-    v is a class function and X^-1 lies in the class of the inverse of X's
-    class representative, so each class's inverse is found once.
+    X M is conjugate to M X, and v is a class function with X^-1 in the
+    class of the inverse of X's class representative: so each class's
+    inverse is found once, and the classes where v(X^-1) = 0 are skipped.
     """
-    table = model.class_table()
-    keys = model._classes[1]
-    mul = model.mul
-    at_inverse = {key: v[keys[model.inv(rep)]] for key, (rep, _) in table.items()}
-    out = {}
-    for key, (rep, _size) in table.items():
-        out[key] = sum(
-            at_inverse[keys[x]] * v1[keys[mul(x, rep)]] for x in model.elements
+    index, _numbers, members, table = model._classes
+    reps = [rep for rep, _size in table.values()]
+    weighted = [
+        (weight, xs) for rep, xs in zip(reps, members)
+        if (weight := v[model.class_number(model.inv(rep))])
+    ]
+    return [
+        sum(
+            weight
+            * sum(map(v1.__getitem__, map(index.__getitem__, model.products(a, xs))))
+            for weight, xs in weighted
         )
-    return out
+        for a in map(_flat, reps)
+    ]
 
 
 def brute_force_count(
@@ -523,25 +628,23 @@ def brute_force_count(
         # table is constant, so the outermost table needs no products.
         head = classes[0]
         counts = _puncture_counts(model, classes[1:])
-        total = len(model.members(head.key)) * counts[head.key]
+        total = head.size * counts[model.class_number(head.rep)]
     elif genus == 0:
-        total = _puncture_counts(model, classes)[model.class_key(identity(model.size))]
+        counts = _puncture_counts(model, classes)
+        total = counts[model.class_number(identity(model.size))]
     else:
-        table = model.class_table()
+        sizes = [size for _rep, size in model.class_table().values()]
         counts = _puncture_counts(model, classes)
         v1 = _commutator_distribution(model)
         v = v1
         for _ in range(genus - 1):
             v = _convolve(model, v, v1)
-        check = sum(size * v[key] for key, (_rep, size) in table.items())
-        if check != model.order ** (2 * genus):
+        if sum(size * w for size, w in zip(sizes, v)) != model.order ** (2 * genus):
             raise InternalConsistencyError(
                 "oracle-distribution",
                 f"genus-{genus} handle distribution does not sum to |G|^2g",
             )
-        total = sum(
-            size * v[key] * counts[key] for key, (_rep, size) in table.items()
-        )
+        total = sum(size * w * n for size, w, n in zip(sizes, v, counts))
     if total % model.quotient_order:
         raise InternalConsistencyError(
             "oracle-division",

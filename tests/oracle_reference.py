@@ -13,8 +13,9 @@ invertible matrix, rescaled so its first nonzero entry is 1, deduplicated
 in the order met.  ``charvar.oracle.build_model`` must list the same
 elements in the same order.
 
-``reference_count`` counts the same tuples as ``charvar.oracle.
-brute_force_count`` the direct way: the commutator histogram forms
+``members`` lists a class's elements by filtering the model's elements
+on ``class_key``.  ``reference_count`` counts the same tuples as
+``charvar.oracle.brute_force_count`` the direct way: the commutator histogram forms
 a b a^-1 b^-1 for every class representative a and every b in G, the
 puncture count recurses over every tuple X_1 .. X_{n-1} of class members
 and membership-tests the product, and each further handle is one
@@ -150,6 +151,11 @@ def rescaled_pgl_elements(q: int) -> tuple:
     return tuple(elements)
 
 
+def members(model, key) -> list:
+    """The elements of the model whose class key is ``key``, in element order."""
+    return [m for m in model.elements if class_key(model.family, model.q, m) == key]
+
+
 def _identity(size):
     return tuple(
         tuple(1 if i == j else 0 for j in range(size)) for i in range(size)
@@ -217,7 +223,7 @@ def reference_count(model, genus, classes) -> int:
     """Points of the character variety by direct enumeration of the punctures."""
     table = model.class_table()
     target_key = model.class_key(model.inv(classes[-1].rep))
-    member_lists = [list(model.members(cls.key)) for cls in classes[:-1]]
+    member_lists = [members(model, cls.key) for cls in classes[:-1]]
     if genus == 0:
         total = _leaf_count(model, _identity(model.size), member_lists, target_key)
     else:

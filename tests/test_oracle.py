@@ -21,13 +21,16 @@ from charvar.errors import (
     ResourceLimitError,
 )
 from charvar.oracle import (
+    NO_CLASS,
     FiniteGroupModel,
+    _commutator_distribution,
     _det,
     brute_force_count,
     build_model,
     check_field,
     class_count,
     class_size,
+    derived_order,
     group_order,
     regular_unipotent_class,
     semisimple_class,
@@ -100,7 +103,7 @@ def test_class_keys_match_true_conjugacy_orbits(family, size, q):
     for rep, _size in m.class_table().values():
         orbit = {m.mul(m.mul(g, rep), inverses[g]) for g in m.elements}
         key = m.class_key(rep)
-        assert orbit == set(m.members(key))
+        assert orbit == set(oracle_reference.members(m, key))
         assert key not in seen
         seen.add(key)
     assert sum(size for _rep, size in m.class_table().values()) == m.order
@@ -207,6 +210,51 @@ def test_kernels_match_generic_reference(family, size, q):
         pairs = [(rng.choice(m.elements), rng.choice(m.elements)) for _ in range(20_000)]
     for a, b in pairs:
         assert m.mul(a, b) == ref.mul(family, q, a, b)
+
+
+@pytest.mark.parametrize(
+    "family,size,q",
+    [("GL", 2, 3), ("GL", 2, 5), ("PGL", 2, 3), ("PGL", 2, 5), ("PGL", 2, 7),
+     ("GL", 3, 2)],
+)
+def test_class_index_covers_every_invertible_matrix(family, size, q):
+    """The class index at every base-q code: the number of the class of the
+    matrix (any scalar multiple of an element, for PGL(2)), or NO_CLASS on
+    a singular one; each class's members as flat digit tuples; and
+    ``products`` and ``mul`` agree with the index."""
+    m = model(family, size, q)
+    index, numbers, members, _table = m._classes
+    for code, entries in enumerate(itertools.product(range(q), repeat=size * size)):
+        a = tuple(entries[i : i + size] for i in range(0, size * size, size))
+        if _det(a, q):
+            assert index[code] == numbers[oracle_reference.class_key(family, q, a)]
+        else:
+            assert index[code] == NO_CLASS
+    for key, number in numbers.items():
+        assert members[number] == [
+            sum(x, ()) for x in oracle_reference.members(m, key)
+        ]
+    rng = random.Random(0)
+    for _ in range(200):
+        a, b = rng.choice(m.elements), rng.choice(m.elements)
+        [code] = m.products(sum(a, ()), [sum(b, ())])
+        assert index[code] == m.class_number(m.mul(a, b))
+
+
+@pytest.mark.parametrize(
+    "family,size,q",
+    [("GL", 2, 2), ("GL", 2, 3), ("GL", 2, 5), ("GL", 2, 7), ("GL", 2, 11),
+     ("GL", 3, 2), ("GL", 3, 3),
+     ("PGL", 2, 3), ("PGL", 2, 5), ("PGL", 2, 7), ("PGL", 2, 11)],
+)
+def test_commutators_cover_the_derived_subgroup(family, size, q):
+    """Every element of [G, G] is a commutator: the commutator distribution
+    vanishes exactly off [G, G], so the handles after the first convolve
+    over ``derived_order`` elements, as ``check_enumeration`` counts."""
+    m = model(family, size, q)
+    sizes = [size for _rep, size in m.class_table().values()]
+    v1 = _commutator_distribution(m)
+    assert sum(size for size, v in zip(sizes, v1) if v) == derived_order(family, size, q)
 
 
 def test_gl3_kernels_match_generic_reference_at_q5():
@@ -373,7 +421,8 @@ def _concrete(m, spec):
         # k = 24 classes, |G| = 480, |C| = 30 (semisimple), 24 (unipotent)
         ("GL", 2, 5, 0, ((2, 3), "u", "u"), 24 * 24),
         ("GL", 2, 5, 1, ((2, 3), "u"), 480 + 24 * 30),
-        ("GL", 2, 5, 2, ((2, 3), "u"), 480 + 24 * 480 + 24 * 30),
+        # the second handle skips the classes off SL(2): |[G, G]| = 120
+        ("GL", 2, 5, 2, ((2, 3), "u"), 480 + 24 * 120 + 24 * 30),
         # k = 9 classes, |G| = 336, |C| = 56 (semisimple), 48 (unipotent)
         ("PGL", 2, 7, 0, ((2,), (3,), "u"), 9 * 56),
         ("PGL", 2, 7, 1, ((2,), "u"), 336 + 9 * 56),
@@ -382,17 +431,20 @@ def _concrete(m, spec):
 def test_budget_is_the_number_of_group_products(
     monkeypatch, family, size, q, genus, spec, products
 ):
+    """Every product goes through ``FiniteGroupModel.products``, one per
+    right factor; ``check_enumeration`` predicts their number exactly."""
     m = model(family, size, q)
     classes = _concrete(m, spec)
     calls = 0
-    mul = FiniteGroupModel.mul
+    routine = FiniteGroupModel.products
 
-    def counting_mul(self, a, b):
+    def counting_products(self, a, xs):
         nonlocal calls
-        calls += 1
-        return mul(self, a, b)
+        codes = routine(self, a, xs)
+        calls += len(codes)
+        return codes
 
-    monkeypatch.setattr(FiniteGroupModel, "mul", counting_mul)
+    monkeypatch.setattr(FiniteGroupModel, "products", counting_products)
     count = brute_force_count(m, genus, classes)
     assert calls == products
     assert brute_force_count(m, genus, classes, budget=products) == count
@@ -447,6 +499,20 @@ DIFFERENTIAL_CASES = [
     (("GL", 2, 5), 0, ((1, 2), (2, 4), "u", "u")),
     (("PGL", 2, 7), 0, ((3,), (5,), "u", "u")),
     (("GL", 3, 3), 0, ("u", "u", "u")),
+] + [
+    # the fields where no class is strongly regular semisimple, GL(2, F_7),
+    # and GL(3, F_3) with a handle
+    ((family, size, q), genus, spec)
+    for (family, size, q), genera, specs in [
+        (("GL", 2, 2), (0, 1, 2), [("u", "u"), ("u", "u", "u")]),
+        (("PGL", 2, 3), (0, 1, 2), [("u", "u"), ("u", "u", "u")]),
+        (("GL", 3, 2), (0, 1, 2), [("u", "u"), ("u", "u", "u")]),
+        (("GL", 2, 7), (0, 1, 2), [((2, 3), "u")]),
+        (("GL", 2, 7), (0,), [((1, 2), (3, 6), "u")]),
+        (("GL", 3, 3), (1,), [("u", "u")]),
+    ]
+    for genus in genera
+    for spec in specs
 ]
 
 

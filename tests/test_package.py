@@ -146,9 +146,11 @@ def test_records_are_not_typing_namedtuples():
 
 
 # stdlib modules a cold CLI process does not need: dataclasses pulls in
-# inspect, ast and dis, and each frozen dataclass execs generated code
+# inspect, ast and dis, and each frozen dataclass execs generated code;
+# argparse (with gettext) is imported only for argv the CLI does not parse
 OFF_IMPORT_PATH = (
-    "dataclasses", "inspect", "ast", "dis", "datetime", "fractions", "decimal"
+    "dataclasses", "inspect", "ast", "dis", "datetime", "fractions", "decimal",
+    "argparse", "gettext",
 )
 
 _IMPORT_PROBE = """
@@ -202,7 +204,8 @@ lazy = json.loads(sys.argv[1])
 code = main(sys.argv[2:])
 ran = [name for name in lazy if type(sys.modules[name]) is types.ModuleType]
 rational = [name for name in ("fractions", "decimal") if name in sys.modules]
-print(json.dumps({"code": code, "ran": ran, "rational": rational}))
+parser = [name for name in ("argparse", "gettext") if name in sys.modules]
+print(json.dumps({"code": code, "ran": ran, "rational": rational, "parser": parser}))
 """
 
 LAZY = (
@@ -228,7 +231,8 @@ def test_each_command_runs_only_the_engine_modules_it_uses(command, ran):
     ``count``, ``table`` and ``check`` never run the oracle's glue or the
     brute-force oracle.  An integer count never makes a ``Fraction``, so
     ``fractions`` (and the ``decimal`` it imports) stay unloaded by every
-    command but ``oracle``."""
+    command but ``oracle``.  Well-formed argv is parsed without
+    ``argparse``, so no command imports it or ``gettext``."""
     config = Path(__file__).resolve().parents[1] / "configs" / "gl2_genus1.json"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     probe = subprocess.run(
@@ -239,8 +243,29 @@ def test_each_command_runs_only_the_engine_modules_it_uses(command, ran):
     result = json.loads(probe.stdout.splitlines()[-1])
     assert result["code"] == 0
     assert result["ran"] == ran
+    assert result["parser"] == []
     if command != "oracle":
         assert result["rational"] == []
+
+
+def test_module_run_compiles_the_cli_once():
+    """``python -m charvar.cli`` runs ``cli.py`` as ``__main__``; ``cli_count``
+    imports its helpers from ``charvar.cli``, which must be that same module
+    rather than a second compile of the file."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "gl2_genus1.json"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "charvar.cli", "check",
+         "--config", str(config)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    imported = [
+        line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "charvar.rootdata" in imported
+    assert "charvar.cli" not in imported
+    assert run.stdout.strip()
 
 
 def functools_caches() -> dict:
