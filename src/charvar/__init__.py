@@ -16,13 +16,15 @@ All arithmetic is exact (integers and fractions); there is no floating
 point anywhere in the pipeline.
 
 The engine modules ``count``, ``charsum`` and ``oracle``, the CLI's glue
-for the commands that use them (``cli_count``, ``cli_oracle``) and the
-factoring code of count reports (``factor``) are registered lazily
+for the commands that use them (``cli_count``, ``cli_oracle``), the
+factoring code of count reports (``factor``) and the code only tests and
+the tracer call (``reference``) are registered lazily
 (``importlib.util.LazyLoader``): each is in ``sys.modules`` and bound
 here from the start, but its code runs only when one of its attributes
 is first used, so a process that only builds a poset never compiles
-them.  The public names they define are served on first use by the
-module-level ``__getattr__``.
+them, and no command compiles ``reference``.  The public names they
+define are served on first use by ``__getattr__``, here or, for
+``reference``, in the modules that used to define them.
 """
 
 import importlib.util
@@ -39,13 +41,14 @@ def _register_lazily(name: str):
     return module
 
 
-# registered before the eager imports below, because ``qpoly`` binds ``factor``
+# registered before the eager imports below, which bind ``factor`` and ``reference``
 charsum = _register_lazily("charsum")
 count = _register_lazily("count")
 oracle = _register_lazily("oracle")
 cli_count = _register_lazily("cli_count")
 cli_oracle = _register_lazily("cli_oracle")
 factor = _register_lazily("factor")
+reference = _register_lazily("reference")
 
 from .errors import (
     CharvarError,

@@ -13,8 +13,7 @@ Three layers, each feeding the next:
   vectors inside), with canonical coordinates of A/dA as an
   :class:`AdditiveMap` (:func:`canonical_coordinates`, read off a Smith
   form and kept on the group).  A word is the identity exactly when its
-  image is zero, and the d-th-power test (:func:`is_dth_power`) asks
-  whether a word lies in the kernel of the coordinates of A/dA.
+  image is zero, and a d-th power exactly when its image in A/dA is.
 
 Matrices are tuples of tuples of ints; rows of a generator/relation matrix
 are the generating vectors/relators.  The package's identity matrix
@@ -28,6 +27,7 @@ import math
 from collections import namedtuple
 from typing import Iterable, Sequence
 
+from . import reference
 from .record import Record
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -220,16 +220,6 @@ def _power_relations(group: FPAbelianGroup, d: int) -> IntMatrix:
     return tuple(tuple(d * x for x in row) for row in scaled) + group.relations
 
 
-def is_dth_power(group: FPAbelianGroup, word: Sequence[int], d: int) -> bool:
-    """True iff the word is a d-th power in the group (exactly the declared one).
-
-    Solves d·y ≡ word (mod relations): the word vanishes in A/dA.
-    """
-    if d <= 0:
-        raise ValueError("d must be positive")
-    return canonical_coordinates(group, d).in_kernel(group._check(word))
-
-
 class AdditiveMap(namedtuple("AdditiveMap", "functionals moduli")):
     """An additive map from integer vectors to (+) Z/e (+) Z^f.
 
@@ -295,3 +285,9 @@ def canonical_coordinates(group: FPAbelianGroup, d: int = 0) -> AdditiveMap:
 def canonical_word(group: FPAbelianGroup, word: Sequence[int]) -> IntVector:
     """Canonical coset representative: equal words get equal tuples."""
     return canonical_coordinates(group).image(group._check(word))
+
+
+def __getattr__(name: str):
+    if name == "is_dth_power":  # from ``reference``
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,18 +9,16 @@ T(k) = X^vee (x) k^x is stored as one A-word per X^vee coordinate.
 On top of that this module provides:
 
 * ``evaluate_character`` — pair a character (vector in X) with S;
-* ``translate`` / ``product_translate`` — the Weyl action on torus
-  elements, and the product of several translated elements;
+* ``translate`` — the Weyl action on torus elements;
 * ``strongly_regular`` — no root trivial on S and trivial Weyl stabilizer,
   both read from the root values on S, with no loop over W;
 * ``node_map`` — the test "S dies in (X^vee / <Psi>) (x) A", compiled
   for a closed subsystem Psi into an additive map to (+) Z/e (+) Z^f
   (the Smith form of <Psi> composed with canonical coordinates of each
-  A/d_iA) whose kernel is exactly the dying elements; ``in_commutator``
-  asks whether S maps to zero.  Because the map is additive, the image of
-  a product of translates is the sum of their images, which is what lets
-  the counting engine join per-class histograms instead of enumerating
-  products;
+  A/d_iA) whose kernel is exactly the dying elements.  Because the map
+  is additive, the image of a product of translates is the sum of their
+  images, which is what lets the counting engine join per-class
+  histograms instead of enumerating products;
 * ``quotient_factor`` — |Tor(X^vee/<Psi>)| (q-1)^rank(X^vee/<Psi>), the
   per-subsystem factor that Delta takes when S dies.  Delta, alpha and
   the Mobius sum between them are ``count.delta_values`` and
@@ -33,13 +31,13 @@ import re
 from collections import namedtuple
 from functools import cached_property
 
+from . import reference
 from .abelian import (
     AdditiveMap,
     FPAbelianGroup,
     QuotientInvariants,
     canonical_coordinates,
     canonical_word,
-    quotient_invariants,
 )
 from .errors import InvalidInputError
 from .qpoly import Poly
@@ -179,28 +177,6 @@ def translate(w: Matrix, element: SymbolicTorusElement) -> SymbolicTorusElement:
     return SymbolicTorusElement(datum=element.datum, coords=tuple(new))
 
 
-def product_translate(ws, elements) -> SymbolicTorusElement:
-    """The product (sum in X^vee (x) A) of w_k . S_k over k."""
-    elements = list(elements)
-    ws = list(ws)
-    if len(ws) != len(elements) or not elements:
-        raise InvalidInputError(
-            "weyl-translate", "need equally many Weyl elements and torus elements"
-        )
-    translated = [translate(w, s) for w, s in zip(ws, elements)]
-    datum = translated[0].datum
-    n = len(datum.symbols)
-    d = len(translated[0].coords)
-    coords = []
-    for r in range(d):
-        acc = [0] * n
-        for s in translated:
-            for i in range(n):
-                acc[i] += s.coords[r][i]
-        coords.append(tuple(acc))
-    return SymbolicTorusElement(datum=datum, coords=tuple(coords))
-
-
 def strongly_regular(rd: RootDatum, element: SymbolicTorusElement) -> bool:
     """No root evaluates to 1 on S, and only the identity of W fixes S.
 
@@ -280,13 +256,12 @@ def node_map(inv: QuotientInvariants, group: FPAbelianGroup) -> AdditiveMap:
     return AdditiveMap(functionals=tuple(functionals), moduli=tuple(moduli))
 
 
-def in_commutator(rd: RootDatum, psi, element: SymbolicTorusElement) -> bool:
-    """Does S become trivial in (X^vee / <Psi>) (x) A?"""
-    inv = quotient_invariants(rd.rank, [rd.coroots[i] for i in sorted(psi)])
-    return node_map(inv, element.datum.group).in_kernel(element.flat())
-
-
 def quotient_factor(inv: QuotientInvariants) -> Poly:
     """|Tor(X^vee/<Psi>)| (q-1)^rank(X^vee/<Psi>): the value of delta when S dies."""
     return Poly([-1, 1]) ** inv.free_rank * inv.torsion_order
 
+
+def __getattr__(name: str):
+    if name in ("in_commutator", "product_translate"):  # from ``reference``
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

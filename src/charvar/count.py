@@ -607,7 +607,13 @@ def _finish_report(
     warnings: list[str],
     table: tuple[TableRow, ...],
 ) -> CountReport:
-    """The report of ``polynomial``; the count is empty when it is zero."""
+    """The report of ``polynomial``; the count is empty when it is zero.
+
+    A non-empty count whose degree is not ``expected_dimension`` raises
+    ``degree-dimension``, a warning only under overrides: the paper shows
+    the variety smooth and equidimensional of that dimension (G/Z acts
+    freely), and a polynomial count has degree the dimension (Lang-Weil).
+    """
     rd = spec.rd
     is_empty = polynomial.is_zero()
     g, n, m = spec.genus, spec.punctures, spec.m
@@ -616,14 +622,17 @@ def _finish_report(
     leading = polynomial.coeffs[-1] if polynomial.coeffs else None
     expected_dim = expected_dimension(spec)
 
-    # topology cross-checks (warnings, not errors: overrides can break them)
+    # topology cross-checks: overrides can break them
     num_components: int | None = None
     if not is_empty:
         if degree != expected_dim:
-            warnings.append(
+            message = (
                 f"count has degree {degree} but the expected dimension is "
                 f"{expected_dim}"
             )
+            if not spec.overrides:
+                raise InternalConsistencyError("degree-dimension", message)
+            warnings.append(message)
         if g > 0 or n > 3:
             num_components = cocenter_invariants(rd).torsion_order
             if leading != num_components:

@@ -110,7 +110,7 @@ def factored_str(poly: Poly) -> str:
     d = 3
     while d <= left.degree():
         if _may_vanish(left.coeffs, d):
-            phi, mult = _cyclotomic(d, table), 0
+            phi, mult = cyclotomic_from(d, table), 0
             while d <= left.degree():
                 quot, rem = left.divmod(phi)
                 if rem.coeffs:
@@ -157,7 +157,7 @@ def _root_of_unity(d: int) -> tuple[int, int]:
             return p, w
 
 
-def _cyclotomic(n: int, table: dict[int, Poly]) -> Poly:
+def cyclotomic_from(n: int, table: dict[int, Poly]) -> Poly:
     """Phi_n: q^n - 1 divided by Phi_d for each proper divisor d of n.
 
     ``table`` holds the Phi_d already built; the caller owns it.
@@ -167,13 +167,6 @@ def _cyclotomic(n: int, table: dict[int, Poly]) -> Poly:
         phi = Poly([-1] + [0] * (n - 1) + [1])
         for d in range(1, n):
             if n % d == 0:
-                phi = phi.divmod(_cyclotomic(d, table))[0]
+                phi = phi.divmod(cyclotomic_from(d, table))[0]
         table[n] = phi
     return phi
-
-
-def cyclotomic(n: int) -> Poly:
-    """The n-th cyclotomic polynomial, via exact division of q^n - 1."""
-    if n < 1:
-        raise ValueError("cyclotomic index must be positive")
-    return _cyclotomic(n, {})

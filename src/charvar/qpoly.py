@@ -17,17 +17,17 @@ integer ``Poly``.  Post-processing (``Poly.factored_str``,
 degree; its code is in ``factor``, which the package registers lazily, so
 only a process that factors a count compiles it.
 
-:class:`RationalPoly` (a reduced fraction num/den of two polynomials with
-a monic denominator, so equality is plain coefficient equality) is not
-on the count path.  The literal reference computations in ``tests/`` sum
-the master formula in it, and ``perfbench/tracer.py`` times its methods.
+``RationalPoly``, a reduced fraction of two polynomials in which the
+reference computations in ``tests/`` sum the master formula, and
+``cyclotomic`` live in ``reference``, which no command compiles; this
+module serves them from there through ``__getattr__``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from . import factor
+from . import factor, reference
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -97,7 +97,7 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, RationalPoly):
+        if hasattr(other, "den"):  # a ``RationalPoly`` compares itself
             return NotImplemented
         return self.coeffs == _strip([other])
 
@@ -173,20 +173,6 @@ class Poly:
                     rem[i + j] -= f * d[j]
         return Poly(quot), Poly(rem[:k])
 
-    def monic(self) -> "Poly":
-        lead = self.leading()
-        if lead in (0, 1):
-            return self
-        from fractions import Fraction
-
-        return self * Fraction(1, lead)
-
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
-
     def evaluate(self, x: Scalar) -> Scalar:
         acc = 0
         for c in reversed(self.coeffs):
@@ -223,154 +209,6 @@ class Poly:
 
 
 def __getattr__(name: str):
-    if name == "cyclotomic":  # defined with the factoring code
-        return factor.cyclotomic
+    if name in ("RationalPoly", "cyclotomic"):
+        return getattr(reference, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _coerce(x: RationalPoly | Poly | Scalar) -> RationalPoly:
-    from fractions import Fraction
-
-    if isinstance(x, RationalPoly):
-        return x
-    if isinstance(x, Poly):
-        return RationalPoly(x)
-    if isinstance(x, (int, Fraction)):
-        return RationalPoly(Poly.const(x))
-    raise TypeError(f"cannot coerce {type(x)!r} to RationalPoly")
-
-
-class RationalPoly:
-    """Quotient num/den of exact polynomials in q, kept fully reduced.
-
-    Canonical form: gcd(num, den) = 1 and den monic, so two equal rational
-    functions have identical coefficient tuples.  Not on the count path, so
-    its methods import ``Fraction`` where they use it.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly = None):
-        if den is None:  # a polynomial over 1 is already reduced
-            self.num, self.den = num, Poly.const(1)
-            return
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num, self.den = Poly(), Poly.const(1)
-            return
-        g = num.gcd(den)
-        num, r1 = num.divmod(g)
-        den, r2 = den.divmod(g)
-        assert r1.is_zero() and r2.is_zero()
-        lead = den.leading()
-        if lead != 1:
-            from fractions import Fraction
-
-            num, den = num * Fraction(1, lead), den * Fraction(1, lead)
-        self.num, self.den = num, den
-
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def from_int(c: Scalar) -> "RationalPoly":
-        return RationalPoly(Poly.const(c))
-
-    @staticmethod
-    def q() -> "RationalPoly":
-        return RationalPoly(Poly.q())
-
-    @staticmethod
-    def from_coeffs(coeffs: Iterable[Scalar]) -> "RationalPoly":
-        return RationalPoly(Poly(coeffs))
-
-    # -- predicates / extraction --------------------------------------
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den == Poly.const(1)
-
-    def polynomial_coeffs(self) -> tuple[Scalar, ...]:
-        if not self.is_polynomial():
-            raise ValueError(f"not a polynomial: ({self.num})/({self.den})")
-        return self.num.coeffs
-
-    def degree(self) -> int:
-        """Degree of a polynomial value; -1 for zero."""
-        self.polynomial_coeffs()
-        return self.num.degree()
-
-    def leading_coefficient(self) -> Scalar:
-        self.polynomial_coeffs()
-        return self.num.leading()
-
-    def evaluate(self, x: Scalar) -> Fraction:
-        d = self.den.evaluate(x)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at q={x}")
-        from fractions import Fraction
-
-        return Fraction(self.num.evaluate(x), d)
-
-    # -- arithmetic ---------------------------------------------------
-    def __add__(self, other) -> "RationalPoly":
-        o = _coerce(other)
-        return RationalPoly(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalPoly":
-        return RationalPoly(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalPoly":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "RationalPoly":
-        return _coerce(other) - self
-
-    def __mul__(self, other) -> "RationalPoly":
-        o = _coerce(other)
-        return RationalPoly(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalPoly":
-        o = _coerce(other)
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalPoly(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other) -> "RationalPoly":
-        return _coerce(other) / self
-
-    def __pow__(self, n: int) -> "RationalPoly":
-        if n >= 0:
-            return RationalPoly(self.num ** n, self.den ** n)
-        if self.is_zero():
-            raise ZeroDivisionError("zero to a negative power")
-        return RationalPoly(self.den ** (-n), self.num ** (-n))
-
-    def __eq__(self, other: object) -> bool:
-        from fractions import Fraction
-
-        if isinstance(other, (RationalPoly, Poly, int, Fraction)):
-            o = _coerce(other)
-            return self.num == o.num and self.den == o.den
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    # -- display ------------------------------------------------------
-    def __str__(self) -> str:
-        if self.is_polynomial():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RationalPoly({self})"
-
-    def factored_str(self) -> str:
-        """``Poly.factored_str`` of a polynomial value; raises on a proper fraction."""
-        self.polynomial_coeffs()
-        return self.num.factored_str()

@@ -28,10 +28,10 @@ axiom check and reports the first axiom that fails by name.
 Per-component invariants are read from the Cartan type that
 ``classify_vectors`` assigns: Poincare polynomials from the fundamental
 degrees (Chevalley), the validity modulus from the lcm of the highest-root
-coefficients and the excluded primes from per-type tables.  The Weyl group
-enumerations (``enumerate_weyl``, ``subsystem_weyl_elements``) serve only
-the translate sums of two or more classes and, for W(Psi), the tests that
-check those tables; strong regularity reads the reflection table instead.
+coefficients and the excluded primes from per-type tables; a component's
+rank comes from a fraction-free elimination, not a Smith form.  The Weyl
+group enumeration (``enumerate_weyl``) serves only the translate sums of
+two or more classes; strong regularity reads the reflection table.
 
 Conventions: the Cartan matrix entry C[i][j] equals <alpha_j, alpha_i^vee>
 (row index = coroot).  Simply connected data use the fundamental-weight
@@ -50,12 +50,12 @@ import re
 from functools import cached_property, reduce
 from typing import TYPE_CHECKING
 
+from . import reference
 from .abelian import (
     QuotientInvariants,
     identity,
     prime_factors,
     quotient_invariants,
-    smith_normal_form,
 )
 from .errors import InvalidInputError, ResourceLimitError
 from .qpoly import Poly
@@ -81,10 +81,6 @@ def _dot(u: Vector, v: Vector) -> int:
 
 def _neg(v: Vector) -> Vector:
     return tuple(-a for a in v)
-
-
-def _add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def _mat_vec(m: Matrix, v: Vector) -> Vector:
@@ -705,20 +701,6 @@ def _indecomposable(vectors: tuple[Vector, ...], indices) -> tuple[int, ...]:
     )
 
 
-def subsystem_simple_indices(rd: RootDatum, indices: frozenset[int]) -> tuple[int, ...]:
-    """Indecomposable positive elements of a closed symmetric coroot subsystem."""
-    return _indecomposable(rd.coroots, [i for i in indices if rd.is_positive(i)])
-
-
-def subsystem_weyl_elements(rd: RootDatum, indices: frozenset[int]) -> tuple[Matrix, ...]:
-    """Elements of the reflection subgroup W(Psi) of a closed coroot subsystem.
-
-    The counting path reads |W(Psi)| and P_Psi(q) from the Cartan type; this
-    enumeration is the independent check the tests compare those against.
-    """
-    return _reflection_group(rd, subsystem_simple_indices(rd, indices))
-
-
 # ---------------------------------------------------------------------------
 # Center
 # ---------------------------------------------------------------------------
@@ -748,31 +730,37 @@ def classify_vectors(vectors: list[Vector], form) -> str:
     resolve to 'A1' (rank 1), 'C2' (rank 2, two lengths), 'A3' (=D3).
     Multiple components are sorted and joined with 'x'; empty -> 'empty'.
     """
-    if not vectors:
-        return "empty"
-    remaining = set(range(len(vectors)))
-    labels = []
+    remaining, labels = set(range(len(vectors))), []
     while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j in list(remaining - comp):
-                    if form(vectors[i], vectors[j]) != 0:
-                        comp.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        remaining -= comp
-        labels.append(_classify_component([vectors[i] for i in sorted(comp)], form))
-    return "x".join(sorted(labels))
+        component = [min(remaining)]
+        remaining.remove(component[0])
+        for i in component:
+            linked = [j for j in remaining if form(vectors[i], vectors[j])]
+            remaining.difference_update(linked)
+            component += linked
+        labels.append(_classify_component([vectors[i] for i in component], form))
+    return "x".join(sorted(labels)) or "empty"
+
+
+def _rank(vectors: list[Vector]) -> int:
+    """Rank of the span, by fraction-free elimination: each pivot's first
+    nonzero column k is cleared from the other rows, x -> p x - x_k pivot."""
+    rows, rank = set(vectors), 0
+    while rows:
+        pivot = rows.pop()
+        k = next(c for c, a in enumerate(pivot) if a)
+        p, rank = pivot[k], rank + 1
+        rows = {
+            row for v in rows
+            if any(row := tuple([p * x - v[k] * y for x, y in zip(v, pivot)]))
+        }
+    return rank
 
 
 def _classify_component(vectors: list[Vector], form) -> str:
-    count = len(vectors)
-    r = len(smith_normal_form([list(v) for v in vectors]).divisors)
-    lengths = sorted({form(v, v) for v in vectors})
+    count, r = len(vectors), _rank(vectors)
+    norms = [form(v, v) for v in vectors]
+    lengths = sorted(set(norms))
     if len(lengths) == 1:
         if count == r * (r + 1):
             return f"A{r}"
@@ -782,15 +770,12 @@ def _classify_component(vectors: list[Vector], form) -> str:
             return f"E{r}"
         return "unknown"
     if len(lengths) == 2 and lengths[1] == 2 * lengths[0]:
-        if (r, count) == (4, 48):
-            return "F4"
-        if r == 2 and count == 8:
-            return "C2"
-        n_short = sum(1 for v in vectors if form(v, v) == lengths[0])
-        n_long = count - n_short
-        if n_short == 2 * r and n_long == 2 * r * (r - 1):
+        n_short = norms.count(lengths[0])
+        if (r, count) in {(4, 48), (2, 8)}:
+            return "F4" if r == 4 else "C2"
+        if count == 2 * r * r and n_short == 2 * r:
             return f"B{r}"
-        if n_long == 2 * r and n_short == 2 * r * (r - 1):
+        if count == 2 * r * r and count - n_short == 2 * r:
             return f"C{r}"
         return "unknown"
     if len(lengths) == 2 and lengths[1] == 3 * lengths[0] and r == 2 and count == 12:
@@ -855,47 +840,6 @@ def type_poincare(label: str) -> Poly:
     return p
 
 
-def _check_subsystem(rd: RootDatum, indices: frozenset[int]) -> None:
-    vectors = {rd.coroots[i] for i in indices}
-    for i in indices:
-        if _neg(rd.coroots[i]) not in vectors:
-            raise InvalidInputError(
-                "subsystem",
-                f"subsystem is not symmetric: missing negative of {rd.coroots[i]}",
-            )
-    lookup = rd.coroot_lookup
-    for i in indices:
-        for j in indices:
-            s = _add(rd.coroots[i], rd.coroots[j])
-            k = lookup.get(s)
-            if k is not None and k not in indices:
-                raise InvalidInputError(
-                    "subsystem",
-                    f"subsystem is not closed: {rd.coroots[i]} + {rd.coroots[j]} "
-                    f"is a coroot outside it",
-                )
-
-
-def poincare_polynomial(
-    rd: RootDatum, subsystem: "frozenset[int] | tuple[int, ...] | None" = None
-) -> Poly:
-    """Length generating polynomial of W(Psi) for a closed coroot subsystem.
-
-    ``subsystem`` is a set of root/coroot indices (None means the whole
-    system).  Psi is classified and the polynomial read from the
-    fundamental degrees of its type (``type_poincare``); P(1) = |W(Psi)| and
-    the degree is |Psi+|.  The tests check it against the lengths of the
-    enumerated ``subsystem_weyl_elements``.
-    """
-    if subsystem is None:
-        indices = frozenset(range(len(rd.roots)))
-    else:
-        indices = frozenset(subsystem)
-    _check_subsystem(rd, indices)
-    vectors = [rd.coroots[i] for i in sorted(indices)]
-    return type_poincare(classify_vectors(vectors, rd.coroot_form))
-
-
 def admissible_primes(rd: RootDatum) -> tuple[int, ...]:
     """Excluded characteristics, sorted: outside them regular unipotents are uniform.
 
@@ -929,3 +873,9 @@ def modulus(rd: RootDatum) -> int:
     for letter, r in rd.root_types:
         values.append(_HIGHEST_ROOT_LCM[letter if letter in "ABCD" else f"{letter}{r}"])
     return math.lcm(*values)
+
+
+def __getattr__(name: str):
+    if name in ("poincare_polynomial", "subsystem_weyl_elements"):  # from ``reference``
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

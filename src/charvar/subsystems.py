@@ -9,15 +9,17 @@ Subsystems are sets of root/coroot indices of the ambient ``RootDatum``,
 held internally as integer bitmasks (bit k for coroot k) and exposed as
 frozensets.  A sum-pair table, built once per enumeration, lists for each
 coroot i the pairs (j, k) with alpha_i^vee + alpha_j^vee = alpha_k^vee.
-Closing a set is a worklist over that table: each coroot newly added is
-checked only against the pairs it takes part in.  Enumeration walks the
-lattice from the empty set: repeatedly adjoin one positive coroot to a
-closed mask and close up.  Every closed subsystem is reached this way,
-because it is the closure of its own simple system, which can be adjoined
-one element at a time.  The walk runs one Weyl orbit at a time: only the
-first subsystem found in an orbit is extended, and each new one is closed
-under the simple reflections, acting on bitmasks as permutations of the
-coroot indices; each member records the simple reflection that reaches it.
+Closing a set runs in rounds over that table on whole bitmasks: each
+round adds the sums made by the coroots new in the round before.
+Enumeration walks the lattice from the empty set: repeatedly adjoin one
+positive coroot to a closed mask and close up.  Every closed subsystem is
+reached this way, because it is the closure of its own simple system,
+which can be adjoined one element at a time.  The walk runs one Weyl
+orbit at a time: only the first subsystem found in an orbit is extended,
+and each new one is closed under the simple reflections, acting on
+bitmasks as permutations of the coroot indices; each member records the
+simple reflection that reaches it, and the poset reads its node
+permutations off the images the walk keeps.
 
 ``SubsystemPoset`` precomputes the node list and serves per-node data:
 type labels (one classification per Weyl orbit, with long/short
@@ -37,10 +39,12 @@ once and keeps it (``build_poset``).
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping, Sequence
 from functools import cached_property
 from types import MappingProxyType
 
+from . import reference
 from .abelian import QuotientInvariants, quotient_invariants
 from .errors import ResourceLimitError
 from .qpoly import Poly
@@ -50,34 +54,38 @@ MAX_POSITIVE_ROOTS = 24
 
 
 def _sum_pairs(rd: RootDatum) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per coroot i, the pairs (1 << j, k) with alpha_i^vee + alpha_j^vee = alpha_k^vee."""
-    lookup = rd.coroot_lookup
+    """Per coroot i, the bits (1 << j, 1 << k) with alpha_i^vee + alpha_j^vee = alpha_k^vee."""
+    lookup, add = rd.coroot_lookup, operator.add
     return tuple(
         tuple(
-            (1 << j, k)
+            (1 << j, 1 << k)
             for j, w in enumerate(rd.coroots)
-            if (k := lookup.get(tuple(a + b for a, b in zip(v, w)))) is not None
+            if (k := lookup.get(tuple(map(add, v, w)))) is not None
         )
         for v in rd.coroots
     )
 
 
-def _adjoin(rd: RootDatum, pairs, mask: int, indices) -> int:
-    """Closure of the closed mask ``mask`` with ``indices`` adjoined.
+def _adjoin(rd: RootDatum, pairs, mask: int, p: int) -> int:
+    """Closure of the closed mask ``mask`` with coroot ``p`` adjoined.
 
-    Worklist over the sum-pair table ``pairs``: a coroot is checked against
-    its sum pairs when it is added.  Symmetry needs no extra step: both
-    signs of each index go in first, and whenever i + j = k goes in, so do
-    -i and -j, and with them -k.
+    One round at a time on whole bitmasks: a round adds the sums, read off
+    the sum-pair table ``pairs``, of each coroot new in the round before
+    with each member, until a round adds nothing (sums of two older members
+    are in already).  Symmetry needs no extra step: both signs of p go in
+    first, and whenever i + j = k goes in, so do -i and -j, and with them -k.
     """
-    todo = [k for i in indices for k in (i, rd.negative_of(i))]
-    while todo:
-        i = todo.pop()
-        if not mask >> i & 1:
-            mask |= 1 << i
-            for bit, k in pairs[i]:
+    new = 1 << p | 1 << rd.negative_of(p)
+    while new := new & ~mask:
+        mask |= new
+        sums = 0
+        while new:
+            low = new & -new
+            new ^= low
+            for bit, k_bit in pairs[low.bit_length() - 1]:
                 if mask & bit:
-                    todo.append(k)
+                    sums |= k_bit
+        new = sums
     return mask
 
 
@@ -91,37 +99,23 @@ def _indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _members(mask: int) -> frozenset[int]:
-    return frozenset(_indices(mask))
-
-
-def closure(rd: RootDatum, indices) -> frozenset[int]:
-    """Smallest closed symmetric subset of the coroot system containing indices."""
-    return _members(_adjoin(rd, _sum_pairs(rd), 0, indices))
-
-
-def _simple_reflections(rd: RootDatum) -> list[tuple[int, tuple[int, ...]]]:
-    """(a, bits) per simple root a: s_a(beta_k^vee) is the coroot with bit bits[k]."""
-    return [(a, tuple(1 << k for k in rd.reflections[a])) for a in rd.simple_root_indices]
-
-
-def _orbit_tree(mask: int, reflections) -> dict[int, tuple[int, int] | None]:
+def _orbit_tree(mask: int, reflections, members: dict, images: dict) -> dict:
     """Weyl orbit of ``mask`` as a tree: member -> (parent, a), None at the root.
 
     The root is the orbit's first member (least ``_indices``).  A walk from
-    ``mask`` finds the members and each one's image under every simple
-    reflection; a breadth-first walk over those images from the root
-    builds the tree.
+    ``mask`` finds the members, and records each one's indices in
+    ``members`` and its images under the simple reflections in ``images``;
+    a breadth-first walk over those images from the root builds the tree.
     """
-    images, seen, frontier = {}, {mask}, [mask]
+    members[mask], frontier = _indices(mask), [mask]
     for member in frontier:
-        indices = _indices(member)
+        indices = members[member]
         images[member] = row = [sum(map(bits.__getitem__, indices)) for _, bits in reflections]
         for image in row:
-            if image not in seen:
-                seen.add(image)
+            if image not in members:
+                members[image] = _indices(image)
                 frontier.append(image)
-    first = min(frontier, key=_indices)
+    first = min(frontier, key=members.__getitem__)
     tree, frontier = {first: None}, [first]
     for member in frontier:
         for (a, _), image in zip(reflections, images[member]):
@@ -141,7 +135,15 @@ def check_poset_bound(rd: RootDatum) -> None:
         )
 
 
-def enumerate_closed_subsystems(rd: RootDatum) -> dict[frozenset[int], tuple | None]:
+class ClosedSubsystems(dict):
+    """The closed subsystems, node -> move, with two things the walk found:
+    ``masks[i]``, node i as a bitmask, and ``images[i]``, the bitmasks of its
+    images under the simple reflections (``RootDatum.simple_root_indices``)."""
+
+    __slots__ = ("masks", "images")
+
+
+def enumerate_closed_subsystems(rd: RootDatum) -> ClosedSubsystems:
     """All closed symmetric subsystems of the coroot system, smallest first.
 
     Each maps to None if it is the first (smallest) of its Weyl orbit, else
@@ -151,22 +153,31 @@ def enumerate_closed_subsystems(rd: RootDatum) -> dict[frozenset[int], tuple | N
     system has more than ``MAX_POSITIVE_ROOTS`` positive roots.
     """
     check_poset_bound(rd)
-    pairs, reflections = _sum_pairs(rd), _simple_reflections(rd)
-    moves: dict[int, tuple[int, int] | None] = {0: None}
+    pairs = _sum_pairs(rd)
+    # (a, bits) per simple root a: s_a(beta_k^vee) is the coroot with bit bits[k]
+    reflections = [
+        (a, tuple(1 << k for k in rd.reflections[a])) for a in rd.simple_root_indices
+    ]
+    members: dict[int, tuple[int, ...]] = {}
+    images: dict[int, list[int]] = {}
+    moves = _orbit_tree(0, reflections, members, images)
     queue = [0]
     while queue:
         mask = queue.pop()
         for p in rd.positive:
             if not mask >> p & 1:
-                bigger = _adjoin(rd, pairs, mask, (p,))
+                bigger = _adjoin(rd, pairs, mask, p)
                 if bigger not in moves:
-                    moves.update(_orbit_tree(bigger, reflections))
+                    moves.update(_orbit_tree(bigger, reflections, members, images))
                     queue.append(bigger)
-    members = {mask: _indices(mask) for mask in moves}
-    return {
-        frozenset(members[mask]): moves[mask] and (frozenset(members[moves[mask][0]]), moves[mask][1])
-        for mask in sorted(moves, key=lambda mask: (len(members[mask]), members[mask]))
-    }
+    masks = sorted(moves, key=lambda mask: (len(members[mask]), members[mask]))
+    node = {mask: frozenset(members[mask]) for mask in masks}
+    walk = ClosedSubsystems(
+        (node[mask], moves[mask] and (node[moves[mask][0]], moves[mask][1]))
+        for mask in masks
+    )
+    walk.masks, walk.images = tuple(masks), tuple(map(images.__getitem__, masks))
+    return walk
 
 
 class SubsystemPoset:
@@ -174,13 +185,14 @@ class SubsystemPoset:
 
     def __init__(self, rd: RootDatum):
         self.rd = rd
+        walk = enumerate_closed_subsystems(rd)
         # per node: (parent node, simple root), None at its orbit's first node
-        self._moves = enumerate_closed_subsystems(rd)
-        self.nodes: tuple[frozenset[int], ...] = tuple(self._moves)
+        self._moves = walk
+        self.nodes: tuple[frozenset[int], ...] = tuple(walk)
         self.index_of: dict[frozenset[int], int] = {
             node: i for i, node in enumerate(self.nodes)
         }
-        self.masks = tuple(sum(1 << k for k in node) for node in self.nodes)
+        self.masks, self._images = walk.masks, walk.images
         self._mobius_rows: dict[int, Mapping[int, int]] = {}
         self._quotients: dict[int, QuotientInvariants] = {}
 
@@ -224,14 +236,11 @@ class SubsystemPoset:
 
     @cached_property
     def _node_permutations(self) -> dict[int, tuple[int, ...]]:
-        """Per simple root a, node j -> the node s_a(j)."""
+        """Per simple root a, node j -> the node s_a(j), read off the enumeration."""
         node_of = {mask: j for j, mask in enumerate(self.masks)}
         return {
-            a: tuple(
-                node_of[sum(map(bits.__getitem__, _indices(mask)))]
-                for mask in self.masks
-            )
-            for a, bits in _simple_reflections(self.rd)
+            a: tuple(node_of[row[r]] for row in self._images)
+            for r, a in enumerate(self.rd.simple_root_indices)
         }
 
     def mobius(self, i: int, j: int) -> int:
@@ -374,3 +383,9 @@ class SubsystemPoset:
 def build_poset(rd: RootDatum) -> SubsystemPoset:
     """The closed-subsystem poset of ``rd``, built on first request and kept on it."""
     return rd.poset
+
+
+def __getattr__(name: str):
+    if name == "closure":  # from ``reference``
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,6 +13,14 @@ shares code with ``charvar.subsystems``, which works on bitmasks, a
 sum-pair table, one Mobius recursion and one Smith form per orbit (carried
 to the other members along simple reflections) and orbits found during
 the enumeration.
+
+Three references keep earlier forms of the package's own kernels, for
+differential tests: ``reference_walk`` is the orbit walk with a
+one-coroot-at-a-time closure that recomputes each node's indices and
+throws its reflection images away, ``reference_node_permutations``
+images every node under every simple reflection a second time, and
+``reference_classify_vectors`` takes each component's rank from a Smith
+normal form.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from charvar.abelian import quotient_invariants
+from charvar.abelian import quotient_invariants, smith_normal_form
 
 
 def leq(poset, i: int, j: int) -> bool:
@@ -142,3 +150,120 @@ def reference_mobius_row(poset, i: int) -> dict[int, int]:
             if mu:
                 row[j] = mu
     return row
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def _reference_reflection_bits(rd) -> list[tuple[int, tuple[int, ...]]]:
+    return [(a, tuple(1 << k for k in rd.reflections[a])) for a in rd.simple_root_indices]
+
+
+def reference_walk(rd) -> dict:
+    """``enumerate_closed_subsystems`` as a worklist closure and a two-pass orbit tree."""
+    lookup = rd.coroot_lookup
+    pairs = [
+        [(1 << j, k) for j, w in enumerate(rd.coroots)
+         if (k := lookup.get(tuple(a + b for a, b in zip(v, w)))) is not None]
+        for v in rd.coroots
+    ]
+    reflections = _reference_reflection_bits(rd)
+
+    def adjoin(mask: int, p: int) -> int:
+        todo = [p, rd.negative_of(p)]
+        while todo:
+            i = todo.pop()
+            if not mask >> i & 1:
+                mask |= 1 << i
+                todo += [k for bit, k in pairs[i] if mask & bit]
+        return mask
+
+    def orbit_tree(mask: int) -> dict:
+        images, seen, frontier = {}, {mask}, [mask]
+        for member in frontier:
+            images[member] = row = [
+                sum(bits[k] for k in _bits(member)) for _, bits in reflections
+            ]
+            for image in row:
+                if image not in seen:
+                    seen.add(image)
+                    frontier.append(image)
+        first = min(frontier, key=_bits)
+        tree, frontier = {first: None}, [first]
+        for member in frontier:
+            for (a, _), image in zip(reflections, images[member]):
+                if image not in tree:
+                    tree[image] = (member, a)
+                    frontier.append(image)
+        return tree
+
+    moves, queue = {0: None}, [0]
+    while queue:
+        mask = queue.pop()
+        for p in rd.positive:
+            if not mask >> p & 1:
+                bigger = adjoin(mask, p)
+                if bigger not in moves:
+                    moves.update(orbit_tree(bigger))
+                    queue.append(bigger)
+    node = {mask: frozenset(_bits(mask)) for mask in moves}
+    return {
+        node[mask]: moves[mask] and (node[moves[mask][0]], moves[mask][1])
+        for mask in sorted(moves, key=lambda mask: (len(node[mask]), _bits(mask)))
+    }
+
+
+def reference_node_permutations(poset) -> dict[int, tuple[int, ...]]:
+    """Per simple root a, node j -> the node s_a(j), imaging every node again."""
+    masks = [sum(1 << k for k in node) for node in poset.nodes]
+    node_of = {mask: j for j, mask in enumerate(masks)}
+    return {
+        a: tuple(node_of[sum(bits[k] for k in _bits(mask))] for mask in masks)
+        for a, bits in _reference_reflection_bits(poset.rd)
+    }
+
+
+def reference_classify_vectors(vectors, form) -> str:
+    """``classify_vectors`` with each component's rank from its Smith form."""
+    if not vectors:
+        return "empty"
+    remaining, labels = set(range(len(vectors))), []
+    while remaining:
+        comp, frontier = {min(remaining)}, [min(remaining)]
+        while frontier:
+            i = frontier.pop()
+            for j in remaining - comp:
+                if form(vectors[i], vectors[j]) != 0:
+                    comp.add(j)
+                    frontier.append(j)
+        remaining -= comp
+        labels.append(_reference_component([vectors[i] for i in sorted(comp)], form))
+    return "x".join(sorted(labels))
+
+
+def _reference_component(vectors, form) -> str:
+    count = len(vectors)
+    r = len(smith_normal_form([list(v) for v in vectors]).divisors)
+    lengths = sorted({form(v, v) for v in vectors})
+    n_short = sum(1 for v in vectors if form(v, v) == lengths[0])
+    n_long = count - n_short
+    if len(lengths) == 1:
+        if count == r * (r + 1):
+            return f"A{r}"
+        if count == 2 * r * (r - 1) and r >= 4:
+            return f"D{r}"
+        if (r, count) in {(6, 72), (7, 126), (8, 240)}:
+            return f"E{r}"
+    elif len(lengths) == 2 and lengths[1] == 2 * lengths[0]:
+        if (r, count) == (4, 48):
+            return "F4"
+        if r == 2 and count == 8:
+            return "C2"
+        if n_short == 2 * r and n_long == 2 * r * (r - 1):
+            return f"B{r}"
+        if n_long == 2 * r and n_short == 2 * r * (r - 1):
+            return f"C{r}"
+    elif len(lengths) == 2 and lengths[1] == 3 * lengths[0] and (r, count) == (2, 12):
+        return "G2"
+    return "unknown"

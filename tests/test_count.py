@@ -843,6 +843,34 @@ def test_local_factor_without_torus_power_is_non_polynomial(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("overrides", [None, {"A1": True}])
+def test_degree_off_the_dimension_exits_4_unless_overridden(
+    monkeypatch, capsys, tmp_path, overrides
+):
+    """A count multiplied by q before ``_finish_report`` has degree 7 against
+    GL(2)'s genus-1 dimension 6: ``degree-dimension`` (exit 4) without
+    overrides; with an override, which agrees with the computed answer
+    here, the count goes through with the mismatch as its only warning."""
+    real = count._finish_report
+    monkeypatch.setattr(
+        count, "_finish_report",
+        lambda spec, polynomial, **kw: real(spec, polynomial.shift(1), **kw),
+    )
+    config = json.loads((CONFIGS / "gl2_genus1.json").read_text(encoding="utf-8"))
+    if overrides:
+        config["overrides"] = overrides
+    path, out = tmp_path / "config.json", tmp_path / "out.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = cli.main(["count", "--config", str(path), "--json", str(out)])
+    message = "count has degree 7 but the expected dimension is 6"
+    if overrides:
+        assert code == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["warnings"] == [message]
+    else:
+        assert code == 4
+        assert capsys.readouterr().err == f"error[degree-dimension]: {message}\n"
+
+
 def test_negative_genus_rejected():
     spec = make_spec("GL(2)", -1, 2, ["a", "b"], ["a*b = 1"], [["a", "b"]])
     with pytest.raises(InvalidInputError) as err:

@@ -188,7 +188,7 @@ def test_cli_import_path():
         f"charvar.{path.stem}" for path in PACKAGE.glob("*.py")
         if path.stem != "__init__"
     )
-    assert len(submodules) == 13
+    assert len(submodules) == 14
     assert set(submodules) <= set(result["modules"])
     assert [name for name in OFF_IMPORT_PATH if name in result["modules"]] == []
     assert len(pairs) > 40
@@ -210,7 +210,7 @@ print(json.dumps({"code": code, "ran": ran, "rational": rational, "parser": pars
 
 LAZY = (
     "charvar.charsum", "charvar.cli_count", "charvar.cli_oracle",
-    "charvar.count", "charvar.factor", "charvar.oracle",
+    "charvar.count", "charvar.factor", "charvar.oracle", "charvar.reference",
 )
 COUNTING = ["charvar.charsum", "charvar.cli_count", "charvar.count"]
 
@@ -222,17 +222,18 @@ COUNTING = ["charvar.charsum", "charvar.cli_count", "charvar.count"]
         ("count", COUNTING + ["charvar.factor"]),
         ("table", COUNTING + ["charvar.factor"]),
         ("check", COUNTING),
-        ("oracle", list(LAZY)),
+        ("oracle", [name for name in LAZY if name != "charvar.reference"]),
     ],
 )
 def test_each_command_runs_only_the_engine_modules_it_uses(command, ran):
     """A cold ``poset`` runs none of count, charsum and oracle, nor the other
     commands' glue (``cli_count``, ``cli_oracle``) or the factoring code;
     ``count``, ``table`` and ``check`` never run the oracle's glue or the
-    brute-force oracle.  An integer count never makes a ``Fraction``, so
-    ``fractions`` (and the ``decimal`` it imports) stay unloaded by every
-    command but ``oracle``.  Well-formed argv is parsed without
-    ``argparse``, so no command imports it or ``gettext``."""
+    brute-force oracle, and no command runs ``reference``.  An integer
+    count never makes a ``Fraction``, so ``fractions`` (and the ``decimal``
+    it imports) stay unloaded by every command but ``oracle``.  Well-formed
+    argv is parsed without ``argparse``, so no command imports it or
+    ``gettext``."""
     config = Path(__file__).resolve().parents[1] / "configs" / "gl2_genus1.json"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     probe = subprocess.run(
@@ -246,6 +247,46 @@ def test_each_command_runs_only_the_engine_modules_it_uses(command, ran):
     assert result["parser"] == []
     if command != "oracle":
         assert result["rational"] == []
+
+
+# runs one CLI command with every source compile recorded; a fresh pycache
+# prefix makes each imported module compile from source
+_COMPILE_PROBE = """
+import importlib.machinery, json, sys
+compiled = []
+loader = importlib.machinery.SourceFileLoader
+source_to_code = loader.source_to_code
+loader.source_to_code = lambda self, data, path, *args, **kwargs: (
+    compiled.append(path) or source_to_code(self, data, path, *args, **kwargs)
+)
+from charvar.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "compiled": compiled}))
+"""
+
+
+@pytest.mark.parametrize("command", [["poset"], ["count", "--table"]])
+def test_cold_commands_never_compile_the_reference_module(tmp_path, command):
+    """A cold B4 ``poset`` and a cold m = 1 ``count --table`` compile the
+    eager modules from source, and never ``reference.py``."""
+    if command == ["poset"]:
+        config = tmp_path / "b4.json"
+        config.write_text('{"schema_version": 1, "group": "B4"}', encoding="utf-8")
+    else:
+        config = Path(__file__).resolve().parents[1] / "configs" / "gl2_genus1.json"
+    env = dict(
+        os.environ, PYTHONPATH=str(PACKAGE.parent), PYTHONDONTWRITEBYTECODE="1",
+        PYTHONPYCACHEPREFIX=str(tmp_path / "pycache"),
+    )
+    probe = subprocess.run(
+        [sys.executable, "-c", _COMPILE_PROBE, *command, "--config", str(config)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(probe.stdout.splitlines()[-1])
+    compiled = {Path(path).name for path in result["compiled"]}
+    assert result["code"] == 0
+    assert {"rootdata.py", "subsystems.py", "qpoly.py"} <= compiled
+    assert "reference.py" not in compiled
 
 
 def test_module_run_compiles_the_cli_once():

@@ -8,8 +8,10 @@ formula mu(pi, sigma) = prod over blocks B of sigma of (-1)^(k_B - 1)
 checked against fully hand-frozen node/Mobius tables.
 """
 
+import ast
 import functools
 import itertools
+from pathlib import Path
 from fractions import Fraction
 from math import factorial
 
@@ -30,9 +32,11 @@ from charvar.rootdata import (
     build_root_datum,
     classify_vectors,
     cocenter_invariants,
+    component_types,
     poincare_polynomial,
 )
 from charvar.subsystems import (
+    MAX_POSITIVE_ROOTS,
     SubsystemPoset,
     build_poset,
     closure,
@@ -40,13 +44,16 @@ from charvar.subsystems import (
 )
 from subsystem_reference import (
     leq,
+    reference_classify_vectors,
     reference_closure,
     reference_enumeration,
     reference_mobius,
     reference_mobius_row,
+    reference_node_permutations,
     reference_orbits,
     reference_quotients,
     reference_reflection_matrix,
+    reference_walk,
 )
 
 
@@ -598,3 +605,74 @@ def test_orbit_invariants_match_per_node_values(desc):
             ), (desc, i)
             assert poincare_polynomial(poset.rd, poset.nodes[i]) == poincare, (desc, i)
             assert poset.poincare(i) == poincare
+
+
+# ---------------------------------------------------------------------------
+# The enumeration's kept masks and images and the elimination classifier,
+# against the walk, node permutations and Smith-form classifier they replaced
+# ---------------------------------------------------------------------------
+
+
+def _cli_diff_poset_groups() -> tuple[str, ...]:
+    path = Path(__file__).resolve().parents[1] / "scripts" / "cli_diff.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "POSET_GROUPS"
+    )
+
+
+CLI_DIFF_POSETS = [
+    desc for desc in _cli_diff_poset_groups()
+    if build_root_datum(desc).num_positive <= MAX_POSITIVE_ROOTS
+]
+
+# descriptor -> lattice rank: simply connected and adjoint Dynkin types,
+# classical groups and a torus
+FACTORS = {
+    **{f"{t}{r}{iso}": r for t, r in (("A", 1), ("A", 2), ("A", 3), ("A", 4),
+                                      ("B", 2), ("B", 3), ("B", 4), ("C", 3),
+                                      ("C", 4), ("D", 4), ("G", 2), ("F", 4))
+       for iso in ("", "(ad)")},
+    "GL(2)": 2, "GL(3)": 3, "GL(4)": 4, "SL(3)": 2, "PGL(4)": 3, "SO(5)": 2,
+    "SO(7)": 3, "SO(8)": 4, "Sp(4)": 2, "Sp(6)": 3, "T(1)": 1,
+}
+
+
+@st.composite
+def products(draw) -> str:
+    """A product of factors of lattice rank at most 4 in all."""
+    factors, rank = [], 0
+    while not factors or (rank < 4 and draw(st.booleans())):
+        name = draw(st.sampled_from([f for f, r in FACTORS.items() if rank + r <= 4]))
+        factors.append(name)
+        rank += FACTORS[name]
+    return " x ".join(factors)
+
+
+def assert_kernels_match_references(desc: str) -> None:
+    rd = build_root_datum(desc)
+    walk = enumerate_closed_subsystems(rd)
+    assert list(walk.items()) == list(reference_walk(rd).items()), desc
+    poset = SubsystemPoset(rd)
+    assert poset.nodes == tuple(walk)
+    assert poset.orbits() == reference_orbits(poset), desc
+    assert poset._node_permutations == reference_node_permutations(poset), desc
+    labels = [
+        reference_classify_vectors(poset.coroot_vectors(i), rd.coroot_form)
+        for i in range(poset.num_nodes)
+    ]
+    assert [poset.type_label(i) for i in range(poset.num_nodes)] == labels, desc
+    reference = reference_classify_vectors(list(rd.roots), rd.root_form)
+    assert rd.root_types == component_types(reference), desc
+
+
+@settings(max_examples=60, deadline=None)
+@given(desc=products())
+def test_drawn_posets_match_reference_kernels(desc):
+    assert_kernels_match_references(desc)
+
+
+@pytest.mark.parametrize("desc", CLI_DIFF_POSETS)
+def test_cli_diff_posets_match_reference_kernels(desc):
+    assert_kernels_match_references(desc)
