@@ -47,6 +47,11 @@ exit code, stdout, stderr and the ``--json`` payload apart from
   whose eigenvalues have product 1: 877 closed subsystems in 15 Weyl
   orbits, so each orbit map images many carried classes, each once,
   for both the orbit counts and Delta;
+* ``count --table`` and ``check`` on ``LARGE_WEYL``, m classes on fresh
+  symbols whose product is 1: GL(5) at genus 0 with 4 punctures and
+  m = 3, and F4 at genus 0 with 3 punctures and m = 2, the largest |W|
+  (120 and 1,152) whose translates the diff takes from the walk of the
+  simple reflections;
 * ``count --table``, ``table`` and ``check`` on the carry matrix
   (``carry_config``): PGL(3), SO(5), B3(ad) and ``SO(5) x GL(2)``, groups
   with torsion in X^vee / Z Phi^vee and Weyl orbits of several closed
@@ -162,6 +167,8 @@ LARGE_ORBITS = {
     "eigenvalues": {"symbols": GL7_SYMBOLS, "relations": ["*".join(GL7_SYMBOLS) + " = 1"]},
     "classes": [{"type": "semisimple", "coords": GL7_SYMBOLS}],
 }
+# (group, genus, punctures, m): m classes on fresh symbols whose product is 1
+LARGE_WEYL = (("GL(5)", 0, 4, 3), ("F4", 0, 3, 2))
 # (group, symbols, relations, coords): genus 1, one class, on the paths the
 # Weyl stabilizer decides.  SO(5) and PGL(2) are regular but fixed by a
 # w != 1 (exit 2, strongly-regular); the others are strongly regular (exit 0)
@@ -325,6 +332,18 @@ def matrix(config_dir: pathlib.Path) -> list[tuple[str, ...]]:
     path = config_dir / "large-orbits.json"
     path.write_text(json.dumps(LARGE_ORBITS))
     runs.append(("count", "--config", str(path), "--table"))
+    for group, genus, punctures, m in LARGE_WEYL:
+        rank = build_root_datum(group).rank
+        classes = [[f"a{k}{i}" for i in range(rank)] for k in range(m)]
+        symbols = [s for c in classes for s in c]
+        path = config_dir / f"large-weyl-{group}-{m}.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "group": group, "genus": genus, "punctures": punctures,
+            "eigenvalues": {"symbols": symbols, "relations": ["*".join(symbols) + " = 1"]},
+            "classes": [{"type": "semisimple", "coords": c} for c in classes],
+        }))
+        runs.append(("count", "--config", str(path), "--table"))
+        runs.append(("check", "--config", str(path)))
     for group, label in CARRY_GROUPS:
         rd = build_root_datum(group)
         for m, overrides in ((1, {}), (2, {}), (3, {}), (2, {label: False})):

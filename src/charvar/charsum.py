@@ -9,7 +9,6 @@ T(k) = X^vee (x) k^x is stored as one A-word per X^vee coordinate.
 On top of that this module provides:
 
 * ``evaluate_character`` — pair a character (vector in X) with S;
-* ``translate`` — the Weyl action on torus elements;
 * ``strongly_regular`` — no root trivial on S and trivial Weyl stabilizer,
   both read from the root values on S, with no loop over W;
 * ``node_map`` — the test "S dies in (X^vee / <Psi>) (x) A", compiled
@@ -42,7 +41,7 @@ from .abelian import (
 from .errors import InvalidInputError
 from .qpoly import Poly
 from .record import Record
-from .rootdata import Matrix, RootDatum, Vector
+from .rootdata import RootDatum, Vector
 
 Word = tuple[int, ...]
 
@@ -162,21 +161,6 @@ def evaluate_character(character: Vector, element: SymbolicTorusElement) -> Word
     return tuple(out)
 
 
-def translate(w: Matrix, element: SymbolicTorusElement) -> SymbolicTorusElement:
-    """Weyl action: coordinates transform by the matrix of w on X^vee."""
-    coords = element.coords
-    n = len(element.datum.symbols)
-    new = []
-    for row in w:
-        acc = [0] * n
-        for c, coeff in enumerate(row):
-            if coeff:
-                for i in range(n):
-                    acc[i] += coeff * coords[c][i]
-        new.append(tuple(acc))
-    return SymbolicTorusElement(datum=element.datum, coords=tuple(new))
-
-
 def strongly_regular(rd: RootDatum, element: SymbolicTorusElement) -> bool:
     """No root evaluates to 1 on S, and only the identity of W fixes S.
 
@@ -262,6 +246,6 @@ def quotient_factor(inv: QuotientInvariants) -> Poly:
 
 
 def __getattr__(name: str):
-    if name in ("in_commutator", "product_translate"):  # from ``reference``
+    if name in ("in_commutator", "product_translate", "translate"):  # from ``reference``
         return getattr(reference, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -64,12 +64,7 @@ from collections.abc import Mapping
 from functools import cached_property
 
 from .abelian import AdditiveMap
-from .charsum import (
-    node_map,
-    quotient_factor,
-    strongly_regular,
-    translate,
-)
+from .charsum import node_map, quotient_factor, strongly_regular
 from .errors import (
     HypothesisError,
     InternalConsistencyError,
@@ -83,7 +78,6 @@ from .rootdata import (
     admissible_primes,
     cocenter_invariants,
     connected_center_check,
-    enumerate_weyl,
     modulus,
 )
 from .subsystems import SubsystemPoset, build_poset, check_poset_bound
@@ -340,14 +334,16 @@ def orbit_pass_counts(engine: Engine) -> dict[int, int]:
     N(w Psi_0) is N(Psi_0) with S_1 replaced by its carry w^-1 S_1.
 
     The maps are additive, so a tuple passes when the images of its terms
-    sum to zero.  S_2 .. S_m are split into two halves; each half's
+    sum to zero.  The |W| translates of S_2 .. S_m come from one walk of
+    the simple reflections (``weyl_translates``), and no Weyl group is
+    built as matrices.  S_2 .. S_m are split into two halves; each half's
     histogram of image sums at Psi_0 is the convolution of its classes'
     histograms of |W| translate images, the left one shifted by the image
     of each member's carried S_1 (``engine.images``), and the zero sums
     are counted with one lookup per left entry against the negated right
     half.  With m = 1 both halves are empty: N(Psi') is 1 or 0 as the
-    image of S_1 at Psi' is zero or not, no translate is computed and W is
-    not enumerated (|W| = P_Phi(1) is read at the poset's full node).
+    image of S_1 at Psi' is zero or not, and no translate is computed
+    (|W| = P_Phi(1) is read at the poset's full node).
     ``budget`` bounds the histogram entries:
     a strongly regular class has |W| distinct translates, so the halves
     hold at most |W|^floor((m-1)/2) + |W|^ceil((m-1)/2) entries.
@@ -364,8 +360,7 @@ def orbit_pass_counts(engine: Engine) -> dict[int, int]:
             f"(|W|^{half} + |W|^{len(rest) - half} with |W| = {order}), "
             f"exceeding the budget {budget}; raise the budget to proceed",
         )
-    weyl = enumerate_weyl(spec.rd) if rest else ()
-    translates = [[translate(w, s).flat() for w in weyl] for s in rest]
+    translates = weyl_translates(spec.rd, [s.flat() for s in rest], order)
     counts = {}
     for k, (nmap, orbit) in enumerate(zip(engine.maps, poset.orbits())):
         left = _sum_histogram(nmap, translates[:half])
@@ -378,6 +373,40 @@ def orbit_pass_counts(engine: Engine) -> dict[int, int]:
         )
         counts[k] = order // len(orbit) * passing
     return counts
+
+
+def weyl_translates(
+    rd: RootDatum, classes: list[tuple[int, ...]], order: int
+) -> list[list[tuple[int, ...]]]:
+    """The |W| translates of each flat class, from one walk of the simple reflections.
+
+    The walk runs over the bases w(Delta) of the root system, as tuples of
+    root indices that the reflection table moves: W acts simply
+    transitively on them (Bourbaki VI 1.5), so the walk meets each w once.
+    The n classes are interleaved into one flat vector, entry i of class c
+    at i * n + c, so that each column of a class is a column of the joint
+    vector, and each new base s_a w(Delta) takes its parent's vector moved
+    by ``RootDatum.reflect``; ``v[c::n]`` reads class c back.  A walk that
+    meets another number of bases than ``order`` = |W| raises ``weyl-walk``.
+    """
+    n, simple, reflections = len(classes), rd.simple_root_indices, rd.reflections
+    if not n:
+        return []
+    seen = {simple}
+    walk = [(simple, tuple(x for entries in zip(*classes) for x in entries))]
+    for base, v in walk:
+        for a in simple:
+            image = tuple(map(reflections[a].__getitem__, base))
+            if image not in seen:
+                seen.add(image)
+                walk.append((image, rd.reflect(a, v)))
+    if len(walk) != order:
+        raise InternalConsistencyError(
+            "weyl-walk",
+            f"the simple reflections reach {len(walk)} bases of the root system, "
+            f"not |W| = {order}",
+        )
+    return [[v[c::n] for _, v in walk] for c in range(n)]
 
 
 def _sum_histogram(
@@ -609,10 +638,27 @@ def _finish_report(
 ) -> CountReport:
     """The report of ``polynomial``; the count is empty when it is zero.
 
-    A non-empty count whose degree is not ``expected_dimension`` raises
-    ``degree-dimension``, a warning only under overrides: the paper shows
-    the variety smooth and equidimensional of that dimension (G/Z acts
-    freely), and a polynomial count has degree the dimension (Lang-Weil).
+    A non-empty count must meet three identities that theorems prove, so
+    without overrides a failure is an engine bug and raises (exit 4); with
+    overrides, which can break them, each is a warning:
+
+    * ``degree-dimension``: the degree is ``expected_dimension``.  The
+      paper shows the variety smooth and equidimensional of that dimension
+      (G/Z acts freely), and a polynomial count has degree the dimension
+      (Lang-Weil).
+    * ``component-count`` (g > 0 or n > 3): the leading coefficient is the
+      order of the torsion of X^vee / <Phi^vee>, the fundamental group.
+      The leading coefficient of a polynomial count is the number of
+      irreducible components of top dimension (Lang-Weil); on a smooth
+      equidimensional variety those are its connected components, whose
+      number the paper reads off the E-polynomial.
+    * ``euler-characteristic`` (g > 0 or n > m + 2): the value at q = 1 is
+      0.  It is the Euler characteristic (Katz: the E-polynomial of a
+      polynomial-count variety is its count), which the paper's analysis
+      of the E-polynomial shows vanishes there.
+
+    The vanishing order at q = 1 against the structural bound has no proof
+    found, so it stays a warning.
     """
     rd = spec.rd
     is_empty = polynomial.is_zero()
@@ -622,28 +668,30 @@ def _finish_report(
     leading = polynomial.coeffs[-1] if polynomial.coeffs else None
     expected_dim = expected_dimension(spec)
 
-    # topology cross-checks: overrides can break them
+    def identity_fails(code: str, message: str) -> None:
+        if not spec.overrides:
+            raise InternalConsistencyError(code, message)
+        warnings.append(message)
+
     num_components: int | None = None
     if not is_empty:
         if degree != expected_dim:
-            message = (
-                f"count has degree {degree} but the expected dimension is "
-                f"{expected_dim}"
+            identity_fails(
+                "degree-dimension",
+                f"count has degree {degree} but the expected dimension is {expected_dim}",
             )
-            if not spec.overrides:
-                raise InternalConsistencyError("degree-dimension", message)
-            warnings.append(message)
         if g > 0 or n > 3:
             num_components = cocenter_invariants(rd).torsion_order
             if leading != num_components:
-                warnings.append(
+                identity_fails(
+                    "component-count",
                     f"leading coefficient {leading} differs from the component "
-                    f"count {num_components} predicted by the fundamental group"
+                    f"count {num_components} predicted by the fundamental group",
                 )
         if (g > 0 or n > m + 2) and euler != 0:
-            warnings.append(
-                f"Euler characteristic {euler} should vanish for g > 0 or "
-                f"n > m + 2"
+            identity_fails(
+                "euler-characteristic",
+                f"Euler characteristic {euler} should vanish for g > 0 or n > m + 2",
             )
         if rd.num_roots > 0 and (g > 0 or n - m > 2):
             d, z = rd.rank, rd.center_invariants.free_rank

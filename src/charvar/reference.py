@@ -7,16 +7,24 @@ define them serve them through ``__getattr__`` (``qpoly.RationalPoly``,
 ``rootdata.poincare_polynomial``, ``subsystems.closure``, ...).
 ``RationalPoly`` is a reduced fraction of two ``Poly`` values, in which the
 literal reference computations in ``tests/`` sum the master formula; the
-engine never leaves integer polynomials.
+engine never leaves integer polynomials.  The Weyl group as integer
+matrices on X^vee (``enumerate_weyl``) and its action on torus elements
+(``translate``) are the second Weyl action the tests check the engine's
+walks of ``RootDatum.reflect`` against.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .abelian import FPAbelianGroup, canonical_coordinates, quotient_invariants
-from .charsum import SymbolicTorusElement, node_map, translate
-from .errors import InvalidInputError
+from .abelian import (
+    FPAbelianGroup,
+    canonical_coordinates,
+    identity,
+    quotient_invariants,
+)
+from .charsum import SymbolicTorusElement, node_map
+from .errors import InvalidInputError, ResourceLimitError
 from .factor import cyclotomic_from
 from .qpoly import Poly
 from .rootdata import Matrix, RootDatum, classify_vectors, type_poincare
@@ -25,6 +33,8 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     from .qpoly import Scalar
+
+WEYL_ENUMERATION_BOUND = 1_000_000
 
 
 def monic(p: Poly) -> Poly:
@@ -182,6 +192,70 @@ def cyclotomic(n: int) -> Poly:
     return cyclotomic_from(n, {})
 
 
+def _reflection_group(rd: RootDatum, indices: tuple[int, ...]) -> tuple[Matrix, ...]:
+    """The group generated by the reflections at ``indices``, in BFS order.
+
+    The BFS starts from the identity, so the identity is the first element.
+
+    s_alpha = I - coroot root^T maps a matrix m to m - coroot (root^T m), so
+    only the rows where the coroot is nonzero change.
+    """
+    generators = [
+        (
+            [(k, a) for k, a in enumerate(rd.roots[i]) if a],
+            [(r, b) for r, b in enumerate(rd.coroots[i]) if b],
+        )
+        for i in indices
+    ]
+    one = identity(rd.rank)
+    seen: set[Matrix] = {one}
+    ordered: list[Matrix] = [one]
+    frontier = [one]
+    while frontier:
+        new: list[Matrix] = []
+        for m in frontier:
+            for root, coroot in generators:
+                w = [0] * rd.rank
+                for k, a in root:
+                    w = [y + a * x for x, y in zip(m[k], w)]
+                rows = list(m)
+                for r, b in coroot:
+                    rows[r] = tuple([x - b * y for x, y in zip(m[r], w)])
+                prod = tuple(rows)
+                if prod not in seen:
+                    seen.add(prod)
+                    ordered.append(prod)
+                    new.append(prod)
+                    if len(seen) > WEYL_ENUMERATION_BOUND:
+                        raise ResourceLimitError(
+                            "weyl-bound",
+                            f"group enumeration exceeded {WEYL_ENUMERATION_BOUND} "
+                            f"elements",
+                        )
+        frontier = new
+    return tuple(ordered)
+
+
+def enumerate_weyl(rd: RootDatum) -> tuple[Matrix, ...]:
+    """The Weyl group of ``rd`` as matrices on X^vee; |W| is its length."""
+    return _reflection_group(rd, rd.simple_root_indices)
+
+
+def translate(w: Matrix, element: SymbolicTorusElement) -> SymbolicTorusElement:
+    """Weyl action: coordinates transform by the matrix of w on X^vee."""
+    coords = element.coords
+    n = len(element.datum.symbols)
+    new = []
+    for row in w:
+        acc = [0] * n
+        for c, coeff in enumerate(row):
+            if coeff:
+                for i in range(n):
+                    acc[i] += coeff * coords[c][i]
+        new.append(tuple(acc))
+    return SymbolicTorusElement(datum=element.datum, coords=tuple(new))
+
+
 def subsystem_weyl_elements(rd: RootDatum, indices: frozenset[int]) -> tuple[Matrix, ...]:
     """Elements of the reflection subgroup W(Psi) of a closed coroot subsystem.
 
@@ -190,12 +264,12 @@ def subsystem_weyl_elements(rd: RootDatum, indices: frozenset[int]) -> tuple[Mat
     W(Psi) is the Weyl group of Psi as a root datum of its own, on X^vee.
     """
     members = sorted(indices)
-    return RootDatum(
+    return enumerate_weyl(RootDatum(
         rd.rank,
         tuple(rd.roots[i] for i in members),
         tuple(rd.coroots[i] for i in members),
         tuple(k for k, i in enumerate(members) if rd.is_positive(i)),
-    ).weyl_group
+    ))
 
 
 def poincare_polynomial(

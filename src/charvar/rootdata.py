@@ -5,11 +5,10 @@ tuples of roots (vectors in X) and coroots (vectors in the cocharacter
 lattice X^vee = Z^d, paired with X by the dot product).  Index i of
 ``roots`` corresponds to index i of ``coroots``.  Everything is integral
 and hashable.  What a datum derives (lookups, the Cartan integers, the
-reflection table, Gram matrices, center invariants, the Weyl group, the
-closed-subsystem poset, the dual) is built on first use and kept on it.
-The reflection table lists the index of s_i(beta_j) for every pair of
-roots; building it is the last axiom check.  The Weyl group is the tuple of
-its matrices on X^vee; the semisimple rank and the cocenter are read off
+reflection table, Gram matrices, center invariants, the closed-subsystem
+poset, the dual) is built on first use and kept on it.  The reflection
+table lists the index of s_i(beta_j) for every pair of roots; building it
+is the last axiom check.  The semisimple rank and the cocenter are read off
 the center invariants of the datum and of its dual.
 
 Every builder picks the positive roots by one rule: a root is positive when
@@ -29,9 +28,11 @@ Per-component invariants are read from the Cartan type that
 ``classify_vectors`` assigns: Poincare polynomials from the fundamental
 degrees (Chevalley), the validity modulus from the lcm of the highest-root
 coefficients and the excluded primes from per-type tables; a component's
-rank comes from a fraction-free elimination, not a Smith form.  The Weyl
-group enumeration (``enumerate_weyl``) serves only the translate sums of
-two or more classes; strong regularity reads the reflection table.
+rank comes from a fraction-free elimination, not a Smith form.  W acts on
+X^vee only through ``reflect``, one reflection at a time: the translates of
+the semisimple classes, strong regularity and the poset's carry all walk
+it, and no datum holds W as matrices (``enumerate_weyl``, which the tests
+compare against, is served from ``reference``).
 
 Conventions: the Cartan matrix entry C[i][j] equals <alpha_j, alpha_i^vee>
 (row index = coroot).  Simply connected data use the fundamental-weight
@@ -57,7 +58,7 @@ from .abelian import (
     prime_factors,
     quotient_invariants,
 )
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError
 from .qpoly import Poly
 from .record import Record
 
@@ -67,7 +68,6 @@ if TYPE_CHECKING:
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
-WEYL_ENUMERATION_BOUND = 1_000_000
 # Largest lattice rank a descriptor may ask for.  The axiom check costs
 # |roots|^2 * rank: the largest accepted groups, E8 and B10/C10 (240 and
 # 200 roots), build in about 0.5 s each under CPython 3.11 on a 2-core
@@ -229,20 +229,30 @@ class RootDatum(Record):
             rows.append(tuple(row))
         return tuple(rows)
 
+    @cached_property
+    def _reflection_terms(self) -> tuple[tuple[tuple, tuple], ...]:
+        """Per root b, the nonzero entries (k, a) of alpha_b and (r, c) of alpha_b^vee."""
+        return tuple(
+            tuple(tuple((k, a) for k, a in enumerate(v) if a) for v in pair)
+            for pair in zip(self.roots, self.coroots)
+        )
+
     def reflect(self, b: int, v: Vector) -> Vector:
         """s_b v = v - <alpha_b, v> alpha_b^vee on each column of X^vee (x) Z^w.
 
         ``v`` is flat, as ``SymbolicTorusElement.flat``: entry k * w + t is
-        coordinate k of column t.
+        coordinate k of column t.  Only the nonzero entries of alpha_b are
+        read, and only the rows where alpha_b^vee is nonzero change.
         """
         w = len(v) // self.rank
-        value = [_dot(self.roots[b], v[t::w]) for t in range(w)]
-        return tuple(x - self.coroots[b][k // w] * value[k % w] for k, x in enumerate(v))
-
-    @cached_property
-    def weyl_group(self) -> tuple[Matrix, ...]:
-        """The Weyl group as matrices on X^vee, from the simple reflections (BFS)."""
-        return _reflection_group(self, self.simple_root_indices)
+        root, coroot = self._reflection_terms[b]
+        value = [0] * w
+        for k, a in root:
+            value = [y + a * x for x, y in zip(v[k * w:k * w + w], value)]
+        out = list(v)
+        for r, c in coroot:
+            out[r * w:r * w + w] = [x - c * y for x, y in zip(v[r * w:r * w + w], value)]
+        return tuple(out)
 
     @cached_property
     def poset(self) -> SubsystemPoset:
@@ -635,60 +645,6 @@ def build_root_datum(descriptor: str) -> RootDatum:
     return rd
 
 
-# ---------------------------------------------------------------------------
-# Weyl group
-# ---------------------------------------------------------------------------
-
-
-def _reflection_group(rd: RootDatum, indices: tuple[int, ...]) -> tuple[Matrix, ...]:
-    """The group generated by the reflections at ``indices``, in BFS order.
-
-    The BFS starts from the identity, so the identity is the first element.
-
-    s_alpha = I - coroot root^T maps a matrix m to m - coroot (root^T m), so
-    only the rows where the coroot is nonzero change.
-    """
-    generators = [
-        (
-            [(k, a) for k, a in enumerate(rd.roots[i]) if a],
-            [(r, b) for r, b in enumerate(rd.coroots[i]) if b],
-        )
-        for i in indices
-    ]
-    one = identity(rd.rank)
-    seen: set[Matrix] = {one}
-    ordered: list[Matrix] = [one]
-    frontier = [one]
-    while frontier:
-        new: list[Matrix] = []
-        for m in frontier:
-            for root, coroot in generators:
-                w = [0] * rd.rank
-                for k, a in root:
-                    w = [y + a * x for x, y in zip(m[k], w)]
-                rows = list(m)
-                for r, b in coroot:
-                    rows[r] = tuple([x - b * y for x, y in zip(m[r], w)])
-                prod = tuple(rows)
-                if prod not in seen:
-                    seen.add(prod)
-                    ordered.append(prod)
-                    new.append(prod)
-                    if len(seen) > WEYL_ENUMERATION_BOUND:
-                        raise ResourceLimitError(
-                            "weyl-bound",
-                            f"group enumeration exceeded {WEYL_ENUMERATION_BOUND} "
-                            f"elements",
-                        )
-        frontier = new
-    return tuple(ordered)
-
-
-def enumerate_weyl(rd: RootDatum) -> tuple[Matrix, ...]:
-    """The Weyl group of ``rd`` (``RootDatum.weyl_group``); |W| is its length."""
-    return rd.weyl_group
-
-
 def _indecomposable(vectors: tuple[Vector, ...], indices) -> tuple[int, ...]:
     """The indices whose vector is not the sum of two vectors at ``indices``."""
     pool = {vectors[i] for i in indices}
@@ -876,6 +832,7 @@ def modulus(rd: RootDatum) -> int:
 
 
 def __getattr__(name: str):
-    if name in ("poincare_polynomial", "subsystem_weyl_elements"):  # from ``reference``
+    if name in ("enumerate_weyl", "poincare_polynomial", "subsystem_weyl_elements"):
+        # from ``reference``
         return getattr(reference, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

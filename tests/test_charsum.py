@@ -17,7 +17,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charvar import rootdata
+from charvar import reference
 from charvar.abelian import quotient_invariants
 from charvar.charsum import (
     EigenvalueDatum,
@@ -273,7 +273,7 @@ def test_strong_regularity_never_enumerates_w(monkeypatch, group, kind):
     expected = [
         translate_reference.strongly_regular(build_root_datum(group), s) for s in cases
     ]
-    monkeypatch.setattr(rootdata, "_reflection_group", _refuse_weyl)
+    monkeypatch.setattr(reference, "_reflection_group", _refuse_weyl)
     rd = build_root_datum(group)
     assert [strongly_regular(rd, s) for s in cases] == expected
     if group in ("GL(2)", "GL(3)", "GL(4)", "Sp(4)", "G2"):
@@ -283,7 +283,7 @@ def test_strong_regularity_never_enumerates_w(monkeypatch, group, kind):
 def test_loop_over_w_finds_a_fixed_regular_element(monkeypatch):
     """SO(5) at S = (a, b) with a^2 = b^2 = 1: no root is trivial, and -1 in
     W fixes S; the stabilizer test must find it without a loop over W."""
-    monkeypatch.setattr(rootdata, "_reflection_group", _refuse_weyl)
+    monkeypatch.setattr(reference, "_reflection_group", _refuse_weyl)
     rd = build_root_datum("SO(5)")
     datum = EigenvalueDatum(symbols=("a", "b"), relations=("a^2", "b^2"))
     s = _element(datum, "a", "b")

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from charvar import charsum, cli, cli_oracle, count, oracle, rootdata
+from charvar import charsum, cli, cli_oracle, count, oracle, reference
 from charvar.cli import build_problem, load_config, main
 from charvar.errors import InvalidInputError
 from charvar.oracle import FiniteGroupModel
@@ -385,7 +385,7 @@ class TestCheckCommand:
         def refuse(*args):
             raise AssertionError("a Weyl group was enumerated")
 
-        monkeypatch.setattr(rootdata, "_reflection_group", refuse)
+        monkeypatch.setattr(reference, "_reflection_group", refuse)
         path = write_config(tmp_path, {
             "schema_version": 1, "group": group, "genus": 1, "punctures": 2,
             "eigenvalues": {"symbols": symbols, "relations": relations},
@@ -393,6 +393,25 @@ class TestCheckCommand:
         })
         assert main([command, "--config", path]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["check", "count", "table"])
+    @pytest.mark.parametrize("name", ["gl3_four_three_semisimple.json", "pgl2_rigid.json"])
+    def test_several_classes_pass_without_the_weyl_group(
+        self, capsys, monkeypatch, command, name
+    ):
+        """m >= 2: the translates come from a walk of the simple reflections,
+        so the commands print the same with the Weyl matrices refusing."""
+        config = str(CONFIGS / name)
+        assert main([command, "--config", config]) == 0
+        expected = capsys.readouterr()
+
+        def refuse(*args):
+            raise AssertionError("a Weyl matrix was used")
+
+        monkeypatch.setattr(reference, "_reflection_group", refuse)
+        monkeypatch.setattr(reference, "translate", refuse)
+        assert main([command, "--config", config]) == 0
+        assert capsys.readouterr() == expected
 
     def test_check_ok(self, capsys):
         code = main(["check", "--config", str(CONFIGS / "gl2_genus1.json")])

@@ -22,7 +22,7 @@ from collections import Counter
 import pytest
 
 import qpoly_reference
-from charvar import charsum, cli, cli_count, count, rootdata
+from charvar import charsum, cli, cli_count, count, reference, rootdata
 from charvar.abelian import AdditiveMap
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement, node_map
 from charvar.count import (
@@ -31,6 +31,7 @@ from charvar.count import (
     ProblemSpec,
     count_polynomial,
     expected_dimension,
+    weyl_translates,
 )
 from charvar.errors import (
     HypothesisError,
@@ -526,7 +527,7 @@ def test_one_class_needs_no_weyl_translate(monkeypatch):
     def no_translate(*_):
         raise AssertionError("m = 1 counts must not translate a class")
 
-    monkeypatch.setattr(count, "translate", no_translate)
+    monkeypatch.setattr(reference, "translate", no_translate)
     assert count_polynomial(spec).polynomial == expected
 
 
@@ -536,13 +537,64 @@ def test_one_class_enumerates_no_weyl_group(monkeypatch):
     spec = gl_genus_one(5)
     expected = qpoly_reference.reference_polynomial(spec)
 
-    def refuse(rd):
+    def refuse(*_):
         raise AssertionError("an m = 1 count must not enumerate W")
 
-    monkeypatch.setattr(RootDatum, "weyl_group", property(refuse))
+    monkeypatch.setattr(reference, "_reflection_group", refuse)
     report = count_polynomial(spec)
     assert report.polynomial == expected
     assert report.warnings == ()
+
+
+@pytest.mark.parametrize("name", ["gl3_four_three_semisimple.json", "pgl2_rigid.json"])
+def test_several_classes_need_no_weyl_matrices(monkeypatch, name):
+    """At m >= 2 the translates come from one walk of the simple reflections:
+    with the matrix group and its action refusing, the count equals the
+    reference's, which multiplies each class by every matrix of W."""
+    spec = cli_count.build_problem(cli.load_config(str(CONFIGS / name)))
+    assert spec.m >= 2
+    expected = qpoly_reference.reference_polynomial(spec)
+
+    def refuse(*_):
+        raise AssertionError("the count used a Weyl matrix")
+
+    monkeypatch.setattr(reference, "_reflection_group", refuse)
+    monkeypatch.setattr(reference, "translate", refuse)
+    report = count_polynomial(spec)
+    assert not report.is_empty
+    assert report.polynomial == expected
+
+
+@pytest.mark.parametrize(
+    "group", ["GL(1)", "T(2)", "GL(4)", "PGL(3)", "G2", "B3", "B3(ad)", "SO(5) x GL(2)", "F4"]
+)
+def test_weyl_walk_meets_the_matrix_translates(group):
+    """The walk gives each class the multiset of its translates by the Weyl
+    matrices, |W| of them, whether or not the class is regular; the
+    classes here share symbols and repeat coordinates."""
+    rd = build_root_datum(group)
+    datum = EigenvalueDatum(("a", "b", "c"), ())
+    classes = [
+        SymbolicTorusElement.from_words(datum, words[:rd.rank])
+        for words in (["a*b^2", "c", "a^-1", "b*c^3"], ["a"] * 4, ["c^-2", "a*b"] * 2)
+    ]
+    weyl = reference.enumerate_weyl(rd)
+    walked = weyl_translates(rd, [s.flat() for s in classes], len(weyl))
+    assert [sorted(w) for w in walked] == [
+        sorted(reference.translate(w, s).flat() for w in weyl) for s in classes
+    ]
+    assert weyl_translates(rd, [], len(weyl)) == []
+
+
+def test_weyl_walk_of_the_wrong_length_exits_4():
+    """A walk that meets another number of bases than |W| is an engine bug."""
+    rd = build_root_datum("G2")
+    with pytest.raises(InternalConsistencyError) as err:
+        weyl_translates(rd, [(1, 0)], 13)
+    assert (err.value.code, str(err.value)) == (
+        "weyl-walk",
+        "the simple reflections reach 12 bases of the root system, not |W| = 13",
+    )
 
 
 def test_gl6_genus_one_is_fast_and_structural():
@@ -869,6 +921,47 @@ def test_degree_off_the_dimension_exits_4_unless_overridden(
     else:
         assert code == 4
         assert capsys.readouterr().err == f"error[degree-dimension]: {message}\n"
+
+
+@pytest.mark.parametrize("overrides", [None, {"A1": True}])
+@pytest.mark.parametrize(
+    "perturb,code,message",
+    [
+        (
+            lambda p: p * 2, "component-count",
+            "leading coefficient 2 differs from the component count 1 predicted "
+            "by the fundamental group",
+        ),
+        (
+            lambda p: p + Poly([1]), "euler-characteristic",
+            "Euler characteristic 1 should vanish for g > 0 or n > m + 2",
+        ),
+    ],
+    ids=["component-count", "euler-characteristic"],
+)
+def test_identities_off_the_theorem_exit_4_unless_overridden(
+    monkeypatch, capsys, tmp_path, overrides, perturb, code, message
+):
+    """GL(2)'s genus-1 count doubled has leading coefficient 2 against one
+    component, and plus 1 has Euler characteristic 1: each raises its code
+    (exit 4) without overrides, and is the first warning with one."""
+    real = count._finish_report
+    monkeypatch.setattr(
+        count, "_finish_report",
+        lambda spec, polynomial, **kw: real(spec, perturb(polynomial), **kw),
+    )
+    config = json.loads((CONFIGS / "gl2_genus1.json").read_text(encoding="utf-8"))
+    if overrides:
+        config["overrides"] = overrides
+    path, out = tmp_path / "config.json", tmp_path / "out.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code_seen = cli.main(["count", "--config", str(path), "--json", str(out)])
+    if overrides:
+        assert code_seen == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["warnings"][0] == message
+    else:
+        assert code_seen == 4
+        assert capsys.readouterr().err == f"error[{code}]: {message}\n"
 
 
 def test_negative_genus_rejected():

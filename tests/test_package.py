@@ -265,15 +265,19 @@ print(json.dumps({"code": code, "compiled": compiled}))
 """
 
 
-@pytest.mark.parametrize("command", [["poset"], ["count", "--table"]])
+@pytest.mark.parametrize("command", [["poset"], ["count", "--table"], ["count"]])
 def test_cold_commands_never_compile_the_reference_module(tmp_path, command):
-    """A cold B4 ``poset`` and a cold m = 1 ``count --table`` compile the
+    """A cold B4 ``poset``, a cold m = 1 ``count --table`` and a cold m = 3
+    ``count``, which takes the |W| translates of two classes, compile the
     eager modules from source, and never ``reference.py``."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
     if command == ["poset"]:
         config = tmp_path / "b4.json"
         config.write_text('{"schema_version": 1, "group": "B4"}', encoding="utf-8")
+    elif command == ["count"]:
+        config = configs / "gl3_four_three_semisimple.json"
     else:
-        config = Path(__file__).resolve().parents[1] / "configs" / "gl2_genus1.json"
+        config = configs / "gl2_genus1.json"
     env = dict(
         os.environ, PYTHONPATH=str(PACKAGE.parent), PYTHONDONTWRITEBYTECODE="1",
         PYTHONPYCACHEPREFIX=str(tmp_path / "pycache"),
@@ -350,8 +354,8 @@ def test_datum_data_is_freed_with_the_datum():
         semisimple_classes=(SymbolicTorusElement.from_words(datum, "abc"),),
     )
     count_polynomial(spec)
-    # a tuple cannot be weakly referenced: once the datum is gone, this
-    # name must hold the Weyl group's only reference (getrefcount adds one)
+    # a tuple cannot be weakly referenced: no datum keeps the Weyl group, so
+    # this name must hold its only reference (getrefcount adds one)
     weyl = enumerate_weyl(rd)
     refs = [weakref.ref(x) for x in (rd, build_poset(rd))]
     del rd, spec

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement
 from charvar.count import ProblemSpec, validate_problem
 from charvar.errors import HypothesisError, InvalidInputError, ResourceLimitError
-from charvar import rootdata
+from charvar import reference, rootdata
 from charvar.abelian import identity, quotient_invariants, smith_normal_form
 from charvar.qpoly import Poly, RationalPoly
 from charvar.rootdata import (
@@ -110,7 +110,7 @@ def test_weyl_elements_permute_coroots():
 
 def test_weyl_enumeration_bound(monkeypatch):
     rd = build_root_datum("F4")
-    monkeypatch.setattr(rootdata, "WEYL_ENUMERATION_BOUND", 100)
+    monkeypatch.setattr(reference, "WEYL_ENUMERATION_BOUND", 100)
     with pytest.raises(ResourceLimitError):
         enumerate_weyl(rd)
 
