@@ -258,7 +258,7 @@ def cmd_poset(args) -> tuple[int, dict, str]:
                 "index": i,
                 "label": labels[i],
                 "type": poset.type_label(i),
-                "num_roots": len(poset.nodes[i]),
+                "num_roots": poset.masks[i].bit_count(),
                 "weyl_order": weyl_order,
                 "orbit": orbit,
                 "poincare": poincare,

@@ -237,9 +237,11 @@ class Engine(Record):
 
     By Weyl orbit index: ``overrides``, ``maps`` over the eigenvalue group
     and ``pass_counts`` within ``budget``.  ``full`` is the full coroot
-    system's node, ``computed`` and ``nonempty`` the verdicts on the class
-    ``product`` there before and after an override, and ``images`` the
-    first class carried to every node and imaged under its orbit's map.
+    system's node, the last one, as nodes come smallest first and every
+    other node is a proper subset of it; ``computed`` and ``nonempty`` the
+    verdicts on the class ``product`` there before and after an override,
+    and ``images`` the first class carried to every node and imaged under
+    its orbit's map.
     """
 
     _compared = ("spec", "budget")
@@ -253,7 +255,7 @@ class Engine(Record):
 
     @cached_property
     def full(self) -> int:
-        return self.poset.index_of[frozenset(range(self.spec.rd.num_roots))]
+        return self.poset.num_nodes - 1
 
     @cached_property
     def overrides(self) -> dict[int, bool]:

@@ -312,8 +312,9 @@ def closure(rd: RootDatum, indices) -> frozenset[int]:
     it is the first such node: the nodes come smallest first.  So it is
     bounded as the poset is (``poset-bound``).
     """
-    wanted = frozenset(indices)
-    return next(node for node in rd.poset.nodes if wanted <= node)
+    wanted = sum(1 << i for i in set(indices))
+    mask = next(mask for mask in rd.poset.masks if not wanted & ~mask)
+    return frozenset(k for k in range(rd.num_roots) if mask >> k & 1)
 
 
 def is_dth_power(group: FPAbelianGroup, word: Sequence[int], d: int) -> bool:

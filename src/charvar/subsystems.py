@@ -6,9 +6,10 @@ to a coroot, that coroot also lies in Psi.  These subsets, ordered by
 inclusion, form the lattice the counting formula sums over.
 
 Subsystems are sets of root/coroot indices of the ambient ``RootDatum``,
-held internally as integer bitmasks (bit k for coroot k) and exposed as
-frozensets.  A sum-pair table, built once per enumeration, lists for each
-coroot i the pairs (j, k) with alpha_i^vee + alpha_j^vee = alpha_k^vee.
+held as integer bitmasks (bit k for coroot k); a node's index in the
+poset's ``masks`` is its only other handle.  A sum-pair table, built once
+per enumeration, lists for each coroot i the pairs (j, k) with
+alpha_i^vee + alpha_j^vee = alpha_k^vee.
 Closing a set runs in rounds over that table on whole bitmasks: each
 round adds the sums made by the coroots new in the round before.
 Enumeration walks the lattice from the empty set: repeatedly adjoin one
@@ -17,11 +18,11 @@ reached this way, because it is the closure of its own simple system,
 which can be adjoined one element at a time.  The walk runs one Weyl
 orbit at a time: only the first subsystem found in an orbit is extended,
 and each new one is closed under the simple reflections, acting on
-bitmasks as permutations of the coroot indices; each member records the
-simple reflection that reaches it, and the poset reads its node
-permutations off the images the walk keeps.
+bitmasks as permutations of the coroot indices; each member records its
+parent's index and the simple reflection that reaches it, and the poset
+reads its node permutations off the images the walk keeps.
 
-``SubsystemPoset`` precomputes the node list and serves per-node data:
+``SubsystemPoset`` precomputes the masks and serves per-node data:
 type labels (one classification per Weyl orbit, with long/short
 disambiguation where needed), Poincare polynomials (one per type label,
 read from its fundamental degrees) and Weyl orbits, each built for all
@@ -135,19 +136,13 @@ def check_poset_bound(rd: RootDatum) -> None:
         )
 
 
-class ClosedSubsystems(dict):
-    """The closed subsystems, node -> move, with two things the walk found:
-    ``masks[i]``, node i as a bitmask, and ``images[i]``, the bitmasks of its
-    images under the simple reflections (``RootDatum.simple_root_indices``)."""
-
-    __slots__ = ("masks", "images")
-
-
-def enumerate_closed_subsystems(rd: RootDatum) -> ClosedSubsystems:
+def enumerate_closed_subsystems(rd: RootDatum) -> dict[int, tuple]:
     """All closed symmetric subsystems of the coroot system, smallest first.
 
-    Each maps to None if it is the first (smallest) of its Weyl orbit, else
-    to (parent, a) with it = s_a(parent) for a simple root a.  Only the first
+    Each mask maps to (move, images): move is None if it is the first
+    (smallest) of its Weyl orbit, else (parent index, a) with it =
+    s_a(parent) for a simple root a; images are its masks under the simple
+    reflections (``RootDatum.simple_root_indices``).  Only the first
     subsystem found in an orbit is extended, as adjoin(w Psi, beta) =
     w adjoin(Psi, +-w^-1 beta).  Raises ResourceLimitError when the ambient
     system has more than ``MAX_POSITIVE_ROOTS`` positive roots.
@@ -171,13 +166,11 @@ def enumerate_closed_subsystems(rd: RootDatum) -> ClosedSubsystems:
                     moves.update(_orbit_tree(bigger, reflections, members, images))
                     queue.append(bigger)
     masks = sorted(moves, key=lambda mask: (len(members[mask]), members[mask]))
-    node = {mask: frozenset(members[mask]) for mask in masks}
-    walk = ClosedSubsystems(
-        (node[mask], moves[mask] and (node[moves[mask][0]], moves[mask][1]))
+    index = {mask: i for i, mask in enumerate(masks)}
+    return {
+        mask: (moves[mask] and (index[moves[mask][0]], moves[mask][1]), images[mask])
         for mask in masks
-    )
-    walk.masks, walk.images = tuple(masks), tuple(map(images.__getitem__, masks))
-    return walk
+    }
 
 
 class SubsystemPoset:
@@ -186,19 +179,15 @@ class SubsystemPoset:
     def __init__(self, rd: RootDatum):
         self.rd = rd
         walk = enumerate_closed_subsystems(rd)
-        # per node: (parent node, simple root), None at its orbit's first node
-        self._moves = walk
-        self.nodes: tuple[frozenset[int], ...] = tuple(walk)
-        self.index_of: dict[frozenset[int], int] = {
-            node: i for i, node in enumerate(self.nodes)
-        }
-        self.masks, self._images = walk.masks, walk.images
+        self.masks: tuple[int, ...] = tuple(walk)
+        # per node: (parent index, simple root), None at its orbit's first node
+        self._moves, self._images = zip(*walk.values())
         self._mobius_rows: dict[int, Mapping[int, int]] = {}
         self._quotients: dict[int, QuotientInvariants] = {}
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.masks)
 
     def upper_set(self, i: int) -> tuple[int, ...]:
         """Indices of all nodes containing node i (including i; none before i)."""
@@ -218,7 +207,7 @@ class SubsystemPoset:
         """
         row = self._mobius_rows.get(i)
         if row is None:
-            move = self._moves[self.nodes[i]]
+            move = self._moves[i]
             if move is None:
                 row = {i: 1}
                 masks = self.masks
@@ -229,7 +218,7 @@ class SubsystemPoset:
                         row[j] = mu
             else:
                 perm = self._node_permutations[move[1]]
-                parent = self.mobius_row(self.index_of[move[0]])
+                parent = self.mobius_row(move[0])
                 row = dict(sorted((perm[j], v) for j, v in parent.items()))
             row = self._mobius_rows[i] = MappingProxyType(row)
         return row
@@ -250,7 +239,7 @@ class SubsystemPoset:
     # -- per-node data -----------------------------------------------------
 
     def coroot_vectors(self, i: int) -> list[Vector]:
-        return [self.rd.coroots[k] for k in sorted(self.nodes[i])]
+        return [self.rd.coroots[k] for k in _indices(self.masks[i])]
 
     def quotient(self, i: int) -> QuotientInvariants:
         """Invariants of X^vee / <Psi> for node i, with its Smith basis."""
@@ -272,8 +261,8 @@ class SubsystemPoset:
 
         def carried(i: int) -> tuple:
             if i not in done:
-                parent, a = self._moves[self.nodes[i]]
-                v, inverse = carried(self.index_of[parent])
+                parent, a = self._moves[i]
+                v, inverse = carried(parent)
                 done[i] = rd.reflect(inverse[a], v), tuple(
                     map(inverse.__getitem__, rd.reflections[a])
                 )
@@ -320,11 +309,12 @@ class SubsystemPoset:
     @cached_property
     def _orbits(self) -> tuple[tuple[int, ...], ...]:
         # moves lead each node back to its orbit's first node, the smallest
-        members: dict[frozenset[int], list[int]] = {}
-        for i, node in enumerate(self.nodes):
-            while self._moves[node] is not None:
-                node = self._moves[node][0]
-            members.setdefault(node, []).append(i)
+        members: dict[int, list[int]] = {}
+        for i in range(self.num_nodes):
+            first = i
+            while (move := self._moves[first]) is not None:
+                first = move[0]
+            members.setdefault(first, []).append(i)
         return tuple(map(tuple, members.values()))
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
@@ -364,7 +354,7 @@ class SubsystemPoset:
                 for i in members:
                     labels[i] = label
                 continue
-            rank_one = all(len(self.nodes[i]) == 2 for i in members)
+            rank_one = all(self.masks[i].bit_count() == 2 for i in members)
             if rank_one and max_norm != min_norm:
                 for i in members:
                     v = self.coroot_vectors(i)[0]

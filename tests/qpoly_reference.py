@@ -24,8 +24,8 @@ from math import gcd, lcm
 
 from charvar.charsum import node_map
 from charvar.count import Engine, ProblemSpec
-from charvar.qpoly import Poly, RationalPoly
-from charvar.rootdata import enumerate_weyl
+from charvar.qpoly import Poly
+from charvar.reference import RationalPoly, enumerate_weyl
 from charvar.subsystems import build_poset
 from translate_reference import node_pass_counts
 

@@ -1,26 +1,26 @@
 """Slow, direct references for the closed-subsystem poset's tests.
 
-``leq`` is the inclusion order on the poset's frozenset nodes,
-``reference_closure`` re-scans every pair of members until nothing new
-appears, ``reference_enumeration`` is a breadth-first walk that closes each
-extension from scratch, ``reference_mobius`` is the pairwise downward
-recursion over frozensets and ``reference_mobius_row`` the downward
-recursion of one row, run at every node.  ``reference_orbits`` closes each
-node under the simple reflections as d x d matrices, and
-``reference_quotients`` computes X^vee / <Psi> from the Smith form of
-every node.  None of them
-shares code with ``charvar.subsystems``, which works on bitmasks, a
-sum-pair table, one Mobius recursion and one Smith form per orbit (carried
-to the other members along simple reflections) and orbits found during
-the enumeration.
+``node_sets`` turns the poset's bitmask nodes into sets of coroot indices,
+the form the references below work on, and ``leq`` is the inclusion order
+on the masks.  ``reference_closure`` re-scans every pair of members until
+nothing new appears, ``reference_enumeration`` is a breadth-first walk
+that closes each extension from scratch, ``reference_mobius`` is the
+pairwise downward recursion over frozensets and ``reference_mobius_row``
+the downward recursion of one row, run at every node.
+``reference_orbits`` closes each node under the simple reflections as
+d x d matrices, and ``reference_quotients`` computes X^vee / <Psi> from
+the Smith form of every node.  None of them shares code with
+``charvar.subsystems``, which works on bitmasks, a sum-pair table, one
+Mobius recursion and one Smith form per orbit (carried to the other
+members along simple reflections) and orbits found during the
+enumeration.
 
 Three references keep earlier forms of the package's own kernels, for
 differential tests: ``reference_walk`` is the orbit walk with a
-one-coroot-at-a-time closure that recomputes each node's indices and
-throws its reflection images away, ``reference_node_permutations``
-images every node under every simple reflection a second time, and
-``reference_classify_vectors`` takes each component's rank from a Smith
-normal form.
+one-coroot-at-a-time closure that recomputes each node's indices,
+``reference_node_permutations`` images every node under every simple
+reflection a second time, and ``reference_classify_vectors`` takes each
+component's rank from a Smith normal form.
 """
 
 from __future__ import annotations
@@ -31,9 +31,14 @@ from collections import deque
 from charvar.abelian import quotient_invariants, smith_normal_form
 
 
+def node_sets(masks) -> tuple[frozenset[int], ...]:
+    """Each bitmask node of ``masks`` as the set of its coroot indices."""
+    return tuple(frozenset(_bits(mask)) for mask in masks)
+
+
 def leq(poset, i: int, j: int) -> bool:
     """Is node i contained in node j?"""
-    return poset.nodes[i] <= poset.nodes[j]
+    return not poset.masks[i] & ~poset.masks[j]
 
 
 def reference_closure(rd, indices) -> frozenset[int]:
@@ -109,6 +114,8 @@ def reference_orbits(poset) -> tuple[tuple[int, ...], ...]:
          for v in rd.coroots]
         for mat in (reference_reflection_matrix(rd, s) for s in rd.simple_root_indices)
     ]
+    nodes = node_sets(poset.masks)
+    index_of = {node: i for i, node in enumerate(nodes)}
     orbit_list: list[tuple[int, ...]] = []
     seen: set[int] = set()
     for start in range(poset.num_nodes):
@@ -116,9 +123,9 @@ def reference_orbits(poset) -> tuple[tuple[int, ...], ...]:
             continue
         orbit, frontier = {start}, [start]
         while frontier:
-            node = poset.nodes[frontier.pop()]
+            node = nodes[frontier.pop()]
             for perm in perms:
-                idx = poset.index_of[frozenset(perm[k] for k in node)]
+                idx = index_of[frozenset(perm[k] for k in node)]
                 if idx not in orbit:
                     orbit.add(idx)
                     frontier.append(idx)
@@ -138,15 +145,14 @@ def reference_quotients(poset) -> list:
 def reference_mobius_row(poset, i: int) -> dict[int, int]:
     """The nonzero mu(i, j) by ascending j, by the downward recursion at node i.
 
-    mu(i, j) = -sum of mu(i, c) over the nodes c with i <= c < j, on the
-    frozenset nodes; every node is computed from its own recursion, with no
+    mu(i, j) = -sum of mu(i, c) over the nodes c with i <= c < j, in the
+    order ``leq``; every node is computed from its own recursion, with no
     row carried from another node.
     """
-    nodes = poset.nodes
     row = {i: 1}
-    for j in range(i + 1, len(nodes)):
-        if nodes[i] <= nodes[j]:
-            mu = -sum(v for c, v in row.items() if nodes[c] <= nodes[j])
+    for j in range(i + 1, poset.num_nodes):
+        if leq(poset, i, j):
+            mu = -sum(v for c, v in row.items() if leq(poset, c, j))
             if mu:
                 row[j] = mu
     return row
@@ -180,7 +186,7 @@ def reference_walk(rd) -> dict:
         return mask
 
     def orbit_tree(mask: int) -> dict:
-        images, seen, frontier = {}, {mask}, [mask]
+        seen, frontier = {mask}, [mask]
         for member in frontier:
             images[member] = row = [
                 sum(bits[k] for k in _bits(member)) for _, bits in reflections
@@ -198,6 +204,7 @@ def reference_walk(rd) -> dict:
                     frontier.append(image)
         return tree
 
+    images = {0: [0] * len(reflections)}
     moves, queue = {0: None}, [0]
     while queue:
         mask = queue.pop()
@@ -207,16 +214,17 @@ def reference_walk(rd) -> dict:
                 if bigger not in moves:
                     moves.update(orbit_tree(bigger))
                     queue.append(bigger)
-    node = {mask: frozenset(_bits(mask)) for mask in moves}
+    masks = sorted(moves, key=lambda mask: (len(_bits(mask)), _bits(mask)))
+    index = {mask: i for i, mask in enumerate(masks)}
     return {
-        node[mask]: moves[mask] and (node[moves[mask][0]], moves[mask][1])
-        for mask in sorted(moves, key=lambda mask: (len(node[mask]), _bits(mask)))
+        mask: (moves[mask] and (index[moves[mask][0]], moves[mask][1]), images[mask])
+        for mask in masks
     }
 
 
 def reference_node_permutations(poset) -> dict[int, tuple[int, ...]]:
     """Per simple root a, node j -> the node s_a(j), imaging every node again."""
-    masks = [sum(1 << k for k in node) for node in poset.nodes]
+    masks = poset.masks
     node_of = {mask: j for j, mask in enumerate(masks)}
     return {
         a: tuple(node_of[sum(bits[k] for k in _bits(mask))] for mask in masks)

@@ -13,12 +13,12 @@ from translate_reference import is_identity
 from charvar.abelian import (
     FPAbelianGroup,
     canonical_word,
-    is_dth_power,
     is_prime,
     prime_factors,
     quotient_invariants,
     smith_normal_form,
 )
+from charvar.reference import is_dth_power
 
 entries = st.integers(min_value=-9, max_value=9)
 

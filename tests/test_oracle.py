@@ -39,6 +39,7 @@ from charvar.rootdata import build_root_datum
 from charvar.subsystems import build_poset
 import oracle_reference
 from oracle_reference import listed_gl_elements, reference_count, rescaled_pgl_elements
+from subsystem_reference import node_sets
 from witnesses import (
     GL2_COINCIDENT_TRIPLES,
     GL2_GENERIC_TRIPLE,
@@ -76,7 +77,7 @@ def test_group_order_matches_order_polynomial(family, size, q, descriptor):
     m = model(family, size, q)
     rd = build_root_datum(descriptor)
     poset = build_poset(rd)
-    full = poset.index_of[frozenset(range(rd.num_roots))]
+    full = node_sets(poset.masks).index(frozenset(range(rd.num_roots)))
     poincare = poset.poincare(full)
     expected = q**rd.num_positive * (q - 1) ** rd.rank * poincare.evaluate(q)
     assert m.order == expected

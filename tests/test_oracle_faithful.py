@@ -22,16 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charvar.abelian import smith_normal_form
-from charvar.charsum import (
-    EigenvalueDatum,
-    SymbolicTorusElement,
-    in_commutator,
-    product_translate,
-)
+from charvar.charsum import EigenvalueDatum, SymbolicTorusElement
 from charvar.cli_oracle import UnitSpecialization
 from charvar.count import Engine, ProblemSpec, resolve_overrides
-from charvar.rootdata import build_root_datum, enumerate_weyl
+from charvar.reference import enumerate_weyl, in_commutator, product_translate
+from charvar.rootdata import build_root_datum
 from charvar.subsystems import build_poset
+from subsystem_reference import node_sets
 
 FAMILIES = {"GL(2)": "GL", "GL(3)": "GL", "PGL(2)": "PGL"}
 
@@ -82,7 +79,7 @@ def reference_faithful(spec: ProblemSpec, values: dict, q: int) -> bool:
     for ws in itertools.product(enumerate_weyl(rd), repeat=spec.m):
         prod = product_translate(ws, spec.semisimple_classes)
         products.setdefault(prod.canonical_key(), prod)
-    for j, psi in enumerate(poset.nodes):
+    for j, psi in enumerate(node_sets(poset.masks)):
         if poset.orbit_of(j) in overridden:
             continue
         if psi:

@@ -33,7 +33,8 @@ import charvar
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement
 from charvar.count import ProblemSpec, count_polynomial
 from charvar.qpoly import Poly
-from charvar.rootdata import build_root_datum, enumerate_weyl
+from charvar.reference import enumerate_weyl
+from charvar.rootdata import build_root_datum
 from charvar.subsystems import build_poset
 
 PACKAGE = Path(charvar.__file__).resolve().parent

@@ -7,8 +7,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charvar.qpoly import Poly, RationalPoly, cyclotomic
-from charvar.reference import monic, poly_gcd
+from charvar.qpoly import Poly
+from charvar.reference import RationalPoly, cyclotomic, monic, poly_gcd
 from qpoly_reference import ONE, Q, ZERO, q_minus
 
 qs = sympy.Symbol("q")

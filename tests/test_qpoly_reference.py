@@ -22,7 +22,8 @@ import qpoly_reference as ref
 from charvar import count
 from charvar.cli import build_problem, load_config
 from charvar.count import count_polynomial
-from charvar.qpoly import Poly, RationalPoly
+from charvar.qpoly import Poly
+from charvar.reference import RationalPoly
 
 # sl2_invalid.json has a disconnected center: the engine rejects it
 CONFIGS = [

@@ -28,22 +28,22 @@ from charvar.count import (
 )
 from charvar.errors import InvalidInputError, ResourceLimitError
 from charvar.qpoly import Poly
+from charvar.reference import closure, poincare_polynomial
 from charvar.rootdata import (
     build_root_datum,
     classify_vectors,
     cocenter_invariants,
     component_types,
-    poincare_polynomial,
 )
 from charvar.subsystems import (
     MAX_POSITIVE_ROOTS,
     SubsystemPoset,
     build_poset,
-    closure,
     enumerate_closed_subsystems,
 )
 from subsystem_reference import (
     leq,
+    node_sets,
     reference_classify_vectors,
     reference_closure,
     reference_enumeration,
@@ -257,7 +257,7 @@ def _partition_of_node(rd, n, node):
 def test_gl_poset_is_partition_lattice(n):
     rd = build_root_datum(f"GL({n})")
     poset = SubsystemPoset(rd)
-    partitions = [_partition_of_node(rd, n, node) for node in poset.nodes]
+    partitions = [_partition_of_node(rd, n, node) for node in node_sets(poset.masks)]
     assert len(set(partitions)) == len(partitions) == _bell(n)
 
     # Mobius oracle: classical product formula on the partition lattice
@@ -278,8 +278,11 @@ def test_gl_poset_is_partition_lattice(n):
 def test_gl_bottom_to_top_mobius():
     for n, expected in [(2, -1), (3, 2), (4, -6), (5, 24)]:
         poset = SubsystemPoset(build_root_datum(f"GL({n})"))
-        empty = poset.index_of[frozenset()]
-        full = poset.index_of[frozenset(range(poset.rd.num_roots))]
+        nodes = node_sets(poset.masks)
+        empty = nodes.index(frozenset())
+        full = nodes.index(frozenset(range(poset.rd.num_roots)))
+        # ``Engine.full`` reads the full system as the last node
+        assert (empty, full) == (0, poset.num_nodes - 1)
         assert poset.mobius(empty, full) == expected
 
 
@@ -333,7 +336,8 @@ def test_nodes_are_weyl_stable(g2_poset):
     p = g2_poset
     rd = p.rd
     lookup = {v: i for i, v in enumerate(rd.coroots)}
-    for node in p.nodes:
+    nodes = node_sets(p.masks)
+    for node in nodes:
         for s in rd.simple_root_indices:
             mat = reference_reflection_matrix(rd, s)
             image = frozenset(
@@ -341,7 +345,7 @@ def test_nodes_are_weyl_stable(g2_poset):
                              for r in range(rd.rank))]
                 for k in node
             )
-            assert image in p.index_of
+            assert image in nodes
 
 
 @pytest.mark.parametrize("desc", ["A2", "A3", "B2", "B3", "C3", "G2", "D4"])
@@ -351,7 +355,7 @@ def test_proper_subsystems_drop_at_least_two_rank(desc):
     poset = build_poset(rd)
     rank = rd.semisimple_rank
     total = rd.num_roots
-    for node in poset.nodes:
+    for node in node_sets(poset.masks):
         if len(node) != total:
             assert total - len(node) >= 2 * rank, (desc, len(node))
 
@@ -371,7 +375,7 @@ def test_f4_enumeration_runs():
     assert "F4" in labels and "empty" in labels
     assert poset.num_nodes > 50
     # rootslemma bound holds for F4 too
-    for node in poset.nodes:
+    for node in node_sets(poset.masks):
         if len(node) != rd.num_roots:
             assert rd.num_roots - len(node) >= 2 * 4
 
@@ -434,13 +438,13 @@ def test_closure_matches_pair_scan_reference(desc, data):
 @pytest.mark.parametrize("desc", REFERENCE_POSETS)
 def test_enumeration_matches_reference_bfs(desc):
     rd = build_root_datum(desc)
-    assert tuple(enumerate_closed_subsystems(rd)) == reference_enumeration(rd)
+    assert node_sets(enumerate_closed_subsystems(rd)) == reference_enumeration(rd)
 
 
 @pytest.mark.parametrize("desc", REFERENCE_POSETS)
 def test_mobius_rows_match_pairwise_recursion(desc):
     poset = SubsystemPoset(build_root_datum(desc))
-    expected = reference_mobius(poset.nodes)
+    expected = reference_mobius(node_sets(poset.masks))
     for i in range(poset.num_nodes):
         row = poset.mobius_row(i)
         assert list(row) == sorted(row)
@@ -483,8 +487,9 @@ def test_enumeration_moves_are_simple_reflections(desc):
     """Each node other than its orbit's first is s_a of its recorded parent."""
     rd = build_root_datum(desc)
     lookup = rd.coroot_lookup
-    firsts = set()
-    for node, move in enumerate_closed_subsystems(rd).items():
+    walk = enumerate_closed_subsystems(rd)
+    nodes, firsts = node_sets(walk), set()
+    for node, (move, _) in zip(nodes, walk.values()):
         if move is None:
             firsts.add(node)
             continue
@@ -493,11 +498,12 @@ def test_enumeration_moves_are_simple_reflections(desc):
         mat = reference_reflection_matrix(rd, a)
         image = frozenset(
             lookup[tuple(sum(x * y for x, y in zip(row, rd.coroots[k])) for row in mat)]
-            for k in parent
+            for k in nodes[parent]
         )
         assert image == node
     poset, _, _ = _orbit_case(desc)
-    assert firsts == {poset.nodes[orbit[0]] for orbit in poset.orbits()}
+    nodes = node_sets(poset.masks)
+    assert firsts == {nodes[orbit[0]] for orbit in poset.orbits()}
 
 
 @pytest.mark.parametrize("desc", ORBIT_POSETS)
@@ -596,6 +602,7 @@ def test_orbit_invariants_match_per_node_values(desc):
     """X^vee/<w Psi> and P_{w Psi} are those of Psi, so one node per orbit serves."""
     poset = SubsystemPoset(build_root_datum(desc))
     direct = reference_quotients(poset)
+    nodes = node_sets(poset.masks)
     for orbit in poset.orbits():
         first = poset.quotient(orbit[0])
         poincare = poset.poincare(orbit[0])
@@ -603,7 +610,7 @@ def test_orbit_invariants_match_per_node_values(desc):
             assert (direct[i].free_rank, direct[i].torsion) == (
                 first.free_rank, first.torsion
             ), (desc, i)
-            assert poincare_polynomial(poset.rd, poset.nodes[i]) == poincare, (desc, i)
+            assert poincare_polynomial(poset.rd, nodes[i]) == poincare, (desc, i)
             assert poset.poincare(i) == poincare
 
 
@@ -655,7 +662,7 @@ def assert_kernels_match_references(desc: str) -> None:
     walk = enumerate_closed_subsystems(rd)
     assert list(walk.items()) == list(reference_walk(rd).items()), desc
     poset = SubsystemPoset(rd)
-    assert poset.nodes == tuple(walk)
+    assert poset.masks == tuple(walk)
     assert poset.orbits() == reference_orbits(poset), desc
     assert poset._node_permutations == reference_node_permutations(poset), desc
     labels = [

@@ -25,15 +25,9 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charvar.abelian import is_dth_power, smith_normal_form
+from charvar.abelian import smith_normal_form
 from charvar.cli_oracle import UnitSpecialization
-from charvar.charsum import (
-    EigenvalueDatum,
-    SymbolicTorusElement,
-    node_map,
-    product_translate,
-    translate,
-)
+from charvar.charsum import EigenvalueDatum, SymbolicTorusElement, node_map
 from charvar.count import (
     Engine,
     ProblemSpec,
@@ -41,8 +35,10 @@ from charvar.count import (
     resolve_overrides,
 )
 from charvar.errors import CharvarError
-from charvar.rootdata import build_root_datum, enumerate_weyl
+from charvar.reference import enumerate_weyl, is_dth_power, product_translate, translate
+from charvar.rootdata import build_root_datum
 from charvar.subsystems import build_poset
+from subsystem_reference import node_sets
 from translate_reference import is_identity, node_pass_counts
 
 # the largest m per group in the drawn problems that are counted
@@ -62,7 +58,7 @@ def reference_pass_counts(spec: ProblemSpec, poset) -> list[int]:
     group = spec.eigenvalues.group
     width = group.generator_count
     smith = []
-    for psi in poset.nodes:
+    for psi in node_sets(poset.masks):
         if psi:
             snf = smith_normal_form([list(rd.coroots[i]) for i in sorted(psi)])
             smith.append((snf.V, snf.divisors))

@@ -18,9 +18,10 @@ from collections import Counter
 from collections.abc import Sequence
 
 from charvar.abelian import AdditiveMap, FPAbelianGroup, canonical_coordinates
-from charvar.charsum import SymbolicTorusElement, evaluate_character, translate
+from charvar.charsum import SymbolicTorusElement, evaluate_character
 from charvar.count import ProblemSpec
-from charvar.rootdata import RootDatum, enumerate_weyl
+from charvar.reference import enumerate_weyl, translate
+from charvar.rootdata import RootDatum
 
 
 def node_pass_counts(spec: ProblemSpec, maps: list[AdditiveMap]) -> list[int]:
