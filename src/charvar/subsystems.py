@@ -18,19 +18,22 @@ reached this way, because it is the closure of its own simple system,
 which can be adjoined one element at a time.  The walk runs one Weyl
 orbit at a time: only the first subsystem found in an orbit is extended,
 and each new one is closed under the simple reflections, acting on
-bitmasks as permutations of the coroot indices; each member records its
-parent's index and the simple reflection that reaches it, and the poset
-reads its node permutations off the images the walk keeps.
+bitmasks as permutations of the coroot indices.  The walk returns each
+node's images under the simple reflections as node indices, the poset's
+only record of the Weyl action: one breadth-first pass over them from
+each orbit's first node gives the orbits and, per member, its parent and
+the simple reflection that reaches it.
 
-``SubsystemPoset`` precomputes the masks and serves per-node data:
-type labels (one classification per Weyl orbit, with long/short
-disambiguation where needed), Poincare polynomials (one per type label,
-read from its fundamental degrees) and Weyl orbits, each built for all
-nodes on first use; and, one node at a time, the quotient X^vee / <Psi>
-with its Smith basis and the Mobius row mu(i, .).  A Mobius row is
-computed at the first node of each orbit only (the downward recursion
-over the nodes above it) and carried to the other members through the
-recorded reflection's permutation of the nodes, a poset automorphism.
+``SubsystemPoset`` precomputes the masks, node permutations, moves and
+Weyl orbits and serves per-node data: type labels (one classification
+per Weyl orbit, with long/short disambiguation where needed) and
+Poincare polynomials (one per type label, read from its fundamental
+degrees), each built for all nodes on first use; and, one node at a
+time, the quotient X^vee / <Psi> with its Smith basis and the Mobius row
+mu(i, .).  A Mobius row is computed at the first node of each orbit only
+(the downward recursion over the nodes above it) and carried to the
+other members through the recorded reflection's permutation of the
+nodes, a poset automorphism.
 Torus elements are carried the other way (``carry``): S dies at w(Psi)
 exactly when w^-1 S dies at Psi, so one membership test per orbit, at
 its first node, decides every member.  A root datum builds its poset
@@ -100,30 +103,17 @@ def _indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _orbit_tree(mask: int, reflections, members: dict, images: dict) -> dict:
-    """Weyl orbit of ``mask`` as a tree: member -> (parent, a), None at the root.
-
-    The root is the orbit's first member (least ``_indices``).  A walk from
-    ``mask`` finds the members, and records each one's indices in
-    ``members`` and its images under the simple reflections in ``images``;
-    a breadth-first walk over those images from the root builds the tree.
-    """
+def _walk_orbit(mask: int, reflections, members: dict, images: dict) -> None:
+    """Record the Weyl orbit of ``mask``: each member's indices in ``members``
+    and its masks under the simple reflections (``reflections``) in ``images``."""
     members[mask], frontier = _indices(mask), [mask]
     for member in frontier:
         indices = members[member]
-        images[member] = row = [sum(map(bits.__getitem__, indices)) for _, bits in reflections]
+        images[member] = row = [sum(map(bits.__getitem__, indices)) for bits in reflections]
         for image in row:
             if image not in members:
                 members[image] = _indices(image)
                 frontier.append(image)
-    first = min(frontier, key=members.__getitem__)
-    tree, frontier = {first: None}, [first]
-    for member in frontier:
-        for (a, _), image in zip(reflections, images[member]):
-            if image not in tree:
-                tree[image] = (member, a)
-                frontier.append(image)
-    return tree
 
 
 def check_poset_bound(rd: RootDatum) -> None:
@@ -136,41 +126,34 @@ def check_poset_bound(rd: RootDatum) -> None:
         )
 
 
-def enumerate_closed_subsystems(rd: RootDatum) -> dict[int, tuple]:
+def enumerate_closed_subsystems(rd: RootDatum) -> dict[int, tuple[int, ...]]:
     """All closed symmetric subsystems of the coroot system, smallest first.
 
-    Each mask maps to (move, images): move is None if it is the first
-    (smallest) of its Weyl orbit, else (parent index, a) with it =
-    s_a(parent) for a simple root a; images are its masks under the simple
-    reflections (``RootDatum.simple_root_indices``).  Only the first
-    subsystem found in an orbit is extended, as adjoin(w Psi, beta) =
+    Each mask maps to the node indices of its images under the simple
+    reflections, in ``RootDatum.simple_root_indices`` order.  Only the
+    first subsystem found in an orbit is extended, as adjoin(w Psi, beta) =
     w adjoin(Psi, +-w^-1 beta).  Raises ResourceLimitError when the ambient
     system has more than ``MAX_POSITIVE_ROOTS`` positive roots.
     """
     check_poset_bound(rd)
     pairs = _sum_pairs(rd)
-    # (a, bits) per simple root a: s_a(beta_k^vee) is the coroot with bit bits[k]
-    reflections = [
-        (a, tuple(1 << k for k in rd.reflections[a])) for a in rd.simple_root_indices
-    ]
+    # per simple root a: s_a(beta_k^vee) is the coroot with bit bits[k]
+    reflections = [tuple(1 << k for k in rd.reflections[a]) for a in rd.simple_root_indices]
     members: dict[int, tuple[int, ...]] = {}
     images: dict[int, list[int]] = {}
-    moves = _orbit_tree(0, reflections, members, images)
+    _walk_orbit(0, reflections, members, images)
     queue = [0]
     while queue:
         mask = queue.pop()
         for p in rd.positive:
             if not mask >> p & 1:
                 bigger = _adjoin(rd, pairs, mask, p)
-                if bigger not in moves:
-                    moves.update(_orbit_tree(bigger, reflections, members, images))
+                if bigger not in members:
+                    _walk_orbit(bigger, reflections, members, images)
                     queue.append(bigger)
-    masks = sorted(moves, key=lambda mask: (len(members[mask]), members[mask]))
+    masks = sorted(members, key=lambda mask: (len(members[mask]), members[mask]))
     index = {mask: i for i, mask in enumerate(masks)}
-    return {
-        mask: (moves[mask] and (index[moves[mask][0]], moves[mask][1]), images[mask])
-        for mask in masks
-    }
+    return {mask: tuple(map(index.__getitem__, images[mask])) for mask in masks}
 
 
 class SubsystemPoset:
@@ -180,8 +163,25 @@ class SubsystemPoset:
         self.rd = rd
         walk = enumerate_closed_subsystems(rd)
         self.masks: tuple[int, ...] = tuple(walk)
+        # per simple root a, node j -> the node s_a(j), an automorphism of the poset
+        self._node_permutations: dict[int, tuple[int, ...]] = dict(
+            zip(rd.simple_root_indices, zip(*walk.values()))
+        )
+        # one breadth-first pass per orbit from its first node, the smallest;
         # per node: (parent index, simple root), None at its orbit's first node
-        self._moves, self._images = zip(*walk.values())
+        moves: list[tuple[int, int] | None] = [None] * len(walk)
+        orbit_index, orbits = [-1] * len(walk), []
+        for first in range(len(walk)):
+            if orbit_index[first] < 0:
+                orbit_index[first], orbit = len(orbits), [first]
+                for i in orbit:
+                    for a, perm in self._node_permutations.items():
+                        if orbit_index[j := perm[i]] < 0:
+                            orbit_index[j], moves[j] = len(orbits), (i, a)
+                            orbit.append(j)
+                orbits.append(tuple(sorted(orbit)))
+        self._moves, self._orbit_index = tuple(moves), tuple(orbit_index)
+        self._orbits: tuple[tuple[int, ...], ...] = tuple(orbits)
         self._mobius_rows: dict[int, Mapping[int, int]] = {}
         self._quotients: dict[int, QuotientInvariants] = {}
 
@@ -222,15 +222,6 @@ class SubsystemPoset:
                 row = dict(sorted((perm[j], v) for j, v in parent.items()))
             row = self._mobius_rows[i] = MappingProxyType(row)
         return row
-
-    @cached_property
-    def _node_permutations(self) -> dict[int, tuple[int, ...]]:
-        """Per simple root a, node j -> the node s_a(j), read off the enumeration."""
-        node_of = {mask: j for j, mask in enumerate(self.masks)}
-        return {
-            a: tuple(node_of[row[r]] for row in self._images)
-            for r, a in enumerate(self.rd.simple_root_indices)
-        }
 
     def mobius(self, i: int, j: int) -> int:
         """Mobius function of the inclusion poset: mu(i, j)."""
@@ -306,24 +297,9 @@ class SubsystemPoset:
 
     # -- Weyl orbits ---------------------------------------------------------
 
-    @cached_property
-    def _orbits(self) -> tuple[tuple[int, ...], ...]:
-        # moves lead each node back to its orbit's first node, the smallest
-        members: dict[int, list[int]] = {}
-        for i in range(self.num_nodes):
-            first = i
-            while (move := self._moves[first]) is not None:
-                first = move[0]
-            members.setdefault(first, []).append(i)
-        return tuple(map(tuple, members.values()))
-
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Partition of node indices into Weyl-group orbits."""
         return self._orbits
-
-    @cached_property
-    def _orbit_index(self) -> dict[int, int]:
-        return {i: k for k, orbit in enumerate(self.orbits()) for i in orbit}
 
     def orbit_of(self, i: int) -> int:
         return self._orbit_index[i]

@@ -12,12 +12,13 @@ d x d matrices, and ``reference_quotients`` computes X^vee / <Psi> from
 the Smith form of every node.  None of them shares code with
 ``charvar.subsystems``, which works on bitmasks, a sum-pair table, one
 Mobius recursion and one Smith form per orbit (carried to the other
-members along simple reflections) and orbits found during the
-enumeration.
+members along simple reflections) and orbits found by one breadth-first
+pass over the node permutations the enumeration returns.
 
 Three references keep earlier forms of the package's own kernels, for
 differential tests: ``reference_walk`` is the orbit walk with a
-one-coroot-at-a-time closure that recomputes each node's indices,
+one-coroot-at-a-time closure that recomputes each node's indices and
+builds each orbit's tree of moves from its image masks,
 ``reference_node_permutations`` images every node under every simple
 reflection a second time, and ``reference_classify_vectors`` takes each
 component's rank from a Smith normal form.
@@ -167,7 +168,15 @@ def _reference_reflection_bits(rd) -> list[tuple[int, tuple[int, ...]]]:
 
 
 def reference_walk(rd) -> dict:
-    """``enumerate_closed_subsystems`` as a worklist closure and a two-pass orbit tree."""
+    """The closed subsystems, smallest first, from a worklist closure and a
+    two-pass orbit walk.
+
+    Each mask maps to (move, images): move is None at the first (smallest)
+    node of its Weyl orbit, else (parent index, a) with the node = s_a(parent)
+    for a simple root a; images are its masks under the simple reflections.
+    The package's walk returns those images as node indices, and its poset
+    reads the same moves off them.
+    """
     lookup = rd.coroot_lookup
     pairs = [
         [(1 << j, k) for j, w in enumerate(rd.coroots)

@@ -11,6 +11,7 @@ checked against fully hand-frozen node/Mobius tables.
 import ast
 import functools
 import itertools
+import tracemalloc
 from pathlib import Path
 from fractions import Fraction
 from math import factorial
@@ -18,7 +19,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charvar import abelian
+from charvar import abelian, subsystems
 from charvar.charsum import EigenvalueDatum, SymbolicTorusElement, node_map
 from charvar.count import (
     ProblemSpec,
@@ -367,6 +368,23 @@ def test_enumeration_bound():
     assert exc.value.code == "poset-bound"
 
 
+def test_poset_holds_its_weyl_action_once(monkeypatch):
+    """E6(ad), bound lifted: the poset with its orbits and node permutations
+    built holds at most 2.5 MB (measured 1.6 MB; 3.4 MB when every node also
+    kept its reflection images as masks)."""
+    rd = build_root_datum("E6(ad)")
+    monkeypatch.setattr(subsystems, "MAX_POSITIVE_ROOTS", rd.num_positive)
+    tracemalloc.start()
+    try:
+        poset = SubsystemPoset(rd)
+        poset.orbits(), poset._node_permutations
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (poset.num_nodes, len(poset.orbits())) == (5079, 21)
+    assert held <= 2_500_000
+
+
 def test_f4_enumeration_runs():
     rd = build_root_datum("F4")
     poset = build_poset(rd)
@@ -484,25 +502,34 @@ def test_orbits_match_reference_walk(desc):
 
 @pytest.mark.parametrize("desc", ORBIT_POSETS)
 def test_enumeration_moves_are_simple_reflections(desc):
-    """Each node other than its orbit's first is s_a of its recorded parent."""
+    """Each node other than its orbit's first is s_a of its recorded parent,
+    and the walk's images are the nodes s_a(node), in simple-root order."""
     rd = build_root_datum(desc)
     lookup = rd.coroot_lookup
+
+    def reflected(a, node):
+        mat = reference_reflection_matrix(rd, a)
+        return frozenset(
+            lookup[tuple(sum(x * y for x, y in zip(row, rd.coroots[k])) for row in mat)]
+            for k in node
+        )
+
     walk = enumerate_closed_subsystems(rd)
-    nodes, firsts = node_sets(walk), set()
-    for node, (move, _) in zip(nodes, walk.values()):
+    nodes = node_sets(walk)
+    for node, images in zip(nodes, walk.values()):
+        assert [nodes[j] for j in images] == [
+            reflected(a, node) for a in rd.simple_root_indices
+        ]
+    poset, _, _ = _orbit_case(desc)
+    assert node_sets(poset.masks) == nodes
+    firsts = set()
+    for node, move in zip(nodes, poset._moves):
         if move is None:
             firsts.add(node)
             continue
         parent, a = move
         assert a in rd.simple_root_indices
-        mat = reference_reflection_matrix(rd, a)
-        image = frozenset(
-            lookup[tuple(sum(x * y for x, y in zip(row, rd.coroots[k])) for row in mat)]
-            for k in nodes[parent]
-        )
-        assert image == node
-    poset, _, _ = _orbit_case(desc)
-    nodes = node_sets(poset.masks)
+        assert reflected(a, nodes[parent]) == node
     assert firsts == {nodes[orbit[0]] for orbit in poset.orbits()}
 
 
@@ -659,10 +686,15 @@ def products(draw) -> str:
 
 def assert_kernels_match_references(desc: str) -> None:
     rd = build_root_datum(desc)
-    walk = enumerate_closed_subsystems(rd)
-    assert list(walk.items()) == list(reference_walk(rd).items()), desc
+    walk, expected = enumerate_closed_subsystems(rd), reference_walk(rd)
+    node_of = {mask: i for i, mask in enumerate(expected)}
+    assert list(walk) == list(expected), desc
+    assert list(walk.values()) == [
+        tuple(map(node_of.__getitem__, images)) for _, images in expected.values()
+    ], desc
     poset = SubsystemPoset(rd)
     assert poset.masks == tuple(walk)
+    assert poset._moves == tuple(move for move, _ in expected.values()), desc
     assert poset.orbits() == reference_orbits(poset), desc
     assert poset._node_permutations == reference_node_permutations(poset), desc
     labels = [
